@@ -6,70 +6,9 @@ subgraph.  The package provides the guided fixed-size sampler and baseline
 strategies, exact and Monte Carlo fractional solutions of the expected
 instance, closed-form preservation guarantees, synthetic adversarial
 benchmark families, a taxi-trip pipeline, and a seeded experiment harness.
-"""
 
-from .bounds import BoundInputs, corollary_budget, per_bin_bound, sandwich_check, theorem_bound
-from .generators import (
-    FAMILIES,
-    ZoneModel,
-    TripRecord,
-    build_nyc_instance,
-    gen_bahmani,
-    gen_kvv_triangular,
-    gen_partitioned_block,
-    gen_tsm_tight,
-    ingest_trips,
-)
-from .harness import (
-    EfficiencySummary,
-    ExperimentConfig,
-    UnmetDemandSeries,
-    ci95,
-    emit_results,
-    run_experiment,
-    run_nyc_day,
-)
-from .instance import (
-    DemandType,
-    RealizedGraph,
-    StochasticInstance,
-    instance_from_json,
-    instance_to_json,
-    micro_type_count,
-    realize,
-)
-from .matching import (
-    BipartiteEdgeList,
-    FractionalLoadReport,
-    MatchingResult,
-    fractional_scaled_matching,
-    full_edge_list,
-    max_matching,
-    max_matching_shuffled,
-)
-from .rng import RngStream
-from .strategies import (
-    SparsifierReport,
-    StrategyConfig,
-    StrategyOutcome,
-    kvv_ranking,
-    mgs,
-    random_subgraph,
-    run_strategy,
-    varopt_sparsify,
-)
-from .varopt import VarOptSample, WeightedItem, compute_threshold, draw, estimate_subset_sum
-from .weights import (
-    CopyMarginals,
-    FractionalSolution,
-    HeavyLightSplit,
-    heavy_light,
-    monte_carlo_weights,
-    per_copy_marginals,
-    solution_from_json,
-    solution_to_json,
-    solve_expected_lp,
-    spread_equivalence_classes,
-)
+The modules are the API (``sparsematch.harness``, ``sparsematch.varopt``,
+...); the package itself exports only ``__version__``.
+"""
 
 __version__ = "0.1.0"

@@ -16,45 +16,29 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from dataclasses import dataclass
 from datetime import datetime
 
-from .bounds import BoundInputs, theorem_bound
 from .generators import FAMILIES, ingest_trips
 from .harness import (
     ConfigError,
     EfficiencySummary,
     ExperimentConfig,
     UnmetDemandSeries,
-    ci95,
-    emit_results,
+    bound_report,
     render_results,
     resolve_instance,
     run_experiment,
     run_nyc_day,
+    solution_for_source,
 )
-from .instance import StochasticInstance, realize
 from .rng import RngStream
-from .strategies import StrategyConfig, run_strategy
-from .weights import heavy_light, monte_carlo_weights, solution_to_json, solve_expected_lp
+from .strategies import STRATEGIES, StrategyConfig
+from .weights import solution_to_json
 
 log = logging.getLogger(__name__)
 
 DEFAULT_STRATEGIES = "offline,kvv,mgs,random:3,random:5,random:10,varopt:3,varopt:5,varopt:10"
 DEFAULT_NYC_STRATEGIES = "offline,kvv,mgs,random:5,varopt:5,varopt:10"
-
-
-@dataclass(frozen=True)
-class BoundRow:
-    family: str
-    k: int
-    z: float
-    heavy_fraction: float
-    bound: float
-    empirical_mean: float
-    stderr: float
-    vacuous: bool
-    sound: bool
 
 
 def parse_strategies(text: str, weight_source: str) -> tuple[StrategyConfig, ...]:
@@ -66,8 +50,8 @@ def parse_strategies(text: str, weight_source: str) -> tuple[StrategyConfig, ...
             continue
         name, _, k_text = token.partition(":")
         k = int(k_text) if k_text else None
-        needs_weights = name in ("varopt", "mgs")
-        configs.append(StrategyConfig(name, k=k, weights=weight_source if needs_weights else None))
+        guided = name in STRATEGIES and STRATEGIES[name].guided
+        configs.append(StrategyConfig(name, k=k, weights=weight_source if guided else None))
     if not configs:
         raise ConfigError("empty strategy list")
     return tuple(configs)
@@ -175,12 +159,7 @@ def _write(payload: str, out: str | None) -> None:
 
 
 def _emit(results: list[EfficiencySummary] | UnmetDemandSeries, res: _Resolver) -> None:
-    out = res.get("out")
-    fmt = res.get("format", "csv")
-    if out is None:
-        sys.stdout.write(render_results(results, fmt))
-    else:
-        emit_results(results, out, fmt)
+    _write(render_results(results, res.get("format", "csv")), res.get("out"))
 
 
 def _cmd_synth(res: _Resolver) -> int:
@@ -204,39 +183,6 @@ def _cmd_nyc(res: _Resolver) -> int:
     return 0
 
 
-def bound_report(instance: StochasticInstance, family: str, ks: list[int],
-                 config: ExperimentConfig, weight_source: str) -> list[BoundRow]:
-    base = RngStream(config.seed)
-    if weight_source == "lp":
-        x = solve_expected_lp(instance)
-    else:
-        x = monte_carlo_weights(instance, config.mc, base.substream("weights"))
-    rows = []
-    for k in ks:
-        split = heavy_light(x, k)
-        bound = theorem_bound(BoundInputs(z=x.objective, z_heavy=split.z_heavy,
-                                          z_light=split.z_light, k=k))
-        cfg = StrategyConfig("varopt", k=k, weights=weight_source)
-        sizes = []
-        for t in range(config.trials):
-            graph = realize(instance, base.substream("realize", t))
-            sizes.append(run_strategy(graph, cfg, base.substream("bound", t, k), x=x).matched)
-        mean, halfwidth = ci95(sizes)
-        stderr = halfwidth / 1.96
-        rows.append(BoundRow(
-            family=family,
-            k=k,
-            z=x.objective,
-            heavy_fraction=split.z_heavy / x.objective,
-            bound=bound,
-            empirical_mean=mean,
-            stderr=stderr,
-            vacuous=bound < 0,
-            sound=bound <= mean + 4 * stderr,
-        ))
-    return rows
-
-
 def _cmd_bounds(res: _Resolver) -> int:
     config = _experiment_config(res, (StrategyConfig("offline"),))
     instance = resolve_instance(config)
@@ -258,14 +204,14 @@ def _cmd_weights(res: _Resolver) -> int:
     config = _experiment_config(res, (StrategyConfig("offline"),))
     instance = resolve_instance(config)
     source = res.get("weights", "montecarlo")
-    if source == "lp":
-        x = solve_expected_lp(instance)
-    elif source == "montecarlo":
-        x = monte_carlo_weights(instance, config.mc, RngStream(config.seed).substream("weights"))
-    else:
+    if source == "file":
         raise ConfigError("the weights command learns from 'lp' or 'montecarlo'")
+    x = solution_for_source(instance, source, config, RngStream(config.seed))
     _write(solution_to_json(x, instance.arrivals) + "\n", res.get("weights-out"))
     return 0
+
+
+COMMANDS = {"synth": _cmd_synth, "nyc": _cmd_nyc, "bounds": _cmd_bounds, "weights": _cmd_weights}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -274,16 +220,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        res = _Resolver(args)
-        if args.command == "synth":
-            return _cmd_synth(res)
-        if args.command == "nyc":
-            return _cmd_nyc(res)
-        if args.command == "bounds":
-            return _cmd_bounds(res)
-        if args.command == "weights":
-            return _cmd_weights(res)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return COMMANDS[args.command](_Resolver(args))
     except OSError as exc:
         log.error("I/O failure: %s", exc)
         return 3

@@ -1,11 +1,15 @@
-"""Experiment orchestration: seeded trials, efficiency tables, unmet-demand series.
+"""Experiment orchestration: one trial kernel behind efficiency tables,
+unmet-demand series and bound reports.
 
-A run realizes the instance once per trial, scores every configured strategy
-on the same realization against the offline maximum matching, and aggregates
-the per-trial efficiency ratios into mean and 95% confidence halfwidth rows.
-Guided strategies share fractional weights learned once per experiment from a
-dedicated substream, so the whole run is reproducible from (config, seed) and
-independent of trial scheduling.
+``score_trials`` is the only loop that realizes instances for scoring.  Each
+trial realizes the instance once from ``realize_stream.substream(t)``, solves
+the offline maximum matching when the caller scores against it, and runs
+every other strategy on the same realization through ``run_strategy`` with
+``strategy_stream.substream(t, key)``.  Every stream is keyed by the trial
+index alone, never by position in the loop, so results are reproducible from
+(config, seed) and independent of trial scheduling.  Guided strategies share
+fractional weights learned once per experiment from a dedicated substream;
+``solution_for_source`` is the one place a weight source becomes a solution.
 """
 
 from __future__ import annotations
@@ -15,18 +19,20 @@ import logging
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from .bounds import BoundInputs, theorem_bound
 from .generators import FAMILIES, EmptyWindow, TripRecord, ZoneModel, build_nyc_instance
-from .instance import StochasticInstance, realize
+from .instance import StochasticInstance, instance_from_json, realize
 from .matching import full_edge_list, max_matching
 from .rng import RngStream
 from .strategies import StrategyConfig, run_strategy
 from .weights import (
     CopyMarginals,
     FractionalSolution,
+    heavy_light,
     monte_carlo_weights,
     per_copy_marginals,
     solution_from_json,
@@ -107,8 +113,6 @@ def ci95(samples: Sequence[float]) -> tuple[float, float]:
 
 
 def resolve_instance(config: ExperimentConfig) -> StochasticInstance:
-    from .instance import instance_from_json
-
     if config.instance_path is not None:
         with open(config.instance_path) as fh:
             return instance_from_json(fh.read())
@@ -127,6 +131,24 @@ class LearnedWeights:
 
     def solution_for(self, cfg: StrategyConfig) -> FractionalSolution | None:
         return self.solutions.get(cfg.weights) if cfg.weights else None
+
+
+def solution_for_source(
+    instance: StochasticInstance, source: str, config: ExperimentConfig, base: RngStream
+) -> FractionalSolution:
+    """The fractional solution a weight source stands for: the exact LP, Monte
+    Carlo marginals learned on ``base.substream("weights")``, or the cached
+    file ``config.weights_in``."""
+    if source == "lp":
+        return solve_expected_lp(instance)
+    if source == "montecarlo":
+        return monte_carlo_weights(instance, config.mc, base.substream("weights"))
+    if source == "file":
+        if config.weights_in is None:
+            raise ConfigError("weight source 'file' needs --weights-in")
+        with open(config.weights_in) as fh:
+            return solution_from_json(instance, fh.read())
+    raise ConfigError(f"unknown weight source {source!r}")
 
 
 def learn_weight_sources(
@@ -148,19 +170,52 @@ def learn_weight_sources(
         if cfg.strategy == "mgs" and source == "montecarlo":
             if guidance is None:
                 guidance = per_copy_marginals(instance, config.mc, base.substream("weights", "mgs"))
-            continue
-        if source in solutions:
-            continue
-        if source == "lp":
-            solutions[source] = solve_expected_lp(instance)
-        elif source == "montecarlo":
-            solutions[source] = monte_carlo_weights(instance, config.mc, base.substream("weights"))
-        elif source == "file":
-            if config.weights_in is None:
-                raise ConfigError("weight source 'file' needs --weights-in")
-            with open(config.weights_in) as fh:
-                solutions[source] = solution_from_json(instance, fh.read())
+        elif source not in solutions:
+            solutions[source] = solution_for_source(instance, source, config, base)
     return LearnedWeights(solutions=solutions, mgs_guidance=guidance)
+
+
+@dataclass(frozen=True)
+class TrialScore:
+    """One trial: the offline maximum matching size (None when not scored
+    against it) and the matched count of every strategy, by label."""
+
+    offline: int | None
+    matched: dict[str, int]
+
+
+def score_trials(
+    instance: StochasticInstance,
+    strategies: Sequence[StrategyConfig],
+    learned: LearnedWeights,
+    trials: Iterable[int],
+    realize_stream: RngStream,
+    strategy_stream: RngStream,
+    stream_key: Callable[[StrategyConfig], int | str] = lambda cfg: cfg.label,
+    with_offline: bool = True,
+) -> list[TrialScore]:
+    """Realize and score each trial in ``trials``; one score per trial, in order.
+
+    With ``with_offline`` the offline maximum matching is solved once per trial
+    and is the offline strategy's score; a trial whose offline matching is
+    empty has no edges, so every strategy scores 0 there without running.
+    """
+    scores = []
+    for t in trials:
+        graph = realize(instance, realize_stream.substream(t))
+        offline = max_matching(full_edge_list(graph)).size if with_offline else None
+        matched = {}
+        for cfg in strategies:
+            if offline == 0:
+                matched[cfg.label] = 0
+            elif offline is not None and cfg.strategy == "offline":
+                matched[cfg.label] = offline
+            else:
+                rng = strategy_stream.substream(t, stream_key(cfg))
+                matched[cfg.label] = run_strategy(graph, cfg, rng, x=learned.solution_for(cfg),
+                                                  mgs_guidance=learned.mgs_guidance).matched
+        scores.append(TrialScore(offline, matched))
+    return scores
 
 
 def run_experiment(
@@ -171,46 +226,63 @@ def run_experiment(
         instance = resolve_instance(config)
     base = RngStream(config.seed)
     learned = learn_weight_sources(instance, config, base)
-
-    ratios: dict[str, list[float]] = {cfg.label: [] for cfg in config.strategies}
-    degenerate = 0
-    for t in range(config.trials):
-        graph = realize(instance, base.substream("realize", t))
-        offline = max_matching(full_edge_list(graph))
-        if offline.size == 0:
-            degenerate += 1
-            continue
-        for cfg in config.strategies:
-            if cfg.strategy == "offline":
-                matched = offline.size
-            else:
-                outcome = run_strategy(
-                    graph,
-                    cfg,
-                    base.substream("strategy", t, cfg.label),
-                    x=learned.solution_for(cfg),
-                    mgs_guidance=learned.mgs_guidance,
-                )
-                matched = outcome.matched
-            ratios[cfg.label].append(matched / offline.size)
+    scores = score_trials(instance, config.strategies, learned, range(config.trials),
+                          base.substream("realize"), base.substream("strategy"))
+    scored = [s for s in scores if s.offline > 0]
+    degenerate = len(scores) - len(scored)
     if degenerate:
         log.warning("%d trials had an empty offline matching and were skipped", degenerate)
-    if degenerate == config.trials:
+    if not scored:
         raise ConfigError("every trial had an empty offline matching; nothing to score")
 
     summaries = []
     for cfg in sorted(config.strategies, key=lambda c: (c.strategy, c.k if c.k is not None else -1)):
-        mean, halfwidth = ci95(ratios[cfg.label])
-        summaries.append(
-            EfficiencySummary(
-                strategy=cfg.strategy,
-                k=cfg.k,
-                mean=mean,
-                ci95=halfwidth,
-                trials=len(ratios[cfg.label]),
-            )
-        )
+        mean, halfwidth = ci95([s.matched[cfg.label] / s.offline for s in scored])
+        summaries.append(EfficiencySummary(cfg.strategy, cfg.k, mean, halfwidth, len(scored)))
     return summaries
+
+
+@dataclass(frozen=True)
+class BoundRow:
+    family: str
+    k: int
+    z: float
+    heavy_fraction: float
+    bound: float
+    empirical_mean: float
+    stderr: float
+    vacuous: bool
+    sound: bool
+
+
+def bound_report(instance: StochasticInstance, family: str, ks: list[int],
+                 config: ExperimentConfig, weight_source: str) -> list[BoundRow]:
+    """Theorem bound against the guided sparsifier's empirical matching size, per k."""
+    base = RngStream(config.seed)
+    x = solution_for_source(instance, weight_source, config, base)
+    strategies = {k: StrategyConfig("varopt", k=k, weights=weight_source) for k in ks}
+    scores = score_trials(instance, list(strategies.values()), LearnedWeights({weight_source: x}),
+                          range(config.trials), base.substream("realize"), base.substream("bound"),
+                          stream_key=lambda cfg: cfg.k, with_offline=False)
+    rows = []
+    for k in ks:
+        split = heavy_light(x, k)
+        bound = theorem_bound(BoundInputs(z=x.objective, z_heavy=split.z_heavy,
+                                          z_light=split.z_light, k=k))
+        mean, halfwidth = ci95([s.matched[strategies[k].label] for s in scores])
+        stderr = halfwidth / 1.96
+        rows.append(BoundRow(
+            family=family,
+            k=k,
+            z=x.objective,
+            heavy_fraction=split.z_heavy / x.objective,
+            bound=bound,
+            empirical_mean=mean,
+            stderr=stderr,
+            vacuous=bound < 0,
+            sound=bound <= mean + 4 * stderr,
+        ))
+    return rows
 
 
 def default_interval_starts(trips: Sequence[TripRecord]) -> list[datetime]:
@@ -265,25 +337,13 @@ def run_nyc_day(
                 series[cfg.label].append(totals[cfg.label])
             continue
         learned = learn_weight_sources(instance, config, base.substream("interval", j))
-        unmet = {cfg.label: 0.0 for cfg in config.strategies}
-        for r in range(config.trials):
-            graph = realize(instance, base.substream("nyc-realize", j, r))
-            offline = max_matching(full_edge_list(graph))
-            for cfg in config.strategies:
-                if cfg.strategy == "offline":
-                    matched = offline.size
-                else:
-                    outcome = run_strategy(
-                        graph,
-                        cfg,
-                        base.substream("nyc-strategy", j, r, cfg.label),
-                        x=learned.solution_for(cfg),
-                        mgs_guidance=learned.mgs_guidance,
-                    )
-                    matched = outcome.matched
-                unmet[cfg.label] += (graph.n - matched) / config.trials
+        scores = score_trials(instance, config.strategies, learned, range(config.trials),
+                              base.substream("nyc-realize", j), base.substream("nyc-strategy", j))
         for cfg in config.strategies:
-            totals[cfg.label] += unmet[cfg.label]
+            unmet = 0.0
+            for score in scores:
+                unmet += (instance.arrivals - score.matched[cfg.label]) / config.trials
+            totals[cfg.label] += unmet
             series[cfg.label].append(totals[cfg.label])
     return UnmetDemandSeries(
         timestamps=tuple(timestamps),
@@ -333,15 +393,3 @@ def render_results(results: list[EfficiencySummary] | UnmetDemandSeries, fmt: st
             )
     return payload
 
-
-def emit_results(
-    results: list[EfficiencySummary] | UnmetDemandSeries, path: str, fmt: str
-) -> None:
-    """Write summaries or a series to ``path``.
-
-    Raises:
-        OSError: if the path cannot be written.
-    """
-    payload = render_results(results, fmt)
-    with open(path, "w") as fh:
-        fh.write(payload)

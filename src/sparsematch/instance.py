@@ -103,18 +103,9 @@ class RealizedGraph:
     def n(self) -> int:
         return len(self.type_ids)
 
-    @property
-    def arrivals(self) -> tuple[tuple[int, int], ...]:
-        """(arrival_index, type_id) pairs in arrival order."""
-        return tuple(enumerate(self.type_ids))
-
     def edges_for(self, arrival_index: int) -> tuple[int, ...]:
         """Compatibility set of one arrival (resource indices)."""
         return self.instance.compatible_of(self.type_ids[arrival_index])
-
-    @property
-    def edge_count(self) -> int:
-        return sum(len(self.edges_for(i)) for i in range(self.n))
 
 
 def realize(instance: StochasticInstance, rng: RngStream) -> RealizedGraph:
@@ -141,6 +132,8 @@ def instance_to_json(instance: StochasticInstance) -> str:
         "types": [{"p": t.probability, "compatible": list(t.compatible)} for t in instance.types],
         "n": instance.arrivals,
     }
+    if instance.allow_empty_types:
+        doc["allow_empty_types"] = True
     return json.dumps(doc, indent=2)
 
 
@@ -154,4 +147,5 @@ def instance_from_json(text: str) -> StochasticInstance:
         resources=tuple(str(r) for r in doc["resources"]),
         types=types,
         arrivals=int(doc["n"]),
+        allow_empty_types=bool(doc.get("allow_empty_types", False)),
     )

@@ -59,7 +59,6 @@ class BipartiteEdgeList:
 class MatchingResult:
     size: int
     pairs: tuple[tuple[int, int], ...]
-    unmatched_left: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -152,8 +151,7 @@ def max_matching(graph: BipartiteEdgeList) -> MatchingResult:
             if pair_l[l] == -1 and dfs(l):
                 size += 1
     pairs = tuple((l, pair_l[l]) for l in range(left) if pair_l[l] != -1)
-    unmatched = tuple(l for l in range(left) if pair_l[l] == -1)
-    return MatchingResult(size=size, pairs=pairs, unmatched_left=unmatched)
+    return MatchingResult(size=size, pairs=pairs)
 
 
 def max_matching_shuffled(graph: BipartiteEdgeList, rng: RngStream) -> MatchingResult:
@@ -175,9 +173,7 @@ def max_matching_shuffled(graph: BipartiteEdgeList, rng: RngStream) -> MatchingR
     inv_l = np.argsort(perm_l)
     inv_r = np.argsort(perm_r)
     pairs = tuple(sorted((int(inv_l[l]), int(inv_r[r])) for l, r in result.pairs))
-    matched_left = {l for l, _ in pairs}
-    unmatched = tuple(l for l in range(graph.left_count) if l not in matched_left)
-    return MatchingResult(size=result.size, pairs=pairs, unmatched_left=unmatched)
+    return MatchingResult(size=result.size, pairs=pairs)
 
 
 def fractional_scaled_matching(

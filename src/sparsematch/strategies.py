@@ -1,4 +1,4 @@
-"""The evaluated matching strategies.
+"""The evaluated matching strategies and the table that dispatches them.
 
 Local sparsifiers (guided fixed-size sampling and uniform random subsets)
 prune each arrival's edges independently before a central maximum matching;
@@ -6,11 +6,15 @@ online baselines (ranking, two-suggestion guidance) commit irrevocably per
 arrival; the offline optimum sees the whole realization.  Per-arrival
 randomness is drawn from substreams keyed by arrival index, so one arrival's
 selection never depends on the other arrivals.
+
+``STRATEGIES`` maps each strategy name to its runner and to whether it needs
+a budget k or fractional weights; ``run_strategy`` is the one entry point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -20,8 +24,6 @@ from .rng import RngStream
 from .varopt import VarOptSampler
 from .weights import CopyMarginals, FractionalSolution
 
-STRATEGY_NAMES = ("offline", "kvv", "random", "mgs", "varopt")
-
 
 class UnknownStrategy(ValueError):
     """Strategy name outside the supported set."""
@@ -29,21 +31,18 @@ class UnknownStrategy(ValueError):
 
 @dataclass(frozen=True)
 class SparsifierReport:
-    """Edges one arrival reports to the coordinator, with sampling metadata."""
+    """Edges one arrival reports to the coordinator."""
 
     arrival_index: int
     selected: tuple[int, ...]
-    inclusion_probs: tuple[float, ...]
-    ipw_weights: tuple[float, ...] | None
 
 
 @dataclass(frozen=True)
 class StrategyOutcome:
-    """Matched count, number of reported/committed edges, per-arrival indicator."""
+    """Matched count and number of reported (or committed) edges."""
 
     matched: int
     sparsified_edges: int
-    matched_arrivals: tuple[bool, ...]
 
 
 @dataclass(frozen=True)
@@ -55,11 +54,10 @@ class StrategyConfig:
     weights: str | None = None
 
     def __post_init__(self):
-        if self.strategy not in STRATEGY_NAMES:
+        if self.strategy not in STRATEGIES:
             raise UnknownStrategy(f"unknown strategy {self.strategy!r}")
-        if self.strategy in ("random", "varopt"):
-            if self.k is None or self.k < 1:
-                raise ValueError(f"strategy {self.strategy!r} needs a budget k >= 1")
+        if STRATEGIES[self.strategy].budgeted and (self.k is None or self.k < 1):
+            raise ValueError(f"strategy {self.strategy!r} needs a budget k >= 1")
 
     @property
     def label(self) -> str:
@@ -76,11 +74,13 @@ def varopt_sparsify(
     fractional values x_tj.  Types whose fractional row is all zero fall back
     to uniform weights over the full compatibility set.
     """
+    if x is None:
+        raise ValueError("varopt needs a fractional solution")
     if k < 1:
         raise ValueError(f"budget k must be >= 1, got {k}")
     samplers: dict[int, VarOptSampler | None] = {}
     reports = []
-    for i, type_id in graph.arrivals:
+    for i, type_id in enumerate(graph.type_ids):
         if type_id not in samplers:
             ids, values = x.support_of(type_id)
             if ids:
@@ -93,18 +93,8 @@ def varopt_sparsify(
                 else:
                     samplers[type_id] = None
         sampler = samplers[type_id]
-        if sampler is None:
-            reports.append(SparsifierReport(i, (), (), ()))
-            continue
-        sample = sampler.draw(rng.substream("arrival", i))
-        reports.append(
-            SparsifierReport(
-                arrival_index=i,
-                selected=sample.included,
-                inclusion_probs=tuple(sample.inclusion_prob[r] for r in sample.included),
-                ipw_weights=tuple(sample.ipw_weight[r] for r in sample.included),
-            )
-        )
+        selected = () if sampler is None else sampler.draw(rng.substream("arrival", i)).included
+        reports.append(SparsifierReport(i, selected))
     return reports
 
 
@@ -113,25 +103,12 @@ def random_subgraph(graph: RealizedGraph, k: int, rng: RngStream) -> list[Sparsi
     if k < 1:
         raise ValueError(f"budget k must be >= 1, got {k}")
     reports = []
-    for i, _ in graph.arrivals:
+    for i in range(graph.n):
         compatible = graph.edges_for(i)
-        degree = len(compatible)
-        if degree <= k:
-            selected = compatible
-            prob = 1.0
-        else:
-            gen = rng.substream("arrival", i).generator
-            picks = gen.choice(degree, size=k, replace=False)
-            selected = tuple(compatible[p] for p in sorted(picks))
-            prob = k / degree
-        reports.append(
-            SparsifierReport(
-                arrival_index=i,
-                selected=selected,
-                inclusion_probs=(prob,) * len(selected),
-                ipw_weights=None,
-            )
-        )
+        if len(compatible) > k:
+            picks = rng.substream("arrival", i).generator.choice(len(compatible), size=k, replace=False)
+            compatible = tuple(compatible[p] for p in sorted(picks))
+        reports.append(SparsifierReport(i, compatible))
     return reports
 
 
@@ -139,9 +116,8 @@ def kvv_ranking(graph: RealizedGraph, rng: RngStream) -> StrategyOutcome:
     """Classic online ranking: arrivals greedily take their best-ranked free neighbor."""
     rank = rng.generator.permutation(graph.instance.resource_count)
     taken = np.zeros(graph.instance.resource_count, dtype=bool)
-    matched_flags = []
     matched = 0
-    for i, _ in graph.arrivals:
+    for i in range(graph.n):
         best = -1
         best_rank = None
         for r in graph.edges_for(i):
@@ -151,10 +127,7 @@ def kvv_ranking(graph: RealizedGraph, rng: RngStream) -> StrategyOutcome:
         if best >= 0:
             taken[best] = True
             matched += 1
-            matched_flags.append(True)
-        else:
-            matched_flags.append(False)
-    return StrategyOutcome(matched, matched, tuple(matched_flags))
+    return StrategyOutcome(matched, matched)
 
 
 def _sample_weighted(ids, values, gen, exclude: int | None = None) -> int | None:
@@ -206,29 +179,58 @@ def mgs(
 
     taken = np.zeros(graph.instance.resource_count, dtype=bool)
     copies_seen: dict[int, int] = {}
-    matched_flags = []
     matched = 0
-    for _, type_id in graph.arrivals:
+    for type_id in graph.type_ids:
         copy = copies_seen.get(type_id, 0) + 1
         copies_seen[type_id] = copy
         choice = suggestions[type_id][copy - 1] if copy <= 2 else None
-        hit = choice is not None and not taken[choice]
-        if hit:
+        if choice is not None and not taken[choice]:
             taken[choice] = True
             matched += 1
-        matched_flags.append(hit)
-    return StrategyOutcome(matched, matched, tuple(matched_flags))
+    return StrategyOutcome(matched, matched)
 
 
 def _coordinate(graph: RealizedGraph, reports: list[SparsifierReport]) -> StrategyOutcome:
     """Central matching on the union of reported edges."""
     edges = tuple((rep.arrival_index, r) for rep in reports for r in rep.selected)
     subgraph = BipartiteEdgeList(graph.n, graph.instance.resource_count, edges)
-    result = max_matching(subgraph)
-    flags = [True] * graph.n
-    for i in result.unmatched_left:
-        flags[i] = False
-    return StrategyOutcome(result.size, len(edges), tuple(flags))
+    return StrategyOutcome(max_matching(subgraph).size, len(edges))
+
+
+def _offline(graph: RealizedGraph) -> StrategyOutcome:
+    """Full-information maximum matching of the realization."""
+    edge_list = full_edge_list(graph)
+    return StrategyOutcome(max_matching(edge_list).size, len(edge_list.edges))
+
+
+@dataclass(frozen=True)
+class Strategy:
+    """A table entry: ``run(graph, config, rng, x, guidance)``, whether the
+    strategy needs a budget k, and whether it is guided by fractional weights."""
+
+    run: Callable[..., StrategyOutcome]
+    budgeted: bool = False
+    guided: bool = False
+
+
+# Runners look the strategy functions up when called, so a function replaced
+# on this module (say, by a tracer) is the one that runs.
+STRATEGIES: dict[str, Strategy] = {
+    "offline": Strategy(lambda graph, config, rng, x, guidance: _offline(graph)),
+    "kvv": Strategy(lambda graph, config, rng, x, guidance: kvv_ranking(graph, rng)),
+    "random": Strategy(
+        lambda graph, config, rng, x, guidance: _coordinate(graph, random_subgraph(graph, config.k, rng)),
+        budgeted=True,
+    ),
+    "mgs": Strategy(lambda graph, config, rng, x, guidance: mgs(graph, x, rng, guidance=guidance),
+                    guided=True),
+    "varopt": Strategy(
+        lambda graph, config, rng, x, guidance: _coordinate(graph, varopt_sparsify(graph, x, config.k, rng)),
+        budgeted=True,
+        guided=True,
+    ),
+}
+STRATEGY_NAMES = tuple(STRATEGIES)
 
 
 def run_strategy(
@@ -244,20 +246,7 @@ def run_strategy(
     of the reported subgraph; online strategies are scored by their own
     irrevocable matches; offline is the full-information maximum matching.
     """
-    if config.strategy == "offline":
-        result = max_matching(full_edge_list(graph))
-        flags = [True] * graph.n
-        for i in result.unmatched_left:
-            flags[i] = False
-        return StrategyOutcome(result.size, graph.edge_count, tuple(flags))
-    if config.strategy == "kvv":
-        return kvv_ranking(graph, rng)
-    if config.strategy == "mgs":
-        return mgs(graph, x, rng, guidance=mgs_guidance)
-    if config.strategy == "random":
-        return _coordinate(graph, random_subgraph(graph, config.k, rng))
-    if config.strategy == "varopt":
-        if x is None:
-            raise ValueError("varopt needs a fractional solution")
-        return _coordinate(graph, varopt_sparsify(graph, x, config.k, rng))
-    raise UnknownStrategy(f"unknown strategy {config.strategy!r}")
+    entry = STRATEGIES.get(config.strategy)
+    if entry is None:
+        raise UnknownStrategy(f"unknown strategy {config.strategy!r}")
+    return entry.run(graph, config, rng, x, mgs_guidance)

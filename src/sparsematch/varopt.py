@@ -26,23 +26,11 @@ class AllZeroWeights(ValueError):
 
 
 @dataclass(frozen=True)
-class WeightedItem:
-    item_id: int
-    weight: float
-
-    def __post_init__(self):
-        if self.weight < 0:
-            raise ValueError(f"item {self.item_id}: negative weight {self.weight}")
-
-
-@dataclass(frozen=True)
 class VarOptSample:
-    """One fixed-size draw: members, their inclusion probabilities and IPW weights."""
+    """One fixed-size draw: members (ascending) and their IPW weights."""
 
     included: tuple[int, ...]
-    inclusion_prob: dict[int, float]
     ipw_weight: dict[int, float]
-    threshold: float
 
 
 class VarOptSampler:
@@ -113,6 +101,7 @@ class VarOptSampler:
     def draw(self, rng: RngStream) -> VarOptSample:
         chosen_ids = list(self._det_ids)
         chosen_w = list(self._det_w)
+        chosen_p = [1.0] * len(chosen_ids)
         m = self._light_draws
         if m > 0:
             gen = rng.generator
@@ -132,36 +121,12 @@ class VarOptSampler:
             sel = perm[picks]
             chosen_ids.extend(self._light_ids[sel])
             chosen_w.extend(self._light_w[sel])
+            chosen_p.extend(self._light_probs[sel])
 
-        prob_map = self.probabilities()
         order = np.argsort(chosen_ids)
         included = tuple(int(chosen_ids[i]) for i in order)
-        ipw = {int(chosen_ids[i]): float(chosen_w[i]) / prob_map[int(chosen_ids[i])] for i in order}
-        return VarOptSample(
-            included=included,
-            inclusion_prob=prob_map,
-            ipw_weight=ipw,
-            threshold=self.threshold,
-        )
-
-
-def compute_threshold(items: Sequence[WeightedItem], k: int) -> tuple[float, dict[int, float]]:
-    """Threshold multiplier and inclusion probabilities for all items.
-
-    Probabilities are ``min(1, tau * weight)`` and sum to ``min(k, |E+|)``;
-    zero-weight items get probability 0 and are never selected.
-
-    Raises:
-        AllZeroWeights: if no item has positive weight.
-    """
-    sampler = VarOptSampler([it.item_id for it in items], [it.weight for it in items], k)
-    return sampler.threshold, sampler.probabilities()
-
-
-def draw(items: Sequence[WeightedItem], k: int, rng: RngStream) -> VarOptSample:
-    """One fixed-size dependent draw of ``min(k, |E+|)`` items."""
-    sampler = VarOptSampler([it.item_id for it in items], [it.weight for it in items], k)
-    return sampler.draw(rng)
+        ipw = {int(chosen_ids[i]): float(chosen_w[i]) / float(chosen_p[i]) for i in order}
+        return VarOptSample(included=included, ipw_weight=ipw)
 
 
 def estimate_subset_sum(sample: VarOptSample, subset: Iterable[int]) -> float:

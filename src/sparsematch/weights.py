@@ -136,7 +136,7 @@ def per_copy_marginals(
             result = max_matching(edge_list)
         match_of = dict(result.pairs)
         copies_seen: dict[int, int] = {}
-        for l, type_id in graph.arrivals:
+        for l, type_id in enumerate(graph.type_ids):
             copy = copies_seen.get(type_id, 0) + 1
             copies_seen[type_id] = copy
             if copy <= 2 and l in match_of:

@@ -75,3 +75,24 @@ def exclusive_pairs(n: int) -> StochasticInstance:
 def random_bipartite(gen: np.random.Generator, left: int, right: int, p: float):
     edges = [(l, r) for l in range(left) for r in range(right) if gen.random() < p]
     return edges
+
+
+def varopt_ipw(graph, x, k: int, rng, reports) -> dict[tuple[int, int], float]:
+    """IPW weight of every (arrival, resource) edge ``varopt_sparsify`` reported.
+
+    Each arrival's sample is redrawn from the same ``rng.substream("arrival", i)``
+    the sparsifier used, so it must select exactly the reported resources.
+    Every realized type needs support in ``x`` (no uniform fallback).
+    """
+    from sparsematch.varopt import VarOptSampler
+
+    samplers = {}
+    ipw = {}
+    for rep in reports:
+        type_id = graph.type_ids[rep.arrival_index]
+        if type_id not in samplers:
+            samplers[type_id] = VarOptSampler(*x.support_of(type_id), k)
+        sample = samplers[type_id].draw(rng.substream("arrival", rep.arrival_index))
+        assert sample.included == rep.selected
+        ipw.update({(rep.arrival_index, r): sample.ipw_weight[r] for r in rep.selected})
+    return ipw

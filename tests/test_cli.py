@@ -151,3 +151,18 @@ def test_synth_from_instance_file(tmp_path):
 def test_bad_start_timestamp_is_config_error():
     assert main(["nyc", "--trips", TRIPS, "--zones", ZONES, "--trials", "2", "--mc", "5",
                  "--strategies", "offline", "--start", "not-a-time"]) == 2
+
+
+def test_bounds_file_weights_use_the_cached_file(tmp_path):
+    cache = tmp_path / "lp.json"
+    assert main(["weights", "--family", "block", "--n", "20", "--seed", "3", "--weights", "lp",
+                 "--weights-out", str(cache)]) == 0
+    common = ["bounds", "--family", "block", "--n", "20", "--seed", "3", "--trials", "10",
+              "--k-values", "3,5"]
+    lp_out, file_out = tmp_path / "lp.csv", tmp_path / "file.csv"
+    assert main([*common, "--weights", "lp", "--out", str(lp_out)]) == 0
+    assert main([*common, "--weights", "file", "--weights-in", str(cache), "--out", str(file_out)]) == 0
+    rows = [line.split(",") for line in file_out.read_text().strip().split("\n")[1:]]
+    assert [row[2] for row in rows] == ["20", "20"]  # z of the cached LP, not Monte Carlo
+    assert file_out.read_text() == lp_out.read_text()
+    assert main([*common, "--weights", "file"]) == 2  # no --weights-in

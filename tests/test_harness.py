@@ -11,14 +11,17 @@ from sparsematch.harness import (
     EfficiencySummary,
     ExperimentConfig,
     UnmetDemandSeries,
+    LearnedWeights,
     ci95,
-    emit_results,
+    learn_weight_sources,
     render_results,
     resolve_instance,
     run_experiment,
     run_nyc_day,
+    score_trials,
 )
 from sparsematch.instance import instance_to_json
+from sparsematch.rng import RngStream
 from sparsematch.strategies import StrategyConfig
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -97,11 +100,9 @@ def test_resolve_instance_from_file(tmp_path):
         resolve_instance(small_config(family=None, n=None))
 
 
-def test_summary_csv_schema(tmp_path):
+def test_summary_csv_schema():
     summaries = run_experiment(small_config())
-    out = tmp_path / "out.csv"
-    emit_results(summaries, str(out), "csv")
-    lines = out.read_text().strip().split("\n")
+    lines = render_results(summaries, "csv").strip().split("\n")
     assert lines[0] == "strategy,k,mean,ci95,trials"
     assert len(lines) == 1 + len(summaries)
     # bit-stable ordering: strategy then k
@@ -120,14 +121,12 @@ def test_summary_json_round_trip():
     )
 
 
-def test_series_csv_schema(tmp_path):
+def test_series_csv_schema():
     series = UnmetDemandSeries(
         timestamps=(START,),
         cumulative={"offline": (1.5,), "kvv": (2.0,)},
     )
-    out = tmp_path / "series.csv"
-    emit_results(series, str(out), "csv")
-    lines = out.read_text().strip().split("\n")
+    lines = render_results(series, "csv").strip().split("\n")
     assert lines[0] == "timestamp,strategy,cumulative_unmet"
     assert lines[1] == "2025-05-14T08:05:00,kvv,2"
     assert lines[2] == "2025-05-14T08:05:00,offline,1.5"
@@ -214,3 +213,44 @@ def test_duplicate_strategies_rejected():
 def test_empty_series_renders_header_only():
     series = UnmetDemandSeries(timestamps=(), cumulative={})
     assert render_results(series, "csv") == "timestamp,strategy,cumulative_unmet\n"
+
+
+def kernel_scores(config, trials, **kwargs):
+    inst = resolve_instance(config)
+    base = RngStream(config.seed)
+    learned = learn_weight_sources(inst, config, base)
+    scores = score_trials(inst, config.strategies, learned, trials,
+                          base.substream("realize"), base.substream("strategy"), **kwargs)
+    return dict(zip(trials, scores))
+
+
+def test_trial_results_independent_of_scheduling():
+    config = small_config(strategies=small_config().strategies + (StrategyConfig("mgs", weights="montecarlo"),))
+    in_order = kernel_scores(config, list(range(12)))
+    assert kernel_scores(config, list(reversed(range(12)))) == in_order
+    subset = [9, 2, 5]
+    assert kernel_scores(config, subset) == {t: in_order[t] for t in subset}
+
+
+def test_kernel_scores_offline_only_when_asked():
+    config = small_config()
+    with_offline = kernel_scores(config, [0, 1, 2])
+    without = kernel_scores(config, [0, 1, 2], with_offline=False)
+    for t, score in with_offline.items():
+        assert score.matched["offline"] == score.offline > 0
+        assert without[t].offline is None
+        # run through the strategy table, offline gives the same maximum matching
+        assert without[t].matched == score.matched
+
+
+def test_kernel_skips_strategies_when_offline_matching_is_empty():
+    from sparsematch.instance import DemandType, StochasticInstance
+
+    unmatchable = StochasticInstance(
+        resources=("a",), types=(DemandType(0, 1.0, ()),), arrivals=2, allow_empty_types=True
+    )
+    # varopt without weights would raise if it ran
+    strategies = (StrategyConfig("offline"), StrategyConfig("varopt", k=2))
+    scores = score_trials(unmatchable, strategies, LearnedWeights({}), range(3),
+                          RngStream(0), RngStream(1))
+    assert [(s.offline, s.matched) for s in scores] == [(0, {"offline": 0, "varopt k=2": 0})] * 3

@@ -78,7 +78,7 @@ def test_realize_reproducible():
 def test_realized_edges_match_type_compatibility_exactly():
     inst = uniform_instance([(0, 2), (1,), (0, 1, 2)], arrivals=50)
     graph = realize(inst, RngStream(2))
-    for i, j in graph.arrivals:
+    for i, j in enumerate(graph.type_ids):
         assert graph.edges_for(i) == inst.types[j].compatible
 
 
@@ -123,3 +123,24 @@ def test_json_round_trip():
     assert back.arrivals == 7
     assert [t.compatible for t in back.types] == [t.compatible for t in inst.types]
     assert all(abs(a.probability - b.probability) < 1e-15 for a, b in zip(back.types, inst.types))
+    assert "allow_empty_types" not in text
+
+
+def test_json_round_trip_every_bundled_trip_interval():
+    # trip instances may carry structurally unmatchable types
+    from pathlib import Path
+
+    from sparsematch.generators import EmptyWindow, build_nyc_instance, ingest_trips
+    from sparsematch.harness import default_interval_starts
+
+    data = Path(__file__).resolve().parents[1] / "data"
+    trips, zones = ingest_trips(str(data / "nyc_sample_trips.csv"), str(data / "nyc_sample_zones.csv"))
+    built = 0
+    for j, start in enumerate(default_interval_starts(trips)):
+        try:
+            inst, _ = build_nyc_instance(trips, zones, start, RngStream(0).substream("supply", j))
+        except EmptyWindow:
+            continue
+        built += 1
+        assert instance_from_json(instance_to_json(inst)) == inst, start
+    assert built >= 3

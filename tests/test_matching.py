@@ -25,7 +25,7 @@ def test_upper_triangular_is_perfect():
     edges = tuple((l, r) for l in range(3) for r in range(l, 3))
     result = max_matching(BipartiteEdgeList(3, 3, edges))
     assert result.size == 3
-    assert result.unmatched_left == ()
+    assert {l for l, _ in result.pairs} == {0, 1, 2}
 
 
 def test_star_matches_one():
@@ -42,7 +42,6 @@ def test_matching_pairs_are_disjoint():
     rights = [r for _, r in result.pairs]
     assert len(set(lefts)) == len(lefts) == result.size
     assert len(set(rights)) == len(rights)
-    assert set(result.unmatched_left) == set(range(30)) - set(lefts)
     assert set(result.pairs) <= set(edges)
 
 
@@ -140,7 +139,7 @@ def test_missing_weight_rejected():
 def test_fractional_value_never_exceeds_integral_matching():
     # IPW-weighted sparsified subgraphs: the scaled fractional value is a lower
     # bound for the maximum matching on every single trial, and in the mean
-    from helpers import complete_uniform
+    from helpers import complete_uniform, varopt_ipw
     from sparsematch.strategies import varopt_sparsify
     from sparsematch.weights import FractionalSolution
 
@@ -151,13 +150,10 @@ def test_fractional_value_never_exceeds_integral_matching():
     fractional, integral = [], []
     for t in range(500):
         graph = realize(inst, base.substream(t))
-        reports = varopt_sparsify(graph, x, 5, base.substream("s", t))
+        rng = base.substream("s", t)
+        reports = varopt_sparsify(graph, x, 5, rng)
         edges = tuple((rep.arrival_index, r) for rep in reports for r in rep.selected)
-        ipw = {
-            (rep.arrival_index, r): w
-            for rep in reports
-            for r, w in zip(rep.selected, rep.ipw_weights)
-        }
+        ipw = varopt_ipw(graph, x, 5, rng, reports)
         subgraph = BipartiteEdgeList(graph.n, n, edges)
         report = fractional_scaled_matching(subgraph, ipw)
         size = max_matching(subgraph).size

@@ -37,3 +37,12 @@ def test_parent_state_not_shared_with_children():
     base.generator.random(100)
     again = RngStream(9).substream(1).generator.random(4)
     assert np.array_equal(before, again)
+
+
+def test_substream_tags_chain():
+    # the harness derives trial streams from per-phase prefixes
+    base = RngStream(5)
+    assert base.substream("nyc-strategy", 2, 7, "varopt k=5").stream_id == (
+        base.substream("nyc-strategy", 2).substream(7, "varopt k=5").stream_id
+    )
+    assert base.substream("bound", 3, 10).stream_id == base.substream("bound").substream(3).substream(10).stream_id

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from helpers import complete_uniform, exclusive_pairs, uniform_instance
+from helpers import complete_uniform, exclusive_pairs, uniform_instance, varopt_ipw
 from sparsematch.generators import gen_kvv_triangular
 from sparsematch.instance import RealizedGraph, StochasticInstance, DemandType, realize
 from sparsematch.matching import full_edge_list, max_matching
 from sparsematch.rng import RngStream
 from sparsematch.strategies import (
+    STRATEGIES,
+    STRATEGY_NAMES,
     StrategyConfig,
     UnknownStrategy,
     kvv_ranking,
@@ -17,6 +19,7 @@ from sparsematch.strategies import (
     run_strategy,
     varopt_sparsify,
 )
+from sparsematch.varopt import VarOptSampler
 from sparsematch.weights import (
     FractionalSolution,
     monte_carlo_weights,
@@ -54,17 +57,19 @@ def test_varopt_budget_exceeds_degree_keeps_everything():
     reports = varopt_sparsify(graph, x, k=10, rng=RngStream(2))
     for rep in reports:
         assert rep.selected == graph.edges_for(rep.arrival_index)
-        assert all(p == pytest.approx(1.0) for p in rep.inclusion_probs)
+        probs = VarOptSampler(*x.support_of(graph.type_ids[rep.arrival_index]), 10).probabilities()
+        assert all(p == pytest.approx(1.0) for p in probs.values())
 
 
 def test_varopt_respects_budget_and_support():
     inst, x = spread_solution(30)
     graph = realize(inst, RngStream(3))
     reports = varopt_sparsify(graph, x, k=4, rng=RngStream(4))
+    ipw = varopt_ipw(graph, x, 4, RngStream(4), reports)
     for rep in reports:
         assert len(rep.selected) == 4
         assert set(rep.selected) <= set(graph.edges_for(rep.arrival_index))
-        assert sum(rep.ipw_weights) == pytest.approx(1.0, abs=1e-9)
+        assert sum(ipw[(rep.arrival_index, r)] for r in rep.selected) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_varopt_concentrated_forces_single_edge():
@@ -127,10 +132,10 @@ def test_varopt_locality():
 def test_random_subgraph_keeps_all_when_small_degree():
     inst = uniform_instance([(0, 1)], arrivals=3)
     graph = realize(inst, RngStream(1))
-    reports = random_subgraph(graph, k=5, rng=RngStream(2))
-    for rep in reports:
-        assert rep.selected == (0, 1)
-        assert rep.inclusion_probs == (1.0, 1.0)
+    # inclusion probability 1: every stream reports both edges
+    for seed in range(20):
+        for rep in random_subgraph(graph, k=5, rng=RngStream(seed)):
+            assert rep.selected == (0, 1)
 
 
 def test_random_subgraph_uniform_marginals():
@@ -195,7 +200,7 @@ def test_run_strategy_offline_equals_max_matching():
     graph = realize(inst, RngStream(9))
     outcome = run_strategy(graph, StrategyConfig("offline"), RngStream(10))
     assert outcome.matched == max_matching(full_edge_list(graph)).size
-    assert sum(outcome.matched_arrivals) == outcome.matched
+    assert outcome.sparsified_edges == len(full_edge_list(graph).edges)
 
 
 def test_run_strategy_full_budget_full_support_equals_offline():
@@ -242,9 +247,9 @@ def test_sampled_load_is_unbiased_per_resource():
     load = np.zeros(n)
     for t in range(trials):
         graph = realize(inst, base.substream(t))
-        for rep in varopt_sparsify(graph, x, 4, base.substream("s", t)):
-            for r, w in zip(rep.selected, rep.ipw_weights):
-                load[r] += w
+        rng = base.substream("s", t)
+        for (_, r), w in varopt_ipw(graph, x, 4, rng, varopt_sparsify(graph, x, 4, rng)).items():
+            load[r] += w
     load /= trials
     for i in range(n):
         expected = sum(x.arrival_mass[j] * x.x.get((j, i), 0.0) for j in range(n))
@@ -299,3 +304,11 @@ def test_random_subgraph_locality():
     rep_b = random_subgraph(RealizedGraph(inst, types_b), 4, rng)
     for i in (0, 2):
         assert rep_a[i].selected == rep_b[i].selected
+
+
+def test_strategy_table_drives_names_and_validation():
+    assert STRATEGY_NAMES == ("offline", "kvv", "random", "mgs", "varopt")
+    assert {name for name, entry in STRATEGIES.items() if entry.budgeted} == {"random", "varopt"}
+    assert {name for name, entry in STRATEGIES.items() if entry.guided} == {"mgs", "varopt"}
+    with pytest.raises(ValueError, match="fractional solution"):
+        run_strategy(realize(complete_uniform(3), RngStream(1)), StrategyConfig("varopt", k=2), RngStream(2))

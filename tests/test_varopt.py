@@ -5,21 +5,16 @@ import pytest
 
 from helpers import bisect_threshold
 from sparsematch.rng import RngStream
-from sparsematch.varopt import (
-    AllZeroWeights,
-    VarOptSampler,
-    WeightedItem,
-    compute_threshold,
-    draw,
-    estimate_subset_sum,
-)
+from sparsematch.varopt import AllZeroWeights, VarOptSampler, estimate_subset_sum
 
-ABC = [WeightedItem(0, 0.5), WeightedItem(1, 0.3), WeightedItem(2, 0.2)]
+ABC_IDS = [0, 1, 2]
+ABC_WEIGHTS = [0.5, 0.3, 0.2]
 
 
 def test_threshold_worked_example():
-    tau, probs = compute_threshold(ABC, k=2)
-    assert tau == pytest.approx(2.0, abs=1e-12)
+    sampler = VarOptSampler(ABC_IDS, ABC_WEIGHTS, k=2)
+    probs = sampler.probabilities()
+    assert sampler.threshold == pytest.approx(2.0, abs=1e-12)
     assert probs[0] == pytest.approx(1.0, abs=1e-12)
     assert probs[1] == pytest.approx(0.6, abs=1e-12)
     assert probs[2] == pytest.approx(0.4, abs=1e-12)
@@ -34,8 +29,7 @@ def test_threshold_matches_bisection_oracle():
         if not (weights > 0).any():
             weights[0] = 0.5
         k = int(gen.integers(1, 15))
-        items = [WeightedItem(i, w) for i, w in enumerate(weights)]
-        tau, probs = compute_threshold(items, k)
+        probs = VarOptSampler(range(size), weights, k).probabilities()
         positive = weights[weights > 0]
         target = min(k, len(positive))
         if k < len(positive):
@@ -47,42 +41,44 @@ def test_threshold_matches_bisection_oracle():
 
 
 def test_budget_exceeding_items():
-    tau, probs = compute_threshold([WeightedItem(0, 0.7), WeightedItem(1, 0.1)], k=5)
+    probs = VarOptSampler([0, 1], [0.7, 0.1], k=5).probabilities()
     assert probs == {0: 1.0, 1: 1.0}
 
 
 def test_uniform_weights_symmetry():
     # symmetry forces tau = k and pi = k/n
     n = 10
-    items = [WeightedItem(i, 1.0 / n) for i in range(n)]
-    tau, probs = compute_threshold(items, k=4)
-    assert tau == pytest.approx(4.0, rel=1e-12)
+    sampler = VarOptSampler(range(n), [1.0 / n] * n, k=4)
+    probs = sampler.probabilities()
+    assert sampler.threshold == pytest.approx(4.0, rel=1e-12)
     assert all(p == pytest.approx(0.4, abs=1e-12) for p in probs.values())
 
 
 def test_all_zero_weights_raises():
     with pytest.raises(AllZeroWeights):
-        compute_threshold([WeightedItem(0, 0.0), WeightedItem(1, 0.0)], k=1)
+        VarOptSampler([0, 1], [0.0, 0.0], k=1)
     with pytest.raises(AllZeroWeights):
-        draw([WeightedItem(0, 0.0)], 1, RngStream(0))
+        VarOptSampler([0], [0.0], 1)
 
 
 def test_draw_contains_deterministic_item_and_preserves_weight_sum():
     rng = RngStream(3)
+    sampler = VarOptSampler(ABC_IDS, ABC_WEIGHTS, 2)
+    probs = sampler.probabilities()
     for _ in range(200):
-        sample = draw(ABC, 2, rng)
+        sample = sampler.draw(rng)
         assert len(sample.included) == 2
         assert 0 in sample.included  # pi = 1
         assert sum(sample.ipw_weight.values()) == pytest.approx(1.0, abs=1e-9)
         for item in sample.included:
             assert sample.ipw_weight[item] == pytest.approx(
-                dict((i.item_id, i.weight) for i in ABC)[item] / sample.inclusion_prob[item],
+                ABC_WEIGHTS[item] / probs[item],
                 abs=1e-12,
             )
 
 
 def test_single_item():
-    sample = draw([WeightedItem(5, 0.37)], 1, RngStream(1))
+    sample = VarOptSampler([5], [0.37], 1).draw(RngStream(1))
     assert sample.included == (5,)
     assert sample.ipw_weight[5] == pytest.approx(0.37, abs=1e-12)
 
@@ -139,7 +135,7 @@ def test_inclusion_probability_lower_bound():
         size = int(gen.integers(2, 40))
         weights = gen.random(size) + 1e-3
         k = int(gen.integers(1, 12))
-        _, probs = compute_threshold([WeightedItem(i, w) for i, w in enumerate(weights)], k)
+        probs = VarOptSampler(range(size), weights, k).probabilities()
         total = weights.sum()
         for i, w in enumerate(weights):
             assert probs[i] >= min(1.0, k * w / total) - 1e-9
@@ -188,7 +184,7 @@ def test_pairwise_covariance_nonpositive():
 
 def test_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        WeightedItem(0, -0.1)
+        VarOptSampler([0], [-0.1], k=1)
     with pytest.raises(ValueError):
         VarOptSampler([0, 0], [0.1, 0.2], k=1)
     with pytest.raises(ValueError):
