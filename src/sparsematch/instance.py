@@ -64,8 +64,8 @@ class StochasticInstance:
                 raise ValueError(f"type_id {t.type_id} at position {j}: ids must be positional")
             if not t.compatible and not self.allow_empty_types:
                 raise ValueError(f"type {j} has an empty compatibility list")
-            if t.compatible and t.compatible[-1] >= len(self.resources):
-                raise ValueError(f"type {j} references resource index {t.compatible[-1]} >= {len(self.resources)}")
+            if t.compatible and not (0 <= t.compatible[0] and t.compatible[-1] < len(self.resources)):
+                raise ValueError(f"type {j} references resource indices outside [0, {len(self.resources)})")
             total += t.probability
         if abs(total - 1.0) > PROB_TOL:
             raise ValueError(f"type probabilities sum to {total}, not 1")
@@ -81,9 +81,6 @@ class StochasticInstance:
     @cached_property
     def _cumulative_probs(self) -> np.ndarray:
         return np.cumsum([t.probability for t in self.types])
-
-    def compatible_of(self, type_id: int) -> tuple[int, ...]:
-        return self.types[type_id].compatible
 
 
 @dataclass(frozen=True)
@@ -105,7 +102,7 @@ class RealizedGraph:
 
     def edges_for(self, arrival_index: int) -> tuple[int, ...]:
         """Compatibility set of one arrival (resource indices)."""
-        return self.instance.compatible_of(self.type_ids[arrival_index])
+        return self.instance.types[self.type_ids[arrival_index]].compatible
 
 
 def realize(instance: StochasticInstance, rng: RngStream) -> RealizedGraph:
@@ -138,14 +135,13 @@ def instance_to_json(instance: StochasticInstance) -> str:
 
 
 def instance_from_json(text: str) -> StochasticInstance:
+    """Parse an instance; a missing key or a value of the wrong type raises ValueError."""
     doc = json.loads(text)
-    types = tuple(
-        DemandType(type_id=j, probability=float(t["p"]), compatible=tuple(t["compatible"]))
-        for j, t in enumerate(doc["types"])
-    )
-    return StochasticInstance(
-        resources=tuple(str(r) for r in doc["resources"]),
-        types=types,
-        arrivals=int(doc["n"]),
-        allow_empty_types=bool(doc.get("allow_empty_types", False)),
-    )
+    try:
+        types = tuple(DemandType(type_id=j, probability=float(t["p"]), compatible=tuple(t["compatible"]))
+                      for j, t in enumerate(doc["types"]))
+        resources, arrivals = tuple(str(r) for r in doc["resources"]), int(doc["n"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed instance JSON: {exc!r}") from None
+    return StochasticInstance(resources=resources, types=types, arrivals=arrivals,
+                              allow_empty_types=bool(doc.get("allow_empty_types", False)))

@@ -1,17 +1,18 @@
 """Exact maximum bipartite matching and fractional-load diagnostics.
 
-Hopcroft-Karp is the workhorse for both the offline optimum and the matching
-on sparsified subgraphs.  Tie-breaking is deterministic given the input edge
-order; randomized tie-breaking is obtained by relabeling both sides uniformly
-at random and mapping the result back (`max_matching_shuffled`).
+A graph is stored as neighbour rows, one per left vertex: an arrival's
+compatibility set, or the edges it reports.  Hopcroft-Karp reads the rows
+directly; edge pairs from outside the package enter through the validating
+constructor.  Tie-breaking is deterministic given the row order;
+`max_matching_shuffled` randomizes it by relabeling both sides uniformly at
+random and mapping the result back.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -27,32 +28,46 @@ class ArrivalOverflow(ValueError):
     """An arrival's edge weights sum past 1; the upstream sparsifier is broken."""
 
 
-@dataclass(frozen=True)
 class BipartiteEdgeList:
-    """Duplicate-free bipartite edge list over index ranges [0, left) x [0, right)."""
+    """Bipartite graph over [0, left) x [0, right): ``adjacency[l]`` holds the
+    right neighbours of left vertex l.
 
-    left_count: int
-    right_count: int
-    edges: tuple[tuple[int, int], ...]
+    The constructor takes edge pairs from outside the package and rejects pairs
+    out of range and duplicates; ``from_rows`` wraps rows the package built.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "edges", tuple((int(l), int(r)) for l, r in self.edges))
-        if self.left_count < 0 or self.right_count < 0:
+    __slots__ = ("right_count", "adjacency")
+
+    def __init__(self, left_count: int, right_count: int, edges: Iterable[tuple[int, int]]):
+        if left_count < 0 or right_count < 0:
             raise ValueError("vertex counts must be nonnegative")
+        rows: list[list[int]] = [[] for _ in range(left_count)]
         seen = set()
-        for l, r in self.edges:
-            if not (0 <= l < self.left_count and 0 <= r < self.right_count):
+        for l, r in edges:
+            l, r = int(l), int(r)
+            if not (0 <= l < left_count and 0 <= r < right_count):
                 raise ValueError(f"edge ({l}, {r}) out of range")
             if (l, r) in seen:
                 raise ValueError(f"duplicate edge ({l}, {r})")
             seen.add((l, r))
+            rows[l].append(r)
+        self.right_count, self.adjacency = right_count, tuple(map(tuple, rows))
 
-    @cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        adj: list[list[int]] = [[] for _ in range(self.left_count)]
-        for l, r in self.edges:
-            adj[l].append(r)
-        return tuple(tuple(a) for a in adj)
+    @classmethod
+    def from_rows(cls, right_count: int, rows: Sequence[Sequence[int]]) -> BipartiteEdgeList:
+        """Rows of distinct right vertices in [0, right_count), kept without checks or copies."""
+        graph = cls.__new__(cls)
+        graph.right_count, graph.adjacency = right_count, rows
+        return graph
+
+    @property
+    def left_count(self) -> int:
+        return len(self.adjacency)
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Every (left, right) pair, row by row."""
+        return tuple((l, r) for l, row in enumerate(self.adjacency) for r in row)
 
 
 @dataclass(frozen=True)
@@ -76,17 +91,17 @@ class FractionalLoadReport:
 
 
 def full_edge_list(graph: RealizedGraph) -> BipartiteEdgeList:
-    """All compatibility edges of a realization, arrivals on the left."""
-    edges = []
-    for i in range(graph.n):
-        edges.extend((i, r) for r in graph.edges_for(i))
-    return BipartiteEdgeList(graph.n, graph.instance.resource_count, tuple(edges))
+    """All compatibility edges of a realization, arrivals on the left: each
+    arrival's row is its type's compatibility tuple."""
+    types = graph.instance.types
+    return BipartiteEdgeList.from_rows(graph.instance.resource_count,
+                                       [types[j].compatible for j in graph.type_ids])
 
 
 def max_matching(graph: BipartiteEdgeList) -> MatchingResult:
     """Maximum-cardinality matching via Hopcroft-Karp.
 
-    Deterministic for a fixed edge order; O(E sqrt(V)).
+    Deterministic for a fixed row order; O(E sqrt(V)).
     """
     left, right = graph.left_count, graph.right_count
     adj = graph.adjacency
@@ -163,16 +178,12 @@ def max_matching_shuffled(graph: BipartiteEdgeList, rng: RngStream) -> MatchingR
     """
     gen = rng.generator
     perm_l = gen.permutation(graph.left_count)
-    perm_r = gen.permutation(graph.right_count)
-    relabeled = BipartiteEdgeList(
-        graph.left_count,
-        graph.right_count,
-        tuple(sorted((int(perm_l[l]), int(perm_r[r])) for l, r in graph.edges)),
-    )
-    result = max_matching(relabeled)
-    inv_l = np.argsort(perm_l)
-    inv_r = np.argsort(perm_r)
-    pairs = tuple(sorted((int(inv_l[l]), int(inv_r[r])) for l, r in result.pairs))
+    perm_r = gen.permutation(graph.right_count).tolist()
+    inv_l, inv_r = np.argsort(perm_l).tolist(), np.argsort(perm_r).tolist()
+    # relabeled vertex l is inv_l[l]; its row is sorted like a sorted edge list's
+    rows = [sorted([perm_r[r] for r in graph.adjacency[l]]) for l in inv_l]
+    result = max_matching(BipartiteEdgeList.from_rows(graph.right_count, rows))
+    pairs = tuple(sorted((inv_l[l], inv_r[r]) for l, r in result.pairs))
     return MatchingResult(size=result.size, pairs=pairs)
 
 

@@ -30,14 +30,6 @@ class UnknownStrategy(ValueError):
 
 
 @dataclass(frozen=True)
-class SparsifierReport:
-    """Edges one arrival reports to the coordinator."""
-
-    arrival_index: int
-    selected: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class StrategyOutcome:
     """Matched count and number of reported (or committed) edges."""
 
@@ -66,8 +58,8 @@ class StrategyConfig:
 
 def varopt_sparsify(
     graph: RealizedGraph, x: FractionalSolution, k: int, rng: RngStream
-) -> list[SparsifierReport]:
-    """Guided local sparsifier: per-arrival fixed-size draws weighted by x.
+) -> list[tuple[int, ...]]:
+    """Guided local sparsifier: one row per arrival of fixed-size draws weighted by x.
 
     Each arrival of type t samples min(k, support size) of its compatible
     resources with probabilities proportional (after thresholding) to the
@@ -79,37 +71,31 @@ def varopt_sparsify(
     if k < 1:
         raise ValueError(f"budget k must be >= 1, got {k}")
     samplers: dict[int, VarOptSampler | None] = {}
-    reports = []
+    rows = []
     for i, type_id in enumerate(graph.type_ids):
         if type_id not in samplers:
             ids, values = x.support_of(type_id)
-            if ids:
-                samplers[type_id] = VarOptSampler(ids, values, k)
-            else:
-                compatible = graph.instance.compatible_of(type_id)
-                if compatible:
-                    uniform = [1.0 / len(compatible)] * len(compatible)
-                    samplers[type_id] = VarOptSampler(compatible, uniform, k)
-                else:
-                    samplers[type_id] = None
+            if not ids:  # no support: uniform over the compatibility set
+                ids = graph.instance.types[type_id].compatible
+                values = [1.0 / len(ids)] * len(ids) if ids else []
+            samplers[type_id] = VarOptSampler(ids, values, k) if ids else None
         sampler = samplers[type_id]
-        selected = () if sampler is None else sampler.draw(rng.substream("arrival", i)).included
-        reports.append(SparsifierReport(i, selected))
-    return reports
+        rows.append(() if sampler is None else sampler.draw(rng.substream("arrival", i)).included)
+    return rows
 
 
-def random_subgraph(graph: RealizedGraph, k: int, rng: RngStream) -> list[SparsifierReport]:
-    """Naive sparsifier: a uniform subset of at most k compatible edges per arrival."""
+def random_subgraph(graph: RealizedGraph, k: int, rng: RngStream) -> list[tuple[int, ...]]:
+    """Naive sparsifier: one row per arrival, a uniform subset of at most k compatible edges."""
     if k < 1:
         raise ValueError(f"budget k must be >= 1, got {k}")
-    reports = []
+    rows = []
     for i in range(graph.n):
         compatible = graph.edges_for(i)
         if len(compatible) > k:
             picks = rng.substream("arrival", i).generator.choice(len(compatible), size=k, replace=False)
             compatible = tuple(compatible[p] for p in sorted(picks))
-        reports.append(SparsifierReport(i, compatible))
-    return reports
+        rows.append(compatible)
+    return rows
 
 
 def kvv_ranking(graph: RealizedGraph, rng: RngStream) -> StrategyOutcome:
@@ -171,7 +157,7 @@ def mgs(
             second_ids, second_vals = first_ids, first_vals
         first = _sample_weighted(first_ids, first_vals, gen)
         if first is None:
-            compatible = graph.instance.compatible_of(j)
+            compatible = graph.instance.types[j].compatible
             if compatible:
                 first = int(compatible[gen.choice(len(compatible))])
         second = _sample_weighted(second_ids, second_vals, gen, exclude=first)
@@ -190,17 +176,16 @@ def mgs(
     return StrategyOutcome(matched, matched)
 
 
-def _coordinate(graph: RealizedGraph, reports: list[SparsifierReport]) -> StrategyOutcome:
-    """Central matching on the union of reported edges."""
-    edges = tuple((rep.arrival_index, r) for rep in reports for r in rep.selected)
-    subgraph = BipartiteEdgeList(graph.n, graph.instance.resource_count, edges)
-    return StrategyOutcome(max_matching(subgraph).size, len(edges))
+def _coordinate(graph: RealizedGraph, rows: list[tuple[int, ...]]) -> StrategyOutcome:
+    """Central matching on the union of reported rows, one per arrival."""
+    subgraph = BipartiteEdgeList.from_rows(graph.instance.resource_count, rows)
+    return StrategyOutcome(max_matching(subgraph).size, sum(map(len, rows)))
 
 
 def _offline(graph: RealizedGraph) -> StrategyOutcome:
     """Full-information maximum matching of the realization."""
     edge_list = full_edge_list(graph)
-    return StrategyOutcome(max_matching(edge_list).size, len(edge_list.edges))
+    return StrategyOutcome(max_matching(edge_list).size, sum(map(len, edge_list.adjacency)))
 
 
 @dataclass(frozen=True)

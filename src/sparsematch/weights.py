@@ -15,12 +15,12 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
-from .instance import StochasticInstance, realize
-from .matching import full_edge_list, max_matching, max_matching_shuffled
+from .instance import RealizedGraph, StochasticInstance, realize
+from .matching import MatchingResult, full_edge_list, max_matching, max_matching_shuffled
 from .rng import RngStream
 
 RESOURCE_CAP_TOL = 1e-7
@@ -59,6 +59,8 @@ class FractionalSolution:
                 raise ValueError(f"x[{j},{i}] = {value} is negative")
             if value <= 0.0:
                 continue
+            if not 0 <= j < instance.type_count:
+                raise ValueError(f"x[{j},{i}]: type {j} out of range")
             if i not in instance.types[j].compatible:
                 raise ValueError(f"x[{j},{i}] positive outside the compatibility set")
             clean[(j, i)] = float(value)
@@ -109,31 +111,33 @@ class CopyMarginals:
     second: dict[int, tuple[tuple[int, ...], np.ndarray]]
 
 
-def per_copy_marginals(
-    instance: StochasticInstance,
-    simulations: int,
-    rng: RngStream,
-    randomize_ties: bool = False,
-) -> CopyMarginals:
-    """Estimate where the offline optimum sends the first and second copy of each type.
-
-    Used as guidance for the two-suggestion baseline, which treats a type's
-    realized copies by position.  Tie-breaking defaults to the deterministic
-    solver; the randomizing shuffle is specific to the spread-seeking weights
-    of the guided sparsifier.
-    """
+def _simulated_optima(instance: StochasticInstance, simulations: int, rng: RngStream,
+                      shuffled: bool) -> Iterator[tuple[RealizedGraph, MatchingResult]]:
+    """Each nonempty realization of ``rng.substream("sim", s)`` with its offline maximum
+    matching, ties broken on ``rng.substream("shuffle", s)`` if ``shuffled``."""
     if simulations < 1:
         raise ValueError("simulation count must be >= 1")
-    counts: tuple[dict[tuple[int, int], int], dict[tuple[int, int], int]] = ({}, {})
     for sim in range(simulations):
         graph = realize(instance, rng.substream("sim", sim))
         if graph.n == 0:
             continue
         edge_list = full_edge_list(graph)
-        if randomize_ties:
-            result = max_matching_shuffled(edge_list, rng.substream("shuffle", sim))
+        if shuffled:
+            yield graph, max_matching_shuffled(edge_list, rng.substream("shuffle", sim))
         else:
-            result = max_matching(edge_list)
+            yield graph, max_matching(edge_list)
+
+
+def per_copy_marginals(instance: StochasticInstance, simulations: int, rng: RngStream) -> CopyMarginals:
+    """Estimate where the offline optimum sends the first and second copy of each type.
+
+    Used as guidance for the two-suggestion baseline, which treats a type's
+    realized copies by position.  Ties are broken by the deterministic solver;
+    the randomizing shuffle is specific to the spread-seeking weights of the
+    guided sparsifier.
+    """
+    counts: tuple[dict[tuple[int, int], int], dict[tuple[int, int], int]] = ({}, {})
+    for graph, result in _simulated_optima(instance, simulations, rng, shuffled=False):
         match_of = dict(result.pairs)
         copies_seen: dict[int, int] = {}
         for l, type_id in enumerate(graph.type_ids):
@@ -244,37 +248,22 @@ def solve_expected_lp(instance: StochasticInstance) -> FractionalSolution:
     return FractionalSolution.build(instance, x)
 
 
-def monte_carlo_weights(
-    instance: StochasticInstance,
-    simulations: int,
-    rng: RngStream,
-    randomize_ties: bool = True,
-) -> FractionalSolution:
+def monte_carlo_weights(instance: StochasticInstance, simulations: int, rng: RngStream) -> FractionalSolution:
     """Fractional weights from matched-edge incidences of simulated offline optima.
 
     Runs ``simulations`` fresh realizations, solves each, and sets
-    x_ij = (matches of type j at resource i) / (arrivals of type j).  With
-    ``randomize_ties`` (the default) every simulation shuffles the vertex
-    order first, which spreads mass across interchangeable resources; without
-    it the deterministic solver concentrates mass on its canonical optima.
-    Types never seen or never matched fall back to uniform weights over their
-    compatibility set.  Resources whose empirical expected load exceeds
-    capacity are scaled back to exactly 1 so the result is always feasible.
+    x_ij = (matches of type j at resource i) / (arrivals of type j).  Every
+    simulation shuffles the vertex order first, which spreads mass across
+    interchangeable resources (the deterministic solver would concentrate it
+    on its canonical optima).  Types never seen or never matched fall back to
+    uniform weights over their compatibility set.  Resources whose empirical
+    expected load exceeds capacity are scaled back to exactly 1 so the result
+    is always feasible.
     """
-    if simulations < 1:
-        raise ValueError("simulation count must be >= 1")
     m = instance.type_count
     arrivals_of = np.zeros(m, dtype=np.int64)
     match_count: dict[tuple[int, int], int] = {}
-    for sim in range(simulations):
-        graph = realize(instance, rng.substream("sim", sim))
-        if graph.n == 0:
-            continue
-        edge_list = full_edge_list(graph)
-        if randomize_ties:
-            result = max_matching_shuffled(edge_list, rng.substream("shuffle", sim))
-        else:
-            result = max_matching(edge_list)
+    for graph, result in _simulated_optima(instance, simulations, rng, shuffled=True):
         arrivals_of += np.bincount(graph.type_ids, minlength=m)
         for l, r in result.pairs:
             key = (graph.type_ids[l], r)
@@ -370,8 +359,13 @@ def solution_to_json(x: FractionalSolution, arrivals: int) -> str:
 
 
 def solution_from_json(instance: StochasticInstance, text: str) -> FractionalSolution:
+    """Parse cached weights; a missing key or a value of the wrong type raises ValueError."""
     doc = json.loads(text)
-    if int(doc["n"]) != instance.arrivals:
-        raise ValueError(f"cached weights were learned for n={doc['n']}, instance has n={instance.arrivals}")
-    x = {(int(e["type"]), int(e["resource"])): float(e["x"]) for e in doc["entries"]}
+    try:
+        n = int(doc["n"])
+        x = {(int(e["type"]), int(e["resource"])): float(e["x"]) for e in doc["entries"]}
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed weights JSON: {exc!r}") from None
+    if n != instance.arrivals:
+        raise ValueError(f"cached weights were learned for n={n}, instance has n={instance.arrivals}")
     return FractionalSolution.build(instance, x)

@@ -77,8 +77,9 @@ def random_bipartite(gen: np.random.Generator, left: int, right: int, p: float):
     return edges
 
 
-def varopt_ipw(graph, x, k: int, rng, reports) -> dict[tuple[int, int], float]:
-    """IPW weight of every (arrival, resource) edge ``varopt_sparsify`` reported.
+def varopt_ipw(graph, x, k: int, rng, rows) -> dict[tuple[int, int], float]:
+    """IPW weight of every (arrival, resource) edge in the rows ``varopt_sparsify``
+    reported, one row per arrival.
 
     Each arrival's sample is redrawn from the same ``rng.substream("arrival", i)``
     the sparsifier used, so it must select exactly the reported resources.
@@ -88,11 +89,11 @@ def varopt_ipw(graph, x, k: int, rng, reports) -> dict[tuple[int, int], float]:
 
     samplers = {}
     ipw = {}
-    for rep in reports:
-        type_id = graph.type_ids[rep.arrival_index]
+    for i, row in enumerate(rows):
+        type_id = graph.type_ids[i]
         if type_id not in samplers:
             samplers[type_id] = VarOptSampler(*x.support_of(type_id), k)
-        sample = samplers[type_id].draw(rng.substream("arrival", rep.arrival_index))
-        assert sample.included == rep.selected
-        ipw.update({(rep.arrival_index, r): sample.ipw_weight[r] for r in rep.selected})
+        sample = samplers[type_id].draw(rng.substream("arrival", i))
+        assert sample.included == row
+        ipw.update({(i, r): sample.ipw_weight[r] for r in row})
     return ipw

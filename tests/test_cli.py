@@ -166,3 +166,29 @@ def test_bounds_file_weights_use_the_cached_file(tmp_path):
     assert [row[2] for row in rows] == ["20", "20"]  # z of the cached LP, not Monte Carlo
     assert file_out.read_text() == lp_out.read_text()
     assert main([*common, "--weights", "file"]) == 2  # no --weights-in
+
+
+def write_json(path, doc):
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_negative_resource_index_is_config_error(tmp_path):
+    inst = write_json(tmp_path / "inst.json",
+                      {"resources": ["a", "b"], "types": [{"p": 1.0, "compatible": [-1, 0]}], "n": 2})
+    assert main(["weights", "--instance", inst, "--weights", "lp",
+                 "--weights-out", str(tmp_path / "w.json")]) == 2
+    assert not (tmp_path / "w.json").exists()
+
+
+def test_instance_without_arrival_count_is_config_error(tmp_path):
+    inst = write_json(tmp_path / "inst.json", {"resources": ["a"], "types": [{"p": 1.0, "compatible": [0]}]})
+    assert main(["synth", "--instance", inst, "--trials", "2", "--strategies", "offline"]) == 2
+
+
+@pytest.mark.parametrize("entry", [{"type": 999, "resource": 0, "x": 0.1},  # type out of range
+                                   {"type": 0, "resource": 0}])  # no "x"
+def test_malformed_cached_weights_are_config_errors(tmp_path, entry):
+    weights = write_json(tmp_path / "w.json", {"entries": [entry], "n": 20})
+    assert main(["synth", "--family", "block", "--n", "20", "--trials", "2",
+                 "--strategies", "offline,varopt:3", "--weights", "file", "--weights-in", weights]) == 2

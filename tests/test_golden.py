@@ -28,6 +28,9 @@ CASES = {
     **{f"synth-{family}.csv": (("synth", "--family", family, *SMALL), "--out")
        for family in ("block", "triangular", "bahmani", "tsm")},
     "synth-bahmani.json": (("synth", "--family", "bahmani", *SMALL, "--format", "json"), "--out"),
+    "synth-lp-triangular.csv": (("synth", "--family", "triangular", "--n", "20", "--trials", "10",
+                                 "--weights", "lp", "--strategies", "offline,random:3,varopt:5",
+                                 "--seed", "0"), "--out"),
     "nyc.csv": (("nyc", "--trips", TRIPS, "--zones", ZONES, "--trials", "5", "--mc", "5",
                  "--seed", "0"), "--out"),
     **{f"bounds-{source}.csv": (("bounds", "--family", "block", *SMALL, "--k-values", "3,5",

@@ -37,6 +37,11 @@ def test_compatibility_must_be_sorted_and_in_range():
         StochasticInstance(resources=("a",), types=(DemandType(0, 1.0, (0, 1)),), arrivals=1)
 
 
+def test_negative_resource_index_rejected():
+    with pytest.raises(ValueError, match="references resource"):
+        StochasticInstance(resources=("a", "b"), types=(DemandType(0, 1.0, (-1, 0)),), arrivals=1)
+
+
 def test_empty_compatibility_rejected_unless_allowed():
     with pytest.raises(ValueError, match="empty"):
         StochasticInstance(resources=("a",), types=(DemandType(0, 1.0, ()),), arrivals=1)

@@ -97,6 +97,60 @@ def test_shuffled_reaches_all_perfect_matchings():
     assert len(seen) == 6
 
 
+def sparsified_and_full_rows():
+    """(rows, right count) of full realizations of every family at n=20 and of
+    the rows the random and varopt sparsifiers report on them."""
+    from sparsematch.generators import FAMILIES
+    from sparsematch.strategies import random_subgraph, varopt_sparsify
+    from sparsematch.weights import monte_carlo_weights
+
+    base = RngStream(71)
+    for name, family in sorted(FAMILIES.items()):
+        inst = family(20)
+        x = monte_carlo_weights(inst, 10, base.substream("weights", name))
+        for t in range(3):
+            graph = realize(inst, base.substream(name, t))
+            yield full_edge_list(graph).adjacency, inst.resource_count
+            yield random_subgraph(graph, 3, base.substream("random", name, t)), inst.resource_count
+            yield varopt_sparsify(graph, x, 3, base.substream("varopt", name, t)), inst.resource_count
+
+
+def shuffled_by_edge_pairs(graph, rng):
+    """Randomized tie-breaking through edge pairs: relabel both sides, sort the
+    relabeled pairs, solve and map back."""
+    perm_l = rng.generator.permutation(graph.left_count)
+    perm_r = rng.generator.permutation(graph.right_count)
+    relabeled = sorted((int(perm_l[l]), int(perm_r[r])) for l, r in graph.edges)
+    result = max_matching(BipartiteEdgeList(graph.left_count, graph.right_count, relabeled))
+    inv_l, inv_r = np.argsort(perm_l), np.argsort(perm_r)
+    return tuple(sorted((int(inv_l[l]), int(inv_r[r])) for l, r in result.pairs))
+
+
+def test_row_graph_matches_like_edge_graph():
+    base = RngStream(5)
+    for case, (rows, right) in enumerate(sparsified_and_full_rows()):
+        row_graph = BipartiteEdgeList.from_rows(right, rows)
+        # the same pairs, column by column: the constructor regroups them into rows
+        pairs = sorted(((l, r) for l, row in enumerate(rows) for r in row), key=lambda e: (e[1], e[0]))
+        edge_graph = BipartiteEdgeList(len(rows), right, pairs)
+        assert edge_graph.adjacency == tuple(map(tuple, rows))
+        assert max_matching(row_graph).pairs == max_matching(edge_graph).pairs
+        shuffled = max_matching_shuffled(row_graph, base.substream(case)).pairs
+        assert shuffled == max_matching_shuffled(edge_graph, base.substream(case)).pairs
+        assert shuffled == shuffled_by_edge_pairs(edge_graph, base.substream(case))
+
+
+def test_row_graph_matching_size_equals_scipy():
+    sparse = pytest.importorskip("scipy.sparse")
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    for rows, right in sparsified_and_full_rows():
+        pairs = [(l, r) for l, row in enumerate(rows) for r in row]
+        matrix = sparse.csr_matrix(([1] * len(pairs), ([l for l, _ in pairs], [r for _, r in pairs])),
+                                   shape=(len(rows), right))
+        expected = int((csgraph.maximum_bipartite_matching(matrix, perm_type="column") >= 0).sum())
+        assert max_matching(BipartiteEdgeList.from_rows(right, rows)).size == expected
+
+
 def test_full_edge_list_of_realization():
     inst = complete_uniform(4)
     graph = RealizedGraph(inst, (0, 2, 1))
@@ -104,6 +158,8 @@ def test_full_edge_list_of_realization():
     assert el.left_count == 3
     assert el.right_count == 4
     assert len(el.edges) == 12
+    # the rows are the instance's own compatibility tuples
+    assert all(row is inst.types[j].compatible for row, j in zip(el.adjacency, graph.type_ids))
 
 
 def test_fractional_scaling_arithmetic():
@@ -151,10 +207,9 @@ def test_fractional_value_never_exceeds_integral_matching():
     for t in range(500):
         graph = realize(inst, base.substream(t))
         rng = base.substream("s", t)
-        reports = varopt_sparsify(graph, x, 5, rng)
-        edges = tuple((rep.arrival_index, r) for rep in reports for r in rep.selected)
-        ipw = varopt_ipw(graph, x, 5, rng, reports)
-        subgraph = BipartiteEdgeList(graph.n, n, edges)
+        rows = varopt_sparsify(graph, x, 5, rng)
+        ipw = varopt_ipw(graph, x, 5, rng, rows)
+        subgraph = BipartiteEdgeList.from_rows(n, rows)
         report = fractional_scaled_matching(subgraph, ipw)
         size = max_matching(subgraph).size
         assert report.scaled_value <= size + 1e-9

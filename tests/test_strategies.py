@@ -54,22 +54,23 @@ def test_config_validation():
 def test_varopt_budget_exceeds_degree_keeps_everything():
     inst, x = spread_solution(6)
     graph = realize(inst, RngStream(1))
-    reports = varopt_sparsify(graph, x, k=10, rng=RngStream(2))
-    for rep in reports:
-        assert rep.selected == graph.edges_for(rep.arrival_index)
-        probs = VarOptSampler(*x.support_of(graph.type_ids[rep.arrival_index]), 10).probabilities()
+    rows = varopt_sparsify(graph, x, k=10, rng=RngStream(2))
+    assert len(rows) == graph.n
+    for i, row in enumerate(rows):
+        assert row == graph.edges_for(i)
+        probs = VarOptSampler(*x.support_of(graph.type_ids[i]), 10).probabilities()
         assert all(p == pytest.approx(1.0) for p in probs.values())
 
 
 def test_varopt_respects_budget_and_support():
     inst, x = spread_solution(30)
     graph = realize(inst, RngStream(3))
-    reports = varopt_sparsify(graph, x, k=4, rng=RngStream(4))
-    ipw = varopt_ipw(graph, x, 4, RngStream(4), reports)
-    for rep in reports:
-        assert len(rep.selected) == 4
-        assert set(rep.selected) <= set(graph.edges_for(rep.arrival_index))
-        assert sum(ipw[(rep.arrival_index, r)] for r in rep.selected) == pytest.approx(1.0, abs=1e-9)
+    rows = varopt_sparsify(graph, x, k=4, rng=RngStream(4))
+    ipw = varopt_ipw(graph, x, 4, RngStream(4), rows)
+    for i, row in enumerate(rows):
+        assert len(row) == 4
+        assert set(row) <= set(graph.edges_for(i))
+        assert sum(ipw[(i, r)] for r in row) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_varopt_concentrated_forces_single_edge():
@@ -110,11 +111,11 @@ def test_varopt_zero_weight_type_falls_back_to_uniform():
     inst = uniform_instance([(0, 1, 2), (0,)], arrivals=4)
     x = FractionalSolution.build(inst, {(1, 0): 0.5})  # type 0 has no support
     graph = RealizedGraph(inst, (0, 0, 1, 0))
-    reports = varopt_sparsify(graph, x, k=2, rng=RngStream(11))
-    for rep in reports:
-        if graph.type_ids[rep.arrival_index] == 0:
-            assert len(rep.selected) == 2
-            assert set(rep.selected) <= {0, 1, 2}
+    rows = varopt_sparsify(graph, x, k=2, rng=RngStream(11))
+    for type_id, row in zip(graph.type_ids, rows):
+        if type_id == 0:
+            assert len(row) == 2
+            assert set(row) <= {0, 1, 2}
 
 
 def test_varopt_locality():
@@ -123,10 +124,10 @@ def test_varopt_locality():
     types_a = (3, 7, 1, 0, 4, 4, 9, 2)
     types_b = (3, 2, 9, 0, 4, 1, 4, 7)  # same type at positions 0 and 3
     rng = RngStream(13)
-    rep_a = varopt_sparsify(RealizedGraph(inst, types_a), x, 3, rng)
-    rep_b = varopt_sparsify(RealizedGraph(inst, types_b), x, 3, rng)
+    rows_a = varopt_sparsify(RealizedGraph(inst, types_a), x, 3, rng)
+    rows_b = varopt_sparsify(RealizedGraph(inst, types_b), x, 3, rng)
     for i in (0, 3):
-        assert rep_a[i].selected == rep_b[i].selected
+        assert rows_a[i] == rows_b[i]
 
 
 def test_random_subgraph_keeps_all_when_small_degree():
@@ -134,8 +135,7 @@ def test_random_subgraph_keeps_all_when_small_degree():
     graph = realize(inst, RngStream(1))
     # inclusion probability 1: every stream reports both edges
     for seed in range(20):
-        for rep in random_subgraph(graph, k=5, rng=RngStream(seed)):
-            assert rep.selected == (0, 1)
+        assert random_subgraph(graph, k=5, rng=RngStream(seed)) == [(0, 1)] * graph.n
 
 
 def test_random_subgraph_uniform_marginals():
@@ -145,9 +145,9 @@ def test_random_subgraph_uniform_marginals():
     counts = np.zeros(10)
     trials = 20000
     for t in range(trials):
-        rep = random_subgraph(graph, 3, base.substream(t))[0]
-        assert len(rep.selected) == 3
-        for r in rep.selected:
+        row = random_subgraph(graph, 3, base.substream(t))[0]
+        assert len(row) == 3
+        for r in row:
             counts[r] += 1
     freq = counts / trials
     sigma = math.sqrt(0.3 * 0.7 / trials)
@@ -276,8 +276,8 @@ def test_random_subgraph_resource_retention_rate():
     present = np.zeros(n)
     for t in range(trials):
         graph = realize(inst, base.substream(t))
-        reports = random_subgraph(graph, k, base.substream("s", t))
-        touched = {r for rep in reports for r in rep.selected}
+        rows = random_subgraph(graph, k, base.substream("s", t))
+        touched = {r for row in rows for r in row}
         for r in touched:
             present[r] += 1
     expected = 1 - (1 - k / n) ** n
@@ -290,9 +290,9 @@ def test_varopt_selection_size_tracks_support():
     inst = uniform_instance([(0, 1, 2, 3, 4, 5)], arrivals=3)
     x = FractionalSolution.build(inst, {(0, 0): 0.1, (0, 2): 0.1, (0, 4): 0.1})
     graph = realize(inst, RngStream(1))
-    for rep in varopt_sparsify(graph, x, k=5, rng=RngStream(2)):
-        assert len(rep.selected) == 3
-        assert set(rep.selected) <= {0, 2, 4}
+    for row in varopt_sparsify(graph, x, k=5, rng=RngStream(2)):
+        assert len(row) == 3
+        assert set(row) <= {0, 2, 4}
 
 
 def test_random_subgraph_locality():
@@ -300,10 +300,10 @@ def test_random_subgraph_locality():
     types_a = (2, 5, 7, 1)
     types_b = (2, 8, 7, 3)  # positions 0 and 2 unchanged
     rng = RngStream(43)
-    rep_a = random_subgraph(RealizedGraph(inst, types_a), 4, rng)
-    rep_b = random_subgraph(RealizedGraph(inst, types_b), 4, rng)
+    rows_a = random_subgraph(RealizedGraph(inst, types_a), 4, rng)
+    rows_b = random_subgraph(RealizedGraph(inst, types_b), 4, rng)
     for i in (0, 2):
-        assert rep_a[i].selected == rep_b[i].selected
+        assert rows_a[i] == rows_b[i]
 
 
 def test_strategy_table_drives_names_and_validation():
