@@ -90,12 +90,6 @@ class RealizedGraph:
     instance: StochasticInstance
     type_ids: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "type_ids", tuple(int(j) for j in self.type_ids))
-        for j in self.type_ids:
-            if not 0 <= j < self.instance.type_count:
-                raise ValueError(f"realized type id {j} out of range")
-
     @property
     def n(self) -> int:
         return len(self.type_ids)
@@ -115,7 +109,7 @@ def realize(instance: StochasticInstance, rng: RngStream) -> RealizedGraph:
     ids = np.searchsorted(cum, u, side="right")
     # Guard against u landing beyond a cumulative total slightly below 1.
     np.clip(ids, 0, instance.type_count - 1, out=ids)
-    return RealizedGraph(instance, tuple(int(j) for j in ids))
+    return RealizedGraph(instance, tuple(ids.tolist()))
 
 
 def micro_type_count(graph: RealizedGraph) -> dict[int, int]:

@@ -80,7 +80,7 @@ def varopt_sparsify(
                 values = [1.0 / len(ids)] * len(ids) if ids else []
             samplers[type_id] = VarOptSampler(ids, values, k) if ids else None
         sampler = samplers[type_id]
-        rows.append(() if sampler is None else sampler.draw(rng.substream("arrival", i)).included)
+        rows.append(() if sampler is None else sampler.draw(rng.substream("arrival", i)))
     return rows
 
 

@@ -6,15 +6,15 @@ multiplier ``tau`` assigns each item the inclusion probability
 over the positively weighted items ``E+``.  Items at probability one are
 included deterministically; the rest are drawn by systematic probability-
 proportional sampling over a randomly permuted order, which keeps the sample
-size exact and pairwise inclusion correlations non-positive.  Included items
-carry inverse-probability weights ``weight / prob`` whose sum equals the total
-input weight on every single draw, not just in expectation.
+size exact and pairwise inclusion correlations non-positive.  A draw returns
+the chosen ids in ascending order.  The inverse-probability weight of a chosen
+item is ``weight / probabilities()[id]``; summed over the chosen ids they equal
+the total input weight on every single draw, not just in expectation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -23,14 +23,6 @@ from .rng import RngStream
 
 class AllZeroWeights(ValueError):
     """Every supplied weight is zero; the caller must fall back to other weights."""
-
-
-@dataclass(frozen=True)
-class VarOptSample:
-    """One fixed-size draw: members (ascending) and their IPW weights."""
-
-    included: tuple[int, ...]
-    ipw_weight: dict[int, float]
 
 
 class VarOptSampler:
@@ -56,7 +48,6 @@ class VarOptSampler:
         if not positive.any():
             raise AllZeroWeights("all item weights are zero")
 
-        self.k = k
         self._zero_ids = [i for i, keep in zip(ids, positive) if not keep]
         pos_ids = np.asarray([i for i, keep in zip(ids, positive) if keep])
         pos_w = w[positive]
@@ -66,7 +57,7 @@ class VarOptSampler:
         pos_w = pos_w[order]
 
         npos = len(pos_ids)
-        self.sample_size = min(k, npos)
+        sample_size = min(k, npos)
         if k >= npos:
             # Budget covers the support: everything is deterministic.
             self.threshold = 1.0 / float(pos_w[-1])
@@ -82,15 +73,12 @@ class VarOptSampler:
             probs = np.minimum(1.0, self.threshold * pos_w)
 
         self._pos_ids = pos_ids
-        self._pos_w = pos_w
         self._probs = probs
         deterministic = probs >= 1.0
         self._det_ids = pos_ids[deterministic]
-        self._det_w = pos_w[deterministic]
         self._light_ids = pos_ids[~deterministic]
         self._light_probs = probs[~deterministic]
-        self._light_w = pos_w[~deterministic]
-        self._light_draws = self.sample_size - len(self._det_ids)
+        self._light_draws = sample_size - len(self._det_ids)
 
     def probabilities(self) -> dict[int, float]:
         """Inclusion probability per item id, zero-weight items included at 0."""
@@ -98,10 +86,9 @@ class VarOptSampler:
         out.update({i: 0.0 for i in self._zero_ids})
         return out
 
-    def draw(self, rng: RngStream) -> VarOptSample:
-        chosen_ids = list(self._det_ids)
-        chosen_w = list(self._det_w)
-        chosen_p = [1.0] * len(chosen_ids)
+    def draw(self, rng: RngStream) -> tuple[int, ...]:
+        """The chosen item ids, ascending."""
+        ids = self._det_ids
         m = self._light_draws
         if m > 0:
             gen = rng.generator
@@ -118,18 +105,5 @@ class VarOptSampler:
                 chosen = set(picks.tolist())
                 missing = [i for i in np.argsort(-self._light_probs[perm]) if i not in chosen]
                 picks = np.sort(np.concatenate([picks, missing[: m - len(picks)]]).astype(int))
-            sel = perm[picks]
-            chosen_ids.extend(self._light_ids[sel])
-            chosen_w.extend(self._light_w[sel])
-            chosen_p.extend(self._light_probs[sel])
-
-        order = np.argsort(chosen_ids)
-        included = tuple(int(chosen_ids[i]) for i in order)
-        ipw = {int(chosen_ids[i]): float(chosen_w[i]) / float(chosen_p[i]) for i in order}
-        return VarOptSample(included=included, ipw_weight=ipw)
-
-
-def estimate_subset_sum(sample: VarOptSample, subset: Iterable[int]) -> float:
-    """Unbiased estimate of the total weight of ``subset`` from one sample."""
-    wanted = set(subset)
-    return float(sum(w for item, w in sample.ipw_weight.items() if item in wanted))
+            ids = np.concatenate([ids, self._light_ids[perm[picks]]])
+        return tuple(sorted(ids.tolist()))

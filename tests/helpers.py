@@ -78,8 +78,8 @@ def random_bipartite(gen: np.random.Generator, left: int, right: int, p: float):
 
 
 def varopt_ipw(graph, x, k: int, rng, rows) -> dict[tuple[int, int], float]:
-    """IPW weight of every (arrival, resource) edge in the rows ``varopt_sparsify``
-    reported, one row per arrival.
+    """IPW weight ``x / pi`` of every (arrival, resource) edge in the rows
+    ``varopt_sparsify`` reported, one row per arrival.
 
     Each arrival's sample is redrawn from the same ``rng.substream("arrival", i)``
     the sparsifier used, so it must select exactly the reported resources.
@@ -92,8 +92,10 @@ def varopt_ipw(graph, x, k: int, rng, rows) -> dict[tuple[int, int], float]:
     for i, row in enumerate(rows):
         type_id = graph.type_ids[i]
         if type_id not in samplers:
-            samplers[type_id] = VarOptSampler(*x.support_of(type_id), k)
-        sample = samplers[type_id].draw(rng.substream("arrival", i))
-        assert sample.included == row
-        ipw.update({(i, r): sample.ipw_weight[r] for r in row})
+            ids, weights = x.support_of(type_id)
+            sampler = VarOptSampler(ids, weights, k)
+            samplers[type_id] = sampler, dict(zip(ids, weights)), sampler.probabilities()
+        sampler, weight, prob = samplers[type_id]
+        assert sampler.draw(rng.substream("arrival", i)) == row
+        ipw.update({(i, r): weight[r] / prob[r] for r in row})
     return ipw

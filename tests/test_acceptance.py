@@ -103,8 +103,8 @@ def test_criterion_1_varopt_exactness():
         probs = sampler.probabilities()
         ok &= abs(sum(probs.values()) - min(k, positive)) <= 1e-9
         sample = sampler.draw(rng)
-        ok &= len(sample.included) == min(k, positive)
-        ok &= abs(sum(sample.ipw_weight.values()) - float(weights.sum())) <= 1e-9
+        ok &= len(sample) == min(k, positive)
+        ok &= abs(sum(weights[i] / probs[i] for i in sample) - float(weights.sum())) <= 1e-9
         if not ok:
             break
     elapsed = time.perf_counter() - start
@@ -118,7 +118,7 @@ def test_criterion_2_varopt_marginals():
     trials = 100000
     counts = np.zeros(3)
     for _ in range(trials):
-        for item in sampler.draw(rng).included:
+        for item in sampler.draw(rng):
             counts[item] += 1
     freq = counts / trials
     ok = (

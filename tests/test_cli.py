@@ -192,3 +192,32 @@ def test_malformed_cached_weights_are_config_errors(tmp_path, entry):
     weights = write_json(tmp_path / "w.json", {"entries": [entry], "n": 20})
     assert main(["synth", "--family", "block", "--n", "20", "--trials", "2",
                  "--strategies", "offline,varopt:3", "--weights", "file", "--weights-in", weights]) == 2
+
+
+def test_bounds_rejects_format_flag(tmp_path, capsys):
+    out = tmp_path / "bounds.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "--family", "block", "--n", "20", "--trials", "2", "--mc", "5",
+              "--format", "json", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_weights_rejects_out_and_format_flags(tmp_path, capsys):
+    cache, out = tmp_path / "w.json", tmp_path / "ignored.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["weights", "--family", "block", "--n", "20", "--mc", "5",
+              "--weights-out", str(cache), "--out", str(out), "--format", "csv"])
+    assert exc.value.code == 2
+    assert "--out" in capsys.readouterr().err
+    assert not cache.exists() and not out.exists()
+
+
+def test_config_key_naming_no_flag_of_the_subcommand_is_config_error(tmp_path, caplog):
+    conf = tmp_path / "bounds.conf"
+    conf.write_text("family = block\nn = 20\ntrials = 2\nmc = 5\nformat = json\n")
+    out = tmp_path / "bounds.csv"
+    assert main(["bounds", "--config", str(conf), "--out", str(out)]) == 2
+    assert "format" in caplog.text
+    assert not out.exists()

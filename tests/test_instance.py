@@ -83,6 +83,7 @@ def test_realize_reproducible():
 def test_realized_edges_match_type_compatibility_exactly():
     inst = uniform_instance([(0, 2), (1,), (0, 1, 2)], arrivals=50)
     graph = realize(inst, RngStream(2))
+    assert all(type(j) is int and 0 <= j < inst.type_count for j in graph.type_ids)
     for i, j in enumerate(graph.type_ids):
         assert graph.edges_for(i) == inst.types[j].compatible
 

@@ -5,7 +5,7 @@ import pytest
 
 from helpers import bisect_threshold
 from sparsematch.rng import RngStream
-from sparsematch.varopt import AllZeroWeights, VarOptSampler, estimate_subset_sum
+from sparsematch.varopt import AllZeroWeights, VarOptSampler
 
 ABC_IDS = [0, 1, 2]
 ABC_WEIGHTS = [0.5, 0.3, 0.2]
@@ -67,20 +67,15 @@ def test_draw_contains_deterministic_item_and_preserves_weight_sum():
     probs = sampler.probabilities()
     for _ in range(200):
         sample = sampler.draw(rng)
-        assert len(sample.included) == 2
-        assert 0 in sample.included  # pi = 1
-        assert sum(sample.ipw_weight.values()) == pytest.approx(1.0, abs=1e-9)
-        for item in sample.included:
-            assert sample.ipw_weight[item] == pytest.approx(
-                ABC_WEIGHTS[item] / probs[item],
-                abs=1e-12,
-            )
+        assert len(sample) == 2
+        assert 0 in sample  # pi = 1
+        assert sum(ABC_WEIGHTS[i] / probs[i] for i in sample) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_single_item():
-    sample = VarOptSampler([5], [0.37], 1).draw(RngStream(1))
-    assert sample.included == (5,)
-    assert sample.ipw_weight[5] == pytest.approx(0.37, abs=1e-12)
+    sampler = VarOptSampler([5], [0.37], 1)
+    assert sampler.draw(RngStream(1)) == (5,)
+    assert sampler.probabilities() == {5: 1.0}  # so its IPW weight is 0.37 itself
 
 
 def test_marginal_frequencies_match_probabilities():
@@ -90,7 +85,7 @@ def test_marginal_frequencies_match_probabilities():
     counts = np.zeros(3)
     trials = 100000
     for _ in range(trials):
-        for item in sampler.draw(rng).included:
+        for item in sampler.draw(rng):
             counts[item] += 1
     freq = counts / trials
     assert freq[0] == pytest.approx(1.0, abs=1e-12)
@@ -100,7 +95,13 @@ def test_marginal_frequencies_match_probabilities():
 
 def test_subset_sum_estimates():
     rng = RngStream(23)
-    sampler = VarOptSampler([0, 1, 2], [0.5, 0.3, 0.2], k=2)
+    weights = [0.5, 0.3, 0.2]
+    sampler = VarOptSampler([0, 1, 2], weights, k=2)
+    probs = sampler.probabilities()
+
+    def estimate_subset_sum(sample, subset):
+        return sum(weights[i] / probs[i] for i in sample if i in subset)
+
     sample = sampler.draw(rng)
     assert estimate_subset_sum(sample, {0, 1, 2}) == pytest.approx(1.0, abs=1e-9)
     assert estimate_subset_sum(sample, set()) == 0.0
@@ -123,10 +124,11 @@ def test_exact_size_and_weight_sum_over_random_vectors():
         k = int(gen.integers(1, 20))
         positive = int((weights > 0).sum())
         sampler = VarOptSampler(range(size), weights, k)
+        probs = sampler.probabilities()
         sample = sampler.draw(rng)
-        assert len(sample.included) == min(k, positive)
-        assert all(weights[i] > 0 for i in sample.included)
-        assert sum(sample.ipw_weight.values()) == pytest.approx(float(weights.sum()), abs=1e-9)
+        assert len(sample) == min(k, positive)
+        assert all(weights[i] > 0 for i in sample)
+        assert sum(weights[i] / probs[i] for i in sample) == pytest.approx(float(weights.sum()), abs=1e-9)
 
 
 def test_inclusion_probability_lower_bound():
@@ -148,7 +150,7 @@ def test_heavy_items_always_included():
     assert heavy
     for _ in range(500):
         sample = sampler.draw(rng)
-        assert set(heavy) <= set(sample.included)
+        assert set(heavy) <= set(sample)
 
 
 def test_pairwise_covariance_nonpositive():
@@ -166,7 +168,7 @@ def test_pairwise_covariance_nonpositive():
         hits = np.zeros(len(weights))
         joint = np.zeros((len(weights), len(weights)))
         for _ in range(trials):
-            included = sampler.draw(rng).included
+            included = sampler.draw(rng)
             for a in included:
                 hits[a] += 1
                 for b in included:
@@ -189,3 +191,32 @@ def test_rejects_bad_inputs():
         VarOptSampler([0, 0], [0.1, 0.2], k=1)
     with pytest.raises(ValueError):
         VarOptSampler([0], [0.1], k=0)
+
+
+def test_sampler_properties_on_generated_weights():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    weight = st.one_of(st.sampled_from([0.0, 0.1, 1 / 3, 7.0, 1e-12, 1e-9]),
+                       st.floats(min_value=1e-12, max_value=1e6))
+    weight_lists = st.lists(weight, min_size=1, max_size=40).filter(lambda ws: max(ws) > 0)
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(weight_lists, st.integers(1, 25), st.integers(0, 2**32 - 1))
+    def check(weights, k, seed):
+        sampler = VarOptSampler(range(len(weights)), weights, k)
+        probs = sampler.probabilities()
+        top = max(weights)
+        # The oracle's tolerance on tau is absolute, so it solves the scaled weights.
+        tau = bisect_threshold([w / top for w in weights], k)
+        for i, w in enumerate(weights):
+            assert probs[i] == pytest.approx(min(1.0, tau * w / top), abs=1e-9)
+        size = min(k, sum(w > 0 for w in weights))
+        assert sum(probs.values()) == pytest.approx(size, abs=1e-9)
+        sample = sampler.draw(RngStream(seed))
+        assert len(sample) == size
+        assert list(sample) == sorted(set(sample))
+        assert all(weights[i] > 0 for i in sample)
+        total = sum(weights)
+        assert sum(weights[i] / probs[i] for i in sample) == pytest.approx(total, abs=1e-9 * max(1.0, total))
+
+    check()
