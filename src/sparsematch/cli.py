@@ -94,14 +94,15 @@ class _Resolver:
 def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key = value config file; CLI flags override it")
     parser.add_argument("--seed", type=int, help="base seed (default 0)")
-    parser.add_argument("--trials", type=int, help="trial count (default 100)")
     parser.add_argument("--mc", type=int, help="Monte Carlo simulations for weight learning (default 100)")
     parser.add_argument("--weights", choices=("lp", "montecarlo", "file"),
                         help="weight source for guided strategies (default montecarlo)")
+
+
+def _add_trial_flags(parser: argparse.ArgumentParser, formats: bool) -> None:
+    """Flags of the subcommands that run trials and report on them."""
+    parser.add_argument("--trials", type=int, help="trial count (default 100)")
     parser.add_argument("--weights-in", help="cached weights JSON (for --weights file)")
-
-
-def _add_output_flags(parser: argparse.ArgumentParser, formats: bool) -> None:
     parser.add_argument("--out", help="output path (default: stdout)")
     if formats:
         parser.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
@@ -120,13 +121,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     synth = sub.add_parser("synth", help="run strategies on a synthetic family")
     _add_shared_flags(synth)
-    _add_output_flags(synth, formats=True)
+    _add_trial_flags(synth, formats=True)
     _add_instance_flags(synth)
     synth.add_argument("--strategies", help=f"comma list, name[:k] (default {DEFAULT_STRATEGIES})")
 
     nyc = sub.add_parser("nyc", help="replay trip data in 10-minute intervals")
     _add_shared_flags(nyc)
-    _add_output_flags(nyc, formats=True)
+    _add_trial_flags(nyc, formats=True)
     nyc.add_argument("--trips", required=True, help="trip CSV (TLC schema)")
     nyc.add_argument("--zones", required=True, help="zone adjacency CSV (zone_a,zone_b)")
     nyc.add_argument("--start", "--interval", dest="start",
@@ -136,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bounds_cmd = sub.add_parser("bounds", help="theoretical bound vs empirical sparsifier")
     _add_shared_flags(bounds_cmd)
-    _add_output_flags(bounds_cmd, formats=False)
+    _add_trial_flags(bounds_cmd, formats=False)
     _add_instance_flags(bounds_cmd)
     bounds_cmd.add_argument("--k-values", help="comma list of budgets (default 3,5,10)")
 

@@ -7,9 +7,10 @@ the offline maximum matching when the caller scores against it, and runs
 every other strategy on the same realization through ``run_strategy`` with
 ``strategy_stream.substream(t, key)``.  Every stream is keyed by the trial
 index alone, never by position in the loop, so results are reproducible from
-(config, seed) and independent of trial scheduling.  Guided strategies share
-fractional weights learned once per experiment from a dedicated substream;
-``solution_for_source`` is the one place a weight source becomes a solution.
+(config, seed) and independent of trial scheduling.  Guided strategies read
+guidance learned once per experiment from a dedicated substream, keyed by
+strategy label; ``solution_for_source`` is the one place a weight source
+becomes a solution.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import logging
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .generators import FAMILIES, EmptyWindow, TripRecord, ZoneModel, build_nyc_
 from .instance import StochasticInstance, instance_from_json, realize
 from .matching import full_edge_list, max_matching
 from .rng import RngStream
-from .strategies import StrategyConfig, run_strategy
+from .strategies import STRATEGIES, StrategyConfig, run_strategy, varopt_samplers
 from .weights import (
     CopyMarginals,
     FractionalSolution,
@@ -121,18 +122,6 @@ def resolve_instance(config: ExperimentConfig) -> StochasticInstance:
     return FAMILIES[config.family](config.n)
 
 
-@dataclass(frozen=True)
-class LearnedWeights:
-    """Everything strategies may consume: one solution per source, plus the
-    positional copy marginals the two-suggestion baseline is guided by."""
-
-    solutions: dict[str, FractionalSolution]
-    mgs_guidance: CopyMarginals | None = None
-
-    def solution_for(self, cfg: StrategyConfig) -> FractionalSolution | None:
-        return self.solutions.get(cfg.weights) if cfg.weights else None
-
-
 def solution_for_source(
     instance: StochasticInstance, source: str, config: ExperimentConfig, base: RngStream
 ) -> FractionalSolution:
@@ -153,26 +142,30 @@ def solution_for_source(
 
 def learn_weight_sources(
     instance: StochasticInstance, config: ExperimentConfig, base: RngStream
-) -> LearnedWeights:
-    """Learn each weight source any strategy asks for, once per experiment.
+) -> dict[str, object]:
+    """The guidance each guided strategy reads, by label, learned once per experiment.
 
-    The two-suggestion baseline configured with Monte Carlo weights is guided
-    by per-copy marginals estimated with deterministic tie-breaking: the
-    spread-promoting shuffle belongs to the guided sparsifier's weight
+    Each weight source any strategy asks for is solved once.  varopt reads
+    its per-type samplers built from that solution; mgs reads the solution's
+    support as copy marginals, except with Monte Carlo weights, where it is
+    guided by per-copy marginals estimated with deterministic tie-breaking:
+    the spread-promoting shuffle belongs to the guided sparsifier's weight
     construction, not to that baseline.
     """
     solutions: dict[str, FractionalSolution] = {}
-    guidance = None
+    guidance: dict[str, object] = {}
     for cfg in config.strategies:
-        source = cfg.weights
-        if source is None:
+        if cfg.weights is None or not STRATEGIES[cfg.strategy].guided:
             continue
-        if cfg.strategy == "mgs" and source == "montecarlo":
-            if guidance is None:
-                guidance = per_copy_marginals(instance, config.mc, base.substream("weights", "mgs"))
-        elif source not in solutions:
-            solutions[source] = solution_for_source(instance, source, config, base)
-    return LearnedWeights(solutions=solutions, mgs_guidance=guidance)
+        if cfg.strategy == "mgs" and cfg.weights == "montecarlo":
+            guidance[cfg.label] = per_copy_marginals(instance, config.mc, base.substream("weights", "mgs"))
+            continue
+        if cfg.weights not in solutions:
+            solutions[cfg.weights] = solution_for_source(instance, cfg.weights, config, base)
+        x = solutions[cfg.weights]
+        guidance[cfg.label] = (CopyMarginals.of_solution(x) if cfg.strategy == "mgs"
+                               else varopt_samplers(instance, x, cfg.k))
+    return guidance
 
 
 @dataclass(frozen=True)
@@ -187,7 +180,7 @@ class TrialScore:
 def score_trials(
     instance: StochasticInstance,
     strategies: Sequence[StrategyConfig],
-    learned: LearnedWeights,
+    guidance: Mapping[str, object],
     trials: Iterable[int],
     realize_stream: RngStream,
     strategy_stream: RngStream,
@@ -199,6 +192,7 @@ def score_trials(
     With ``with_offline`` the offline maximum matching is solved once per trial
     and is the offline strategy's score; a trial whose offline matching is
     empty has no edges, so every strategy scores 0 there without running.
+    Each guided strategy reads ``guidance[label]``.
     """
     scores = []
     for t in trials:
@@ -212,8 +206,7 @@ def score_trials(
                 matched[cfg.label] = offline
             else:
                 rng = strategy_stream.substream(t, stream_key(cfg))
-                matched[cfg.label] = run_strategy(graph, cfg, rng, x=learned.solution_for(cfg),
-                                                  mgs_guidance=learned.mgs_guidance).matched
+                matched[cfg.label] = run_strategy(graph, cfg, rng, guidance.get(cfg.label)).matched
         scores.append(TrialScore(offline, matched))
     return scores
 
@@ -225,8 +218,8 @@ def run_experiment(
     if instance is None:
         instance = resolve_instance(config)
     base = RngStream(config.seed)
-    learned = learn_weight_sources(instance, config, base)
-    scores = score_trials(instance, config.strategies, learned, range(config.trials),
+    guidance = learn_weight_sources(instance, config, base)
+    scores = score_trials(instance, config.strategies, guidance, range(config.trials),
                           base.substream("realize"), base.substream("strategy"))
     scored = [s for s in scores if s.offline > 0]
     degenerate = len(scores) - len(scored)
@@ -261,7 +254,8 @@ def bound_report(instance: StochasticInstance, family: str, ks: list[int],
     base = RngStream(config.seed)
     x = solution_for_source(instance, weight_source, config, base)
     strategies = {k: StrategyConfig("varopt", k=k, weights=weight_source) for k in ks}
-    scores = score_trials(instance, list(strategies.values()), LearnedWeights({weight_source: x}),
+    guidance = {cfg.label: varopt_samplers(instance, x, k) for k, cfg in strategies.items()}
+    scores = score_trials(instance, list(strategies.values()), guidance,
                           range(config.trials), base.substream("realize"), base.substream("bound"),
                           stream_key=lambda cfg: cfg.k, with_offline=False)
     rows = []
@@ -285,14 +279,16 @@ def bound_report(instance: StochasticInstance, family: str, ks: list[int],
     return rows
 
 
-def default_interval_starts(trips: Sequence[TripRecord]) -> list[datetime]:
-    """10-minute grid covering the trip data, offset so windows align with events."""
+def default_interval_starts(trips: Sequence[TripRecord], start: datetime | None = None) -> list[datetime]:
+    """10-minute grid through the last trip event, from ``start`` or offset so
+    windows align with events."""
     if not trips:
         return []
-    earliest = min(min(t.pickup_time, t.dropoff_time) for t in trips)
     latest = max(max(t.pickup_time, t.dropoff_time) for t in trips)
-    floor = earliest.replace(minute=earliest.minute - earliest.minute % 10, second=0, microsecond=0)
-    start = floor + INTERVAL / 2
+    if start is None:
+        earliest = min(min(t.pickup_time, t.dropoff_time) for t in trips)
+        floor = earliest.replace(minute=earliest.minute - earliest.minute % 10, second=0, microsecond=0)
+        start = floor + INTERVAL / 2
     out = []
     t = start
     while t - INTERVAL / 2 <= latest:
@@ -310,18 +306,22 @@ def run_nyc_day(
 ) -> UnmetDemandSeries:
     """Replay trip data in 10-minute intervals and accumulate unmet demand.
 
-    Each interval builds its own instance and fractional weights; unmatched
-    riders per strategy are averaged over ``config.trials`` realizations and
+    The grid starts at ``start`` (default: aligned to the data) and runs
+    through the last trip event, or for ``intervals`` steps.  Each interval
+    builds its own instance and fractional weights; unmatched riders per
+    strategy are averaged over ``config.trials`` realizations and
     accumulated.  Intervals with an empty half-window contribute zero.
     """
+    if intervals is not None and intervals < 1:
+        raise ConfigError(f"intervals must be >= 1, got {intervals}")
     if start is not None and intervals is not None:
         times = [start + j * INTERVAL for j in range(intervals)]
     else:
-        times = default_interval_starts(list(trips))
+        times = default_interval_starts(list(trips), start)
         if intervals is not None:
             times = times[:intervals]
     if not times:
-        raise ConfigError("no simulation intervals: trip data is empty")
+        raise ConfigError("no simulation intervals: no trip event at or after the start")
 
     base = RngStream(config.seed)
     totals = {cfg.label: 0.0 for cfg in config.strategies}
@@ -336,8 +336,8 @@ def run_nyc_day(
             for cfg in config.strategies:
                 series[cfg.label].append(totals[cfg.label])
             continue
-        learned = learn_weight_sources(instance, config, base.substream("interval", j))
-        scores = score_trials(instance, config.strategies, learned, range(config.trials),
+        guidance = learn_weight_sources(instance, config, base.substream("interval", j))
+        scores = score_trials(instance, config.strategies, guidance, range(config.trials),
                               base.substream("nyc-realize", j), base.substream("nyc-strategy", j))
         for cfg in config.strategies:
             unmet = 0.0

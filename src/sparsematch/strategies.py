@@ -8,17 +8,18 @@ randomness is drawn from substreams keyed by arrival index, so one arrival's
 selection never depends on the other arrivals.
 
 ``STRATEGIES`` maps each strategy name to its runner and to whether it needs
-a budget k or fractional weights; ``run_strategy`` is the one entry point.
+a budget k or guidance learned once per experiment; ``run_strategy`` is the
+one entry point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .instance import RealizedGraph
+from .instance import RealizedGraph, StochasticInstance
 from .matching import BipartiteEdgeList, full_edge_list, max_matching
 from .rng import RngStream
 from .varopt import VarOptSampler
@@ -56,29 +57,34 @@ class StrategyConfig:
         return self.strategy if self.k is None else f"{self.strategy} k={self.k}"
 
 
-def varopt_sparsify(
-    graph: RealizedGraph, x: FractionalSolution, k: int, rng: RngStream
-) -> list[tuple[int, ...]]:
-    """Guided local sparsifier: one row per arrival of fixed-size draws weighted by x.
+def varopt_samplers(
+    instance: StochasticInstance, x: FractionalSolution, k: int
+) -> tuple[VarOptSampler | None, ...]:
+    """One budget-k sampler per type id, built once for every trial of an experiment.
 
-    Each arrival of type t samples min(k, support size) of its compatible
-    resources with probabilities proportional (after thresholding) to the
-    fractional values x_tj.  Types whose fractional row is all zero fall back
-    to uniform weights over the full compatibility set.
+    A type samples its support in ``x`` with probabilities proportional (after
+    thresholding) to the fractional values x_tj; a type without support falls
+    back to uniform weights over its compatibility set, and a type with
+    neither gets ``None``.
     """
-    if x is None:
-        raise ValueError("varopt needs a fractional solution")
-    if k < 1:
-        raise ValueError(f"budget k must be >= 1, got {k}")
-    samplers: dict[int, VarOptSampler | None] = {}
+    samplers = []
+    for type_id, demand_type in enumerate(instance.types):
+        ids, values = x.support_of(type_id)
+        if not ids:  # no support: uniform over the compatibility set
+            ids = demand_type.compatible
+            values = [1.0 / len(ids)] * len(ids) if ids else []
+        samplers.append(VarOptSampler(ids, values, k) if ids else None)
+    return tuple(samplers)
+
+
+def varopt_sparsify(
+    graph: RealizedGraph, samplers: Sequence[VarOptSampler | None], rng: RngStream
+) -> list[tuple[int, ...]]:
+    """Guided local sparsifier: one row per arrival, drawn by its type's sampler
+    from ``rng.substream("arrival", i)``; an arrival whose type has no sampler
+    reports nothing."""
     rows = []
     for i, type_id in enumerate(graph.type_ids):
-        if type_id not in samplers:
-            ids, values = x.support_of(type_id)
-            if not ids:  # no support: uniform over the compatibility set
-                ids = graph.instance.types[type_id].compatible
-                values = [1.0 / len(ids)] * len(ids) if ids else []
-            samplers[type_id] = VarOptSampler(ids, values, k) if ids else None
         sampler = samplers[type_id]
         rows.append(() if sampler is None else sampler.draw(rng.substream("arrival", i)))
     return rows
@@ -125,42 +131,26 @@ def _sample_weighted(ids, values, gen, exclude: int | None = None) -> int | None
     return int(pairs[gen.choice(len(pairs), p=probs)][0])
 
 
-def mgs(
-    graph: RealizedGraph,
-    x: FractionalSolution | None,
-    rng: RngStream,
-    guidance: CopyMarginals | None = None,
-) -> StrategyOutcome:
+def mgs(graph: RealizedGraph, guidance: CopyMarginals, rng: RngStream) -> StrategyOutcome:
     """Two-suggestion online baseline guided by offline marginals.
 
     Per type, a first-choice resource is sampled proportionally to the
-    marginals and an independent second choice from the renormalized
-    remainder.  The c-th realized copy of a type commits to its c-th
-    suggestion if that resource is still free; copies beyond the second go
-    unmatched (both suggestions are necessarily taken by then).
-
-    With ``guidance`` the two choices come from the positional marginals of
-    the first and second copy (the faithful form); otherwise both are drawn
-    from ``x``.  Types without marginal support fall back to a uniform first
-    choice over their compatibility set.
+    marginals of the first realized copy and an independent second choice
+    from the renormalized marginals of the second copy, excluding the first.
+    The c-th realized copy of a type commits to its c-th suggestion if that
+    resource is still free; copies beyond the second go unmatched (both
+    suggestions are necessarily taken by then).  Types without first-copy
+    support fall back to a uniform first choice over their compatibility set.
     """
-    if x is None and guidance is None:
-        raise ValueError("mgs needs marginals: a fractional solution or copy guidance")
     gen = rng.substream("guidance").generator
     suggestions: dict[int, tuple[int | None, int | None]] = {}
     for j in range(graph.instance.type_count):
-        if guidance is not None:
-            first_ids, first_vals = guidance.first.get(j, ((), ()))
-            second_ids, second_vals = guidance.second.get(j, ((), ()))
-        else:
-            first_ids, first_vals = x.support_of(j)
-            second_ids, second_vals = first_ids, first_vals
-        first = _sample_weighted(first_ids, first_vals, gen)
+        first = _sample_weighted(*guidance.first.get(j, ((), ())), gen)
         if first is None:
             compatible = graph.instance.types[j].compatible
             if compatible:
                 first = int(compatible[gen.choice(len(compatible))])
-        second = _sample_weighted(second_ids, second_vals, gen, exclude=first)
+        second = _sample_weighted(*guidance.second.get(j, ((), ())), gen, exclude=first)
         suggestions[j] = (first, second)
 
     taken = np.zeros(graph.instance.resource_count, dtype=bool)
@@ -190,8 +180,8 @@ def _offline(graph: RealizedGraph) -> StrategyOutcome:
 
 @dataclass(frozen=True)
 class Strategy:
-    """A table entry: ``run(graph, config, rng, x, guidance)``, whether the
-    strategy needs a budget k, and whether it is guided by fractional weights."""
+    """A table entry: ``run(graph, config, rng, guidance)``, whether the
+    strategy needs a budget k, and whether it is guided by learned weights."""
 
     run: Callable[..., StrategyOutcome]
     budgeted: bool = False
@@ -201,16 +191,15 @@ class Strategy:
 # Runners look the strategy functions up when called, so a function replaced
 # on this module (say, by a tracer) is the one that runs.
 STRATEGIES: dict[str, Strategy] = {
-    "offline": Strategy(lambda graph, config, rng, x, guidance: _offline(graph)),
-    "kvv": Strategy(lambda graph, config, rng, x, guidance: kvv_ranking(graph, rng)),
+    "offline": Strategy(lambda graph, config, rng, guidance: _offline(graph)),
+    "kvv": Strategy(lambda graph, config, rng, guidance: kvv_ranking(graph, rng)),
     "random": Strategy(
-        lambda graph, config, rng, x, guidance: _coordinate(graph, random_subgraph(graph, config.k, rng)),
+        lambda graph, config, rng, guidance: _coordinate(graph, random_subgraph(graph, config.k, rng)),
         budgeted=True,
     ),
-    "mgs": Strategy(lambda graph, config, rng, x, guidance: mgs(graph, x, rng, guidance=guidance),
-                    guided=True),
+    "mgs": Strategy(lambda graph, config, rng, guidance: mgs(graph, guidance, rng), guided=True),
     "varopt": Strategy(
-        lambda graph, config, rng, x, guidance: _coordinate(graph, varopt_sparsify(graph, x, config.k, rng)),
+        lambda graph, config, rng, guidance: _coordinate(graph, varopt_sparsify(graph, guidance, rng)),
         budgeted=True,
         guided=True,
     ),
@@ -219,19 +208,19 @@ STRATEGY_NAMES = tuple(STRATEGIES)
 
 
 def run_strategy(
-    graph: RealizedGraph,
-    config: StrategyConfig,
-    rng: RngStream,
-    x: FractionalSolution | None = None,
-    mgs_guidance: CopyMarginals | None = None,
+    graph: RealizedGraph, config: StrategyConfig, rng: RngStream, guidance: object = None
 ) -> StrategyOutcome:
     """Run one configured strategy on a realization.
 
-    Sparsifier strategies report edges and are scored by the maximum matching
-    of the reported subgraph; online strategies are scored by their own
+    A guided strategy reads ``guidance``: ``varopt_samplers(...)`` for varopt,
+    ``CopyMarginals`` for mgs.  Sparsifier strategies are scored by the
+    maximum matching of the reported subgraph; online strategies by their own
     irrevocable matches; offline is the full-information maximum matching.
     """
     entry = STRATEGIES.get(config.strategy)
     if entry is None:
         raise UnknownStrategy(f"unknown strategy {config.strategy!r}")
-    return entry.run(graph, config, rng, x, mgs_guidance)
+    if entry.guided and guidance is None:
+        raise ValueError(f"strategy {config.strategy!r} needs guidance learned from a "
+                         "fractional solution: VarOpt samplers or copy marginals")
+    return entry.run(graph, config, rng, guidance)

@@ -110,6 +110,11 @@ class CopyMarginals:
     first: dict[int, tuple[tuple[int, ...], np.ndarray]]
     second: dict[int, tuple[tuple[int, ...], np.ndarray]]
 
+    @classmethod
+    def of_solution(cls, x: FractionalSolution) -> "CopyMarginals":
+        """Both copies guided by the per-type support of one fractional solution."""
+        return cls(first=x._by_type, second=x._by_type)
+
 
 def _simulated_optima(instance: StochasticInstance, simulations: int, rng: RngStream,
                       shuffled: bool) -> Iterator[tuple[RealizedGraph, MatchingResult]]:

@@ -22,7 +22,7 @@ from sparsematch.harness import ExperimentConfig, run_experiment, run_nyc_day
 from sparsematch.instance import realize
 from sparsematch.matching import BipartiteEdgeList, full_edge_list, max_matching
 from sparsematch.rng import RngStream
-from sparsematch.strategies import StrategyConfig, run_strategy
+from sparsematch.strategies import StrategyConfig, run_strategy, varopt_samplers
 from sparsematch.varopt import VarOptSampler
 from sparsematch.weights import (
     FractionalSolution,
@@ -205,11 +205,12 @@ def test_criterion_6_preservation_bound_soundness():
                 BoundInputs(z=x.objective, z_heavy=split.z_heavy, z_light=split.z_light, k=k)
             )
             config = StrategyConfig("varopt", k=k, weights="montecarlo")
+            samplers = varopt_samplers(instance, x, k)
             sizes = []
             for t in range(200):
                 graph = realize(instance, base.substream("trial", family, t))
                 sizes.append(
-                    run_strategy(graph, config, base.substream("s", family, t, k), x=x).matched
+                    run_strategy(graph, config, base.substream("s", family, t, k), samplers).matched
                 )
             mean = float(np.mean(sizes))
             stderr = float(np.std(sizes, ddof=1) / math.sqrt(len(sizes)))
@@ -271,10 +272,11 @@ def test_criterion_9_corollary_budget():
     assert split.z_heavy == 0.0
     base = RngStream(1009)
     config = StrategyConfig("varopt", k=k)
+    samplers = varopt_samplers(instance, x, k)
     sizes = []
     for t in range(500):
         graph = realize(instance, base.substream(t))
-        sizes.append(run_strategy(graph, config, base.substream("s", t), x=x).matched)
+        sizes.append(run_strategy(graph, config, base.substream("s", t), samplers).matched)
     z = x.objective
     mean = float(np.mean(sizes))
     stderr = float(np.std(sizes, ddof=1) / math.sqrt(len(sizes)))

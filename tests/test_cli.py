@@ -221,3 +221,14 @@ def test_config_key_naming_no_flag_of_the_subcommand_is_config_error(tmp_path, c
     assert main(["bounds", "--config", str(conf), "--out", str(out)]) == 2
     assert "format" in caplog.text
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", [("--trials", "7"), ("--weights-in", "/nonexistent.json")])
+def test_weights_rejects_trials_and_weights_in_flags(tmp_path, capsys, flag):
+    cache = tmp_path / "w.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["weights", "--family", "block", "--n", "20", "--mc", "5", *flag,
+              "--weights-out", str(cache)])
+    assert exc.value.code == 2
+    assert flag[0] in capsys.readouterr().err
+    assert not cache.exists()

@@ -2,9 +2,9 @@
 
 Every case runs ``sparsematch.cli.main`` with its output going to a temporary
 directory and compares the file byte for byte with ``tests/golden/<name>``.
-The expected files were written by the code before the trial loop was unified,
-so any refactor that keeps them passing keeps the seeded results the package
-reports.  After an intended output change, regenerate them from the root of
+Each expected file was written by the code before the refactor it was added
+to guard, so any refactor that keeps them passing keeps the seeded results
+the package reports.  After an intended output change, regenerate them from the root of
 a checkout with:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -31,13 +31,21 @@ CASES = {
     "synth-lp-triangular.csv": (("synth", "--family", "triangular", "--n", "20", "--trials", "10",
                                  "--weights", "lp", "--strategies", "offline,random:3,varopt:5",
                                  "--seed", "0"), "--out"),
+    "synth-lp-block.csv": (("synth", "--family", "block", "--n", "20", "--trials", "10",
+                            "--weights", "lp", "--strategies", "offline,kvv,mgs,varopt:3,varopt:10",
+                            "--seed", "0"), "--out"),
+    "synth-file-block.csv": (("synth", "--family", "block", "--n", "20", "--trials", "10",
+                              "--weights", "file", "--weights-in", str(GOLDEN / "weights-lp.json"),
+                              "--strategies", "mgs,varopt:5", "--seed", "0"), "--out"),
     "nyc.csv": (("nyc", "--trips", TRIPS, "--zones", ZONES, "--trials", "5", "--mc", "5",
                  "--seed", "0"), "--out"),
+    "nyc-lp.csv": (("nyc", "--trips", TRIPS, "--zones", ZONES, "--weights", "lp", "--trials", "5",
+                    "--mc", "5", "--seed", "0"), "--out"),
     **{f"bounds-{source}.csv": (("bounds", "--family", "block", *SMALL, "--k-values", "3,5",
                                  "--weights", source), "--out")
        for source in ("lp", "montecarlo")},
-    **{f"weights-{source}.json": (("weights", "--family", "block", *SMALL, "--weights", source),
-                                  "--weights-out")
+    **{f"weights-{source}.json": (("weights", "--family", "block", "--n", "20", "--mc", "10",
+                                   "--seed", "0", "--weights", source), "--weights-out")
        for source in ("lp", "montecarlo")},
 }
 

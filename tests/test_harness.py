@@ -11,7 +11,6 @@ from sparsematch.harness import (
     EfficiencySummary,
     ExperimentConfig,
     UnmetDemandSeries,
-    LearnedWeights,
     ci95,
     learn_weight_sources,
     render_results,
@@ -251,6 +250,45 @@ def test_kernel_skips_strategies_when_offline_matching_is_empty():
     )
     # varopt without weights would raise if it ran
     strategies = (StrategyConfig("offline"), StrategyConfig("varopt", k=2))
-    scores = score_trials(unmatchable, strategies, LearnedWeights({}), range(3),
+    scores = score_trials(unmatchable, strategies, {}, range(3),
                           RngStream(0), RngStream(1))
     assert [(s.offline, s.matched) for s in scores] == [(0, {"offline": 0, "varopt k=2": 0})] * 3
+
+
+@pytest.mark.parametrize("trials", [3, 12])
+def test_varopt_samplers_built_once_per_experiment(trials, monkeypatch):
+    from sparsematch import strategies
+    from sparsematch.varopt import VarOptSampler
+
+    built = []
+
+    class CountingSampler(VarOptSampler):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(strategies, "VarOptSampler", CountingSampler)
+    config = small_config(strategies=(StrategyConfig("varopt", k=3, weights="lp"),
+                                      StrategyConfig("varopt", k=5, weights="lp")), trials=trials)
+    inst = resolve_instance(config)
+    assert all(t.compatible for t in inst.types)
+    run_experiment(config, instance=inst)
+    assert len(built) == 2 * inst.type_count
+
+
+def test_nyc_start_without_intervals_runs_through_the_last_event():
+    from sparsematch.harness import default_interval_starts
+
+    trips, zones = ingest_trips(TRIPS, ZONES)
+    config = ExperimentConfig(strategies=(StrategyConfig("offline"),), trials=2, mc=5, seed=0)
+    series = run_nyc_day(trips, zones, config, start=START)
+    assert series.timestamps[0] == START
+    assert series.timestamps == tuple(t for t in default_interval_starts(trips) if t >= START)
+
+
+@pytest.mark.parametrize("intervals", [0, -1])
+def test_nyc_interval_count_below_one_rejected(intervals):
+    trips, zones = ingest_trips(TRIPS, ZONES)
+    config = ExperimentConfig(strategies=(StrategyConfig("offline"),), trials=2, mc=5, seed=0)
+    with pytest.raises(ConfigError, match="intervals must be >= 1"):
+        run_nyc_day(trips, zones, config, intervals=intervals)

@@ -101,18 +101,18 @@ def sparsified_and_full_rows():
     """(rows, right count) of full realizations of every family at n=20 and of
     the rows the random and varopt sparsifiers report on them."""
     from sparsematch.generators import FAMILIES
-    from sparsematch.strategies import random_subgraph, varopt_sparsify
+    from sparsematch.strategies import random_subgraph, varopt_samplers, varopt_sparsify
     from sparsematch.weights import monte_carlo_weights
 
     base = RngStream(71)
     for name, family in sorted(FAMILIES.items()):
         inst = family(20)
-        x = monte_carlo_weights(inst, 10, base.substream("weights", name))
+        samplers = varopt_samplers(inst, monte_carlo_weights(inst, 10, base.substream("weights", name)), 3)
         for t in range(3):
             graph = realize(inst, base.substream(name, t))
             yield full_edge_list(graph).adjacency, inst.resource_count
             yield random_subgraph(graph, 3, base.substream("random", name, t)), inst.resource_count
-            yield varopt_sparsify(graph, x, 3, base.substream("varopt", name, t)), inst.resource_count
+            yield varopt_sparsify(graph, samplers, base.substream("varopt", name, t)), inst.resource_count
 
 
 def shuffled_by_edge_pairs(graph, rng):
@@ -196,18 +196,19 @@ def test_fractional_value_never_exceeds_integral_matching():
     # IPW-weighted sparsified subgraphs: the scaled fractional value is a lower
     # bound for the maximum matching on every single trial, and in the mean
     from helpers import complete_uniform, varopt_ipw
-    from sparsematch.strategies import varopt_sparsify
+    from sparsematch.strategies import varopt_samplers, varopt_sparsify
     from sparsematch.weights import FractionalSolution
 
     n = 50
     inst = complete_uniform(n)
     x = FractionalSolution.build(inst, {(j, i): 1.0 / n for j in range(n) for i in range(n)})
+    samplers = varopt_samplers(inst, x, 5)
     base = RngStream(67)
     fractional, integral = [], []
     for t in range(500):
         graph = realize(inst, base.substream(t))
         rng = base.substream("s", t)
-        rows = varopt_sparsify(graph, x, 5, rng)
+        rows = varopt_sparsify(graph, samplers, rng)
         ipw = varopt_ipw(graph, x, 5, rng, rows)
         subgraph = BipartiteEdgeList.from_rows(n, rows)
         report = fractional_scaled_matching(subgraph, ipw)

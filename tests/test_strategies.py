@@ -17,10 +17,12 @@ from sparsematch.strategies import (
     mgs,
     random_subgraph,
     run_strategy,
+    varopt_samplers,
     varopt_sparsify,
 )
 from sparsematch.varopt import VarOptSampler
 from sparsematch.weights import (
+    CopyMarginals,
     FractionalSolution,
     monte_carlo_weights,
     per_copy_marginals,
@@ -54,7 +56,7 @@ def test_config_validation():
 def test_varopt_budget_exceeds_degree_keeps_everything():
     inst, x = spread_solution(6)
     graph = realize(inst, RngStream(1))
-    rows = varopt_sparsify(graph, x, k=10, rng=RngStream(2))
+    rows = varopt_sparsify(graph, varopt_samplers(inst, x, 10), RngStream(2))
     assert len(rows) == graph.n
     for i, row in enumerate(rows):
         assert row == graph.edges_for(i)
@@ -65,7 +67,7 @@ def test_varopt_budget_exceeds_degree_keeps_everything():
 def test_varopt_respects_budget_and_support():
     inst, x = spread_solution(30)
     graph = realize(inst, RngStream(3))
-    rows = varopt_sparsify(graph, x, k=4, rng=RngStream(4))
+    rows = varopt_sparsify(graph, varopt_samplers(inst, x, 4), RngStream(4))
     ipw = varopt_ipw(graph, x, 4, RngStream(4), rows)
     for i, row in enumerate(rows):
         assert len(row) == 4
@@ -78,11 +80,12 @@ def test_varopt_concentrated_forces_single_edge():
     # and the matching equals the number of distinct realized types
     n = 50
     inst, x = concentrated_solution(n)
+    samplers = varopt_samplers(inst, x, 5)
     base = RngStream(5)
     sizes = []
     for t in range(300):
         graph = realize(inst, base.substream(t))
-        outcome = run_strategy(graph, StrategyConfig("varopt", k=5), base.substream("s", t), x=x)
+        outcome = run_strategy(graph, StrategyConfig("varopt", k=5), base.substream("s", t), samplers)
         assert outcome.sparsified_edges == graph.n
         sizes.append(outcome.matched)
         distinct = len(set(graph.type_ids))
@@ -95,13 +98,14 @@ def test_varopt_spread_preserves_matching():
     # complete uniform n=50, k=5: preservation ratio at least 0.95 over 500 trials
     n = 50
     inst, x = spread_solution(n)
+    samplers = varopt_samplers(inst, x, 5)
     base = RngStream(7)
     matched, offline = [], []
     for t in range(500):
         graph = realize(inst, base.substream(t))
         offline.append(max_matching(full_edge_list(graph)).size)
         matched.append(
-            run_strategy(graph, StrategyConfig("varopt", k=5), base.substream("s", t), x=x).matched
+            run_strategy(graph, StrategyConfig("varopt", k=5), base.substream("s", t), samplers).matched
         )
     ratio = np.mean(matched) / np.mean(offline)
     assert ratio >= 0.95
@@ -111,7 +115,7 @@ def test_varopt_zero_weight_type_falls_back_to_uniform():
     inst = uniform_instance([(0, 1, 2), (0,)], arrivals=4)
     x = FractionalSolution.build(inst, {(1, 0): 0.5})  # type 0 has no support
     graph = RealizedGraph(inst, (0, 0, 1, 0))
-    rows = varopt_sparsify(graph, x, k=2, rng=RngStream(11))
+    rows = varopt_sparsify(graph, varopt_samplers(inst, x, 2), RngStream(11))
     for type_id, row in zip(graph.type_ids, rows):
         if type_id == 0:
             assert len(row) == 2
@@ -123,11 +127,31 @@ def test_varopt_locality():
     inst, x = spread_solution(12)
     types_a = (3, 7, 1, 0, 4, 4, 9, 2)
     types_b = (3, 2, 9, 0, 4, 1, 4, 7)  # same type at positions 0 and 3
+    samplers = varopt_samplers(inst, x, 3)
     rng = RngStream(13)
-    rows_a = varopt_sparsify(RealizedGraph(inst, types_a), x, 3, rng)
-    rows_b = varopt_sparsify(RealizedGraph(inst, types_b), x, 3, rng)
+    rows_a = varopt_sparsify(RealizedGraph(inst, types_a), samplers, rng)
+    rows_b = varopt_sparsify(RealizedGraph(inst, types_b), samplers, rng)
     for i in (0, 3):
         assert rows_a[i] == rows_b[i]
+
+
+def test_varopt_samplers_cover_every_type():
+    # support -> that support; no support -> uniform over the compatibility
+    # set; neither -> None
+    inst = StochasticInstance(
+        resources=("a", "b", "c"),
+        types=(DemandType(0, 0.4, (0, 1, 2)), DemandType(1, 0.4, (1, 2)), DemandType(2, 0.2, ())),
+        arrivals=3,
+        allow_empty_types=True,
+    )
+    x = FractionalSolution.build(inst, {(0, 0): 0.2, (0, 2): 0.6})
+    supported, fallback, empty = varopt_samplers(inst, x, 1)
+    assert supported.probabilities() == pytest.approx({0: 0.25, 2: 0.75})
+    assert fallback.probabilities() == pytest.approx({1: 0.5, 2: 0.5})
+    assert empty is None
+    rows = varopt_sparsify(RealizedGraph(inst, (2, 0, 2)), (supported, fallback, empty), RngStream(3))
+    assert rows[0] == rows[2] == ()
+    assert rows[1] in ((0,), (2,))
 
 
 def test_random_subgraph_keeps_all_when_small_degree():
@@ -181,7 +205,7 @@ def test_mgs_single_type_single_resource():
     inst = StochasticInstance(("a",), (DemandType(0, 1.0, (0,)),), arrivals=6)
     x = FractionalSolution.build(inst, {(0, 0): 1.0 / 6})
     graph = realize(inst, RngStream(1))
-    outcome = mgs(graph, x, RngStream(2))
+    outcome = mgs(graph, CopyMarginals.of_solution(x), RngStream(2))
     assert outcome.matched == 1
 
 
@@ -189,10 +213,10 @@ def test_mgs_with_copy_guidance():
     inst = complete_uniform(8)
     guidance = per_copy_marginals(inst, 30, RngStream(3))
     graph = realize(inst, RngStream(4))
-    outcome = mgs(graph, None, RngStream(5), guidance=guidance)
+    outcome = mgs(graph, guidance, RngStream(5))
     assert 0 < outcome.matched <= graph.n
     with pytest.raises(ValueError, match="marginals"):
-        mgs(graph, None, RngStream(5))
+        run_strategy(graph, StrategyConfig("mgs"), RngStream(5))
 
 
 def test_run_strategy_offline_equals_max_matching():
@@ -207,12 +231,13 @@ def test_run_strategy_full_budget_full_support_equals_offline():
     inst = complete_uniform(12)
     x = solve_expected_lp(inst)
     x = FractionalSolution.build(inst, {(j, i): 1.0 / 12 for j in range(12) for i in range(12)})
+    samplers = varopt_samplers(inst, x, 12)
     base = RngStream(21)
     for t in range(20):
         graph = realize(inst, base.substream(t))
         offline = run_strategy(graph, StrategyConfig("offline"), base.substream("o", t)).matched
         sparsified = run_strategy(
-            graph, StrategyConfig("varopt", k=12), base.substream("v", t), x=x
+            graph, StrategyConfig("varopt", k=12), base.substream("v", t), samplers
         ).matched
         assert sparsified == offline
 
@@ -220,7 +245,7 @@ def test_run_strategy_full_budget_full_support_equals_offline():
 def test_every_strategy_below_offline():
     inst = complete_uniform(20)
     x = monte_carlo_weights(inst, 50, RngStream(23))
-    guidance = per_copy_marginals(inst, 50, RngStream(24))
+    guidance = {"mgs": per_copy_marginals(inst, 50, RngStream(24)), "varopt k=3": varopt_samplers(inst, x, 3)}
     base = RngStream(25)
     for t in range(30):
         graph = realize(inst, base.substream(t))
@@ -231,9 +256,7 @@ def test_every_strategy_below_offline():
             StrategyConfig("random", k=3),
             StrategyConfig("varopt", k=3, weights="montecarlo"),
         ):
-            outcome = run_strategy(
-                graph, cfg, base.substream("s", t, cfg.label), x=x, mgs_guidance=guidance
-            )
+            outcome = run_strategy(graph, cfg, base.substream("s", t, cfg.label), guidance.get(cfg.label))
             assert outcome.matched <= offline
 
 
@@ -242,13 +265,14 @@ def test_sampled_load_is_unbiased_per_resource():
     # arrives at each resource estimates its expected fractional load
     n = 16
     inst, x = spread_solution(n)
+    samplers = varopt_samplers(inst, x, 4)
     base = RngStream(29)
     trials = 3000
     load = np.zeros(n)
     for t in range(trials):
         graph = realize(inst, base.substream(t))
         rng = base.substream("s", t)
-        for (_, r), w in varopt_ipw(graph, x, 4, rng, varopt_sparsify(graph, x, 4, rng)).items():
+        for (_, r), w in varopt_ipw(graph, x, 4, rng, varopt_sparsify(graph, samplers, rng)).items():
             load[r] += w
     load /= trials
     for i in range(n):
@@ -290,7 +314,7 @@ def test_varopt_selection_size_tracks_support():
     inst = uniform_instance([(0, 1, 2, 3, 4, 5)], arrivals=3)
     x = FractionalSolution.build(inst, {(0, 0): 0.1, (0, 2): 0.1, (0, 4): 0.1})
     graph = realize(inst, RngStream(1))
-    for row in varopt_sparsify(graph, x, k=5, rng=RngStream(2)):
+    for row in varopt_sparsify(graph, varopt_samplers(inst, x, 5), RngStream(2)):
         assert len(row) == 3
         assert set(row) <= {0, 2, 4}
 
