@@ -9,7 +9,6 @@ resource compatible with its type.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 import numpy as np
@@ -110,11 +109,6 @@ def realize(instance: StochasticInstance, rng: RngStream) -> RealizedGraph:
     # Guard against u landing beyond a cumulative total slightly below 1.
     np.clip(ids, 0, instance.type_count - 1, out=ids)
     return RealizedGraph(instance, tuple(ids.tolist()))
-
-
-def micro_type_count(graph: RealizedGraph) -> dict[int, int]:
-    """Histogram of realized arrivals per type id (absent types omitted)."""
-    return dict(Counter(graph.type_ids))
 
 
 def instance_to_json(instance: StochasticInstance) -> str:

@@ -1,4 +1,4 @@
-"""Exact maximum bipartite matching and fractional-load diagnostics.
+"""Exact maximum bipartite matching.
 
 A graph is stored as neighbour rows, one per left vertex: an arrival's
 compatibility set, or the edges it reports.  Hopcroft-Karp reads the rows
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -20,12 +20,6 @@ from .instance import RealizedGraph
 from .rng import RngStream
 
 _DEAD = -1  # BFS layer marker for exhausted vertices
-
-ARRIVAL_WEIGHT_TOL = 1e-9
-
-
-class ArrivalOverflow(ValueError):
-    """An arrival's edge weights sum past 1; the upstream sparsifier is broken."""
 
 
 class BipartiteEdgeList:
@@ -76,20 +70,6 @@ class MatchingResult:
     pairs: tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class FractionalLoadReport:
-    """Per-resource loads of an IPW-weighted subgraph and the value after scaling.
-
-    ``scaled_value`` is the total weight minus the excess above unit capacity,
-    i.e. the size of the fractional matching obtained by scaling down the edges
-    at every overloaded resource.
-    """
-
-    per_resource_load: dict[int, float]
-    excess: float
-    scaled_value: float
-
-
 def full_edge_list(graph: RealizedGraph) -> BipartiteEdgeList:
     """All compatibility edges of a realization, arrivals on the left: each
     arrival's row is its type's compatibility tuple."""
@@ -123,12 +103,13 @@ def max_matching(graph: BipartiteEdgeList) -> MatchingResult:
             l = queue.popleft()
             if layer[l] >= frontier:
                 continue
+            nxt = layer[l] + 1  # <= frontier, so min(frontier, nxt) is nxt
             for r in adj[l]:
                 nl = pair_r[r]
                 if nl == -1:
-                    frontier = min(frontier, layer[l] + 1)
+                    frontier = nxt
                 elif layer[nl] == unlayered:
-                    layer[nl] = layer[l] + 1
+                    layer[nl] = nxt
                     queue.append(nl)
         return frontier != unlayered
 
@@ -185,37 +166,3 @@ def max_matching_shuffled(graph: BipartiteEdgeList, rng: RngStream) -> MatchingR
     result = max_matching(BipartiteEdgeList.from_rows(graph.right_count, rows))
     pairs = tuple(sorted((inv_l[l], inv_r[r]) for l, r in result.pairs))
     return MatchingResult(size=result.size, pairs=pairs)
-
-
-def fractional_scaled_matching(
-    graph_s: BipartiteEdgeList, ipw: Mapping[tuple[int, int], float]
-) -> FractionalLoadReport:
-    """Resource loads and the fractional matching value after unit-capacity scaling.
-
-    Every edge of ``graph_s`` must carry a weight, and each arrival's weights
-    must sum to at most one; resource-side overload (the only violation a
-    per-arrival sampler can cause) is scaled away and reported as excess.
-
-    Raises:
-        ArrivalOverflow: if some arrival's weights exceed 1 + 1e-9.
-    """
-    left_total = [0.0] * graph_s.left_count
-    load = dict.fromkeys(range(graph_s.right_count), 0.0)
-    total = 0.0
-    for edge in graph_s.edges:
-        try:
-            w = float(ipw[edge])
-        except KeyError:
-            raise ValueError(f"edge {edge} has no weight") from None
-        left_total[edge[0]] += w
-        load[edge[1]] += w
-        total += w
-    for l, s in enumerate(left_total):
-        if s > 1.0 + ARRIVAL_WEIGHT_TOL:
-            raise ArrivalOverflow(f"arrival {l} carries weight {s} > 1")
-    excess = sum(max(0.0, y - 1.0) for y in load.values())
-    return FractionalLoadReport(
-        per_resource_load=load,
-        excess=excess,
-        scaled_value=total - excess,
-    )

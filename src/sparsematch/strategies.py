@@ -21,7 +21,7 @@ import numpy as np
 
 from .instance import RealizedGraph, StochasticInstance
 from .matching import BipartiteEdgeList, full_edge_list, max_matching
-from .rng import RngStream
+from .rng import ArrivalStreams, RngStream
 from .varopt import VarOptSampler
 from .weights import CopyMarginals, FractionalSolution
 
@@ -83,10 +83,11 @@ def varopt_sparsify(
     """Guided local sparsifier: one row per arrival, drawn by its type's sampler
     from ``rng.substream("arrival", i)``; an arrival whose type has no sampler
     reports nothing."""
+    streams = ArrivalStreams(rng, graph.n)
     rows = []
     for i, type_id in enumerate(graph.type_ids):
         sampler = samplers[type_id]
-        rows.append(() if sampler is None else sampler.draw(rng.substream("arrival", i)))
+        rows.append(() if sampler is None else sampler.draw(streams[i]))
     return rows
 
 
@@ -94,11 +95,12 @@ def random_subgraph(graph: RealizedGraph, k: int, rng: RngStream) -> list[tuple[
     """Naive sparsifier: one row per arrival, a uniform subset of at most k compatible edges."""
     if k < 1:
         raise ValueError(f"budget k must be >= 1, got {k}")
+    streams = ArrivalStreams(rng, graph.n)
     rows = []
     for i in range(graph.n):
         compatible = graph.edges_for(i)
         if len(compatible) > k:
-            picks = rng.substream("arrival", i).generator.choice(len(compatible), size=k, replace=False)
+            picks = streams[i].generator.choice(len(compatible), size=k, replace=False)
             compatible = tuple(compatible[p] for p in sorted(picks))
         rows.append(compatible)
     return rows
@@ -122,13 +124,11 @@ def kvv_ranking(graph: RealizedGraph, rng: RngStream) -> StrategyOutcome:
     return StrategyOutcome(matched, matched)
 
 
-def _sample_weighted(ids, values, gen, exclude: int | None = None) -> int | None:
-    pairs = [(i, v) for i, v in zip(ids, values) if i != exclude]
-    if not pairs:
-        return None
-    probs = np.asarray([v for _, v in pairs], dtype=float)
-    probs = probs / probs.sum()
-    return int(pairs[gen.choice(len(pairs), p=probs)][0])
+def _sample_weighted(ids, values, probs, gen, exclude: int | None = None) -> int | None:
+    if exclude in ids:  # renormalize over the rest
+        keep = [p for p, i in enumerate(ids) if i != exclude]
+        ids, probs = [ids[p] for p in keep], values[keep] / values[keep].sum()
+    return int(ids[gen.choice(len(ids), p=probs)]) if ids else None
 
 
 def mgs(graph: RealizedGraph, guidance: CopyMarginals, rng: RngStream) -> StrategyOutcome:
@@ -145,12 +145,12 @@ def mgs(graph: RealizedGraph, guidance: CopyMarginals, rng: RngStream) -> Strate
     gen = rng.substream("guidance").generator
     suggestions: dict[int, tuple[int | None, int | None]] = {}
     for j in range(graph.instance.type_count):
-        first = _sample_weighted(*guidance.first.get(j, ((), ())), gen)
+        first = _sample_weighted(*guidance.sampling[0].get(j, ((), (), ())), gen)
         if first is None:
             compatible = graph.instance.types[j].compatible
             if compatible:
                 first = int(compatible[gen.choice(len(compatible))])
-        second = _sample_weighted(*guidance.second.get(j, ((), ())), gen, exclude=first)
+        second = _sample_weighted(*guidance.sampling[1].get(j, ((), (), ())), gen, exclude=first)
         suggestions[j] = (first, second)
 
     taken = np.zeros(graph.instance.resource_count, dtype=bool)

@@ -87,7 +87,8 @@ class VarOptSampler:
         return out
 
     def draw(self, rng: RngStream) -> tuple[int, ...]:
-        """The chosen item ids, ascending."""
+        """The chosen item ids, ascending, drawn from ``rng.generator`` (any
+        stream with a generator; only asked for when the draw is random)."""
         ids = self._det_ids
         m = self._light_draws
         if m > 0:
@@ -98,7 +99,8 @@ class VarOptSampler:
             # residue so the systematic point set always lands inside.
             cum *= m / cum[-1]
             points = gen.random() + np.arange(m)
-            picks = np.unique(np.searchsorted(cum, points, side="left"))
+            picks = np.searchsorted(cum, points, side="left")  # ascending, as the points are
+            picks = picks[np.concatenate(([True], picks[1:] != picks[:-1]))]
             picks = picks[picks < len(cum)]
             if len(picks) < m:
                 # Sub-ulp boundary collision; complete the sample greedily.

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -89,11 +90,9 @@ class FractionalSolution:
 
 @dataclass(frozen=True)
 class HeavyLightSplit:
-    """Edges partitioned at fractional value 1/k, with their objective shares."""
+    """The objective shares of support values above and at most 1/k."""
 
     k: int
-    heavy_edges: tuple[tuple[int, int], ...]
-    light_edges: tuple[tuple[int, int], ...]
     z_heavy: float
     z_light: float
 
@@ -109,6 +108,12 @@ class CopyMarginals:
 
     first: dict[int, tuple[tuple[int, ...], np.ndarray]]
     second: dict[int, tuple[tuple[int, ...], np.ndarray]]
+
+    @cached_property
+    def sampling(self) -> tuple[dict, dict]:
+        """Per copy, type -> (resources, values, probabilities), normalized once per experiment."""
+        return tuple({j: (ids, values, values / values.sum()) for j, (ids, values) in copy.items()}
+                     for copy in (self.first, self.second))
 
     @classmethod
     def of_solution(cls, x: FractionalSolution) -> "CopyMarginals":
@@ -303,27 +308,18 @@ def monte_carlo_weights(instance: StochasticInstance, simulations: int, rng: Rng
 
 
 def heavy_light(x: FractionalSolution, k: int) -> HeavyLightSplit:
-    """Partition the support at value 1/k and decompose the objective."""
+    """Split the objective between support values above 1/k and the rest."""
     if k < 1:
         raise ValueError(f"budget k must be >= 1, got {k}")
     threshold = 1.0 / k
-    heavy, light = [], []
     z_heavy = z_light = 0.0
-    for (j, i), value in sorted(x.x.items()):
+    for (j, _), value in sorted(x.x.items()):
         mass = x.arrival_mass[j] * value
         if value > threshold:
-            heavy.append((j, i))
             z_heavy += mass
         else:
-            light.append((j, i))
             z_light += mass
-    return HeavyLightSplit(
-        k=k,
-        heavy_edges=tuple(heavy),
-        light_edges=tuple(light),
-        z_heavy=z_heavy,
-        z_light=z_light,
-    )
+    return HeavyLightSplit(k=k, z_heavy=z_heavy, z_light=z_light)
 
 
 def spread_equivalence_classes(instance: StochasticInstance, x: FractionalSolution) -> FractionalSolution:

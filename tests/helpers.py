@@ -2,14 +2,23 @@
 
 The oracles deliberately avoid the library's own algorithms: matching is
 solved by exhaustive bitmask dynamic programming, the sampling threshold by
-bisection, and the expected-instance program by a generic LP solver.
+bisection, and the expected-instance program by a generic LP solver.  The
+fractional-load diagnostics at the end scale an IPW-weighted subgraph down to
+a fractional matching.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from dataclasses import dataclass
+from typing import Mapping
+
 import numpy as np
 
-from sparsematch.instance import DemandType, StochasticInstance
+from sparsematch.instance import DemandType, RealizedGraph, StochasticInstance
+from sparsematch.matching import BipartiteEdgeList
+
+ARRIVAL_WEIGHT_TOL = 1e-9
 
 
 def brute_force_matching(left_count: int, right_count: int, edges) -> int:
@@ -77,6 +86,12 @@ def random_bipartite(gen: np.random.Generator, left: int, right: int, p: float):
     return edges
 
 
+def heavy_light_edges(x, k: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """The support edges of ``x`` with value above 1/k, and the rest."""
+    heavy = [edge for edge, value in sorted(x.x.items()) if value > 1.0 / k]
+    return heavy, [edge for edge in sorted(x.x) if edge not in heavy]
+
+
 def varopt_ipw(graph, x, k: int, rng, rows) -> dict[tuple[int, int], float]:
     """IPW weight ``x / pi`` of every (arrival, resource) edge in the rows
     ``varopt_sparsify`` reported, one row per arrival.
@@ -99,3 +114,60 @@ def varopt_ipw(graph, x, k: int, rng, rows) -> dict[tuple[int, int], float]:
         assert sampler.draw(rng.substream("arrival", i)) == row
         ipw.update({(i, r): weight[r] / prob[r] for r in row})
     return ipw
+
+
+def micro_type_count(graph: RealizedGraph) -> dict[int, int]:
+    """Histogram of realized arrivals per type id (absent types omitted)."""
+    return dict(Counter(graph.type_ids))
+
+
+class ArrivalOverflow(ValueError):
+    """An arrival's edge weights sum past 1; the upstream sparsifier is broken."""
+
+
+@dataclass(frozen=True)
+class FractionalLoadReport:
+    """Per-resource loads of an IPW-weighted subgraph and the value after scaling.
+
+    ``scaled_value`` is the total weight minus the excess above unit capacity,
+    i.e. the size of the fractional matching obtained by scaling down the edges
+    at every overloaded resource.
+    """
+
+    per_resource_load: dict[int, float]
+    excess: float
+    scaled_value: float
+
+
+def fractional_scaled_matching(
+    graph_s: BipartiteEdgeList, ipw: Mapping[tuple[int, int], float]
+) -> FractionalLoadReport:
+    """Resource loads and the fractional matching value after unit-capacity scaling.
+
+    Every edge of ``graph_s`` must carry a weight, and each arrival's weights
+    must sum to at most one; resource-side overload (the only violation a
+    per-arrival sampler can cause) is scaled away and reported as excess.
+
+    Raises:
+        ArrivalOverflow: if some arrival's weights exceed 1 + 1e-9.
+    """
+    left_total = [0.0] * graph_s.left_count
+    load = dict.fromkeys(range(graph_s.right_count), 0.0)
+    total = 0.0
+    for edge in graph_s.edges:
+        try:
+            w = float(ipw[edge])
+        except KeyError:
+            raise ValueError(f"edge {edge} has no weight") from None
+        left_total[edge[0]] += w
+        load[edge[1]] += w
+        total += w
+    for l, s in enumerate(left_total):
+        if s > 1.0 + ARRIVAL_WEIGHT_TOL:
+            raise ArrivalOverflow(f"arrival {l} carries weight {s} > 1")
+    excess = sum(max(0.0, y - 1.0) for y in load.values())
+    return FractionalLoadReport(
+        per_resource_load=load,
+        excess=excess,
+        scaled_value=total - excess,
+    )

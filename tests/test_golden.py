@@ -28,6 +28,9 @@ CASES = {
     **{f"synth-{family}.csv": (("synth", "--family", family, *SMALL), "--out")
        for family in ("block", "triangular", "bahmani", "tsm")},
     "synth-bahmani.json": (("synth", "--family", "bahmani", *SMALL, "--format", "json"), "--out"),
+    # A seed >= 2^63 puts numpy's Philox key conversion on its exact-uint64 branch.
+    "synth-bahmani-bigseed.csv": (("synth", "--family", "bahmani", "--n", "20", "--trials", "10",
+                                   "--mc", "10", "--seed", "13835058055282163729"), "--out"),
     "synth-lp-triangular.csv": (("synth", "--family", "triangular", "--n", "20", "--trials", "10",
                                  "--weights", "lp", "--strategies", "offline,random:3,varopt:5",
                                  "--seed", "0"), "--out"),

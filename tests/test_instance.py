@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from helpers import complete_uniform, exclusive_pairs, uniform_instance
+from helpers import complete_uniform, exclusive_pairs, micro_type_count, uniform_instance
 from sparsematch.instance import (
     DemandType,
     RealizedGraph,
     StochasticInstance,
     instance_from_json,
     instance_to_json,
-    micro_type_count,
     realize,
 )
 from sparsematch.rng import RngStream

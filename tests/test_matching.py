@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 
-from helpers import brute_force_matching, complete_uniform, random_bipartite
+from helpers import (
+    ArrivalOverflow,
+    brute_force_matching,
+    complete_uniform,
+    fractional_scaled_matching,
+    random_bipartite,
+)
 from sparsematch.instance import RealizedGraph, realize
 from sparsematch.matching import (
-    ArrivalOverflow,
     BipartiteEdgeList,
-    fractional_scaled_matching,
     full_edge_list,
     max_matching,
     max_matching_shuffled,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from helpers import complete_uniform, exclusive_pairs, uniform_instance
+from helpers import complete_uniform, exclusive_pairs, heavy_light_edges, uniform_instance
 from sparsematch.generators import FAMILIES
 from sparsematch.instance import DemandType, StochasticInstance, realize
 from sparsematch.matching import full_edge_list, max_matching
@@ -164,8 +164,9 @@ def test_heavy_light_worked_example():
     )
     x = FractionalSolution.build(inst, {(0, 0): 0.6, (0, 1): 0.3, (0, 2): 0.1})
     split = heavy_light(x, 2)
-    assert split.heavy_edges == ((0, 0),)
-    assert set(split.light_edges) == {(0, 1), (0, 2)}
+    heavy, light = heavy_light_edges(x, 2)
+    assert heavy == [(0, 0)]
+    assert set(light) == {(0, 1), (0, 2)}
     assert split.z_heavy == pytest.approx(0.6, abs=1e-12)
     assert split.z_light == pytest.approx(0.4, abs=1e-12)
 
