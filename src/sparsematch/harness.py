@@ -68,6 +68,8 @@ class ExperimentConfig:
             raise ConfigError("trials must be >= 1")
         if self.mc < 1:
             raise ConfigError("Monte Carlo simulation count must be >= 1")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed must be in [0, 2^64), got {self.seed}")
         if not self.strategies:
             raise ConfigError("at least one strategy is required")
         for cfg in self.strategies:

@@ -1,19 +1,18 @@
 """Fractional solutions guiding local edge selection.
 
 Two sources are implemented: the exact expected-instance linear program,
-solved as a max-flow after substituting y_ij = n * p_j * x_ij (source ->
-type arcs of capacity n * p_j, type -> resource arcs, resource -> sink arcs
-of capacity 1, so max flow equals the LP optimum), and a Monte Carlo
-estimator that averages matched-edge incidences of shuffled offline optima
-over simulated realizations.  Helpers split a solution into heavy and light
-mass relative to a budget and spread mass uniformly across interchangeable
-resources.
+solved as a max-flow by Dinic's blocking flows after substituting
+y_ij = n * p_j * x_ij (source -> type arcs of capacity n * p_j, type ->
+resource arcs, resource -> sink arcs of capacity 1, so max flow equals the
+LP optimum), and a Monte Carlo estimator that averages matched-edge
+incidences of shuffled offline optima over simulated realizations.  Helpers
+split a solution into heavy and light mass relative to a budget and spread
+mass uniformly across interchangeable resources.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, Mapping
@@ -170,56 +169,42 @@ def per_copy_marginals(instance: StochasticInstance, simulations: int, rng: RngS
     return CopyMarginals(first=collect(counts[0]), second=collect(counts[1]))
 
 
-class _FlowNetwork:
-    """Max flow with real capacities by shortest augmenting paths (Edmonds-Karp)."""
-
-    def __init__(self, nodes: int):
-        self.adj: list[list[int]] = [[] for _ in range(nodes)]
-        self.to: list[int] = []
-        self.cap: list[float] = []
-
-    def add_edge(self, u: int, v: int, capacity: float) -> int:
-        index = len(self.to)
-        self.adj[u].append(index)
-        self.to.append(v)
-        self.cap.append(capacity)
-        self.adj[v].append(index + 1)
-        self.to.append(u)
-        self.cap.append(0.0)
-        return index
-
-    def flow_on(self, edge_index: int) -> float:
-        return self.cap[edge_index ^ 1]
-
-    def max_flow(self, source: int, sink: int) -> float:
-        total = 0.0
-        nodes = len(self.adj)
+def _max_flow(adj: list[list[int]], to: list[int], cap: list[float], source: int, sink: int) -> None:
+    """Dinic's blocking flows on residual arcs ``to``/``cap``; arc ``e ^ 1`` reverses arc ``e``."""
+    while True:
+        level = [-1] * len(adj)
+        level[source] = 0
+        queue = [source]
+        for u in queue:
+            for e in adj[u]:
+                if level[to[e]] < 0 and cap[e] > _FLOW_EPS:
+                    level[to[e]] = level[u] + 1
+                    queue.append(to[e])
+        if level[sink] < 0:
+            return
+        next_arc = [0] * len(adj)
+        path: list[int] = []
+        u = source
         while True:
-            parent_edge = [-1] * nodes
-            parent_edge[source] = -2
-            queue = deque([source])
-            while queue and parent_edge[sink] == -1:
-                u = queue.popleft()
-                for e in self.adj[u]:
-                    v = self.to[e]
-                    if parent_edge[v] == -1 and self.cap[e] > _FLOW_EPS:
-                        parent_edge[v] = e
-                        queue.append(v)
-            if parent_edge[sink] == -1:
-                return total
-            bottleneck = float("inf")
-            v = sink
-            while v != source:
-                e = parent_edge[v]
-                bottleneck = min(bottleneck, self.cap[e])
-                v = self.to[e ^ 1]
-            v = sink
-            while v != source:
-                e = parent_edge[v]
-                self.cap[e] -= bottleneck
-                self.cap[e ^ 1] += bottleneck
-                v = self.to[e ^ 1]
-            total += bottleneck
+            if u == sink:
+                bottleneck = min(cap[e] for e in path)
+                for e in path:
+                    cap[e] -= bottleneck
+                    cap[e ^ 1] += bottleneck
+                path.clear()
+                u = source
+            arcs, i, deeper = adj[u], next_arc[u], level[u] + 1
+            while i < len(arcs) and not (cap[arcs[i]] > _FLOW_EPS and level[to[arcs[i]]] == deeper):
+                i += 1
+            next_arc[u] = i
+            if i < len(arcs):
+                path.append(arcs[i])
+                u = to[arcs[i]]
+            elif u == source:
+                break
+            else:
+                u = to[path.pop() ^ 1]
+                next_arc[u] += 1
 
 
 def solve_expected_lp(instance: StochasticInstance) -> FractionalSolution:
@@ -231,30 +216,42 @@ def solve_expected_lp(instance: StochasticInstance) -> FractionalSolution:
     if instance.arrivals < 1:
         raise ValueError("the LP needs at least one expected arrival")
     m = instance.type_count
-    nres = instance.resource_count
     for j, t in enumerate(instance.types):
         if t.probability == 0.0:
             raise DegenerateType(f"type {j} has probability 0")
 
-    source = 0
-    sink = 1 + m + nres
-    net = _FlowNetwork(sink + 1)
-    edge_arc = {}
-    for j, t in enumerate(instance.types):
-        mass = instance.arrivals * t.probability
-        net.add_edge(source, 1 + j, mass)
-        for i in t.compatible:
-            edge_arc[(j, i)] = net.add_edge(1 + j, 1 + m + i, mass)
-    for i in range(nres):
-        net.add_edge(1 + m + i, sink, 1.0)
+    # Arc pairs per type: source -> type, then type -> resource in compatibility order;
+    # then resource -> sink.  Node 0 is the source, 1 + j type j, 1 + m + i resource i.
+    sink = 1 + m + instance.resource_count
+    adj: list[list[int]] = [[] for _ in range(sink + 1)]
+    to: list[int] = []
+    cap: list[float] = []
+    masses = [instance.arrivals * t.probability for t in instance.types]
+    type_arcs = []
+    for j, (t, mass) in enumerate(zip(instance.types, masses)):
+        e = len(to)
+        arcs = range(e + 2, e + 2 + 2 * len(t.compatible), 2)
+        type_arcs.append(arcs)
+        adj[0].append(e)
+        adj[1 + j] = [e + 1, *arcs]
+        to += [1 + j, 0]
+        for a, i in zip(arcs, t.compatible):
+            adj[1 + m + i].append(a + 1)
+            to += [1 + m + i, 1 + j]
+        cap += [mass, 0.0] * (1 + len(t.compatible))
+    for i in range(instance.resource_count):
+        adj[1 + m + i].append(len(to))
+        adj[sink].append(len(to) + 1)
+        to += [sink, 1 + m + i]
+        cap += [1.0, 0.0]
 
-    net.max_flow(source, sink)
+    _max_flow(adj, to, cap, 0, sink)
     x = {}
-    for (j, i), arc in edge_arc.items():
-        mass = instance.arrivals * instance.types[j].probability
-        value = net.flow_on(arc) / mass
-        if value > _FLOW_EPS:
-            x[(j, i)] = value
+    for j, (t, mass, arcs) in enumerate(zip(instance.types, masses, type_arcs)):
+        for a, i in zip(arcs, t.compatible):
+            value = cap[a ^ 1] / mass
+            if value > _FLOW_EPS:
+                x[(j, i)] = value
     return FractionalSolution.build(instance, x)
 
 

@@ -2,14 +2,15 @@
 
 The oracles deliberately avoid the library's own algorithms: matching is
 solved by exhaustive bitmask dynamic programming, the sampling threshold by
-bisection, and the expected-instance program by a generic LP solver.  The
+bisection, and the expected-instance program by a generic LP solver or by
+shortest augmenting paths (Edmonds-Karp) on the library's flow network.  The
 fractional-load diagnostics at the end scale an IPW-weighted subgraph down to
 a fractional matching.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -17,6 +18,7 @@ import numpy as np
 
 from sparsematch.instance import DemandType, RealizedGraph, StochasticInstance
 from sparsematch.matching import BipartiteEdgeList
+from sparsematch.weights import _FLOW_EPS
 
 ARRIVAL_WEIGHT_TOL = 1e-9
 
@@ -58,6 +60,73 @@ def bisect_threshold(weights, k: int, tol: float = 1e-13) -> float:
         if hi - lo < tol:
             break
     return (lo + hi) / 2.0
+
+
+class FlowNetwork:
+    """Max flow with real capacities by shortest augmenting paths (Edmonds-Karp)."""
+
+    def __init__(self, nodes: int):
+        self.adj: list[list[int]] = [[] for _ in range(nodes)]
+        self.to: list[int] = []
+        self.cap: list[float] = []
+
+    def add_edge(self, u: int, v: int, capacity: float) -> int:
+        index = len(self.to)
+        self.adj[u].append(index)
+        self.to.append(v)
+        self.cap.append(capacity)
+        self.adj[v].append(index + 1)
+        self.to.append(u)
+        self.cap.append(0.0)
+        return index
+
+    def max_flow(self, source: int, sink: int) -> None:
+        nodes = len(self.adj)
+        while True:
+            parent_edge = [-1] * nodes
+            parent_edge[source] = -2
+            queue = deque([source])
+            while queue and parent_edge[sink] == -1:
+                u = queue.popleft()
+                for e in self.adj[u]:
+                    v = self.to[e]
+                    if parent_edge[v] == -1 and self.cap[e] > _FLOW_EPS:
+                        parent_edge[v] = e
+                        queue.append(v)
+            if parent_edge[sink] == -1:
+                return
+            path = []
+            v = sink
+            while v != source:
+                path.append(parent_edge[v])
+                v = self.to[parent_edge[v] ^ 1]
+            bottleneck = min(self.cap[e] for e in path)
+            for e in path:
+                self.cap[e] -= bottleneck
+                self.cap[e ^ 1] += bottleneck
+
+
+def edmonds_karp_lp(instance: StochasticInstance) -> dict[tuple[int, int], float]:
+    """The expected-instance LP's ``x`` from Edmonds-Karp on the same flow network,
+    arcs added in the same order as ``solve_expected_lp`` lays them out."""
+    m = instance.type_count
+    sink = 1 + m + instance.resource_count
+    net = FlowNetwork(sink + 1)
+    edge_arc = {}
+    for j, t in enumerate(instance.types):
+        mass = instance.arrivals * t.probability
+        net.add_edge(0, 1 + j, mass)
+        for i in t.compatible:
+            edge_arc[(j, i)] = net.add_edge(1 + j, 1 + m + i, mass)
+    for i in range(instance.resource_count):
+        net.add_edge(1 + m + i, sink, 1.0)
+    net.max_flow(0, sink)
+    x = {}
+    for (j, i), arc in edge_arc.items():
+        value = net.cap[arc ^ 1] / (instance.arrivals * instance.types[j].probability)
+        if value > _FLOW_EPS:
+            x[(j, i)] = value
+    return x
 
 
 def uniform_instance(compat_lists, arrivals: int) -> StochasticInstance:

@@ -232,3 +232,12 @@ def test_weights_rejects_trials_and_weights_in_flags(tmp_path, capsys, flag):
     assert exc.value.code == 2
     assert flag[0] in capsys.readouterr().err
     assert not cache.exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_out_of_range_seed_is_config_error(tmp_path, caplog, seed):
+    out = tmp_path / "out.csv"
+    assert main(["synth", "--family", "block", "--n", "20", "--trials", "2", "--mc", "5",
+                 "--strategies", "offline", "--seed", seed, "--out", str(out)]) == 2
+    assert "seed" in caplog.text
+    assert not out.exists()

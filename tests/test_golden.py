@@ -50,6 +50,10 @@ CASES = {
     **{f"weights-{source}.json": (("weights", "--family", "block", "--n", "20", "--mc", "10",
                                    "--seed", "0", "--weights", source), "--weights-out")
        for source in ("lp", "montecarlo")},
+    # bahmani and tsm have tied LP optima, so these pin the max-flow's tie-breaking.
+    **{f"weights-lp-{family}.json": (("weights", "--family", family, "--n", "20", "--mc", "10",
+                                      "--seed", "0", "--weights", "lp"), "--weights-out")
+       for family in ("bahmani", "tsm")},
 }
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from helpers import complete_uniform, exclusive_pairs, heavy_light_edges, uniform_instance
+from helpers import complete_uniform, edmonds_karp_lp, exclusive_pairs, heavy_light_edges, uniform_instance
 from sparsematch.generators import FAMILIES
 from sparsematch.instance import DemandType, StochasticInstance, realize
 from sparsematch.matching import full_edge_list, max_matching
@@ -79,7 +79,53 @@ def test_lp_matches_generic_solver_on_random_instances():
         types = tuple(DemandType(j, float(p), c) for j, (p, c) in enumerate(zip(probs, compat)))
         inst = StochasticInstance(tuple(f"v{i}" for i in range(nres)), types, int(gen.integers(1, 10)))
         got = solve_expected_lp(inst).objective
-        assert got == pytest.approx(lp_oracle(inst), abs=1e-6)
+        assert got == pytest.approx(lp_oracle(inst), rel=1e-9)
+
+
+def test_lp_properties_on_generated_instances():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def instances(draw):
+        nres = draw(st.integers(1, 6))
+        compat = draw(st.lists(st.sets(st.integers(0, nres - 1), min_size=1), min_size=1, max_size=6))
+        if draw(st.booleans()):
+            compat.insert(draw(st.integers(0, len(compat))), set())
+        raw = draw(st.lists(st.floats(0.05, 1.0), min_size=len(compat), max_size=len(compat)))
+        types = tuple(DemandType(j, w / sum(raw), tuple(sorted(c)))
+                      for j, (w, c) in enumerate(zip(raw, compat)))
+        return StochasticInstance(tuple(f"v{i}" for i in range(nres)), types,
+                                  draw(st.integers(1, 12)), allow_empty_types=True)
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(instances())
+    def check(inst):
+        hypothesis.assume(any(inst.arrivals * t.probability % 1.0 for t in inst.types))
+        solution = solve_expected_lp(inst)
+        assert solution.objective == pytest.approx(lp_oracle(inst), rel=1e-9)
+        assert FractionalSolution.build(inst, solution.x).objective == solution.objective
+
+    check()
+
+
+def test_lp_equals_edmonds_karp_on_families_and_trip_intervals():
+    from pathlib import Path
+
+    from sparsematch.generators import EmptyWindow, build_nyc_instance, ingest_trips
+    from sparsematch.harness import default_interval_starts
+
+    instances = [gen_fn(100) for gen_fn in FAMILIES.values()]
+    data = Path(__file__).resolve().parents[1] / "data"
+    trips, zones = ingest_trips(str(data / "nyc_sample_trips.csv"), str(data / "nyc_sample_zones.csv"))
+    for j, start in enumerate(default_interval_starts(trips)):
+        try:
+            instances.append(build_nyc_instance(trips, zones, start, RngStream(0).substream("supply", j))[0])
+        except EmptyWindow:
+            continue
+    assert len(instances) >= 4 + 3
+    for inst in instances:
+        assert list(solve_expected_lp(inst).x.items()) == list(edmonds_karp_lp(inst).items())
 
 
 def test_lp_degenerate_type_rejected():
