@@ -6,9 +6,10 @@ Subcommands:
   bounds   evaluate the theoretical guarantee against empirical sparsifier runs
   weights  learn fractional weights and cache them as JSON
 
-Flags may also come from a flat ``key = value`` config file (--config);
-command-line values win.  Exit codes: 0 success, 2 configuration error,
-3 I/O error.
+Each flag's default is declared once, in ``build_parser``.  A flat
+``key = value`` config file (--config) replaces those defaults, converted by
+each flag's type, so command-line values win.  Exit codes: 0 success,
+2 configuration error, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -16,14 +17,15 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from dataclasses import fields
 from datetime import datetime
+from typing import Mapping
 
 from .generators import FAMILIES, ingest_trips
 from .harness import (
+    WEIGHT_SOURCES,
     ConfigError,
-    EfficiencySummary,
     ExperimentConfig,
-    UnmetDemandSeries,
     bound_report,
     render_results,
     resolve_instance,
@@ -32,16 +34,12 @@ from .harness import (
     solution_for_source,
 )
 from .rng import RngStream
-from .strategies import STRATEGIES, StrategyConfig
+from .strategies import StrategyConfig
 from .weights import solution_to_json
 
 log = logging.getLogger(__name__)
 
-DEFAULT_STRATEGIES = "offline,kvv,mgs,random:3,random:5,random:10,varopt:3,varopt:5,varopt:10"
-DEFAULT_NYC_STRATEGIES = "offline,kvv,mgs,random:5,varopt:5,varopt:10"
-
-
-def parse_strategies(text: str, weight_source: str) -> tuple[StrategyConfig, ...]:
+def parse_strategies(text: str) -> tuple[StrategyConfig, ...]:
     """Parse 'offline,kvv,random:3,varopt:5' into strategy configs."""
     configs = []
     for token in text.split(","):
@@ -49,9 +47,7 @@ def parse_strategies(text: str, weight_source: str) -> tuple[StrategyConfig, ...
         if not token:
             continue
         name, _, k_text = token.partition(":")
-        k = int(k_text) if k_text else None
-        guided = name in STRATEGIES and STRATEGIES[name].guided
-        configs.append(StrategyConfig(name, k=k, weights=weight_source if guided else None))
+        configs.append(StrategyConfig(name, k=int(k_text) if k_text else None))
     if not configs:
         raise ConfigError("empty strategy list")
     return tuple(configs)
@@ -71,41 +67,25 @@ def load_config_file(path: str) -> dict[str, str]:
     return values
 
 
-class _Resolver:
-    """CLI value if given, else config-file value, else built-in default."""
-
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.file_values = load_config_file(args.config) if args.config else {}
-        known = {dest.replace("_", "-") for dest in vars(args)} - {"command", "config"}
-        unknown = sorted(set(self.file_values) - known)
-        if unknown:
-            raise ConfigError(f"{args.config}: {', '.join(unknown)} names no flag of {args.command}")
-
-    def get(self, key: str, default=None, convert=str):
-        cli_value = getattr(self.args, key.replace("-", "_"), None)
-        if cli_value is not None:
-            return cli_value
-        if key in self.file_values:
-            return convert(self.file_values[key])
-        return default
-
-
 def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key = value config file; CLI flags override it")
-    parser.add_argument("--seed", type=int, help="base seed (default 0)")
-    parser.add_argument("--mc", type=int, help="Monte Carlo simulations for weight learning (default 100)")
-    parser.add_argument("--weights", choices=("lp", "montecarlo", "file"),
-                        help="weight source for guided strategies (default montecarlo)")
+    parser.add_argument("--seed", type=int, default=ExperimentConfig.seed,
+                        help="base seed (default %(default)s)")
+    parser.add_argument("--mc", type=int, default=ExperimentConfig.mc,
+                        help="Monte Carlo simulations for weight learning (default %(default)s)")
+    parser.add_argument("--weights", choices=WEIGHT_SOURCES, default=ExperimentConfig.weights,
+                        help="weight source for every guided strategy (default %(default)s)")
 
 
 def _add_trial_flags(parser: argparse.ArgumentParser, formats: bool) -> None:
     """Flags of the subcommands that run trials and report on them."""
-    parser.add_argument("--trials", type=int, help="trial count (default 100)")
+    parser.add_argument("--trials", type=int, default=ExperimentConfig.trials,
+                        help="trial count (default %(default)s)")
     parser.add_argument("--weights-in", help="cached weights JSON (for --weights file)")
     parser.add_argument("--out", help="output path (default: stdout)")
     if formats:
-        parser.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
+        parser.add_argument("--format", choices=("csv", "json"), default="csv",
+                            help="output format (default %(default)s)")
 
 
 def _add_instance_flags(parser: argparse.ArgumentParser) -> None:
@@ -114,7 +94,9 @@ def _add_instance_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--instance", help="instance JSON file (alternative to --family)")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(file_values: Mapping[str, str] | None = None) -> argparse.ArgumentParser:
+    """The CLI parser; ``file_values`` (config-file keys and their text) become
+    the subcommands' defaults, converted by each flag's type like a flag value."""
     parser = argparse.ArgumentParser(prog="sparsematch",
                                      description="Local sparsification benchmarks for stochastic matching")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -123,7 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared_flags(synth)
     _add_trial_flags(synth, formats=True)
     _add_instance_flags(synth)
-    synth.add_argument("--strategies", help=f"comma list, name[:k] (default {DEFAULT_STRATEGIES})")
+    synth.add_argument("--strategies", help="comma list, name[:k] (default %(default)s)",
+                       default="offline,kvv,mgs,random:3,random:5,random:10,varopt:3,varopt:5,varopt:10")
 
     nyc = sub.add_parser("nyc", help="replay trip data in 10-minute intervals")
     _add_shared_flags(nyc)
@@ -133,33 +116,41 @@ def build_parser() -> argparse.ArgumentParser:
     nyc.add_argument("--start", "--interval", dest="start",
                      help="first interval time, RFC3339 (default: derived from data)")
     nyc.add_argument("--intervals", type=int, help="number of 10-minute intervals")
-    nyc.add_argument("--strategies", help=f"comma list (default {DEFAULT_NYC_STRATEGIES})")
+    nyc.add_argument("--strategies", help="comma list (default %(default)s)",
+                     default="offline,kvv,mgs,random:5,varopt:5,varopt:10")
 
     bounds_cmd = sub.add_parser("bounds", help="theoretical bound vs empirical sparsifier")
     _add_shared_flags(bounds_cmd)
     _add_trial_flags(bounds_cmd, formats=False)
     _add_instance_flags(bounds_cmd)
-    bounds_cmd.add_argument("--k-values", help="comma list of budgets (default 3,5,10)")
+    bounds_cmd.add_argument("--k-values", default="3,5,10", help="comma list of budgets (default %(default)s)")
 
     weights_cmd = sub.add_parser("weights", help="learn and cache fractional weights")
     _add_shared_flags(weights_cmd)
     _add_instance_flags(weights_cmd)
     weights_cmd.add_argument("--weights-out", required=True, help="where to write the weights JSON")
 
+    defaults = {key.replace("-", "_"): value for key, value in (file_values or {}).items()}
+    for command in (synth, nyc, bounds_cmd, weights_cmd):
+        command.set_defaults(**defaults)
     return parser
 
 
-def _experiment_config(res: _Resolver, strategies: tuple[StrategyConfig, ...]) -> ExperimentConfig:
-    return ExperimentConfig(
-        strategies=strategies,
-        family=res.get("family"),
-        n=res.get("n", convert=int),
-        instance_path=res.get("instance"),
-        trials=res.get("trials", 100, int),
-        mc=res.get("mc", 100, int),
-        seed=res.get("seed", 0, int),
-        weights_in=res.get("weights-in"),
-    )
+def _with_config_file(args: argparse.Namespace, argv: list[str] | None) -> argparse.Namespace:
+    """Parse ``argv`` again with the --config file's values as defaults; the command line wins."""
+    file_values = load_config_file(args.config)
+    known = {dest.replace("_", "-") for dest in vars(args)} - {"command", "config"}
+    unknown = sorted(set(file_values) - known)
+    if unknown:
+        raise ConfigError(f"{args.config}: {', '.join(unknown)} names no flag of {args.command}")
+    return build_parser(file_values).parse_args(argv)
+
+
+def _experiment_config(args: argparse.Namespace, strategies: tuple[StrategyConfig, ...]) -> ExperimentConfig:
+    """The run's config from the flags its subcommand takes; the fields of
+    flags it lacks keep their ``ExperimentConfig`` defaults."""
+    given = {**vars(args), "instance_path": getattr(args, "instance", None), "strategies": strategies}
+    return ExperimentConfig(**{f.name: given[f.name] for f in fields(ExperimentConfig) if f.name in given})
 
 
 def _write(payload: str, out: str | None) -> None:
@@ -170,37 +161,25 @@ def _write(payload: str, out: str | None) -> None:
             fh.write(payload)
 
 
-def _emit(results: list[EfficiencySummary] | UnmetDemandSeries, res: _Resolver) -> None:
-    _write(render_results(results, res.get("format", "csv")), res.get("out"))
-
-
-def _cmd_synth(res: _Resolver) -> int:
-    strategies = parse_strategies(res.get("strategies", DEFAULT_STRATEGIES),
-                                  res.get("weights", "montecarlo"))
-    config = _experiment_config(res, strategies)
-    summaries = run_experiment(config)
-    _emit(summaries, res)
+def _cmd_synth(args: argparse.Namespace) -> int:
+    summaries = run_experiment(_experiment_config(args, parse_strategies(args.strategies)))
+    _write(render_results(summaries, args.format), args.out)
     return 0
 
 
-def _cmd_nyc(res: _Resolver) -> int:
-    strategies = parse_strategies(res.get("strategies", DEFAULT_NYC_STRATEGIES),
-                                  res.get("weights", "montecarlo"))
-    config = _experiment_config(res, strategies)
-    trips, zones = ingest_trips(res.get("trips"), res.get("zones"))
-    start_text = res.get("start")
-    start = datetime.fromisoformat(start_text) if start_text else None
-    series = run_nyc_day(trips, zones, config, start=start, intervals=res.get("intervals", convert=int))
-    _emit(series, res)
+def _cmd_nyc(args: argparse.Namespace) -> int:
+    config = _experiment_config(args, parse_strategies(args.strategies))
+    trips, zones = ingest_trips(args.trips, args.zones)
+    start = datetime.fromisoformat(args.start) if args.start else None
+    series = run_nyc_day(trips, zones, config, start=start, intervals=args.intervals)
+    _write(render_results(series, args.format), args.out)
     return 0
 
 
-def _cmd_bounds(res: _Resolver) -> int:
-    config = _experiment_config(res, (StrategyConfig("offline"),))
-    instance = resolve_instance(config)
-    ks = [int(v) for v in res.get("k-values", "3,5,10").split(",")]
-    rows = bound_report(instance, res.get("family", "instance"), ks, config,
-                        res.get("weights", "montecarlo"))
+def _cmd_bounds(args: argparse.Namespace) -> int:
+    config = _experiment_config(args, (StrategyConfig("offline"),))
+    ks = [int(v) for v in args.k_values.split(",")]
+    rows = bound_report(resolve_instance(config), args.family or "instance", ks, config)
     lines = ["family,k,z,heavy_fraction,bound,empirical_mean,stderr,vacuous,verdict"]
     for r in rows:
         lines.append(
@@ -208,18 +187,17 @@ def _cmd_bounds(res: _Resolver) -> int:
             f"{r.empirical_mean:.12g},{r.stderr:.12g},{str(r.vacuous).lower()},"
             f"{'sound' if r.sound else 'violated'}"
         )
-    _write("\n".join(lines) + "\n", res.get("out"))
+    _write("\n".join(lines) + "\n", args.out)
     return 0
 
 
-def _cmd_weights(res: _Resolver) -> int:
-    config = _experiment_config(res, (StrategyConfig("offline"),))
+def _cmd_weights(args: argparse.Namespace) -> int:
+    config = _experiment_config(args, (StrategyConfig("offline"),))
     instance = resolve_instance(config)
-    source = res.get("weights", "montecarlo")
-    if source == "file":
+    if config.weights == "file":
         raise ConfigError("the weights command learns from 'lp' or 'montecarlo'")
-    x = solution_for_source(instance, source, config, RngStream(config.seed))
-    _write(solution_to_json(x, instance.arrivals) + "\n", res.get("weights-out"))
+    x = solution_for_source(instance, config, RngStream(config.seed))
+    _write(solution_to_json(x, instance.arrivals) + "\n", args.weights_out)
     return 0
 
 
@@ -229,10 +207,11 @@ COMMANDS = {"synth": _cmd_synth, "nyc": _cmd_nyc, "bounds": _cmd_bounds, "weight
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s",
                         stream=sys.stderr)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return COMMANDS[args.command](_Resolver(args))
+        if args.config:
+            args = _with_config_file(args, argv)
+        return COMMANDS[args.command](args)
     except OSError as exc:
         log.error("I/O failure: %s", exc)
         return 3

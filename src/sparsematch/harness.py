@@ -9,8 +9,8 @@ every other strategy on the same realization through ``run_strategy`` with
 index alone, never by position in the loop, so results are reproducible from
 (config, seed) and independent of trial scheduling.  Guided strategies read
 guidance learned once per experiment from a dedicated substream, keyed by
-strategy label; ``solution_for_source`` is the one place a weight source
-becomes a solution.
+strategy label.  An experiment has one weight source, ``ExperimentConfig.weights``,
+and ``solution_for_source`` is the one place it becomes a solution.
 """
 
 from __future__ import annotations
@@ -52,7 +52,8 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a run needs: instance source, strategies, trial counts, seed."""
+    """Everything a run needs: instance source, strategies, trial counts, seed,
+    and the one weight source that guides every guided strategy."""
 
     strategies: tuple[StrategyConfig, ...]
     family: str | None = None
@@ -61,6 +62,7 @@ class ExperimentConfig:
     trials: int = 100
     mc: int = 100
     seed: int = 0
+    weights: str = "montecarlo"
     weights_in: str | None = None
 
     def __post_init__(self):
@@ -68,13 +70,13 @@ class ExperimentConfig:
             raise ConfigError("trials must be >= 1")
         if self.mc < 1:
             raise ConfigError("Monte Carlo simulation count must be >= 1")
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError(f"seed must be in [0, 2^64), got {self.seed}")
+        # rng.philox_key rounds a seed within 2^10 of 2^64 to seed 0's key
+        if not 0 <= self.seed < 2**64 - 2**10:
+            raise ConfigError(f"seed must be in [0, 2^64 - 2^10), got {self.seed}")
         if not self.strategies:
             raise ConfigError("at least one strategy is required")
-        for cfg in self.strategies:
-            if cfg.weights is not None and cfg.weights not in WEIGHT_SOURCES:
-                raise ConfigError(f"unknown weight source {cfg.weights!r}")
+        if self.weights not in WEIGHT_SOURCES:
+            raise ConfigError(f"unknown weight source {self.weights!r} (choose from {WEIGHT_SOURCES})")
         labels = [cfg.label for cfg in self.strategies]
         if len(set(labels)) != len(labels):
             raise ConfigError("duplicate strategy entries in the configuration")
@@ -125,21 +127,19 @@ def resolve_instance(config: ExperimentConfig) -> StochasticInstance:
 
 
 def solution_for_source(
-    instance: StochasticInstance, source: str, config: ExperimentConfig, base: RngStream
+    instance: StochasticInstance, config: ExperimentConfig, base: RngStream
 ) -> FractionalSolution:
-    """The fractional solution a weight source stands for: the exact LP, Monte
-    Carlo marginals learned on ``base.substream("weights")``, or the cached
-    file ``config.weights_in``."""
-    if source == "lp":
+    """The fractional solution ``config.weights`` stands for: the exact LP,
+    Monte Carlo marginals learned on ``base.substream("weights")``, or the
+    cached file ``config.weights_in``."""
+    if config.weights == "lp":
         return solve_expected_lp(instance)
-    if source == "montecarlo":
+    if config.weights == "montecarlo":
         return monte_carlo_weights(instance, config.mc, base.substream("weights"))
-    if source == "file":
-        if config.weights_in is None:
-            raise ConfigError("weight source 'file' needs --weights-in")
-        with open(config.weights_in) as fh:
-            return solution_from_json(instance, fh.read())
-    raise ConfigError(f"unknown weight source {source!r}")
+    if config.weights_in is None:
+        raise ConfigError("weight source 'file' needs --weights-in")
+    with open(config.weights_in) as fh:
+        return solution_from_json(instance, fh.read())
 
 
 def learn_weight_sources(
@@ -147,24 +147,23 @@ def learn_weight_sources(
 ) -> dict[str, object]:
     """The guidance each guided strategy reads, by label, learned once per experiment.
 
-    Each weight source any strategy asks for is solved once.  varopt reads
-    its per-type samplers built from that solution; mgs reads the solution's
-    support as copy marginals, except with Monte Carlo weights, where it is
-    guided by per-copy marginals estimated with deterministic tie-breaking:
-    the spread-promoting shuffle belongs to the guided sparsifier's weight
-    construction, not to that baseline.
+    The solution of ``config.weights`` is solved once, and only when some
+    strategy reads it.  varopt reads its per-type samplers built from that
+    solution; mgs reads the solution's support as copy marginals, except with
+    Monte Carlo weights, where it is guided by per-copy marginals estimated
+    with deterministic tie-breaking: the spread-promoting shuffle belongs to
+    the guided sparsifier's weight construction, not to that baseline.
     """
-    solutions: dict[str, FractionalSolution] = {}
+    x = None
     guidance: dict[str, object] = {}
     for cfg in config.strategies:
-        if cfg.weights is None or not STRATEGIES[cfg.strategy].guided:
+        if not STRATEGIES[cfg.strategy].guided:
             continue
-        if cfg.strategy == "mgs" and cfg.weights == "montecarlo":
+        if cfg.strategy == "mgs" and config.weights == "montecarlo":
             guidance[cfg.label] = per_copy_marginals(instance, config.mc, base.substream("weights", "mgs"))
             continue
-        if cfg.weights not in solutions:
-            solutions[cfg.weights] = solution_for_source(instance, cfg.weights, config, base)
-        x = solutions[cfg.weights]
+        if x is None:
+            x = solution_for_source(instance, config, base)
         guidance[cfg.label] = (CopyMarginals.of_solution(x) if cfg.strategy == "mgs"
                                else varopt_samplers(instance, x, cfg.k))
     return guidance
@@ -251,11 +250,12 @@ class BoundRow:
 
 
 def bound_report(instance: StochasticInstance, family: str, ks: list[int],
-                 config: ExperimentConfig, weight_source: str) -> list[BoundRow]:
-    """Theorem bound against the guided sparsifier's empirical matching size, per k."""
+                 config: ExperimentConfig) -> list[BoundRow]:
+    """Theorem bound against the guided sparsifier's empirical matching size,
+    per k, both from the solution of ``config.weights``."""
     base = RngStream(config.seed)
-    x = solution_for_source(instance, weight_source, config, base)
-    strategies = {k: StrategyConfig("varopt", k=k, weights=weight_source) for k in ks}
+    x = solution_for_source(instance, config, base)
+    strategies = {k: StrategyConfig("varopt", k=k) for k in ks}
     guidance = {cfg.label: varopt_samplers(instance, x, k) for k, cfg in strategies.items()}
     scores = score_trials(instance, list(strategies.values()), guidance,
                           range(config.trials), base.substream("realize"), base.substream("bound"),

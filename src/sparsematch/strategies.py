@@ -40,11 +40,10 @@ class StrategyOutcome:
 
 @dataclass(frozen=True)
 class StrategyConfig:
-    """One strategy plus its parameters (budget k, weight source for guided ones)."""
+    """One strategy and its budget k (for the budgeted ones)."""
 
     strategy: str
     k: int | None = None
-    weights: str | None = None
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:

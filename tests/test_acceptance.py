@@ -60,9 +60,9 @@ REFERENCE_TABLE = {
 }
 
 TABLE_STRATEGIES = tuple(
-    [StrategyConfig("offline"), StrategyConfig("kvv"), StrategyConfig("mgs", weights="montecarlo")]
+    [StrategyConfig("offline"), StrategyConfig("kvv"), StrategyConfig("mgs")]
     + [StrategyConfig("random", k=k) for k in (3, 5, 10)]
-    + [StrategyConfig("varopt", k=k, weights="montecarlo") for k in (3, 5, 10)]
+    + [StrategyConfig("varopt", k=k) for k in (3, 5, 10)]
 )
 
 
@@ -204,7 +204,7 @@ def test_criterion_6_preservation_bound_soundness():
             bound = theorem_bound(
                 BoundInputs(z=x.objective, z_heavy=split.z_heavy, z_light=split.z_light, k=k)
             )
-            config = StrategyConfig("varopt", k=k, weights="montecarlo")
+            config = StrategyConfig("varopt", k=k)
             samplers = varopt_samplers(instance, x, k)
             sizes = []
             for t in range(200):
@@ -318,8 +318,8 @@ def test_criterion_12_nyc_pipeline():
     strategies = (
         StrategyConfig("offline"),
         StrategyConfig("random", k=5),
-        StrategyConfig("varopt", k=5, weights="montecarlo"),
-        StrategyConfig("varopt", k=10, weights="montecarlo"),
+        StrategyConfig("varopt", k=5),
+        StrategyConfig("varopt", k=10),
     )
     config = ExperimentConfig(strategies=strategies, trials=50, mc=100, seed=0)
     series = run_nyc_day(

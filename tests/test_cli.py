@@ -23,12 +23,10 @@ def run_cli(args, cwd=str(REPO_ROOT)):
 
 
 def test_parse_strategies():
-    configs = parse_strategies("offline,kvv,random:3,varopt:5", "montecarlo")
+    configs = parse_strategies("offline,kvv,random:3,varopt:5")
     assert [c.label for c in configs] == ["offline", "kvv", "random k=3", "varopt k=5"]
-    assert configs[3].weights == "montecarlo"
-    assert configs[1].weights is None
     with pytest.raises(ConfigError):
-        parse_strategies(" , ", "montecarlo")
+        parse_strategies(" , ")
 
 
 def test_config_file_parsing(tmp_path):
@@ -234,10 +232,61 @@ def test_weights_rejects_trials_and_weights_in_flags(tmp_path, capsys, flag):
     assert not cache.exists()
 
 
-@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+@pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**64 - 1), str(2**64 - 1024)])
 def test_out_of_range_seed_is_config_error(tmp_path, caplog, seed):
     out = tmp_path / "out.csv"
     assert main(["synth", "--family", "block", "--n", "20", "--trials", "2", "--mc", "5",
                  "--strategies", "offline", "--seed", seed, "--out", str(out)]) == 2
     assert "seed" in caplog.text
+    assert not out.exists()
+
+
+GOLDEN_WEIGHTS = str(REPO_ROOT / "tests" / "golden" / "weights-lp.json")
+
+# subcommand case -> (arguments that stay on the command line, flag -> value);
+# "{inst}" stands for an instance JSON file written by the test.
+PARITY_CASES = {
+    "synth": (("synth",), {"family": "block", "n": "20", "seed": "3", "mc": "6", "trials": "4",
+                           "weights": "lp", "format": "json", "strategies": "offline,mgs,varopt:3"}),
+    "synth-file": (("synth",), {"instance": "{inst}", "seed": "1", "trials": "3", "weights": "file",
+                                "weights-in": GOLDEN_WEIGHTS, "strategies": "mgs,varopt:5"}),
+    "nyc": (("nyc", "--trips", TRIPS, "--zones", ZONES),
+            {"seed": "2", "mc": "5", "trials": "3", "weights": "montecarlo", "format": "json",
+             "start": "2025-05-14T08:05:00", "intervals": "2", "strategies": "offline,mgs,varopt:5"}),
+    "bounds": (("bounds",), {"family": "block", "n": "20", "seed": "4", "mc": "5", "trials": "4",
+                             "weights": "file", "weights-in": GOLDEN_WEIGHTS, "k-values": "3,5"}),
+    "weights": (("weights",), {"family": "tsm", "n": "20", "seed": "5", "mc": "5", "weights": "montecarlo"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARITY_CASES))
+def test_config_file_values_match_command_line_flags(tmp_path, case):
+    from sparsematch.generators import FAMILIES
+    from sparsematch.instance import instance_to_json
+
+    inst = tmp_path / "inst.json"
+    inst.write_text(instance_to_json(FAMILIES["block"](20)))
+    fixed, values = PARITY_CASES[case]
+    values = {key: value.format(inst=inst) for key, value in values.items()}
+    out_flag = "--weights-out" if fixed[0] == "weights" else "--out"
+    flags = [token for key, value in values.items() for token in (f"--{key}", value)]
+    by_flag, by_file = tmp_path / "flags.out", tmp_path / "file.out"
+    assert main([*fixed, *flags, out_flag, str(by_flag)]) == 0
+    file_out = [out_flag, str(by_file)]
+    if out_flag == "--out":  # --weights-out is required on the command line
+        values, file_out = {**values, "out": str(by_file)}, []
+    conf = tmp_path / "run.conf"
+    conf.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
+    assert main([*fixed, "--config", str(conf), *file_out]) == 0
+    assert by_file.read_bytes() == by_flag.read_bytes()
+
+
+@pytest.mark.parametrize("line", ["trials = abc", "weights = psychic", "format = xml"])
+def test_malformed_config_value_exits_2(tmp_path, line):
+    conf = tmp_path / "run.conf"
+    trials = "" if line.startswith("trials") else "trials = 2\n"
+    conf.write_text(f"family = block\nn = 20\nmc = 5\nstrategies = offline,varopt:3\n{trials}{line}\n")
+    out = tmp_path / "out.csv"
+    proc = run_cli(["synth", "--config", str(conf), "--out", str(out)])
+    assert proc.returncode == 2, proc.stderr
     assert not out.exists()

@@ -35,7 +35,7 @@ def small_config(**overrides):
             StrategyConfig("offline"),
             StrategyConfig("kvv"),
             StrategyConfig("random", k=3),
-            StrategyConfig("varopt", k=3, weights="montecarlo"),
+            StrategyConfig("varopt", k=3),
         ),
         family="block",
         n=20,
@@ -65,7 +65,7 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         small_config(family="nope")
     with pytest.raises(ConfigError):
-        small_config(strategies=(StrategyConfig("varopt", k=2, weights="psychic"),))
+        small_config(weights="psychic")
 
 
 def test_offline_strategy_scores_one():
@@ -142,7 +142,7 @@ def test_nyc_day_series_monotone_and_ordered():
         strategies=(
             StrategyConfig("offline"),
             StrategyConfig("random", k=5),
-            StrategyConfig("varopt", k=5, weights="montecarlo"),
+            StrategyConfig("varopt", k=5),
         ),
         trials=20,
         mc=50,
@@ -224,7 +224,7 @@ def kernel_scores(config, trials, **kwargs):
 
 
 def test_trial_results_independent_of_scheduling():
-    config = small_config(strategies=small_config().strategies + (StrategyConfig("mgs", weights="montecarlo"),))
+    config = small_config(strategies=small_config().strategies + (StrategyConfig("mgs"),))
     in_order = kernel_scores(config, list(range(12)))
     assert kernel_scores(config, list(reversed(range(12)))) == in_order
     subset = [9, 2, 5]
@@ -268,8 +268,8 @@ def test_varopt_samplers_built_once_per_experiment(trials, monkeypatch):
             super().__init__(*args)
 
     monkeypatch.setattr(strategies, "VarOptSampler", CountingSampler)
-    config = small_config(strategies=(StrategyConfig("varopt", k=3, weights="lp"),
-                                      StrategyConfig("varopt", k=5, weights="lp")), trials=trials)
+    config = small_config(strategies=(StrategyConfig("varopt", k=3), StrategyConfig("varopt", k=5)),
+                          weights="lp", trials=trials)
     inst = resolve_instance(config)
     assert all(t.compatible for t in inst.types)
     run_experiment(config, instance=inst)
@@ -292,3 +292,23 @@ def test_nyc_interval_count_below_one_rejected(intervals):
     config = ExperimentConfig(strategies=(StrategyConfig("offline"),), trials=2, mc=5, seed=0)
     with pytest.raises(ConfigError, match="intervals must be >= 1"):
         run_nyc_day(trips, zones, config, intervals=intervals)
+
+
+@pytest.mark.parametrize("strategies, weights, solves", [
+    ("varopt:3,varopt:5", "montecarlo", {"montecarlo": 1}),
+    ("mgs", "montecarlo", {}),
+    ("mgs", "lp", {"lp": 1}),
+])
+def test_weight_source_solved_once_and_only_when_read(monkeypatch, strategies, weights, solves):
+    from sparsematch import harness
+    from sparsematch.cli import parse_strategies
+
+    calls = []
+    for source, name in (("lp", "solve_expected_lp"), ("montecarlo", "monte_carlo_weights")):
+        solve = getattr(harness, name)
+        monkeypatch.setattr(harness, name,
+                            lambda *args, solve=solve, source=source: calls.append(source) or solve(*args))
+    config = small_config(strategies=parse_strategies(strategies), weights=weights)
+    learned = learn_weight_sources(resolve_instance(config), config, RngStream(0))
+    assert set(learned) == {cfg.label for cfg in config.strategies}
+    assert {source: calls.count(source) for source in calls} == solves

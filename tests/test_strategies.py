@@ -252,9 +252,9 @@ def test_every_strategy_below_offline():
         offline = max_matching(full_edge_list(graph)).size
         for cfg in (
             StrategyConfig("kvv"),
-            StrategyConfig("mgs", weights="montecarlo"),
+            StrategyConfig("mgs"),
             StrategyConfig("random", k=3),
-            StrategyConfig("varopt", k=3, weights="montecarlo"),
+            StrategyConfig("varopt", k=3),
         ):
             outcome = run_strategy(graph, cfg, base.substream("s", t, cfg.label), guidance.get(cfg.label))
             assert outcome.matched <= offline
