@@ -39,6 +39,11 @@ from .weights import solution_to_json
 
 log = logging.getLogger(__name__)
 
+# The flags that take one of a fixed set of values.  argparse checks choices
+# only on the command line, so config-file values are checked here too.
+CHOICES = {"weights": WEIGHT_SOURCES, "format": ("csv", "json"), "family": tuple(sorted(FAMILIES))}
+
+
 def parse_strategies(text: str) -> tuple[StrategyConfig, ...]:
     """Parse 'offline,kvv,random:3,varopt:5' into strategy configs."""
     configs = []
@@ -73,7 +78,7 @@ def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
                         help="base seed (default %(default)s)")
     parser.add_argument("--mc", type=int, default=ExperimentConfig.mc,
                         help="Monte Carlo simulations for weight learning (default %(default)s)")
-    parser.add_argument("--weights", choices=WEIGHT_SOURCES, default=ExperimentConfig.weights,
+    parser.add_argument("--weights", choices=CHOICES["weights"], default=ExperimentConfig.weights,
                         help="weight source for every guided strategy (default %(default)s)")
 
 
@@ -84,12 +89,12 @@ def _add_trial_flags(parser: argparse.ArgumentParser, formats: bool) -> None:
     parser.add_argument("--weights-in", help="cached weights JSON (for --weights file)")
     parser.add_argument("--out", help="output path (default: stdout)")
     if formats:
-        parser.add_argument("--format", choices=("csv", "json"), default="csv",
+        parser.add_argument("--format", choices=CHOICES["format"], default="csv",
                             help="output format (default %(default)s)")
 
 
 def _add_instance_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--family", choices=sorted(FAMILIES), help="synthetic family")
+    parser.add_argument("--family", choices=CHOICES["family"], help="synthetic family")
     parser.add_argument("--n", type=int, help="family size parameter")
     parser.add_argument("--instance", help="instance JSON file (alternative to --family)")
 
@@ -143,6 +148,9 @@ def _with_config_file(args: argparse.Namespace, argv: list[str] | None) -> argpa
     unknown = sorted(set(file_values) - known)
     if unknown:
         raise ConfigError(f"{args.config}: {', '.join(unknown)} names no flag of {args.command}")
+    for key, value in file_values.items():
+        if key in CHOICES and value not in CHOICES[key]:
+            raise ConfigError(f"{args.config}: {key} = {value} (choose from {', '.join(CHOICES[key])})")
     return build_parser(file_values).parse_args(argv)
 
 

@@ -5,7 +5,8 @@ matching literature; each is a deterministic function of its size parameter,
 with uniform type probabilities and balanced supply/demand.  The trip-data
 path turns a window of pick-up / drop-off events into a stochastic instance:
 drop-offs define the sampled car supply, pick-up zones define the demand type
-distribution, and edges connect same-zone or adjacent-zone pairs.
+distribution, and edges connect same-zone or neighbouring-zone pairs.  A
+pick-up zone with no car in reach becomes a type with no compatible resource.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import logging
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from functools import cached_property
 
 from .instance import DemandType, StochasticInstance
 from .rng import RngStream
@@ -39,12 +39,11 @@ class FormatError(ValueError):
     """Input CSV header does not match the expected schema."""
 
 
-def _uniform_types(compat_lists: list[tuple[int, ...]]) -> tuple[DemandType, ...]:
-    p = 1.0 / len(compat_lists)
-    return tuple(
-        DemandType(type_id=j, probability=p, compatible=compat)
-        for j, compat in enumerate(compat_lists)
-    )
+def _uniform_instance(resources: tuple[str, ...], compat: list[tuple[int, ...]]) -> StochasticInstance:
+    """Uniform types over ``compat`` and one expected arrival per resource."""
+    p = 1.0 / len(compat)
+    return StochasticInstance(resources=resources, types=tuple(DemandType(p, c) for c in compat),
+                              arrivals=len(resources))
 
 
 def gen_partitioned_block(n: int) -> StochasticInstance:
@@ -69,11 +68,7 @@ def gen_partitioned_block(n: int) -> StochasticInstance:
         else:
             edges = tuple(sorted(set(rows_2) | {j}))
         compat.append(edges)
-    return StochasticInstance(
-        resources=tuple(f"v{i}" for i in range(n)),
-        types=_uniform_types(compat),
-        arrivals=n,
-    )
+    return _uniform_instance(tuple(f"v{i}" for i in range(n)), compat)
 
 
 def gen_kvv_triangular(n: int) -> StochasticInstance:
@@ -81,11 +76,7 @@ def gen_kvv_triangular(n: int) -> StochasticInstance:
     if n < 1:
         raise BadSize(f"triangular needs n >= 1, got {n}")
     compat = [tuple(range(j, n)) for j in range(n)]
-    return StochasticInstance(
-        resources=tuple(f"v{i}" for i in range(n)),
-        types=_uniform_types(compat),
-        arrivals=n,
-    )
+    return _uniform_instance(tuple(f"v{i}" for i in range(n)), compat)
 
 
 def gen_bahmani(n: int) -> StochasticInstance:
@@ -106,11 +97,7 @@ def gen_bahmani(n: int) -> StochasticInstance:
     compat = [tuple(sorted((j,) + a1_nodes)) for j in range(m)]
     compat.extend([a2_nodes] * a1)
     resources = tuple(f"a2_{i}" for i in range(m)) + tuple(f"a1_{i}" for i in range(a1))
-    return StochasticInstance(
-        resources=resources,
-        types=_uniform_types(compat),
-        arrivals=n,
-    )
+    return _uniform_instance(resources, compat)
 
 
 def gen_tsm_tight(n: int) -> StochasticInstance:
@@ -142,11 +129,7 @@ def gen_tsm_tight(n: int) -> StochasticInstance:
     for c in range(cycles):
         resources.extend((f"u{c}", f"v{c}", f"w{c}"))
     resources.extend(f"k{c}" for c in range(cycles))
-    return StochasticInstance(
-        resources=tuple(resources),
-        types=_uniform_types(compat),
-        arrivals=n,
-    )
+    return _uniform_instance(tuple(resources), compat)
 
 
 FAMILIES = {
@@ -159,26 +142,14 @@ FAMILIES = {
 
 @dataclass(frozen=True)
 class ZoneModel:
-    """Spatial zones with a symmetric adjacency relation."""
+    """Spatial zones: every known zone maps to the zones it borders (never
+    itself); the relation is symmetric."""
 
-    zones: tuple[str, ...]
-    adjacent_pairs: frozenset[frozenset[str]]
-
-    @cached_property
-    def _neighbors(self) -> dict[str, frozenset[str]]:
-        out: dict[str, set[str]] = {z: set() for z in self.zones}
-        for pair in self.adjacent_pairs:
-            members = tuple(pair)
-            if len(members) == 1:
-                continue
-            a, b = members
-            out[a].add(b)
-            out[b].add(a)
-        return {z: frozenset(s) for z, s in out.items()}
+    neighbors: dict[str, frozenset[str]]
 
     def compatible(self, zone_a: str, zone_b: str) -> bool:
         """Same zone or sharing a boundary."""
-        return zone_a == zone_b or zone_b in self._neighbors.get(zone_a, frozenset())
+        return zone_a == zone_b or zone_b in self.neighbors.get(zone_a, ())
 
 
 @dataclass(frozen=True)
@@ -203,15 +174,13 @@ def ingest_trips(path: str, zone_path: str) -> tuple[list[TripRecord], ZoneModel
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not set(ZONE_COLUMNS) <= set(reader.fieldnames):
             raise FormatError(f"{zone_path}: expected columns {ZONE_COLUMNS}")
-        zones: set[str] = set()
-        pairs: set[frozenset[str]] = set()
+        bordering: dict[str, set[str]] = {}
         for row in reader:
             a = row["zone_a"].strip()
             b = row["zone_b"].strip()
-            zones.update((a, b))
-            if a != b:
-                pairs.add(frozenset((a, b)))
-    model = ZoneModel(zones=tuple(sorted(zones)), adjacent_pairs=frozenset(pairs))
+            bordering.setdefault(a, set()).add(b)
+            bordering.setdefault(b, set()).add(a)
+    zones = ZoneModel({z: frozenset(near - {z}) for z, near in bordering.items()})
 
     trips = []
     dropped = 0
@@ -228,28 +197,27 @@ def ingest_trips(path: str, zone_path: str) -> tuple[list[TripRecord], ZoneModel
                 continue
             pu = row["PULocationID"].strip()
             do = row["DOLocationID"].strip()
-            if pu not in zones or do not in zones:
+            if pu not in zones.neighbors or do not in zones.neighbors:
                 dropped += 1
                 continue
             trips.append(TripRecord(pickup, dropoff, pu, do))
     if dropped:
         log.warning("dropped %d malformed or unknown-zone trip rows", dropped)
-    return trips, model
+    return trips, zones
 
 
 def build_nyc_instance(
     trips: list[TripRecord], zones: ZoneModel, t: datetime, rng: RngStream
-) -> tuple[StochasticInstance, tuple[str, ...]]:
+) -> StochasticInstance:
     """Interval graph construction: sampled car supply and zone-typed demand.
 
     Drop-offs in [t-5m, t) set the supply size n and the car zone distribution;
     pick-ups in [t, t+5m) set the demand zone distribution.  n cars are sampled
-    with replacement from the supply distribution and become the resources;
-    each pick-up zone with positive probability becomes a demand type whose
-    compatibility set is the cars in the same or an adjacent zone (possibly
-    empty: such demand is structurally unmatchable and still counts).
-
-    Returns the instance and the sampled car zones, aligned with resources.
+    with replacement from the supply distribution and become the resources,
+    named ``car{i}@{zone}``; each pick-up zone with positive probability
+    becomes a demand type whose compatibility set is the cars in the same or
+    a neighbouring zone (possibly empty: such demand is structurally
+    unmatchable and still counts).
 
     Raises:
         EmptyWindow: if either half-window contains no events.
@@ -268,15 +236,10 @@ def build_nyc_instance(
     car_zones = tuple(car_zone_ids[s] for s in sampled)
 
     rider_zone_ids = sorted(set(pick_zones))
-    rider_probs = [pick_zones.count(z) / len(pick_zones) for z in rider_zone_ids]
-    types = []
-    for j, zone in enumerate(rider_zone_ids):
-        compat = tuple(i for i, cz in enumerate(car_zones) if zones.compatible(zone, cz))
-        types.append(DemandType(type_id=j, probability=rider_probs[j], compatible=compat))
-    instance = StochasticInstance(
-        resources=tuple(f"car{i}@{z}" for i, z in enumerate(car_zones)),
-        types=tuple(types),
-        arrivals=n,
-        allow_empty_types=True,
+    types = tuple(
+        DemandType(pick_zones.count(zone) / len(pick_zones),
+                   tuple(i for i, cz in enumerate(car_zones) if zones.compatible(zone, cz)))
+        for zone in rider_zone_ids
     )
-    return instance, car_zones
+    return StochasticInstance(resources=tuple(f"car{i}@{z}" for i, z in enumerate(car_zones)),
+                              types=types, arrivals=n)

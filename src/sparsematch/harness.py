@@ -19,13 +19,13 @@ import json
 import logging
 import math
 from dataclasses import dataclass
-from datetime import datetime, timedelta
+from datetime import datetime
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .bounds import BoundInputs, theorem_bound
-from .generators import FAMILIES, EmptyWindow, TripRecord, ZoneModel, build_nyc_instance
+from .bounds import theorem_bound
+from .generators import FAMILIES, HALF_WINDOW, EmptyWindow, TripRecord, ZoneModel, build_nyc_instance
 from .instance import StochasticInstance, instance_from_json, realize
 from .matching import full_edge_list, max_matching
 from .rng import RngStream
@@ -43,7 +43,7 @@ from .weights import (
 log = logging.getLogger(__name__)
 
 WEIGHT_SOURCES = ("lp", "montecarlo", "file")
-INTERVAL = timedelta(minutes=10)
+INTERVAL = 2 * HALF_WINDOW  # consecutive intervals' half-windows tile the timeline
 
 
 class ConfigError(ValueError):
@@ -263,15 +263,14 @@ def bound_report(instance: StochasticInstance, family: str, ks: list[int],
     rows = []
     for k in ks:
         split = heavy_light(x, k)
-        bound = theorem_bound(BoundInputs(z=x.objective, z_heavy=split.z_heavy,
-                                          z_light=split.z_light, k=k))
+        bound = theorem_bound(split)
         mean, halfwidth = ci95([s.matched[strategies[k].label] for s in scores])
         stderr = halfwidth / 1.96
         rows.append(BoundRow(
             family=family,
             k=k,
             z=x.objective,
-            heavy_fraction=split.z_heavy / x.objective,
+            heavy_fraction=split.z_heavy / split.z,
             bound=bound,
             empirical_mean=mean,
             stderr=stderr,
@@ -326,30 +325,26 @@ def run_nyc_day(
         raise ConfigError("no simulation intervals: no trip event at or after the start")
 
     base = RngStream(config.seed)
-    totals = {cfg.label: 0.0 for cfg in config.strategies}
-    timestamps = []
-    series: dict[str, list[float]] = {cfg.label: [] for cfg in config.strategies}
+    cumulative: dict[str, list[float]] = {cfg.label: [] for cfg in config.strategies}
     for j, t in enumerate(times):
-        timestamps.append(t)
+        scores = []
         try:
-            instance, _ = build_nyc_instance(list(trips), zones, t, base.substream("supply", j))
+            instance = build_nyc_instance(list(trips), zones, t, base.substream("supply", j))
         except EmptyWindow as exc:
             log.info("interval %s skipped: %s", t.isoformat(), exc)
-            for cfg in config.strategies:
-                series[cfg.label].append(totals[cfg.label])
-            continue
-        guidance = learn_weight_sources(instance, config, base.substream("interval", j))
-        scores = score_trials(instance, config.strategies, guidance, range(config.trials),
-                              base.substream("nyc-realize", j), base.substream("nyc-strategy", j))
+        else:
+            guidance = learn_weight_sources(instance, config, base.substream("interval", j))
+            scores = score_trials(instance, config.strategies, guidance, range(config.trials),
+                                  base.substream("nyc-realize", j), base.substream("nyc-strategy", j))
         for cfg in config.strategies:
             unmet = 0.0
             for score in scores:
                 unmet += (instance.arrivals - score.matched[cfg.label]) / config.trials
-            totals[cfg.label] += unmet
-            series[cfg.label].append(totals[cfg.label])
+            series = cumulative[cfg.label]
+            series.append((series[-1] if series else 0.0) + unmet)
     return UnmetDemandSeries(
-        timestamps=tuple(timestamps),
-        cumulative={label: tuple(values) for label, values in series.items()},
+        timestamps=tuple(times),
+        cumulative={label: tuple(values) for label, values in cumulative.items()},
     )
 
 

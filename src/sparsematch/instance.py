@@ -1,9 +1,11 @@
 """Stochastic instance model: resources, typed demand, realized graphs.
 
 An instance is a triple of resources, a demand-type distribution and an
-arrival count.  Realizing an instance draws that many i.i.d. typed arrivals
-and induces the bipartite graph in which each arrival is connected to every
-resource compatible with its type.
+arrival count.  A demand type is its position in that distribution; it has a
+probability and a compatibility set, which may be empty (such demand counts
+but cannot be matched).  Realizing an instance draws that many i.i.d. typed
+arrivals and induces the bipartite graph in which each arrival is connected
+to every resource compatible with its type.
 """
 
 from __future__ import annotations
@@ -22,31 +24,25 @@ PROB_TOL = 1e-9
 class DemandType:
     """One demand type: its draw probability and compatible resource indices."""
 
-    type_id: int
     probability: float
     compatible: tuple[int, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "compatible", tuple(int(i) for i in self.compatible))
         if not 0.0 <= self.probability <= 1.0 + PROB_TOL:
-            raise ValueError(f"type {self.type_id}: probability {self.probability} outside [0, 1]")
+            raise ValueError(f"probability {self.probability} outside [0, 1]")
         if any(b <= a for a, b in zip(self.compatible, self.compatible[1:])):
-            raise ValueError(f"type {self.type_id}: compatibility list must be strictly ascending")
+            raise ValueError(f"compatibility list {self.compatible} must be strictly ascending")
 
 
 @dataclass(frozen=True)
 class StochasticInstance:
-    """Immutable instance: resource identifiers, demand types, arrival count.
-
-    ``allow_empty_types`` relaxes the nonempty-compatibility rule for data-driven
-    instances where some demand is structurally unmatchable (it still counts as
-    demand).  Synthetic generators never set it.
-    """
+    """Immutable instance: resource identifiers, demand types (type j is
+    ``types[j]``), arrival count."""
 
     resources: tuple[str, ...]
     types: tuple[DemandType, ...]
     arrivals: int
-    allow_empty_types: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "resources", tuple(self.resources))
@@ -59,10 +55,6 @@ class StochasticInstance:
             raise ValueError("at least one demand type is required")
         total = 0.0
         for j, t in enumerate(self.types):
-            if t.type_id != j:
-                raise ValueError(f"type_id {t.type_id} at position {j}: ids must be positional")
-            if not t.compatible and not self.allow_empty_types:
-                raise ValueError(f"type {j} has an empty compatibility list")
             if t.compatible and not (0 <= t.compatible[0] and t.compatible[-1] < len(self.resources)):
                 raise ValueError(f"type {j} references resource indices outside [0, {len(self.resources)})")
             total += t.probability
@@ -112,24 +104,22 @@ def realize(instance: StochasticInstance, rng: RngStream) -> RealizedGraph:
 
 
 def instance_to_json(instance: StochasticInstance) -> str:
-    doc = {
+    return json.dumps({
         "resources": list(instance.resources),
         "types": [{"p": t.probability, "compatible": list(t.compatible)} for t in instance.types],
         "n": instance.arrivals,
-    }
-    if instance.allow_empty_types:
-        doc["allow_empty_types"] = True
-    return json.dumps(doc, indent=2)
+    }, indent=2)
 
 
 def instance_from_json(text: str) -> StochasticInstance:
-    """Parse an instance; a missing key or a value of the wrong type raises ValueError."""
+    """Parse an instance; a missing key or a value of the wrong type raises ValueError.
+
+    Other keys are ignored, so files that still carry the retired
+    ``allow_empty_types`` key load unchanged."""
     doc = json.loads(text)
     try:
-        types = tuple(DemandType(type_id=j, probability=float(t["p"]), compatible=tuple(t["compatible"]))
-                      for j, t in enumerate(doc["types"]))
+        types = tuple(DemandType(float(t["p"]), tuple(t["compatible"])) for t in doc["types"])
         resources, arrivals = tuple(str(r) for r in doc["resources"]), int(doc["n"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed instance JSON: {exc!r}") from None
-    return StochasticInstance(resources=resources, types=types, arrivals=arrivals,
-                              allow_empty_types=bool(doc.get("allow_empty_types", False)))
+    return StochasticInstance(resources=resources, types=types, arrivals=arrivals)

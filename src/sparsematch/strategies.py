@@ -144,12 +144,12 @@ def mgs(graph: RealizedGraph, guidance: CopyMarginals, rng: RngStream) -> Strate
     gen = rng.substream("guidance").generator
     suggestions: dict[int, tuple[int | None, int | None]] = {}
     for j in range(graph.instance.type_count):
-        first = _sample_weighted(*guidance.sampling[0].get(j, ((), (), ())), gen)
+        first = _sample_weighted(*guidance.first.get(j, ((), (), ())), gen)
         if first is None:
             compatible = graph.instance.types[j].compatible
             if compatible:
                 first = int(compatible[gen.choice(len(compatible))])
-        second = _sample_weighted(*guidance.sampling[1].get(j, ((), (), ())), gen, exclude=first)
+        second = _sample_weighted(*guidance.second.get(j, ((), (), ())), gen, exclude=first)
         suggestions[j] = (first, second)
 
     taken = np.zeros(graph.instance.resource_count, dtype=bool)
@@ -216,9 +216,7 @@ def run_strategy(
     maximum matching of the reported subgraph; online strategies by their own
     irrevocable matches; offline is the full-information maximum matching.
     """
-    entry = STRATEGIES.get(config.strategy)
-    if entry is None:
-        raise UnknownStrategy(f"unknown strategy {config.strategy!r}")
+    entry = STRATEGIES[config.strategy]
     if entry.guided and guidance is None:
         raise ValueError(f"strategy {config.strategy!r} needs guidance learned from a "
                          "fractional solution: VarOpt samplers or copy marginals")

@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterator, Mapping
 
 import numpy as np
 
+from .bounds import BoundInputs
 from .instance import RealizedGraph, StochasticInstance, realize
 from .matching import MatchingResult, full_edge_list, max_matching, max_matching_shuffled
 from .rng import RngStream
@@ -87,37 +87,28 @@ class FractionalSolution:
         return self._by_type.get(type_id, ((), np.empty(0)))
 
 
-@dataclass(frozen=True)
-class HeavyLightSplit:
-    """The objective shares of support values above and at most 1/k."""
-
-    k: int
-    z_heavy: float
-    z_light: float
+def _with_probabilities(by_type: Mapping[int, tuple[tuple[int, ...], np.ndarray]]) -> dict:
+    """type -> (resources, weights, weights normalized to probabilities)."""
+    return {j: (ids, weights, weights / weights.sum()) for j, (ids, weights) in by_type.items()}
 
 
 @dataclass(frozen=True)
 class CopyMarginals:
     """Matched-resource distributions of the first and second realized copy of each type.
 
-    ``first[j]`` and ``second[j]`` hold (resources, match counts) for type j,
-    estimated from simulated offline optima.  Types absent from a map were
-    never matched in that copy position.
+    ``first[j]`` and ``second[j]`` hold (resources, weights, probabilities)
+    for type j, normalized once when the guidance is built.  Types absent
+    from a map were never matched in that copy position.
     """
 
-    first: dict[int, tuple[tuple[int, ...], np.ndarray]]
-    second: dict[int, tuple[tuple[int, ...], np.ndarray]]
-
-    @cached_property
-    def sampling(self) -> tuple[dict, dict]:
-        """Per copy, type -> (resources, values, probabilities), normalized once per experiment."""
-        return tuple({j: (ids, values, values / values.sum()) for j, (ids, values) in copy.items()}
-                     for copy in (self.first, self.second))
+    first: dict[int, tuple[tuple[int, ...], np.ndarray, np.ndarray]]
+    second: dict[int, tuple[tuple[int, ...], np.ndarray, np.ndarray]]
 
     @classmethod
     def of_solution(cls, x: FractionalSolution) -> "CopyMarginals":
         """Both copies guided by the per-type support of one fractional solution."""
-        return cls(first=x._by_type, second=x._by_type)
+        guided = _with_probabilities(x._by_type)
+        return cls(first=guided, second=guided)
 
 
 def _simulated_optima(instance: StochasticInstance, simulations: int, rng: RngStream,
@@ -141,9 +132,9 @@ def per_copy_marginals(instance: StochasticInstance, simulations: int, rng: RngS
     """Estimate where the offline optimum sends the first and second copy of each type.
 
     Used as guidance for the two-suggestion baseline, which treats a type's
-    realized copies by position.  Ties are broken by the deterministic solver;
-    the randomizing shuffle is specific to the spread-seeking weights of the
-    guided sparsifier.
+    realized copies by position; a copy's weights are its match counts.  Ties
+    are broken by the deterministic solver; the randomizing shuffle is
+    specific to the spread-seeking weights of the guided sparsifier.
     """
     counts: tuple[dict[tuple[int, int], int], dict[tuple[int, int], int]] = ({}, {})
     for graph, result in _simulated_optima(instance, simulations, rng, shuffled=False):
@@ -157,14 +148,14 @@ def per_copy_marginals(instance: StochasticInstance, simulations: int, rng: RngS
                 key = (type_id, match_of[l])
                 bucket[key] = bucket.get(key, 0) + 1
 
-    def collect(bucket: dict[tuple[int, int], int]) -> dict[int, tuple[tuple[int, ...], np.ndarray]]:
+    def collect(bucket: dict[tuple[int, int], int]) -> dict:
         grouped: dict[int, list[tuple[int, int]]] = {}
         for (j, i), c in sorted(bucket.items()):
             grouped.setdefault(j, []).append((i, c))
-        return {
+        return _with_probabilities({
             j: (tuple(i for i, _ in pairs), np.asarray([c for _, c in pairs], dtype=float))
             for j, pairs in grouped.items()
-        }
+        })
 
     return CopyMarginals(first=collect(counts[0]), second=collect(counts[1]))
 
@@ -304,8 +295,8 @@ def monte_carlo_weights(instance: StochasticInstance, simulations: int, rng: Rng
     return FractionalSolution.build(instance, x)
 
 
-def heavy_light(x: FractionalSolution, k: int) -> HeavyLightSplit:
-    """Split the objective between support values above 1/k and the rest."""
+def heavy_light(x: FractionalSolution, k: int) -> BoundInputs:
+    """Split the objective Z = Z_H + Z_L between support values above 1/k and the rest."""
     if k < 1:
         raise ValueError(f"budget k must be >= 1, got {k}")
     threshold = 1.0 / k
@@ -316,7 +307,7 @@ def heavy_light(x: FractionalSolution, k: int) -> HeavyLightSplit:
             z_heavy += mass
         else:
             z_light += mass
-    return HeavyLightSplit(k=k, z_heavy=z_heavy, z_light=z_light)
+    return BoundInputs(z=x.objective, z_heavy=z_heavy, z_light=z_light, k=k)
 
 
 def spread_equivalence_classes(instance: StochasticInstance, x: FractionalSolution) -> FractionalSolution:

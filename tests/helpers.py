@@ -131,10 +131,7 @@ def edmonds_karp_lp(instance: StochasticInstance) -> dict[tuple[int, int], float
 
 def uniform_instance(compat_lists, arrivals: int) -> StochasticInstance:
     p = 1.0 / len(compat_lists)
-    types = tuple(
-        DemandType(type_id=j, probability=p, compatible=tuple(sorted(c)))
-        for j, c in enumerate(compat_lists)
-    )
+    types = tuple(DemandType(p, tuple(sorted(c))) for c in compat_lists)
     resources = tuple(f"v{i}" for i in range(1 + max(max(c) for c in compat_lists if c)))
     return StochasticInstance(resources=resources, types=types, arrivals=arrivals)
 

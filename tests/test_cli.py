@@ -281,6 +281,21 @@ def test_config_file_values_match_command_line_flags(tmp_path, case):
     assert by_file.read_bytes() == by_flag.read_bytes()
 
 
+def test_config_value_outside_choices_exits_2_before_any_trial(tmp_path, monkeypatch, caplog):
+    import sparsematch.cli as cli
+
+    def no_trials(*args, **kwargs):
+        raise AssertionError("the experiment ran with an invalid config value")
+
+    monkeypatch.setattr(cli, "run_experiment", no_trials)
+    conf = tmp_path / "run.conf"
+    conf.write_text("family = block\nn = 20\ntrials = 2\nmc = 5\nformat = xml\n")
+    out = tmp_path / "out.csv"
+    assert main(["synth", "--config", str(conf), "--out", str(out)]) == 2
+    assert "format = xml" in caplog.text
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("line", ["trials = abc", "weights = psychic", "format = xml"])
 def test_malformed_config_value_exits_2(tmp_path, line):
     conf = tmp_path / "run.conf"

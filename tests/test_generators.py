@@ -125,11 +125,22 @@ def test_generators_deterministic():
 
 
 def test_zone_model_compatibility():
-    zones = ZoneModel(zones=("1", "2", "3"), adjacent_pairs=frozenset({frozenset(("1", "2"))}))
+    zones = ZoneModel({"1": frozenset({"2"}), "2": frozenset({"1"}), "3": frozenset()})
     assert zones.compatible("1", "1")
     assert zones.compatible("1", "2")
     assert zones.compatible("2", "1")
     assert not zones.compatible("1", "3")
+
+
+def test_ingest_zone_self_pair_gives_symmetric_neighbour_sets(tmp_path):
+    trips_path, zones_path = _write_files(
+        tmp_path, ["2025-05-14 08:00:00,2025-05-14 08:10:00,3,2"], ["3,3", "1,2"]
+    )
+    trips, zones = ingest_trips(trips_path, zones_path)
+    assert len(trips) == 1
+    assert zones.neighbors == {"3": frozenset(), "1": frozenset({"2"}), "2": frozenset({"1"})}
+    assert zones.compatible("3", "3")
+    assert not any(zones.compatible("3", z) or zones.compatible(z, "3") for z in ("1", "2"))
 
 
 def _write_files(tmp_path, trips_rows, zone_rows):
@@ -155,7 +166,7 @@ def test_ingest_well_formed(tmp_path):
     )
     trips, zones = ingest_trips(trips_path, zones_path)
     assert len(trips) == 3
-    assert zones.zones == ("1", "2")
+    assert zones.neighbors == {"1": frozenset({"2"}), "2": frozenset({"1"})}
 
 
 def test_ingest_drops_unknown_zone_with_warning(tmp_path, caplog):
@@ -199,7 +210,7 @@ def test_ingest_malformed_header(tmp_path):
 
 
 def _zone_model():
-    return ZoneModel(zones=("5", "6", "7"), adjacent_pairs=frozenset({frozenset(("5", "6"))}))
+    return ZoneModel({"5": frozenset({"6"}), "6": frozenset({"5"}), "7": frozenset()})
 
 
 def _trip(pick, drop, pu, do):
@@ -214,9 +225,9 @@ def test_nyc_single_event_window():
         _trip("2025-05-14 08:01:00", "2025-05-14 08:30:00", "5", "6"),  # pick in [t, t+5)
     ]
     t = datetime.fromisoformat("2025-05-14 08:00:00")
-    instance, car_zones = build_nyc_instance(trips, _zone_model(), t, RngStream(1))
+    instance = build_nyc_instance(trips, _zone_model(), t, RngStream(1))
     assert instance.arrivals == 1
-    assert car_zones == ("5",)
+    assert instance.resources == ("car0@5",)
     assert instance.type_count == 1
     assert instance.types[0].compatible == (0,)
 
@@ -227,7 +238,7 @@ def test_nyc_isolated_rider_keeps_empty_type():
         _trip("2025-05-14 08:01:00", "2025-05-14 08:30:00", "7", "6"),  # isolated zone rider
     ]
     t = datetime.fromisoformat("2025-05-14 08:00:00")
-    instance, _ = build_nyc_instance(trips, _zone_model(), t, RngStream(1))
+    instance = build_nyc_instance(trips, _zone_model(), t, RngStream(1))
     assert instance.types[0].compatible == ()
 
 
@@ -237,8 +248,8 @@ def test_nyc_balanced_sides():
         trips.append(_trip("2025-05-14 07:30:00", f"2025-05-14 07:5{5 + i % 5}:00", "5", "5" if i % 2 else "6"))
         trips.append(_trip(f"2025-05-14 08:0{i % 5}:00", "2025-05-14 08:40:00", "6", "5"))
     t = datetime.fromisoformat("2025-05-14 08:00:00")
-    instance, car_zones = build_nyc_instance(trips, _zone_model(), t, RngStream(2))
-    assert instance.arrivals == len(car_zones) == 12
+    instance = build_nyc_instance(trips, _zone_model(), t, RngStream(2))
+    assert instance.arrivals == instance.resource_count == 12
 
 
 def test_nyc_empty_window_raises():

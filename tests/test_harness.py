@@ -182,9 +182,8 @@ def test_all_degenerate_trials_rejected():
 
     unmatchable = StochasticInstance(
         resources=("a",),
-        types=(DemandType(0, 1.0, ()),),
+        types=(DemandType(1.0, ()),),
         arrivals=2,
-        allow_empty_types=True,
     )
     config = small_config(family=None, n=None)
     with pytest.raises(ConfigError, match="empty offline matching"):
@@ -246,7 +245,7 @@ def test_kernel_skips_strategies_when_offline_matching_is_empty():
     from sparsematch.instance import DemandType, StochasticInstance
 
     unmatchable = StochasticInstance(
-        resources=("a",), types=(DemandType(0, 1.0, ()),), arrivals=2, allow_empty_types=True
+        resources=("a",), types=(DemandType(1.0, ()),), arrivals=2
     )
     # varopt without weights would raise if it ran
     strategies = (StrategyConfig("offline"), StrategyConfig("varopt", k=2))

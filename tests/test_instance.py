@@ -19,35 +19,63 @@ def test_probabilities_must_sum_to_one():
     with pytest.raises(ValueError, match="sum"):
         StochasticInstance(
             resources=("a", "b"),
-            types=(DemandType(0, 0.5, (0,)), DemandType(1, 0.4, (1,))),
+            types=(DemandType(0.5, (0,)), DemandType(0.4, (1,))),
             arrivals=3,
         )
 
 
 def test_duplicate_resources_rejected():
     with pytest.raises(ValueError, match="unique"):
-        StochasticInstance(resources=("a", "a"), types=(DemandType(0, 1.0, (0,)),), arrivals=1)
+        StochasticInstance(resources=("a", "a"), types=(DemandType(1.0, (0,)),), arrivals=1)
 
 
 def test_compatibility_must_be_sorted_and_in_range():
     with pytest.raises(ValueError, match="ascending"):
-        DemandType(0, 1.0, (1, 0))
+        DemandType(1.0, (1, 0))
     with pytest.raises(ValueError, match="references resource"):
-        StochasticInstance(resources=("a",), types=(DemandType(0, 1.0, (0, 1)),), arrivals=1)
+        StochasticInstance(resources=("a",), types=(DemandType(1.0, (0, 1)),), arrivals=1)
 
 
 def test_negative_resource_index_rejected():
     with pytest.raises(ValueError, match="references resource"):
-        StochasticInstance(resources=("a", "b"), types=(DemandType(0, 1.0, (-1, 0)),), arrivals=1)
+        StochasticInstance(resources=("a", "b"), types=(DemandType(1.0, (-1, 0)),), arrivals=1)
 
 
-def test_empty_compatibility_rejected_unless_allowed():
-    with pytest.raises(ValueError, match="empty"):
-        StochasticInstance(resources=("a",), types=(DemandType(0, 1.0, ()),), arrivals=1)
-    inst = StochasticInstance(
-        resources=("a",), types=(DemandType(0, 1.0, ()),), arrivals=1, allow_empty_types=True
-    )
+def test_empty_compatibility_is_a_valid_type():
+    inst = StochasticInstance(resources=("a",), types=(DemandType(1.0, ()),), arrivals=1)
     assert inst.types[0].compatible == ()
+    assert realize(inst, RngStream(1)).edges_for(0) == ()
+
+
+# one matchable type and one type with no compatible resource
+EMPTY_TYPE_DOC = {
+    "resources": ["a", "b"],
+    "types": [{"p": 0.5, "compatible": [0, 1]}, {"p": 0.5, "compatible": []}],
+    "n": 2,
+}
+
+
+def test_json_with_empty_type_loads_and_ignores_the_legacy_key():
+    import json
+
+    inst = instance_from_json(json.dumps(EMPTY_TYPE_DOC))
+    assert [t.compatible for t in inst.types] == [(0, 1), ()]
+    legacy = instance_from_json(json.dumps({**EMPTY_TYPE_DOC, "allow_empty_types": True}))
+    assert legacy == inst
+    assert instance_from_json(instance_to_json(inst)) == inst
+
+
+def test_synth_runs_on_an_instance_with_an_empty_type(tmp_path):
+    import json
+
+    from sparsematch.cli import main
+
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(EMPTY_TYPE_DOC))
+    out = tmp_path / "rows.csv"
+    assert main(["synth", "--instance", str(path), "--trials", "5", "--mc", "5",
+                 "--strategies", "offline,kvv,mgs,random:1,varopt:1", "--out", str(out)]) == 0
+    assert len(out.read_text().strip().split("\n")) == 1 + 5
 
 
 def test_realize_degenerate_single_type():
@@ -92,7 +120,7 @@ def test_type_frequency_matches_probabilities():
     # within 4 sigma of the binomial around p_j
     inst = StochasticInstance(
         resources=("a", "b", "c"),
-        types=(DemandType(0, 0.6, (0,)), DemandType(1, 0.3, (1,)), DemandType(2, 0.1, (2,))),
+        types=(DemandType(0.6, (0,)), DemandType(0.3, (1,)), DemandType(0.1, (2,))),
         arrivals=5,
     )
     base = RngStream(13)
@@ -143,7 +171,7 @@ def test_json_round_trip_every_bundled_trip_interval():
     built = 0
     for j, start in enumerate(default_interval_starts(trips)):
         try:
-            inst, _ = build_nyc_instance(trips, zones, start, RngStream(0).substream("supply", j))
+            inst = build_nyc_instance(trips, zones, start, RngStream(0).substream("supply", j))
         except EmptyWindow:
             continue
         built += 1

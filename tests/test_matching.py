@@ -144,15 +144,67 @@ def test_row_graph_matches_like_edge_graph():
         assert shuffled == shuffled_by_edge_pairs(edge_graph, base.substream(case))
 
 
-def test_row_graph_matching_size_equals_scipy():
+def scipy_matching_size(rows, right) -> int:
+    """Maximum matching size by scipy's ``maximum_bipartite_matching``."""
     sparse = pytest.importorskip("scipy.sparse")
     csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    pairs = [(l, r) for l, row in enumerate(rows) for r in row]
+    matrix = sparse.csr_matrix(([1] * len(pairs), ([l for l, _ in pairs], [r for _, r in pairs])),
+                               shape=(len(rows), right))
+    return int((csgraph.maximum_bipartite_matching(matrix, perm_type="column") >= 0).sum())
+
+
+def test_row_graph_matching_size_equals_scipy():
     for rows, right in sparsified_and_full_rows():
-        pairs = [(l, r) for l, row in enumerate(rows) for r in row]
-        matrix = sparse.csr_matrix(([1] * len(pairs), ([l for l, _ in pairs], [r for _, r in pairs])),
-                                   shape=(len(rows), right))
-        expected = int((csgraph.maximum_bipartite_matching(matrix, perm_type="column") >= 0).sum())
-        assert max_matching(BipartiteEdgeList.from_rows(right, rows)).size == expected
+        assert max_matching(BipartiteEdgeList.from_rows(right, rows)).size == scipy_matching_size(rows, right)
+
+
+def row_graphs(st, min_side: int, max_side: int):
+    """A hypothesis strategy of (rows, right count) with both side sizes in
+    [min_side, max_side]; each row lists distinct right vertices in any order."""
+
+    @st.composite
+    def graphs(draw):
+        left, right = draw(st.integers(min_side, max_side)), draw(st.integers(max(min_side, 1), max_side))
+        row = st.lists(st.integers(0, right - 1), unique=True, max_size=right).map(tuple)
+        return draw(st.lists(row, min_size=left, max_size=left)), right
+
+    return graphs()
+
+
+def assert_valid_matching(rows, pairs):
+    assert len({l for l, _ in pairs}) == len({r for _, r in pairs}) == len(pairs)
+    assert all(r in rows[l] for l, r in pairs)
+
+
+def test_hopcroft_karp_equals_brute_force_on_generated_graphs():
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(row_graphs(hypothesis.strategies, 0, 8))
+    def check(graph):
+        rows, right = graph
+        result = max_matching(BipartiteEdgeList.from_rows(right, rows))
+        assert_valid_matching(rows, result.pairs)
+        edges = [(l, r) for l, row in enumerate(rows) for r in row]
+        assert result.size == brute_force_matching(len(rows), right, edges)
+
+    check()
+
+
+def test_hopcroft_karp_equals_scipy_on_generated_graphs():
+    hypothesis = pytest.importorskip("hypothesis")
+    pytest.importorskip("scipy.sparse.csgraph")
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(row_graphs(hypothesis.strategies, 17, 60))
+    def check(graph):
+        rows, right = graph
+        result = max_matching(BipartiteEdgeList.from_rows(right, rows))
+        assert_valid_matching(rows, result.pairs)
+        assert result.size == scipy_matching_size(rows, right)
+
+    check()
 
 
 def test_full_edge_list_of_realization():

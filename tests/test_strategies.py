@@ -140,9 +140,8 @@ def test_varopt_samplers_cover_every_type():
     # set; neither -> None
     inst = StochasticInstance(
         resources=("a", "b", "c"),
-        types=(DemandType(0, 0.4, (0, 1, 2)), DemandType(1, 0.4, (1, 2)), DemandType(2, 0.2, ())),
+        types=(DemandType(0.4, (0, 1, 2)), DemandType(0.4, (1, 2)), DemandType(0.2, ())),
         arrivals=3,
-        allow_empty_types=True,
     )
     x = FractionalSolution.build(inst, {(0, 0): 0.2, (0, 2): 0.6})
     supported, fallback, empty = varopt_samplers(inst, x, 1)
@@ -202,7 +201,7 @@ def test_kvv_competitive_floor_on_families():
 
 
 def test_mgs_single_type_single_resource():
-    inst = StochasticInstance(("a",), (DemandType(0, 1.0, (0,)),), arrivals=6)
+    inst = StochasticInstance(("a",), (DemandType(1.0, (0,)),), arrivals=6)
     x = FractionalSolution.build(inst, {(0, 0): 1.0 / 6})
     graph = realize(inst, RngStream(1))
     outcome = mgs(graph, CopyMarginals.of_solution(x), RngStream(2))
@@ -278,15 +277,6 @@ def test_sampled_load_is_unbiased_per_resource():
     for i in range(n):
         expected = sum(x.arrival_mass[j] * x.x.get((j, i), 0.0) for j in range(n))
         assert load[i] == pytest.approx(expected, abs=0.08)
-
-
-def test_unknown_strategy_rejected():
-    inst = exclusive_pairs(2)
-    graph = realize(inst, RngStream(1))
-    cfg = StrategyConfig("offline")
-    object.__setattr__(cfg, "strategy", "mystery")
-    with pytest.raises(UnknownStrategy):
-        run_strategy(graph, cfg, RngStream(2))
 
 
 def test_random_subgraph_resource_retention_rate():

@@ -59,7 +59,7 @@ def test_lp_complete_uniform_value():
 
 
 def test_lp_single_type_five_arrivals():
-    inst = StochasticInstance(("a",), (DemandType(0, 1.0, (0,)),), arrivals=5)
+    inst = StochasticInstance(("a",), (DemandType(1.0, (0,)),), arrivals=5)
     solution = solve_expected_lp(inst)
     assert solution.objective == pytest.approx(1.0, rel=1e-9)
     assert solution.x[(0, 0)] == pytest.approx(0.2, abs=1e-9)
@@ -76,15 +76,15 @@ def test_lp_matches_generic_solver_on_random_instances():
             compat.append(tuple(sorted(gen.choice(nres, size=size, replace=False).tolist())))
         raw = gen.random(m) + 0.05
         probs = raw / raw.sum()
-        types = tuple(DemandType(j, float(p), c) for j, (p, c) in enumerate(zip(probs, compat)))
+        types = tuple(DemandType(float(p), c) for p, c in zip(probs, compat))
         inst = StochasticInstance(tuple(f"v{i}" for i in range(nres)), types, int(gen.integers(1, 10)))
         got = solve_expected_lp(inst).objective
         assert got == pytest.approx(lp_oracle(inst), rel=1e-9)
 
 
-def test_lp_properties_on_generated_instances():
-    hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
+def generated_instances(st):
+    """A hypothesis strategy of small instances, about half of them with one
+    type that has no compatible resource."""
 
     @st.composite
     def instances(draw):
@@ -93,13 +93,17 @@ def test_lp_properties_on_generated_instances():
         if draw(st.booleans()):
             compat.insert(draw(st.integers(0, len(compat))), set())
         raw = draw(st.lists(st.floats(0.05, 1.0), min_size=len(compat), max_size=len(compat)))
-        types = tuple(DemandType(j, w / sum(raw), tuple(sorted(c)))
-                      for j, (w, c) in enumerate(zip(raw, compat)))
-        return StochasticInstance(tuple(f"v{i}" for i in range(nres)), types,
-                                  draw(st.integers(1, 12)), allow_empty_types=True)
+        types = tuple(DemandType(w / sum(raw), tuple(sorted(c))) for w, c in zip(raw, compat))
+        return StochasticInstance(tuple(f"v{i}" for i in range(nres)), types, draw(st.integers(1, 12)))
+
+    return instances()
+
+
+def test_lp_properties_on_generated_instances():
+    hypothesis = pytest.importorskip("hypothesis")
 
     @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @hypothesis.given(instances())
+    @hypothesis.given(generated_instances(hypothesis.strategies))
     def check(inst):
         hypothesis.assume(any(inst.arrivals * t.probability % 1.0 for t in inst.types))
         solution = solve_expected_lp(inst)
@@ -120,7 +124,7 @@ def test_lp_equals_edmonds_karp_on_families_and_trip_intervals():
     trips, zones = ingest_trips(str(data / "nyc_sample_trips.csv"), str(data / "nyc_sample_zones.csv"))
     for j, start in enumerate(default_interval_starts(trips)):
         try:
-            instances.append(build_nyc_instance(trips, zones, start, RngStream(0).substream("supply", j))[0])
+            instances.append(build_nyc_instance(trips, zones, start, RngStream(0).substream("supply", j)))
         except EmptyWindow:
             continue
     assert len(instances) >= 4 + 3
@@ -129,7 +133,7 @@ def test_lp_equals_edmonds_karp_on_families_and_trip_intervals():
 
 
 def test_lp_degenerate_type_rejected():
-    types = (DemandType(0, 1.0, (0,)), DemandType(1, 0.0, (0,)))
+    types = (DemandType(1.0, (0,)), DemandType(0.0, (0,)))
     inst = StochasticInstance(("a",), types, arrivals=2)
     with pytest.raises(DegenerateType):
         solve_expected_lp(inst)
@@ -155,7 +159,7 @@ def test_build_rejects_infeasible():
 
 
 def test_monte_carlo_unique_matching():
-    inst = StochasticInstance(("a",), (DemandType(0, 1.0, (0,)),), arrivals=1)
+    inst = StochasticInstance(("a",), (DemandType(1.0, (0,)),), arrivals=1)
     solution = monte_carlo_weights(inst, 50, RngStream(1))
     assert solution.x[(0, 0)] == pytest.approx(1.0, abs=1e-12)
 
@@ -185,8 +189,8 @@ def test_monte_carlo_objective_tracks_offline_mean():
 def test_monte_carlo_fallback_for_unseen_types():
     # a type with vanishing probability is never drawn in a few simulations
     types = (
-        DemandType(0, 1.0 - 1e-12, (0,)),
-        DemandType(1, 1e-12, (0, 1)),
+        DemandType(1.0 - 1e-12, (0,)),
+        DemandType(1e-12, (0, 1)),
     )
     inst = StochasticInstance(("a", "b"), types, arrivals=2)
     solution = monte_carlo_weights(inst, 20, RngStream(3))
@@ -206,7 +210,7 @@ def test_monte_carlo_feasible_after_clamp():
 
 def test_heavy_light_worked_example():
     inst = StochasticInstance(
-        ("a", "b", "c"), (DemandType(0, 1.0, (0, 1, 2)),), arrivals=1
+        ("a", "b", "c"), (DemandType(1.0, (0, 1, 2)),), arrivals=1
     )
     x = FractionalSolution.build(inst, {(0, 0): 0.6, (0, 1): 0.3, (0, 2): 0.1})
     split = heavy_light(x, 2)
@@ -229,6 +233,7 @@ def test_heavy_light_concentrated_all_heavy():
     inst = complete_uniform(6)
     x = FractionalSolution.build(inst, {(j, j): 1.0 for j in range(6)})
     split = heavy_light(x, 3)
+    assert (split.z, split.k) == (x.objective, 3)
     assert split.z_heavy == pytest.approx(x.objective, abs=1e-9)
     assert split.z_light == 0.0
     assert split.z_heavy + split.z_light == pytest.approx(x.objective, abs=1e-9)
@@ -236,7 +241,7 @@ def test_heavy_light_concentrated_all_heavy():
 
 def test_spread_averages_interchangeable_pair():
     inst = StochasticInstance(
-        ("a", "b"), (DemandType(0, 1.0, (0, 1)),), arrivals=1
+        ("a", "b"), (DemandType(1.0, (0, 1)),), arrivals=1
     )
     x = FractionalSolution.build(inst, {(0, 0): 1.0})
     spread = spread_equivalence_classes(inst, x)
@@ -275,6 +280,37 @@ def test_spread_preserves_objective_on_random_feasible_solutions():
         assert spread.objective == pytest.approx(x.objective, abs=1e-9)
 
 
+def test_spread_properties_on_generated_solutions():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def solutions(draw):
+        # any feasible solution: random values scaled to the type limit, then
+        # overloaded resources scaled back to capacity
+        inst = draw(generated_instances(st))
+        x = {}
+        for j, t in enumerate(inst.types):
+            values = draw(st.lists(st.floats(0.0, 1.0), min_size=len(t.compatible), max_size=len(t.compatible)))
+            scale = max(1.0, sum(values))
+            x.update({(j, i): v / scale for i, v in zip(t.compatible, values)})
+        load = [0.0] * inst.resource_count
+        for (j, i), v in x.items():
+            load[i] += inst.arrivals * inst.types[j].probability * v
+        return inst, {(j, i): v / max(1.0, load[i]) for (j, i), v in x.items()}
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(solutions())
+    def check(case):
+        inst, values = case
+        x = FractionalSolution.build(inst, values)
+        spread = spread_equivalence_classes(inst, x)
+        assert spread.objective == pytest.approx(x.objective, rel=1e-9, abs=1e-12)
+        assert FractionalSolution.build(inst, spread.x).objective == spread.objective
+
+    check()
+
+
 def test_solution_json_round_trip():
     inst = exclusive_pairs(4)
     x = solve_expected_lp(inst)
@@ -290,9 +326,10 @@ def test_per_copy_marginals_shapes():
     inst = complete_uniform(6)
     marg = per_copy_marginals(inst, 40, RngStream(3))
     assert set(marg.first) <= set(range(6))
-    for ids, vals in marg.first.values():
-        assert len(ids) == len(vals)
+    for ids, vals, probs in marg.first.values():
+        assert len(ids) == len(vals) == len(probs)
         assert all(v > 0 for v in vals)
+        assert probs.sum() == pytest.approx(1.0, abs=1e-12)
     # second-copy events are rarer but present at n=6 over 40 simulations
     assert marg.second
 
