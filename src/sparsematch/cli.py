@@ -6,10 +6,11 @@ Subcommands:
   bounds   evaluate the theoretical guarantee against empirical sparsifier runs
   weights  learn fractional weights and cache them as JSON
 
-Each flag's default is declared once, in ``build_parser``.  A flat
-``key = value`` config file (--config) replaces those defaults, converted by
-each flag's type, so command-line values win.  Exit codes: 0 success,
-2 configuration error, 3 I/O error.
+Each flag's default is declared once, in ``build_parser``.  Each line of a
+flat ``key = value`` config file (--config) becomes a ``--key=value`` token
+ahead of the command line's own, so the one parser checks file values like
+flags and command-line values win.  Exit codes: 0 success, 2 configuration
+error, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import logging
 import sys
 from dataclasses import fields
 from datetime import datetime
-from typing import Mapping
 
 from .generators import FAMILIES, ingest_trips
 from .harness import (
@@ -38,11 +38,6 @@ from .strategies import StrategyConfig
 from .weights import solution_to_json
 
 log = logging.getLogger(__name__)
-
-# The flags that take one of a fixed set of values.  argparse checks choices
-# only on the command line, so config-file values are checked here too.
-CHOICES = {"weights": WEIGHT_SOURCES, "format": ("csv", "json"), "family": tuple(sorted(FAMILIES))}
-
 
 def parse_strategies(text: str) -> tuple[StrategyConfig, ...]:
     """Parse 'offline,kvv,random:3,varopt:5' into strategy configs."""
@@ -72,13 +67,13 @@ def load_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
+def _add_shared_flags(parser: argparse.ArgumentParser, sources: tuple[str, ...] = WEIGHT_SOURCES) -> None:
     parser.add_argument("--config", help="flat key = value config file; CLI flags override it")
     parser.add_argument("--seed", type=int, default=ExperimentConfig.seed,
                         help="base seed (default %(default)s)")
     parser.add_argument("--mc", type=int, default=ExperimentConfig.mc,
                         help="Monte Carlo simulations for weight learning (default %(default)s)")
-    parser.add_argument("--weights", choices=CHOICES["weights"], default=ExperimentConfig.weights,
+    parser.add_argument("--weights", choices=sources, default=ExperimentConfig.weights,
                         help="weight source for every guided strategy (default %(default)s)")
 
 
@@ -89,19 +84,17 @@ def _add_trial_flags(parser: argparse.ArgumentParser, formats: bool) -> None:
     parser.add_argument("--weights-in", help="cached weights JSON (for --weights file)")
     parser.add_argument("--out", help="output path (default: stdout)")
     if formats:
-        parser.add_argument("--format", choices=CHOICES["format"], default="csv",
+        parser.add_argument("--format", choices=("csv", "json"), default="csv",
                             help="output format (default %(default)s)")
 
 
 def _add_instance_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--family", choices=CHOICES["family"], help="synthetic family")
+    parser.add_argument("--family", choices=sorted(FAMILIES), help="synthetic family")
     parser.add_argument("--n", type=int, help="family size parameter")
     parser.add_argument("--instance", help="instance JSON file (alternative to --family)")
 
 
-def build_parser(file_values: Mapping[str, str] | None = None) -> argparse.ArgumentParser:
-    """The CLI parser; ``file_values`` (config-file keys and their text) become
-    the subcommands' defaults, converted by each flag's type like a flag value."""
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sparsematch",
                                      description="Local sparsification benchmarks for stochastic matching")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -131,27 +124,27 @@ def build_parser(file_values: Mapping[str, str] | None = None) -> argparse.Argum
     bounds_cmd.add_argument("--k-values", default="3,5,10", help="comma list of budgets (default %(default)s)")
 
     weights_cmd = sub.add_parser("weights", help="learn and cache fractional weights")
-    _add_shared_flags(weights_cmd)
+    _add_shared_flags(weights_cmd, sources=("lp", "montecarlo"))
     _add_instance_flags(weights_cmd)
     weights_cmd.add_argument("--weights-out", required=True, help="where to write the weights JSON")
-
-    defaults = {key.replace("-", "_"): value for key, value in (file_values or {}).items()}
-    for command in (synth, nyc, bounds_cmd, weights_cmd):
-        command.set_defaults(**defaults)
     return parser
 
 
-def _with_config_file(args: argparse.Namespace, argv: list[str] | None) -> argparse.Namespace:
-    """Parse ``argv`` again with the --config file's values as defaults; the command line wins."""
-    file_values = load_config_file(args.config)
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse ``argv`` with the --config file's lines as flags ahead of the
+    command line's own, so that command-line values win."""
+    pre = argparse.ArgumentParser(prog="sparsematch", add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    file_values = load_config_file(path) if path else {}
+    tokens = [f"--{key}={value}" for key, value in file_values.items()]
+    args = build_parser().parse_args([*argv[:1], *tokens, *argv[1:]])
+    # argparse accepts abbreviations and aliases; a key must be a flag's exact name
     known = {dest.replace("_", "-") for dest in vars(args)} - {"command", "config"}
     unknown = sorted(set(file_values) - known)
     if unknown:
-        raise ConfigError(f"{args.config}: {', '.join(unknown)} names no flag of {args.command}")
-    for key, value in file_values.items():
-        if key in CHOICES and value not in CHOICES[key]:
-            raise ConfigError(f"{args.config}: {key} = {value} (choose from {', '.join(CHOICES[key])})")
-    return build_parser(file_values).parse_args(argv)
+        raise ConfigError(f"{path}: {', '.join(unknown)} names no flag of {args.command}")
+    return args
 
 
 def _experiment_config(args: argparse.Namespace, strategies: tuple[StrategyConfig, ...]) -> ExperimentConfig:
@@ -185,9 +178,9 @@ def _cmd_nyc(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
-    config = _experiment_config(args, (StrategyConfig("offline"),))
-    ks = [int(v) for v in args.k_values.split(",")]
-    rows = bound_report(resolve_instance(config), args.family or "instance", ks, config)
+    budgets = tuple(StrategyConfig("varopt", int(k)) for k in args.k_values.split(","))
+    config = _experiment_config(args, budgets)
+    rows = bound_report(resolve_instance(config), args.family or "instance", config)
     lines = ["family,k,z,heavy_fraction,bound,empirical_mean,stderr,vacuous,verdict"]
     for r in rows:
         lines.append(
@@ -202,8 +195,6 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 def _cmd_weights(args: argparse.Namespace) -> int:
     config = _experiment_config(args, (StrategyConfig("offline"),))
     instance = resolve_instance(config)
-    if config.weights == "file":
-        raise ConfigError("the weights command learns from 'lp' or 'montecarlo'")
     x = solution_for_source(instance, config, RngStream(config.seed))
     _write(solution_to_json(x, instance.arrivals) + "\n", args.weights_out)
     return 0
@@ -215,10 +206,8 @@ COMMANDS = {"synth": _cmd_synth, "nyc": _cmd_nyc, "bounds": _cmd_bounds, "weight
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s",
                         stream=sys.stderr)
-    args = build_parser().parse_args(argv)
     try:
-        if args.config:
-            args = _with_config_file(args, argv)
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
         return COMMANDS[args.command](args)
     except OSError as exc:
         log.error("I/O failure: %s", exc)

@@ -82,6 +82,10 @@ class ExperimentConfig:
             raise ConfigError("duplicate strategy entries in the configuration")
         if self.family is not None and self.family not in FAMILIES:
             raise ConfigError(f"unknown family {self.family!r} (choose from {sorted(FAMILIES)})")
+        if self.instance_path is not None and (self.family is not None or self.n is not None):
+            raise ConfigError("give either an instance file or family + n, not both")
+        if (self.weights_in is not None) != (self.weights == "file"):
+            raise ConfigError("a weights file (--weights-in) goes with weight source 'file', and only with it")
 
 
 @dataclass(frozen=True)
@@ -136,8 +140,6 @@ def solution_for_source(
         return solve_expected_lp(instance)
     if config.weights == "montecarlo":
         return monte_carlo_weights(instance, config.mc, base.substream("weights"))
-    if config.weights_in is None:
-        raise ConfigError("weight source 'file' needs --weights-in")
     with open(config.weights_in) as fh:
         return solution_from_json(instance, fh.read())
 
@@ -249,26 +251,25 @@ class BoundRow:
     sound: bool
 
 
-def bound_report(instance: StochasticInstance, family: str, ks: list[int],
-                 config: ExperimentConfig) -> list[BoundRow]:
+def bound_report(instance: StochasticInstance, family: str, config: ExperimentConfig) -> list[BoundRow]:
     """Theorem bound against the guided sparsifier's empirical matching size,
-    per k, both from the solution of ``config.weights``."""
+    per budget of the varopt strategies of ``config``, both from the solution
+    of ``config.weights``."""
     base = RngStream(config.seed)
     x = solution_for_source(instance, config, base)
-    strategies = {k: StrategyConfig("varopt", k=k) for k in ks}
-    guidance = {cfg.label: varopt_samplers(instance, x, k) for k, cfg in strategies.items()}
-    scores = score_trials(instance, list(strategies.values()), guidance,
+    guidance = {cfg.label: varopt_samplers(instance, x, cfg.k) for cfg in config.strategies}
+    scores = score_trials(instance, config.strategies, guidance,
                           range(config.trials), base.substream("realize"), base.substream("bound"),
                           stream_key=lambda cfg: cfg.k, with_offline=False)
     rows = []
-    for k in ks:
-        split = heavy_light(x, k)
+    for cfg in config.strategies:
+        split = heavy_light(x, cfg.k)
         bound = theorem_bound(split)
-        mean, halfwidth = ci95([s.matched[strategies[k].label] for s in scores])
+        mean, halfwidth = ci95([s.matched[cfg.label] for s in scores])
         stderr = halfwidth / 1.96
         rows.append(BoundRow(
             family=family,
-            k=k,
+            k=cfg.k,
             z=x.objective,
             heavy_fraction=split.z_heavy / split.z,
             bound=bound,

@@ -28,6 +28,10 @@ TYPE_LIMIT_TOL = 1e-9
 _FLOW_EPS = 1e-12
 
 
+# One type's (resources, weights, weights normalized to probabilities).
+TypeWeights = tuple[tuple[int, ...], np.ndarray, np.ndarray]
+
+
 class DegenerateType(ValueError):
     """A zero-probability type was passed to the LP; drop such types first."""
 
@@ -44,7 +48,7 @@ class FractionalSolution:
     x: dict[tuple[int, int], float]
     objective: float
     arrival_mass: dict[int, float]
-    _by_type: dict[int, tuple[tuple[int, ...], np.ndarray]] = field(repr=False, default_factory=dict)
+    _by_type: dict[int, TypeWeights] = field(repr=False, default_factory=dict)
 
     @classmethod
     def build(cls, instance: StochasticInstance, x: Mapping[tuple[int, int], float]) -> "FractionalSolution":
@@ -73,23 +77,25 @@ class FractionalSolution:
             if y > 1.0 + RESOURCE_CAP_TOL:
                 raise ValueError(f"resource {i} expected load {y} exceeds 1")
         objective = sum(mass[j] * v for (j, _), v in clean.items())
-        by_type: dict[int, list] = {}
-        for (j, i), v in sorted(clean.items()):
-            by_type.setdefault(j, []).append((i, v))
-        prepared = {
-            j: (tuple(i for i, _ in pairs), np.asarray([v for _, v in pairs]))
-            for j, pairs in by_type.items()
-        }
-        return cls(x=clean, objective=objective, arrival_mass=mass, _by_type=prepared)
+        return cls(x=clean, objective=objective, arrival_mass=mass, _by_type=_group_by_type(clean))
 
     def support_of(self, type_id: int) -> tuple[tuple[int, ...], np.ndarray]:
         """Positively weighted resources of one type and their values."""
-        return self._by_type.get(type_id, ((), np.empty(0)))
+        ids, values, _ = self._by_type.get(type_id, ((), np.empty(0), None))
+        return ids, values
 
 
-def _with_probabilities(by_type: Mapping[int, tuple[tuple[int, ...], np.ndarray]]) -> dict:
-    """type -> (resources, weights, weights normalized to probabilities)."""
-    return {j: (ids, weights, weights / weights.sum()) for j, (ids, weights) in by_type.items()}
+def _group_by_type(values: Mapping[tuple[int, int], float]) -> dict[int, TypeWeights]:
+    """type -> (resources ascending, their weights, weights normalized to
+    probabilities) of a positive ``(type, resource) -> weight`` map."""
+    grouped: dict[int, list[tuple[int, float]]] = {}
+    for (j, i), v in sorted(values.items()):
+        grouped.setdefault(j, []).append((i, v))
+    by_type = {}
+    for j, pairs in grouped.items():
+        weights = np.asarray([v for _, v in pairs], dtype=float)
+        by_type[j] = (tuple(i for i, _ in pairs), weights, weights / weights.sum())
+    return by_type
 
 
 @dataclass(frozen=True)
@@ -101,14 +107,13 @@ class CopyMarginals:
     from a map were never matched in that copy position.
     """
 
-    first: dict[int, tuple[tuple[int, ...], np.ndarray, np.ndarray]]
-    second: dict[int, tuple[tuple[int, ...], np.ndarray, np.ndarray]]
+    first: dict[int, TypeWeights]
+    second: dict[int, TypeWeights]
 
     @classmethod
     def of_solution(cls, x: FractionalSolution) -> "CopyMarginals":
         """Both copies guided by the per-type support of one fractional solution."""
-        guided = _with_probabilities(x._by_type)
-        return cls(first=guided, second=guided)
+        return cls(first=x._by_type, second=x._by_type)
 
 
 def _simulated_optima(instance: StochasticInstance, simulations: int, rng: RngStream,
@@ -147,17 +152,7 @@ def per_copy_marginals(instance: StochasticInstance, simulations: int, rng: RngS
                 bucket = counts[copy - 1]
                 key = (type_id, match_of[l])
                 bucket[key] = bucket.get(key, 0) + 1
-
-    def collect(bucket: dict[tuple[int, int], int]) -> dict:
-        grouped: dict[int, list[tuple[int, int]]] = {}
-        for (j, i), c in sorted(bucket.items()):
-            grouped.setdefault(j, []).append((i, c))
-        return _with_probabilities({
-            j: (tuple(i for i, _ in pairs), np.asarray([c for _, c in pairs], dtype=float))
-            for j, pairs in grouped.items()
-        })
-
-    return CopyMarginals(first=collect(counts[0]), second=collect(counts[1]))
+    return CopyMarginals(first=_group_by_type(counts[0]), second=_group_by_type(counts[1]))
 
 
 def _max_flow(adj: list[list[int]], to: list[int], cap: list[float], source: int, sink: int) -> None:

@@ -212,16 +212,73 @@ def test_weights_rejects_out_and_format_flags(tmp_path, capsys):
     assert not cache.exists() and not out.exists()
 
 
-def test_config_key_naming_no_flag_of_the_subcommand_is_config_error(tmp_path, caplog):
+def refuse_to_run(*args, **kwargs):
+    raise AssertionError("the experiment ran with an invalid config")
+
+
+def test_config_key_naming_no_flag_of_the_subcommand_is_config_error(tmp_path, monkeypatch, capsys):
+    import sparsematch.cli as cli
+
+    monkeypatch.setattr(cli, "bound_report", refuse_to_run)
     conf = tmp_path / "bounds.conf"
     conf.write_text("family = block\nn = 20\ntrials = 2\nmc = 5\nformat = json\n")
     out = tmp_path / "bounds.csv"
-    assert main(["bounds", "--config", str(conf), "--out", str(out)]) == 2
-    assert "format" in caplog.text
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "--config", str(conf), "--out", str(out)])
+    assert exc.value.code == 2
+    assert "format" in capsys.readouterr().err
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag", [("--trials", "7"), ("--weights-in", "/nonexistent.json")])
+@pytest.mark.parametrize("line", ["se = 5",  # an abbreviation of seed
+                                  "interval = 2025-05-14T08:05:00",  # an alias of start
+                                  "config = other.conf"])
+def test_config_key_must_be_a_flags_exact_name(tmp_path, monkeypatch, caplog, line):
+    import sparsematch.cli as cli
+
+    monkeypatch.setattr(cli, "run_nyc_day", refuse_to_run)
+    conf = tmp_path / "nyc.conf"
+    conf.write_text(f"trips = {TRIPS}\nzones = {ZONES}\ntrials = 2\nmc = 5\nintervals = 1\n{line}\n")
+    out = tmp_path / "series.csv"
+    assert main(["nyc", "--config", str(conf), "--out", str(out)]) == 2
+    assert f": {line.split(' =')[0]} names no flag of nyc" in caplog.text
+    assert not out.exists()
+
+
+def test_duplicate_bounds_budgets_exit_2(tmp_path, caplog):
+    out = tmp_path / "bounds.csv"
+    assert main(["bounds", "--family", "block", "--n", "20", "--trials", "2", "--mc", "5",
+                 "--k-values", "3,3", "--out", str(out)]) == 2
+    assert "duplicate" in caplog.text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [("--weights-in", "/nonexistent.json"),  # Monte Carlo would ignore it
+                                   ("--weights", "lp", "--weights-in", "/nonexistent.json")])
+def test_weights_file_without_weight_source_file_exits_2(tmp_path, caplog, flags):
+    out = tmp_path / "rows.csv"
+    assert main(["synth", "--family", "block", "--n", "20", "--trials", "2", "--mc", "5",
+                 "--strategies", "offline,varopt:3", *flags, "--out", str(out)]) == 2
+    assert "weights-in" in caplog.text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", [("--family", "block", "--n", "20"), ("--family", "block"), ("--n", "20")])
+def test_instance_file_with_family_or_n_exits_2(tmp_path, caplog, source):
+    from sparsematch.generators import FAMILIES
+    from sparsematch.instance import instance_to_json
+
+    inst = tmp_path / "tri.json"
+    inst.write_text(instance_to_json(FAMILIES["triangular"](20)))
+    out = tmp_path / "bounds.csv"
+    assert main(["bounds", *source, "--instance", str(inst), "--trials", "2", "--mc", "5",
+                 "--out", str(out)]) == 2
+    assert "not both" in caplog.text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", [("--trials", "7"), ("--weights-in", "/nonexistent.json"),
+                                  ("--weights", "file")])  # weights learns; it reads no weights
 def test_weights_rejects_trials_and_weights_in_flags(tmp_path, capsys, flag):
     cache = tmp_path / "w.json"
     with pytest.raises(SystemExit) as exc:
@@ -243,19 +300,19 @@ def test_out_of_range_seed_is_config_error(tmp_path, caplog, seed):
 
 GOLDEN_WEIGHTS = str(REPO_ROOT / "tests" / "golden" / "weights-lp.json")
 
-# subcommand case -> (arguments that stay on the command line, flag -> value);
-# "{inst}" stands for an instance JSON file written by the test.
+# subcommand case -> (subcommand, flag -> value); "{inst}" stands for an
+# instance JSON file written by the test.  The output flag is added to each.
 PARITY_CASES = {
-    "synth": (("synth",), {"family": "block", "n": "20", "seed": "3", "mc": "6", "trials": "4",
-                           "weights": "lp", "format": "json", "strategies": "offline,mgs,varopt:3"}),
-    "synth-file": (("synth",), {"instance": "{inst}", "seed": "1", "trials": "3", "weights": "file",
-                                "weights-in": GOLDEN_WEIGHTS, "strategies": "mgs,varopt:5"}),
-    "nyc": (("nyc", "--trips", TRIPS, "--zones", ZONES),
-            {"seed": "2", "mc": "5", "trials": "3", "weights": "montecarlo", "format": "json",
-             "start": "2025-05-14T08:05:00", "intervals": "2", "strategies": "offline,mgs,varopt:5"}),
-    "bounds": (("bounds",), {"family": "block", "n": "20", "seed": "4", "mc": "5", "trials": "4",
-                             "weights": "file", "weights-in": GOLDEN_WEIGHTS, "k-values": "3,5"}),
-    "weights": (("weights",), {"family": "tsm", "n": "20", "seed": "5", "mc": "5", "weights": "montecarlo"}),
+    "synth": ("synth", {"family": "block", "n": "20", "seed": "3", "mc": "6", "trials": "4",
+                        "weights": "lp", "format": "json", "strategies": "offline,mgs,varopt:3"}),
+    "synth-file": ("synth", {"instance": "{inst}", "seed": "1", "trials": "3", "weights": "file",
+                             "weights-in": GOLDEN_WEIGHTS, "strategies": "mgs,varopt:5"}),
+    "nyc": ("nyc", {"trips": TRIPS, "zones": ZONES, "seed": "2", "mc": "5", "trials": "3",
+                    "weights": "montecarlo", "format": "json", "start": "2025-05-14T08:05:00",
+                    "intervals": "2", "strategies": "offline,mgs,varopt:5"}),
+    "bounds": ("bounds", {"family": "block", "n": "20", "seed": "4", "mc": "5", "trials": "4",
+                          "weights": "file", "weights-in": GOLDEN_WEIGHTS, "k-values": "3,5"}),
+    "weights": ("weights", {"family": "tsm", "n": "20", "seed": "5", "mc": "5", "weights": "montecarlo"}),
 }
 
 
@@ -266,33 +323,29 @@ def test_config_file_values_match_command_line_flags(tmp_path, case):
 
     inst = tmp_path / "inst.json"
     inst.write_text(instance_to_json(FAMILIES["block"](20)))
-    fixed, values = PARITY_CASES[case]
+    command, values = PARITY_CASES[case]
     values = {key: value.format(inst=inst) for key, value in values.items()}
-    out_flag = "--weights-out" if fixed[0] == "weights" else "--out"
-    flags = [token for key, value in values.items() for token in (f"--{key}", value)]
+    out_key = "weights-out" if command == "weights" else "out"  # required flags come from the file too
     by_flag, by_file = tmp_path / "flags.out", tmp_path / "file.out"
-    assert main([*fixed, *flags, out_flag, str(by_flag)]) == 0
-    file_out = [out_flag, str(by_file)]
-    if out_flag == "--out":  # --weights-out is required on the command line
-        values, file_out = {**values, "out": str(by_file)}, []
+    flags = {**values, out_key: str(by_flag)}
+    assert main([command, *(token for key, value in flags.items() for token in (f"--{key}", value))]) == 0
     conf = tmp_path / "run.conf"
-    conf.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
-    assert main([*fixed, "--config", str(conf), *file_out]) == 0
+    conf.write_text("".join(f"{key} = {value}\n" for key, value in {**values, out_key: str(by_file)}.items()))
+    assert main([command, "--config", str(conf)]) == 0
     assert by_file.read_bytes() == by_flag.read_bytes()
 
 
-def test_config_value_outside_choices_exits_2_before_any_trial(tmp_path, monkeypatch, caplog):
+def test_config_value_outside_choices_exits_2_before_any_trial(tmp_path, monkeypatch, capsys):
     import sparsematch.cli as cli
 
-    def no_trials(*args, **kwargs):
-        raise AssertionError("the experiment ran with an invalid config value")
-
-    monkeypatch.setattr(cli, "run_experiment", no_trials)
+    monkeypatch.setattr(cli, "run_experiment", refuse_to_run)
     conf = tmp_path / "run.conf"
     conf.write_text("family = block\nn = 20\ntrials = 2\nmc = 5\nformat = xml\n")
     out = tmp_path / "out.csv"
-    assert main(["synth", "--config", str(conf), "--out", str(out)]) == 2
-    assert "format = xml" in caplog.text
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", "--config", str(conf), "--out", str(out)])
+    assert exc.value.code == 2
+    assert "xml" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -68,6 +68,21 @@ def test_config_validation():
         small_config(weights="psychic")
 
 
+@pytest.mark.parametrize("source", [dict(weights_in="w.json"),  # a file the run would not read
+                                    dict(weights="lp", weights_in="w.json"),
+                                    dict(weights="file")])  # no file to read
+def test_weights_file_goes_with_weight_source_file_only(source):
+    with pytest.raises(ConfigError, match="weights-in"):
+        small_config(**source)
+    assert small_config(weights="file", weights_in="w.json").weights_in == "w.json"
+
+
+@pytest.mark.parametrize("source", [dict(n=None), dict(family=None), dict()])
+def test_instance_file_excludes_family_and_n(source):
+    with pytest.raises(ConfigError, match="not both"):
+        small_config(**source, instance_path="inst.json")
+
+
 def test_offline_strategy_scores_one():
     summaries = run_experiment(small_config())
     offline = next(s for s in summaries if s.strategy == "offline")
