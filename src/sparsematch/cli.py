@@ -40,7 +40,7 @@ from .weights import solution_to_json
 log = logging.getLogger(__name__)
 
 def parse_strategies(text: str) -> tuple[StrategyConfig, ...]:
-    """Parse 'offline,kvv,random:3,varopt:5' into strategy configs."""
+    """Parse 'offline,kvv,random:3,varopt:5' into strategy configs; blank entries are skipped."""
     configs = []
     for token in text.split(","):
         token = token.strip()
@@ -48,8 +48,6 @@ def parse_strategies(text: str) -> tuple[StrategyConfig, ...]:
             continue
         name, _, k_text = token.partition(":")
         configs.append(StrategyConfig(name, k=int(k_text) if k_text else None))
-    if not configs:
-        raise ConfigError("empty strategy list")
     return tuple(configs)
 
 

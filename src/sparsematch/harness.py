@@ -10,7 +10,9 @@ index alone, never by position in the loop, so results are reproducible from
 (config, seed) and independent of trial scheduling.  Guided strategies read
 guidance learned once per experiment from a dedicated substream, keyed by
 strategy label.  An experiment has one weight source, ``ExperimentConfig.weights``,
-and ``solution_for_source`` is the one place it becomes a solution.
+and ``solution_for_source`` is the one place it becomes a solution.  An
+efficiency summary holds its ``StrategyConfig``, and summaries are reported in
+that config's order: by strategy name, then budget.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .generators import FAMILIES, HALF_WINDOW, EmptyWindow, TripRecord, ZoneMode
 from .instance import StochasticInstance, instance_from_json, realize
 from .matching import full_edge_list, max_matching
 from .rng import RngStream
-from .strategies import STRATEGIES, StrategyConfig, run_strategy, varopt_samplers
+from .strategies import GUIDED, StrategyConfig, run_strategy, varopt_samplers
 from .weights import (
     CopyMarginals,
     FractionalSolution,
@@ -77,8 +79,7 @@ class ExperimentConfig:
             raise ConfigError("at least one strategy is required")
         if self.weights not in WEIGHT_SOURCES:
             raise ConfigError(f"unknown weight source {self.weights!r} (choose from {WEIGHT_SOURCES})")
-        labels = [cfg.label for cfg in self.strategies]
-        if len(set(labels)) != len(labels):
+        if len(set(self.strategies)) != len(self.strategies):
             raise ConfigError("duplicate strategy entries in the configuration")
         if self.family is not None and self.family not in FAMILIES:
             raise ConfigError(f"unknown family {self.family!r} (choose from {sorted(FAMILIES)})")
@@ -90,17 +91,12 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class EfficiencySummary:
-    """Mean per-trial efficiency of one strategy with its 95% CI halfwidth."""
+    """Mean per-trial efficiency of one configured strategy with its 95% CI halfwidth."""
 
-    strategy: str
-    k: int | None
+    config: StrategyConfig
     mean: float
     ci95: float
     trials: int
-
-    @property
-    def label(self) -> str:
-        return self.strategy if self.k is None else f"{self.strategy} k={self.k}"
 
 
 @dataclass(frozen=True)
@@ -159,7 +155,7 @@ def learn_weight_sources(
     x = None
     guidance: dict[str, object] = {}
     for cfg in config.strategies:
-        if not STRATEGIES[cfg.strategy].guided:
+        if cfg.strategy not in GUIDED:
             continue
         if cfg.strategy == "mgs" and config.weights == "montecarlo":
             guidance[cfg.label] = per_copy_marginals(instance, config.mc, base.substream("weights", "mgs"))
@@ -231,11 +227,8 @@ def run_experiment(
     if not scored:
         raise ConfigError("every trial had an empty offline matching; nothing to score")
 
-    summaries = []
-    for cfg in sorted(config.strategies, key=lambda c: (c.strategy, c.k if c.k is not None else -1)):
-        mean, halfwidth = ci95([s.matched[cfg.label] / s.offline for s in scored])
-        summaries.append(EfficiencySummary(cfg.strategy, cfg.k, mean, halfwidth, len(scored)))
-    return summaries
+    return [EfficiencySummary(cfg, *ci95([s.matched[cfg.label] / s.offline for s in scored]), len(scored))
+            for cfg in sorted(config.strategies)]
 
 
 @dataclass(frozen=True)
@@ -354,7 +347,7 @@ def _fmt(value: float) -> str:
 
 
 def render_results(results: list[EfficiencySummary] | UnmetDemandSeries, fmt: str) -> str:
-    """Serialize summaries or a series as CSV or JSON text with bit-stable ordering."""
+    """Serialize summaries (in the order given) or a series (by label) as CSV or JSON text."""
     if fmt not in ("csv", "json"):
         raise ConfigError(f"unknown output format {fmt!r}")
     if isinstance(results, UnmetDemandSeries):
@@ -374,18 +367,18 @@ def render_results(results: list[EfficiencySummary] | UnmetDemandSeries, fmt: st
                 indent=2,
             )
     else:
-        rows = sorted(results, key=lambda s: (s.strategy, s.k if s.k is not None else -1))
         if fmt == "csv":
             lines = ["strategy,k,mean,ci95,trials"]
-            for s in rows:
-                k = "" if s.k is None else str(s.k)
-                lines.append(f"{s.strategy},{k},{_fmt(s.mean)},{_fmt(s.ci95)},{s.trials}")
+            for s in results:
+                k = "" if s.config.k is None else str(s.config.k)
+                lines.append(f"{s.config.strategy},{k},{_fmt(s.mean)},{_fmt(s.ci95)},{s.trials}")
             payload = "\n".join(lines) + "\n"
         else:
             payload = json.dumps(
                 [
-                    {"strategy": s.strategy, "k": s.k, "mean": s.mean, "ci95": s.ci95, "trials": s.trials}
-                    for s in rows
+                    {"strategy": s.config.strategy, "k": s.config.k, "mean": s.mean, "ci95": s.ci95,
+                     "trials": s.trials}
+                    for s in results
                 ],
                 indent=2,
             )

@@ -11,6 +11,7 @@ to every resource compatible with its type.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 import numpy as np
@@ -111,15 +112,32 @@ def instance_to_json(instance: StochasticInstance) -> str:
     }, indent=2)
 
 
+_JSON_TYPES = {"array": list, "integer": int, "number": (int, float)}
+
+
+def json_value(value, kind: str):
+    """``value`` if it is a JSON ``kind`` ("array", "integer" or "number"),
+    else ValueError: file readers coerce nothing, a bool is no number, and
+    neither is the NaN or Infinity that ``json.loads`` accepts."""
+    if (isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind])
+            or kind == "number" and not -math.inf < value < math.inf):
+        raise ValueError(f"malformed JSON: expected a JSON {kind}, got {value!r}")
+    return value
+
+
 def instance_from_json(text: str) -> StochasticInstance:
-    """Parse an instance; a missing key or a value of the wrong type raises ValueError.
+    """Parse an instance; a missing key or a value of the wrong JSON type raises ValueError.
 
     Other keys are ignored, so files that still carry the retired
     ``allow_empty_types`` key load unchanged."""
     doc = json.loads(text)
     try:
-        types = tuple(DemandType(float(t["p"]), tuple(t["compatible"])) for t in doc["types"])
-        resources, arrivals = tuple(str(r) for r in doc["resources"]), int(doc["n"])
-    except (KeyError, TypeError) as exc:
+        types = []
+        for t in json_value(doc["types"], "array"):
+            compatible = tuple(json_value(i, "integer") for i in json_value(t["compatible"], "array"))
+            types.append(DemandType(float(json_value(t["p"], "number")), compatible))
+        resources = tuple(str(r) for r in json_value(doc["resources"], "array"))
+        arrivals = json_value(doc["n"], "integer")
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed instance JSON: {exc!r}") from None
     return StochasticInstance(resources=resources, types=types, arrivals=arrivals)

@@ -1,4 +1,4 @@
-"""The evaluated matching strategies and the table that dispatches them.
+"""The evaluated matching strategies and their one dispatch.
 
 Local sparsifiers (guided fixed-size sampling and uniform random subsets)
 prune each arrival's edges independently before a central maximum matching;
@@ -7,15 +7,15 @@ arrival; the offline optimum sees the whole realization.  Per-arrival
 randomness is drawn from substreams keyed by arrival index, so one arrival's
 selection never depends on the other arrivals.
 
-``STRATEGIES`` maps each strategy name to its runner and to whether it needs
-a budget k or guidance learned once per experiment; ``run_strategy`` is the
-one entry point.
+``STRATEGY_NAMES`` declares the strategies; those in ``BUDGETED`` take a
+budget k and the others take none, those in ``GUIDED`` read guidance learned
+once per experiment.  ``run_strategy`` is the one entry point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -24,6 +24,11 @@ from .matching import BipartiteEdgeList, full_edge_list, max_matching
 from .rng import ArrivalStreams, RngStream
 from .varopt import VarOptSampler
 from .weights import CopyMarginals, FractionalSolution
+
+
+STRATEGY_NAMES = ("offline", "kvv", "random", "mgs", "varopt")
+BUDGETED = {"random", "varopt"}
+GUIDED = {"mgs", "varopt"}
 
 
 class UnknownStrategy(ValueError):
@@ -38,18 +43,20 @@ class StrategyOutcome:
     sparsified_edges: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class StrategyConfig:
-    """One strategy and its budget k (for the budgeted ones)."""
+    """One strategy and its budget k, given exactly for the budgeted ones, so
+    configs sort by name, then budget."""
 
     strategy: str
     k: int | None = None
 
     def __post_init__(self):
-        if self.strategy not in STRATEGIES:
+        if self.strategy not in STRATEGY_NAMES:
             raise UnknownStrategy(f"unknown strategy {self.strategy!r}")
-        if STRATEGIES[self.strategy].budgeted and (self.k is None or self.k < 1):
-            raise ValueError(f"strategy {self.strategy!r} needs a budget k >= 1")
+        if (self.k is not None) != (self.strategy in BUDGETED) or self.k is not None and self.k < 1:
+            raise ValueError(f"strategy {self.strategy!r} with k={self.k}: a budget k >= 1 goes "
+                             f"with {' and '.join(sorted(BUDGETED))}, and only with them")
 
     @property
     def label(self) -> str:
@@ -92,8 +99,6 @@ def varopt_sparsify(
 
 def random_subgraph(graph: RealizedGraph, k: int, rng: RngStream) -> list[tuple[int, ...]]:
     """Naive sparsifier: one row per arrival, a uniform subset of at most k compatible edges."""
-    if k < 1:
-        raise ValueError(f"budget k must be >= 1, got {k}")
     streams = ArrivalStreams(rng, graph.n)
     rows = []
     for i in range(graph.n):
@@ -177,35 +182,6 @@ def _offline(graph: RealizedGraph) -> StrategyOutcome:
     return StrategyOutcome(max_matching(edge_list).size, sum(map(len, edge_list.adjacency)))
 
 
-@dataclass(frozen=True)
-class Strategy:
-    """A table entry: ``run(graph, config, rng, guidance)``, whether the
-    strategy needs a budget k, and whether it is guided by learned weights."""
-
-    run: Callable[..., StrategyOutcome]
-    budgeted: bool = False
-    guided: bool = False
-
-
-# Runners look the strategy functions up when called, so a function replaced
-# on this module (say, by a tracer) is the one that runs.
-STRATEGIES: dict[str, Strategy] = {
-    "offline": Strategy(lambda graph, config, rng, guidance: _offline(graph)),
-    "kvv": Strategy(lambda graph, config, rng, guidance: kvv_ranking(graph, rng)),
-    "random": Strategy(
-        lambda graph, config, rng, guidance: _coordinate(graph, random_subgraph(graph, config.k, rng)),
-        budgeted=True,
-    ),
-    "mgs": Strategy(lambda graph, config, rng, guidance: mgs(graph, guidance, rng), guided=True),
-    "varopt": Strategy(
-        lambda graph, config, rng, guidance: _coordinate(graph, varopt_sparsify(graph, guidance, rng)),
-        budgeted=True,
-        guided=True,
-    ),
-}
-STRATEGY_NAMES = tuple(STRATEGIES)
-
-
 def run_strategy(
     graph: RealizedGraph, config: StrategyConfig, rng: RngStream, guidance: object = None
 ) -> StrategyOutcome:
@@ -216,8 +192,15 @@ def run_strategy(
     maximum matching of the reported subgraph; online strategies by their own
     irrevocable matches; offline is the full-information maximum matching.
     """
-    entry = STRATEGIES[config.strategy]
-    if entry.guided and guidance is None:
+    if config.strategy in GUIDED and guidance is None:
         raise ValueError(f"strategy {config.strategy!r} needs guidance learned from a "
                          "fractional solution: VarOpt samplers or copy marginals")
-    return entry.run(graph, config, rng, guidance)
+    if config.strategy == "offline":
+        return _offline(graph)
+    if config.strategy == "kvv":
+        return kvv_ranking(graph, rng)
+    if config.strategy == "mgs":
+        return mgs(graph, guidance, rng)
+    if config.strategy == "random":
+        return _coordinate(graph, random_subgraph(graph, config.k, rng))
+    return _coordinate(graph, varopt_sparsify(graph, guidance, rng))

@@ -19,7 +19,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .bounds import BoundInputs
-from .instance import RealizedGraph, StochasticInstance, realize
+from .instance import RealizedGraph, StochasticInstance, json_value, realize
 from .matching import MatchingResult, full_edge_list, max_matching, max_matching_shuffled
 from .rng import RngStream
 
@@ -262,23 +262,14 @@ def monte_carlo_weights(instance: StochasticInstance, simulations: int, rng: Rng
             key = (graph.type_ids[l], r)
             match_count[key] = match_count.get(key, 0) + 1
 
-    matched_total = np.zeros(m, dtype=np.int64)
-    for (j, _), c in match_count.items():
-        matched_total[j] += c
-
+    matched = _group_by_type(match_count)
     x: dict[tuple[int, int], float] = {}
     for j, t in enumerate(instance.types):
-        if not t.compatible:
-            continue
-        if matched_total[j] > 0:
-            for i in t.compatible:
-                c = match_count.get((j, i), 0)
-                if c:
-                    x[(j, i)] = c / float(arrivals_of[j])
-        else:
-            uniform = 1.0 / len(t.compatible)
-            for i in t.compatible:
-                x[(j, i)] = uniform
+        if j in matched:
+            ids, counts, _ = matched[j]
+            x.update({(j, i): c / arrivals_of[j] for i, c in zip(ids, counts)})
+        else:  # never matched: uniform over the compatibility set
+            x.update({(j, i): 1.0 / len(t.compatible) for i in t.compatible})
 
     # Finite-sample noise (and the uniform fallback) can overload a resource;
     # project back by scaling each overloaded resource's column.
@@ -343,12 +334,13 @@ def solution_to_json(x: FractionalSolution, arrivals: int) -> str:
 
 
 def solution_from_json(instance: StochasticInstance, text: str) -> FractionalSolution:
-    """Parse cached weights; a missing key or a value of the wrong type raises ValueError."""
+    """Parse cached weights; a missing key or a value of the wrong JSON type raises ValueError."""
     doc = json.loads(text)
     try:
-        n = int(doc["n"])
-        x = {(int(e["type"]), int(e["resource"])): float(e["x"]) for e in doc["entries"]}
-    except (KeyError, TypeError) as exc:
+        n = json_value(doc["n"], "integer")
+        x = {(json_value(e["type"], "integer"), json_value(e["resource"], "integer")):
+             float(json_value(e["x"], "number")) for e in json_value(doc["entries"], "array")}
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed weights JSON: {exc!r}") from None
     if n != instance.arrivals:
         raise ValueError(f"cached weights were learned for n={n}, instance has n={instance.arrivals}")

@@ -82,7 +82,7 @@ def table1_results():
         config = ExperimentConfig(
             strategies=TABLE_STRATEGIES, family=family, n=100, trials=100, mc=100, seed=0
         )
-        results[family] = {s.label: s for s in run_experiment(config)}
+        results[family] = {s.config.label: s for s in run_experiment(config)}
     return results, time.perf_counter() - start
 
 

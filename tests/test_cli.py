@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -25,8 +26,8 @@ def run_cli(args, cwd=str(REPO_ROOT)):
 def test_parse_strategies():
     configs = parse_strategies("offline,kvv,random:3,varopt:5")
     assert [c.label for c in configs] == ["offline", "kvv", "random k=3", "varopt k=5"]
-    with pytest.raises(ConfigError):
-        parse_strategies(" , ")
+    assert parse_strategies(" , ") == ()
+    assert main(["synth", "--family", "block", "--n", "20", "--trials", "2", "--strategies", " , "]) == 2
 
 
 def test_config_file_parsing(tmp_path):
@@ -214,6 +215,83 @@ def test_weights_rejects_out_and_format_flags(tmp_path, capsys):
 
 def refuse_to_run(*args, **kwargs):
     raise AssertionError("the experiment ran with an invalid config")
+
+
+@pytest.mark.parametrize("strategies", ["kvv:3", "offline:7", "mgs:2", "offline,kvv,kvv:3,offline:7"])
+def test_budget_on_an_unbudgeted_strategy_exits_2(monkeypatch, capsys, strategies):
+    import sparsematch.cli as cli
+
+    monkeypatch.setattr(cli, "run_experiment", refuse_to_run)
+    assert main(["synth", "--family", "block", "--n", "20", "--trials", "2", "--mc", "5",
+                 "--strategies", strategies]) == 2
+    assert capsys.readouterr().out == ""
+
+
+# a three-resource instance with one type, and weights cached for it; each
+# test below breaks one field of one of them
+INSTANCE_DOC = {"resources": ["a", "b", "c"], "types": [{"p": 1.0, "compatible": [0, 1, 2]}], "n": 3}
+WEIGHTS_DOC = {"entries": [{"type": 0, "resource": 1, "x": 0.3}], "n": 3}
+
+
+def with_field(doc, path, value):
+    """A copy of ``doc`` with the field at ``path`` (keys and list indices) replaced."""
+    doc = json.loads(json.dumps(doc))
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    return doc
+
+
+@pytest.mark.parametrize("path, value", [
+    (("resources",), "abc"),  # a string, not an array
+    (("n",), 3.7),
+    (("n",), True),
+    (("types", 0, "p"), "1.0"),
+    (("types", 0, "p"), True),
+    (("types", 0, "compatible"), [0.9, 1, 2]),
+    (("types", 0, "compatible"), [False, 1, 2]),
+    (("types", 0, "compatible"), ""),
+    (("types", 0, "p"), 10**400),  # a JSON number beyond float range
+], ids=["resources-string", "n-float", "n-bool", "p-string", "p-bool", "compatible-float", "compatible-bool",
+        "compatible-string", "p-huge"])
+def test_instance_file_with_a_wrong_json_type_exits_2(tmp_path, path, value):
+    inst = write_json(tmp_path / "inst.json", INSTANCE_DOC)
+    assert main(["weights", "--instance", inst, "--weights", "lp", "--weights-out", str(tmp_path / "ok.json")]) == 0
+    inst = write_json(tmp_path / "bad.json", with_field(INSTANCE_DOC, path, value))
+    out = tmp_path / "w.json"
+    assert main(["weights", "--instance", inst, "--weights", "lp", "--weights-out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("path, value", [
+    (("n",), 3.9),
+    (("entries",), {}),  # an object, not an array
+    (("entries", 0, "type"), 0.7),
+    (("entries", 0, "resource"), 1.2),
+    (("entries", 0, "resource"), True),
+    (("entries", 0, "x"), "0.3"),
+    (("entries", 0, "x"), False),
+    (("entries", 0, "x"), 10**400),
+], ids=["n-float", "entries-object", "type-float", "resource-float", "resource-bool", "x-string", "x-bool",
+        "x-huge"])
+def test_weights_file_with_a_wrong_json_type_exits_2(tmp_path, capsys, path, value):
+    inst = write_json(tmp_path / "inst.json", INSTANCE_DOC)
+    run = ["synth", "--instance", inst, "--trials", "2", "--strategies", "offline,varopt:1", "--weights", "file"]
+    assert main([*run, "--weights-in", write_json(tmp_path / "ok.json", WEIGHTS_DOC)]) == 0
+    capsys.readouterr()
+    assert main([*run, "--weights-in", write_json(tmp_path / "w.json", with_field(WEIGHTS_DOC, path, value))]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_weights_file_with_a_nan_value_exits_2(tmp_path, capsys):
+    inst = write_json(tmp_path / "inst.json", INSTANCE_DOC)
+    entries = [WEIGHTS_DOC["entries"][0], {"type": 0, "resource": 2, "x": math.nan}]
+    weights = write_json(tmp_path / "w.json", {**WEIGHTS_DOC, "entries": entries})
+    assert main(["bounds", "--instance", inst, "--trials", "2", "--k-values", "1",
+                 "--weights", "file", "--weights-in", weights]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_config_key_naming_no_flag_of_the_subcommand_is_config_error(tmp_path, monkeypatch, capsys):

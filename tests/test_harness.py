@@ -85,7 +85,7 @@ def test_instance_file_excludes_family_and_n(source):
 
 def test_offline_strategy_scores_one():
     summaries = run_experiment(small_config())
-    offline = next(s for s in summaries if s.strategy == "offline")
+    offline = next(s for s in summaries if s.config.strategy == "offline")
     assert offline.mean == pytest.approx(1.0)
     assert offline.ci95 == 0.0
     assert offline.trials == 20
@@ -128,10 +128,11 @@ def test_summary_json_round_trip():
     summaries = run_experiment(small_config())
     doc = json.loads(render_results(summaries, "json"))
     rebuilt = [
-        EfficiencySummary(d["strategy"], d["k"], d["mean"], d["ci95"], d["trials"]) for d in doc
+        EfficiencySummary(StrategyConfig(d["strategy"], d["k"]), d["mean"], d["ci95"], d["trials"])
+        for d in doc
     ]
     assert rebuilt == sorted(
-        summaries, key=lambda s: (s.strategy, s.k if s.k is not None else -1)
+        summaries, key=lambda s: (s.config.strategy, s.config.k if s.config.k is not None else -1)
     )
 
 

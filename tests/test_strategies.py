@@ -9,7 +9,8 @@ from sparsematch.instance import RealizedGraph, StochasticInstance, DemandType, 
 from sparsematch.matching import full_edge_list, max_matching
 from sparsematch.rng import RngStream
 from sparsematch.strategies import (
-    STRATEGIES,
+    BUDGETED,
+    GUIDED,
     STRATEGY_NAMES,
     StrategyConfig,
     UnknownStrategy,
@@ -49,6 +50,9 @@ def test_config_validation():
         StrategyConfig("greedy")
     with pytest.raises(ValueError, match="budget"):
         StrategyConfig("varopt")
+    for name in ("offline", "kvv", "mgs"):
+        with pytest.raises(ValueError, match="only with them"):
+            StrategyConfig(name, k=3)
     assert StrategyConfig("random", k=3).label == "random k=3"
     assert StrategyConfig("kvv").label == "kvv"
 
@@ -320,9 +324,43 @@ def test_random_subgraph_locality():
         assert rows_a[i] == rows_b[i]
 
 
-def test_strategy_table_drives_names_and_validation():
+def test_strategy_constants_drive_names_and_validation():
     assert STRATEGY_NAMES == ("offline", "kvv", "random", "mgs", "varopt")
-    assert {name for name, entry in STRATEGIES.items() if entry.budgeted} == {"random", "varopt"}
-    assert {name for name, entry in STRATEGIES.items() if entry.guided} == {"mgs", "varopt"}
+    assert BUDGETED == {"random", "varopt"}
+    assert GUIDED == {"mgs", "varopt"}
     with pytest.raises(ValueError, match="fractional solution"):
         run_strategy(realize(complete_uniform(3), RngStream(1)), StrategyConfig("varopt", k=2), RngStream(2))
+
+
+def test_every_declared_strategy_runs_through_run_strategy():
+    inst = complete_uniform(8)
+    x = solve_expected_lp(inst)
+    guidance = {"mgs": CopyMarginals.of_solution(x), "varopt": varopt_samplers(inst, x, 2)}
+    graph = realize(inst, RngStream(51))
+    offline = max_matching(full_edge_list(graph)).size
+    for name in STRATEGY_NAMES:
+        cfg = StrategyConfig(name, k=2 if name in BUDGETED else None)
+        outcome = run_strategy(graph, cfg, RngStream(52), guidance.get(name))
+        assert 0 < outcome.matched <= offline, name
+        if name == "offline":
+            assert outcome.matched == offline
+        if name in BUDGETED:
+            assert outcome.sparsified_edges <= 2 * graph.n, name
+
+
+def test_config_order_is_name_then_budget():
+    # the report order: by name, then budget, as the key (strategy, k or -1) gave it
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    unbudgeted = sorted(set(STRATEGY_NAMES) - BUDGETED)
+    configs = st.one_of(
+        st.builds(StrategyConfig, st.sampled_from(unbudgeted)),
+        st.builds(StrategyConfig, st.sampled_from(sorted(BUDGETED)), st.integers(1, 50)),
+    )
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.lists(configs, unique=True))
+    def check(listed):
+        assert sorted(listed) == sorted(listed, key=lambda c: (c.strategy, c.k if c.k is not None else -1))
+
+    check()
