@@ -1,18 +1,20 @@
-"""Deterministic, splittable random streams.
+"""Deterministic, splittable random streams, and cheap exact draws from them.
 
 Every source of randomness in the library flows through a stream keyed by
 ``(seed, stream_id)``.  Streams backed by the counter-based Philox generator
 reproduce identical draw sequences for identical keys, so results depend only
 on the keys and trials, arrivals and learning phases can run in any order.
-One-shot arrival streams (:class:`ArrivalStreams`) share one re-keyed Philox
-within a call: each is valid until the next arrival's stream is used, and they
-are not shareable across threads.
+:class:`ArrivalStreams` serves one call's one-shot arrival streams from one
+Philox, re-keyed in place; they are not shareable across threads.  Two draws
+replay numpy ``Generator`` internals on Python numbers, byte for byte, and
+are checked against numpy: ``choice_without_replacement`` (and the key rows)
+in tests/test_rng.py, a weighted choice by ``choice_cdf`` in test_strategies.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import NamedTuple
+from itertools import count
 
 import numpy as np
 
@@ -83,44 +85,77 @@ class RngStream:
 
 
 _ARRIVAL_HASH = _splitmix64(_tag_to_int("arrival"))
-_index_hashes = np.empty(0, dtype=np.uint64)  # _splitmix64(i) at index i, grown on demand
+
+
+def philox_keys(seed: int, stream_ids: np.ndarray) -> list[list[int]]:
+    """``philox_key(seed, sid).tolist()`` for each sid of a uint64 array, in one pass."""
+    keys = np.stack([np.full_like(stream_ids, seed), stream_ids], axis=1)
+    mixed = (stream_ids >= 1 << 63) != (seed >= 1 << 63)  # the pairs philox_key rounds
+    keys[mixed] = keys[mixed].astype(np.float64).astype(np.uint64)
+    return keys.tolist()
 
 
 class ArrivalStreams:
     """The streams ``rng.substream("arrival", i)`` of one call's n arrivals.
 
-    ``self[i].generator`` draws what that substream's own generator draws, but
-    all arrivals share one Philox, built for the first arrival that asks and
-    re-keyed in place for each later one; arrivals that draw nothing cost none.
+    ``self[i]`` selects arrival i and returns these streams, whose
+    ``generator`` then draws what that substream's own generator draws.  All
+    arrivals share one Philox, built for the first arrival that asks and
+    re-keyed in place for each later one, so a selection is valid until the
+    next; arrivals that draw nothing cost none.
     """
 
     def __init__(self, rng: RngStream, n: int):
-        global _index_hashes
-        hashes = _index_hashes
-        if len(hashes) < n:
-            hashes = _index_hashes = _splitmix64_array(np.arange(2 * n, dtype=np.uint64))
         prefix = np.uint64(_splitmix64(rng.stream_id ^ _ARRIVAL_HASH))
-        self.seed, self.stream_ids = rng.seed, _splitmix64_array(prefix ^ hashes[:n]).tolist()
+        stream_ids = _splitmix64_array(prefix ^ _splitmix64_array(np.arange(n, dtype=np.uint64)))
+        self.seed, self.stream_ids = rng.seed, stream_ids.tolist()
+        self._keys = philox_keys(rng.seed, stream_ids)
         self._generator = self._state = None
-        self._keyed_for = -1  # the arrival whose key the generator holds
+        self._selected = self._keyed_for = -1  # the arrival asked for; the one keyed
 
-    def __getitem__(self, i: int) -> _OneShotStream:
-        return _OneShotStream(self, i)
+    def __getitem__(self, i: int) -> "ArrivalStreams":
+        self._selected = i
+        return self
 
-    def generator_of(self, i: int) -> np.random.Generator:
-        """Arrival i's generator: the shared Philox, re-keyed unless it holds i's key."""
+    @property
+    def generator(self) -> np.random.Generator:
+        """The selected arrival's generator: the shared Philox, re-keyed unless it holds that key."""
+        i = self._selected
         if i != self._keyed_for:
             self._keyed_for = i
             if self._generator is None:
                 self._generator = RngStream(self.seed, self.stream_ids[i]).generator
-                self._state = self._generator.bit_generator.state
+                state = self._state = self._generator.bit_generator.state
+                state["state"]["counter"] = state["buffer"] = [0] * 4  # as ints, which set faster
             else:  # a fresh Philox's state (zero counter, empty buffer) under the new key
-                self._state["state"]["key"] = philox_key(self.seed, self.stream_ids[i])
+                self._state["state"]["key"] = self._keys[i]
                 self._generator.bit_generator.state = self._state
         return self._generator
 
 
-class _OneShotStream(NamedTuple):
-    streams: ArrivalStreams
-    index: int
-    generator = property(lambda self: self.streams.generator_of(self.index))
+def choice_without_replacement(gen: np.random.Generator, d: int, k: int) -> set[int]:
+    """The set ``gen.choice(d, k, replace=False)`` picks, 0 < k < d, if ``gen`` holds no
+    unused 32-bit half.  For d <= 10000 numpy runs Floyd's algorithm, each index
+    in [0, j] drawn by Lemire's method on ``next_uint32`` (a 64-bit word's low
+    half, then its high half); this replays it on Python ints, pulling words as
+    rejections need them.  numpy's final shuffle only reorders the set."""
+    if d > 10000:  # where numpy may take a tail shuffle instead
+        return set(gen.choice(d, k, replace=False).tolist())
+    raw = gen.bit_generator.random_raw
+    halves = (half for _ in count() for word in raw((k + 1) // 2).tolist()
+              for half in (word & 0xFFFFFFFF, word >> 32))
+    chosen: set[int] = set()
+    for j in range(d - k, d):
+        m = next(halves) * (j + 1)
+        if m & 0xFFFFFFFF < j + 1:  # maybe biased: reject below 2^32 mod (j + 1)
+            threshold = (0xFFFFFFFF - j) % (j + 1)
+            while m & 0xFFFFFFFF < threshold:
+                m = next(halves) * (j + 1)
+        chosen.add(j if m >> 32 in chosen else m >> 32)
+    return chosen
+
+
+def choice_cdf(p: np.ndarray) -> list[float]:
+    """The cdf in which ``gen.choice(len(p), p=p)`` looks up ``bisect_right(cdf, gen.random())``."""
+    cdf = p.cumsum()
+    return (cdf / cdf[-1]).tolist()

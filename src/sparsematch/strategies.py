@@ -5,7 +5,9 @@ prune each arrival's edges independently before a central maximum matching;
 online baselines (ranking, two-suggestion guidance) commit irrevocably per
 arrival; the offline optimum sees the whole realization.  Per-arrival
 randomness is drawn from substreams keyed by arrival index, so one arrival's
-selection never depends on the other arrivals.
+selection never depends on the other arrivals.  Random subsets and the mgs
+suggestions draw through the numpy replays in ``rng``; kvv keeps numpy's
+``permutation``, mgs its uniform fallback ``choice``.
 
 ``STRATEGY_NAMES`` declares the strategies; those in ``BUDGETED`` take a
 budget k and the others take none, those in ``GUIDED`` read guidance learned
@@ -14,14 +16,13 @@ once per experiment.  ``run_strategy`` is the one entry point.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .instance import RealizedGraph, StochasticInstance
 from .matching import BipartiteEdgeList, full_edge_list, max_matching
-from .rng import ArrivalStreams, RngStream
+from .rng import ArrivalStreams, RngStream, choice_cdf, choice_without_replacement
 from .varopt import VarOptSampler
 from .weights import CopyMarginals, FractionalSolution
 
@@ -90,11 +91,8 @@ def varopt_sparsify(
     from ``rng.substream("arrival", i)``; an arrival whose type has no sampler
     reports nothing."""
     streams = ArrivalStreams(rng, graph.n)
-    rows = []
-    for i, type_id in enumerate(graph.type_ids):
-        sampler = samplers[type_id]
-        rows.append(() if sampler is None else sampler.draw(streams[i]))
-    return rows
+    return [() if sampler is None else sampler.draw(streams[i])
+            for i, sampler in enumerate([samplers[t] for t in graph.type_ids])]
 
 
 def random_subgraph(graph: RealizedGraph, k: int, rng: RngStream) -> list[tuple[int, ...]]:
@@ -104,35 +102,33 @@ def random_subgraph(graph: RealizedGraph, k: int, rng: RngStream) -> list[tuple[
     for i in range(graph.n):
         compatible = graph.edges_for(i)
         if len(compatible) > k:
-            picks = streams[i].generator.choice(len(compatible), size=k, replace=False)
-            compatible = tuple(compatible[p] for p in sorted(picks))
+            picks = choice_without_replacement(streams[i].generator, len(compatible), k)
+            compatible = tuple([compatible[p] for p in sorted(picks)])
         rows.append(compatible)
     return rows
 
 
 def kvv_ranking(graph: RealizedGraph, rng: RngStream) -> StrategyOutcome:
     """Classic online ranking: arrivals greedily take their best-ranked free neighbor."""
-    rank = rng.generator.permutation(graph.instance.resource_count)
-    taken = np.zeros(graph.instance.resource_count, dtype=bool)
+    rank = rng.generator.permutation(graph.instance.resource_count).tolist()
+    taken = [False] * graph.instance.resource_count
     matched = 0
     for i in range(graph.n):
-        best = -1
-        best_rank = None
-        for r in graph.edges_for(i):
-            if not taken[r] and (best_rank is None or rank[r] < best_rank):
-                best = r
-                best_rank = rank[r]
-        if best >= 0:
-            taken[best] = True
+        free = [r for r in graph.edges_for(i) if not taken[r]]
+        if free:  # ranks are distinct, so the best is unique
+            taken[min(free, key=rank.__getitem__)] = True
             matched += 1
     return StrategyOutcome(matched, matched)
 
 
-def _sample_weighted(ids, values, probs, gen, exclude: int | None = None) -> int | None:
+def _sample_weighted(type_weights, cdf, gen, exclude: int | None = None) -> int | None:
+    """A resource drawn as ``gen.choice(len(ids), p=probs)`` draws it, from one uniform."""
+    ids, values, _ = type_weights or ((), None, None)
     if exclude in ids:  # renormalize over the rest
         keep = [p for p, i in enumerate(ids) if i != exclude]
-        ids, probs = [ids[p] for p in keep], values[keep] / values[keep].sum()
-    return int(ids[gen.choice(len(ids), p=probs)]) if ids else None
+        ids = [ids[p] for p in keep]
+        cdf = choice_cdf(values[keep] / values[keep].sum()) if ids else None
+    return ids[bisect_right(cdf, gen.random())] if ids else None
 
 
 def mgs(graph: RealizedGraph, guidance: CopyMarginals, rng: RngStream) -> StrategyOutcome:
@@ -147,17 +143,18 @@ def mgs(graph: RealizedGraph, guidance: CopyMarginals, rng: RngStream) -> Strate
     support fall back to a uniform first choice over their compatibility set.
     """
     gen = rng.substream("guidance").generator
+    first_cdfs, second_cdfs = guidance.cdfs
     suggestions: dict[int, tuple[int | None, int | None]] = {}
     for j in range(graph.instance.type_count):
-        first = _sample_weighted(*guidance.first.get(j, ((), (), ())), gen)
+        first = _sample_weighted(guidance.first.get(j), first_cdfs.get(j), gen)
         if first is None:
             compatible = graph.instance.types[j].compatible
             if compatible:
                 first = int(compatible[gen.choice(len(compatible))])
-        second = _sample_weighted(*guidance.second.get(j, ((), (), ())), gen, exclude=first)
+        second = _sample_weighted(guidance.second.get(j), second_cdfs.get(j), gen, exclude=first)
         suggestions[j] = (first, second)
 
-    taken = np.zeros(graph.instance.resource_count, dtype=bool)
+    taken = [False] * graph.instance.resource_count
     copies_seen: dict[int, int] = {}
     matched = 0
     for type_id in graph.type_ids:

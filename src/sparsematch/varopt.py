@@ -6,14 +6,19 @@ multiplier ``tau`` assigns each item the inclusion probability
 over the positively weighted items ``E+``.  Items at probability one are
 included deterministically; the rest are drawn by systematic probability-
 proportional sampling over a randomly permuted order, which keeps the sample
-size exact and pairwise inclusion correlations non-positive.  A draw returns
-the chosen ids in ascending order.  The inverse-probability weight of a chosen
-item is ``weight / probabilities()[id]``; summed over the chosen ids they equal
-the total input weight on every single draw, not just in expectation.
+size exact and pairwise inclusion correlations non-positive.  A draw takes
+numpy's ``permutation`` and one ``random()``, then runs on Python floats with
+the arithmetic of the array version that tests/helpers.py keeps as the oracle
+(tests/test_varopt.py).  It returns the chosen ids in ascending order.  The
+inverse-probability weight of a chosen item is ``weight / probabilities()[id]``;
+summed over the chosen ids they equal the total input weight on every single
+draw, not just in expectation.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -53,8 +58,7 @@ class VarOptSampler:
         pos_w = w[positive]
         # Sort descending by weight, ties by id, so the threshold is deterministic.
         order = np.lexsort((pos_ids, -pos_w))
-        pos_ids = pos_ids[order]
-        pos_w = pos_w[order]
+        pos_ids, pos_w = pos_ids[order], pos_w[order]
 
         npos = len(pos_ids)
         sample_size = min(k, npos)
@@ -72,40 +76,35 @@ class VarOptSampler:
             self.threshold = (k - h) / float(suffix[h])
             probs = np.minimum(1.0, self.threshold * pos_w)
 
-        self._pos_ids = pos_ids
-        self._probs = probs
+        self._pos_ids, self._probs = pos_ids, probs
         deterministic = probs >= 1.0
-        self._det_ids = pos_ids[deterministic]
-        self._light_ids = pos_ids[~deterministic]
-        self._light_probs = probs[~deterministic]
+        self._det_ids = pos_ids[deterministic].tolist()
+        self._light_ids = pos_ids[~deterministic].tolist()
+        self._light_probs = probs[~deterministic].tolist()
         self._light_draws = sample_size - len(self._det_ids)
+        self._fixed = tuple(sorted(self._det_ids))  # the whole draw when no light item is drawn
 
     def probabilities(self) -> dict[int, float]:
         """Inclusion probability per item id, zero-weight items included at 0."""
-        out = {int(i): float(p) for i, p in zip(self._pos_ids, self._probs)}
-        out.update({i: 0.0 for i in self._zero_ids})
-        return out
+        return {**{int(i): float(p) for i, p in zip(self._pos_ids, self._probs)},
+                **dict.fromkeys(self._zero_ids, 0.0)}
 
     def draw(self, rng: RngStream) -> tuple[int, ...]:
         """The chosen item ids, ascending, drawn from ``rng.generator`` (any
         stream with a generator; only asked for when the draw is random)."""
-        ids = self._det_ids
         m = self._light_draws
-        if m > 0:
-            gen = rng.generator
-            perm = gen.permutation(len(self._light_ids))
-            cum = np.cumsum(self._light_probs[perm])
-            # Light probabilities sum to m by construction; rescale away float
-            # residue so the systematic point set always lands inside.
-            cum *= m / cum[-1]
-            points = gen.random() + np.arange(m)
-            picks = np.searchsorted(cum, points, side="left")  # ascending, as the points are
-            picks = picks[np.concatenate(([True], picks[1:] != picks[:-1]))]
-            picks = picks[picks < len(cum)]
-            if len(picks) < m:
-                # Sub-ulp boundary collision; complete the sample greedily.
-                chosen = set(picks.tolist())
-                missing = [i for i in np.argsort(-self._light_probs[perm]) if i not in chosen]
-                picks = np.sort(np.concatenate([picks, missing[: m - len(picks)]]).astype(int))
-            ids = np.concatenate([ids, self._light_ids[perm[picks]]])
-        return tuple(sorted(ids.tolist()))
+        if m <= 0:
+            return self._fixed
+        gen = rng.generator
+        perm = gen.permutation(len(self._light_ids)).tolist()
+        # Light probabilities sum to m by construction; rescale away float
+        # residue so the systematic point set always lands inside.
+        cum = list(accumulate(map(self._light_probs.__getitem__, perm)))
+        cum = [c * (m / cum[-1]) for c in cum]
+        u = gen.random()
+        picks = {bisect_left(cum, u + j) for j in range(m)} - {len(cum)}
+        if len(picks) < m:
+            # Sub-ulp boundary collision; complete the sample greedily.
+            order = np.argsort(-np.asarray(self._light_probs)[perm]).tolist()
+            picks.update([i for i in order if i not in picks][: m - len(picks)])
+        return tuple(sorted(self._det_ids + [self._light_ids[perm[p]] for p in picks]))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -21,7 +22,7 @@ import numpy as np
 from .bounds import BoundInputs
 from .instance import RealizedGraph, StochasticInstance, json_value, realize
 from .matching import MatchingResult, full_edge_list, max_matching, max_matching_shuffled
-from .rng import RngStream
+from .rng import RngStream, choice_cdf
 
 RESOURCE_CAP_TOL = 1e-7
 TYPE_LIMIT_TOL = 1e-9
@@ -109,6 +110,12 @@ class CopyMarginals:
 
     first: dict[int, TypeWeights]
     second: dict[int, TypeWeights]
+
+    @cached_property
+    def cdfs(self) -> tuple[dict[int, list[float]], dict[int, list[float]]]:
+        """Per copy, each type's ``choice_cdf`` of its probabilities, built once."""
+        return tuple({j: choice_cdf(probs) for j, (_, _, probs) in copy.items()}
+                     for copy in (self.first, self.second))
 
     @classmethod
     def of_solution(cls, x: FractionalSolution) -> "CopyMarginals":

@@ -3,7 +3,8 @@
 The oracles deliberately avoid the library's own algorithms: matching is
 solved by exhaustive bitmask dynamic programming, the sampling threshold by
 bisection, and the expected-instance program by a generic LP solver or by
-shortest augmenting paths (Edmonds-Karp) on the library's flow network.  The
+shortest augmenting paths (Edmonds-Karp) on the library's flow network.  A
+VarOpt draw is checked against the numpy array version it was written from.  The
 fractional-load diagnostics at the end scale an IPW-weighted subgraph down to
 a fractional matching.
 """
@@ -60,6 +61,33 @@ def bisect_threshold(weights, k: int, tol: float = 1e-13) -> float:
         if hi - lo < tol:
             break
     return (lo + hi) / 2.0
+
+
+def varopt_draw_oracle(sampler, rng) -> tuple[int, ...]:
+    """``VarOptSampler.draw`` as numpy array code: the version whose bytes the
+    list-based draw keeps, reading the sampler's threshold solution."""
+    ids = np.asarray(sampler._det_ids, dtype=np.int64)
+    light_ids = np.asarray(sampler._light_ids, dtype=np.int64)
+    light_probs = np.asarray(sampler._light_probs, dtype=float)
+    m = sampler._light_draws
+    if m > 0:
+        gen = rng.generator
+        perm = gen.permutation(len(light_ids))
+        cum = np.cumsum(light_probs[perm])
+        # Light probabilities sum to m by construction; rescale away float
+        # residue so the systematic point set always lands inside.
+        cum *= m / cum[-1]
+        points = gen.random() + np.arange(m)
+        picks = np.searchsorted(cum, points, side="left")  # ascending, as the points are
+        picks = picks[np.concatenate(([True], picks[1:] != picks[:-1]))]
+        picks = picks[picks < len(cum)]
+        if len(picks) < m:
+            # Sub-ulp boundary collision; complete the sample greedily.
+            chosen = set(picks.tolist())
+            missing = [i for i in np.argsort(-light_probs[perm]) if i not in chosen]
+            picks = np.sort(np.concatenate([picks, missing[: m - len(picks)]]).astype(int))
+        ids = np.concatenate([ids, light_ids[perm[picks]]])
+    return tuple(sorted(ids.tolist()))
 
 
 class FlowNetwork:

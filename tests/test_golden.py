@@ -4,16 +4,22 @@ Every case runs ``sparsematch.cli.main`` with its output going to a temporary
 directory and compares the file byte for byte with ``tests/golden/<name>``.
 Each expected file was written by the code before the refactor it was added
 to guard, so any refactor that keeps them passing keeps the seeded results
-the package reports.  After an intended output change, regenerate them from the root of
-a checkout with:
+the package reports.  The goldens run at n=20; the paper's full-size table
+(n=100, where a VarOpt support reaches 35-61 items) and the default trip
+replay are pinned by the sha256 prefixes of their outputs.  After an
+intended output change, regenerate the goldens from the root of a checkout
+with:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import hashlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from sparsematch import strategies
 from sparsematch.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -67,6 +73,50 @@ def run_case(name: str, out_dir: Path) -> bytes:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden(name, tmp_path):
     assert run_case(name, tmp_path) == (GOLDEN / name).read_bytes()
+
+
+FULL = ("--trials", "100", "--mc", "100", "--seed", "0")
+# name -> (arguments, sha256 prefix of the output), as listed in CHANGES.md
+FULL_SIZE = {
+    **{f"synth-{family}-100.csv": (("synth", "--family", family, "--n", "100", *FULL), sha)
+       for family, sha in (("block", "3f922c12ad121a5d"), ("triangular", "3a4d9a7e6748beeb"),
+                           ("bahmani", "74f249ff42e205fd"), ("tsm", "7a28a2f5b7d7e684"))},
+    "nyc-default.csv": (("nyc", "--trips", TRIPS, "--zones", ZONES, *FULL), "581181c3c5831f2b"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FULL_SIZE))
+def test_full_size_output_sha256(name, tmp_path):
+    args, sha = FULL_SIZE[name]
+    out = tmp_path / name
+    assert main([*args, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == sha
+
+
+def test_lp_varopt_on_block_builds_no_philox_for_its_draws(monkeypatch, tmp_path):
+    # The LP puts each block type on one resource, so every VarOpt draw is
+    # deterministic: the sparsifier builds no generator (the realizations do).
+    inside, philox_builds, sparsify_calls = [False], [], []
+    philox, sparsify = np.random.Philox, strategies.varopt_sparsify
+
+    def counting_philox(*args, **kwargs):
+        philox_builds.append(inside[0])
+        return philox(*args, **kwargs)
+
+    def tracked_sparsify(*args):
+        sparsify_calls.append(args)
+        inside[0] = True
+        try:
+            return sparsify(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(np.random, "Philox", counting_philox)
+    monkeypatch.setattr(strategies, "varopt_sparsify", tracked_sparsify)
+    assert main(["synth", "--family", "block", "--n", "100", "--trials", "10", "--weights", "lp",
+                 "--strategies", "varopt:5", "--seed", "0", "--out", str(tmp_path / "out.csv")]) == 0
+    assert len(sparsify_calls) == 10
+    assert philox_builds and not any(philox_builds)
 
 
 if __name__ == "__main__":

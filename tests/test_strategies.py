@@ -14,6 +14,7 @@ from sparsematch.strategies import (
     STRATEGY_NAMES,
     StrategyConfig,
     UnknownStrategy,
+    _sample_weighted,
     kvv_ranking,
     mgs,
     random_subgraph,
@@ -25,6 +26,7 @@ from sparsematch.varopt import VarOptSampler
 from sparsematch.weights import (
     CopyMarginals,
     FractionalSolution,
+    _group_by_type,
     monte_carlo_weights,
     per_copy_marginals,
     solve_expected_lp,
@@ -220,6 +222,32 @@ def test_mgs_with_copy_guidance():
     assert 0 < outcome.matched <= graph.n
     with pytest.raises(ValueError, match="marginals"):
         run_strategy(graph, StrategyConfig("mgs"), RngStream(5))
+
+
+def _weighted_choice_oracle(ids, values, probs, gen, exclude=None):
+    """mgs's draw as numpy's weighted choice: the version the cdf lookup replays."""
+    if exclude in ids:  # renormalize over the rest
+        keep = [p for p, i in enumerate(ids) if i != exclude]
+        ids, probs = [ids[p] for p in keep], values[keep] / values[keep].sum()
+    return int(ids[gen.choice(len(ids), p=probs)]) if ids else None
+
+
+def test_mgs_draw_matches_numpy_weighted_choice():
+    # Match counts (Monte Carlo guidance) and fractional values (LP guidance),
+    # each drawn whole, excluding one of its resources, and excluding none.
+    gen = np.random.default_rng(17)
+    for case in range(300):
+        size = int(gen.integers(1, 40))
+        weights = gen.integers(1, 50, size) if case % 2 else gen.random(size) ** 2 + 1e-3
+        guidance = CopyMarginals(first=_group_by_type({(0, 3 * i): float(w) for i, w in enumerate(weights)}),
+                                 second={})
+        type_weights, cdf = guidance.first[0], guidance.cdfs[0][0]
+        for exclude in (None, type_weights[0][int(gen.integers(size))], -1):
+            for stream_id in range(10):
+                ours, ref = RngStream(case, stream_id).generator, RngStream(case, stream_id).generator
+                assert (_sample_weighted(type_weights, cdf, ours, exclude)
+                        == _weighted_choice_oracle(*type_weights, ref, exclude))
+                assert ours.random() == ref.random()  # each drew one uniform, or none
 
 
 def test_run_strategy_offline_equals_max_matching():

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from helpers import bisect_threshold
-from sparsematch.rng import RngStream
+from helpers import bisect_threshold, varopt_draw_oracle
+from sparsematch.rng import ArrivalStreams, RngStream
 from sparsematch.varopt import AllZeroWeights, VarOptSampler
 
 ABC_IDS = [0, 1, 2]
@@ -220,3 +220,57 @@ def test_sampler_properties_on_generated_weights():
         assert sum(weights[i] / probs[i] for i in sample) == pytest.approx(total, abs=1e-9 * max(1.0, total))
 
     check()
+
+
+def test_draw_matches_the_array_oracle():
+    # Supports of 35-61 items at k = 3, 5, 10 are the four-family table's; the
+    # small ones, the heavy items and the ties reach the other branches.
+    gen = np.random.default_rng(2024)
+    draws = 0
+    for case in range(240):
+        size = int(gen.choice([2, 5, 12, 35, 48, 61]))
+        weights = gen.random(size) ** 3
+        weights[gen.random(size) < 0.1] = 0.0
+        weights[gen.random(size) < 0.1] = 0.25  # ties
+        weights[0] = 5.0 * (case % 3 == 0) + 0.5  # a heavy item in a third of the cases
+        sampler = VarOptSampler(gen.permutation(size) * 3, weights, int(gen.choice([3, 5, 10])))
+        rng = RngStream(int(gen.integers(2**64, dtype=np.uint64)), case)
+        streams = ArrivalStreams(rng, 50)
+        for i in range(50):
+            assert sampler.draw(streams[i]) == varopt_draw_oracle(sampler, rng.substream("arrival", i))
+            draws += 1
+    assert draws >= 10_000
+
+
+class _FixedDraws:
+    """A stream whose generator draws the permutation ``perm`` and the uniform ``u``."""
+
+    def __init__(self, perm: np.ndarray, u: float):
+        self.generator = self
+        self.perm, self.u = perm, u
+
+    def permutation(self, n: int) -> np.ndarray:
+        return self.perm.copy()
+
+    def random(self) -> float:
+        return self.u
+
+
+def test_draw_matches_the_oracle_on_the_sub_ulp_completion():
+    # With m = 3 and u just below 1, the last point 2 + u rounds to 3.0.  About
+    # one order in twenty of nine light items makes the rescaled cumulative sum
+    # end a rounding step below 3.0: that point falls outside, and the draw
+    # completes the sample greedily.
+    u = float(np.nextafter(1.0, 0.0))
+    gen = np.random.default_rng(5)
+    found = 0
+    while found < 20:
+        sampler = VarOptSampler(range(9), gen.random(9) + 0.5, 3)
+        perm = gen.permutation(9)
+        cum = np.cumsum(np.asarray(sampler._light_probs)[perm])
+        if sampler._light_draws != 3 or cum[-1] * (3 / cum[-1]) >= u + 2:
+            continue
+        found += 1
+        sample = sampler.draw(_FixedDraws(perm, u))
+        assert sample == varopt_draw_oracle(sampler, _FixedDraws(perm, u))
+        assert len(sample) == 3
