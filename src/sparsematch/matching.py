@@ -3,7 +3,9 @@
 A graph is stored as neighbour rows, one per left vertex: an arrival's
 compatibility set, or the edges it reports.  Hopcroft-Karp reads the rows
 directly; edge pairs from outside the package enter through the validating
-constructor.  Tie-breaking is deterministic given the row order;
+constructor.  Hopcroft-Karp's first phase, where every left vertex is free, is
+run as one greedy pass in row order, which yields the same pairs.
+Tie-breaking is deterministic given the row order;
 `max_matching_shuffled` randomizes it by relabeling both sides uniformly at
 random and mapping the result back.
 """
@@ -26,8 +28,9 @@ class BipartiteEdgeList:
     """Bipartite graph over [0, left) x [0, right): ``adjacency[l]`` holds the
     right neighbours of left vertex l.
 
-    The constructor takes edge pairs from outside the package and rejects pairs
-    out of range and duplicates; ``from_rows`` wraps rows the package built.
+    The constructor takes edge pairs from outside the package and rejects ids
+    that are not integers (bools and floats included), pairs out of range and
+    duplicates; ``from_rows`` wraps rows the package built.
     """
 
     __slots__ = ("right_count", "adjacency")
@@ -38,6 +41,8 @@ class BipartiteEdgeList:
         rows: list[list[int]] = [[] for _ in range(left_count)]
         seen = set()
         for l, r in edges:
+            if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in (l, r)):
+                raise ValueError(f"edge ({l!r}, {r!r}) is not a pair of integers")
             l, r = int(l), int(r)
             if not (0 <= l < left_count and 0 <= r < right_count):
                 raise ValueError(f"edge ({l}, {r}) out of range")
@@ -81,7 +86,9 @@ def full_edge_list(graph: RealizedGraph) -> BipartiteEdgeList:
 def max_matching(graph: BipartiteEdgeList) -> MatchingResult:
     """Maximum-cardinality matching via Hopcroft-Karp.
 
-    Deterministic for a fixed row order; O(E sqrt(V)).
+    Deterministic for a fixed row order; O(E sqrt(V)).  Phase 1 is a greedy
+    pass in row order: with every left vertex free at layer 0, no path can pass
+    a matched vertex, so each row's search takes its first free right vertex.
     """
     left, right = graph.left_count, graph.right_count
     adj = graph.adjacency
@@ -120,6 +127,7 @@ def max_matching(graph: BipartiteEdgeList) -> MatchingResult:
         path: list[int] = []
         while stack:
             l, neighbors = stack[-1]
+            nxt = layer[l] + 1
             advanced = False
             for r in neighbors:
                 nl = pair_r[r]
@@ -129,7 +137,7 @@ def max_matching(graph: BipartiteEdgeList) -> MatchingResult:
                         pair_l[ll] = rr
                         pair_r[rr] = ll
                     return True
-                if layer[nl] == layer[l] + 1:
+                if layer[nl] == nxt:
                     path.append(r)
                     stack.append((nl, iter(adj[nl])))
                     advanced = True
@@ -142,7 +150,13 @@ def max_matching(graph: BipartiteEdgeList) -> MatchingResult:
         return False
 
     size = 0
-    while bfs():
+    for l in range(left):
+        for r in adj[l]:
+            if pair_r[r] == -1:
+                pair_l[l], pair_r[r] = r, l
+                size += 1
+                break
+    while size and bfs():
         for l in range(left):
             if pair_l[l] == -1 and dfs(l):
                 size += 1

@@ -4,7 +4,8 @@ The oracles deliberately avoid the library's own algorithms: matching is
 solved by exhaustive bitmask dynamic programming, the sampling threshold by
 bisection, and the expected-instance program by a generic LP solver or by
 shortest augmenting paths (Edmonds-Karp) on the library's flow network.  A
-VarOpt draw is checked against the numpy array version it was written from.  The
+VarOpt draw is checked against the numpy array version it was written from, and
+Hopcroft-Karp's pairs against the version without the greedy first phase.  The
 fractional-load diagnostics at the end scale an IPW-weighted subgraph down to
 a fractional matching.
 """
@@ -18,7 +19,7 @@ from typing import Mapping
 import numpy as np
 
 from sparsematch.instance import DemandType, RealizedGraph, StochasticInstance
-from sparsematch.matching import BipartiteEdgeList
+from sparsematch.matching import BipartiteEdgeList, MatchingResult
 from sparsematch.weights import _FLOW_EPS
 
 ARRIVAL_WEIGHT_TOL = 1e-9
@@ -88,6 +89,80 @@ def varopt_draw_oracle(sampler, rng) -> tuple[int, ...]:
             picks = np.sort(np.concatenate([picks, missing[: m - len(picks)]]).astype(int))
         ids = np.concatenate([ids, light_ids[perm[picks]]])
     return tuple(sorted(ids.tolist()))
+
+
+_DEAD = -1  # BFS layer marker for exhausted vertices
+
+
+def hopcroft_karp_oracle(graph: BipartiteEdgeList) -> MatchingResult:
+    """``max_matching`` as it was before its first phase became a greedy pass:
+    every phase, the first included, runs the layered BFS and then the DFS from
+    each free left vertex.  Its (size, pairs) are the ones the kernel keeps."""
+    left, right = graph.left_count, graph.right_count
+    adj = graph.adjacency
+    pair_l = [-1] * left
+    pair_r = [-1] * right
+    layer = [0] * left
+    unlayered = left + 1
+
+    def bfs() -> bool:
+        queue = deque()
+        for l in range(left):
+            if pair_l[l] == -1:
+                layer[l] = 0
+                queue.append(l)
+            else:
+                layer[l] = unlayered
+        frontier = unlayered
+        while queue:
+            l = queue.popleft()
+            if layer[l] >= frontier:
+                continue
+            nxt = layer[l] + 1  # <= frontier, so min(frontier, nxt) is nxt
+            for r in adj[l]:
+                nl = pair_r[r]
+                if nl == -1:
+                    frontier = nxt
+                elif layer[nl] == unlayered:
+                    layer[nl] = nxt
+                    queue.append(nl)
+        return frontier != unlayered
+
+    def dfs(root: int) -> bool:
+        # Iterative alternating DFS along BFS layers; recursion would overflow
+        # on long augmenting paths.
+        stack = [(root, iter(adj[root]))]
+        path: list[int] = []
+        while stack:
+            l, neighbors = stack[-1]
+            advanced = False
+            for r in neighbors:
+                nl = pair_r[r]
+                if nl == -1:
+                    path.append(r)
+                    for (ll, _), rr in zip(stack, path):
+                        pair_l[ll] = rr
+                        pair_r[rr] = ll
+                    return True
+                if layer[nl] == layer[l] + 1:
+                    path.append(r)
+                    stack.append((nl, iter(adj[nl])))
+                    advanced = True
+                    break
+            if not advanced:
+                layer[l] = _DEAD
+                stack.pop()
+                if path:
+                    path.pop()
+        return False
+
+    size = 0
+    while bfs():
+        for l in range(left):
+            if pair_l[l] == -1 and dfs(l):
+                size += 1
+    pairs = tuple((l, pair_l[l]) for l in range(left) if pair_l[l] != -1)
+    return MatchingResult(size=size, pairs=pairs)
 
 
 class FlowNetwork:

@@ -6,6 +6,7 @@ from helpers import (
     brute_force_matching,
     complete_uniform,
     fractional_scaled_matching,
+    hopcroft_karp_oracle,
     random_bipartite,
 )
 from sparsematch.instance import RealizedGraph, realize
@@ -23,6 +24,19 @@ def test_edge_list_validation():
         BipartiteEdgeList(2, 2, ((0, 0), (0, 0)))
     with pytest.raises(ValueError, match="out of range"):
         BipartiteEdgeList(2, 2, ((0, 2),))
+
+
+@pytest.mark.parametrize("edge", [(0.9, 1), (True, 0), (0, False), (np.float64(1.0), 0), ("1", 0), (None, 0),
+                                  (np.bool_(True), 0), (1.0, 1)])
+def test_edge_list_rejects_ids_that_are_not_integers(edge):
+    with pytest.raises(ValueError, match="not a pair of integers"):
+        BipartiteEdgeList(2, 2, [(0, 0), edge])
+
+
+def test_edge_list_accepts_python_and_numpy_integers():
+    graph = BipartiteEdgeList(2, 3, [(np.int64(1), np.int32(2)), (0, np.uint8(1)), (np.intp(1), 0)])
+    assert graph.adjacency == ((1,), (2, 0))
+    assert all(type(r) is int for row in graph.adjacency for r in row)
 
 
 def test_upper_triangular_is_perfect():
@@ -205,6 +219,94 @@ def test_hopcroft_karp_equals_scipy_on_generated_graphs():
         assert result.size == scipy_matching_size(rows, right)
 
     check()
+
+
+def assert_pairs_equal_the_oracle(graph):
+    result = max_matching(graph)
+    expected = hopcroft_karp_oracle(graph)
+    assert (result.size, result.pairs) == (expected.size, expected.pairs)
+
+
+def shuffled_by_oracle(graph, rng):
+    """``max_matching_shuffled``'s relabeling, solved by the oracle and mapped back."""
+    perm_l = rng.generator.permutation(graph.left_count)
+    perm_r = rng.generator.permutation(graph.right_count).tolist()
+    inv_l, inv_r = np.argsort(perm_l).tolist(), np.argsort(perm_r).tolist()
+    rows = [sorted(perm_r[r] for r in graph.adjacency[l]) for l in inv_l]
+    result = hopcroft_karp_oracle(BipartiteEdgeList.from_rows(graph.right_count, rows))
+    return result.size, tuple(sorted((inv_l[l], inv_r[r]) for l, r in result.pairs))
+
+
+def assert_shuffled_pairs_equal_the_oracle(graph, seed):
+    result = max_matching_shuffled(graph, RngStream(seed))
+    assert (result.size, result.pairs) == shuffled_by_oracle(graph, RngStream(seed))
+
+
+@pytest.mark.parametrize("min_side, max_side, examples", [(0, 8, 300), (17, 60, 100)])
+def test_pairs_equal_the_oracle_on_generated_graphs(min_side, max_side, examples):
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=examples, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(row_graphs(hypothesis.strategies, min_side, max_side), hypothesis.strategies.integers(0, 2**32))
+    def check(graph, seed):
+        rows, right = graph
+        row_graph = BipartiteEdgeList.from_rows(right, rows)
+        assert_pairs_equal_the_oracle(row_graph)
+        assert_shuffled_pairs_equal_the_oracle(row_graph, seed)
+
+    check()
+
+
+@pytest.mark.parametrize("left, right", [(0, 0), (0, 4), (4, 0), (3, 3)])
+def test_pairs_equal_the_oracle_without_edges(left, right):
+    graph = BipartiteEdgeList(left, right, ())
+    assert max_matching(graph) == hopcroft_karp_oracle(graph) == max_matching_shuffled(graph, RngStream(0))
+    assert max_matching(graph).pairs == ()
+
+
+@pytest.mark.parametrize("n", [100, 500])
+def test_pairs_equal_the_oracle_on_family_realizations(n):
+    """Full rows and rows cut to their first k entries, of a realization of
+    every family, solved plainly and after the shuffled relabeling."""
+    from sparsematch.generators import FAMILIES
+
+    base = RngStream(83)
+    for name, family in sorted(FAMILIES.items()):
+        inst = family(n)
+        rows = full_edge_list(realize(inst, base.substream(name, n))).adjacency
+        for cut in (None, 3, 5):
+            graph = BipartiteEdgeList.from_rows(inst.resource_count, [row[:cut] for row in rows])
+            assert_pairs_equal_the_oracle(graph)
+            if n == 100:
+                assert_shuffled_pairs_equal_the_oracle(graph, n + (cut or 0))
+
+
+def counted_rows(rows):
+    """Rows that count how often the matcher starts reading one."""
+    reads = [0]
+
+    class Row(tuple):
+        def __iter__(self):
+            reads[0] += 1
+            return super().__iter__()
+
+    return [Row(row) for row in rows], reads
+
+
+@pytest.mark.parametrize("rows, right, expected_reads", [
+    # every row read once by the greedy pass, which matches all of them
+    ([(0, 1), (1, 2), (2,)], 3, 3),
+    # no edge: the greedy pass reads each row and the search never starts
+    ([(), (), ()], 2, 3),
+    # a star: the greedy pass, then one search that finds no augmenting path and
+    # reads the two free rows and the matched one they reach
+    ([(0,), (0,), (0,)], 1, 6),
+])
+def test_first_phase_reads_each_row_once(rows, right, expected_reads):
+    counted, reads = counted_rows(rows)
+    result = max_matching(BipartiteEdgeList.from_rows(right, counted))
+    assert result == hopcroft_karp_oracle(BipartiteEdgeList.from_rows(right, rows))
+    assert reads[0] == expected_reads
 
 
 def test_full_edge_list_of_realization():
