@@ -29,7 +29,7 @@ import numpy as np
 from .bounds import theorem_bound
 from .generators import FAMILIES, HALF_WINDOW, EmptyWindow, TripRecord, ZoneModel, build_nyc_instance
 from .instance import StochasticInstance, instance_from_json, realize
-from .matching import full_edge_list, max_matching
+from .matching import full_matching
 from .rng import RngStream
 from .strategies import GUIDED, StrategyConfig, run_strategy, varopt_samplers
 from .weights import (
@@ -196,7 +196,7 @@ def score_trials(
     scores = []
     for t in trials:
         graph = realize(instance, realize_stream.substream(t))
-        offline = max_matching(full_edge_list(graph)).size if with_offline else None
+        offline = full_matching(graph).size if with_offline else None
         matched = {}
         for cfg in strategies:
             if offline == 0:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 import numpy as np
@@ -29,7 +30,13 @@ class DemandType:
     compatible: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "compatible", tuple(int(i) for i in self.compatible))
+        ids = tuple(self.compatible)
+        try:  # Python and numpy integers pass; bools, floats, strings and numpy bools do not
+            if bool in map(type, ids):
+                raise TypeError
+            object.__setattr__(self, "compatible", tuple(map(operator.index, ids)))
+        except TypeError:
+            raise ValueError(f"compatibility list {ids!r} holds an id that is not an integer") from None
         if not 0.0 <= self.probability <= 1.0 + PROB_TOL:
             raise ValueError(f"probability {self.probability} outside [0, 1]")
         if any(b <= a for a, b in zip(self.compatible, self.compatible[1:])):
@@ -73,6 +80,11 @@ class StochasticInstance:
     @cached_property
     def _cumulative_probs(self) -> np.ndarray:
         return np.cumsum([t.probability for t in self.types])
+
+    @cached_property
+    def _compat_masks(self) -> tuple[int, ...]:
+        """Each type's compatibility set as a bitmask: bit i for resource i."""
+        return tuple(sum(1 << i for i in t.compatible) for t in self.types)
 
 
 @dataclass(frozen=True)

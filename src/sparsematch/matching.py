@@ -1,13 +1,19 @@
 """Exact maximum bipartite matching.
 
 A graph is stored as neighbour rows, one per left vertex: an arrival's
-compatibility set, or the edges it reports.  Hopcroft-Karp reads the rows
-directly; edge pairs from outside the package enter through the validating
-constructor.  Hopcroft-Karp's first phase, where every left vertex is free, is
-run as one greedy pass in row order, which yields the same pairs.
-Tie-breaking is deterministic given the row order;
-`max_matching_shuffled` randomizes it by relabeling both sides uniformly at
-random and mapping the result back.
+compatibility set, or the edges it reports; edge pairs from outside the
+package enter through the validating constructor.  Hopcroft-Karp's first
+phase, where every left vertex is free, is run as one greedy pass in row
+order, which yields the same pairs.  Tie-breaking is deterministic given the
+row order; `max_matching_shuffled` randomizes it by relabeling both sides
+uniformly at random and mapping the result back.
+
+`max_matching` scans the rows of any graph, such as the coordinator's sparse
+reported rows.  A bitset kernel serves full realizations (`full_matching`, on
+the instance's type bitmasks) and `max_matching_shuffled`'s relabeled graphs.
+Their rows ascend, so the first neighbour in row order that passes a test is
+the lowest set bit of the row's mask and the passing set: both kernels return
+the same pairs.
 """
 
 from __future__ import annotations
@@ -164,6 +170,79 @@ def max_matching(graph: BipartiteEdgeList) -> MatchingResult:
     return MatchingResult(size=size, pairs=pairs)
 
 
+def _bitset_matching(masks: Sequence[int], right: int) -> MatchingResult:
+    """``max_matching`` of the ascending rows whose bitmasks are ``masks``.
+
+    The BFS runs level by level.  ``good[d]`` holds the matched right vertices
+    whose partners are alive at layer d + 1; within one search these classes
+    only shrink, so the lowest candidate bit is the row scan's next neighbour.
+    """
+    left = len(masks)
+    pair_l, pair_r = [-1] * left, [-1] * right
+    free = (1 << right) - 1  # unmatched right vertices
+
+    def bfs() -> list[int]:
+        """The classes ``good[d]`` by layer d, or [] if no free right vertex is reachable."""
+        level = [l for l in range(left) if pair_l[l] == -1]
+        seen, good = free, []
+        while level:
+            reach = 0
+            for l in level:
+                reach |= masks[l]
+            new = reach & ~seen  # matched right vertices first reached here
+            seen |= new
+            good.append(new)
+            if reach & free:
+                return good + [0]  # the frontier layer is not expanded
+            level = []
+            while new:
+                low = new & -new
+                level.append(pair_r[low.bit_length() - 1])
+                new ^= low
+        return []
+
+    def dfs(root: int, good: list[int]) -> None:
+        nonlocal free
+        stack, path = [root], []
+        while stack:
+            d = len(stack) - 1
+            candidates = masks[stack[-1]] & (free | good[d])
+            if not candidates:  # the vertex dies: its partner leaves good[d - 1]
+                stack.pop()
+                if path:
+                    good[d - 1] &= ~(1 << path.pop())
+                continue
+            low = candidates & -candidates
+            r = low.bit_length() - 1
+            path.append(r)
+            if low & free:
+                for l, rr in zip(stack, path):
+                    pair_l[l], pair_r[rr] = rr, l
+                free ^= low
+                for i in range(len(path) - 1):  # path[i + 1]'s partner is now at layer i + 1
+                    good[i] ^= (1 << path[i]) | (1 << path[i + 1])
+                return
+            stack.append(pair_r[r])
+
+    for l, mask in enumerate(masks):
+        if low := mask & free & -(mask & free):
+            free ^= low
+            pair_l[l] = r = low.bit_length() - 1
+            pair_r[r] = l
+    while good := bfs():
+        for l in range(left):
+            if pair_l[l] == -1:
+                dfs(l, good)
+    pairs = tuple((l, r) for l, r in enumerate(pair_l) if r != -1)
+    return MatchingResult(len(pairs), pairs)
+
+
+def full_matching(graph: RealizedGraph) -> MatchingResult:
+    """``max_matching(full_edge_list(graph))``, solved on the instance's type bitmasks."""
+    masks = graph.instance._compat_masks
+    return _bitset_matching([masks[j] for j in graph.type_ids], graph.instance.resource_count)
+
+
 def max_matching_shuffled(graph: BipartiteEdgeList, rng: RngStream) -> MatchingResult:
     """Maximum matching after a uniform random relabeling of both sides.
 
@@ -175,8 +254,9 @@ def max_matching_shuffled(graph: BipartiteEdgeList, rng: RngStream) -> MatchingR
     perm_l = gen.permutation(graph.left_count)
     perm_r = gen.permutation(graph.right_count).tolist()
     inv_l, inv_r = np.argsort(perm_l).tolist(), np.argsort(perm_r).tolist()
-    # relabeled vertex l is inv_l[l]; its row is sorted like a sorted edge list's
-    rows = [sorted([perm_r[r] for r in graph.adjacency[l]]) for l in inv_l]
-    result = max_matching(BipartiteEdgeList.from_rows(graph.right_count, rows))
+    # relabeled vertex l is inv_l[l]; its mask is its sorted relabeled row's
+    bits = [1 << r for r in perm_r]
+    masks = [sum(map(bits.__getitem__, graph.adjacency[l])) for l in inv_l]
+    result = _bitset_matching(masks, graph.right_count)
     pairs = tuple(sorted((inv_l[l], inv_r[r]) for l, r in result.pairs))
     return MatchingResult(size=result.size, pairs=pairs)

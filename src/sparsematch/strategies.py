@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .instance import RealizedGraph, StochasticInstance
-from .matching import BipartiteEdgeList, full_edge_list, max_matching
+from .matching import BipartiteEdgeList, full_matching, max_matching
 from .rng import ArrivalStreams, RngStream, choice_cdf, choice_without_replacement
 from .varopt import VarOptSampler
 from .weights import CopyMarginals, FractionalSolution
@@ -175,8 +175,7 @@ def _coordinate(graph: RealizedGraph, rows: list[tuple[int, ...]]) -> StrategyOu
 
 def _offline(graph: RealizedGraph) -> StrategyOutcome:
     """Full-information maximum matching of the realization."""
-    edge_list = full_edge_list(graph)
-    return StrategyOutcome(max_matching(edge_list).size, sum(map(len, edge_list.adjacency)))
+    return StrategyOutcome(full_matching(graph).size, sum(len(graph.edges_for(i)) for i in range(graph.n)))
 
 
 def run_strategy(

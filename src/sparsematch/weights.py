@@ -21,7 +21,7 @@ import numpy as np
 
 from .bounds import BoundInputs
 from .instance import RealizedGraph, StochasticInstance, json_value, realize
-from .matching import MatchingResult, full_edge_list, max_matching, max_matching_shuffled
+from .matching import MatchingResult, full_edge_list, full_matching, max_matching_shuffled
 from .rng import RngStream, choice_cdf
 
 RESOURCE_CAP_TOL = 1e-7
@@ -133,11 +133,10 @@ def _simulated_optima(instance: StochasticInstance, simulations: int, rng: RngSt
         graph = realize(instance, rng.substream("sim", sim))
         if graph.n == 0:
             continue
-        edge_list = full_edge_list(graph)
         if shuffled:
-            yield graph, max_matching_shuffled(edge_list, rng.substream("shuffle", sim))
+            yield graph, max_matching_shuffled(full_edge_list(graph), rng.substream("shuffle", sim))
         else:
-            yield graph, max_matching(edge_list)
+            yield graph, full_matching(graph)
 
 
 def per_copy_marginals(instance: StochasticInstance, simulations: int, rng: RngStream) -> CopyMarginals:

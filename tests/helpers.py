@@ -239,6 +239,25 @@ def uniform_instance(compat_lists, arrivals: int) -> StochasticInstance:
     return StochasticInstance(resources=resources, types=types, arrivals=arrivals)
 
 
+def bundled_trip_instances() -> list[StochasticInstance]:
+    """The instance of every buildable interval on the bundled trip sample's default grid."""
+    from pathlib import Path
+
+    from sparsematch.generators import EmptyWindow, build_nyc_instance, ingest_trips
+    from sparsematch.harness import default_interval_starts
+    from sparsematch.rng import RngStream
+
+    data = Path(__file__).resolve().parents[1] / "data"
+    trips, zones = ingest_trips(str(data / "nyc_sample_trips.csv"), str(data / "nyc_sample_zones.csv"))
+    instances = []
+    for j, start in enumerate(default_interval_starts(trips)):
+        try:
+            instances.append(build_nyc_instance(trips, zones, start, RngStream(0).substream("supply", j)))
+        except EmptyWindow:
+            continue
+    return instances
+
+
 def complete_uniform(n: int) -> StochasticInstance:
     """n uniform types all compatible with all n resources."""
     full = tuple(range(n))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import complete_uniform, exclusive_pairs, micro_type_count, uniform_instance
+from helpers import bundled_trip_instances, complete_uniform, exclusive_pairs, micro_type_count, uniform_instance
 from sparsematch.instance import (
     DemandType,
     RealizedGraph,
@@ -34,6 +34,29 @@ def test_compatibility_must_be_sorted_and_in_range():
         DemandType(1.0, (1, 0))
     with pytest.raises(ValueError, match="references resource"):
         StochasticInstance(resources=("a",), types=(DemandType(1.0, (0, 1)),), arrivals=1)
+
+
+@pytest.mark.parametrize("ids", [(True, 2), (1.0,), (0, 2.5), ("3",), (np.bool_(False),), (np.float64(1.0),), (None,)])
+def test_compatibility_ids_must_be_integers(ids):
+    with pytest.raises(ValueError, match="not an integer"):
+        DemandType(1.0, ids)
+
+
+def test_compatibility_ids_may_be_python_or_numpy_integers():
+    t = DemandType(1.0, [np.int64(1), np.uint8(2), 3, np.intp(4)])
+    assert t.compatible == (1, 2, 3, 4)
+    assert all(type(i) is int for i in t.compatible)
+
+
+def test_compat_masks_hold_each_types_compatibility_set():
+    from sparsematch.generators import FAMILIES
+
+    for inst in [family(100) for family in FAMILIES.values()] + bundled_trip_instances():
+        masks = inst._compat_masks
+        assert len(masks) == inst.type_count
+        for t, mask in zip(inst.types, masks):
+            assert [i for i in range(inst.resource_count) if mask >> i & 1] == list(t.compatible)
+            assert mask >> inst.resource_count == 0
 
 
 def test_negative_resource_index_rejected():
@@ -161,19 +184,7 @@ def test_json_round_trip():
 
 def test_json_round_trip_every_bundled_trip_interval():
     # trip instances may carry structurally unmatchable types
-    from pathlib import Path
-
-    from sparsematch.generators import EmptyWindow, build_nyc_instance, ingest_trips
-    from sparsematch.harness import default_interval_starts
-
-    data = Path(__file__).resolve().parents[1] / "data"
-    trips, zones = ingest_trips(str(data / "nyc_sample_trips.csv"), str(data / "nyc_sample_zones.csv"))
-    built = 0
-    for j, start in enumerate(default_interval_starts(trips)):
-        try:
-            inst = build_nyc_instance(trips, zones, start, RngStream(0).substream("supply", j))
-        except EmptyWindow:
-            continue
-        built += 1
-        assert instance_from_json(instance_to_json(inst)) == inst, start
-    assert built >= 3
+    instances = bundled_trip_instances()
+    assert len(instances) >= 3
+    for inst in instances:
+        assert instance_from_json(instance_to_json(inst)) == inst

@@ -4,15 +4,17 @@ import pytest
 from helpers import (
     ArrivalOverflow,
     brute_force_matching,
+    bundled_trip_instances,
     complete_uniform,
     fractional_scaled_matching,
     hopcroft_karp_oracle,
     random_bipartite,
 )
-from sparsematch.instance import RealizedGraph, realize
+from sparsematch.instance import DemandType, RealizedGraph, StochasticInstance, realize
 from sparsematch.matching import (
     BipartiteEdgeList,
     full_edge_list,
+    full_matching,
     max_matching,
     max_matching_shuffled,
 )
@@ -262,17 +264,68 @@ def test_pairs_equal_the_oracle_without_edges(left, right):
     graph = BipartiteEdgeList(left, right, ())
     assert max_matching(graph) == hopcroft_karp_oracle(graph) == max_matching_shuffled(graph, RngStream(0))
     assert max_matching(graph).pairs == ()
+    assert full_matching(realization_of_rows([()] * left, right)) == max_matching(graph)
+
+
+def realization_of_rows(rows, right) -> RealizedGraph:
+    """The realization whose arrival l is the only arrival of a type compatible with ``rows[l]``."""
+    types = [DemandType(1.0 / len(rows), row) for row in rows] or [DemandType(1.0, ())]
+    instance = StochasticInstance(tuple(map(str, range(right))), tuple(types), len(rows))
+    return RealizedGraph(instance, tuple(range(len(rows))))
+
+
+def assert_full_pairs_equal_the_oracle(graph: RealizedGraph):
+    result = full_matching(graph)
+    expected = hopcroft_karp_oracle(full_edge_list(graph))
+    assert (result.size, result.pairs) == (expected.size, expected.pairs)
+
+
+@pytest.mark.parametrize("min_side, max_side, examples", [(0, 8, 300), (17, 60, 100)])
+def test_full_matching_pairs_equal_the_oracle_on_generated_graphs(min_side, max_side, examples):
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=examples, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(row_graphs(hypothesis.strategies, min_side, max_side))
+    def check(graph):
+        rows, right = graph
+        assert_full_pairs_equal_the_oracle(realization_of_rows([tuple(sorted(row)) for row in rows], right))
+
+    check()
+
+
+def test_full_matching_of_empty_realizations():
+    from sparsematch.generators import FAMILIES
+
+    for inst in [family(100) for family in FAMILIES.values()] + bundled_trip_instances():
+        empty = realize(StochasticInstance(inst.resources, inst.types, 0), RngStream(0))
+        assert full_matching(empty) == max_matching(full_edge_list(empty))
+        assert full_matching(empty).size == 0
+
+
+def test_full_matching_pairs_equal_the_oracle_on_trip_intervals():
+    """Every buildable bundled interval, empty-compatibility types included:
+    seeded realizations and one arrival of every type."""
+    instances = bundled_trip_instances()
+    assert any(not t.compatible for inst in instances for t in inst.types)
+    base = RngStream(89)
+    for j, inst in enumerate(instances):
+        assert_full_pairs_equal_the_oracle(RealizedGraph(inst, tuple(range(inst.type_count))))
+        for t in range(5):
+            assert_full_pairs_equal_the_oracle(realize(inst, base.substream(j, t)))
 
 
 @pytest.mark.parametrize("n", [100, 500])
 def test_pairs_equal_the_oracle_on_family_realizations(n):
     """Full rows and rows cut to their first k entries, of a realization of
-    every family, solved plainly and after the shuffled relabeling."""
+    every family, solved plainly and after the shuffled relabeling; the full
+    realizations also by ``full_matching``."""
     from sparsematch.generators import FAMILIES
 
     base = RngStream(83)
     for name, family in sorted(FAMILIES.items()):
         inst = family(n)
+        for t in range(3 if n == 100 else 1):
+            assert_full_pairs_equal_the_oracle(realize(inst, base.substream(name, n, t)))
         rows = full_edge_list(realize(inst, base.substream(name, n))).adjacency
         for cut in (None, 3, 5):
             graph = BipartiteEdgeList.from_rows(inst.resource_count, [row[:cut] for row in rows])

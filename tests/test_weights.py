@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from helpers import complete_uniform, edmonds_karp_lp, exclusive_pairs, heavy_light_edges, uniform_instance
+from helpers import (
+    bundled_trip_instances,
+    complete_uniform,
+    edmonds_karp_lp,
+    exclusive_pairs,
+    heavy_light_edges,
+    uniform_instance,
+)
 from sparsematch.generators import FAMILIES
 from sparsematch.instance import DemandType, StochasticInstance, realize
 from sparsematch.matching import full_edge_list, max_matching
@@ -114,19 +121,7 @@ def test_lp_properties_on_generated_instances():
 
 
 def test_lp_equals_edmonds_karp_on_families_and_trip_intervals():
-    from pathlib import Path
-
-    from sparsematch.generators import EmptyWindow, build_nyc_instance, ingest_trips
-    from sparsematch.harness import default_interval_starts
-
-    instances = [gen_fn(100) for gen_fn in FAMILIES.values()]
-    data = Path(__file__).resolve().parents[1] / "data"
-    trips, zones = ingest_trips(str(data / "nyc_sample_trips.csv"), str(data / "nyc_sample_zones.csv"))
-    for j, start in enumerate(default_interval_starts(trips)):
-        try:
-            instances.append(build_nyc_instance(trips, zones, start, RngStream(0).substream("supply", j)))
-        except EmptyWindow:
-            continue
+    instances = [gen_fn(100) for gen_fn in FAMILIES.values()] + bundled_trip_instances()
     assert len(instances) >= 4 + 3
     for inst in instances:
         assert list(solve_expected_lp(inst).x.items()) == list(edmonds_karp_lp(inst).items())
