@@ -22,6 +22,14 @@ from .rng import RngStream
 PROB_TOL = 1e-9
 
 
+def integer_ids(ids) -> tuple[int, ...]:
+    """``ids`` as Python ints, or TypeError: Python and numpy integers pass;
+    bools, floats, strings, None and numpy bools do not."""
+    if bool in map(type, ids):
+        raise TypeError("a bool is not an integer id")
+    return tuple(map(operator.index, ids))
+
+
 @dataclass(frozen=True)
 class DemandType:
     """One demand type: its draw probability and compatible resource indices."""
@@ -31,10 +39,8 @@ class DemandType:
 
     def __post_init__(self):
         ids = tuple(self.compatible)
-        try:  # Python and numpy integers pass; bools, floats, strings and numpy bools do not
-            if bool in map(type, ids):
-                raise TypeError
-            object.__setattr__(self, "compatible", tuple(map(operator.index, ids)))
+        try:
+            object.__setattr__(self, "compatible", integer_ids(ids))
         except TypeError:
             raise ValueError(f"compatibility list {ids!r} holds an id that is not an integer") from None
         if not 0.0 <= self.probability <= 1.0 + PROB_TOL:

@@ -1,7 +1,8 @@
 """The evaluated matching strategies and their one dispatch.
 
 Local sparsifiers (guided fixed-size sampling and uniform random subsets)
-prune each arrival's edges independently before a central maximum matching;
+prune each arrival's edges independently and report the kept resources as one
+bitmask per arrival, which a central maximum matching reads;
 online baselines (ranking, two-suggestion guidance) commit irrevocably per
 arrival; the offline optimum sees the whole realization.  Per-arrival
 randomness is drawn from substreams keyed by arrival index, so one arrival's
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .instance import RealizedGraph, StochasticInstance
-from .matching import BipartiteEdgeList, full_matching, max_matching
+from .matching import bitset_matching, full_matching
 from .rng import ArrivalStreams, RngStream, choice_cdf, choice_without_replacement
 from .varopt import VarOptSampler
 from .weights import CopyMarginals, FractionalSolution
@@ -86,26 +87,30 @@ def varopt_samplers(
 
 def varopt_sparsify(
     graph: RealizedGraph, samplers: Sequence[VarOptSampler | None], rng: RngStream
-) -> list[tuple[int, ...]]:
-    """Guided local sparsifier: one row per arrival, drawn by its type's sampler
-    from ``rng.substream("arrival", i)``; an arrival whose type has no sampler
-    reports nothing."""
+) -> list[int]:
+    """Guided local sparsifier: one resource bitmask per arrival, drawn by its
+    type's sampler from ``rng.substream("arrival", i)``; an arrival whose type
+    has no sampler reports nothing."""
     streams = ArrivalStreams(rng, graph.n)
-    return [() if sampler is None else sampler.draw(streams[i])
+    bit = [1 << r for r in range(graph.instance.resource_count)].__getitem__
+    return [0 if sampler is None else sum(map(bit, sampler.draw(streams[i])))
             for i, sampler in enumerate([samplers[t] for t in graph.type_ids])]
 
 
-def random_subgraph(graph: RealizedGraph, k: int, rng: RngStream) -> list[tuple[int, ...]]:
-    """Naive sparsifier: one row per arrival, a uniform subset of at most k compatible edges."""
+def random_subgraph(graph: RealizedGraph, k: int, rng: RngStream) -> list[int]:
+    """Naive sparsifier: one resource bitmask per arrival, a uniform subset of
+    at most k compatible edges."""
     streams = ArrivalStreams(rng, graph.n)
-    rows = []
-    for i in range(graph.n):
-        compatible = graph.edges_for(i)
+    types, type_masks = graph.instance.types, graph.instance._compat_masks
+    masks = []
+    for i, j in enumerate(graph.type_ids):
+        compatible = types[j].compatible
         if len(compatible) > k:
             picks = choice_without_replacement(streams[i].generator, len(compatible), k)
-            compatible = tuple([compatible[p] for p in sorted(picks)])
-        rows.append(compatible)
-    return rows
+            masks.append(sum([1 << compatible[p] for p in picks]))
+        else:
+            masks.append(type_masks[j])
+    return masks
 
 
 def kvv_ranking(graph: RealizedGraph, rng: RngStream) -> StrategyOutcome:
@@ -167,10 +172,10 @@ def mgs(graph: RealizedGraph, guidance: CopyMarginals, rng: RngStream) -> Strate
     return StrategyOutcome(matched, matched)
 
 
-def _coordinate(graph: RealizedGraph, rows: list[tuple[int, ...]]) -> StrategyOutcome:
-    """Central matching on the union of reported rows, one per arrival."""
-    subgraph = BipartiteEdgeList.from_rows(graph.instance.resource_count, rows)
-    return StrategyOutcome(max_matching(subgraph).size, sum(map(len, rows)))
+def _coordinate(graph: RealizedGraph, masks: list[int]) -> StrategyOutcome:
+    """Central matching on the union of reported resource bitmasks, one per arrival."""
+    matched = bitset_matching(masks, graph.instance.resource_count).size
+    return StrategyOutcome(matched, sum(map(int.bit_count, masks)))
 
 
 def _offline(graph: RealizedGraph) -> StrategyOutcome:

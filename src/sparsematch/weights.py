@@ -21,7 +21,7 @@ import numpy as np
 
 from .bounds import BoundInputs
 from .instance import RealizedGraph, StochasticInstance, json_value, realize
-from .matching import MatchingResult, full_edge_list, full_matching, max_matching_shuffled
+from .matching import MatchingResult, full_matching, max_matching_shuffled
 from .rng import RngStream, choice_cdf
 
 RESOURCE_CAP_TOL = 1e-7
@@ -134,7 +134,7 @@ def _simulated_optima(instance: StochasticInstance, simulations: int, rng: RngSt
         if graph.n == 0:
             continue
         if shuffled:
-            yield graph, max_matching_shuffled(full_edge_list(graph), rng.substream("shuffle", sim))
+            yield graph, max_matching_shuffled(graph, rng.substream("shuffle", sim))
         else:
             yield graph, full_matching(graph)
 

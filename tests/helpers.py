@@ -280,9 +280,25 @@ def heavy_light_edges(x, k: int) -> tuple[list[tuple[int, int]], list[tuple[int,
     return heavy, [edge for edge in sorted(x.x) if edge not in heavy]
 
 
-def varopt_ipw(graph, x, k: int, rng, rows) -> dict[tuple[int, int], float]:
-    """IPW weight ``x / pi`` of every (arrival, resource) edge in the rows
-    ``varopt_sparsify`` reported, one row per arrival.
+def ids_of(mask: int) -> tuple[int, ...]:
+    """The set bits of ``mask``, ascending: the resources a sparsifier's bitmask reports."""
+    return tuple(r for r in range(mask.bit_length()) if mask >> r & 1)
+
+
+def row_graph(rows, right: int) -> BipartiteEdgeList:
+    """The edge list whose row l is ``rows[l]``, entries in the given order."""
+    return BipartiteEdgeList(len(rows), right, [(l, r) for l, row in enumerate(rows) for r in row])
+
+
+def realized_edge_list(graph: RealizedGraph) -> BipartiteEdgeList:
+    """Every compatibility edge of a realization, arrivals on the left: each
+    arrival's row is its type's ascending compatibility tuple."""
+    return row_graph([graph.edges_for(i) for i in range(graph.n)], graph.instance.resource_count)
+
+
+def varopt_ipw(graph, x, k: int, rng, masks) -> dict[tuple[int, int], float]:
+    """IPW weight ``x / pi`` of every (arrival, resource) edge in the bitmasks
+    ``varopt_sparsify`` reported, one per arrival.
 
     Each arrival's sample is redrawn from the same ``rng.substream("arrival", i)``
     the sparsifier used, so it must select exactly the reported resources.
@@ -292,8 +308,8 @@ def varopt_ipw(graph, x, k: int, rng, rows) -> dict[tuple[int, int], float]:
 
     samplers = {}
     ipw = {}
-    for i, row in enumerate(rows):
-        type_id = graph.type_ids[i]
+    for i, mask in enumerate(masks):
+        row, type_id = ids_of(mask), graph.type_ids[i]
         if type_id not in samplers:
             ids, weights = x.support_of(type_id)
             sampler = VarOptSampler(ids, weights, k)

@@ -20,7 +20,7 @@ from sparsematch.bounds import sandwich_check, theorem_bound
 from sparsematch.generators import FAMILIES, ingest_trips
 from sparsematch.harness import ExperimentConfig, run_experiment, run_nyc_day
 from sparsematch.instance import realize
-from sparsematch.matching import BipartiteEdgeList, full_edge_list, max_matching
+from sparsematch.matching import BipartiteEdgeList, full_matching, max_matching
 from sparsematch.rng import RngStream
 from sparsematch.strategies import StrategyConfig, run_strategy, varopt_samplers
 from sparsematch.varopt import VarOptSampler
@@ -179,7 +179,7 @@ def test_criterion_5_offline_mean_sandwich():
         opt = solve_expected_lp(instance).objective
         base = RngStream(1005)
         sizes = [
-            max_matching(full_edge_list(realize(instance, base.substream(family, t)))).size
+            full_matching(realize(instance, base.substream(family, t))).size
             for t in range(2000)
         ]
         mean = float(np.mean(sizes))

@@ -282,14 +282,14 @@ def test_tsm_offline_optimum_matches_closed_form():
     import numpy as np
 
     from sparsematch.instance import realize
-    from sparsematch.matching import full_edge_list, max_matching
+    from sparsematch.matching import full_matching
     from sparsematch.rng import RngStream
 
     n = 100
     inst = gen_tsm_tight(n)
     base = RngStream(61)
     sizes = [
-        max_matching(full_edge_list(realize(inst, base.substream(t)))).size for t in range(300)
+        full_matching(realize(inst, base.substream(t))).size for t in range(300)
     ]
     expected = n * (1 - 1 / (2 * math.e))
     stderr = float(np.std(sizes, ddof=1) / math.sqrt(len(sizes)))

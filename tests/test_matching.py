@@ -8,12 +8,15 @@ from helpers import (
     complete_uniform,
     fractional_scaled_matching,
     hopcroft_karp_oracle,
+    ids_of,
     random_bipartite,
+    realized_edge_list,
+    row_graph,
 )
 from sparsematch.instance import DemandType, RealizedGraph, StochasticInstance, realize
 from sparsematch.matching import (
     BipartiteEdgeList,
-    full_edge_list,
+    bitset_matching,
     full_matching,
     max_matching,
     max_matching_shuffled,
@@ -97,18 +100,18 @@ def test_shuffled_preserves_size():
         left = int(gen.integers(1, 12))
         right = int(gen.integers(1, 12))
         edges = tuple(random_bipartite(gen, left, right, 0.3))
-        graph = BipartiteEdgeList(left, right, edges)
-        assert max_matching_shuffled(graph, rng.substream(t)).size == max_matching(graph).size
+        graph = BipartiteEdgeList(left, right, edges)  # rows ascend, as the pairs do
+        realization = realization_of_rows(graph.adjacency, right)
+        assert max_matching_shuffled(realization, rng.substream(t)).size == max_matching(graph).size
 
 
 def test_shuffled_single_edge():
-    graph = BipartiteEdgeList(1, 1, ((0, 0),))
-    assert max_matching_shuffled(graph, RngStream(0)).pairs == ((0, 0),)
+    assert max_matching_shuffled(realization_of_rows([(0,)], 1), RngStream(0)).pairs == ((0, 0),)
 
 
 def test_shuffled_reaches_all_perfect_matchings():
     # complete 3x3: all 6 perfect matchings should occur across 1000 seeds
-    graph = BipartiteEdgeList(3, 3, tuple((l, r) for l in range(3) for r in range(3)))
+    graph = RealizedGraph(complete_uniform(3), (0, 1, 2))
     base = RngStream(101)
     seen = set()
     for t in range(1000):
@@ -130,9 +133,10 @@ def sparsified_and_full_rows():
         samplers = varopt_samplers(inst, monte_carlo_weights(inst, 10, base.substream("weights", name)), 3)
         for t in range(3):
             graph = realize(inst, base.substream(name, t))
-            yield full_edge_list(graph).adjacency, inst.resource_count
-            yield random_subgraph(graph, 3, base.substream("random", name, t)), inst.resource_count
-            yield varopt_sparsify(graph, samplers, base.substream("varopt", name, t)), inst.resource_count
+            yield realized_edge_list(graph).adjacency, inst.resource_count
+            for masks in (random_subgraph(graph, 3, base.substream("random", name, t)),
+                          varopt_sparsify(graph, samplers, base.substream("varopt", name, t))):
+                yield list(map(ids_of, masks)), inst.resource_count
 
 
 def shuffled_by_edge_pairs(graph, rng):
@@ -149,14 +153,12 @@ def shuffled_by_edge_pairs(graph, rng):
 def test_row_graph_matches_like_edge_graph():
     base = RngStream(5)
     for case, (rows, right) in enumerate(sparsified_and_full_rows()):
-        row_graph = BipartiteEdgeList.from_rows(right, rows)
         # the same pairs, column by column: the constructor regroups them into rows
         pairs = sorted(((l, r) for l, row in enumerate(rows) for r in row), key=lambda e: (e[1], e[0]))
         edge_graph = BipartiteEdgeList(len(rows), right, pairs)
         assert edge_graph.adjacency == tuple(map(tuple, rows))
-        assert max_matching(row_graph).pairs == max_matching(edge_graph).pairs
-        shuffled = max_matching_shuffled(row_graph, base.substream(case)).pairs
-        assert shuffled == max_matching_shuffled(edge_graph, base.substream(case)).pairs
+        assert max_matching(edge_graph) == hopcroft_karp_oracle(edge_graph)  # the rows ascend
+        shuffled = max_matching_shuffled(realization_of_rows(rows, right), base.substream(case)).pairs
         assert shuffled == shuffled_by_edge_pairs(edge_graph, base.substream(case))
 
 
@@ -172,7 +174,7 @@ def scipy_matching_size(rows, right) -> int:
 
 def test_row_graph_matching_size_equals_scipy():
     for rows, right in sparsified_and_full_rows():
-        assert max_matching(BipartiteEdgeList.from_rows(right, rows)).size == scipy_matching_size(rows, right)
+        assert max_matching(row_graph(rows, right)).size == scipy_matching_size(rows, right)
 
 
 def row_graphs(st, min_side: int, max_side: int):
@@ -200,7 +202,7 @@ def test_hopcroft_karp_equals_brute_force_on_generated_graphs():
     @hypothesis.given(row_graphs(hypothesis.strategies, 0, 8))
     def check(graph):
         rows, right = graph
-        result = max_matching(BipartiteEdgeList.from_rows(right, rows))
+        result = max_matching(row_graph(rows, right))
         assert_valid_matching(rows, result.pairs)
         edges = [(l, r) for l, row in enumerate(rows) for r in row]
         assert result.size == brute_force_matching(len(rows), right, edges)
@@ -216,32 +218,35 @@ def test_hopcroft_karp_equals_scipy_on_generated_graphs():
     @hypothesis.given(row_graphs(hypothesis.strategies, 17, 60))
     def check(graph):
         rows, right = graph
-        result = max_matching(BipartiteEdgeList.from_rows(right, rows))
+        result = max_matching(row_graph(rows, right))
         assert_valid_matching(rows, result.pairs)
         assert result.size == scipy_matching_size(rows, right)
 
     check()
 
 
-def assert_pairs_equal_the_oracle(graph):
-    result = max_matching(graph)
-    expected = hopcroft_karp_oracle(graph)
+def assert_pairs_equal_the_oracle(rows, right):
+    """The kernel on the masks of rows in any order gives the oracle's pairs on the ascending rows."""
+    result = bitset_matching([sum(1 << r for r in row) for row in rows], right)
+    expected = hopcroft_karp_oracle(row_graph([sorted(row) for row in rows], right))
     assert (result.size, result.pairs) == (expected.size, expected.pairs)
 
 
-def shuffled_by_oracle(graph, rng):
+def shuffled_by_oracle(rows, right, rng):
     """``max_matching_shuffled``'s relabeling, solved by the oracle and mapped back."""
-    perm_l = rng.generator.permutation(graph.left_count)
-    perm_r = rng.generator.permutation(graph.right_count).tolist()
+    perm_l = rng.generator.permutation(len(rows))
+    perm_r = rng.generator.permutation(right).tolist()
     inv_l, inv_r = np.argsort(perm_l).tolist(), np.argsort(perm_r).tolist()
-    rows = [sorted(perm_r[r] for r in graph.adjacency[l]) for l in inv_l]
-    result = hopcroft_karp_oracle(BipartiteEdgeList.from_rows(graph.right_count, rows))
+    relabeled = [sorted(perm_r[r] for r in rows[l]) for l in inv_l]
+    result = hopcroft_karp_oracle(row_graph(relabeled, right))
     return result.size, tuple(sorted((inv_l[l], inv_r[r]) for l, r in result.pairs))
 
 
-def assert_shuffled_pairs_equal_the_oracle(graph, seed):
-    result = max_matching_shuffled(graph, RngStream(seed))
-    assert (result.size, result.pairs) == shuffled_by_oracle(graph, RngStream(seed))
+def assert_shuffled_pairs_equal_the_oracle(rows, right, seed):
+    """``max_matching_shuffled`` of the realization whose arrivals' rows are ``rows``."""
+    realization = realization_of_rows([tuple(sorted(row)) for row in rows], right)
+    result = max_matching_shuffled(realization, RngStream(seed))
+    assert (result.size, result.pairs) == shuffled_by_oracle(rows, right, RngStream(seed))
 
 
 @pytest.mark.parametrize("min_side, max_side, examples", [(0, 8, 300), (17, 60, 100)])
@@ -252,19 +257,18 @@ def test_pairs_equal_the_oracle_on_generated_graphs(min_side, max_side, examples
     @hypothesis.given(row_graphs(hypothesis.strategies, min_side, max_side), hypothesis.strategies.integers(0, 2**32))
     def check(graph, seed):
         rows, right = graph
-        row_graph = BipartiteEdgeList.from_rows(right, rows)
-        assert_pairs_equal_the_oracle(row_graph)
-        assert_shuffled_pairs_equal_the_oracle(row_graph, seed)
+        assert_pairs_equal_the_oracle(rows, right)
+        assert_shuffled_pairs_equal_the_oracle(rows, right, seed)
 
     check()
 
 
 @pytest.mark.parametrize("left, right", [(0, 0), (0, 4), (4, 0), (3, 3)])
 def test_pairs_equal_the_oracle_without_edges(left, right):
-    graph = BipartiteEdgeList(left, right, ())
-    assert max_matching(graph) == hopcroft_karp_oracle(graph) == max_matching_shuffled(graph, RngStream(0))
+    graph, realization = BipartiteEdgeList(left, right, ()), realization_of_rows([()] * left, right)
+    assert max_matching(graph) == hopcroft_karp_oracle(graph) == max_matching_shuffled(realization, RngStream(0))
     assert max_matching(graph).pairs == ()
-    assert full_matching(realization_of_rows([()] * left, right)) == max_matching(graph)
+    assert full_matching(realization) == max_matching(graph)
 
 
 def realization_of_rows(rows, right) -> RealizedGraph:
@@ -276,7 +280,7 @@ def realization_of_rows(rows, right) -> RealizedGraph:
 
 def assert_full_pairs_equal_the_oracle(graph: RealizedGraph):
     result = full_matching(graph)
-    expected = hopcroft_karp_oracle(full_edge_list(graph))
+    expected = hopcroft_karp_oracle(realized_edge_list(graph))
     assert (result.size, result.pairs) == (expected.size, expected.pairs)
 
 
@@ -298,7 +302,7 @@ def test_full_matching_of_empty_realizations():
 
     for inst in [family(100) for family in FAMILIES.values()] + bundled_trip_instances():
         empty = realize(StochasticInstance(inst.resources, inst.types, 0), RngStream(0))
-        assert full_matching(empty) == max_matching(full_edge_list(empty))
+        assert full_matching(empty) == max_matching(realized_edge_list(empty))
         assert full_matching(empty).size == 0
 
 
@@ -326,51 +330,43 @@ def test_pairs_equal_the_oracle_on_family_realizations(n):
         inst = family(n)
         for t in range(3 if n == 100 else 1):
             assert_full_pairs_equal_the_oracle(realize(inst, base.substream(name, n, t)))
-        rows = full_edge_list(realize(inst, base.substream(name, n))).adjacency
+        realization = realize(inst, base.substream(name, n))
         for cut in (None, 3, 5):
-            graph = BipartiteEdgeList.from_rows(inst.resource_count, [row[:cut] for row in rows])
-            assert_pairs_equal_the_oracle(graph)
+            rows = [realization.edges_for(i)[:cut] for i in range(realization.n)]
+            assert_pairs_equal_the_oracle(rows, inst.resource_count)
             if n == 100:
-                assert_shuffled_pairs_equal_the_oracle(graph, n + (cut or 0))
+                assert_shuffled_pairs_equal_the_oracle(rows, inst.resource_count, n + (cut or 0))
 
 
-def counted_rows(rows):
-    """Rows that count how often the matcher starts reading one."""
+def counted_masks(rows):
+    """The rows' bitmasks in a list that counts how often the matcher reads one."""
     reads = [0]
 
-    class Row(tuple):
-        def __iter__(self):
+    class Masks(list):
+        def __getitem__(self, l):
             reads[0] += 1
-            return super().__iter__()
+            return super().__getitem__(l)
 
-    return [Row(row) for row in rows], reads
+        def __iter__(self):
+            return map(self.__getitem__, range(len(self)))
+
+    return Masks(sum(1 << r for r in row) for row in rows), reads
 
 
 @pytest.mark.parametrize("rows, right, expected_reads", [
     # every row read once by the greedy pass, which matches all of them
     ([(0, 1), (1, 2), (2,)], 3, 3),
-    # no edge: the greedy pass reads each row and the search never starts
+    # no edge: the greedy pass reads each row and matches none, so the search never starts
     ([(), (), ()], 2, 3),
     # a star: the greedy pass, then one search that finds no augmenting path and
     # reads the two free rows and the matched one they reach
     ([(0,), (0,), (0,)], 1, 6),
 ])
 def test_first_phase_reads_each_row_once(rows, right, expected_reads):
-    counted, reads = counted_rows(rows)
-    result = max_matching(BipartiteEdgeList.from_rows(right, counted))
-    assert result == hopcroft_karp_oracle(BipartiteEdgeList.from_rows(right, rows))
+    counted, reads = counted_masks(rows)
+    result = bitset_matching(counted, right)
+    assert result == hopcroft_karp_oracle(row_graph(rows, right))
     assert reads[0] == expected_reads
-
-
-def test_full_edge_list_of_realization():
-    inst = complete_uniform(4)
-    graph = RealizedGraph(inst, (0, 2, 1))
-    el = full_edge_list(graph)
-    assert el.left_count == 3
-    assert el.right_count == 4
-    assert len(el.edges) == 12
-    # the rows are the instance's own compatibility tuples
-    assert all(row is inst.types[j].compatible for row, j in zip(el.adjacency, graph.type_ids))
 
 
 def test_fractional_scaling_arithmetic():
@@ -419,9 +415,9 @@ def test_fractional_value_never_exceeds_integral_matching():
     for t in range(500):
         graph = realize(inst, base.substream(t))
         rng = base.substream("s", t)
-        rows = varopt_sparsify(graph, samplers, rng)
-        ipw = varopt_ipw(graph, x, 5, rng, rows)
-        subgraph = BipartiteEdgeList.from_rows(n, rows)
+        masks = varopt_sparsify(graph, samplers, rng)
+        ipw = varopt_ipw(graph, x, 5, rng, masks)
+        subgraph = row_graph(list(map(ids_of, masks)), n)
         report = fractional_scaled_matching(subgraph, ipw)
         size = max_matching(subgraph).size
         assert report.scaled_value <= size + 1e-9

@@ -3,16 +3,26 @@ import math
 import numpy as np
 import pytest
 
-from helpers import complete_uniform, exclusive_pairs, uniform_instance, varopt_ipw
-from sparsematch.generators import gen_kvv_triangular
+from helpers import (
+    complete_uniform,
+    exclusive_pairs,
+    hopcroft_karp_oracle,
+    ids_of,
+    realized_edge_list,
+    row_graph,
+    uniform_instance,
+    varopt_ipw,
+)
+from sparsematch.generators import FAMILIES, gen_kvv_triangular
 from sparsematch.instance import RealizedGraph, StochasticInstance, DemandType, realize
-from sparsematch.matching import full_edge_list, max_matching
+from sparsematch.matching import bitset_matching, full_matching, max_matching
 from sparsematch.rng import RngStream
 from sparsematch.strategies import (
     BUDGETED,
     GUIDED,
     STRATEGY_NAMES,
     StrategyConfig,
+    StrategyOutcome,
     UnknownStrategy,
     _sample_weighted,
     kvv_ranking,
@@ -62,7 +72,7 @@ def test_config_validation():
 def test_varopt_budget_exceeds_degree_keeps_everything():
     inst, x = spread_solution(6)
     graph = realize(inst, RngStream(1))
-    rows = varopt_sparsify(graph, varopt_samplers(inst, x, 10), RngStream(2))
+    rows = list(map(ids_of, varopt_sparsify(graph, varopt_samplers(inst, x, 10), RngStream(2))))
     assert len(rows) == graph.n
     for i, row in enumerate(rows):
         assert row == graph.edges_for(i)
@@ -73,9 +83,9 @@ def test_varopt_budget_exceeds_degree_keeps_everything():
 def test_varopt_respects_budget_and_support():
     inst, x = spread_solution(30)
     graph = realize(inst, RngStream(3))
-    rows = varopt_sparsify(graph, varopt_samplers(inst, x, 4), RngStream(4))
-    ipw = varopt_ipw(graph, x, 4, RngStream(4), rows)
-    for i, row in enumerate(rows):
+    masks = varopt_sparsify(graph, varopt_samplers(inst, x, 4), RngStream(4))
+    ipw = varopt_ipw(graph, x, 4, RngStream(4), masks)
+    for i, row in enumerate(map(ids_of, masks)):
         assert len(row) == 4
         assert set(row) <= set(graph.edges_for(i))
         assert sum(ipw[(i, r)] for r in row) == pytest.approx(1.0, abs=1e-9)
@@ -109,7 +119,7 @@ def test_varopt_spread_preserves_matching():
     matched, offline = [], []
     for t in range(500):
         graph = realize(inst, base.substream(t))
-        offline.append(max_matching(full_edge_list(graph)).size)
+        offline.append(full_matching(graph).size)
         matched.append(
             run_strategy(graph, StrategyConfig("varopt", k=5), base.substream("s", t), samplers).matched
         )
@@ -121,8 +131,8 @@ def test_varopt_zero_weight_type_falls_back_to_uniform():
     inst = uniform_instance([(0, 1, 2), (0,)], arrivals=4)
     x = FractionalSolution.build(inst, {(1, 0): 0.5})  # type 0 has no support
     graph = RealizedGraph(inst, (0, 0, 1, 0))
-    rows = varopt_sparsify(graph, varopt_samplers(inst, x, 2), RngStream(11))
-    for type_id, row in zip(graph.type_ids, rows):
+    masks = varopt_sparsify(graph, varopt_samplers(inst, x, 2), RngStream(11))
+    for type_id, row in zip(graph.type_ids, map(ids_of, masks)):
         if type_id == 0:
             assert len(row) == 2
             assert set(row) <= {0, 1, 2}
@@ -135,10 +145,10 @@ def test_varopt_locality():
     types_b = (3, 2, 9, 0, 4, 1, 4, 7)  # same type at positions 0 and 3
     samplers = varopt_samplers(inst, x, 3)
     rng = RngStream(13)
-    rows_a = varopt_sparsify(RealizedGraph(inst, types_a), samplers, rng)
-    rows_b = varopt_sparsify(RealizedGraph(inst, types_b), samplers, rng)
+    masks_a = varopt_sparsify(RealizedGraph(inst, types_a), samplers, rng)
+    masks_b = varopt_sparsify(RealizedGraph(inst, types_b), samplers, rng)
     for i in (0, 3):
-        assert rows_a[i] == rows_b[i]
+        assert masks_a[i] == masks_b[i]
 
 
 def test_varopt_samplers_cover_every_type():
@@ -154,7 +164,8 @@ def test_varopt_samplers_cover_every_type():
     assert supported.probabilities() == pytest.approx({0: 0.25, 2: 0.75})
     assert fallback.probabilities() == pytest.approx({1: 0.5, 2: 0.5})
     assert empty is None
-    rows = varopt_sparsify(RealizedGraph(inst, (2, 0, 2)), (supported, fallback, empty), RngStream(3))
+    masks = varopt_sparsify(RealizedGraph(inst, (2, 0, 2)), (supported, fallback, empty), RngStream(3))
+    rows = list(map(ids_of, masks))
     assert rows[0] == rows[2] == ()
     assert rows[1] in ((0,), (2,))
 
@@ -164,7 +175,7 @@ def test_random_subgraph_keeps_all_when_small_degree():
     graph = realize(inst, RngStream(1))
     # inclusion probability 1: every stream reports both edges
     for seed in range(20):
-        assert random_subgraph(graph, k=5, rng=RngStream(seed)) == [(0, 1)] * graph.n
+        assert list(map(ids_of, random_subgraph(graph, k=5, rng=RngStream(seed)))) == [(0, 1)] * graph.n
 
 
 def test_random_subgraph_uniform_marginals():
@@ -174,7 +185,7 @@ def test_random_subgraph_uniform_marginals():
     counts = np.zeros(10)
     trials = 20000
     for t in range(trials):
-        row = random_subgraph(graph, 3, base.substream(t))[0]
+        row = ids_of(random_subgraph(graph, 3, base.substream(t))[0])
         assert len(row) == 3
         for r in row:
             counts[r] += 1
@@ -197,7 +208,7 @@ def test_kvv_competitive_floor_on_families():
     ratios = []
     for t in range(200):
         graph = realize(inst, base.substream(t))
-        offline = max_matching(full_edge_list(graph)).size
+        offline = full_matching(graph).size
         if offline == 0:
             continue
         ratios.append(kvv_ranking(graph, base.substream("k", t)).matched / offline)
@@ -254,8 +265,8 @@ def test_run_strategy_offline_equals_max_matching():
     inst = complete_uniform(15)
     graph = realize(inst, RngStream(9))
     outcome = run_strategy(graph, StrategyConfig("offline"), RngStream(10))
-    assert outcome.matched == max_matching(full_edge_list(graph)).size
-    assert outcome.sparsified_edges == len(full_edge_list(graph).edges)
+    assert outcome.matched == max_matching(realized_edge_list(graph)).size
+    assert outcome.sparsified_edges == len(realized_edge_list(graph).edges)
 
 
 def test_run_strategy_full_budget_full_support_equals_offline():
@@ -280,7 +291,7 @@ def test_every_strategy_below_offline():
     base = RngStream(25)
     for t in range(30):
         graph = realize(inst, base.substream(t))
-        offline = max_matching(full_edge_list(graph)).size
+        offline = full_matching(graph).size
         for cfg in (
             StrategyConfig("kvv"),
             StrategyConfig("mgs"),
@@ -322,8 +333,8 @@ def test_random_subgraph_resource_retention_rate():
     present = np.zeros(n)
     for t in range(trials):
         graph = realize(inst, base.substream(t))
-        rows = random_subgraph(graph, k, base.substream("s", t))
-        touched = {r for row in rows for r in row}
+        masks = random_subgraph(graph, k, base.substream("s", t))
+        touched = {r for mask in masks for r in ids_of(mask)}
         for r in touched:
             present[r] += 1
     expected = 1 - (1 - k / n) ** n
@@ -336,7 +347,7 @@ def test_varopt_selection_size_tracks_support():
     inst = uniform_instance([(0, 1, 2, 3, 4, 5)], arrivals=3)
     x = FractionalSolution.build(inst, {(0, 0): 0.1, (0, 2): 0.1, (0, 4): 0.1})
     graph = realize(inst, RngStream(1))
-    for row in varopt_sparsify(graph, varopt_samplers(inst, x, 5), RngStream(2)):
+    for row in map(ids_of, varopt_sparsify(graph, varopt_samplers(inst, x, 5), RngStream(2))):
         assert len(row) == 3
         assert set(row) <= {0, 2, 4}
 
@@ -346,10 +357,10 @@ def test_random_subgraph_locality():
     types_a = (2, 5, 7, 1)
     types_b = (2, 8, 7, 3)  # positions 0 and 2 unchanged
     rng = RngStream(43)
-    rows_a = random_subgraph(RealizedGraph(inst, types_a), 4, rng)
-    rows_b = random_subgraph(RealizedGraph(inst, types_b), 4, rng)
+    masks_a = random_subgraph(RealizedGraph(inst, types_a), 4, rng)
+    masks_b = random_subgraph(RealizedGraph(inst, types_b), 4, rng)
     for i in (0, 2):
-        assert rows_a[i] == rows_b[i]
+        assert masks_a[i] == masks_b[i]
 
 
 def test_strategy_constants_drive_names_and_validation():
@@ -365,7 +376,7 @@ def test_every_declared_strategy_runs_through_run_strategy():
     x = solve_expected_lp(inst)
     guidance = {"mgs": CopyMarginals.of_solution(x), "varopt": varopt_samplers(inst, x, 2)}
     graph = realize(inst, RngStream(51))
-    offline = max_matching(full_edge_list(graph)).size
+    offline = full_matching(graph).size
     for name in STRATEGY_NAMES:
         cfg = StrategyConfig(name, k=2 if name in BUDGETED else None)
         outcome = run_strategy(graph, cfg, RngStream(52), guidance.get(name))
@@ -392,3 +403,38 @@ def test_config_order_is_name_then_budget():
         assert sorted(listed) == sorted(listed, key=lambda c: (c.strategy, c.k if c.k is not None else -1))
 
     check()
+
+
+def assert_coordinator_equals_the_oracle(graph, config, rng, guidance, masks):
+    """``masks`` are what ``config``'s sparsifier reports on ``rng``: the kernel's
+    pairs on them, and the coordinator's size and edge count, are the oracle's
+    on the ascending reported rows."""
+    rows = list(map(ids_of, masks))
+    expected = hopcroft_karp_oracle(row_graph(rows, graph.instance.resource_count))
+    assert bitset_matching(masks, graph.instance.resource_count) == expected
+    assert run_strategy(graph, config, rng, guidance) == StrategyOutcome(expected.size, sum(map(len, rows)))
+
+
+@pytest.mark.parametrize("k", [3, 5, 10])
+def test_coordinator_equals_the_oracle_on_monte_carlo_guided_reports(k):
+    base = RngStream(97)
+    for name, family in sorted(FAMILIES.items()):
+        inst = family(100)
+        samplers = varopt_samplers(inst, monte_carlo_weights(inst, 10, base.substream("weights", name)), k)
+        for t in range(2):
+            graph, rng = realize(inst, base.substream(name, t)), base.substream("s", name, t)
+            assert_coordinator_equals_the_oracle(graph, StrategyConfig("random", k=k), rng, None,
+                                                 random_subgraph(graph, k, rng))
+            assert_coordinator_equals_the_oracle(graph, StrategyConfig("varopt", k=k), rng, samplers,
+                                                 varopt_sparsify(graph, samplers, rng))
+
+
+def test_coordinator_equals_the_oracle_on_lp_guided_single_edge_reports():
+    base = RngStream(101)
+    for name, family in sorted(FAMILIES.items()):
+        inst = family(500)
+        samplers = varopt_samplers(inst, solve_expected_lp(inst), 5)
+        graph, rng = realize(inst, base.substream(name)), base.substream("s", name)
+        masks = varopt_sparsify(graph, samplers, rng)
+        assert all(mask.bit_count() == 1 for mask in masks)
+        assert_coordinator_equals_the_oracle(graph, StrategyConfig("varopt", k=5), rng, samplers, masks)

@@ -14,7 +14,7 @@ from helpers import (
 )
 from sparsematch.generators import FAMILIES
 from sparsematch.instance import DemandType, StochasticInstance, realize
-from sparsematch.matching import full_edge_list, max_matching
+from sparsematch.matching import full_matching
 from sparsematch.rng import RngStream
 from sparsematch.weights import (
     DegenerateType,
@@ -176,7 +176,7 @@ def test_monte_carlo_objective_tracks_offline_mean():
     solution = monte_carlo_weights(inst, 500, RngStream(9))
     base = RngStream(1009)
     sizes = [
-        max_matching(full_edge_list(realize(inst, base.substream(t)))).size for t in range(500)
+        full_matching(realize(inst, base.substream(t))).size for t in range(500)
     ]
     assert solution.objective == pytest.approx(np.mean(sizes), rel=0.02)
 
@@ -336,7 +336,7 @@ def test_offline_mean_sandwich_on_families_small():
         opt = solve_expected_lp(inst).objective
         base = RngStream(71)
         sizes = [
-            max_matching(full_edge_list(realize(inst, base.substream(name, t)))).size
+            full_matching(realize(inst, base.substream(name, t))).size
             for t in range(400)
         ]
         mean = float(np.mean(sizes))
