@@ -1,11 +1,12 @@
 """Experiment orchestration: one trial kernel behind efficiency tables,
 unmet-demand series and bound reports.
 
-``score_trials`` is the only loop that realizes instances for scoring.  Each
-trial realizes the instance once from ``realize_stream.substream(t)``, solves
-the offline maximum matching when the caller scores against it, and runs
-every other strategy on the same realization through ``run_strategy`` with
-``strategy_stream.substream(t, key)``.  Every stream is keyed by the trial
+``score_trials`` is the only loop that realizes instances for scoring.  It
+realizes each trial once from ``realize_stream.substream(t)`` and solves the
+offline maximum matching when the caller scores against it.  Then every
+strategy runs on the same realizations through ``run_strategy`` with
+``strategy_stream.substream(t, key)``, a budgeted one on the reports it drew
+for all those trials in one batch.  Every stream is keyed by the trial
 index alone, never by position in the loop, so results are reproducible from
 (config, seed) and independent of trial scheduling.  Guided strategies read
 guidance learned once per experiment from a dedicated substream, keyed by
@@ -22,6 +23,7 @@ import logging
 import math
 from dataclasses import dataclass
 from datetime import datetime
+from itertools import repeat
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -31,7 +33,7 @@ from .generators import FAMILIES, HALF_WINDOW, EmptyWindow, TripRecord, ZoneMode
 from .instance import StochasticInstance, instance_from_json, realize
 from .matching import full_matching
 from .rng import RngStream
-from .strategies import GUIDED, StrategyConfig, run_strategy, varopt_samplers
+from .strategies import BUDGETED, GUIDED, StrategyConfig, run_strategy, sparsify, varopt_samplers
 from .weights import (
     CopyMarginals,
     FractionalSolution,
@@ -188,26 +190,32 @@ def score_trials(
 ) -> list[TrialScore]:
     """Realize and score each trial in ``trials``; one score per trial, in order.
 
-    With ``with_offline`` the offline maximum matching is solved once per trial
-    and is the offline strategy's score; a trial whose offline matching is
-    empty has no edges, so every strategy scores 0 there without running.
-    Each guided strategy reads ``guidance[label]``.
+    Every trial is realized first.  With ``with_offline`` the offline maximum
+    matching is solved once per trial and is the offline strategy's score; a
+    trial whose offline matching is empty has no edges, so every strategy
+    scores 0 there without running.  Then each strategy in turn runs through
+    ``run_strategy`` on every other trial; a budgeted one first draws the
+    reports of all those trials in one batch (``sparsify``).  Each guided
+    strategy reads ``guidance[label]``.
     """
-    scores = []
-    for t in trials:
-        graph = realize(instance, realize_stream.substream(t))
-        offline = full_matching(graph).size if with_offline else None
-        matched = {}
-        for cfg in strategies:
-            if offline == 0:
-                matched[cfg.label] = 0
-            elif offline is not None and cfg.strategy == "offline":
-                matched[cfg.label] = offline
-            else:
-                rng = strategy_stream.substream(t, stream_key(cfg))
-                matched[cfg.label] = run_strategy(graph, cfg, rng, guidance.get(cfg.label)).matched
-        scores.append(TrialScore(offline, matched))
-    return scores
+    trials = list(trials)
+    graphs = [realize(instance, realize_stream.substream(t)) for t in trials]
+    offline = [full_matching(graph).size if with_offline else None for graph in graphs]
+    run = [q for q, size in enumerate(offline) if size != 0]
+    matched = [dict.fromkeys([cfg.label for cfg in strategies], 0) for _ in trials]
+    for cfg in strategies:
+        if with_offline and cfg.strategy == "offline":
+            for q in run:
+                matched[q][cfg.label] = offline[q]
+            continue
+        rngs = [strategy_stream.substream(trials[q], stream_key(cfg)) for q in run]
+        guide = guidance.get(cfg.label)
+        reports = repeat(None)  # dropping the last strategy's reports before the next batch
+        if cfg.strategy in BUDGETED and run:
+            reports = sparsify([graphs[q] for q in run], cfg, rngs, guide)
+        for q, rng, report in zip(run, rngs, reports):
+            matched[q][cfg.label] = run_strategy(graphs[q], cfg, rng, guide, report).matched
+    return [TrialScore(size, scores) for size, scores in zip(offline, matched)]
 
 
 def run_experiment(

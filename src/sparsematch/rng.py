@@ -4,11 +4,12 @@ Every source of randomness in the library flows through a stream keyed by
 ``(seed, stream_id)``.  Streams backed by the counter-based Philox generator
 reproduce identical draw sequences for identical keys, so results depend only
 on the keys and trials, arrivals and learning phases can run in any order.
-:class:`ArrivalStreams` serves one call's one-shot arrival streams from one
-Philox, re-keyed in place; they are not shareable across threads.  Two draws
-replay numpy ``Generator`` internals on Python numbers, byte for byte, and
-are checked against numpy: ``choice_without_replacement`` (and the key rows)
-in tests/test_rng.py, a weighted choice by ``choice_cdf`` in test_strategies.
+:class:`StreamRows` draws many fresh streams at once, one row each: it
+computes their Philox4x64-10 words in numpy (``philox_blocks``) and replays
+numpy ``Generator``'s ``permutation``, ``random`` and ``choice`` on them over
+padded rows, byte for byte.  These replays and ``choice_cdf``, the cdf of a
+weighted choice, are checked against numpy in tests/test_rng.py,
+test_varopt.py and test_strategies.py.
 """
 
 from __future__ import annotations
@@ -87,72 +88,146 @@ class RngStream:
 _ARRIVAL_HASH = _splitmix64(_tag_to_int("arrival"))
 
 
-def philox_keys(seed: int, stream_ids: np.ndarray) -> list[list[int]]:
-    """``philox_key(seed, sid).tolist()`` for each sid of a uint64 array, in one pass."""
-    keys = np.stack([np.full_like(stream_ids, seed), stream_ids], axis=1)
-    mixed = (stream_ids >= 1 << 63) != (seed >= 1 << 63)  # the pairs philox_key rounds
+def philox_keys(seeds: np.ndarray, stream_ids: np.ndarray) -> np.ndarray:
+    """``philox_key(seed, sid)`` for each pair of two uint64 arrays, as rows of one array."""
+    keys = np.stack(np.broadcast_arrays(seeds, stream_ids), axis=1)
+    mixed = (keys[:, 0] >= 1 << 63) != (keys[:, 1] >= 1 << 63)  # the pairs philox_key rounds
     keys[mixed] = keys[mixed].astype(np.float64).astype(np.uint64)
-    return keys.tolist()
+    return keys
 
 
-class ArrivalStreams:
-    """The streams ``rng.substream("arrival", i)`` of one call's n arrivals.
+_LOW32 = np.uint64(0xFFFFFFFF)
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
+_PHILOX_LANES = 8192  # blocks per vectorized pass, which bounds its temporaries
 
-    ``self[i]`` selects arrival i and returns these streams, whose
-    ``generator`` then draws what that substream's own generator draws.  All
-    arrivals share one Philox, built for the first arrival that asks and
-    re-keyed in place for each later one, so a selection is valid until the
-    next; arrivals that draw nothing cost none.
+
+def philox_blocks(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
+    """Philox4x64-10 block ``counters[i] >= 1`` under ``keys[i]``, one row each: the
+    words 4(c - 1) .. 4c - 1 that ``np.random.Philox(key=keys[i]).random_raw`` returns."""
+    key = keys.T.copy()
+    x = np.zeros_like(key)  # counter words 0 and 2; y holds words 1 and 3
+    x[0] = counters
+    y = np.zeros_like(key)
+    m_lo, m_hi = _PHILOX_M & _LOW32, _PHILOX_M >> 32
+    for r in range(10):
+        if r:
+            key += _PHILOX_W
+        # the high word of x * M from 32-bit halves (Hacker's Delight mulhu)
+        x_lo, x_hi = x & _LOW32, x >> 32
+        t = x_hi * m_lo + (x_lo * m_lo >> 32)
+        w = x_lo * m_hi + (t & _LOW32)
+        hi = x_hi * m_hi + (t >> 32) + (w >> 32)
+        x, y = hi[::-1] ^ y ^ key, (x * _PHILOX_M)[::-1]
+    return np.stack([x[0], y[0], x[1], y[1]], axis=1)
+
+
+def arrival_stream_ids(stream_ids: np.ndarray, arrivals: np.ndarray) -> np.ndarray:
+    """The stream id of ``RngStream(seed, stream_ids[r]).substream("arrival", arrivals[r])``
+    for each r, in one pass."""
+    prefix = _splitmix64_array(stream_ids ^ np.uint64(_ARRIVAL_HASH))
+    return _splitmix64_array(prefix ^ _splitmix64_array(arrivals.astype(np.uint64)))
+
+
+class StreamRows:
+    """Fresh streams ``RngStream(seeds[r], stream_ids[r])``, one row each, drawn as
+    each row's own numpy ``Generator`` draws, in vectorized passes over the rows.
+
+    A row's Philox words are computed in 4-word blocks as its draws reach them,
+    and handed out as 32-bit halves: a word's low half, then its high half.
+    ``permutation`` or ``choice`` is a row's first draw and replays numpy's
+    algorithm on those halves, one half of every unfinished row per pass.
     """
 
-    def __init__(self, rng: RngStream, n: int):
-        prefix = np.uint64(_splitmix64(rng.stream_id ^ _ARRIVAL_HASH))
-        stream_ids = _splitmix64_array(prefix ^ _splitmix64_array(np.arange(n, dtype=np.uint64)))
-        self.seed, self.stream_ids = rng.seed, stream_ids.tolist()
-        self._keys = philox_keys(rng.seed, stream_ids)
-        self._generator = self._state = None
-        self._selected = self._keyed_for = -1  # the arrival asked for; the one keyed
+    def __init__(self, seeds: np.ndarray, stream_ids: np.ndarray):
+        self.seeds, self.stream_ids = seeds, stream_ids
+        self.keys = philox_keys(seeds, stream_ids)
+        self.rows = np.arange(len(stream_ids))
+        self.used = np.zeros(len(stream_ids), np.int64)  # halves handed out
+        self.blocks = np.zeros(len(stream_ids), np.int64)  # blocks computed
+        self.halves = np.zeros((len(stream_ids), 0), np.uint32)
 
-    def __getitem__(self, i: int) -> "ArrivalStreams":
-        self._selected = i
-        return self
+    def stream(self, r: int) -> RngStream:
+        return RngStream(int(self.seeds[r]), int(self.stream_ids[r]))
 
-    @property
-    def generator(self) -> np.random.Generator:
-        """The selected arrival's generator: the shared Philox, re-keyed unless it holds that key."""
-        i = self._selected
-        if i != self._keyed_for:
-            self._keyed_for = i
-            if self._generator is None:
-                self._generator = RngStream(self.seed, self.stream_ids[i]).generator
-                state = self._state = self._generator.bit_generator.state
-                state["state"]["counter"] = state["buffer"] = [0] * 4  # as ints, which set faster
-            else:  # a fresh Philox's state (zero counter, empty buffer) under the new key
-                self._state["state"]["key"] = self._keys[i]
-                self._generator.bit_generator.state = self._state
-        return self._generator
+    def _reserve(self, rows: np.ndarray, blocks: np.ndarray | int) -> None:
+        """Compute blocks until each of ``rows`` holds ``blocks`` of them."""
+        count = blocks - self.blocks[rows]
+        rows, count = rows[count > 0], count[count > 0]
+        if not len(rows):
+            return
+        first = self.blocks[rows]
+        width = 8 * int((first + count).max())
+        if width > self.halves.shape[1]:
+            spare = np.zeros((len(self.rows), width - self.halves.shape[1]), np.uint32)
+            self.halves = np.concatenate([self.halves, spare], axis=1)
+        lane_row = np.repeat(rows, count)
+        block = np.repeat(first - np.cumsum(count) + count, count) + np.arange(len(lane_row))
+        by_block = self.halves.reshape(len(self.rows), -1, 8)
+        for s in range(0, len(lane_row), _PHILOX_LANES):
+            lanes = slice(s, s + _PHILOX_LANES)
+            words = philox_blocks(self.keys[lane_row[lanes]], block[lanes].astype(np.uint64) + np.uint64(1))
+            # a little-endian word's 32-bit halves are its low half, then its high half
+            by_block[lane_row[lanes], block[lanes]] = words.astype("<u8").view("<u4")
+        self.blocks[rows] += count
 
+    def _column(self, p: int, active: np.ndarray) -> np.ndarray:
+        """Half p of every row, computed first for the active rows that lack it."""
+        if p % 8 == 0 and (lacking := active & (self.blocks <= p // 8)).any():
+            self._reserve(self.rows[lacking], p // 8 + 1)
+        self.used += active
+        return self.halves[:, p]
 
-def choice_without_replacement(gen: np.random.Generator, d: int, k: int) -> set[int]:
-    """The set ``gen.choice(d, k, replace=False)`` picks, 0 < k < d, if ``gen`` holds no
-    unused 32-bit half.  For d <= 10000 numpy runs Floyd's algorithm, each index
-    in [0, j] drawn by Lemire's method on ``next_uint32`` (a 64-bit word's low
-    half, then its high half); this replays it on Python ints, pulling words as
-    rejections need them.  numpy's final shuffle only reorders the set."""
-    if d > 10000:  # where numpy may take a tail shuffle instead
-        return set(gen.choice(d, k, replace=False).tolist())
-    raw = gen.bit_generator.random_raw
-    halves = (half for _ in count() for word in raw((k + 1) // 2).tolist()
-              for half in (word & 0xFFFFFFFF, word >> 32))
-    chosen: set[int] = set()
-    for j in range(d - k, d):
-        m = next(halves) * (j + 1)
-        if m & 0xFFFFFFFF < j + 1:  # maybe biased: reject below 2^32 mod (j + 1)
-            threshold = (0xFFFFFFFF - j) % (j + 1)
-            while m & 0xFFFFFFFF < threshold:
-                m = next(halves) * (j + 1)
-        chosen.add(j if m >> 32 in chosen else m >> 32)
-    return chosen
+    def random(self) -> np.ndarray:
+        """Each row's ``random()``, ``(next64 >> 11) * 2**-53``, as its last draw:
+        next64 takes the next whole word, past a pending half, and the words go."""
+        at = self.used + (self.used & 1)
+        self._reserve(self.rows, at // 8 + 1)
+        lo, hi = self.halves[self.rows, at], self.halves[self.rows, at + 1]
+        self.halves = np.zeros((len(self.rows), 0), np.uint32)
+        return ((hi.astype(np.uint64) << 32 | lo) >> 11) * 2.0**-53
+
+    def permutation(self, lengths: np.ndarray) -> np.ndarray:
+        """Row r's ``permutation(lengths[r])`` in its first lengths[r] columns, the
+        rest ``arange``: Fisher-Yates from the last index down, each index i drawn
+        by masked rejection; a rejected half leaves the row at index i."""
+        self._reserve(self.rows, (3 * lengths + 32) // 16)  # 1.5 halves an index, and two blocks more
+        top = int(lengths.max(initial=0))
+        mask = (1 << np.array([i.bit_length() for i in range(max(top, 1))])) - 1
+        perm = np.tile(np.arange(top), (len(lengths), 1))
+        flat, start = perm.reshape(-1), self.rows * top
+        i = lengths - 1  # the index each row draws next
+        for p in count():
+            if not (active := i > 0).any():
+                return perm
+            half = self._column(p, active) & mask[i]
+            take = active & (half <= i)
+            at, to = start + i, start + np.where(take, half, i)
+            flat[at], flat[to] = flat[to], flat[at]
+            i -= take
+
+    def choice(self, pops: np.ndarray, k: int) -> np.ndarray:
+        """Row r's set ``choice(pops[r], k, replace=False)``, 0 < k < pops[r], as k
+        columns.  For d <= 10000 numpy runs Floyd's algorithm, each index in
+        [0, j] drawn by Lemire's method on a half; its final shuffle only
+        reorders the set.  Larger populations call numpy's ``choice``."""
+        self._reserve(self.rows, -(-k // 8))
+        chosen = np.full((len(pops), k), -1)
+        picks = np.where(pops > 10000, k, 0)  # per row
+        for p in count():
+            if not (active := picks < k).any():
+                break
+            j = pops - k + np.minimum(picks, k - 1)
+            bound = (j + 1).astype(np.uint64)
+            m = self._column(p, active) * bound
+            take = self.rows[active & ((m & _LOW32) >= (_LOW32 + 1 - bound) % bound)]  # Lemire's threshold
+            picked = (m >> 32).astype(np.int64)
+            repeated = (chosen == picked[:, None]).any(axis=1)
+            chosen[take, picks[take]] = np.where(repeated, j, picked)[take]
+            picks[take] += 1
+        for r in np.flatnonzero(pops > 10000):  # where numpy may take a tail shuffle instead
+            chosen[r] = self.stream(r).generator.choice(pops[r], k, replace=False)
+        return chosen
 
 
 def choice_cdf(p: np.ndarray) -> list[float]:

@@ -6,25 +6,31 @@ bitmask per arrival, which a central maximum matching reads;
 online baselines (ranking, two-suggestion guidance) commit irrevocably per
 arrival; the offline optimum sees the whole realization.  Per-arrival
 randomness is drawn from substreams keyed by arrival index, so one arrival's
-selection never depends on the other arrivals.  Random subsets and the mgs
-suggestions draw through the numpy replays in ``rng``; kvv keeps numpy's
-``permutation``, mgs its uniform fallback ``choice``.
+selection never depends on the other arrivals.  The two sparsifiers draw the
+reports of many trials at once: every drawing arrival becomes a row of
+``rng.StreamRows``, in chunks of ``CHUNK_ROWS``, and arrivals whose report
+is fixed get no stream.  mgs suggestions draw through a cdf lookup; kvv keeps
+numpy's ``permutation``, mgs its uniform fallback ``choice``.
 
 ``STRATEGY_NAMES`` declares the strategies; those in ``BUDGETED`` take a
 budget k and the others take none, those in ``GUIDED`` read guidance learned
-once per experiment.  ``run_strategy`` is the one entry point.
+once per experiment.  ``run_strategy`` is the one entry point, ``sparsify``
+the batch of a budgeted strategy's reports.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import chain
+from typing import Callable, Sequence
+
+import numpy as np
 
 from .instance import RealizedGraph, StochasticInstance
 from .matching import bitset_matching, full_matching
-from .rng import ArrivalStreams, RngStream, choice_cdf, choice_without_replacement
-from .varopt import VarOptSampler
+from .rng import RngStream, StreamRows, arrival_stream_ids, choice_cdf
+from .varopt import BatchSampler, VarOptSampler
 from .weights import CopyMarginals, FractionalSolution
 
 
@@ -85,32 +91,66 @@ def varopt_samplers(
     return tuple(samplers)
 
 
+CHUNK_ROWS = 1024  # arrival draws per vectorized pass, which bounds the batch's memory
+
+
+def _reports(graphs: Sequence[RealizedGraph], rngs: Sequence[RngStream], masks: list[int],
+             width: np.ndarray, draw: Callable[[np.ndarray, StreamRows], np.ndarray]) -> list[list[int]]:
+    """Per graph, one resource bitmask per arrival: its type's entry of ``masks``,
+    and for an arrival whose type draws (``width[type_id] > 0`` columns of ids)
+    that entry with the bits of the ids ``draw(type_ids, streams)`` picks from
+    its stream ``rngs[g].substream("arrival", i)``.  The drawing arrivals of all
+    graphs are drawn widest first, in chunks of at most ``CHUNK_ROWS``."""
+    sizes = np.array([graph.n for graph in graphs], dtype=np.int64)
+    ends = np.cumsum(sizes)
+    types = np.fromiter(chain.from_iterable(graph.type_ids for graph in graphs), np.int64, int(sizes.sum()))
+    flat = np.array(masks, dtype=object)[types]  # every arrival's report, graph after graph
+    cells = np.flatnonzero(width[types] > 0)
+    cells = cells[np.argsort(-width[types[cells]], kind="stable")]
+    if len(cells):
+        size = graphs[0].instance.resource_count // 8 + 1  # bytes of a mask
+        base = np.frombuffer(b"".join(m.to_bytes(size, "little") for m in masks), np.uint8).reshape(-1, size)
+        seeds = np.array([rng.seed for rng in rngs], dtype=np.uint64)
+        parents = np.array([rng.stream_id for rng in rngs], dtype=np.uint64)
+    for s in range(0, len(cells), CHUNK_ROWS):
+        cell = cells[s:s + CHUNK_ROWS]
+        g = np.searchsorted(ends, cell, side="right")
+        i = cell - (ends - sizes)[g]
+        ids = draw(types[cell], StreamRows(seeds[g], arrival_stream_ids(parents[g], i)))
+        bits, (row, col) = base[types[cell]], np.nonzero(ids >= 0)
+        np.bitwise_or.at(bits, (row, ids[row, col] >> 3), (1 << (ids[row, col] & 7)).astype(np.uint8))
+        data = bits.tobytes()
+        drawn = (int.from_bytes(data[o:o + size], "little") for o in range(0, len(data), size))
+        flat[cell] = np.fromiter(drawn, dtype=object, count=len(cell))
+    return [flat[end - n:end].tolist() for n, end in zip(sizes.tolist(), ends.tolist())]
+
+
 def varopt_sparsify(
-    graph: RealizedGraph, samplers: Sequence[VarOptSampler | None], rng: RngStream
-) -> list[int]:
-    """Guided local sparsifier: one resource bitmask per arrival, drawn by its
-    type's sampler from ``rng.substream("arrival", i)``; an arrival whose type
-    has no sampler reports nothing."""
-    streams = ArrivalStreams(rng, graph.n)
-    bit = [1 << r for r in range(graph.instance.resource_count)].__getitem__
-    return [0 if sampler is None else sum(map(bit, sampler.draw(streams[i])))
-            for i, sampler in enumerate([samplers[t] for t in graph.type_ids])]
+    graphs: Sequence[RealizedGraph], samplers: Sequence[VarOptSampler | None], rngs: Sequence[RngStream]
+) -> list[list[int]]:
+    """Guided local sparsifier for many trials of one instance at once: per graph,
+    one resource bitmask per arrival, drawn by its type's sampler from
+    ``rngs[g].substream("arrival", i)``; an arrival whose type has no sampler
+    reports nothing, and one whose sampler is deterministic its fixed mask,
+    with no stream."""
+    batch = BatchSampler(samplers)
+    return _reports(graphs, rngs, [0 if s is None else s.fixed_mask for s in samplers],
+                    np.where(batch.draws > 0, batch.lengths, 0), batch.draw)
 
 
-def random_subgraph(graph: RealizedGraph, k: int, rng: RngStream) -> list[int]:
-    """Naive sparsifier: one resource bitmask per arrival, a uniform subset of
-    at most k compatible edges."""
-    streams = ArrivalStreams(rng, graph.n)
-    types, type_masks = graph.instance.types, graph.instance._compat_masks
-    masks = []
-    for i, j in enumerate(graph.type_ids):
-        compatible = types[j].compatible
-        if len(compatible) > k:
-            picks = choice_without_replacement(streams[i].generator, len(compatible), k)
-            masks.append(sum([1 << compatible[p] for p in picks]))
-        else:
-            masks.append(type_masks[j])
-    return masks
+def random_subgraph(graphs: Sequence[RealizedGraph], k: int, rngs: Sequence[RngStream]) -> list[list[int]]:
+    """Naive sparsifier for many trials of one instance at once: per graph, one
+    resource bitmask per arrival, a uniform subset of at most k compatible
+    edges drawn from ``rngs[g].substream("arrival", i)``."""
+    if not graphs:
+        return []
+    instance = graphs[0].instance
+    sizes = np.array([len(t.compatible) for t in instance.types])
+    starts = np.cumsum(sizes) - sizes
+    compatible = np.array([r for t in instance.types for r in t.compatible], dtype=np.int64)
+    kept_whole = [0 if d > k else m for d, m in zip(sizes.tolist(), instance._compat_masks)]
+    return _reports(graphs, rngs, kept_whole, k * (sizes > k),
+                    lambda t, streams: compatible[starts[t][:, None] + streams.choice(sizes[t], k)])
 
 
 def kvv_ranking(graph: RealizedGraph, rng: RngStream) -> StrategyOutcome:
@@ -183,25 +223,43 @@ def _offline(graph: RealizedGraph) -> StrategyOutcome:
     return StrategyOutcome(full_matching(graph).size, sum(len(graph.edges_for(i)) for i in range(graph.n)))
 
 
+def _require_guidance(config: StrategyConfig, guidance: object) -> None:
+    if config.strategy in GUIDED and guidance is None:
+        raise ValueError(f"strategy {config.strategy!r} needs guidance learned from a "
+                         "fractional solution: VarOpt samplers or copy marginals")
+
+
+def sparsify(
+    graphs: Sequence[RealizedGraph], config: StrategyConfig, rngs: Sequence[RngStream], guidance: object = None
+) -> list[list[int]]:
+    """A budgeted strategy's reports for many trials at once: per graph, one
+    resource bitmask per arrival, drawn from ``rngs[g]``."""
+    _require_guidance(config, guidance)
+    if config.strategy == "random":
+        return random_subgraph(graphs, config.k, rngs)
+    return varopt_sparsify(graphs, guidance, rngs)
+
+
 def run_strategy(
-    graph: RealizedGraph, config: StrategyConfig, rng: RngStream, guidance: object = None
+    graph: RealizedGraph, config: StrategyConfig, rng: RngStream, guidance: object = None,
+    reports: list[int] | None = None,
 ) -> StrategyOutcome:
     """Run one configured strategy on a realization.
 
     A guided strategy reads ``guidance``: ``varopt_samplers(...)`` for varopt,
     ``CopyMarginals`` for mgs.  Sparsifier strategies are scored by the
-    maximum matching of the reported subgraph; online strategies by their own
-    irrevocable matches; offline is the full-information maximum matching.
+    maximum matching of the reported subgraph: ``reports``, when the caller
+    drew them for this graph and ``rng`` in a batch (``sparsify``), else drawn
+    here.  Online strategies are scored by their own irrevocable matches;
+    offline is the full-information maximum matching.
     """
-    if config.strategy in GUIDED and guidance is None:
-        raise ValueError(f"strategy {config.strategy!r} needs guidance learned from a "
-                         "fractional solution: VarOpt samplers or copy marginals")
+    _require_guidance(config, guidance)
     if config.strategy == "offline":
         return _offline(graph)
     if config.strategy == "kvv":
         return kvv_ranking(graph, rng)
     if config.strategy == "mgs":
         return mgs(graph, guidance, rng)
-    if config.strategy == "random":
-        return _coordinate(graph, random_subgraph(graph, config.k, rng))
-    return _coordinate(graph, varopt_sparsify(graph, guidance, rng))
+    if reports is None:
+        reports = sparsify([graph], config, [rng], guidance)[0]
+    return _coordinate(graph, reports)

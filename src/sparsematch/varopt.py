@@ -9,7 +9,9 @@ proportional sampling over a randomly permuted order, which keeps the sample
 size exact and pairwise inclusion correlations non-positive.  A draw takes
 numpy's ``permutation`` and one ``random()``, then runs on Python floats with
 the arithmetic of the array version that tests/helpers.py keeps as the oracle
-(tests/test_varopt.py).  It returns the chosen ids in ascending order.  The
+(tests/test_varopt.py).  It returns the chosen ids in ascending order.
+:class:`BatchSampler` draws many rows at once, each as ``draw`` would on its
+stream, with the same float operations over padded rows.  The
 inverse-probability weight of a chosen item is ``weight / probabilities()[id]``;
 summed over the chosen ids they equal the total input weight on every single
 draw, not just in expectation.
@@ -18,12 +20,13 @@ draw, not just in expectation.
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import cached_property
 from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
 
-from .rng import RngStream
+from .rng import RngStream, StreamRows
 
 
 class AllZeroWeights(ValueError):
@@ -84,6 +87,11 @@ class VarOptSampler:
         self._light_draws = sample_size - len(self._det_ids)
         self._fixed = tuple(sorted(self._det_ids))  # the whole draw when no light item is drawn
 
+    @cached_property
+    def fixed_mask(self) -> int:
+        """The ids at probability one as a bitmask, bit i for id i (ids must be >= 0)."""
+        return sum(1 << i for i in self._det_ids)
+
     def probabilities(self) -> dict[int, float]:
         """Inclusion probability per item id, zero-weight items included at 0."""
         return {**{int(i): float(p) for i, p in zip(self._pos_ids, self._probs)},
@@ -108,3 +116,50 @@ class VarOptSampler:
             order = np.argsort(-np.asarray(self._light_probs)[perm]).tolist()
             picks.update([i for i in order if i not in picks][: m - len(picks)])
         return tuple(sorted(self._det_ids + [self._light_ids[perm[p]] for p in picks]))
+
+
+class BatchSampler:
+    """The samplers of many types (``None`` for a type without one), drawn for
+    many rows at once: their light items as padded arrays, built once."""
+
+    def __init__(self, samplers: Sequence[VarOptSampler | None]):
+        self.samplers = samplers
+        self.lengths = np.array([0 if s is None else len(s._light_ids) for s in samplers])
+        self.draws = np.array([0 if s is None else s._light_draws for s in samplers])
+        self.probs = np.zeros((len(samplers), max(1, self.lengths.max(initial=0))))
+        self.ids = np.zeros(self.probs.shape, np.int64)
+        for q, s in enumerate(samplers):
+            if s is not None:
+                self.probs[q, :self.lengths[q]], self.ids[q, :self.lengths[q]] = s._light_probs, s._light_ids
+
+    def draw(self, which: np.ndarray, streams: StreamRows) -> np.ndarray:
+        """The light ids that row r's draw ``samplers[which[r]].draw(streams.stream(r))``
+        chooses, every row in one vectorized pass, padded with -1 (each row's
+        sampler draws at least one light id).
+
+        Each row's permutation and uniform come from ``streams``; the cumulative
+        sum (sequential, as ``accumulate``), its rescaling and the count of sums
+        below each point (``bisect_left``) are the draw's own float operations
+        over rows padded with infinite sums.  A row whose points collide below
+        an ulp is drawn by ``draw`` itself, sub-ulp completion included.
+        """
+        m, lengths = self.draws[which], self.lengths[which]
+        top = int(lengths.max())
+        perm = streams.permutation(lengths)
+        u = streams.random()
+        cum = self.probs[which[:, None], perm]
+        cum.cumsum(axis=1, out=cum)
+        cum *= (m / cum[streams.rows, lengths - 1])[:, None]
+        cum[np.arange(top) >= lengths[:, None]] = np.inf
+        drawn = np.arange(m.max()) < m[:, None]
+        picks = np.column_stack([(cum < u[:, None] + j).sum(axis=1) for j in range(m.max())])
+        picks[~drawn] = top
+        collided = (((picks >= lengths[:, None]) & drawn).any(axis=1)
+                    | ((np.diff(picks, axis=1) <= 0) & drawn[:, 1:]).any(axis=1))
+        items = np.take_along_axis(perm, np.minimum(picks, top - 1), axis=1)
+        chosen = np.where(drawn, self.ids[which[:, None], items], -1)
+        for r in np.flatnonzero(collided).tolist():
+            sampler = self.samplers[which[r]]
+            light = sorted(set(sampler.draw(streams.stream(r))) - set(sampler._det_ids))
+            chosen[r, :len(light)] = light
+        return chosen

@@ -4,7 +4,8 @@ The oracles deliberately avoid the library's own algorithms: matching is
 solved by exhaustive bitmask dynamic programming, the sampling threshold by
 bisection, and the expected-instance program by a generic LP solver or by
 shortest augmenting paths (Edmonds-Karp) on the library's flow network.  A
-VarOpt draw is checked against the numpy array version it was written from, and
+VarOpt draw is checked against the numpy array version it was written from, a
+random subset against numpy's Floyd algorithm replayed on Python ints, and
 Hopcroft-Karp's pairs against the version without the greedy first phase.  The
 fractional-load diagnostics at the end scale an IPW-weighted subgraph down to
 a fractional matching.
@@ -14,12 +15,14 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
+from itertools import count
 from typing import Mapping
 
 import numpy as np
 
 from sparsematch.instance import DemandType, RealizedGraph, StochasticInstance
 from sparsematch.matching import BipartiteEdgeList, MatchingResult
+from sparsematch.rng import RngStream, StreamRows, arrival_stream_ids
 from sparsematch.weights import _FLOW_EPS
 
 ARRIVAL_WEIGHT_TOL = 1e-9
@@ -62,6 +65,42 @@ def bisect_threshold(weights, k: int, tol: float = 1e-13) -> float:
         if hi - lo < tol:
             break
     return (lo + hi) / 2.0
+
+
+def choice_without_replacement(gen: np.random.Generator, d: int, k: int) -> set[int]:
+    """The set ``gen.choice(d, k, replace=False)`` picks, 0 < k < d, if ``gen`` holds no
+    unused 32-bit half.  For d <= 10000 numpy runs Floyd's algorithm, each index
+    in [0, j] drawn by Lemire's method on ``next_uint32`` (a 64-bit word's low
+    half, then its high half); this replays it on Python ints, pulling words as
+    rejections need them.  numpy's final shuffle only reorders the set."""
+    if d > 10000:  # where numpy may take a tail shuffle instead
+        return set(gen.choice(d, k, replace=False).tolist())
+    raw = gen.bit_generator.random_raw
+    halves = (half for _ in count() for word in raw((k + 1) // 2).tolist()
+              for half in (word & 0xFFFFFFFF, word >> 32))
+    chosen: set[int] = set()
+    for j in range(d - k, d):
+        m = next(halves) * (j + 1)
+        if m & 0xFFFFFFFF < j + 1:  # maybe biased: reject below 2^32 mod (j + 1)
+            threshold = (0xFFFFFFFF - j) % (j + 1)
+            while m & 0xFFFFFFFF < threshold:
+                m = next(halves) * (j + 1)
+        chosen.add(j if m >> 32 in chosen else m >> 32)
+    return chosen
+
+
+def arrival_rows(rng: RngStream, n: int) -> StreamRows:
+    """The streams ``rng.substream("arrival", i)``, i < n, as rows."""
+    ids = arrival_stream_ids(np.full(n, rng.stream_id, dtype=np.uint64), np.arange(n))
+    return StreamRows(np.full(n, rng.seed, dtype=np.uint64), ids)
+
+
+def one_block_at_a_time(monkeypatch) -> None:
+    """Make stream rows compute one Philox block per request, so that every row
+    runs past its words and takes the path that computes more."""
+    reserve = StreamRows._reserve
+    monkeypatch.setattr(StreamRows, "_reserve", lambda self, rows, blocks:
+                        reserve(self, rows, np.minimum(blocks, self.blocks[rows] + 1)))
 
 
 def varopt_draw_oracle(sampler, rng) -> tuple[int, ...]:

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sparsematch import strategies
+from sparsematch import rng, strategies
 from sparsematch.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -95,13 +95,18 @@ def test_full_size_output_sha256(name, tmp_path):
 
 def test_lp_varopt_on_block_builds_no_philox_for_its_draws(monkeypatch, tmp_path):
     # The LP puts each block type on one resource, so every VarOpt draw is
-    # deterministic: the sparsifier builds no generator (the realizations do).
-    inside, philox_builds, sparsify_calls = [False], [], []
-    philox, sparsify = np.random.Philox, strategies.varopt_sparsify
+    # deterministic: the sparsifier's one batch over the trials computes no
+    # Philox words and builds no generator (the realizations do).
+    inside, philox_builds, sparsify_calls, words = [False], [], [], []
+    philox, sparsify, blocks = np.random.Philox, strategies.varopt_sparsify, rng.philox_blocks
 
     def counting_philox(*args, **kwargs):
         philox_builds.append(inside[0])
         return philox(*args, **kwargs)
+
+    def counting_blocks(keys, counters):
+        words.append(4 * len(counters))
+        return blocks(keys, counters)
 
     def tracked_sparsify(*args):
         sparsify_calls.append(args)
@@ -112,11 +117,13 @@ def test_lp_varopt_on_block_builds_no_philox_for_its_draws(monkeypatch, tmp_path
             inside[0] = False
 
     monkeypatch.setattr(np.random, "Philox", counting_philox)
+    monkeypatch.setattr(rng, "philox_blocks", counting_blocks)
     monkeypatch.setattr(strategies, "varopt_sparsify", tracked_sparsify)
     assert main(["synth", "--family", "block", "--n", "100", "--trials", "10", "--weights", "lp",
                  "--strategies", "varopt:5", "--seed", "0", "--out", str(tmp_path / "out.csv")]) == 0
-    assert len(sparsify_calls) == 10
+    assert [len(graphs) for graphs, _, _ in sparsify_calls] == [10]
     assert philox_builds and not any(philox_builds)
+    assert words == []
 
 
 if __name__ == "__main__":

@@ -238,12 +238,26 @@ def kernel_scores(config, trials, **kwargs):
     return dict(zip(trials, scores))
 
 
-def test_trial_results_independent_of_scheduling():
-    config = small_config(strategies=small_config().strategies + (StrategyConfig("mgs"),))
+def test_trial_results_independent_of_scheduling(monkeypatch):
+    # Both sparsifiers draw on this instance (random:3 and varopt:3 come with
+    # small_config).  With 7 arrival rows per chunk every subset of trials
+    # straddles chunk boundaries, and the bound report's path (no offline,
+    # streams keyed by k) is held to the same.
+    from sparsematch import strategies
+
+    config = small_config(strategies=small_config().strategies + (StrategyConfig("mgs"),
+                                                                  StrategyConfig("varopt", k=5)))
+    bounds = small_config(strategies=(StrategyConfig("varopt", k=3), StrategyConfig("varopt", k=5)))
+    by_k = dict(with_offline=False, stream_key=lambda cfg: cfg.k)
     in_order = kernel_scores(config, list(range(12)))
-    assert kernel_scores(config, list(reversed(range(12)))) == in_order
-    subset = [9, 2, 5]
-    assert kernel_scores(config, subset) == {t: in_order[t] for t in subset}
+    bound_order = kernel_scores(bounds, list(range(12)), **by_k)
+    for chunk in (strategies.CHUNK_ROWS, 7):
+        monkeypatch.setattr(strategies, "CHUNK_ROWS", chunk)
+        assert kernel_scores(config, list(reversed(range(12)))) == in_order
+        assert kernel_scores(bounds, list(reversed(range(12))), **by_k) == bound_order
+        for subset in ([9, 2, 5], [4, 11], [7]):
+            assert kernel_scores(config, subset) == {t: in_order[t] for t in subset}
+            assert kernel_scores(bounds, subset, **by_k) == {t: bound_order[t] for t in subset}
 
 
 def test_kernel_scores_offline_only_when_asked():

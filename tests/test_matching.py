@@ -134,8 +134,8 @@ def sparsified_and_full_rows():
         for t in range(3):
             graph = realize(inst, base.substream(name, t))
             yield realized_edge_list(graph).adjacency, inst.resource_count
-            for masks in (random_subgraph(graph, 3, base.substream("random", name, t)),
-                          varopt_sparsify(graph, samplers, base.substream("varopt", name, t))):
+            for masks in (random_subgraph([graph], 3, [base.substream("random", name, t)])[0],
+                          varopt_sparsify([graph], samplers, [base.substream("varopt", name, t)])[0]):
                 yield list(map(ids_of, masks)), inst.resource_count
 
 
@@ -412,10 +412,9 @@ def test_fractional_value_never_exceeds_integral_matching():
     samplers = varopt_samplers(inst, x, 5)
     base = RngStream(67)
     fractional, integral = [], []
-    for t in range(500):
-        graph = realize(inst, base.substream(t))
-        rng = base.substream("s", t)
-        masks = varopt_sparsify(graph, samplers, rng)
+    graphs = [realize(inst, base.substream(t)) for t in range(500)]
+    rngs = [base.substream("s", t) for t in range(500)]
+    for graph, rng, masks in zip(graphs, rngs, varopt_sparsify(graphs, samplers, rngs)):
         ipw = varopt_ipw(graph, x, 5, rng, masks)
         subgraph = row_graph(list(map(ids_of, masks)), n)
         report = fractional_scaled_matching(subgraph, ipw)

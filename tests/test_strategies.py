@@ -72,7 +72,7 @@ def test_config_validation():
 def test_varopt_budget_exceeds_degree_keeps_everything():
     inst, x = spread_solution(6)
     graph = realize(inst, RngStream(1))
-    rows = list(map(ids_of, varopt_sparsify(graph, varopt_samplers(inst, x, 10), RngStream(2))))
+    rows = list(map(ids_of, varopt_sparsify([graph], varopt_samplers(inst, x, 10), [RngStream(2)])[0]))
     assert len(rows) == graph.n
     for i, row in enumerate(rows):
         assert row == graph.edges_for(i)
@@ -83,7 +83,7 @@ def test_varopt_budget_exceeds_degree_keeps_everything():
 def test_varopt_respects_budget_and_support():
     inst, x = spread_solution(30)
     graph = realize(inst, RngStream(3))
-    masks = varopt_sparsify(graph, varopt_samplers(inst, x, 4), RngStream(4))
+    masks = varopt_sparsify([graph], varopt_samplers(inst, x, 4), [RngStream(4)])[0]
     ipw = varopt_ipw(graph, x, 4, RngStream(4), masks)
     for i, row in enumerate(map(ids_of, masks)):
         assert len(row) == 4
@@ -131,7 +131,7 @@ def test_varopt_zero_weight_type_falls_back_to_uniform():
     inst = uniform_instance([(0, 1, 2), (0,)], arrivals=4)
     x = FractionalSolution.build(inst, {(1, 0): 0.5})  # type 0 has no support
     graph = RealizedGraph(inst, (0, 0, 1, 0))
-    masks = varopt_sparsify(graph, varopt_samplers(inst, x, 2), RngStream(11))
+    masks = varopt_sparsify([graph], varopt_samplers(inst, x, 2), [RngStream(11)])[0]
     for type_id, row in zip(graph.type_ids, map(ids_of, masks)):
         if type_id == 0:
             assert len(row) == 2
@@ -145,8 +145,8 @@ def test_varopt_locality():
     types_b = (3, 2, 9, 0, 4, 1, 4, 7)  # same type at positions 0 and 3
     samplers = varopt_samplers(inst, x, 3)
     rng = RngStream(13)
-    masks_a = varopt_sparsify(RealizedGraph(inst, types_a), samplers, rng)
-    masks_b = varopt_sparsify(RealizedGraph(inst, types_b), samplers, rng)
+    masks_a = varopt_sparsify([RealizedGraph(inst, types_a)], samplers, [rng])[0]
+    masks_b = varopt_sparsify([RealizedGraph(inst, types_b)], samplers, [rng])[0]
     for i in (0, 3):
         assert masks_a[i] == masks_b[i]
 
@@ -164,7 +164,7 @@ def test_varopt_samplers_cover_every_type():
     assert supported.probabilities() == pytest.approx({0: 0.25, 2: 0.75})
     assert fallback.probabilities() == pytest.approx({1: 0.5, 2: 0.5})
     assert empty is None
-    masks = varopt_sparsify(RealizedGraph(inst, (2, 0, 2)), (supported, fallback, empty), RngStream(3))
+    masks = varopt_sparsify([RealizedGraph(inst, (2, 0, 2))], (supported, fallback, empty), [RngStream(3)])[0]
     rows = list(map(ids_of, masks))
     assert rows[0] == rows[2] == ()
     assert rows[1] in ((0,), (2,))
@@ -175,7 +175,7 @@ def test_random_subgraph_keeps_all_when_small_degree():
     graph = realize(inst, RngStream(1))
     # inclusion probability 1: every stream reports both edges
     for seed in range(20):
-        assert list(map(ids_of, random_subgraph(graph, k=5, rng=RngStream(seed)))) == [(0, 1)] * graph.n
+        assert list(map(ids_of, random_subgraph([graph], 5, [RngStream(seed)])[0])) == [(0, 1)] * graph.n
 
 
 def test_random_subgraph_uniform_marginals():
@@ -184,8 +184,8 @@ def test_random_subgraph_uniform_marginals():
     base = RngStream(3)
     counts = np.zeros(10)
     trials = 20000
-    for t in range(trials):
-        row = ids_of(random_subgraph(graph, 3, base.substream(t))[0])
+    for masks in random_subgraph([graph] * trials, 3, [base.substream(t) for t in range(trials)]):
+        row = ids_of(masks[0])
         assert len(row) == 3
         for r in row:
             counts[r] += 1
@@ -311,10 +311,10 @@ def test_sampled_load_is_unbiased_per_resource():
     base = RngStream(29)
     trials = 3000
     load = np.zeros(n)
-    for t in range(trials):
-        graph = realize(inst, base.substream(t))
-        rng = base.substream("s", t)
-        for (_, r), w in varopt_ipw(graph, x, 4, rng, varopt_sparsify(graph, samplers, rng)).items():
+    graphs = [realize(inst, base.substream(t)) for t in range(trials)]
+    rngs = [base.substream("s", t) for t in range(trials)]
+    for graph, rng, masks in zip(graphs, rngs, varopt_sparsify(graphs, samplers, rngs)):
+        for (_, r), w in varopt_ipw(graph, x, 4, rng, masks).items():
             load[r] += w
     load /= trials
     for i in range(n):
@@ -331,9 +331,8 @@ def test_random_subgraph_resource_retention_rate():
     base = RngStream(31)
     trials = 4000
     present = np.zeros(n)
-    for t in range(trials):
-        graph = realize(inst, base.substream(t))
-        masks = random_subgraph(graph, k, base.substream("s", t))
+    graphs = [realize(inst, base.substream(t)) for t in range(trials)]
+    for masks in random_subgraph(graphs, k, [base.substream("s", t) for t in range(trials)]):
         touched = {r for mask in masks for r in ids_of(mask)}
         for r in touched:
             present[r] += 1
@@ -347,7 +346,7 @@ def test_varopt_selection_size_tracks_support():
     inst = uniform_instance([(0, 1, 2, 3, 4, 5)], arrivals=3)
     x = FractionalSolution.build(inst, {(0, 0): 0.1, (0, 2): 0.1, (0, 4): 0.1})
     graph = realize(inst, RngStream(1))
-    for row in map(ids_of, varopt_sparsify(graph, varopt_samplers(inst, x, 5), RngStream(2))):
+    for row in map(ids_of, varopt_sparsify([graph], varopt_samplers(inst, x, 5), [RngStream(2)])[0]):
         assert len(row) == 3
         assert set(row) <= {0, 2, 4}
 
@@ -357,8 +356,8 @@ def test_random_subgraph_locality():
     types_a = (2, 5, 7, 1)
     types_b = (2, 8, 7, 3)  # positions 0 and 2 unchanged
     rng = RngStream(43)
-    masks_a = random_subgraph(RealizedGraph(inst, types_a), 4, rng)
-    masks_b = random_subgraph(RealizedGraph(inst, types_b), 4, rng)
+    masks_a = random_subgraph([RealizedGraph(inst, types_a)], 4, [rng])[0]
+    masks_b = random_subgraph([RealizedGraph(inst, types_b)], 4, [rng])[0]
     for i in (0, 2):
         assert masks_a[i] == masks_b[i]
 
@@ -424,9 +423,9 @@ def test_coordinator_equals_the_oracle_on_monte_carlo_guided_reports(k):
         for t in range(2):
             graph, rng = realize(inst, base.substream(name, t)), base.substream("s", name, t)
             assert_coordinator_equals_the_oracle(graph, StrategyConfig("random", k=k), rng, None,
-                                                 random_subgraph(graph, k, rng))
+                                                 random_subgraph([graph], k, [rng])[0])
             assert_coordinator_equals_the_oracle(graph, StrategyConfig("varopt", k=k), rng, samplers,
-                                                 varopt_sparsify(graph, samplers, rng))
+                                                 varopt_sparsify([graph], samplers, [rng])[0])
 
 
 def test_coordinator_equals_the_oracle_on_lp_guided_single_edge_reports():
@@ -435,6 +434,21 @@ def test_coordinator_equals_the_oracle_on_lp_guided_single_edge_reports():
         inst = family(500)
         samplers = varopt_samplers(inst, solve_expected_lp(inst), 5)
         graph, rng = realize(inst, base.substream(name)), base.substream("s", name)
-        masks = varopt_sparsify(graph, samplers, rng)
+        masks = varopt_sparsify([graph], samplers, [rng])[0]
         assert all(mask.bit_count() == 1 for mask in masks)
         assert_coordinator_equals_the_oracle(graph, StrategyConfig("varopt", k=5), rng, samplers, masks)
+
+
+def test_sub_ulp_completions_at_table_size(monkeypatch):
+    # Every VarOpt draw of the four-family table (n=100, T=100, M=100, seed 0)
+    # runs in the batch, which calls VarOptSampler.draw only for a row whose
+    # systematic points collide below an ulp: on the table, no row.
+    from sparsematch.harness import ExperimentConfig, run_experiment
+
+    completions = []
+    draw = VarOptSampler.draw
+    monkeypatch.setattr(VarOptSampler, "draw", lambda self, rng: completions.append(rng) or draw(self, rng))
+    budgets = tuple(StrategyConfig("varopt", k=k) for k in (3, 5, 10))
+    for family in ("block", "triangular", "bahmani", "tsm"):
+        run_experiment(ExperimentConfig(strategies=budgets, family=family, n=100, trials=100, mc=100, seed=0))
+    assert len(completions) == 0

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from helpers import bisect_threshold, varopt_draw_oracle
-from sparsematch.rng import ArrivalStreams, RngStream
-from sparsematch.varopt import AllZeroWeights, VarOptSampler
+from helpers import bisect_threshold, one_block_at_a_time, varopt_draw_oracle
+from sparsematch.rng import RngStream, StreamRows, arrival_stream_ids
+from sparsematch.varopt import AllZeroWeights, BatchSampler, VarOptSampler
 
 ABC_IDS = [0, 1, 2]
 ABC_WEIGHTS = [0.5, 0.3, 0.2]
@@ -222,11 +222,10 @@ def test_sampler_properties_on_generated_weights():
     check()
 
 
-def test_draw_matches_the_array_oracle():
+def _table_like_samplers():
     # Supports of 35-61 items at k = 3, 5, 10 are the four-family table's; the
     # small ones, the heavy items and the ties reach the other branches.
     gen = np.random.default_rng(2024)
-    draws = 0
     for case in range(240):
         size = int(gen.choice([2, 5, 12, 35, 48, 61]))
         weights = gen.random(size) ** 3
@@ -234,12 +233,39 @@ def test_draw_matches_the_array_oracle():
         weights[gen.random(size) < 0.1] = 0.25  # ties
         weights[0] = 5.0 * (case % 3 == 0) + 0.5  # a heavy item in a third of the cases
         sampler = VarOptSampler(gen.permutation(size) * 3, weights, int(gen.choice([3, 5, 10])))
-        rng = RngStream(int(gen.integers(2**64, dtype=np.uint64)), case)
-        streams = ArrivalStreams(rng, 50)
+        yield sampler, RngStream(int(gen.integers(2**64, dtype=np.uint64)), case)
+
+
+def test_draw_matches_the_array_oracle():
+    draws = 0
+    for sampler, rng in _table_like_samplers():
         for i in range(50):
-            assert sampler.draw(streams[i]) == varopt_draw_oracle(sampler, rng.substream("arrival", i))
+            assert sampler.draw(rng.substream("arrival", i)) == varopt_draw_oracle(sampler, rng.substream("arrival", i))
             draws += 1
     assert draws >= 10_000
+
+
+@pytest.mark.parametrize("one_block", [False, True])
+def test_batch_rows_match_draw(one_block, monkeypatch):
+    # Sixty arrivals of every drawing sampler above, and of uniform supports of
+    # 2 and 3 items and of lengths just above a power of two (rejection-heavy),
+    # in one batch: each row's ids against the scalar draw on its own stream;
+    # with one block at a time, every row runs past its words.
+    if one_block:
+        one_block_at_a_time(monkeypatch)
+    uniform = [(VarOptSampler(range(size), np.ones(size), k), RngStream(2**63 + size, k))
+               for size in (2, 3, 5, 9, 17, 33, 65) for k in (1, 3, 10) if k < size]
+    cases = [(s, rng) for s, rng in [*_table_like_samplers(), *uniform] if s._light_draws > 0]
+    which, arrivals = np.repeat(np.arange(len(cases)), 60), np.tile(np.arange(60), len(cases))
+    seeds = np.array([rng.seed for _, rng in cases], dtype=np.uint64)[which]
+    parents = np.array([rng.stream_id for _, rng in cases], dtype=np.uint64)[which]
+    rows = BatchSampler([s for s, _ in cases]).draw(which, StreamRows(seeds, arrival_stream_ids(parents, arrivals)))
+    for q, i, light in zip(which.tolist(), arrivals.tolist(), rows.tolist()):
+        sampler, rng = cases[q]
+        light = [x for x in light if x >= 0]
+        assert len(light) == sampler._light_draws
+        assert tuple(sorted(sampler._det_ids + light)) == sampler.draw(rng.substream("arrival", i))
+    assert len(rows) >= 10_000
 
 
 class _FixedDraws:
@@ -274,3 +300,34 @@ def test_draw_matches_the_oracle_on_the_sub_ulp_completion():
         sample = sampler.draw(_FixedDraws(perm, u))
         assert sample == varopt_draw_oracle(sampler, _FixedDraws(perm, u))
         assert len(sample) == 3
+
+
+def test_batch_takes_the_scalar_completion_where_points_collide(monkeypatch):
+    # The case above in a batch: every row's uniform is forced just below 1, and
+    # the rows whose last point falls outside are drawn by ``draw`` itself, on
+    # the row's own permutation and that uniform.  Each row equals the scalar
+    # draw on those draws.
+    u = float(np.nextafter(1.0, 0.0))
+
+    class Forced(StreamRows):
+        def permutation(self, lengths):
+            self.perms = super().permutation(lengths)
+            return self.perms
+
+        def random(self):
+            super().random()
+            return np.full(len(self.rows), u)
+
+        def stream(self, r):
+            return _FixedDraws(self.perms[r], u)
+
+    draw, completions = VarOptSampler.draw, []
+    monkeypatch.setattr(VarOptSampler, "draw", lambda self, rng: completions.append(rng) or draw(self, rng))
+    gen = np.random.default_rng(5)
+    samplers = [s for s in (VarOptSampler(range(9), gen.random(9) + 0.5, 3) for _ in range(400))
+                if s._light_draws == 3]
+    streams = Forced(np.zeros(len(samplers), dtype=np.uint64), np.arange(len(samplers), dtype=np.uint64))
+    rows = BatchSampler(samplers).draw(np.arange(len(samplers)), streams)
+    assert len(completions) >= 5
+    for sampler, perm, light in zip(samplers, streams.perms, rows.tolist()):
+        assert tuple(sorted(sampler._det_ids + light)) == draw(sampler, _FixedDraws(perm, u))
