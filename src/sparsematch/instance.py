@@ -15,6 +15,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 import numpy as np
 
 from .rng import RngStream
@@ -90,7 +91,12 @@ class StochasticInstance:
     @cached_property
     def _compat_masks(self) -> tuple[int, ...]:
         """Each type's compatibility set as a bitmask: bit i for resource i."""
-        return tuple(sum(1 << i for i in t.compatible) for t in self.types)
+        degree = [len(t.compatible) for t in self.types]
+        member = np.zeros((self.type_count, self.resource_count), dtype=bool)
+        member[np.repeat(np.arange(self.type_count), degree),
+               np.fromiter(chain.from_iterable(t.compatible for t in self.types), np.intp, sum(degree))] = True
+        rows = np.packbits(member, axis=1, bitorder="little")
+        return tuple(int.from_bytes(row.tobytes(), "little") for row in rows)
 
 
 @dataclass(frozen=True)

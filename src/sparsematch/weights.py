@@ -5,9 +5,10 @@ solved as a max-flow by Dinic's blocking flows after substituting
 y_ij = n * p_j * x_ij (source -> type arcs of capacity n * p_j, type ->
 resource arcs, resource -> sink arcs of capacity 1, so max flow equals the
 LP optimum), and a Monte Carlo estimator that averages matched-edge
-incidences of shuffled offline optima over simulated realizations.  Helpers
-split a solution into heavy and light mass relative to a budget and spread
-mass uniformly across interchangeable resources.
+incidences of shuffled offline optima over simulated realizations.  The
+flow runs on numpy residual arrays, its first phase as a bitset greedy pass.
+Helpers split a solution into heavy and light mass relative to a budget and
+spread mass uniformly across interchangeable resources.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -161,89 +163,144 @@ def per_copy_marginals(instance: StochasticInstance, simulations: int, rng: RngS
     return CopyMarginals(first=_group_by_type(counts[0]), second=_group_by_type(counts[1]))
 
 
-def _max_flow(adj: list[list[int]], to: list[int], cap: list[float], source: int, sink: int) -> None:
-    """Dinic's blocking flows on residual arcs ``to``/``cap``; arc ``e ^ 1`` reverses arc ``e``."""
+def _first_phase(masks: tuple[int, ...], masses: list[float], type_arcs: np.ndarray,
+                 cap: np.ndarray, sink_arcs: np.ndarray) -> None:
+    """Dinic's first blocking flow on the fresh network, as one greedy pass.
+
+    Its level graph is source -> types -> resources -> sink and compatibility
+    lists ascend, so the DFS takes each type with mass in order and pushes
+    ``min(cap[s->j], cap[j->i], cap[i->t])`` to its lowest compatible resource
+    still alive, until the type runs dry.  Each push saturates s->j or i->t,
+    so no type -> resource arc carries two pushes.
+    """
+    source_cap, source_back = list(masses), [0.0] * len(masses)
+    sink_cap, sink_back = [1.0] * len(sink_arcs), [0.0] * len(sink_arcs)
+    pushed_arcs, pushed = [], []
+    alive = (1 << len(sink_arcs)) - 1
+    for j, (mask, mass, arc) in enumerate(zip(masks, masses, type_arcs.tolist())):
+        while source_cap[j] > _FLOW_EPS and mask & alive:
+            low = mask & alive & -(mask & alive)
+            i = low.bit_length() - 1
+            b = min(source_cap[j], mass, sink_cap[i])
+            source_cap[j] -= b
+            source_back[j] += b
+            sink_cap[i] -= b
+            sink_back[i] += b
+            pushed_arcs.append(arc + 2 + 2 * (mask & (low - 1)).bit_count())
+            pushed.append(b)
+            if sink_cap[i] <= _FLOW_EPS:
+                alive ^= low
+    cap[type_arcs], cap[type_arcs + 1] = source_cap, source_back
+    cap[sink_arcs], cap[sink_arcs + 1] = sink_cap, sink_back
+    pushed_arcs = np.array(pushed_arcs, dtype=np.intp)
+    cap[pushed_arcs] -= pushed
+    cap[pushed_arcs + 1] = pushed
+
+
+def _levels(to: np.ndarray, tail: np.ndarray, cap: np.ndarray, sink: int) -> np.ndarray:
+    """BFS distances from the source, node 0, over arcs with residual > ``_FLOW_EPS``,
+    one numpy pass per frontier; -1 where unreached, and beyond the sink's level."""
+    live = cap > _FLOW_EPS
+    heads, tails = to[live], tail[live]
+    level = np.full(sink + 1, -1, dtype=np.int32)
+    level[0] = depth = 0
+    while level[sink] < 0 and len(tails):
+        from_level = level[tails]
+        reached = heads[from_level == depth]
+        if not len(reached):
+            break
+        depth += 1
+        level[reached[level[reached] < 0]] = depth
+        heads, tails = heads[from_level < 0], tails[from_level < 0]
+    return level
+
+
+def _blocking_flow(to: np.ndarray, tail: np.ndarray, cap: np.ndarray, level: np.ndarray, sink: int) -> None:
+    """One Dinic phase from the source, node 0, on ``level``'s admissible arcs.
+
+    Within a phase an arc leaves admissibility only by saturating and none
+    enters it (reverse arcs point a level down), so each node's pointer over
+    its admissible arcs, in adjacency order, picks the arc that a scan of its
+    full adjacency would.  A node whose pointer ran out is skipped, not
+    entered and left.  Reverse residuals change only on augmenting paths, so
+    a dict holds them until the write-back.
+    """
+    arcs = np.flatnonzero((cap > _FLOW_EPS) & (level[to] == level[tail] + 1))
+    arcs = arcs[np.argsort(tail[arcs], kind="stable")]  # adjacency order: by tail, then arc id
+    tails, nodes = tail[arcs], np.arange(len(level))
+    ptr, end = np.searchsorted(tails, nodes).tolist(), np.searchsorted(tails, nodes, side="right").tolist()
+    arc_to, arc_cap = to[arcs].tolist(), cap[arcs].tolist()
+    back: dict[int, float] = {}
+    dead = [False] * len(level)
+    path: list[int] = []
+    u = 0
     while True:
-        level = [-1] * len(adj)
-        level[source] = 0
-        queue = [source]
-        for u in queue:
-            for e in adj[u]:
-                if level[to[e]] < 0 and cap[e] > _FLOW_EPS:
-                    level[to[e]] = level[u] + 1
-                    queue.append(to[e])
-        if level[sink] < 0:
-            return
-        next_arc = [0] * len(adj)
-        path: list[int] = []
-        u = source
-        while True:
-            if u == sink:
-                bottleneck = min(cap[e] for e in path)
-                for e in path:
-                    cap[e] -= bottleneck
-                    cap[e ^ 1] += bottleneck
-                path.clear()
-                u = source
-            arcs, i, deeper = adj[u], next_arc[u], level[u] + 1
-            while i < len(arcs) and not (cap[arcs[i]] > _FLOW_EPS and level[to[arcs[i]]] == deeper):
-                i += 1
-            next_arc[u] = i
-            if i < len(arcs):
-                path.append(arcs[i])
-                u = to[arcs[i]]
-            elif u == source:
-                break
-            else:
-                u = to[path.pop() ^ 1]
-                next_arc[u] += 1
+        if u == sink:
+            bottleneck = min(arc_cap[p] for p in path)
+            for p in path:
+                arc_cap[p] -= bottleneck
+                back[p] = (back[p] if p in back else cap[arcs[p] ^ 1]) + bottleneck
+            path.clear()
+            u = 0
+        p, stop = ptr[u], end[u]
+        while p < stop and (arc_cap[p] <= _FLOW_EPS or dead[arc_to[p]]):
+            p += 1
+        ptr[u] = p
+        if p < stop:
+            path.append(p)
+            u = arc_to[p]
+        elif u == 0:
+            break
+        else:
+            dead[u] = True
+            u = int(tails[path.pop()])
+    touched = arcs[list(back)]
+    cap[touched] = [arc_cap[p] for p in back]
+    cap[touched ^ 1] = list(back.values())
 
 
 def solve_expected_lp(instance: StochasticInstance) -> FractionalSolution:
-    """Exact optimum of the expected-instance LP.
+    """Exact optimum of the expected-instance LP: the flow, and so ``x``, of
+    Dinic's method scanning each node's full adjacency list, to the bit.
 
     Raises:
         DegenerateType: if any type has probability zero.
     """
     if instance.arrivals < 1:
         raise ValueError("the LP needs at least one expected arrival")
-    m = instance.type_count
+    m, r = instance.type_count, instance.resource_count
     for j, t in enumerate(instance.types):
         if t.probability == 0.0:
             raise DegenerateType(f"type {j} has probability 0")
 
-    # Arc pairs per type: source -> type, then type -> resource in compatibility order;
-    # then resource -> sink.  Node 0 is the source, 1 + j type j, 1 + m + i resource i.
-    sink = 1 + m + instance.resource_count
-    adj: list[list[int]] = [[] for _ in range(sink + 1)]
-    to: list[int] = []
-    cap: list[float] = []
+    # Arc pairs (arc e ^ 1 reverses arc e) per type: source -> type, then type ->
+    # resource in compatibility order; then resource -> sink.  Node 0 is the
+    # source, 1 + j type j, 1 + m + i resource i.  Each node's adjacency is its
+    # out-arcs in arc order.
     masses = [instance.arrivals * t.probability for t in instance.types]
-    type_arcs = []
-    for j, (t, mass) in enumerate(zip(instance.types, masses)):
-        e = len(to)
-        arcs = range(e + 2, e + 2 + 2 * len(t.compatible), 2)
-        type_arcs.append(arcs)
-        adj[0].append(e)
-        adj[1 + j] = [e + 1, *arcs]
-        to += [1 + j, 0]
-        for a, i in zip(arcs, t.compatible):
-            adj[1 + m + i].append(a + 1)
-            to += [1 + m + i, 1 + j]
-        cap += [mass, 0.0] * (1 + len(t.compatible))
-    for i in range(instance.resource_count):
-        adj[1 + m + i].append(len(to))
-        adj[sink].append(len(to) + 1)
-        to += [sink, 1 + m + i]
-        cap += [1.0, 0.0]
+    mass = np.array(masses)
+    degree = np.array([len(t.compatible) for t in instance.types], dtype=np.int32)
+    edges = int(degree.sum())
+    edge_type = np.repeat(np.arange(m, dtype=np.int32), degree)
+    edge_resource = np.fromiter(chain.from_iterable(t.compatible for t in instance.types), np.int32, edges)
+    type_arcs = 2 * (np.arange(m, dtype=np.int32) + np.cumsum(degree, dtype=np.int32) - degree)
+    edge_arcs = 2 * (edge_type + np.arange(edges, dtype=np.int32) + 1)
+    sink_arcs = 2 * (m + edges + np.arange(r, dtype=np.int32))
+    sink = 1 + m + r
+    to = np.empty(2 * (m + edges + r), dtype=np.int32)
+    to[type_arcs], to[type_arcs + 1] = np.arange(1, m + 1), 0
+    to[edge_arcs], to[edge_arcs + 1] = 1 + m + edge_resource, 1 + edge_type
+    to[sink_arcs], to[sink_arcs + 1] = sink, np.arange(1 + m, sink)
+    tail = to.reshape(-1, 2)[:, ::-1].ravel()  # tail[e] = to[e ^ 1]
+    cap = np.zeros(len(to))
+    cap[edge_arcs] = mass[edge_type]
 
-    _max_flow(adj, to, cap, 0, sink)
-    x = {}
-    for j, (t, mass, arcs) in enumerate(zip(instance.types, masses, type_arcs)):
-        for a, i in zip(arcs, t.compatible):
-            value = cap[a ^ 1] / mass
-            if value > _FLOW_EPS:
-                x[(j, i)] = value
+    _first_phase(instance._compat_masks, masses, type_arcs, cap, sink_arcs)
+    while (level := _levels(to, tail, cap, sink))[sink] >= 0:
+        _blocking_flow(to, tail, cap, level, sink)
+    values = cap[edge_arcs + 1] / mass[edge_type]
+    kept = np.flatnonzero(values > _FLOW_EPS)
+    x = dict(zip(zip(edge_type[kept].tolist(), edge_resource[kept].tolist()), values[kept].tolist()))
     return FractionalSolution.build(instance, x)
 
 

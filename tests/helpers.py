@@ -2,8 +2,9 @@
 
 The oracles deliberately avoid the library's own algorithms: matching is
 solved by exhaustive bitmask dynamic programming, the sampling threshold by
-bisection, and the expected-instance program by a generic LP solver or by
-shortest augmenting paths (Edmonds-Karp) on the library's flow network.  A
+bisection, and the expected-instance program by a generic LP solver, by
+shortest augmenting paths (Edmonds-Karp) on the library's flow network, or by
+the list-built Dinic whose augmentations the library's solver replays.  A
 VarOpt draw is checked against the numpy array version it was written from, a
 random subset against numpy's Floyd algorithm replayed on Python ints, and
 Hopcroft-Karp's pairs against the version without the greedy first phase.  The
@@ -23,7 +24,7 @@ import numpy as np
 from sparsematch.instance import DemandType, RealizedGraph, StochasticInstance
 from sparsematch.matching import BipartiteEdgeList, MatchingResult
 from sparsematch.rng import RngStream, StreamRows, arrival_stream_ids
-from sparsematch.weights import _FLOW_EPS
+from sparsematch.weights import _FLOW_EPS, FractionalSolution
 
 ARRIVAL_WEIGHT_TOL = 1e-9
 
@@ -269,6 +270,85 @@ def edmonds_karp_lp(instance: StochasticInstance) -> dict[tuple[int, int], float
         if value > _FLOW_EPS:
             x[(j, i)] = value
     return x
+
+
+def _max_flow(adj: list[list[int]], to: list[int], cap: list[float], source: int, sink: int) -> None:
+    """Dinic's blocking flows on residual arcs ``to``/``cap``; arc ``e ^ 1`` reverses arc ``e``."""
+    while True:
+        level = [-1] * len(adj)
+        level[source] = 0
+        queue = [source]
+        for u in queue:
+            for e in adj[u]:
+                if level[to[e]] < 0 and cap[e] > _FLOW_EPS:
+                    level[to[e]] = level[u] + 1
+                    queue.append(to[e])
+        if level[sink] < 0:
+            return
+        next_arc = [0] * len(adj)
+        path: list[int] = []
+        u = source
+        while True:
+            if u == sink:
+                bottleneck = min(cap[e] for e in path)
+                for e in path:
+                    cap[e] -= bottleneck
+                    cap[e ^ 1] += bottleneck
+                path.clear()
+                u = source
+            arcs, i, deeper = adj[u], next_arc[u], level[u] + 1
+            while i < len(arcs) and not (cap[arcs[i]] > _FLOW_EPS and level[to[arcs[i]]] == deeper):
+                i += 1
+            next_arc[u] = i
+            if i < len(arcs):
+                path.append(arcs[i])
+                u = to[arcs[i]]
+            elif u == source:
+                break
+            else:
+                u = to[path.pop() ^ 1]
+                next_arc[u] += 1
+
+
+def dinic_lp(instance: StochasticInstance) -> FractionalSolution:
+    """``solve_expected_lp`` as it was before its bitset first phase and numpy
+    residual arrays: Dinic's blocking flows on Python lists, every phase
+    scanning each node's full adjacency.  Its ``x`` and objective are the ones
+    the library's solver keeps to the bit."""
+    m = instance.type_count
+    # Arc pairs per type: source -> type, then type -> resource in compatibility order;
+    # then resource -> sink.  Node 0 is the source, 1 + j type j, 1 + m + i resource i.
+    sink = 1 + m + instance.resource_count
+    adj: list[list[int]] = [[] for _ in range(sink + 1)]
+    to: list[int] = []
+    cap: list[float] = []
+    masses = [instance.arrivals * t.probability for t in instance.types]
+    type_arcs = []
+    for j, (t, mass) in enumerate(zip(instance.types, masses)):
+        e = len(to)
+        arcs = range(e + 2, e + 2 + 2 * len(t.compatible), 2)
+        type_arcs.append(arcs)
+        adj[0].append(e)
+        adj[1 + j] = [e + 1, *arcs]
+        to += [1 + j, 0]
+        for a, i in zip(arcs, t.compatible):
+            adj[1 + m + i].append(a + 1)
+            to += [1 + m + i, 1 + j]
+        cap += [mass, 0.0] * (1 + len(t.compatible))
+    for i in range(instance.resource_count):
+        adj[1 + m + i].append(len(to))
+        adj[sink].append(len(to) + 1)
+        to += [sink, 1 + m + i]
+        cap += [1.0, 0.0]
+
+    _max_flow(adj, to, cap, 0, sink)
+    x = {}
+    for j, (t, mass, arcs) in enumerate(zip(instance.types, masses, type_arcs)):
+        for a, i in zip(arcs, t.compatible):
+            value = cap[a ^ 1] / mass
+            if value > _FLOW_EPS:
+                x[(j, i)] = value
+    return FractionalSolution.build(instance, x)
 
 
 def uniform_instance(compat_lists, arrivals: int) -> StochasticInstance:

@@ -22,7 +22,7 @@ from sparsematch.harness import ExperimentConfig, run_experiment, run_nyc_day
 from sparsematch.instance import realize
 from sparsematch.matching import BipartiteEdgeList, full_matching, max_matching
 from sparsematch.rng import RngStream
-from sparsematch.strategies import StrategyConfig, run_strategy, varopt_samplers
+from sparsematch.strategies import StrategyConfig, run_strategy, sparsify, varopt_samplers
 from sparsematch.varopt import VarOptSampler
 from sparsematch.weights import (
     FractionalSolution,
@@ -203,12 +203,11 @@ def test_criterion_6_preservation_bound_soundness():
             bound = theorem_bound(heavy_light(x, k))
             config = StrategyConfig("varopt", k=k)
             samplers = varopt_samplers(instance, x, k)
-            sizes = []
-            for t in range(200):
-                graph = realize(instance, base.substream("trial", family, t))
-                sizes.append(
-                    run_strategy(graph, config, base.substream("s", family, t, k), samplers).matched
-                )
+            graphs = [realize(instance, base.substream("trial", family, t)) for t in range(200)]
+            rngs = [base.substream("s", family, t, k) for t in range(200)]
+            reports = sparsify(graphs, config, rngs, samplers)
+            sizes = [run_strategy(graph, config, rng, samplers, reports=masks).matched
+                     for graph, rng, masks in zip(graphs, rngs, reports)]
             mean = float(np.mean(sizes))
             stderr = float(np.std(sizes, ddof=1) / math.sqrt(len(sizes)))
             if bound > mean + 4 * stderr:
@@ -270,10 +269,11 @@ def test_criterion_9_corollary_budget():
     base = RngStream(1009)
     config = StrategyConfig("varopt", k=k)
     samplers = varopt_samplers(instance, x, k)
-    sizes = []
-    for t in range(500):
-        graph = realize(instance, base.substream(t))
-        sizes.append(run_strategy(graph, config, base.substream("s", t), samplers).matched)
+    graphs = [realize(instance, base.substream(t)) for t in range(500)]
+    rngs = [base.substream("s", t) for t in range(500)]
+    reports = sparsify(graphs, config, rngs, samplers)
+    sizes = [run_strategy(graph, config, rng, samplers, reports=masks).matched
+             for graph, rng, masks in zip(graphs, rngs, reports)]
     z = x.objective
     mean = float(np.mean(sizes))
     stderr = float(np.std(sizes, ddof=1) / math.sqrt(len(sizes)))

@@ -6,7 +6,8 @@ Each expected file was written by the code before the refactor it was added
 to guard, so any refactor that keeps them passing keeps the seeded results
 the package reports.  The goldens run at n=20; the paper's full-size table
 (n=100, where a VarOpt support reaches 35-61 items) and the default trip
-replay are pinned by the sha256 prefixes of their outputs.  After an
+replay are pinned by the sha256 prefixes of their outputs, and so are the
+four n=500 LP runs of perfbench's ``large-lp`` workload.  After an
 intended output change, regenerate the goldens from the root of a checkout
 with:
 
@@ -82,6 +83,12 @@ FULL_SIZE = {
        for family, sha in (("block", "3f922c12ad121a5d"), ("triangular", "3a4d9a7e6748beeb"),
                            ("bahmani", "74f249ff42e205fd"), ("tsm", "7a28a2f5b7d7e684"))},
     "nyc-default.csv": (("nyc", "--trips", TRIPS, "--zones", ZONES, *FULL), "581181c3c5831f2b"),
+    # perfbench's large-lp unit: the LP's tie-breaking at n=500
+    **{f"synth-lp-{family}-500.csv": (("synth", "--family", family, "--n", "500", "--trials", "10",
+                                       "--weights", "lp", "--strategies", "offline,varopt:5",
+                                       "--seed", "0"), sha)
+       for family, sha in (("block", "5446feacf6413b55"), ("triangular", "934ae290b052a86a"),
+                           ("bahmani", "4a342fec71c510db"), ("tsm", "11051e90bae11340"))},
 }
 
 

@@ -7,11 +7,13 @@ from scipy.optimize import linprog
 from helpers import (
     bundled_trip_instances,
     complete_uniform,
+    dinic_lp,
     edmonds_karp_lp,
     exclusive_pairs,
     heavy_light_edges,
     uniform_instance,
 )
+from sparsematch import weights
 from sparsematch.generators import FAMILIES
 from sparsematch.instance import DemandType, StochasticInstance, realize
 from sparsematch.matching import full_matching
@@ -125,6 +127,56 @@ def test_lp_equals_edmonds_karp_on_families_and_trip_intervals():
     assert len(instances) >= 4 + 3
     for inst in instances:
         assert list(solve_expected_lp(inst).x.items()) == list(edmonds_karp_lp(inst).items())
+
+
+def assert_same_as_list_built_dinic(inst):
+    got, want = solve_expected_lp(inst), dinic_lp(inst)
+    assert list(got.x.items()) == list(want.x.items())
+    assert got.objective == want.objective
+
+
+def test_lp_equals_list_built_dinic_on_families_trip_intervals_and_edge_cases(monkeypatch):
+    phases = []
+    blocking_flow = weights._blocking_flow
+    monkeypatch.setattr(weights, "_blocking_flow", lambda *args: phases.append(blocking_flow(*args)))
+    instances = [gen_fn(n) for n in (100, 500) for gen_fn in FAMILIES.values()] + bundled_trip_instances()
+    instances += [
+        # a type whose mass n * p is positive but at most the flow tolerance
+        StochasticInstance(("a", "b"), (DemandType(1.0 - 1e-13, (0, 1)), DemandType(1e-13, (0,))), 1),
+        # empty compatibility lists, and resource 0 that no type reaches
+        StochasticInstance(("a", "b", "c"), (DemandType(0.3, ()), DemandType(0.45, (1, 2)),
+                                             DemandType(0.25, ())), 3),
+        # no resource reachable at all
+        StochasticInstance(("a", "b"), (DemandType(0.5, ()), DemandType(0.5, ())), 3),
+        # resource 0 left with a residual below the flow tolerance, then with one just above
+        # it that type 2 takes, so that its x[2, 0] falls below the read-back tolerance
+        *(StochasticInstance(("a", "b"), (DemandType(0.3 / n, (0,)), DemandType((0.7 - gap) / n, (0,)),
+                                          DemandType(0.5, (0, 1)), DemandType(0.5 - (1.0 - gap) / n, ())), n)
+          for n, gap in ((2, 5e-13), (10, 2e-12))),
+    ]
+    # sparse random instances with fractional masses, where up to five phases follow the first
+    gen = np.random.default_rng(17)
+    for _ in range(300):
+        m, nres = int(gen.integers(1, 25)), int(gen.integers(1, 20))
+        compat = [tuple(sorted(gen.choice(nres, size=int(gen.integers(0, min(nres, 6) + 1)),
+                                          replace=False).tolist())) for _ in range(m)]
+        raw = gen.random(m) + 0.01
+        types = tuple(DemandType(float(p), c) for p, c in zip(raw / raw.sum(), compat))
+        instances.append(StochasticInstance(tuple(f"v{i}" for i in range(nres)), types, int(gen.integers(1, 40))))
+    for inst in instances:
+        assert_same_as_list_built_dinic(inst)
+    assert len(phases) > 100  # the phases after the greedy first one ran too
+
+
+def test_lp_equals_list_built_dinic_on_generated_instances():
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(generated_instances(hypothesis.strategies))
+    def check(inst):
+        assert_same_as_list_built_dinic(inst)
+
+    check()
 
 
 def test_lp_degenerate_type_rejected():
