@@ -110,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     nyc.add_argument("--trips", required=True, help="trip CSV (TLC schema)")
     nyc.add_argument("--zones", required=True, help="zone adjacency CSV (zone_a,zone_b)")
     nyc.add_argument("--start", "--interval", dest="start",
-                     help="first interval time, RFC3339 (default: derived from data)")
+                     help="first interval time, local with no UTC offset (default: derived from data)")
     nyc.add_argument("--intervals", type=int, help="number of 10-minute intervals")
     nyc.add_argument("--strategies", help="comma list (default %(default)s)",
                      default="offline,kvv,mgs,random:5,varopt:5,varopt:10")
@@ -168,8 +168,10 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _cmd_nyc(args: argparse.Namespace) -> int:
     config = _experiment_config(args, parse_strategies(args.strategies))
-    trips, zones = ingest_trips(args.trips, args.zones)
     start = datetime.fromisoformat(args.start) if args.start else None
+    if start is not None and start.tzinfo is not None:
+        raise ConfigError(f"--start {args.start} carries a UTC offset; give local time, like the trip data")
+    trips, zones = ingest_trips(args.trips, args.zones)
     series = run_nyc_day(trips, zones, config, start=start, intervals=args.intervals)
     _write(render_results(series, args.format), args.out)
     return 0

@@ -163,8 +163,8 @@ class TripRecord:
 def ingest_trips(path: str, zone_path: str) -> tuple[list[TripRecord], ZoneModel]:
     """Load trip records and the zone adjacency model from CSV files.
 
-    Rows with unknown zones or unparseable timestamps are dropped and counted
-    in a warning.
+    Rows with unknown zones, unparseable timestamps or timestamps with a UTC
+    offset (trip times are local) are dropped and counted in a warning.
 
     Raises:
         FormatError: if a header lacks the required columns.
@@ -192,6 +192,8 @@ def ingest_trips(path: str, zone_path: str) -> tuple[list[TripRecord], ZoneModel
             try:
                 pickup = datetime.fromisoformat(row["tpep_pickup_datetime"].strip())
                 dropoff = datetime.fromisoformat(row["tpep_dropoff_datetime"].strip())
+                if pickup.tzinfo is not None or dropoff.tzinfo is not None:
+                    raise ValueError("trip times are local, with no UTC offset")
             except ValueError:
                 dropped += 1
                 continue
@@ -202,7 +204,7 @@ def ingest_trips(path: str, zone_path: str) -> tuple[list[TripRecord], ZoneModel
                 continue
             trips.append(TripRecord(pickup, dropoff, pu, do))
     if dropped:
-        log.warning("dropped %d malformed or unknown-zone trip rows", dropped)
+        log.warning("dropped %d malformed, UTC-offset or unknown-zone trip rows", dropped)
     return trips, zones
 
 

@@ -88,13 +88,19 @@ class StochasticInstance:
     def _cumulative_probs(self) -> np.ndarray:
         return np.cumsum([t.probability for t in self.types])
 
+    def compat_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each type's degree, then each compatible (type, resource) pair's type and
+        resource, type after type, as int32 arrays built per call (not kept)."""
+        degree = np.array([len(t.compatible) for t in self.types], dtype=np.int32)
+        resources = np.fromiter(chain.from_iterable(t.compatible for t in self.types), np.int32, int(degree.sum()))
+        return degree, np.repeat(np.arange(self.type_count, dtype=np.int32), degree), resources
+
     @cached_property
     def _compat_masks(self) -> tuple[int, ...]:
         """Each type's compatibility set as a bitmask: bit i for resource i."""
-        degree = [len(t.compatible) for t in self.types]
+        _, types, resources = self.compat_pairs()
         member = np.zeros((self.type_count, self.resource_count), dtype=bool)
-        member[np.repeat(np.arange(self.type_count), degree),
-               np.fromiter(chain.from_iterable(t.compatible for t in self.types), np.intp, sum(degree))] = True
+        member[types, resources] = True
         rows = np.packbits(member, axis=1, bitorder="little")
         return tuple(int.from_bytes(row.tobytes(), "little") for row in rows)
 

@@ -8,8 +8,9 @@ on the keys and trials, arrivals and learning phases can run in any order.
 computes their Philox4x64-10 words in numpy (``philox_blocks``) and replays
 numpy ``Generator``'s ``permutation``, ``random`` and ``choice`` on them over
 padded rows, byte for byte.  These replays and ``choice_cdf``, the cdf of a
-weighted choice, are checked against numpy in tests/test_rng.py,
-test_varopt.py and test_strategies.py.
+weighted choice, are checked against numpy in tests/test_rng.py and
+test_strategies.py, and the VarOpt rows drawn on them against the array
+oracle in test_varopt.py.
 """
 
 from __future__ import annotations

@@ -145,9 +145,8 @@ def random_subgraph(graphs: Sequence[RealizedGraph], k: int, rngs: Sequence[RngS
     if not graphs:
         return []
     instance = graphs[0].instance
-    sizes = np.array([len(t.compatible) for t in instance.types])
+    sizes, _, compatible = instance.compat_pairs()
     starts = np.cumsum(sizes) - sizes
-    compatible = np.array([r for t in instance.types for r in t.compatible], dtype=np.int64)
     kept_whole = [0 if d > k else m for d, m in zip(sizes.tolist(), instance._compat_masks)]
     return _reports(graphs, rngs, kept_whole, k * (sizes > k),
                     lambda t, streams: compatible[starts[t][:, None] + streams.choice(sizes[t], k)])

@@ -6,27 +6,23 @@ multiplier ``tau`` assigns each item the inclusion probability
 over the positively weighted items ``E+``.  Items at probability one are
 included deterministically; the rest are drawn by systematic probability-
 proportional sampling over a randomly permuted order, which keeps the sample
-size exact and pairwise inclusion correlations non-positive.  A draw takes
-numpy's ``permutation`` and one ``random()``, then runs on Python floats with
-the arithmetic of the array version that tests/helpers.py keeps as the oracle
-(tests/test_varopt.py).  It returns the chosen ids in ascending order.
-:class:`BatchSampler` draws many rows at once, each as ``draw`` would on its
-stream, with the same float operations over padded rows.  The
-inverse-probability weight of a chosen item is ``weight / probabilities()[id]``;
-summed over the chosen ids they equal the total input weight on every single
-draw, not just in expectation.
+size exact and pairwise inclusion correlations non-positive.
+:class:`BatchSampler` draws many rows at once, each from its stream's
+``permutation`` and one ``random()``, with the float operations of the array
+draw in tests/helpers.py (tests/test_varopt.py).  The inverse-probability
+weight of a chosen item is ``weight / probabilities()[id]``; summed over the
+chosen ids they equal the total input weight on every single draw, not just
+in expectation.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from functools import cached_property
-from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
 
-from .rng import RngStream, StreamRows
+from .rng import StreamRows
 
 
 class AllZeroWeights(ValueError):
@@ -64,7 +60,6 @@ class VarOptSampler:
         pos_ids, pos_w = pos_ids[order], pos_w[order]
 
         npos = len(pos_ids)
-        sample_size = min(k, npos)
         if k >= npos:
             # Budget covers the support: everything is deterministic.
             self.threshold = 1.0 / float(pos_w[-1])
@@ -84,8 +79,7 @@ class VarOptSampler:
         self._det_ids = pos_ids[deterministic].tolist()
         self._light_ids = pos_ids[~deterministic].tolist()
         self._light_probs = probs[~deterministic].tolist()
-        self._light_draws = sample_size - len(self._det_ids)
-        self._fixed = tuple(sorted(self._det_ids))  # the whole draw when no light item is drawn
+        self._light_draws = min(k, npos) - len(self._det_ids)
 
     @cached_property
     def fixed_mask(self) -> int:
@@ -97,25 +91,12 @@ class VarOptSampler:
         return {**{int(i): float(p) for i, p in zip(self._pos_ids, self._probs)},
                 **dict.fromkeys(self._zero_ids, 0.0)}
 
-    def draw(self, rng: RngStream) -> tuple[int, ...]:
-        """The chosen item ids, ascending, drawn from ``rng.generator`` (any
-        stream with a generator; only asked for when the draw is random)."""
-        m = self._light_draws
-        if m <= 0:
-            return self._fixed
-        gen = rng.generator
-        perm = gen.permutation(len(self._light_ids)).tolist()
-        # Light probabilities sum to m by construction; rescale away float
-        # residue so the systematic point set always lands inside.
-        cum = list(accumulate(map(self._light_probs.__getitem__, perm)))
-        cum = [c * (m / cum[-1]) for c in cum]
-        u = gen.random()
-        picks = {bisect_left(cum, u + j) for j in range(m)} - {len(cum)}
-        if len(picks) < m:
-            # Sub-ulp boundary collision; complete the sample greedily.
-            order = np.argsort(-np.asarray(self._light_probs)[perm]).tolist()
-            picks.update([i for i in order if i not in picks][: m - len(picks)])
-        return tuple(sorted(self._det_ids + [self._light_ids[perm[p]] for p in picks]))
+
+def _complete(picks: list[int], probs: np.ndarray, m: int) -> list[int]:
+    """The distinct positions ``picks`` of a row whose systematic points collide
+    below an ulp, completed greedily to m: the other positions in descending
+    order of ``probs``, the row's light probabilities in permuted order."""
+    return picks + [p for p in np.argsort(-probs).tolist() if p not in picks][:m - len(picks)]
 
 
 class BatchSampler:
@@ -123,7 +104,6 @@ class BatchSampler:
     many rows at once: their light items as padded arrays, built once."""
 
     def __init__(self, samplers: Sequence[VarOptSampler | None]):
-        self.samplers = samplers
         self.lengths = np.array([0 if s is None else len(s._light_ids) for s in samplers])
         self.draws = np.array([0 if s is None else s._light_draws for s in samplers])
         self.probs = np.zeros((len(samplers), max(1, self.lengths.max(initial=0))))
@@ -133,16 +113,13 @@ class BatchSampler:
                 self.probs[q, :self.lengths[q]], self.ids[q, :self.lengths[q]] = s._light_probs, s._light_ids
 
     def draw(self, which: np.ndarray, streams: StreamRows) -> np.ndarray:
-        """The light ids that row r's draw ``samplers[which[r]].draw(streams.stream(r))``
-        chooses, every row in one vectorized pass, padded with -1 (each row's
-        sampler draws at least one light id).
-
-        Each row's permutation and uniform come from ``streams``; the cumulative
-        sum (sequential, as ``accumulate``), its rescaling and the count of sums
-        below each point (``bisect_left``) are the draw's own float operations
-        over rows padded with infinite sums.  A row whose points collide below
-        an ulp is drawn by ``draw`` itself, sub-ulp completion included.
-        """
+        """The light ids that ``samplers[which[r]]`` draws for row r from its
+        stream in ``streams``, all rows in one vectorized pass, padded with -1
+        (each row's sampler draws at least one light id).  The cumulative sum,
+        its rescaling and the count of sums below each point are the array
+        draw's float operations, over rows padded with infinite sums; a row
+        whose points collide below an ulp keeps its distinct picks and is
+        completed by ``_complete``."""
         m, lengths = self.draws[which], self.lengths[which]
         top = int(lengths.max())
         perm = streams.permutation(lengths)
@@ -159,7 +136,7 @@ class BatchSampler:
         items = np.take_along_axis(perm, np.minimum(picks, top - 1), axis=1)
         chosen = np.where(drawn, self.ids[which[:, None], items], -1)
         for r in np.flatnonzero(collided).tolist():
-            sampler = self.samplers[which[r]]
-            light = sorted(set(sampler.draw(streams.stream(r))) - set(sampler._det_ids))
-            chosen[r, :len(light)] = light
+            row = perm[r, :lengths[r]]
+            kept = np.unique(picks[r][picks[r] < lengths[r]]).tolist()
+            chosen[r, :m[r]] = self.ids[which[r], row[_complete(kept, self.probs[which[r], row], m[r])]]
         return chosen

@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -279,10 +278,8 @@ def solve_expected_lp(instance: StochasticInstance) -> FractionalSolution:
     # out-arcs in arc order.
     masses = [instance.arrivals * t.probability for t in instance.types]
     mass = np.array(masses)
-    degree = np.array([len(t.compatible) for t in instance.types], dtype=np.int32)
-    edges = int(degree.sum())
-    edge_type = np.repeat(np.arange(m, dtype=np.int32), degree)
-    edge_resource = np.fromiter(chain.from_iterable(t.compatible for t in instance.types), np.int32, edges)
+    degree, edge_type, edge_resource = instance.compat_pairs()
+    edges = len(edge_type)
     type_arcs = 2 * (np.arange(m, dtype=np.int32) + np.cumsum(degree, dtype=np.int32) - degree)
     edge_arcs = 2 * (edge_type + np.arange(edges, dtype=np.int32) + 1)
     sink_arcs = 2 * (m + edges + np.arange(r, dtype=np.int32))

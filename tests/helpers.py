@@ -4,12 +4,13 @@ The oracles deliberately avoid the library's own algorithms: matching is
 solved by exhaustive bitmask dynamic programming, the sampling threshold by
 bisection, and the expected-instance program by a generic LP solver, by
 shortest augmenting paths (Edmonds-Karp) on the library's flow network, or by
-the list-built Dinic whose augmentations the library's solver replays.  A
-VarOpt draw is checked against the numpy array version it was written from, a
-random subset against numpy's Floyd algorithm replayed on Python ints, and
-Hopcroft-Karp's pairs against the version without the greedy first phase.  The
-fractional-load diagnostics at the end scale an IPW-weighted subgraph down to
-a fractional matching.
+the list-built Dinic whose augmentations the library's solver replays.  The
+batch's VarOpt draws (``varopt_draws``) are checked against the numpy array
+draw they were written from (``varopt_draw_oracle``), a random subset against
+numpy's Floyd algorithm replayed on Python ints, and Hopcroft-Karp's pairs
+against the version without the greedy first phase.  The fractional-load
+diagnostics at the end scale an IPW-weighted subgraph down to a fractional
+matching.
 """
 
 from __future__ import annotations
@@ -104,9 +105,30 @@ def one_block_at_a_time(monkeypatch) -> None:
                         reserve(self, rows, np.minimum(blocks, self.blocks[rows] + 1)))
 
 
+def varopt_draws(samplers, rng: RngStream) -> list[tuple[int, ...]]:
+    """The ids, ascending, that ``varopt_sparsify`` reports for arrival i of a
+    type with sampler ``samplers[i]``: drawn in one ``BatchSampler`` batch from
+    ``rng.substream("arrival", i)``, or, for a sampler that draws no light
+    item, its fixed ids with no stream.  A repeated sampler enters the batch
+    once."""
+    from sparsematch.varopt import BatchSampler
+
+    distinct = list({id(s): s for s in samplers}.values())
+    slot = {id(s): q for q, s in enumerate(distinct)}
+    batch, which = BatchSampler(distinct), np.array([slot[id(s)] for s in samplers], dtype=np.int64)
+    draws = [tuple(sorted(s._det_ids)) for s in samplers]
+    rows = np.flatnonzero(batch.draws[which] > 0)
+    if len(rows):
+        streams = StreamRows(np.full(len(rows), rng.seed, dtype=np.uint64),
+                             arrival_stream_ids(np.full(len(rows), rng.stream_id, dtype=np.uint64), rows))
+        for i, light in zip(rows.tolist(), batch.draw(which[rows], streams).tolist()):
+            draws[i] = tuple(sorted(samplers[i]._det_ids + [x for x in light if x >= 0]))
+    return draws
+
+
 def varopt_draw_oracle(sampler, rng) -> tuple[int, ...]:
-    """``VarOptSampler.draw`` as numpy array code: the version whose bytes the
-    list-based draw keeps, reading the sampler's threshold solution."""
+    """A VarOpt draw as numpy array code, reading the sampler's threshold
+    solution: the reference whose bytes ``BatchSampler.draw`` keeps."""
     ids = np.asarray(sampler._det_ids, dtype=np.int64)
     light_ids = np.asarray(sampler._light_ids, dtype=np.int64)
     light_probs = np.asarray(sampler._light_probs, dtype=float)
@@ -419,9 +441,10 @@ def varopt_ipw(graph, x, k: int, rng, masks) -> dict[tuple[int, int], float]:
     """IPW weight ``x / pi`` of every (arrival, resource) edge in the bitmasks
     ``varopt_sparsify`` reported, one per arrival.
 
-    Each arrival's sample is redrawn from the same ``rng.substream("arrival", i)``
-    the sparsifier used, so it must select exactly the reported resources.
-    Every realized type needs support in ``x`` (no uniform fallback).
+    Each arrival's sample is redrawn by ``varopt_draw_oracle`` from the same
+    ``rng.substream("arrival", i)`` the sparsifier used, so it must select
+    exactly the reported resources.  Every realized type needs support in
+    ``x`` (no uniform fallback).
     """
     from sparsematch.varopt import VarOptSampler
 
@@ -434,7 +457,7 @@ def varopt_ipw(graph, x, k: int, rng, masks) -> dict[tuple[int, int], float]:
             sampler = VarOptSampler(ids, weights, k)
             samplers[type_id] = sampler, dict(zip(ids, weights)), sampler.probabilities()
         sampler, weight, prob = samplers[type_id]
-        assert sampler.draw(rng.substream("arrival", i)) == row
+        assert varopt_draw_oracle(sampler, rng.substream("arrival", i)) == row
         ipw.update({(i, r): weight[r] / prob[r] for r in row})
     return ipw
 

@@ -15,7 +15,7 @@ from datetime import datetime
 import numpy as np
 import pytest
 
-from helpers import brute_force_matching, complete_uniform, random_bipartite
+from helpers import brute_force_matching, complete_uniform, random_bipartite, varopt_draws
 from sparsematch.bounds import sandwich_check, theorem_bound
 from sparsematch.generators import FAMILIES, ingest_trips
 from sparsematch.harness import ExperimentConfig, run_experiment, run_nyc_day
@@ -89,8 +89,7 @@ def table1_results():
 def test_criterion_1_varopt_exactness():
     start = time.perf_counter()
     gen = np.random.default_rng(1001)
-    rng = RngStream(1001)
-    ok = True
+    cases = []
     for _ in range(1000):
         size = int(gen.integers(1, 51))
         weights = gen.random(size) * float(gen.choice([0.2, 1.0, 5.0]))
@@ -98,11 +97,14 @@ def test_criterion_1_varopt_exactness():
         if not (weights > 0).any():
             weights[int(gen.integers(size))] = 0.4
         k = int(gen.integers(1, 21))
+        cases.append((weights, k, VarOptSampler(range(size), weights, k)))
+    # sampler i draws arrival i: one batch of rows of unequal lengths
+    samples = varopt_draws([sampler for _, _, sampler in cases], RngStream(1001))
+    ok = True
+    for (weights, k, sampler), sample in zip(cases, samples):
         positive = int((weights > 0).sum())
-        sampler = VarOptSampler(range(size), weights, k)
         probs = sampler.probabilities()
         ok &= abs(sum(probs.values()) - min(k, positive)) <= 1e-9
-        sample = sampler.draw(rng)
         ok &= len(sample) == min(k, positive)
         ok &= abs(sum(weights[i] / probs[i] for i in sample) - float(weights.sum())) <= 1e-9
         if not ok:
@@ -114,11 +116,10 @@ def test_criterion_1_varopt_exactness():
 def test_criterion_2_varopt_marginals():
     start = time.perf_counter()
     sampler = VarOptSampler([0, 1, 2], [0.5, 0.3, 0.2], k=2)
-    rng = RngStream(1002)
     trials = 100000
     counts = np.zeros(3)
-    for _ in range(trials):
-        for item in sampler.draw(rng):
+    for sample in varopt_draws([sampler] * trials, RngStream(1002)):
+        for item in sample:
             counts[item] += 1
     freq = counts / trials
     ok = (

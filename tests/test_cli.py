@@ -152,6 +152,32 @@ def test_bad_start_timestamp_is_config_error():
                  "--strategies", "offline", "--start", "not-a-time"]) == 2
 
 
+def test_start_with_a_utc_offset_exits_2(monkeypatch, capsys):
+    import sparsematch.cli as cli
+
+    monkeypatch.setattr(cli, "run_nyc_day", refuse_to_run)
+    assert main(["nyc", "--trips", TRIPS, "--zones", ZONES, "--trials", "2", "--mc", "5",
+                 "--strategies", "offline", "--start", "2025-05-14T08:05:00+00:00"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_trip_row_with_a_utc_offset_is_dropped(tmp_path, caplog):
+    # Read as local time, the extra trip would add demand at 08:05 and supply
+    # at 08:15; with its offset it is dropped, and the output is the bundled file's.
+    lines = Path(TRIPS).read_text().splitlines(keepends=True)
+    with_offset = tmp_path / "trips.csv"
+    with_offset.write_text("".join([lines[0], "2025-05-14 08:06:00+00:00,2025-05-14 08:12:00,4,8\n", *lines[1:]]))
+    outputs = []
+    for trips in (TRIPS, str(with_offset)):
+        out = tmp_path / "series.csv"
+        assert main(["nyc", "--trips", trips, "--zones", ZONES, "--seed", "3", "--trials", "2", "--mc", "5",
+                     "--start", "2025-05-14T08:05:00", "--intervals", "2",
+                     "--strategies", "offline,varopt:5", "--out", str(out)]) == 0
+        outputs.append(out.read_text())
+    assert outputs[0] == outputs[1]
+    assert "dropped 1 malformed, UTC-offset or unknown-zone trip rows" in caplog.text
+
+
 def test_bounds_file_weights_use_the_cached_file(tmp_path):
     cache = tmp_path / "lp.json"
     assert main(["weights", "--family", "block", "--n", "20", "--seed", "3", "--weights", "lp",

@@ -441,13 +441,14 @@ def test_coordinator_equals_the_oracle_on_lp_guided_single_edge_reports():
 
 def test_sub_ulp_completions_at_table_size(monkeypatch):
     # Every VarOpt draw of the four-family table (n=100, T=100, M=100, seed 0)
-    # runs in the batch, which calls VarOptSampler.draw only for a row whose
+    # runs in the batch, which calls varopt._complete only for a row whose
     # systematic points collide below an ulp: on the table, no row.
+    from sparsematch import varopt
     from sparsematch.harness import ExperimentConfig, run_experiment
 
     completions = []
-    draw = VarOptSampler.draw
-    monkeypatch.setattr(VarOptSampler, "draw", lambda self, rng: completions.append(rng) or draw(self, rng))
+    complete = varopt._complete
+    monkeypatch.setattr(varopt, "_complete", lambda *args: completions.append(args) or complete(*args))
     budgets = tuple(StrategyConfig("varopt", k=k) for k in (3, 5, 10))
     for family in ("block", "triangular", "bahmani", "tsm"):
         run_experiment(ExperimentConfig(strategies=budgets, family=family, n=100, trials=100, mc=100, seed=0))

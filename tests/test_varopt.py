@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from helpers import bisect_threshold, one_block_at_a_time, varopt_draw_oracle
+from helpers import bisect_threshold, one_block_at_a_time, varopt_draw_oracle, varopt_draws
+from sparsematch import varopt
 from sparsematch.rng import RngStream, StreamRows, arrival_stream_ids
 from sparsematch.varopt import AllZeroWeights, BatchSampler, VarOptSampler
 
@@ -62,11 +63,9 @@ def test_all_zero_weights_raises():
 
 
 def test_draw_contains_deterministic_item_and_preserves_weight_sum():
-    rng = RngStream(3)
     sampler = VarOptSampler(ABC_IDS, ABC_WEIGHTS, 2)
     probs = sampler.probabilities()
-    for _ in range(200):
-        sample = sampler.draw(rng)
+    for sample in varopt_draws([sampler] * 200, RngStream(3)):
         assert len(sample) == 2
         assert 0 in sample  # pi = 1
         assert sum(ABC_WEIGHTS[i] / probs[i] for i in sample) == pytest.approx(1.0, abs=1e-9)
@@ -74,18 +73,17 @@ def test_draw_contains_deterministic_item_and_preserves_weight_sum():
 
 def test_single_item():
     sampler = VarOptSampler([5], [0.37], 1)
-    assert sampler.draw(RngStream(1)) == (5,)
+    assert varopt_draws([sampler], RngStream(1)) == [(5,)]
     assert sampler.probabilities() == {5: 1.0}  # so its IPW weight is 0.37 itself
 
 
 def test_marginal_frequencies_match_probabilities():
     # 100000 draws of {0.5, 0.3, 0.2} at k=2: frequencies within 0.005 of (1, 0.6, 0.4)
     sampler = VarOptSampler([0, 1, 2], [0.5, 0.3, 0.2], k=2)
-    rng = RngStream(17)
     counts = np.zeros(3)
     trials = 100000
-    for _ in range(trials):
-        for item in sampler.draw(rng):
+    for sample in varopt_draws([sampler] * trials, RngStream(17)):
+        for item in sample:
             counts[item] += 1
     freq = counts / trials
     assert freq[0] == pytest.approx(1.0, abs=1e-12)
@@ -102,20 +100,18 @@ def test_subset_sum_estimates():
     def estimate_subset_sum(sample, subset):
         return sum(weights[i] / probs[i] for i in sample if i in subset)
 
-    sample = sampler.draw(rng)
-    assert estimate_subset_sum(sample, {0, 1, 2}) == pytest.approx(1.0, abs=1e-9)
-    assert estimate_subset_sum(sample, set()) == 0.0
-    total = 0.0
     trials = 100000
-    for _ in range(trials):
-        total += estimate_subset_sum(sampler.draw(rng), {1})
+    samples = varopt_draws([sampler] * trials, rng)
+    assert estimate_subset_sum(samples[0], {0, 1, 2}) == pytest.approx(1.0, abs=1e-9)
+    assert estimate_subset_sum(samples[0], set()) == 0.0
+    total = sum(estimate_subset_sum(sample, {1}) for sample in samples)
     assert total / trials == pytest.approx(0.3, abs=0.005)
 
 
 def test_exact_size_and_weight_sum_over_random_vectors():
     gen = np.random.default_rng(5)
     rng = RngStream(29)
-    for _ in range(300):
+    for case in range(300):
         size = int(gen.integers(1, 50))
         weights = gen.random(size)
         weights[gen.random(size) < 0.2] = 0.0
@@ -125,7 +121,7 @@ def test_exact_size_and_weight_sum_over_random_vectors():
         positive = int((weights > 0).sum())
         sampler = VarOptSampler(range(size), weights, k)
         probs = sampler.probabilities()
-        sample = sampler.draw(rng)
+        sample, = varopt_draws([sampler], rng.substream(case))
         assert len(sample) == min(k, positive)
         assert all(weights[i] > 0 for i in sample)
         assert sum(weights[i] / probs[i] for i in sample) == pytest.approx(float(weights.sum()), abs=1e-9)
@@ -145,11 +141,9 @@ def test_inclusion_probability_lower_bound():
 
 def test_heavy_items_always_included():
     sampler = VarOptSampler([0, 1, 2, 3], [5.0, 1.0, 0.1, 0.05], k=2)
-    rng = RngStream(37)
     heavy = [i for i, p in sampler.probabilities().items() if p >= 1.0]
     assert heavy
-    for _ in range(500):
-        sample = sampler.draw(rng)
+    for sample in varopt_draws([sampler] * 500, RngStream(37)):
         assert set(heavy) <= set(sample)
 
 
@@ -163,12 +157,10 @@ def test_pairwise_covariance_nonpositive():
         sampler = VarOptSampler(range(len(weights)), weights, k)
         probs = sampler.probabilities()
         light = [i for i, p in probs.items() if p < 1.0]
-        rng = RngStream(41)
         trials = 100000
         hits = np.zeros(len(weights))
         joint = np.zeros((len(weights), len(weights)))
-        for _ in range(trials):
-            included = sampler.draw(rng)
+        for included in varopt_draws([sampler] * trials, RngStream(41)):
             for a in included:
                 hits[a] += 1
                 for b in included:
@@ -212,7 +204,7 @@ def test_sampler_properties_on_generated_weights():
             assert probs[i] == pytest.approx(min(1.0, tau * w / top), abs=1e-9)
         size = min(k, sum(w > 0 for w in weights))
         assert sum(probs.values()) == pytest.approx(size, abs=1e-9)
-        sample = sampler.draw(RngStream(seed))
+        sample, = varopt_draws([sampler], RngStream(seed))
         assert len(sample) == size
         assert list(sample) == sorted(set(sample))
         assert all(weights[i] > 0 for i in sample)
@@ -236,26 +228,23 @@ def _table_like_samplers():
         yield sampler, RngStream(int(gen.integers(2**64, dtype=np.uint64)), case)
 
 
-def test_draw_matches_the_array_oracle():
-    draws = 0
-    for sampler, rng in _table_like_samplers():
-        for i in range(50):
-            assert sampler.draw(rng.substream("arrival", i)) == varopt_draw_oracle(sampler, rng.substream("arrival", i))
-            draws += 1
-    assert draws >= 10_000
-
-
 @pytest.mark.parametrize("one_block", [False, True])
-def test_batch_rows_match_draw(one_block, monkeypatch):
+def test_batch_rows_match_the_array_oracle(one_block, monkeypatch):
     # Sixty arrivals of every drawing sampler above, and of uniform supports of
     # 2 and 3 items and of lengths just above a power of two (rejection-heavy),
-    # in one batch: each row's ids against the scalar draw on its own stream;
-    # with one block at a time, every row runs past its words.
+    # in one batch: each row's ids against the array oracle on its own stream;
+    # with one block at a time, every row runs past its words.  A sampler that
+    # draws nothing reports its fixed ids, as the oracle does.
     if one_block:
         one_block_at_a_time(monkeypatch)
     uniform = [(VarOptSampler(range(size), np.ones(size), k), RngStream(2**63 + size, k))
                for size in (2, 3, 5, 9, 17, 33, 65) for k in (1, 3, 10) if k < size]
-    cases = [(s, rng) for s, rng in [*_table_like_samplers(), *uniform] if s._light_draws > 0]
+    cases = [*_table_like_samplers(), *uniform]
+    fixed = [(s, rng) for s, rng in cases if s._light_draws <= 0]
+    assert fixed
+    for sampler, rng in fixed:
+        assert varopt_draws([sampler], rng) == [varopt_draw_oracle(sampler, rng.substream("arrival", 0))]
+    cases = [(s, rng) for s, rng in cases if s._light_draws > 0]
     which, arrivals = np.repeat(np.arange(len(cases)), 60), np.tile(np.arange(60), len(cases))
     seeds = np.array([rng.seed for _, rng in cases], dtype=np.uint64)[which]
     parents = np.array([rng.stream_id for _, rng in cases], dtype=np.uint64)[which]
@@ -264,7 +253,7 @@ def test_batch_rows_match_draw(one_block, monkeypatch):
         sampler, rng = cases[q]
         light = [x for x in light if x >= 0]
         assert len(light) == sampler._light_draws
-        assert tuple(sorted(sampler._det_ids + light)) == sampler.draw(rng.substream("arrival", i))
+        assert tuple(sorted(sampler._det_ids + light)) == varopt_draw_oracle(sampler, rng.substream("arrival", i))
     assert len(rows) >= 10_000
 
 
@@ -282,31 +271,13 @@ class _FixedDraws:
         return self.u
 
 
-def test_draw_matches_the_oracle_on_the_sub_ulp_completion():
+def test_batch_completion_matches_the_oracle_where_points_collide(monkeypatch):
     # With m = 3 and u just below 1, the last point 2 + u rounds to 3.0.  About
-    # one order in twenty of nine light items makes the rescaled cumulative sum
-    # end a rounding step below 3.0: that point falls outside, and the draw
-    # completes the sample greedily.
-    u = float(np.nextafter(1.0, 0.0))
-    gen = np.random.default_rng(5)
-    found = 0
-    while found < 20:
-        sampler = VarOptSampler(range(9), gen.random(9) + 0.5, 3)
-        perm = gen.permutation(9)
-        cum = np.cumsum(np.asarray(sampler._light_probs)[perm])
-        if sampler._light_draws != 3 or cum[-1] * (3 / cum[-1]) >= u + 2:
-            continue
-        found += 1
-        sample = sampler.draw(_FixedDraws(perm, u))
-        assert sample == varopt_draw_oracle(sampler, _FixedDraws(perm, u))
-        assert len(sample) == 3
-
-
-def test_batch_takes_the_scalar_completion_where_points_collide(monkeypatch):
-    # The case above in a batch: every row's uniform is forced just below 1, and
-    # the rows whose last point falls outside are drawn by ``draw`` itself, on
-    # the row's own permutation and that uniform.  Each row equals the scalar
-    # draw on those draws.
+    # one order in twenty makes the rescaled cumulative sum end a rounding step
+    # below 3.0: that point falls outside, and the row is completed greedily.
+    # Every row's uniform is forced there, in a batch of 5, 6, 9 and 14 light
+    # items, so that collided rows come both padded and unpadded; each row
+    # equals the array oracle on the row's own permutation and that uniform.
     u = float(np.nextafter(1.0, 0.0))
 
     class Forced(StreamRows):
@@ -318,16 +289,18 @@ def test_batch_takes_the_scalar_completion_where_points_collide(monkeypatch):
             super().random()
             return np.full(len(self.rows), u)
 
-        def stream(self, r):
-            return _FixedDraws(self.perms[r], u)
-
-    draw, completions = VarOptSampler.draw, []
-    monkeypatch.setattr(VarOptSampler, "draw", lambda self, rng: completions.append(rng) or draw(self, rng))
+    complete, completed = varopt._complete, []
+    monkeypatch.setattr(varopt, "_complete", lambda picks, probs, m: completed.append(len(probs))
+                        or complete(picks, probs, m))
     gen = np.random.default_rng(5)
-    samplers = [s for s in (VarOptSampler(range(9), gen.random(9) + 0.5, 3) for _ in range(400))
-                if s._light_draws == 3]
+    samplers = [VarOptSampler(range(size), gen.random(size) + 0.5, 3) for size in (5, 6, 9, 14) * 300]
+    samplers = [s for s in samplers if s._light_draws == 3]
     streams = Forced(np.zeros(len(samplers), dtype=np.uint64), np.arange(len(samplers), dtype=np.uint64))
     rows = BatchSampler(samplers).draw(np.arange(len(samplers)), streams)
-    assert len(completions) >= 5
+    assert len(completed) >= 5
+    assert {5, 6, 9, 14} <= set(completed)
     for sampler, perm, light in zip(samplers, streams.perms, rows.tolist()):
-        assert tuple(sorted(sampler._det_ids + light)) == draw(sampler, _FixedDraws(perm, u))
+        light = [x for x in light if x >= 0]
+        assert len(light) == 3
+        oracle = varopt_draw_oracle(sampler, _FixedDraws(perm[:len(sampler._light_ids)], u))
+        assert tuple(sorted(sampler._det_ids + light)) == oracle
