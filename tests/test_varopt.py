@@ -228,23 +228,31 @@ def _table_like_samplers():
         yield sampler, RngStream(int(gen.integers(2**64, dtype=np.uint64)), case)
 
 
+def test_draw_matches_the_array_oracle():
+    # Fifty arrivals of every sampler above, drawn as varopt_sparsify draws
+    # them: a sampler that draws nothing reports its fixed ids, as the oracle does.
+    draws = fixed = 0
+    for sampler, rng in _table_like_samplers():
+        fixed += sampler._light_draws <= 0
+        samples = varopt_draws([sampler] * 50, rng)
+        for i, sample in enumerate(samples):
+            assert sample == varopt_draw_oracle(sampler, rng.substream("arrival", i))
+            draws += 1
+    assert fixed
+    assert draws >= 10_000
+
+
 @pytest.mark.parametrize("one_block", [False, True])
-def test_batch_rows_match_the_array_oracle(one_block, monkeypatch):
+def test_batch_rows_match_draw(one_block, monkeypatch):
     # Sixty arrivals of every drawing sampler above, and of uniform supports of
     # 2 and 3 items and of lengths just above a power of two (rejection-heavy),
-    # in one batch: each row's ids against the array oracle on its own stream;
-    # with one block at a time, every row runs past its words.  A sampler that
-    # draws nothing reports its fixed ids, as the oracle does.
+    # in one batch: each row's ids against the array oracle's draw on its own
+    # stream; with one block at a time, every row runs past its words.
     if one_block:
         one_block_at_a_time(monkeypatch)
     uniform = [(VarOptSampler(range(size), np.ones(size), k), RngStream(2**63 + size, k))
                for size in (2, 3, 5, 9, 17, 33, 65) for k in (1, 3, 10) if k < size]
-    cases = [*_table_like_samplers(), *uniform]
-    fixed = [(s, rng) for s, rng in cases if s._light_draws <= 0]
-    assert fixed
-    for sampler, rng in fixed:
-        assert varopt_draws([sampler], rng) == [varopt_draw_oracle(sampler, rng.substream("arrival", 0))]
-    cases = [(s, rng) for s, rng in cases if s._light_draws > 0]
+    cases = [(s, rng) for s, rng in [*_table_like_samplers(), *uniform] if s._light_draws > 0]
     which, arrivals = np.repeat(np.arange(len(cases)), 60), np.tile(np.arange(60), len(cases))
     seeds = np.array([rng.seed for _, rng in cases], dtype=np.uint64)[which]
     parents = np.array([rng.stream_id for _, rng in cases], dtype=np.uint64)[which]
@@ -271,31 +279,60 @@ class _FixedDraws:
         return self.u
 
 
-def test_batch_completion_matches_the_oracle_where_points_collide(monkeypatch):
+class _ForcedRows(StreamRows):
+    """Rows whose uniforms are all ``u``; ``perms`` is what ``permutation``
+    drew, or, if given, what it returns."""
+
+    def __init__(self, u: float, n: int, perms: np.ndarray | None = None):
+        super().__init__(np.zeros(n, dtype=np.uint64), np.arange(n, dtype=np.uint64))
+        self.u, self.perms = u, perms
+
+    def permutation(self, lengths):
+        drawn = super().permutation(lengths)
+        if self.perms is None:
+            self.perms = drawn
+        return self.perms
+
+    def random(self):
+        super().random()
+        return np.full(len(self.rows), self.u)
+
+
+def test_draw_matches_the_oracle_on_the_sub_ulp_completion():
     # With m = 3 and u just below 1, the last point 2 + u rounds to 3.0.  About
-    # one order in twenty makes the rescaled cumulative sum end a rounding step
-    # below 3.0: that point falls outside, and the row is completed greedily.
-    # Every row's uniform is forced there, in a batch of 5, 6, 9 and 14 light
-    # items, so that collided rows come both padded and unpadded; each row
-    # equals the array oracle on the row's own permutation and that uniform.
+    # one order in twenty of nine light items makes the rescaled cumulative sum
+    # end a rounding step below 3.0: that point falls outside, and the draw
+    # completes the sample greedily.  Twenty such orders, each drawn alone.
     u = float(np.nextafter(1.0, 0.0))
+    gen = np.random.default_rng(5)
+    found = 0
+    while found < 20:
+        sampler = VarOptSampler(range(9), gen.random(9) + 0.5, 3)
+        perm = gen.permutation(9)
+        cum = np.cumsum(np.asarray(sampler._light_probs)[perm])
+        if sampler._light_draws != 3 or cum[-1] * (3 / cum[-1]) >= u + 2:
+            continue
+        found += 1
+        light, = BatchSampler([sampler]).draw(np.zeros(1, dtype=np.int64), _ForcedRows(u, 1, perm[None, :])).tolist()
+        sample = tuple(sorted(sampler._det_ids + light))
+        assert sample == varopt_draw_oracle(sampler, _FixedDraws(perm, u))
+        assert len(sample) == 3
 
-    class Forced(StreamRows):
-        def permutation(self, lengths):
-            self.perms = super().permutation(lengths)
-            return self.perms
 
-        def random(self):
-            super().random()
-            return np.full(len(self.rows), u)
-
+def test_batch_takes_the_scalar_completion_where_points_collide(monkeypatch):
+    # The case above in a batch: every row's uniform is forced just below 1, in
+    # a batch of 5, 6, 9 and 14 light items, so that collided rows come both
+    # padded and unpadded, and each collided row is completed by ``_complete``
+    # alone.  Each row equals the array oracle on the row's own permutation and
+    # that uniform.
+    u = float(np.nextafter(1.0, 0.0))
     complete, completed = varopt._complete, []
     monkeypatch.setattr(varopt, "_complete", lambda picks, probs, m: completed.append(len(probs))
                         or complete(picks, probs, m))
     gen = np.random.default_rng(5)
     samplers = [VarOptSampler(range(size), gen.random(size) + 0.5, 3) for size in (5, 6, 9, 14) * 300]
     samplers = [s for s in samplers if s._light_draws == 3]
-    streams = Forced(np.zeros(len(samplers), dtype=np.uint64), np.arange(len(samplers), dtype=np.uint64))
+    streams = _ForcedRows(u, len(samplers))
     rows = BatchSampler(samplers).draw(np.arange(len(samplers)), streams)
     assert len(completed) >= 5
     assert {5, 6, 9, 14} <= set(completed)
