@@ -18,10 +18,6 @@ from typing import NamedTuple
 SPLIT_TOL = 1e-9
 
 
-class DomainError(ValueError):
-    """Argument outside the bound's domain."""
-
-
 @dataclass(frozen=True)
 class BoundInputs:
     """Objective decomposition Z = Z_H + Z_L and the budget k."""
@@ -49,9 +45,9 @@ class SandwichVerdict(NamedTuple):
 def per_bin_bound(eta: float, tau: float) -> float:
     """Expected-excess bound for a unit-load bin with heavy fraction eta, light size tau."""
     if not 0.0 <= eta <= 1.0:
-        raise DomainError(f"eta must lie in [0, 1], got {eta}")
+        raise ValueError(f"eta must lie in [0, 1], got {eta}")
     if not 0.0 < tau <= 1.0:
-        raise DomainError(f"tau must lie in (0, 1], got {tau}")
+        raise ValueError(f"tau must lie in (0, 1], got {tau}")
     variance_branch = 0.5 * math.sqrt(eta + tau * (1.0 - eta))
     deficit_branch = math.exp(-eta) * (eta + 0.5 * math.sqrt(tau * (1.0 - eta)))
     return min(variance_branch, deficit_branch)
@@ -71,7 +67,7 @@ def theorem_bound(inputs: BoundInputs) -> float:
 def corollary_budget(epsilon: float) -> int:
     """Budget k = ceil(eps^-2) sufficing for a 1 - eps preservation of spread solutions."""
     if not 0.0 < epsilon <= 1.0:
-        raise DomainError(f"epsilon must lie in (0, 1], got {epsilon}")
+        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
     return math.ceil(epsilon ** -2 - 1e-9)
 
 

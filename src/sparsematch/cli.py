@@ -9,8 +9,8 @@ Subcommands:
 Each flag's default is declared once, in ``build_parser``.  Each line of a
 flat ``key = value`` config file (--config) becomes a ``--key=value`` token
 ahead of the command line's own, so the one parser checks file values like
-flags and command-line values win.  Exit codes: 0 success, 2 configuration
-error, 3 I/O error.
+flags and command-line values win.  Exit codes: 0 success, 2 rejected input
+(a ValueError), 3 I/O error (an OSError).
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from datetime import datetime
 from .generators import FAMILIES, ingest_trips
 from .harness import (
     WEIGHT_SOURCES,
-    ConfigError,
     ExperimentConfig,
     bound_report,
     render_results,
@@ -60,7 +59,7 @@ def load_config_file(path: str) -> dict[str, str]:
                 continue
             key, sep, value = line.partition("=")
             if not sep:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             values[key.strip()] = value.strip()
     return values
 
@@ -141,7 +140,7 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     known = {dest.replace("_", "-") for dest in vars(args)} - {"command", "config"}
     unknown = sorted(set(file_values) - known)
     if unknown:
-        raise ConfigError(f"{path}: {', '.join(unknown)} names no flag of {args.command}")
+        raise ValueError(f"{path}: {', '.join(unknown)} names no flag of {args.command}")
     return args
 
 
@@ -170,7 +169,7 @@ def _cmd_nyc(args: argparse.Namespace) -> int:
     config = _experiment_config(args, parse_strategies(args.strategies))
     start = datetime.fromisoformat(args.start) if args.start else None
     if start is not None and start.tzinfo is not None:
-        raise ConfigError(f"--start {args.start} carries a UTC offset; give local time, like the trip data")
+        raise ValueError(f"--start {args.start} carries a UTC offset; give local time, like the trip data")
     trips, zones = ingest_trips(args.trips, args.zones)
     series = run_nyc_day(trips, zones, config, start=start, intervals=args.intervals)
     _write(render_results(series, args.format), args.out)
@@ -212,7 +211,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         log.error("I/O failure: %s", exc)
         return 3
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         log.error("configuration error: %s", exc)
         return 2
 

@@ -27,16 +27,8 @@ ZONE_COLUMNS = ("zone_a", "zone_b")
 HALF_WINDOW = timedelta(minutes=5)
 
 
-class BadSize(ValueError):
-    """Family size parameter incompatible with the construction's block sizes."""
-
-
 class EmptyWindow(ValueError):
     """A half-window around the requested time contains no trip events."""
-
-
-class FormatError(ValueError):
-    """Input CSV header does not match the expected schema."""
 
 
 def _uniform_instance(resources: tuple[str, ...], compat: list[tuple[int, ...]]) -> StochasticInstance:
@@ -54,7 +46,7 @@ def gen_partitioned_block(n: int) -> StochasticInstance:
     and rows 2 x columns 3 complete.
     """
     if n <= 0 or n % 10 != 0:
-        raise BadSize(f"partitioned block needs n divisible by 10, got {n}")
+        raise ValueError(f"partitioned block needs n divisible by 10, got {n}")
     b1 = 3 * n // 10
     b2 = 4 * n // 10
     rows_1 = tuple(range(b1))
@@ -74,7 +66,7 @@ def gen_partitioned_block(n: int) -> StochasticInstance:
 def gen_kvv_triangular(n: int) -> StochasticInstance:
     """Upper-triangular graph: type i is compatible with resources i..n-1."""
     if n < 1:
-        raise BadSize(f"triangular needs n >= 1, got {n}")
+        raise ValueError(f"triangular needs n >= 1, got {n}")
     compat = [tuple(range(j, n)) for j in range(n)]
     return _uniform_instance(tuple(f"v{i}" for i in range(n)), compat)
 
@@ -89,7 +81,7 @@ def gen_bahmani(n: int) -> StochasticInstance:
     so supply and demand balance.
     """
     if n < 3:
-        raise BadSize(f"bahmani needs n >= 3, got {n}")
+        raise ValueError(f"bahmani needs n >= 3, got {n}")
     m = int(math.floor(n / (1.0 + 1.0 / math.e) + 0.5))
     a1 = n - m
     a1_nodes = tuple(range(m, m + a1))
@@ -112,7 +104,7 @@ def gen_tsm_tight(n: int) -> StochasticInstance:
     of the degree-two y and z types have nowhere to overflow.
     """
     if n <= 0 or n % 4 != 0:
-        raise BadSize(f"tsm tight needs n divisible by 4, got {n}")
+        raise ValueError(f"tsm tight needs n divisible by 4, got {n}")
     cycles = n // 4
     u_of = lambda c: 3 * c
     v_of = lambda c: 3 * c + 1
@@ -163,19 +155,22 @@ class TripRecord:
 def ingest_trips(path: str, zone_path: str) -> tuple[list[TripRecord], ZoneModel]:
     """Load trip records and the zone adjacency model from CSV files.
 
-    Rows with unknown zones, unparseable timestamps or timestamps with a UTC
-    offset (trip times are local) are dropped and counted in a warning.
+    Trip rows with a missing field, unknown zones, unparseable timestamps or
+    timestamps with a UTC offset (trip times are local) are dropped and
+    counted in a warning.
 
     Raises:
-        FormatError: if a header lacks the required columns.
+        ValueError: if a header lacks a required column or a zone row lacks a value.
         OSError: if a file cannot be read.
     """
     with open(zone_path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not set(ZONE_COLUMNS) <= set(reader.fieldnames):
-            raise FormatError(f"{zone_path}: expected columns {ZONE_COLUMNS}")
+            raise ValueError(f"{zone_path}: expected columns {ZONE_COLUMNS}")
         bordering: dict[str, set[str]] = {}
         for row in reader:
+            if None in (row["zone_a"], row["zone_b"]):  # DictReader's fill for a short row
+                raise ValueError(f"{zone_path}:{reader.line_num}: expected a value for each of {ZONE_COLUMNS}")
             a = row["zone_a"].strip()
             b = row["zone_b"].strip()
             bordering.setdefault(a, set()).add(b)
@@ -187,18 +182,21 @@ def ingest_trips(path: str, zone_path: str) -> tuple[list[TripRecord], ZoneModel
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not set(TRIP_COLUMNS) <= set(reader.fieldnames):
-            raise FormatError(f"{path}: expected columns {TRIP_COLUMNS}")
+            raise ValueError(f"{path}: expected columns {TRIP_COLUMNS}")
         for row in reader:
+            values = [row[c] for c in TRIP_COLUMNS]
+            if None in values:  # DictReader's fill for a short row
+                dropped += 1
+                continue
+            pickup_text, dropoff_text, pu, do = (v.strip() for v in values)
             try:
-                pickup = datetime.fromisoformat(row["tpep_pickup_datetime"].strip())
-                dropoff = datetime.fromisoformat(row["tpep_dropoff_datetime"].strip())
+                pickup = datetime.fromisoformat(pickup_text)
+                dropoff = datetime.fromisoformat(dropoff_text)
                 if pickup.tzinfo is not None or dropoff.tzinfo is not None:
                     raise ValueError("trip times are local, with no UTC offset")
             except ValueError:
                 dropped += 1
                 continue
-            pu = row["PULocationID"].strip()
-            do = row["DOLocationID"].strip()
             if pu not in zones.neighbors or do not in zones.neighbors:
                 dropped += 1
                 continue

@@ -50,10 +50,6 @@ WEIGHT_SOURCES = ("lp", "montecarlo", "file")
 INTERVAL = 2 * HALF_WINDOW  # consecutive intervals' half-windows tile the timeline
 
 
-class ConfigError(ValueError):
-    """Invalid experiment configuration."""
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a run needs: instance source, strategies, trial counts, seed,
@@ -71,24 +67,24 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
+            raise ValueError("trials must be >= 1")
         if self.mc < 1:
-            raise ConfigError("Monte Carlo simulation count must be >= 1")
+            raise ValueError("Monte Carlo simulation count must be >= 1")
         # rng.philox_key rounds a seed within 2^10 of 2^64 to seed 0's key
         if not 0 <= self.seed < 2**64 - 2**10:
-            raise ConfigError(f"seed must be in [0, 2^64 - 2^10), got {self.seed}")
+            raise ValueError(f"seed must be in [0, 2^64 - 2^10), got {self.seed}")
         if not self.strategies:
-            raise ConfigError("at least one strategy is required")
+            raise ValueError("at least one strategy is required")
         if self.weights not in WEIGHT_SOURCES:
-            raise ConfigError(f"unknown weight source {self.weights!r} (choose from {WEIGHT_SOURCES})")
+            raise ValueError(f"unknown weight source {self.weights!r} (choose from {WEIGHT_SOURCES})")
         if len(set(self.strategies)) != len(self.strategies):
-            raise ConfigError("duplicate strategy entries in the configuration")
+            raise ValueError("duplicate strategy entries in the configuration")
         if self.family is not None and self.family not in FAMILIES:
-            raise ConfigError(f"unknown family {self.family!r} (choose from {sorted(FAMILIES)})")
+            raise ValueError(f"unknown family {self.family!r} (choose from {sorted(FAMILIES)})")
         if self.instance_path is not None and (self.family is not None or self.n is not None):
-            raise ConfigError("give either an instance file or family + n, not both")
+            raise ValueError("give either an instance file or family + n, not both")
         if (self.weights_in is not None) != (self.weights == "file"):
-            raise ConfigError("a weights file (--weights-in) goes with weight source 'file', and only with it")
+            raise ValueError("a weights file (--weights-in) goes with weight source 'file', and only with it")
 
 
 @dataclass(frozen=True)
@@ -124,7 +120,7 @@ def resolve_instance(config: ExperimentConfig) -> StochasticInstance:
         with open(config.instance_path) as fh:
             return instance_from_json(fh.read())
     if config.family is None or config.n is None:
-        raise ConfigError("either an instance file or family + n is required")
+        raise ValueError("either an instance file or family + n is required")
     return FAMILIES[config.family](config.n)
 
 
@@ -233,7 +229,7 @@ def run_experiment(
     if degenerate:
         log.warning("%d trials had an empty offline matching and were skipped", degenerate)
     if not scored:
-        raise ConfigError("every trial had an empty offline matching; nothing to score")
+        raise ValueError("every trial had an empty offline matching; nothing to score")
 
     return [EfficiencySummary(cfg, *ci95([s.matched[cfg.label] / s.offline for s in scored]), len(scored))
             for cfg in sorted(config.strategies)]
@@ -316,7 +312,7 @@ def run_nyc_day(
     accumulated.  Intervals with an empty half-window contribute zero.
     """
     if intervals is not None and intervals < 1:
-        raise ConfigError(f"intervals must be >= 1, got {intervals}")
+        raise ValueError(f"intervals must be >= 1, got {intervals}")
     if start is not None and intervals is not None:
         times = [start + j * INTERVAL for j in range(intervals)]
     else:
@@ -324,7 +320,7 @@ def run_nyc_day(
         if intervals is not None:
             times = times[:intervals]
     if not times:
-        raise ConfigError("no simulation intervals: no trip event at or after the start")
+        raise ValueError("no simulation intervals: no trip event at or after the start")
 
     base = RngStream(config.seed)
     cumulative: dict[str, list[float]] = {cfg.label: [] for cfg in config.strategies}
@@ -357,7 +353,7 @@ def _fmt(value: float) -> str:
 def render_results(results: list[EfficiencySummary] | UnmetDemandSeries, fmt: str) -> str:
     """Serialize summaries (in the order given) or a series (by label) as CSV or JSON text."""
     if fmt not in ("csv", "json"):
-        raise ConfigError(f"unknown output format {fmt!r}")
+        raise ValueError(f"unknown output format {fmt!r}")
     if isinstance(results, UnmetDemandSeries):
         labels = sorted(results.cumulative)
         if fmt == "csv":

@@ -142,11 +142,11 @@ def instance_to_json(instance: StochasticInstance) -> str:
     }, indent=2)
 
 
-_JSON_TYPES = {"array": list, "integer": int, "number": (int, float)}
+_JSON_TYPES = {"array": list, "integer": int, "number": (int, float), "string": str}
 
 
 def json_value(value, kind: str):
-    """``value`` if it is a JSON ``kind`` ("array", "integer" or "number"),
+    """``value`` if it is a JSON ``kind`` ("array", "integer", "number" or "string"),
     else ValueError: file readers coerce nothing, a bool is no number, and
     neither is the NaN or Infinity that ``json.loads`` accepts."""
     if (isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind])
@@ -166,7 +166,7 @@ def instance_from_json(text: str) -> StochasticInstance:
         for t in json_value(doc["types"], "array"):
             compatible = tuple(json_value(i, "integer") for i in json_value(t["compatible"], "array"))
             types.append(DemandType(float(json_value(t["p"], "number")), compatible))
-        resources = tuple(str(r) for r in json_value(doc["resources"], "array"))
+        resources = tuple(json_value(r, "string") for r in json_value(doc["resources"], "array"))
         arrivals = json_value(doc["n"], "integer")
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed instance JSON: {exc!r}") from None

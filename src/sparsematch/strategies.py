@@ -39,10 +39,6 @@ BUDGETED = {"random", "varopt"}
 GUIDED = {"mgs", "varopt"}
 
 
-class UnknownStrategy(ValueError):
-    """Strategy name outside the supported set."""
-
-
 @dataclass(frozen=True)
 class StrategyOutcome:
     """Matched count and number of reported (or committed) edges."""
@@ -61,7 +57,7 @@ class StrategyConfig:
 
     def __post_init__(self):
         if self.strategy not in STRATEGY_NAMES:
-            raise UnknownStrategy(f"unknown strategy {self.strategy!r}")
+            raise ValueError(f"unknown strategy {self.strategy!r}")
         if (self.k is not None) != (self.strategy in BUDGETED) or self.k is not None and self.k < 1:
             raise ValueError(f"strategy {self.strategy!r} with k={self.k}: a budget k >= 1 goes "
                              f"with {' and '.join(sorted(BUDGETED))}, and only with them")

@@ -25,10 +25,6 @@ import numpy as np
 from .rng import StreamRows
 
 
-class AllZeroWeights(ValueError):
-    """Every supplied weight is zero; the caller must fall back to other weights."""
-
-
 class VarOptSampler:
     """Threshold solution for a fixed (items, k), reusable across many draws.
 
@@ -50,7 +46,7 @@ class VarOptSampler:
             raise ValueError("weights must be nonnegative")
         positive = w > 0
         if not positive.any():
-            raise AllZeroWeights("all item weights are zero")
+            raise ValueError("all item weights are zero")
 
         self._zero_ids = [i for i, keep in zip(ids, positive) if not keep]
         pos_ids = np.asarray([i for i, keep in zip(ids, positive) if keep])

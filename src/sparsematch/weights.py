@@ -34,10 +34,6 @@ _FLOW_EPS = 1e-12
 TypeWeights = tuple[tuple[int, ...], np.ndarray, np.ndarray]
 
 
-class DegenerateType(ValueError):
-    """A zero-probability type was passed to the LP; drop such types first."""
-
-
 @dataclass(frozen=True)
 class FractionalSolution:
     """Per (type, resource) fractional values with their LP objective.
@@ -263,14 +259,14 @@ def solve_expected_lp(instance: StochasticInstance) -> FractionalSolution:
     Dinic's method scanning each node's full adjacency list, to the bit.
 
     Raises:
-        DegenerateType: if any type has probability zero.
+        ValueError: if any type has probability zero.
     """
     if instance.arrivals < 1:
         raise ValueError("the LP needs at least one expected arrival")
     m, r = instance.type_count, instance.resource_count
     for j, t in enumerate(instance.types):
         if t.probability == 0.0:
-            raise DegenerateType(f"type {j} has probability 0")
+            raise ValueError(f"type {j} has probability 0")
 
     # Arc pairs (arc e ^ 1 reverses arc e) per type: source -> type, then type ->
     # resource in compatibility order; then resource -> sink.  Node 0 is the
@@ -394,14 +390,18 @@ def solution_to_json(x: FractionalSolution, arrivals: int) -> str:
 
 
 def solution_from_json(instance: StochasticInstance, text: str) -> FractionalSolution:
-    """Parse cached weights; a missing key or a value of the wrong JSON type raises ValueError."""
+    """Parse cached weights; a missing key, a value of the wrong JSON type or a
+    repeated (type, resource) entry raises ValueError."""
     doc = json.loads(text)
     try:
         n = json_value(doc["n"], "integer")
+        entries = json_value(doc["entries"], "array")
         x = {(json_value(e["type"], "integer"), json_value(e["resource"], "integer")):
-             float(json_value(e["x"], "number")) for e in json_value(doc["entries"], "array")}
+             float(json_value(e["x"], "number")) for e in entries}
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed weights JSON: {exc!r}") from None
+    if len(x) != len(entries):
+        raise ValueError(f"malformed weights JSON: {len(entries) - len(x)} repeated (type, resource) entries")
     if n != instance.arrivals:
         raise ValueError(f"cached weights were learned for n={n}, instance has n={instance.arrivals}")
     return FractionalSolution.build(instance, x)

@@ -5,7 +5,6 @@ import pytest
 
 from sparsematch.bounds import (
     BoundInputs,
-    DomainError,
     corollary_budget,
     per_bin_bound,
     sandwich_check,
@@ -38,11 +37,11 @@ def test_per_bin_bound_matches_both_branches():
 
 
 def test_per_bin_bound_domain():
-    with pytest.raises(DomainError):
+    with pytest.raises(ValueError, match="eta must lie in"):
         per_bin_bound(-0.1, 0.5)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValueError, match="tau must lie in"):
         per_bin_bound(0.5, 0.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValueError, match="tau must lie in"):
         per_bin_bound(0.5, 1.5)
 
 
@@ -100,9 +99,9 @@ def test_corollary_budget_values():
     assert corollary_budget(1.0) == 1
     assert corollary_budget(0.2) == 25
     assert corollary_budget(0.25) == 16
-    with pytest.raises(DomainError):
+    with pytest.raises(ValueError, match="epsilon must lie in"):
         corollary_budget(0.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValueError, match="epsilon must lie in"):
         corollary_budget(1.2)
 
 

@@ -7,7 +7,6 @@ from pathlib import Path
 import pytest
 
 from sparsematch.cli import build_parser, load_config_file, main, parse_strategies
-from sparsematch.harness import ConfigError
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 TRIPS = str(REPO_ROOT / "data" / "nyc_sample_trips.csv")
@@ -37,7 +36,7 @@ def test_config_file_parsing(tmp_path):
     assert values == {"family": "block", "n": "20", "trials": "5"}
     bad = tmp_path / "bad.conf"
     bad.write_text("family block\n")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match="expected 'key = value'"):
         load_config_file(str(bad))
 
 
@@ -161,21 +160,50 @@ def test_start_with_a_utc_offset_exits_2(monkeypatch, capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_trip_row_with_a_utc_offset_is_dropped(tmp_path, caplog):
-    # Read as local time, the extra trip would add demand at 08:05 and supply
-    # at 08:15; with its offset it is dropped, and the output is the bundled file's.
+def assert_trip_row_is_dropped(tmp_path, caplog, capsys, row):
+    """A run on the bundled trips with ``row`` added prints what a run without it
+    prints, and the row is counted in the warning."""
     lines = Path(TRIPS).read_text().splitlines(keepends=True)
-    with_offset = tmp_path / "trips.csv"
-    with_offset.write_text("".join([lines[0], "2025-05-14 08:06:00+00:00,2025-05-14 08:12:00,4,8\n", *lines[1:]]))
+    with_row = tmp_path / "trips.csv"
+    with_row.write_text("".join([lines[0], row + "\n", *lines[1:]]))
     outputs = []
-    for trips in (TRIPS, str(with_offset)):
-        out = tmp_path / "series.csv"
+    for trips in (TRIPS, str(with_row)):
         assert main(["nyc", "--trips", trips, "--zones", ZONES, "--seed", "3", "--trials", "2", "--mc", "5",
                      "--start", "2025-05-14T08:05:00", "--intervals", "2",
-                     "--strategies", "offline,varopt:5", "--out", str(out)]) == 0
-        outputs.append(out.read_text())
+                     "--strategies", "offline,varopt:5"]) == 0
+        outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
     assert "dropped 1 malformed, UTC-offset or unknown-zone trip rows" in caplog.text
+
+
+def test_trip_row_with_a_utc_offset_is_dropped(tmp_path, caplog, capsys):
+    # Read as local time, the extra trip would add demand at 08:05 and supply
+    # at 08:15; with its offset it is dropped, and the output is the bundled file's.
+    assert_trip_row_is_dropped(tmp_path, caplog, capsys, "2025-05-14 08:06:00+00:00,2025-05-14 08:12:00,4,8")
+
+
+def test_trip_row_with_a_missing_field_is_dropped(tmp_path, caplog, capsys):
+    assert_trip_row_is_dropped(tmp_path, caplog, capsys, "2025-05-14 08:01:00,2025-05-14 08:09:00")
+
+
+def test_zone_row_with_a_missing_field_exits_2(tmp_path, caplog, capsys):
+    zones = tmp_path / "zones.csv"
+    zones.write_text(Path(ZONES).read_text() + "161\n")  # the file's 9th line
+    assert main(["nyc", "--trips", TRIPS, "--zones", str(zones), "--trials", "2", "--mc", "5",
+                 "--strategies", "offline"]) == 2
+    assert f"{zones}:9: expected a value for each of" in caplog.text
+    assert capsys.readouterr().out == ""
+
+
+def test_csv_header_without_a_required_column_exits_2(tmp_path, caplog, capsys):
+    short = tmp_path / "short.csv"
+    short.write_text("tpep_pickup_datetime,tpep_dropoff_datetime,PULocationID\n")
+    for trips, zones in ((str(short), ZONES), (TRIPS, str(short))):
+        caplog.clear()
+        assert main(["nyc", "--trips", trips, "--zones", zones, "--trials", "2", "--mc", "5",
+                     "--strategies", "offline"]) == 2
+        assert f"{short}: expected columns" in caplog.text
+    assert capsys.readouterr().out == ""
 
 
 def test_bounds_file_weights_use_the_cached_file(tmp_path):
@@ -280,8 +308,10 @@ def with_field(doc, path, value):
     (("types", 0, "compatible"), [False, 1, 2]),
     (("types", 0, "compatible"), ""),
     (("types", 0, "p"), 10**400),  # a JSON number beyond float range
+    (("resources", 0), 1),  # resource names are JSON strings
+    (("resources", 1), None),
 ], ids=["resources-string", "n-float", "n-bool", "p-string", "p-bool", "compatible-float", "compatible-bool",
-        "compatible-string", "p-huge"])
+        "compatible-string", "p-huge", "resource-integer", "resource-null"])
 def test_instance_file_with_a_wrong_json_type_exits_2(tmp_path, path, value):
     inst = write_json(tmp_path / "inst.json", INSTANCE_DOC)
     assert main(["weights", "--instance", inst, "--weights", "lp", "--weights-out", str(tmp_path / "ok.json")]) == 0
@@ -308,6 +338,29 @@ def test_weights_file_with_a_wrong_json_type_exits_2(tmp_path, capsys, path, val
     assert main([*run, "--weights-in", write_json(tmp_path / "ok.json", WEIGHTS_DOC)]) == 0
     capsys.readouterr()
     assert main([*run, "--weights-in", write_json(tmp_path / "w.json", with_field(WEIGHTS_DOC, path, value))]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_lp_on_a_zero_probability_type_exits_2(tmp_path, caplog):
+    doc = {**INSTANCE_DOC, "types": [*INSTANCE_DOC["types"], {"p": 0.0, "compatible": [0]}]}
+    inst = write_json(tmp_path / "inst.json", doc)
+    out = tmp_path / "w.json"
+    assert main(["weights", "--instance", inst, "--weights", "lp", "--weights-out", str(out)]) == 2
+    assert "type 1 has probability 0" in caplog.text
+    assert not out.exists()
+
+
+def test_weights_file_with_a_repeated_entry_exits_2(tmp_path, caplog, capsys):
+    cache = tmp_path / "lp.json"
+    assert main(["weights", "--family", "block", "--n", "20", "--weights", "lp", "--weights-out", str(cache)]) == 0
+    run = ["synth", "--family", "block", "--n", "20", "--trials", "2", "--strategies", "offline,varopt:3",
+           "--weights", "file", "--weights-in"]
+    assert main([*run, str(cache)]) == 0
+    capsys.readouterr()
+    doc = json.loads(cache.read_text())
+    doc["entries"].append({"type": 0, "resource": 0, "x": 0.0})  # type 0 already has x = 1.0 at resource 0
+    assert main([*run, write_json(tmp_path / "twice.json", doc)]) == 2
+    assert "1 repeated (type, resource) entries" in caplog.text
     assert capsys.readouterr().out == ""
 
 

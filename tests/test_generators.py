@@ -5,9 +5,7 @@ from datetime import datetime
 import pytest
 
 from sparsematch.generators import (
-    BadSize,
     EmptyWindow,
-    FormatError,
     ZoneModel,
     build_nyc_instance,
     gen_bahmani,
@@ -59,7 +57,7 @@ def test_block_every_type_nonempty():
 
 
 def test_block_bad_size():
-    with pytest.raises(BadSize):
+    with pytest.raises(ValueError, match="needs n divisible by 10, got 15"):
         gen_partitioned_block(15)
 
 
@@ -114,7 +112,7 @@ def test_tsm_minimum_size_edges():
 
 
 def test_tsm_bad_size():
-    with pytest.raises(BadSize):
+    with pytest.raises(ValueError, match="needs n divisible by 4, got 6"):
         gen_tsm_tight(6)
 
 
@@ -199,13 +197,13 @@ def test_ingest_malformed_header(tmp_path):
     trips.write_text("pickup,dropoff\n")
     zones = tmp_path / "zones.csv"
     zones.write_text("zone_a,zone_b\n1,2\n")
-    with pytest.raises(FormatError):
+    with pytest.raises(ValueError, match="trips.csv: expected columns"):
         ingest_trips(str(trips), str(zones))
     bad_zones = tmp_path / "badzones.csv"
     bad_zones.write_text("a,b\n1,2\n")
     good_trips = tmp_path / "good.csv"
     good_trips.write_text("tpep_pickup_datetime,tpep_dropoff_datetime,PULocationID,DOLocationID\n")
-    with pytest.raises(FormatError):
+    with pytest.raises(ValueError, match="badzones.csv: expected columns"):
         ingest_trips(str(good_trips), str(bad_zones))
 
 

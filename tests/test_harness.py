@@ -7,7 +7,6 @@ import pytest
 from helpers import complete_uniform
 from sparsematch.generators import ingest_trips
 from sparsematch.harness import (
-    ConfigError,
     EfficiencySummary,
     ExperimentConfig,
     UnmetDemandSeries,
@@ -56,15 +55,15 @@ def test_ci95_examples():
 
 
 def test_config_validation():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match="trials must be >= 1"):
         small_config(trials=0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match="Monte Carlo simulation count must be >= 1"):
         small_config(mc=0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match="at least one strategy"):
         small_config(strategies=())
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match="unknown family 'nope'"):
         small_config(family="nope")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match="unknown weight source 'psychic'"):
         small_config(weights="psychic")
 
 
@@ -72,14 +71,14 @@ def test_config_validation():
                                     dict(weights="lp", weights_in="w.json"),
                                     dict(weights="file")])  # no file to read
 def test_weights_file_goes_with_weight_source_file_only(source):
-    with pytest.raises(ConfigError, match="weights-in"):
+    with pytest.raises(ValueError, match="weights-in"):
         small_config(**source)
     assert small_config(weights="file", weights_in="w.json").weights_in == "w.json"
 
 
 @pytest.mark.parametrize("source", [dict(n=None), dict(family=None), dict()])
 def test_instance_file_excludes_family_and_n(source):
-    with pytest.raises(ConfigError, match="not both"):
+    with pytest.raises(ValueError, match="not both"):
         small_config(**source, instance_path="inst.json")
 
 
@@ -110,7 +109,7 @@ def test_resolve_instance_from_file(tmp_path):
     resolved = resolve_instance(config)
     assert resolved.arrivals == 5
     assert resolved.resource_count == 5
-    with pytest.raises(ConfigError, match="family"):
+    with pytest.raises(ValueError, match="family"):
         resolve_instance(small_config(family=None, n=None))
 
 
@@ -148,7 +147,7 @@ def test_series_csv_schema():
 
 
 def test_bad_format_rejected():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match="unknown output format 'xml'"):
         render_results([], "xml")
 
 
@@ -202,7 +201,7 @@ def test_all_degenerate_trials_rejected():
         arrivals=2,
     )
     config = small_config(family=None, n=None)
-    with pytest.raises(ConfigError, match="empty offline matching"):
+    with pytest.raises(ValueError, match="empty offline matching"):
         run_experiment(config, instance=unmatchable)
 
 
@@ -220,7 +219,7 @@ def test_series_json_round_trip():
 
 
 def test_duplicate_strategies_rejected():
-    with pytest.raises(ConfigError, match="duplicate"):
+    with pytest.raises(ValueError, match="duplicate"):
         small_config(strategies=(StrategyConfig("kvv"), StrategyConfig("kvv")))
 
 
@@ -319,7 +318,7 @@ def test_nyc_start_without_intervals_runs_through_the_last_event():
 def test_nyc_interval_count_below_one_rejected(intervals):
     trips, zones = ingest_trips(TRIPS, ZONES)
     config = ExperimentConfig(strategies=(StrategyConfig("offline"),), trials=2, mc=5, seed=0)
-    with pytest.raises(ConfigError, match="intervals must be >= 1"):
+    with pytest.raises(ValueError, match="intervals must be >= 1"):
         run_nyc_day(trips, zones, config, intervals=intervals)
 
 

@@ -23,7 +23,6 @@ from sparsematch.strategies import (
     STRATEGY_NAMES,
     StrategyConfig,
     StrategyOutcome,
-    UnknownStrategy,
     _sample_weighted,
     kvv_ranking,
     mgs,
@@ -58,7 +57,7 @@ def concentrated_solution(n):
 
 
 def test_config_validation():
-    with pytest.raises(UnknownStrategy):
+    with pytest.raises(ValueError, match="unknown strategy 'greedy'"):
         StrategyConfig("greedy")
     with pytest.raises(ValueError, match="budget"):
         StrategyConfig("varopt")

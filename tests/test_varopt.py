@@ -6,7 +6,7 @@ import pytest
 from helpers import bisect_threshold, one_block_at_a_time, varopt_draw_oracle, varopt_draws
 from sparsematch import varopt
 from sparsematch.rng import RngStream, StreamRows, arrival_stream_ids
-from sparsematch.varopt import AllZeroWeights, BatchSampler, VarOptSampler
+from sparsematch.varopt import BatchSampler, VarOptSampler
 
 ABC_IDS = [0, 1, 2]
 ABC_WEIGHTS = [0.5, 0.3, 0.2]
@@ -56,9 +56,9 @@ def test_uniform_weights_symmetry():
 
 
 def test_all_zero_weights_raises():
-    with pytest.raises(AllZeroWeights):
+    with pytest.raises(ValueError, match="all item weights are zero"):
         VarOptSampler([0, 1], [0.0, 0.0], k=1)
-    with pytest.raises(AllZeroWeights):
+    with pytest.raises(ValueError, match="all item weights are zero"):
         VarOptSampler([0], [0.0], 1)
 
 
