@@ -57,10 +57,12 @@ def load_config_file(path: str) -> dict[str, str]:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            key, sep, value = line.partition("=")
+            key, sep, value = (part.strip() for part in line.partition("="))
             if not sep:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            values[key.strip()] = value.strip()
+            if key in values:
+                raise ValueError(f"{path}:{lineno}: {key} is set twice")
+            values[key] = value
     return values
 
 

@@ -160,7 +160,8 @@ def ingest_trips(path: str, zone_path: str) -> tuple[list[TripRecord], ZoneModel
     counted in a warning.
 
     Raises:
-        ValueError: if a header lacks a required column or a zone row lacks a value.
+        ValueError: if a header lacks a required column or a zone row lacks a value
+            (a missing or empty field).
         OSError: if a file cannot be read.
     """
     with open(zone_path, newline="") as fh:
@@ -169,10 +170,9 @@ def ingest_trips(path: str, zone_path: str) -> tuple[list[TripRecord], ZoneModel
             raise ValueError(f"{zone_path}: expected columns {ZONE_COLUMNS}")
         bordering: dict[str, set[str]] = {}
         for row in reader:
-            if None in (row["zone_a"], row["zone_b"]):  # DictReader's fill for a short row
+            a, b = ((row[c] or "").strip() for c in ZONE_COLUMNS)  # None: DictReader's fill for a short row
+            if not (a and b):
                 raise ValueError(f"{zone_path}:{reader.line_num}: expected a value for each of {ZONE_COLUMNS}")
-            a = row["zone_a"].strip()
-            b = row["zone_b"].strip()
             bordering.setdefault(a, set()).add(b)
             bordering.setdefault(b, set()).add(a)
     zones = ZoneModel({z: frozenset(near - {z}) for z, near in bordering.items()})

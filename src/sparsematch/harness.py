@@ -144,7 +144,7 @@ def learn_weight_sources(
     """The guidance each guided strategy reads, by label, learned once per experiment.
 
     The solution of ``config.weights`` is solved once, and only when some
-    strategy reads it.  varopt reads its per-type samplers built from that
+    strategy reads it.  varopt reads the batch of its per-type samplers from that
     solution; mgs reads the solution's support as copy marginals, except with
     Monte Carlo weights, where it is guided by per-copy marginals estimated
     with deterministic tie-breaking: the spread-promoting shuffle belongs to

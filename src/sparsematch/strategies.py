@@ -29,8 +29,8 @@ import numpy as np
 
 from .instance import RealizedGraph, StochasticInstance
 from .matching import bitset_matching, full_matching
-from .rng import RngStream, StreamRows, arrival_stream_ids, choice_cdf
-from .varopt import BatchSampler, VarOptSampler
+from .rng import RngStream, StreamRows, arrival_stream_ids
+from .varopt import BatchSampler
 from .weights import CopyMarginals, FractionalSolution
 
 
@@ -67,24 +67,23 @@ class StrategyConfig:
         return self.strategy if self.k is None else f"{self.strategy} k={self.k}"
 
 
-def varopt_samplers(
-    instance: StochasticInstance, x: FractionalSolution, k: int
-) -> tuple[VarOptSampler | None, ...]:
-    """One budget-k sampler per type id, built once for every trial of an experiment.
+def varopt_samplers(instance: StochasticInstance, x: FractionalSolution, k: int) -> BatchSampler:
+    """The budget-k samplers of every type, row q for type q, solved in one
+    batch once for every trial of an experiment.
 
     A type samples its support in ``x`` with probabilities proportional (after
     thresholding) to the fractional values x_tj; a type without support falls
     back to uniform weights over its compatibility set, and a type with
-    neither gets ``None``.
+    neither gets an empty row.
     """
-    samplers = []
+    rows = []
     for type_id, demand_type in enumerate(instance.types):
         ids, values = x.support_of(type_id)
         if not ids:  # no support: uniform over the compatibility set
             ids = demand_type.compatible
             values = [1.0 / len(ids)] * len(ids) if ids else []
-        samplers.append(VarOptSampler(ids, values, k) if ids else None)
-    return tuple(samplers)
+        rows.append((ids, values))
+    return BatchSampler(rows, k)
 
 
 CHUNK_ROWS = 1024  # arrival draws per vectorized pass, which bounds the batch's memory
@@ -121,17 +120,14 @@ def _reports(graphs: Sequence[RealizedGraph], rngs: Sequence[RngStream], masks: 
     return [flat[end - n:end].tolist() for n, end in zip(sizes.tolist(), ends.tolist())]
 
 
-def varopt_sparsify(
-    graphs: Sequence[RealizedGraph], samplers: Sequence[VarOptSampler | None], rngs: Sequence[RngStream]
-) -> list[list[int]]:
+def varopt_sparsify(graphs: Sequence[RealizedGraph], samplers: BatchSampler,
+                    rngs: Sequence[RngStream]) -> list[list[int]]:
     """Guided local sparsifier for many trials of one instance at once: per graph,
-    one resource bitmask per arrival, drawn by its type's sampler from
-    ``rngs[g].substream("arrival", i)``; an arrival whose type has no sampler
-    reports nothing, and one whose sampler is deterministic its fixed mask,
-    with no stream."""
-    batch = BatchSampler(samplers)
-    return _reports(graphs, rngs, [0 if s is None else s.fixed_mask for s in samplers],
-                    np.where(batch.draws > 0, batch.lengths, 0), batch.draw)
+    one resource bitmask per arrival, drawn by its type's row of ``samplers``
+    from ``rngs[g].substream("arrival", i)``; an arrival whose row draws no
+    light id reports its fixed mask (nothing for an empty row), with no stream."""
+    return _reports(graphs, rngs, samplers.fixed_masks, np.where(samplers.draws > 0, samplers.lengths, 0),
+                    samplers.draw)
 
 
 def random_subgraph(graphs: Sequence[RealizedGraph], k: int, rngs: Sequence[RngStream]) -> list[list[int]]:
@@ -161,13 +157,9 @@ def kvv_ranking(graph: RealizedGraph, rng: RngStream) -> StrategyOutcome:
     return StrategyOutcome(matched, matched)
 
 
-def _sample_weighted(type_weights, cdf, gen, exclude: int | None = None) -> int | None:
-    """A resource drawn as ``gen.choice(len(ids), p=probs)`` draws it, from one uniform."""
-    ids, values, _ = type_weights or ((), None, None)
-    if exclude in ids:  # renormalize over the rest
-        keep = [p for p, i in enumerate(ids) if i != exclude]
-        ids = [ids[p] for p in keep]
-        cdf = choice_cdf(values[keep] / values[keep].sum()) if ids else None
+def _sample_weighted(ids: Sequence[int], cdf: list[float] | None, gen) -> int | None:
+    """The resource of ``ids`` that ``gen.choice(len(ids), p=probs)`` draws, from
+    one uniform looked up in ``cdf``, the ``choice_cdf`` of ``probs``."""
     return ids[bisect_right(cdf, gen.random())] if ids else None
 
 
@@ -183,15 +175,15 @@ def mgs(graph: RealizedGraph, guidance: CopyMarginals, rng: RngStream) -> Strate
     support fall back to a uniform first choice over their compatibility set.
     """
     gen = rng.substream("guidance").generator
-    first_cdfs, second_cdfs = guidance.cdfs
+    first_cdfs = guidance.cdfs[0]
     suggestions: dict[int, tuple[int | None, int | None]] = {}
     for j in range(graph.instance.type_count):
-        first = _sample_weighted(guidance.first.get(j), first_cdfs.get(j), gen)
+        first = _sample_weighted(guidance.first.get(j, ((),))[0], first_cdfs.get(j), gen)
         if first is None:
             compatible = graph.instance.types[j].compatible
             if compatible:
                 first = int(compatible[gen.choice(len(compatible))])
-        second = _sample_weighted(guidance.second.get(j), second_cdfs.get(j), gen, exclude=first)
+        second = _sample_weighted(*guidance.second_choices(j, first), gen)
         suggestions[j] = (first, second)
 
     taken = [False] * graph.instance.resource_count

@@ -7,17 +7,20 @@ over the positively weighted items ``E+``.  Items at probability one are
 included deterministically; the rest are drawn by systematic probability-
 proportional sampling over a randomly permuted order, which keeps the sample
 size exact and pairwise inclusion correlations non-positive.
-:class:`BatchSampler` draws many rows at once, each from its stream's
-``permutation`` and one ``random()``, with the float operations of the array
-draw in tests/helpers.py (tests/test_varopt.py).  The inverse-probability
-weight of a chosen item is ``weight / probabilities()[id]``; summed over the
-chosen ids they equal the total input weight on every single draw, not just
-in expectation.
+:class:`BatchSampler` solves the thresholds of many item sets (rows) of one
+budget in one padded numpy pass, with the float operations of the one-set
+scalar solve in tests/helpers.py, and draws many rows at once, each from its
+stream's ``permutation`` and one ``random()``, with the float operations of
+the array draw there (tests/test_varopt.py).  :class:`VarOptSampler` is the
+one-row batch of a checked item set.  The inverse-probability weight of a
+chosen item is ``weight / probabilities()[id]``; summed over the chosen ids
+they equal the total input weight on every single draw, not just in
+expectation.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -25,67 +28,39 @@ import numpy as np
 from .rng import StreamRows
 
 
-class VarOptSampler:
-    """Threshold solution for a fixed (items, k), reusable across many draws.
-
-    Solving for the threshold costs a sort; drawing costs a permutation plus a
-    single uniform.  Callers that repeatedly sample the same weight vector
-    (one per demand type, say) should build the sampler once.
-    """
-
-    def __init__(self, item_ids: Sequence[int], weights: Sequence[float], k: int):
-        if k < 1:
-            raise ValueError(f"budget k must be >= 1, got {k}")
-        ids = [int(i) for i in item_ids]
-        if len(set(ids)) != len(ids):
-            raise ValueError("item ids must be unique")
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (len(ids),):
-            raise ValueError("weights must align with item ids")
-        if np.any(w < 0):
-            raise ValueError("weights must be nonnegative")
-        positive = w > 0
-        if not positive.any():
-            raise ValueError("all item weights are zero")
-
-        self._zero_ids = [i for i, keep in zip(ids, positive) if not keep]
-        pos_ids = np.asarray([i for i, keep in zip(ids, positive) if keep])
-        pos_w = w[positive]
-        # Sort descending by weight, ties by id, so the threshold is deterministic.
-        order = np.lexsort((pos_ids, -pos_w))
-        pos_ids, pos_w = pos_ids[order], pos_w[order]
-
-        npos = len(pos_ids)
-        if k >= npos:
-            # Budget covers the support: everything is deterministic.
-            self.threshold = 1.0 / float(pos_w[-1])
-            probs = np.ones(npos)
-        else:
-            # Find how many leading items cap at probability one: the split is
-            # the smallest h with (k - h) * w[h] <= sum(w[h:]).
-            suffix = np.cumsum(pos_w[::-1])[::-1]
-            h = 0
-            while (k - h) * pos_w[h] > suffix[h]:
-                h += 1
-            self.threshold = (k - h) / float(suffix[h])
-            probs = np.minimum(1.0, self.threshold * pos_w)
-
-        self._pos_ids, self._probs = pos_ids, probs
-        deterministic = probs >= 1.0
-        self._det_ids = pos_ids[deterministic].tolist()
-        self._light_ids = pos_ids[~deterministic].tolist()
-        self._light_probs = probs[~deterministic].tolist()
-        self._light_draws = min(k, npos) - len(self._det_ids)
-
-    @cached_property
-    def fixed_mask(self) -> int:
-        """The ids at probability one as a bitmask, bit i for id i (ids must be >= 0)."""
-        return sum(1 << i for i in self._det_ids)
-
-    def probabilities(self) -> dict[int, float]:
-        """Inclusion probability per item id, zero-weight items included at 0."""
-        return {**{int(i): float(p) for i, p in zip(self._pos_ids, self._probs)},
-                **dict.fromkeys(self._zero_ids, 0.0)}
+def _solve(rows: Sequence[tuple[Sequence[int], Sequence[float]]], k: int):
+    """The threshold solution of every row (ids, weights) at budget k: the row,
+    id and inclusion probability of each positively weighted item, sorted by
+    row, then descending weight, ties by id, and each row's threshold (nan for
+    a row without items).  A row of at most k items takes all of them; one of
+    more finds how many leading items cap at probability one, the first h with
+    (k - h) * w[h] <= sum(w[h:]), which is below k.  Those rows are solved in
+    zero-padded blocks of sizes within a power of two; the padding leads each
+    reversed cumulative sum, so every suffix sum is the row's own."""
+    sizes = [len(ids) for ids, _ in rows]
+    ids = np.fromiter(chain.from_iterable(ids for ids, _ in rows), np.int64, sum(sizes))
+    w = np.concatenate([np.asarray(w, dtype=float) for _, w in rows] or [np.empty(0)])
+    positive = w > 0
+    row, ids, w = np.repeat(np.arange(len(rows)), sizes)[positive], ids[positive], w[positive]
+    order = np.lexsort((ids, -w, row))
+    row, ids, w = row[order], ids[order], w[order]
+    n = np.bincount(row, minlength=len(rows))
+    start = np.cumsum(n) - n
+    thresholds = np.full(len(rows), np.nan)
+    thresholds[n > 0] = 1.0 / w[(start + n - 1)[n > 0]]
+    cut = k < n
+    block = np.frexp(n - 1)[1]  # the bit length of n - 1
+    for b in set(block[cut].tolist()):
+        solved = cut & (block == b)
+        items, local = np.flatnonzero(solved[row]), np.cumsum(solved) - 1
+        padded = np.zeros((int(solved.sum()), int(n[solved].max())))
+        padded[local[row[items]], items - start[row[items]]] = w[items]
+        suffix = np.cumsum(padded[:, ::-1], axis=1)[:, ::-1]
+        h = ((k - np.arange(padded.shape[1])) * padded > suffix).argmin(axis=1)
+        thresholds[solved] = (k - h) / suffix[np.arange(len(padded)), h]
+    probs = np.minimum(1.0, thresholds[row] * w)
+    probs[~cut[row]] = 1.0
+    return row, ids, probs, thresholds
 
 
 def _complete(picks: list[int], probs: np.ndarray, m: int) -> list[int]:
@@ -96,22 +71,31 @@ def _complete(picks: list[int], probs: np.ndarray, m: int) -> list[int]:
 
 
 class BatchSampler:
-    """The samplers of many types (``None`` for a type without one), drawn for
-    many rows at once: their light items as padded arrays, built once."""
+    """Budget-k threshold solutions of many item sets (rows), solved in one pass
+    and drawn for many rows at once.  Per row: its ``thresholds`` entry, its
+    ids at probability one as ``fixed_masks`` (bit i for id i), how many light
+    ids it ``draws``, and its light ids and probabilities in solution order,
+    as arrays padded to the widest row.  Ids must be >= 0; an empty row, or
+    one of zero weights, draws nothing."""
 
-    def __init__(self, samplers: Sequence[VarOptSampler | None]):
-        self.lengths = np.array([0 if s is None else len(s._light_ids) for s in samplers])
-        self.draws = np.array([0 if s is None else s._light_draws for s in samplers])
-        self.probs = np.zeros((len(samplers), max(1, self.lengths.max(initial=0))))
+    def __init__(self, rows: Sequence[tuple[Sequence[int], Sequence[float]]], k: int):
+        row, ids, probs, self.thresholds = _solve(rows, k)
+        size, fixed = len(rows), probs >= 1.0
+        self.fixed_masks = [0] * size
+        for r, i in zip(row[fixed].tolist(), ids[fixed].tolist()):
+            self.fixed_masks[r] |= 1 << i
+        self.draws = np.minimum(k, np.bincount(row, minlength=size)) - np.bincount(row[fixed], minlength=size)
+        row, ids, probs = row[~fixed], ids[~fixed], probs[~fixed]
+        self.lengths = np.bincount(row, minlength=size)
+        col = np.arange(len(row)) - (np.cumsum(self.lengths) - self.lengths)[row]
+        self.probs = np.zeros((size, max(1, self.lengths.max(initial=0))))
         self.ids = np.zeros(self.probs.shape, np.int64)
-        for q, s in enumerate(samplers):
-            if s is not None:
-                self.probs[q, :self.lengths[q]], self.ids[q, :self.lengths[q]] = s._light_probs, s._light_ids
+        self.probs[row, col], self.ids[row, col] = probs, ids
 
     def draw(self, which: np.ndarray, streams: StreamRows) -> np.ndarray:
-        """The light ids that ``samplers[which[r]]`` draws for row r from its
-        stream in ``streams``, all rows in one vectorized pass, padded with -1
-        (each row's sampler draws at least one light id).  The cumulative sum,
+        """The light ids that batch row ``which[r]`` draws for stream row r of
+        ``streams``, all rows in one vectorized pass, padded with -1 (each
+        batch row drawn draws at least one light id).  The cumulative sum,
         its rescaling and the count of sums below each point are the array
         draw's float operations, over rows padded with infinite sums; a row
         whose points collide below an ulp keeps its distinct picks and is
@@ -136,3 +120,35 @@ class BatchSampler:
             kept = np.unique(picks[r][picks[r] < lengths[r]]).tolist()
             chosen[r, :m[r]] = self.ids[which[r], row[_complete(kept, self.probs[which[r], row], m[r])]]
         return chosen
+
+
+class VarOptSampler(BatchSampler):
+    """The threshold solution of one item set: the batch of that one row, with
+    its input checked.  Solving costs a sort; drawing, a permutation plus a
+    single uniform."""
+
+    def __init__(self, item_ids: Sequence[int], weights: Sequence[float], k: int):
+        if k < 1:
+            raise ValueError(f"budget k must be >= 1, got {k}")
+        self._item_ids = [int(i) for i in item_ids]
+        if len(set(self._item_ids)) != len(self._item_ids) or min(self._item_ids, default=0) < 0:
+            raise ValueError("item ids must be unique and >= 0")
+        w = np.asarray(weights, dtype=float)
+        if w.shape != (len(self._item_ids),):
+            raise ValueError("weights must align with item ids")
+        if np.any(w < 0):
+            raise ValueError("weights must be nonnegative")
+        if not (w > 0).any():
+            raise ValueError("all item weights are zero")
+        super().__init__([(self._item_ids, w)], k)
+        self.threshold = float(self.thresholds[0])
+
+    @property
+    def fixed_mask(self) -> int:
+        """The ids at probability one as a bitmask, bit i for id i."""
+        return self.fixed_masks[0]
+
+    def probabilities(self) -> dict[int, float]:
+        """Inclusion probability per item id, zero-weight items included at 0."""
+        light = dict(zip(self.ids[0, :self.lengths[0]].tolist(), self.probs[0, :self.lengths[0]].tolist()))
+        return {i: light.get(i, float(self.fixed_mask >> i & 1)) for i in self._item_ids}

@@ -107,12 +107,27 @@ class CopyMarginals:
 
     first: dict[int, TypeWeights]
     second: dict[int, TypeWeights]
+    _second_without: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def cdfs(self) -> tuple[dict[int, list[float]], dict[int, list[float]]]:
         """Per copy, each type's ``choice_cdf`` of its probabilities, built once."""
         return tuple({j: choice_cdf(probs) for j, (_, _, probs) in copy.items()}
                      for copy in (self.first, self.second))
+
+    def second_choices(self, j: int, exclude: int | None) -> tuple[tuple[int, ...], list[float] | None]:
+        """Type j's second-copy resources other than ``exclude`` and the ``choice_cdf``
+        of their renormalized weights, built once per (type, excluded resource)."""
+        key = (j, exclude)
+        if key not in self._second_without:
+            ids, values, _ = self.second.get(j, ((), None, None))
+            cdf = self.cdfs[1].get(j)
+            if exclude in ids:
+                keep = [p for p, i in enumerate(ids) if i != exclude]
+                ids = tuple(ids[p] for p in keep)
+                cdf = choice_cdf(values[keep] / values[keep].sum()) if ids else None
+            self._second_without[key] = ids, cdf
+        return self._second_without[key]
 
     @classmethod
     def of_solution(cls, x: FractionalSolution) -> "CopyMarginals":

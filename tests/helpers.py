@@ -2,15 +2,16 @@
 
 The oracles deliberately avoid the library's own algorithms: matching is
 solved by exhaustive bitmask dynamic programming, the sampling threshold by
-bisection, and the expected-instance program by a generic LP solver, by
-shortest augmenting paths (Edmonds-Karp) on the library's flow network, or by
-the list-built Dinic whose augmentations the library's solver replays.  The
-batch's VarOpt draws (``varopt_draws``) are checked against the numpy array
-draw they were written from (``varopt_draw_oracle``), a random subset against
-numpy's Floyd algorithm replayed on Python ints, and Hopcroft-Karp's pairs
-against the version without the greedy first phase.  The fractional-load
-diagnostics at the end scale an IPW-weighted subgraph down to a fractional
-matching.
+bisection and by the one-set scalar solve that the batched solve replays
+(``varopt_threshold_oracle``), and the expected-instance program by a generic
+LP solver, by shortest augmenting paths (Edmonds-Karp) on the library's flow
+network, or by the list-built Dinic whose augmentations the library's solver
+replays.  The batch's VarOpt draws (``varopt_draws``) are checked against the
+numpy array draw they were written from (``varopt_draw_oracle``), a random
+subset against numpy's Floyd algorithm replayed on Python ints, and
+Hopcroft-Karp's pairs against the version without the greedy first phase.
+The fractional-load diagnostics at the end scale an IPW-weighted subgraph
+down to a fractional matching.
 """
 
 from __future__ import annotations
@@ -105,34 +106,74 @@ def one_block_at_a_time(monkeypatch) -> None:
                         reserve(self, rows, np.minimum(blocks, self.blocks[rows] + 1)))
 
 
+def varopt_threshold_oracle(item_ids, weights, k: int) -> tuple[float, list[int], list[float]]:
+    """The one-set threshold solve that ``varopt._solve`` runs for many rows at
+    once, with its scalar split search: the threshold, and the positively
+    weighted ids, by descending weight, ties by id, with their inclusion
+    probabilities."""
+    w = np.asarray(weights, dtype=float)
+    pos_ids, pos_w = np.asarray(item_ids, dtype=np.int64)[w > 0], w[w > 0]
+    order = np.lexsort((pos_ids, -pos_w))
+    pos_ids, pos_w = pos_ids[order], pos_w[order]
+    if k >= len(pos_ids):  # the budget covers the support: everything is deterministic
+        return 1.0 / float(pos_w[-1]), pos_ids.tolist(), [1.0] * len(pos_ids)
+    # Find how many leading items cap at probability one: the split is the
+    # smallest h with (k - h) * w[h] <= sum(w[h:]).
+    suffix = np.cumsum(pos_w[::-1])[::-1]
+    h = 0
+    while (k - h) * pos_w[h] > suffix[h]:
+        h += 1
+    threshold = (k - h) / float(suffix[h])
+    return threshold, pos_ids.tolist(), np.minimum(1.0, threshold * pos_w).tolist()
+
+
+def light_row(batch, q: int = 0) -> tuple[list[int], list[float]]:
+    """Row q's light ids and probabilities, in the order the batch draws them from."""
+    n = int(batch.lengths[q])
+    return batch.ids[q, :n].tolist(), batch.probs[q, :n].tolist()
+
+
+def stacked(samplers):
+    """One batch whose row q is the one row of ``samplers[q]``, whatever their budgets."""
+    from sparsematch.varopt import BatchSampler
+
+    batch = BatchSampler([], 1)
+    batch.lengths = np.concatenate([s.lengths for s in samplers])
+    batch.draws = np.concatenate([s.draws for s in samplers])
+    batch.fixed_masks = [s.fixed_mask for s in samplers]
+    batch.probs = np.zeros((len(samplers), max(1, batch.lengths.max())))
+    batch.ids = np.zeros(batch.probs.shape, np.int64)
+    for q, s in enumerate(samplers):
+        n = s.lengths[0]
+        batch.probs[q, :n], batch.ids[q, :n] = s.probs[0, :n], s.ids[0, :n]
+    return batch
+
+
 def varopt_draws(samplers, rng: RngStream) -> list[tuple[int, ...]]:
     """The ids, ascending, that ``varopt_sparsify`` reports for arrival i of a
     type with sampler ``samplers[i]``: drawn in one ``BatchSampler`` batch from
     ``rng.substream("arrival", i)``, or, for a sampler that draws no light
     item, its fixed ids with no stream.  A repeated sampler enters the batch
     once."""
-    from sparsematch.varopt import BatchSampler
-
     distinct = list({id(s): s for s in samplers}.values())
     slot = {id(s): q for q, s in enumerate(distinct)}
-    batch, which = BatchSampler(distinct), np.array([slot[id(s)] for s in samplers], dtype=np.int64)
-    draws = [tuple(sorted(s._det_ids)) for s in samplers]
+    batch, which = stacked(distinct), np.array([slot[id(s)] for s in samplers], dtype=np.int64)
+    draws = [ids_of(s.fixed_mask) for s in samplers]
     rows = np.flatnonzero(batch.draws[which] > 0)
     if len(rows):
         streams = StreamRows(np.full(len(rows), rng.seed, dtype=np.uint64),
                              arrival_stream_ids(np.full(len(rows), rng.stream_id, dtype=np.uint64), rows))
         for i, light in zip(rows.tolist(), batch.draw(which[rows], streams).tolist()):
-            draws[i] = tuple(sorted(samplers[i]._det_ids + [x for x in light if x >= 0]))
+            draws[i] = tuple(sorted(draws[i] + tuple(x for x in light if x >= 0)))
     return draws
 
 
 def varopt_draw_oracle(sampler, rng) -> tuple[int, ...]:
     """A VarOpt draw as numpy array code, reading the sampler's threshold
     solution: the reference whose bytes ``BatchSampler.draw`` keeps."""
-    ids = np.asarray(sampler._det_ids, dtype=np.int64)
-    light_ids = np.asarray(sampler._light_ids, dtype=np.int64)
-    light_probs = np.asarray(sampler._light_probs, dtype=float)
-    m = sampler._light_draws
+    ids = np.asarray(ids_of(sampler.fixed_mask), dtype=np.int64)
+    light_ids, light_probs = (np.asarray(a) for a in light_row(sampler))
+    m = sampler.draws[0]
     if m > 0:
         gen = rng.generator
         perm = gen.permutation(len(light_ids))

@@ -195,6 +195,17 @@ def test_zone_row_with_a_missing_field_exits_2(tmp_path, caplog, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("line", ["161,", ",161", "161, "])
+def test_zone_row_with_an_empty_field_exits_2(tmp_path, caplog, capsys, line):
+    # An empty zone name would make a trip row's empty location a known zone.
+    zones = tmp_path / "zones.csv"
+    zones.write_text(Path(ZONES).read_text() + line + "\n")  # the file's 9th line
+    assert main(["nyc", "--trips", TRIPS, "--zones", str(zones), "--trials", "2", "--mc", "5",
+                 "--strategies", "offline"]) == 2
+    assert f"{zones}:9: expected a value for each of" in caplog.text
+    assert capsys.readouterr().out == ""
+
+
 def test_csv_header_without_a_required_column_exits_2(tmp_path, caplog, capsys):
     short = tmp_path / "short.csv"
     short.write_text("tpep_pickup_datetime,tpep_dropoff_datetime,PULocationID\n")
@@ -503,6 +514,18 @@ def test_config_value_outside_choices_exits_2_before_any_trial(tmp_path, monkeyp
         main(["synth", "--config", str(conf), "--out", str(out)])
     assert exc.value.code == 2
     assert "xml" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_file_with_a_repeated_key_exits_2(tmp_path, monkeypatch, caplog):
+    import sparsematch.cli as cli
+
+    monkeypatch.setattr(cli, "run_experiment", refuse_to_run)
+    conf = tmp_path / "run.conf"
+    conf.write_text("family = block\nn = 20\ntrials = 3\nmc = 5\ntrials = 5\n")
+    out = tmp_path / "out.csv"
+    assert main(["synth", "--config", str(conf), "--out", str(out)]) == 2
+    assert f"{conf}:5: trials is set twice" in caplog.text
     assert not out.exists()
 
 

@@ -285,23 +285,18 @@ def test_kernel_skips_strategies_when_offline_matching_is_empty():
 
 @pytest.mark.parametrize("trials", [3, 12])
 def test_varopt_samplers_built_once_per_experiment(trials, monkeypatch):
-    from sparsematch import strategies
-    from sparsematch.varopt import VarOptSampler
+    # one batch solve per budget, whatever the trial count
+    from sparsematch import varopt
 
     built = []
-
-    class CountingSampler(VarOptSampler):
-        def __init__(self, *args):
-            built.append(args)
-            super().__init__(*args)
-
-    monkeypatch.setattr(strategies, "VarOptSampler", CountingSampler)
+    solve = varopt._solve
+    monkeypatch.setattr(varopt, "_solve", lambda rows, k: built.append((len(rows), k)) or solve(rows, k))
     config = small_config(strategies=(StrategyConfig("varopt", k=3), StrategyConfig("varopt", k=5)),
                           weights="lp", trials=trials)
     inst = resolve_instance(config)
     assert all(t.compatible for t in inst.types)
     run_experiment(config, instance=inst)
-    assert len(built) == 2 * inst.type_count
+    assert built == [(inst.type_count, 3), (inst.type_count, 5)]
 
 
 def test_nyc_start_without_intervals_runs_through_the_last_event():

@@ -8,6 +8,7 @@ from helpers import (
     exclusive_pairs,
     hopcroft_karp_oracle,
     ids_of,
+    light_row,
     realized_edge_list,
     row_graph,
     uniform_instance,
@@ -152,18 +153,20 @@ def test_varopt_locality():
 
 def test_varopt_samplers_cover_every_type():
     # support -> that support; no support -> uniform over the compatibility
-    # set; neither -> None
+    # set; neither -> an empty row
     inst = StochasticInstance(
         resources=("a", "b", "c"),
         types=(DemandType(0.4, (0, 1, 2)), DemandType(0.4, (1, 2)), DemandType(0.2, ())),
         arrivals=3,
     )
     x = FractionalSolution.build(inst, {(0, 0): 0.2, (0, 2): 0.6})
-    supported, fallback, empty = varopt_samplers(inst, x, 1)
-    assert supported.probabilities() == pytest.approx({0: 0.25, 2: 0.75})
-    assert fallback.probabilities() == pytest.approx({1: 0.5, 2: 0.5})
-    assert empty is None
-    masks = varopt_sparsify([RealizedGraph(inst, (2, 0, 2))], (supported, fallback, empty), [RngStream(3)])[0]
+    samplers = varopt_samplers(inst, x, 1)
+    assert samplers.fixed_masks == [0, 0, 0]
+    assert samplers.draws.tolist() == [1, 1, 0]
+    assert light_row(samplers, 0) == ([2, 0], pytest.approx([0.75, 0.25]))
+    assert light_row(samplers, 1) == ([1, 2], pytest.approx([0.5, 0.5]))
+    assert light_row(samplers, 2) == ([], [])
+    masks = varopt_sparsify([RealizedGraph(inst, (2, 0, 2))], samplers, [RngStream(3)])[0]
     rows = list(map(ids_of, masks))
     assert rows[0] == rows[2] == ()
     assert rows[1] in ((0,), (2,))
@@ -249,13 +252,12 @@ def test_mgs_draw_matches_numpy_weighted_choice():
     for case in range(300):
         size = int(gen.integers(1, 40))
         weights = gen.integers(1, 50, size) if case % 2 else gen.random(size) ** 2 + 1e-3
-        guidance = CopyMarginals(first=_group_by_type({(0, 3 * i): float(w) for i, w in enumerate(weights)}),
-                                 second={})
-        type_weights, cdf = guidance.first[0], guidance.cdfs[0][0]
+        by_type = _group_by_type({(0, 3 * i): float(w) for i, w in enumerate(weights)})
+        guidance, type_weights = CopyMarginals(first=by_type, second=by_type), by_type[0]
         for exclude in (None, type_weights[0][int(gen.integers(size))], -1):
-            for stream_id in range(10):
+            for stream_id in range(10):  # the renormalized cdf is built on the first, then cached
                 ours, ref = RngStream(case, stream_id).generator, RngStream(case, stream_id).generator
-                assert (_sample_weighted(type_weights, cdf, ours, exclude)
+                assert (_sample_weighted(*guidance.second_choices(0, exclude), ours)
                         == _weighted_choice_oracle(*type_weights, ref, exclude))
                 assert ours.random() == ref.random()  # each drew one uniform, or none
 

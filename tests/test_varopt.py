@@ -3,10 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from helpers import bisect_threshold, one_block_at_a_time, varopt_draw_oracle, varopt_draws
+from helpers import (bisect_threshold, ids_of, light_row, one_block_at_a_time, stacked, varopt_draw_oracle,
+                     varopt_draws, varopt_threshold_oracle)
 from sparsematch import varopt
+from sparsematch.generators import FAMILIES
 from sparsematch.rng import RngStream, StreamRows, arrival_stream_ids
+from sparsematch.strategies import varopt_samplers
 from sparsematch.varopt import BatchSampler, VarOptSampler
+from sparsematch.weights import monte_carlo_weights, solve_expected_lp
 
 ABC_IDS = [0, 1, 2]
 ABC_WEIGHTS = [0.5, 0.3, 0.2]
@@ -183,6 +187,8 @@ def test_rejects_bad_inputs():
         VarOptSampler([0, 0], [0.1, 0.2], k=1)
     with pytest.raises(ValueError):
         VarOptSampler([0], [0.1], k=0)
+    with pytest.raises(ValueError, match="unique and >= 0"):  # a bit of the fixed mask, or the draw's -1 pad
+        VarOptSampler([-1, 2], [0.1, 0.2], k=1)
 
 
 def test_sampler_properties_on_generated_weights():
@@ -214,6 +220,67 @@ def test_sampler_properties_on_generated_weights():
     check()
 
 
+def assert_batch_equals_the_scalar_solve(batch, rows, k):
+    # Every row of the batch against the scalar solve of its own item set, to
+    # the bit: threshold, ids and probabilities in solution order, the fixed
+    # ids as a mask, the draw count and the light ids and probabilities.
+    row, ids, probs, _ = varopt._solve(rows, k)
+    for q, (item_ids, weights) in enumerate(rows):
+        if not any(w > 0 for w in weights):
+            assert (batch.fixed_masks[q], batch.draws[q], batch.lengths[q]) == (0, 0, 0)
+            assert np.isnan(batch.thresholds[q])
+            continue
+        threshold, pos_ids, pos_probs = varopt_threshold_oracle(item_ids, weights, k)
+        fixed = [i for i, p in zip(pos_ids, pos_probs) if p >= 1.0]
+        assert batch.thresholds[q] == threshold
+        assert (ids[row == q].tolist(), probs[row == q].tolist()) == (pos_ids, pos_probs)
+        assert batch.fixed_masks[q] == sum(1 << i for i in fixed)
+        assert batch.draws[q] == min(k, len(pos_ids)) - len(fixed)
+        assert light_row(batch, q) == ([i for i, p in zip(pos_ids, pos_probs) if p < 1.0],
+                                       [p for p in pos_probs if p < 1.0])
+
+
+def test_batched_threshold_solve_matches_the_scalar_oracle():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    weight = st.one_of(st.sampled_from([0.0, 0.1, 1 / 3, 7.0, 1e-12, 1e-9]),  # ties, zeros and tiny weights
+                       st.floats(min_value=1e-12, max_value=1e6))
+    row = st.lists(weight, max_size=40).flatmap(
+        lambda ws: st.tuples(st.permutations(range(0, 3 * len(ws), 3)), st.just(ws)))
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.lists(row, max_size=12), st.integers(1, 45))
+    def check(rows, k):
+        assert_batch_equals_the_scalar_solve(BatchSampler(rows, k), rows, k)
+        for item_ids, weights in rows:  # the checked one-set form reads its row of the same solve
+            if any(w > 0 for w in weights):
+                sampler = VarOptSampler(item_ids, weights, k)
+                assert_batch_equals_the_scalar_solve(sampler, [(item_ids, weights)], k)
+                threshold, pos_ids, pos_probs = varopt_threshold_oracle(item_ids, weights, k)
+                assert sampler.threshold == threshold
+                assert sampler.probabilities() == {**dict.fromkeys(item_ids, 0.0), **dict(zip(pos_ids, pos_probs))}
+
+    check()
+
+
+@pytest.mark.parametrize("source", ["lp", "montecarlo"])
+def test_family_guidance_rows_equal_the_scalar_solve(source):
+    # The four families' guidance, as the table (Monte Carlo, n=100) and the
+    # large-n runs (LP, n=500) learn it at seed 0: every type's row, with the
+    # uniform fallback of types without support.
+    for name, family in sorted(FAMILIES.items()):
+        inst = family(500 if source == "lp" else 100)
+        x = (solve_expected_lp(inst) if source == "lp"
+             else monte_carlo_weights(inst, 100, RngStream(0).substream("weights")))
+        rows = []
+        for type_id, demand_type in enumerate(inst.types):
+            ids, values = x.support_of(type_id)
+            fallback = demand_type.compatible
+            rows.append((ids, values) if ids else (fallback, [1.0 / len(fallback)] * len(fallback)))
+        for k in (3, 5, 10):
+            assert_batch_equals_the_scalar_solve(varopt_samplers(inst, x, k), rows, k)
+
+
 def _table_like_samplers():
     # Supports of 35-61 items at k = 3, 5, 10 are the four-family table's; the
     # small ones, the heavy items and the ties reach the other branches.
@@ -233,7 +300,7 @@ def test_draw_matches_the_array_oracle():
     # them: a sampler that draws nothing reports its fixed ids, as the oracle does.
     draws = fixed = 0
     for sampler, rng in _table_like_samplers():
-        fixed += sampler._light_draws <= 0
+        fixed += sampler.draws[0] <= 0
         samples = varopt_draws([sampler] * 50, rng)
         for i, sample in enumerate(samples):
             assert sample == varopt_draw_oracle(sampler, rng.substream("arrival", i))
@@ -252,16 +319,16 @@ def test_batch_rows_match_draw(one_block, monkeypatch):
         one_block_at_a_time(monkeypatch)
     uniform = [(VarOptSampler(range(size), np.ones(size), k), RngStream(2**63 + size, k))
                for size in (2, 3, 5, 9, 17, 33, 65) for k in (1, 3, 10) if k < size]
-    cases = [(s, rng) for s, rng in [*_table_like_samplers(), *uniform] if s._light_draws > 0]
+    cases = [(s, rng) for s, rng in [*_table_like_samplers(), *uniform] if s.draws[0] > 0]
     which, arrivals = np.repeat(np.arange(len(cases)), 60), np.tile(np.arange(60), len(cases))
     seeds = np.array([rng.seed for _, rng in cases], dtype=np.uint64)[which]
     parents = np.array([rng.stream_id for _, rng in cases], dtype=np.uint64)[which]
-    rows = BatchSampler([s for s, _ in cases]).draw(which, StreamRows(seeds, arrival_stream_ids(parents, arrivals)))
+    rows = stacked([s for s, _ in cases]).draw(which, StreamRows(seeds, arrival_stream_ids(parents, arrivals)))
     for q, i, light in zip(which.tolist(), arrivals.tolist(), rows.tolist()):
         sampler, rng = cases[q]
         light = [x for x in light if x >= 0]
-        assert len(light) == sampler._light_draws
-        assert tuple(sorted(sampler._det_ids + light)) == varopt_draw_oracle(sampler, rng.substream("arrival", i))
+        assert len(light) == sampler.draws[0]
+        assert tuple(sorted(ids_of(sampler.fixed_mask) + tuple(light))) == varopt_draw_oracle(sampler, rng.substream("arrival", i))
     assert len(rows) >= 10_000
 
 
@@ -309,12 +376,12 @@ def test_draw_matches_the_oracle_on_the_sub_ulp_completion():
     while found < 20:
         sampler = VarOptSampler(range(9), gen.random(9) + 0.5, 3)
         perm = gen.permutation(9)
-        cum = np.cumsum(np.asarray(sampler._light_probs)[perm])
-        if sampler._light_draws != 3 or cum[-1] * (3 / cum[-1]) >= u + 2:
+        cum = np.cumsum(np.asarray(light_row(sampler)[1])[perm])
+        if sampler.draws[0] != 3 or cum[-1] * (3 / cum[-1]) >= u + 2:
             continue
         found += 1
-        light, = BatchSampler([sampler]).draw(np.zeros(1, dtype=np.int64), _ForcedRows(u, 1, perm[None, :])).tolist()
-        sample = tuple(sorted(sampler._det_ids + light))
+        light, = sampler.draw(np.zeros(1, dtype=np.int64), _ForcedRows(u, 1, perm[None, :])).tolist()
+        sample = tuple(sorted(ids_of(sampler.fixed_mask) + tuple(light)))
         assert sample == varopt_draw_oracle(sampler, _FixedDraws(perm, u))
         assert len(sample) == 3
 
@@ -331,13 +398,13 @@ def test_batch_takes_the_scalar_completion_where_points_collide(monkeypatch):
                         or complete(picks, probs, m))
     gen = np.random.default_rng(5)
     samplers = [VarOptSampler(range(size), gen.random(size) + 0.5, 3) for size in (5, 6, 9, 14) * 300]
-    samplers = [s for s in samplers if s._light_draws == 3]
+    samplers = [s for s in samplers if s.draws[0] == 3]
     streams = _ForcedRows(u, len(samplers))
-    rows = BatchSampler(samplers).draw(np.arange(len(samplers)), streams)
+    rows = stacked(samplers).draw(np.arange(len(samplers)), streams)
     assert len(completed) >= 5
     assert {5, 6, 9, 14} <= set(completed)
     for sampler, perm, light in zip(samplers, streams.perms, rows.tolist()):
         light = [x for x in light if x >= 0]
         assert len(light) == 3
-        oracle = varopt_draw_oracle(sampler, _FixedDraws(perm[:len(sampler._light_ids)], u))
-        assert tuple(sorted(sampler._det_ids + light)) == oracle
+        oracle = varopt_draw_oracle(sampler, _FixedDraws(perm[:sampler.lengths[0]], u))
+        assert tuple(sorted(ids_of(sampler.fixed_mask) + tuple(light))) == oracle
