@@ -2,7 +2,9 @@
 
 The four synthetic families are adversarial constructions from the online
 matching literature; each is a deterministic function of its size parameter,
-with uniform type probabilities and balanced supply/demand.  The trip-data
+with uniform type probabilities and balanced supply/demand.  Their rows are
+ranges and blocks, built with numpy straight into the instance's CSR store
+(``StochasticInstance.from_csr``), which checks them once.  The trip-data
 path turns a window of pick-up / drop-off events into a stochastic instance:
 drop-offs define the sampled car supply, pick-up zones define the demand type
 distribution, and edges connect same-zone or neighbouring-zone pairs.  A
@@ -16,6 +18,8 @@ import logging
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
+
+import numpy as np
 
 from .instance import DemandType, StochasticInstance
 from .rng import RngStream
@@ -31,11 +35,11 @@ class EmptyWindow(ValueError):
     """A half-window around the requested time contains no trip events."""
 
 
-def _uniform_instance(resources: tuple[str, ...], compat: list[tuple[int, ...]]) -> StochasticInstance:
-    """Uniform types over ``compat`` and one expected arrival per resource."""
-    p = 1.0 / len(compat)
-    return StochasticInstance(resources=resources, types=tuple(DemandType(p, c) for c in compat),
-                              arrivals=len(resources))
+def _uniform_instance(resources: tuple[str, ...], sizes: np.ndarray, ids: np.ndarray) -> StochasticInstance:
+    """Uniform types, type j compatible with the next ``sizes[j]`` entries of
+    ``ids``, and one expected arrival per resource."""
+    m = len(sizes)
+    return StochasticInstance.from_csr(resources, np.cumsum([0, *sizes]), ids, np.full(m, 1.0 / m), len(resources))
 
 
 def gen_partitioned_block(n: int) -> StochasticInstance:
@@ -49,26 +53,21 @@ def gen_partitioned_block(n: int) -> StochasticInstance:
         raise ValueError(f"partitioned block needs n divisible by 10, got {n}")
     b1 = 3 * n // 10
     b2 = 4 * n // 10
-    rows_1 = tuple(range(b1))
-    rows_2 = tuple(range(b1, b1 + b2))
-    compat = []
-    for j in range(n):
-        if j < b1:
-            edges = (j,)
-        elif j < b1 + b2:
-            edges = tuple(sorted(set(rows_1) | {j}))
-        else:
-            edges = tuple(sorted(set(rows_2) | {j}))
-        compat.append(edges)
-    return _uniform_instance(tuple(f"v{i}" for i in range(n)), compat)
+    b3 = n - b1 - b2
+    r = np.arange(n, dtype=np.int32)
+    # a column of block 1 sees its own row; one of block 2 (3) all rows of block 1 (2), then its own
+    ids = np.concatenate((r[:b1],
+                          np.column_stack((np.tile(r[:b1], (b2, 1)), r[b1:b1 + b2])).ravel(),
+                          np.column_stack((np.tile(r[b1:b1 + b2], (b3, 1)), r[b1 + b2:])).ravel()))
+    return _uniform_instance(tuple(f"v{i}" for i in range(n)), np.repeat([1, b1 + 1, b2 + 1], [b1, b2, b3]), ids)
 
 
 def gen_kvv_triangular(n: int) -> StochasticInstance:
     """Upper-triangular graph: type i is compatible with resources i..n-1."""
     if n < 1:
         raise ValueError(f"triangular needs n >= 1, got {n}")
-    compat = [tuple(range(j, n)) for j in range(n)]
-    return _uniform_instance(tuple(f"v{i}" for i in range(n)), compat)
+    r = np.arange(n, dtype=np.int32)
+    return _uniform_instance(tuple(f"v{i}" for i in range(n)), n - r, np.concatenate([r[j:] for j in range(n)]))
 
 
 def gen_bahmani(n: int) -> StochasticInstance:
@@ -84,12 +83,10 @@ def gen_bahmani(n: int) -> StochasticInstance:
         raise ValueError(f"bahmani needs n >= 3, got {n}")
     m = int(math.floor(n / (1.0 + 1.0 / math.e) + 0.5))
     a1 = n - m
-    a1_nodes = tuple(range(m, m + a1))
-    a2_nodes = tuple(range(m))
-    compat = [tuple(sorted((j,) + a1_nodes)) for j in range(m)]
-    compat.extend([a2_nodes] * a1)
+    r = np.arange(n, dtype=np.int32)  # A2 is r[:m], A1 is r[m:]
+    ids = np.concatenate((np.column_stack((r[:m], np.tile(r[m:], (m, 1)))).ravel(), np.tile(r[:m], a1)))
     resources = tuple(f"a2_{i}" for i in range(m)) + tuple(f"a1_{i}" for i in range(a1))
-    return _uniform_instance(resources, compat)
+    return _uniform_instance(resources, np.repeat([a1 + 1, m], [m, a1]), ids)
 
 
 def gen_tsm_tight(n: int) -> StochasticInstance:
@@ -106,22 +103,17 @@ def gen_tsm_tight(n: int) -> StochasticInstance:
     if n <= 0 or n % 4 != 0:
         raise ValueError(f"tsm tight needs n divisible by 4, got {n}")
     cycles = n // 4
-    u_of = lambda c: 3 * c
-    v_of = lambda c: 3 * c + 1
-    w_of = lambda c: 3 * c + 2
-    block = tuple(range(3 * cycles, 4 * cycles))  # K nodes
-    compat = []
-    for c in range(cycles):
-        compat.append(tuple(sorted((u_of(c), v_of(c)) + block)))  # x_c
-        compat.append(tuple(sorted((v_of(c), w_of(c)))))  # y_c
-        compat.append(tuple(sorted((u_of(c), w_of(c)))))  # z_c
-    all_w = tuple(w_of(c) for c in range(cycles))
-    compat.extend([all_w] * cycles)  # L group
+    u = 3 * np.arange(cycles, dtype=np.int32)  # cycle c's resources are u, v, w = 3c, 3c + 1, 3c + 2
+    block = np.arange(3 * cycles, 4 * cycles, dtype=np.int32)  # K nodes
+    # per cycle the rows x_c = (u, v, K...), y_c = (v, w) and z_c = (u, w); then the L group
+    xyz = np.column_stack((u, u + 1, np.tile(block, (cycles, 1)), u + 1, u + 2, u, u + 2))
+    ids = np.concatenate((xyz.ravel(), np.tile(u + 2, cycles)))
+    sizes = np.concatenate((np.tile([cycles + 2, 2, 2], cycles), np.full(cycles, cycles)))
     resources = []
     for c in range(cycles):
         resources.extend((f"u{c}", f"v{c}", f"w{c}"))
     resources.extend(f"k{c}" for c in range(cycles))
-    return _uniform_instance(tuple(resources), compat)
+    return _uniform_instance(tuple(resources), sizes, ids)
 
 
 FAMILIES = {

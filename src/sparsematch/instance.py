@@ -6,6 +6,13 @@ probability and a compatibility set, which may be empty (such demand counts
 but cannot be matched).  Realizing an instance draws that many i.i.d. typed
 arrivals and induces the bipartite graph in which each arrival is connected
 to every resource compatible with its type.
+
+The types are stored once, as read-only CSR arrays: type j's compatibility
+set is ``ids[offsets[j]:offsets[j + 1]]``, strictly ascending, and its
+probability ``probs[j]``.  The generators pass these arrays
+(``StochasticInstance.from_csr``), the file readers and the trip builder
+``DemandType`` records; either way one vectorized check runs, once.  The
+``types`` records and the type bitmasks are derived from the store.
 """
 
 from __future__ import annotations
@@ -16,6 +23,8 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
+from typing import Iterable, Sequence
+
 import numpy as np
 
 from .rng import RngStream
@@ -31,50 +40,99 @@ def integer_ids(ids) -> tuple[int, ...]:
     return tuple(map(operator.index, ids))
 
 
+def _check_types(offsets: np.ndarray, ids: np.ndarray, probs: np.ndarray) -> None:
+    """Raise for the first type whose probability is outside [0, 1] or, failing
+    that, whose ids do not strictly ascend."""
+    bad = ~((probs >= 0.0) & (probs <= 1.0 + PROB_TOL))  # NaN too
+    falls = np.flatnonzero(ids[1:] <= ids[:-1]) + 1  # entries not above the one before ...
+    rows = np.searchsorted(offsets, falls, side="right") - 1
+    bad[rows[falls > offsets[rows]]] = True  # ... in their own row
+    if bad.any():
+        j = int(bad.argmax())
+        if not 0.0 <= probs[j] <= 1.0 + PROB_TOL:
+            raise ValueError(f"probability {probs[j]} outside [0, 1]")
+        row = tuple(ids[offsets[j]:offsets[j + 1]].tolist())
+        raise ValueError(f"compatibility list {row} must be strictly ascending")
+
+
 @dataclass(frozen=True)
 class DemandType:
-    """One demand type: its draw probability and compatible resource indices."""
+    """One demand type as a record: its draw probability and compatible resource
+    indices, checked by the instance built from it."""
 
     probability: float
-    compatible: tuple[int, ...]
-
-    def __post_init__(self):
-        ids = tuple(self.compatible)
-        try:
-            object.__setattr__(self, "compatible", integer_ids(ids))
-        except TypeError:
-            raise ValueError(f"compatibility list {ids!r} holds an id that is not an integer") from None
-        if not 0.0 <= self.probability <= 1.0 + PROB_TOL:
-            raise ValueError(f"probability {self.probability} outside [0, 1]")
-        if any(b <= a for a, b in zip(self.compatible, self.compatible[1:])):
-            raise ValueError(f"compatibility list {self.compatible} must be strictly ascending")
+    compatible: Sequence[int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class StochasticInstance:
-    """Immutable instance: resource identifiers, demand types (type j is
-    ``types[j]``), arrival count."""
+    """Immutable instance: resource identifiers, arrival count and the read-only
+    CSR store of the demand types (see the module docstring)."""
 
     resources: tuple[str, ...]
-    types: tuple[DemandType, ...]
     arrivals: int
+    offsets: np.ndarray  # int32: type j's ids are ids[offsets[j]:offsets[j + 1]]
+    ids: np.ndarray  # int32 resource indices
+    probs: np.ndarray  # float64 type probabilities
 
-    def __post_init__(self):
-        object.__setattr__(self, "resources", tuple(self.resources))
-        object.__setattr__(self, "types", tuple(self.types))
-        if len(set(self.resources)) != len(self.resources):
+    def __init__(self, resources: Iterable[str], types: Iterable[DemandType], arrivals: int):
+        """Type j is ``types[j]``.  Checked as ``from_csr`` checks, each type's ids
+        first checked to be integers (bools and floats are not)."""
+        types = tuple(types)
+        rows = [tuple(t.compatible) for t in types]
+        offsets, probs = np.cumsum([0, *map(len, rows)]), np.array([t.probability for t in types], dtype=float)
+        flat = list(chain.from_iterable(rows))
+        try:  # as objects, so that an id too large for int64 reaches the range check
+            ids = np.array(integer_ids(flat), dtype=object)
+        except TypeError:  # the first type with a non-integer id, after the checks of the types before it
+            j = next(j for j, row in enumerate(rows)
+                     if bool in map(type, row) or not all(hasattr(type(i), "__index__") for i in row))
+            _check_types(offsets[:j + 1], np.array(integer_ids(flat[:offsets[j]]), dtype=object), probs[:j])
+            raise ValueError(f"compatibility list {rows[j]!r} holds an id that is not an integer") from None
+        self._store(tuple(resources), offsets, ids, probs, arrivals)
+
+    @classmethod
+    def from_csr(cls, resources: Iterable[str], offsets: np.ndarray, ids: np.ndarray, probs: np.ndarray,
+                 arrivals: int) -> StochasticInstance:
+        """Type j has compatibility set ``ids[offsets[j]:offsets[j + 1]]`` and
+        probability ``probs[j]``, with ``offsets`` rising from 0 to ``len(ids)``;
+        the arrays become the store.  ValueError for ids of no integer dtype."""
+        if (ids := np.asarray(ids)).dtype.kind not in "iu":
+            raise ValueError(f"compatibility ids of dtype {ids.dtype} hold an id that is not an integer")
+        instance = cls.__new__(cls)
+        instance._store(tuple(resources), np.asarray(offsets), ids, np.asarray(probs, dtype=float), arrivals)
+        return instance
+
+    def _store(self, resources: tuple[str, ...], offsets: np.ndarray, ids: np.ndarray, probs: np.ndarray,
+               arrivals: int) -> None:
+        """ValueError, in type order, for a probability outside [0, 1] or ids that
+        do not strictly ascend; then for repeated resources, a negative arrival
+        count, no types, an id outside the resources or probabilities that do
+        not sum to 1 within ``PROB_TOL``.  Else keep the arrays, read-only."""
+        _check_types(offsets, ids, probs)
+        if len(set(resources)) != len(resources):
             raise ValueError("resource identifiers must be unique")
-        if self.arrivals < 0:
+        if arrivals < 0:
             raise ValueError("arrival count must be nonnegative")
-        if not self.types:
+        if not len(probs):
             raise ValueError("at least one demand type is required")
-        total = 0.0
-        for j, t in enumerate(self.types):
-            if t.compatible and not (0 <= t.compatible[0] and t.compatible[-1] < len(self.resources)):
-                raise ValueError(f"type {j} references resource indices outside [0, {len(self.resources)})")
-            total += t.probability
-        if abs(total - 1.0) > PROB_TOL:
+        if len(outside := np.flatnonzero((ids < 0) | (ids >= len(resources)))):
+            raise ValueError(f"type {np.searchsorted(offsets, outside[0], side='right') - 1} references "
+                             f"resource indices outside [0, {len(resources)})")
+        cumulative = np.cumsum(probs)  # in type order, as a Python loop from 0.0 sums
+        if abs((total := cumulative[-1] + 0.0) - 1.0) > PROB_TOL:  # + 0.0: that loop never ends at -0.0
             raise ValueError(f"type probabilities sum to {total}, not 1")
+        store = {"offsets": offsets.astype(np.int32), "ids": ids.astype(np.int32, copy=False), "probs": probs,
+                 "_cumulative_probs": cumulative}
+        for array in store.values():
+            array.flags.writeable = False
+        self.__dict__.update(store, resources=resources, arrivals=arrivals)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, StochasticInstance):
+            return NotImplemented
+        return (self.resources, self.arrivals) == (other.resources, other.arrivals) and all(
+            np.array_equal(getattr(self, a), getattr(other, a)) for a in ("offsets", "ids", "probs"))
 
     @property
     def resource_count(self) -> int:
@@ -82,27 +140,37 @@ class StochasticInstance:
 
     @property
     def type_count(self) -> int:
-        return len(self.types)
+        return len(self.probs)
+
+    def row(self, j: int) -> list[int]:
+        """Type j's compatibility set, ascending."""
+        return self.ids[self.offsets[j]:self.offsets[j + 1]].tolist()
 
     @cached_property
-    def _cumulative_probs(self) -> np.ndarray:
-        return np.cumsum([t.probability for t in self.types])
+    def types(self) -> tuple[DemandType, ...]:
+        """Type j as a ``DemandType`` with a tuple of ints, derived on first use:
+        ``RealizedGraph.edges_for``, kvv and the mgs fallback read it, the LP,
+        the Monte Carlo learning and the offline and varopt trials do not."""
+        return tuple(DemandType(p, tuple(self.row(j))) for j, p in enumerate(self.probs.tolist()))
 
     def compat_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Each type's degree, then each compatible (type, resource) pair's type and
-        resource, type after type, as int32 arrays built per call (not kept)."""
-        degree = np.array([len(t.compatible) for t in self.types], dtype=np.int32)
-        resources = np.fromiter(chain.from_iterable(t.compatible for t in self.types), np.int32, int(degree.sum()))
-        return degree, np.repeat(np.arange(self.type_count, dtype=np.int32), degree), resources
+        resource, type after type (int32): the resources are the store's ids."""
+        degree = np.diff(self.offsets)
+        return degree, np.repeat(np.arange(self.type_count, dtype=np.int32), degree), self.ids
+
+    def type_masks(self, relabel: np.ndarray | None = None) -> list[int]:
+        """Each type's compatibility set as a bitmask: bit i for resource i, or bit
+        ``relabel[i]`` under a relabeling of the resources."""
+        _, types, ids = self.compat_pairs()
+        member = np.zeros((self.type_count, self.resource_count), dtype=bool)
+        member[types, ids if relabel is None else relabel[ids]] = True
+        rows = np.packbits(member, axis=1, bitorder="little")
+        return [int.from_bytes(row.tobytes(), "little") for row in rows]
 
     @cached_property
     def _compat_masks(self) -> tuple[int, ...]:
-        """Each type's compatibility set as a bitmask: bit i for resource i."""
-        _, types, resources = self.compat_pairs()
-        member = np.zeros((self.type_count, self.resource_count), dtype=bool)
-        member[types, resources] = True
-        rows = np.packbits(member, axis=1, bitorder="little")
-        return tuple(int.from_bytes(row.tobytes(), "little") for row in rows)
+        return tuple(self.type_masks())
 
 
 @dataclass(frozen=True)
@@ -137,7 +205,7 @@ def realize(instance: StochasticInstance, rng: RngStream) -> RealizedGraph:
 def instance_to_json(instance: StochasticInstance) -> str:
     return json.dumps({
         "resources": list(instance.resources),
-        "types": [{"p": t.probability, "compatible": list(t.compatible)} for t in instance.types],
+        "types": [{"p": p, "compatible": instance.row(j)} for j, p in enumerate(instance.probs.tolist())],
         "n": instance.arrivals,
     }, indent=2)
 

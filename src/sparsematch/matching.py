@@ -166,12 +166,11 @@ def max_matching_shuffled(graph: RealizedGraph, rng: RngStream) -> MatchingResul
     right = graph.instance.resource_count
     gen = rng.generator
     perm_l = gen.permutation(graph.n)
-    perm_r = gen.permutation(right).tolist()
+    perm_r = gen.permutation(right)
     inv_l, inv_r = np.argsort(perm_l).tolist(), np.argsort(perm_r).tolist()
-    # relabeled vertex l is arrival inv_l[l]; its mask holds its type's relabeled row
-    bits = [1 << r for r in perm_r]
-    types, type_ids = graph.instance.types, graph.type_ids
-    masks = [sum(map(bits.__getitem__, types[type_ids[l]].compatible)) for l in inv_l]
+    # relabeled vertex l is arrival inv_l[l]; its mask is its type's row with resource i at bit perm_r[i]
+    type_masks, type_ids = graph.instance.type_masks(perm_r), graph.type_ids
+    masks = [type_masks[type_ids[l]] for l in inv_l]
     result = bitset_matching(masks, right)
     pairs = tuple(sorted((inv_l[l], inv_r[r]) for l, r in result.pairs))
     return MatchingResult(size=result.size, pairs=pairs)

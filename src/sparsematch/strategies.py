@@ -77,10 +77,10 @@ def varopt_samplers(instance: StochasticInstance, x: FractionalSolution, k: int)
     neither gets an empty row.
     """
     rows = []
-    for type_id, demand_type in enumerate(instance.types):
+    for type_id in range(instance.type_count):
         ids, values = x.support_of(type_id)
         if not ids:  # no support: uniform over the compatibility set
-            ids = demand_type.compatible
+            ids = instance.row(type_id)
             values = [1.0 / len(ids)] * len(ids) if ids else []
         rows.append((ids, values))
     return BatchSampler(rows, k)
@@ -138,7 +138,7 @@ def random_subgraph(graphs: Sequence[RealizedGraph], k: int, rngs: Sequence[RngS
         return []
     instance = graphs[0].instance
     sizes, _, compatible = instance.compat_pairs()
-    starts = np.cumsum(sizes) - sizes
+    starts = instance.offsets[:-1]
     kept_whole = [0 if d > k else m for d, m in zip(sizes.tolist(), instance._compat_masks)]
     return _reports(graphs, rngs, kept_whole, k * (sizes > k),
                     lambda t, streams: compatible[starts[t][:, None] + streams.choice(sizes[t], k)])
@@ -207,7 +207,8 @@ def _coordinate(graph: RealizedGraph, masks: list[int]) -> StrategyOutcome:
 
 def _offline(graph: RealizedGraph) -> StrategyOutcome:
     """Full-information maximum matching of the realization."""
-    return StrategyOutcome(full_matching(graph).size, sum(len(graph.edges_for(i)) for i in range(graph.n)))
+    edges = np.diff(graph.instance.offsets)[np.array(graph.type_ids, dtype=np.intp)].sum()
+    return StrategyOutcome(full_matching(graph).size, int(edges))
 
 
 def _require_guidance(config: StrategyConfig, guidance: object) -> None:

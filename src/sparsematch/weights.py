@@ -51,11 +51,11 @@ class FractionalSolution:
     @classmethod
     def build(cls, instance: StochasticInstance, x: Mapping[tuple[int, int], float]) -> "FractionalSolution":
         """Validate feasibility against ``instance`` and compute the objective."""
-        n = instance.arrivals
-        mass = {j: n * t.probability for j, t in enumerate(instance.types)}
+        mass = dict(enumerate((instance.arrivals * instance.probs).tolist()))
+        masks, right = instance._compat_masks, instance.resource_count
         clean: dict[tuple[int, int], float] = {}
         type_sum = dict.fromkeys(mass, 0.0)
-        load = dict.fromkeys(range(instance.resource_count), 0.0)
+        load = dict.fromkeys(range(right), 0.0)
         for (j, i), value in x.items():
             if value < -1e-12:
                 raise ValueError(f"x[{j},{i}] = {value} is negative")
@@ -63,7 +63,7 @@ class FractionalSolution:
                 continue
             if not 0 <= j < instance.type_count:
                 raise ValueError(f"x[{j},{i}]: type {j} out of range")
-            if i not in instance.types[j].compatible:
+            if not (0 <= i < right and masks[j] >> i & 1):
                 raise ValueError(f"x[{j},{i}] positive outside the compatibility set")
             clean[(j, i)] = float(value)
             type_sum[j] += value
@@ -279,19 +279,17 @@ def solve_expected_lp(instance: StochasticInstance) -> FractionalSolution:
     if instance.arrivals < 1:
         raise ValueError("the LP needs at least one expected arrival")
     m, r = instance.type_count, instance.resource_count
-    for j, t in enumerate(instance.types):
-        if t.probability == 0.0:
-            raise ValueError(f"type {j} has probability 0")
+    if (zero := np.flatnonzero(instance.probs == 0.0)).size:
+        raise ValueError(f"type {zero[0]} has probability 0")
 
     # Arc pairs (arc e ^ 1 reverses arc e) per type: source -> type, then type ->
     # resource in compatibility order; then resource -> sink.  Node 0 is the
     # source, 1 + j type j, 1 + m + i resource i.  Each node's adjacency is its
     # out-arcs in arc order.
-    masses = [instance.arrivals * t.probability for t in instance.types]
-    mass = np.array(masses)
-    degree, edge_type, edge_resource = instance.compat_pairs()
+    mass = instance.arrivals * instance.probs
+    _, edge_type, edge_resource = instance.compat_pairs()
     edges = len(edge_type)
-    type_arcs = 2 * (np.arange(m, dtype=np.int32) + np.cumsum(degree, dtype=np.int32) - degree)
+    type_arcs = 2 * (np.arange(m, dtype=np.int32) + instance.offsets[:-1])
     edge_arcs = 2 * (edge_type + np.arange(edges, dtype=np.int32) + 1)
     sink_arcs = 2 * (m + edges + np.arange(r, dtype=np.int32))
     sink = 1 + m + r
@@ -303,7 +301,7 @@ def solve_expected_lp(instance: StochasticInstance) -> FractionalSolution:
     cap = np.zeros(len(to))
     cap[edge_arcs] = mass[edge_type]
 
-    _first_phase(instance._compat_masks, masses, type_arcs, cap, sink_arcs)
+    _first_phase(instance._compat_masks, mass.tolist(), type_arcs, cap, sink_arcs)
     while (level := _levels(to, tail, cap, sink))[sink] >= 0:
         _blocking_flow(to, tail, cap, level, sink)
     values = cap[edge_arcs + 1] / mass[edge_type]
@@ -335,18 +333,20 @@ def monte_carlo_weights(instance: StochasticInstance, simulations: int, rng: Rng
 
     matched = _group_by_type(match_count)
     x: dict[tuple[int, int], float] = {}
-    for j, t in enumerate(instance.types):
+    for j in range(m):
         if j in matched:
             ids, counts, _ = matched[j]
             x.update({(j, i): c / arrivals_of[j] for i, c in zip(ids, counts)})
         else:  # never matched: uniform over the compatibility set
-            x.update({(j, i): 1.0 / len(t.compatible) for i in t.compatible})
+            ids = instance.row(j)
+            x.update({(j, i): 1.0 / len(ids) for i in ids})
 
     # Finite-sample noise (and the uniform fallback) can overload a resource;
     # project back by scaling each overloaded resource's column.
+    mass = (instance.arrivals * instance.probs).tolist()
     load = dict.fromkeys(range(instance.resource_count), 0.0)
     for (j, i), v in x.items():
-        load[i] += instance.arrivals * instance.types[j].probability * v
+        load[i] += mass[j] * v
     scale = {i: (1.0 / y if y > 1.0 else 1.0) for i, y in load.items()}
     x = {(j, i): v * scale[i] for (j, i), v in x.items()}
     return FractionalSolution.build(instance, x)
@@ -374,13 +374,12 @@ def spread_equivalence_classes(instance: StochasticInstance, x: FractionalSoluti
     a class of size l the averaged values are at most 1/l by the type limit.
     The objective and feasibility are preserved exactly.
     """
-    membership: list[list[int]] = [[] for _ in range(instance.resource_count)]
-    for j, t in enumerate(instance.types):
-        for i in t.compatible:
-            membership[i].append(j)
+    _, pair_types, ids = instance.compat_pairs()
+    by_resource = np.argsort(ids, kind="stable")  # each resource's types stay ascending
+    ends = np.cumsum(np.bincount(ids, minlength=instance.resource_count))
     classes: dict[tuple[int, ...], list[int]] = {}
-    for i, types_of_i in enumerate(membership):
-        classes.setdefault(tuple(types_of_i), []).append(i)
+    for i, types_of_i in enumerate(np.split(pair_types[by_resource], ends[:-1])):
+        classes.setdefault(tuple(types_of_i.tolist()), []).append(i)
 
     new_x = dict(x.x)
     for types_of_class, members in classes.items():

@@ -10,12 +10,17 @@ replays.  The batch's VarOpt draws (``varopt_draws``) are checked against the
 numpy array draw they were written from (``varopt_draw_oracle``), a random
 subset against numpy's Floyd algorithm replayed on Python ints, and
 Hopcroft-Karp's pairs against the version without the greedy first phase.
-The fractional-load diagnostics at the end scale an IPW-weighted subgraph
-down to a fractional matching.
+An instance's vectorized check is held to the per-type Python checks it
+replaced (``instance_check_oracle``), the numpy generators to the
+tuple-building ones (``FAMILY_ORACLES``), and the shuffled matching's type
+masks to the bit-by-bit build (``max_matching_shuffled_oracle``).  The
+fractional-load diagnostics at the end scale an IPW-weighted subgraph down to
+a fractional matching.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import count
@@ -23,8 +28,8 @@ from typing import Mapping
 
 import numpy as np
 
-from sparsematch.instance import DemandType, RealizedGraph, StochasticInstance
-from sparsematch.matching import BipartiteEdgeList, MatchingResult
+from sparsematch.instance import PROB_TOL, DemandType, RealizedGraph, StochasticInstance, integer_ids
+from sparsematch.matching import BipartiteEdgeList, MatchingResult, bitset_matching
 from sparsematch.rng import RngStream, StreamRows, arrival_stream_ids
 from sparsematch.weights import _FLOW_EPS, FractionalSolution
 
@@ -412,6 +417,113 @@ def dinic_lp(instance: StochasticInstance) -> FractionalSolution:
             if value > _FLOW_EPS:
                 x[(j, i)] = value
     return FractionalSolution.build(instance, x)
+
+
+def instance_check_oracle(resources, types, arrivals: int) -> list[tuple[float, tuple[int, ...]]]:
+    """The checks an instance made before its CSR store, one type at a time in
+    Python: each (probability, ids) of ``types`` as ``DemandType`` checked itself
+    when built, then the instance's loop.  The checked (probability, ids) rows,
+    or the ValueError the vectorized check must raise."""
+    rows = []
+    for probability, compatible in types:
+        ids = tuple(compatible)
+        try:
+            ids = integer_ids(ids)
+        except TypeError:
+            raise ValueError(f"compatibility list {ids!r} holds an id that is not an integer") from None
+        if not 0.0 <= probability <= 1.0 + PROB_TOL:
+            raise ValueError(f"probability {probability} outside [0, 1]")
+        if any(b <= a for a, b in zip(ids, ids[1:])):
+            raise ValueError(f"compatibility list {ids} must be strictly ascending")
+        rows.append((probability, ids))
+    resources = tuple(resources)
+    if len(set(resources)) != len(resources):
+        raise ValueError("resource identifiers must be unique")
+    if arrivals < 0:
+        raise ValueError("arrival count must be nonnegative")
+    if not rows:
+        raise ValueError("at least one demand type is required")
+    total = 0.0
+    for j, (probability, ids) in enumerate(rows):
+        if ids and not (0 <= ids[0] and ids[-1] < len(resources)):
+            raise ValueError(f"type {j} references resource indices outside [0, {len(resources)})")
+        total += probability
+    if abs(total - 1.0) > PROB_TOL:
+        raise ValueError(f"type probabilities sum to {total}, not 1")
+    return rows
+
+
+def block_oracle(n: int) -> tuple[tuple[str, ...], list[tuple[int, ...]]]:
+    """``gen_partitioned_block``'s resources and rows, built as tuples."""
+    b1 = 3 * n // 10
+    b2 = 4 * n // 10
+    rows_1 = tuple(range(b1))
+    rows_2 = tuple(range(b1, b1 + b2))
+    compat = []
+    for j in range(n):
+        if j < b1:
+            edges = (j,)
+        elif j < b1 + b2:
+            edges = tuple(sorted(set(rows_1) | {j}))
+        else:
+            edges = tuple(sorted(set(rows_2) | {j}))
+        compat.append(edges)
+    return tuple(f"v{i}" for i in range(n)), compat
+
+
+def triangular_oracle(n: int) -> tuple[tuple[str, ...], list[tuple[int, ...]]]:
+    """``gen_kvv_triangular``'s resources and rows, built as tuples."""
+    return tuple(f"v{i}" for i in range(n)), [tuple(range(j, n)) for j in range(n)]
+
+
+def bahmani_oracle(n: int) -> tuple[tuple[str, ...], list[tuple[int, ...]]]:
+    """``gen_bahmani``'s resources and rows, built as tuples."""
+    m = int(math.floor(n / (1.0 + 1.0 / math.e) + 0.5))
+    a1 = n - m
+    a1_nodes = tuple(range(m, m + a1))
+    a2_nodes = tuple(range(m))
+    compat = [tuple(sorted((j,) + a1_nodes)) for j in range(m)]
+    compat.extend([a2_nodes] * a1)
+    return tuple(f"a2_{i}" for i in range(m)) + tuple(f"a1_{i}" for i in range(a1)), compat
+
+
+def tsm_oracle(n: int) -> tuple[tuple[str, ...], list[tuple[int, ...]]]:
+    """``gen_tsm_tight``'s resources and rows, built as tuples."""
+    cycles = n // 4
+    block = tuple(range(3 * cycles, 4 * cycles))  # K nodes
+    compat = []
+    for c in range(cycles):
+        u, v, w = 3 * c, 3 * c + 1, 3 * c + 2
+        compat.append(tuple(sorted((u, v) + block)))  # x_c
+        compat.append(tuple(sorted((v, w))))  # y_c
+        compat.append(tuple(sorted((u, w))))  # z_c
+    compat.extend([tuple(3 * c + 2 for c in range(cycles))] * cycles)  # L group
+    resources = []
+    for c in range(cycles):
+        resources.extend((f"u{c}", f"v{c}", f"w{c}"))
+    resources.extend(f"k{c}" for c in range(cycles))
+    return tuple(resources), compat
+
+
+# The generators as they were before they built the CSR store with numpy; every
+# type is uniform, at probability 1 / len(rows).
+FAMILY_ORACLES = {"block": block_oracle, "triangular": triangular_oracle, "bahmani": bahmani_oracle,
+                  "tsm": tsm_oracle}
+
+
+def max_matching_shuffled_oracle(graph: RealizedGraph, rng: RngStream) -> MatchingResult:
+    """``max_matching_shuffled`` with every arrival's relabeled mask built bit by
+    bit from its type's ``compatible`` tuple."""
+    right = graph.instance.resource_count
+    gen = rng.generator
+    perm_l = gen.permutation(graph.n)
+    perm_r = gen.permutation(right).tolist()
+    inv_l, inv_r = np.argsort(perm_l).tolist(), np.argsort(perm_r).tolist()
+    bits = [1 << r for r in perm_r]
+    types, type_ids = graph.instance.types, graph.type_ids
+    masks = [sum(map(bits.__getitem__, types[type_ids[l]].compatible)) for l in inv_l]
+    result = bitset_matching(masks, right)
+    return MatchingResult(result.size, tuple(sorted((inv_l[l], inv_r[r]) for l, r in result.pairs)))
 
 
 def uniform_instance(compat_lists, arrivals: int) -> StochasticInstance:

@@ -1,10 +1,15 @@
 import logging
 import math
+import tracemalloc
 from datetime import datetime
+from itertools import chain
 
+import numpy as np
 import pytest
 
+from helpers import FAMILY_ORACLES
 from sparsematch.generators import (
+    FAMILIES,
     EmptyWindow,
     ZoneModel,
     build_nyc_instance,
@@ -114,6 +119,33 @@ def test_tsm_minimum_size_edges():
 def test_tsm_bad_size():
     with pytest.raises(ValueError, match="needs n divisible by 4, got 6"):
         gen_tsm_tight(6)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_ORACLES))
+def test_generator_store_equals_the_tuple_oracle(family):
+    """Every valid n in 10, 20, ..., 1000: the same resources, rows in the same
+    order and the same probability floats as the tuple-building generator."""
+    for n in range(10, 1001, 10):
+        if family == "tsm" and n % 4:
+            continue
+        inst = FAMILIES[family](n)
+        resources, rows = FAMILY_ORACLES[family](n)
+        assert inst.resources == resources and inst.arrivals == n
+        assert inst.offsets.tolist() == np.cumsum([0, *map(len, rows)]).tolist()
+        assert np.array_equal(inst.ids, np.fromiter(chain.from_iterable(rows), np.int64))
+        assert inst.probs.tolist() == [1.0 / len(rows)] * len(rows)
+
+
+def test_triangular_5000_peaks_under_150_mb():
+    # 12.5M compatibility entries; as per-type tuples of ints they peaked at 601 MB
+    tracemalloc.start()
+    try:
+        inst = gen_kvv_triangular(5000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(inst.ids) == 5000 * 5001 // 2
+    assert peak <= 150e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_generators_deterministic():

@@ -3,8 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from helpers import bundled_trip_instances, complete_uniform, exclusive_pairs, micro_type_count, uniform_instance
+from helpers import (
+    bundled_trip_instances,
+    complete_uniform,
+    exclusive_pairs,
+    instance_check_oracle,
+    micro_type_count,
+    uniform_instance,
+)
 from sparsematch.instance import (
+    PROB_TOL,
     DemandType,
     RealizedGraph,
     StochasticInstance,
@@ -31,7 +39,7 @@ def test_duplicate_resources_rejected():
 
 def test_compatibility_must_be_sorted_and_in_range():
     with pytest.raises(ValueError, match="ascending"):
-        DemandType(1.0, (1, 0))
+        StochasticInstance(resources=("a", "b"), types=(DemandType(1.0, (1, 0)),), arrivals=1)
     with pytest.raises(ValueError, match="references resource"):
         StochasticInstance(resources=("a",), types=(DemandType(1.0, (0, 1)),), arrivals=1)
 
@@ -39,11 +47,12 @@ def test_compatibility_must_be_sorted_and_in_range():
 @pytest.mark.parametrize("ids", [(True, 2), (1.0,), (0, 2.5), ("3",), (np.bool_(False),), (np.float64(1.0),), (None,)])
 def test_compatibility_ids_must_be_integers(ids):
     with pytest.raises(ValueError, match="not an integer"):
-        DemandType(1.0, ids)
+        StochasticInstance(resources=tuple("abcd"), types=(DemandType(1.0, ids),), arrivals=1)
 
 
 def test_compatibility_ids_may_be_python_or_numpy_integers():
-    t = DemandType(1.0, [np.int64(1), np.uint8(2), 3, np.intp(4)])
+    t = StochasticInstance(resources=tuple("abcde"), arrivals=1,
+                           types=(DemandType(1.0, [np.int64(1), np.uint8(2), 3, np.intp(4)]),)).types[0]
     assert t.compatible == (1, 2, 3, 4)
     assert all(type(i) is int for i in t.compatible)
 
@@ -188,3 +197,100 @@ def test_json_round_trip_every_bundled_trip_interval():
     assert len(instances) >= 3
     for inst in instances:
         assert instance_from_json(instance_to_json(inst)) == inst
+
+
+
+def instance_inputs(st):
+    """A hypothesis strategy of (resources, (probability, ids) types, arrival
+    count), mostly valid.  Ids come in every kind: in range, negative, >= the
+    resource count, bools, floats, numpy integers, ints beyond int64 and
+    values that are no number; probability sums sit at the edge of
+    ``PROB_TOL``."""
+
+    @st.composite
+    def inputs(draw):
+        right = draw(st.integers(0, 6))
+        resources = [f"r{i}" for i in range(right)]
+        if right > 1 and draw(st.integers(0, 9)) == 0:
+            resources[-1] = resources[0]
+        in_range = st.lists(st.integers(0, max(0, right - 1)), max_size=right, unique=True)
+        odd = st.one_of(
+            st.integers(-2, right + 1), st.booleans(), st.floats(-1.0, right + 1.0),
+            st.sampled_from([np.int64(0), np.uint8(1), np.intp(2), np.int32(-1)]),
+            st.integers(2**62, 2**70), st.integers(-(2**70), -(2**62)),
+            st.sampled_from([None, "1", np.bool_(True), np.float64(1.0), 1.0]))
+        mixed = st.lists(st.one_of(odd, odd, st.integers(0, max(0, right - 1))), max_size=5)
+        rows = draw(st.lists(st.one_of(in_range.map(sorted), in_range, mixed), max_size=5))
+        weights = draw(st.lists(st.floats(0.01, 1.0), min_size=len(rows), max_size=len(rows)))
+        probs = [w / sum(weights) for w in weights]
+        if probs:
+            probs[-1] += draw(st.sampled_from([0.0, 0.0, PROB_TOL, -PROB_TOL, 0.999 * PROB_TOL,
+                                               -1.001 * PROB_TOL, 1e-6, -1e-6]))
+            if draw(st.integers(0, 7)) == 0:
+                probs[draw(st.integers(0, len(probs) - 1))] = draw(st.sampled_from(
+                    [-0.1, 1.5, math.nan, -0.0, 1.0 + PROB_TOL, 1.0 + 2 * PROB_TOL]))
+        return resources, list(zip(probs, rows)), draw(st.integers(-1, 3))
+
+    return inputs()
+
+
+def outcome(build):
+    """What ``build()`` returns, or the message of the ValueError it raises."""
+    try:
+        return build()
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_vectorized_check_accepts_and_rejects_as_the_per_type_oracle():
+    """The record constructor, and ``from_csr`` where every id is an int64,
+    accept exactly the inputs the per-type Python checks accept, with the same
+    rows, and reject the others with the same message."""
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(instance_inputs(hypothesis.strategies))
+    def check(case):
+        resources, types, arrivals = case
+        expected = outcome(lambda: instance_check_oracle(resources, types, arrivals))
+        got = outcome(lambda: StochasticInstance(resources, [DemandType(p, ids) for p, ids in types], arrivals))
+        if isinstance(expected, str):
+            assert got == expected
+        else:
+            assert [(t.probability, t.compatible) for t in got.types] == expected
+        flat = [i for _, ids in types for i in ids]
+        if all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) and -2**63 <= i < 2**63 for i in flat):
+            offsets = np.cumsum([0, *(len(ids) for _, ids in types)])
+            from_csr = outcome(lambda: StochasticInstance.from_csr(
+                resources, offsets, np.array(flat, dtype=np.int64), [p for p, _ in types], arrivals))
+            assert from_csr == got
+
+    check()
+
+
+@pytest.mark.parametrize("ids", [np.array([0.0]), np.array([True]), np.array(["0"])])
+def test_store_ids_must_have_an_integer_dtype(ids):
+    with pytest.raises(ValueError, match="not an integer"):
+        StochasticInstance.from_csr(("a",), [0, 1], ids, [1.0], 1)
+
+
+def test_store_is_read_only_and_types_are_tuples_of_ints():
+    inst = StochasticInstance(("a", "b"), (DemandType(0.5, [np.int64(0), 1]), DemandType(0.5, ())), 2)
+    assert inst.offsets.tolist() == [0, 2, 2] and inst.ids.tolist() == [0, 1] and inst.probs.tolist() == [0.5, 0.5]
+    assert (inst.offsets.dtype, inst.ids.dtype, inst.probs.dtype) == (np.int32, np.int32, np.float64)
+    for array in (inst.offsets, inst.ids, inst.probs):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+    assert inst.types == (DemandType(0.5, (0, 1)), DemandType(0.5, ()))
+    assert all(type(i) is int for i in inst.types[0].compatible)
+
+
+def test_lp_synth_path_never_builds_the_types_view(tmp_path, monkeypatch):
+    """Set-up and trials of ``synth --weights lp --strategies offline,varopt:5``
+    (the benchmark's large-lp unit, at a small n) read the store alone."""
+    from sparsematch.cli import main
+
+    monkeypatch.setattr(StochasticInstance, "types", property(lambda self: pytest.fail("types view built")))
+    for family in ("block", "triangular", "bahmani", "tsm"):
+        assert main(["synth", "--family", family, "--n", "40", "--trials", "3", "--weights", "lp",
+                     "--strategies", "offline,varopt:5", "--out", str(tmp_path / f"{family}.csv")]) == 0

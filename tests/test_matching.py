@@ -9,6 +9,7 @@ from helpers import (
     fractional_scaled_matching,
     hopcroft_karp_oracle,
     ids_of,
+    max_matching_shuffled_oracle,
     random_bipartite,
     realized_edge_list,
     row_graph,
@@ -336,6 +337,30 @@ def test_pairs_equal_the_oracle_on_family_realizations(n):
             assert_pairs_equal_the_oracle(rows, inst.resource_count)
             if n == 100:
                 assert_shuffled_pairs_equal_the_oracle(rows, inst.resource_count, n + (cut or 0))
+
+
+@pytest.mark.parametrize("n", [100, 1000])
+def test_shuffled_pairs_equal_the_bit_by_bit_oracle_on_families(n):
+    """The type masks relabeled in numpy give the pairs of every arrival's mask
+    built bit by bit, on realizations of every family."""
+    from sparsematch.generators import FAMILIES
+
+    base = RngStream(97)
+    for name, family in sorted(FAMILIES.items()):
+        inst = family(n)
+        for t in range(3 if n == 100 else 1):
+            graph, key = realize(inst, base.substream(name, n, t)), ("shuffle", name, n, t)
+            assert max_matching_shuffled(graph, base.substream(*key)) == max_matching_shuffled_oracle(
+                graph, base.substream(*key))
+
+
+def test_shuffled_pairs_equal_the_bit_by_bit_oracle_on_trip_intervals():
+    base = RngStream(101)
+    for j, inst in enumerate(bundled_trip_instances()):
+        for t in range(3):
+            graph = realize(inst, base.substream(j, t))
+            assert max_matching_shuffled(graph, base.substream("shuffle", j, t)) == max_matching_shuffled_oracle(
+                graph, base.substream("shuffle", j, t))
 
 
 def counted_masks(rows):

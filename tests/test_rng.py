@@ -160,7 +160,8 @@ def _powers_of_two_and_neighbours(top: int) -> list[int]:
 def _check_subsets(seed: int, tags: list[int], cases: list[tuple[int, int]]) -> int:
     # Every tag's arrival i draws cases[i] = (d, k): its row of one batch per k
     # against the Python-int replay and numpy's own choice(d, k, replace=False)
-    # on the arrival's fresh stream.
+    # on the arrival's fresh stream, one generator rewound to its fresh state
+    # between the two.
     rngs = [RngStream(seed).substream("subset", tag) for tag in tags]
     parents = np.array([rng.stream_id for rng in rngs], dtype=np.uint64)
     for k in sorted({k for _, k in cases}):
@@ -170,8 +171,11 @@ def _check_subsets(seed: int, tags: list[int], cases: list[tuple[int, int]]) -> 
         batch = rows.choice(np.array([cases[i][0] for i in arrival.tolist()]), k)
         for t, i, picked in zip(trial.tolist(), arrival.tolist(), batch.tolist()):
             d = cases[i][0]
-            replay = choice_without_replacement(rngs[t].substream("arrival", i).generator, d, k)
-            drawn = rngs[t].substream("arrival", i).generator.choice(d, k, replace=False)
+            gen = rngs[t].substream("arrival", i).generator
+            fresh = gen.bit_generator.state
+            replay = choice_without_replacement(gen, d, k)
+            gen.bit_generator.state = fresh
+            drawn = gen.choice(d, k, replace=False)
             assert sorted(replay) == sorted(drawn.tolist()) == sorted(picked), (seed, tags[t], i, d, k)
     return len(tags) * len(cases)
 
