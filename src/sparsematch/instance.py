@@ -148,9 +148,9 @@ class StochasticInstance:
 
     @cached_property
     def types(self) -> tuple[DemandType, ...]:
-        """Type j as a ``DemandType`` with a tuple of ints, derived on first use:
-        ``RealizedGraph.edges_for``, kvv and the mgs fallback read it, the LP,
-        the Monte Carlo learning and the offline and varopt trials do not."""
+        """Type j as a ``DemandType`` with a tuple of ints, derived on first use.
+        No strategy, learning step or file writer reads it; tests and the
+        benchmark's per-trial matching check do."""
         return tuple(DemandType(p, tuple(self.row(j))) for j, p in enumerate(self.probs.tolist()))
 
     def compat_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -175,7 +175,8 @@ class StochasticInstance:
 
 @dataclass(frozen=True)
 class RealizedGraph:
-    """A realization: ``n`` typed arrivals and their induced compatibility edges."""
+    """A realization: ``n`` typed arrivals and their induced compatibility edges.
+    Arrival i's edges are its type's row, ``instance.row(type_ids[i])``."""
 
     instance: StochasticInstance
     type_ids: tuple[int, ...]
@@ -183,10 +184,6 @@ class RealizedGraph:
     @property
     def n(self) -> int:
         return len(self.type_ids)
-
-    def edges_for(self, arrival_index: int) -> tuple[int, ...]:
-        """Compatibility set of one arrival (resource indices)."""
-        return self.instance.types[self.type_ids[arrival_index]].compatible
 
 
 def realize(instance: StochasticInstance, rng: RngStream) -> RealizedGraph:

@@ -10,7 +10,8 @@ selection never depends on the other arrivals.  The two sparsifiers draw the
 reports of many trials at once: every drawing arrival becomes a row of
 ``rng.StreamRows``, in chunks of ``CHUNK_ROWS``, and arrivals whose report
 is fixed get no stream.  mgs suggestions draw through a cdf lookup; kvv keeps
-numpy's ``permutation``, mgs its uniform fallback ``choice``.
+numpy's ``permutation``, mgs its uniform fallback ``choice``.  Every strategy
+reads the instance's CSR store and type masks alone, never its ``types`` view.
 
 ``STRATEGY_NAMES`` declares the strategies; those in ``BUDGETED`` take a
 budget k and the others take none, those in ``GUIDED`` read guidance learned
@@ -145,15 +146,17 @@ def random_subgraph(graphs: Sequence[RealizedGraph], k: int, rngs: Sequence[RngS
 
 
 def kvv_ranking(graph: RealizedGraph, rng: RngStream) -> StrategyOutcome:
-    """Classic online ranking: arrivals greedily take their best-ranked free neighbor."""
-    rank = rng.generator.permutation(graph.instance.resource_count).tolist()
-    taken = [False] * graph.instance.resource_count
-    matched = 0
-    for i in range(graph.n):
-        free = [r for r in graph.edges_for(i) if not taken[r]]
-        if free:  # ranks are distinct, so the best is unique
-            taken[min(free, key=rank.__getitem__)] = True
-            matched += 1
+    """Classic online ranking: arrivals greedily take their best-ranked free neighbor.
+
+    Resource r is relabeled to its rank, bit ``rank[r]`` of its type's mask, so
+    an arrival's best-ranked free neighbor is the lowest set bit of its mask
+    outside ``taken``, the taken resources in rank space."""
+    masks = graph.instance.type_masks(rng.generator.permutation(graph.instance.resource_count))
+    taken = 0
+    for type_id in graph.type_ids:
+        free = masks[type_id] & ~taken
+        taken |= free & -free  # ranks are distinct, so the best is unique
+    matched = taken.bit_count()
     return StrategyOutcome(matched, matched)
 
 
@@ -180,9 +183,9 @@ def mgs(graph: RealizedGraph, guidance: CopyMarginals, rng: RngStream) -> Strate
     for j in range(graph.instance.type_count):
         first = _sample_weighted(guidance.first.get(j, ((),))[0], first_cdfs.get(j), gen)
         if first is None:
-            compatible = graph.instance.types[j].compatible
+            compatible = graph.instance.row(j)
             if compatible:
-                first = int(compatible[gen.choice(len(compatible))])
+                first = compatible[gen.choice(len(compatible))]
         second = _sample_weighted(*guidance.second_choices(j, first), gen)
         suggestions[j] = (first, second)
 

@@ -11,11 +11,11 @@ size exact and pairwise inclusion correlations non-positive.
 budget in one padded numpy pass, with the float operations of the one-set
 scalar solve in tests/helpers.py, and draws many rows at once, each from its
 stream's ``permutation`` and one ``random()``, with the float operations of
-the array draw there (tests/test_varopt.py).  :class:`VarOptSampler` is the
-one-row batch of a checked item set.  The inverse-probability weight of a
-chosen item is ``weight / probabilities()[id]``; summed over the chosen ids
-they equal the total input weight on every single draw, not just in
-expectation.
+the array draw there (tests/test_varopt.py).  The inverse-probability weight
+of a chosen item is its weight over its inclusion probability, which is one
+for an id of its row's fixed mask and else its row's light probability.
+Summed over the chosen ids these weights equal the total input weight on
+every single draw, not just in expectation.
 """
 
 from __future__ import annotations
@@ -120,35 +120,3 @@ class BatchSampler:
             kept = np.unique(picks[r][picks[r] < lengths[r]]).tolist()
             chosen[r, :m[r]] = self.ids[which[r], row[_complete(kept, self.probs[which[r], row], m[r])]]
         return chosen
-
-
-class VarOptSampler(BatchSampler):
-    """The threshold solution of one item set: the batch of that one row, with
-    its input checked.  Solving costs a sort; drawing, a permutation plus a
-    single uniform."""
-
-    def __init__(self, item_ids: Sequence[int], weights: Sequence[float], k: int):
-        if k < 1:
-            raise ValueError(f"budget k must be >= 1, got {k}")
-        self._item_ids = [int(i) for i in item_ids]
-        if len(set(self._item_ids)) != len(self._item_ids) or min(self._item_ids, default=0) < 0:
-            raise ValueError("item ids must be unique and >= 0")
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (len(self._item_ids),):
-            raise ValueError("weights must align with item ids")
-        if np.any(w < 0):
-            raise ValueError("weights must be nonnegative")
-        if not (w > 0).any():
-            raise ValueError("all item weights are zero")
-        super().__init__([(self._item_ids, w)], k)
-        self.threshold = float(self.thresholds[0])
-
-    @property
-    def fixed_mask(self) -> int:
-        """The ids at probability one as a bitmask, bit i for id i."""
-        return self.fixed_masks[0]
-
-    def probabilities(self) -> dict[int, float]:
-        """Inclusion probability per item id, zero-weight items included at 0."""
-        light = dict(zip(self.ids[0, :self.lengths[0]].tolist(), self.probs[0, :self.lengths[0]].tolist()))
-        return {i: light.get(i, float(self.fixed_mask >> i & 1)) for i in self._item_ids}

@@ -12,8 +12,11 @@ subset against numpy's Floyd algorithm replayed on Python ints, and
 Hopcroft-Karp's pairs against the version without the greedy first phase.
 An instance's vectorized check is held to the per-type Python checks it
 replaced (``instance_check_oracle``), the numpy generators to the
-tuple-building ones (``FAMILY_ORACLES``), and the shuffled matching's type
-masks to the bit-by-bit build (``max_matching_shuffled_oracle``).  The
+tuple-building ones (``FAMILY_ORACLES``), the shuffled matching's type
+masks to the bit-by-bit build (``max_matching_shuffled_oracle``), and
+ranking on rank-relabeled masks to the scan of every arrival's row
+(``kvv_oracle``).  ``VarOptSampler`` is the batch's one-row form with its
+input checked, which the single-set sampling tests build.  The
 fractional-load diagnostics at the end scale an IPW-weighted subgraph down to
 a fractional matching.
 """
@@ -31,6 +34,7 @@ import numpy as np
 from sparsematch.instance import PROB_TOL, DemandType, RealizedGraph, StochasticInstance, integer_ids
 from sparsematch.matching import BipartiteEdgeList, MatchingResult, bitset_matching
 from sparsematch.rng import RngStream, StreamRows, arrival_stream_ids
+from sparsematch.varopt import BatchSampler
 from sparsematch.weights import _FLOW_EPS, FractionalSolution
 
 ARRIVAL_WEIGHT_TOL = 1e-9
@@ -130,6 +134,38 @@ def varopt_threshold_oracle(item_ids, weights, k: int) -> tuple[float, list[int]
         h += 1
     threshold = (k - h) / float(suffix[h])
     return threshold, pos_ids.tolist(), np.minimum(1.0, threshold * pos_w).tolist()
+
+
+class VarOptSampler(BatchSampler):
+    """The threshold solution of one item set: the batch of that one row, with
+    its input checked.  Solving costs a sort; drawing, a permutation plus a
+    single uniform."""
+
+    def __init__(self, item_ids, weights, k: int):
+        if k < 1:
+            raise ValueError(f"budget k must be >= 1, got {k}")
+        self._item_ids = [int(i) for i in item_ids]
+        if len(set(self._item_ids)) != len(self._item_ids) or min(self._item_ids, default=0) < 0:
+            raise ValueError("item ids must be unique and >= 0")
+        w = np.asarray(weights, dtype=float)
+        if w.shape != (len(self._item_ids),):
+            raise ValueError("weights must align with item ids")
+        if np.any(w < 0):
+            raise ValueError("weights must be nonnegative")
+        if not (w > 0).any():
+            raise ValueError("all item weights are zero")
+        super().__init__([(self._item_ids, w)], k)
+        self.threshold = float(self.thresholds[0])
+
+    @property
+    def fixed_mask(self) -> int:
+        """The ids at probability one as a bitmask, bit i for id i."""
+        return self.fixed_masks[0]
+
+    def probabilities(self) -> dict[int, float]:
+        """Inclusion probability per item id, zero-weight items included at 0."""
+        light = dict(zip(self.ids[0, :self.lengths[0]].tolist(), self.probs[0, :self.lengths[0]].tolist()))
+        return {i: light.get(i, float(self.fixed_mask >> i & 1)) for i in self._item_ids}
 
 
 def light_row(batch, q: int = 0) -> tuple[list[int], list[float]]:
@@ -526,6 +562,20 @@ def max_matching_shuffled_oracle(graph: RealizedGraph, rng: RngStream) -> Matchi
     return MatchingResult(result.size, tuple(sorted((inv_l[l], inv_r[r]) for l, r in result.pairs)))
 
 
+def kvv_oracle(graph: RealizedGraph, rng: RngStream) -> int:
+    """The size of ``kvv_ranking``'s matching, scanning each arrival's row for
+    its best-ranked free resource under the same ``permutation`` draw."""
+    rank = rng.generator.permutation(graph.instance.resource_count).tolist()
+    taken = [False] * graph.instance.resource_count
+    matched = 0
+    for j in graph.type_ids:
+        free = [r for r in graph.instance.row(j) if not taken[r]]
+        if free:  # ranks are distinct, so the best is unique
+            taken[min(free, key=rank.__getitem__)] = True
+            matched += 1
+    return matched
+
+
 def uniform_instance(compat_lists, arrivals: int) -> StochasticInstance:
     p = 1.0 / len(compat_lists)
     types = tuple(DemandType(p, tuple(sorted(c))) for c in compat_lists)
@@ -586,8 +636,8 @@ def row_graph(rows, right: int) -> BipartiteEdgeList:
 
 def realized_edge_list(graph: RealizedGraph) -> BipartiteEdgeList:
     """Every compatibility edge of a realization, arrivals on the left: each
-    arrival's row is its type's ascending compatibility tuple."""
-    return row_graph([graph.edges_for(i) for i in range(graph.n)], graph.instance.resource_count)
+    arrival's row is its type's ascending row of the store."""
+    return row_graph([graph.instance.row(j) for j in graph.type_ids], graph.instance.resource_count)
 
 
 def varopt_ipw(graph, x, k: int, rng, masks) -> dict[tuple[int, int], float]:
@@ -599,8 +649,6 @@ def varopt_ipw(graph, x, k: int, rng, masks) -> dict[tuple[int, int], float]:
     exactly the reported resources.  Every realized type needs support in
     ``x`` (no uniform fallback).
     """
-    from sparsematch.varopt import VarOptSampler
-
     samplers = {}
     ipw = {}
     for i, mask in enumerate(masks):

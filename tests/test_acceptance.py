@@ -15,7 +15,7 @@ from datetime import datetime
 import numpy as np
 import pytest
 
-from helpers import brute_force_matching, complete_uniform, random_bipartite, varopt_draws
+from helpers import VarOptSampler, brute_force_matching, complete_uniform, random_bipartite, varopt_draws
 from sparsematch.bounds import sandwich_check, theorem_bound
 from sparsematch.generators import FAMILIES, ingest_trips
 from sparsematch.harness import ExperimentConfig, run_experiment, run_nyc_day
@@ -23,7 +23,6 @@ from sparsematch.instance import realize
 from sparsematch.matching import BipartiteEdgeList, full_matching, max_matching
 from sparsematch.rng import RngStream
 from sparsematch.strategies import StrategyConfig, run_strategy, sparsify, varopt_samplers
-from sparsematch.varopt import VarOptSampler
 from sparsematch.weights import (
     FractionalSolution,
     heavy_light,

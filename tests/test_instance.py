@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -76,7 +77,8 @@ def test_negative_resource_index_rejected():
 def test_empty_compatibility_is_a_valid_type():
     inst = StochasticInstance(resources=("a",), types=(DemandType(1.0, ()),), arrivals=1)
     assert inst.types[0].compatible == ()
-    assert realize(inst, RngStream(1)).edges_for(0) == ()
+    graph = realize(inst, RngStream(1))
+    assert graph.instance.row(graph.type_ids[0]) == []
 
 
 # one matchable type and one type with no compatible resource
@@ -114,7 +116,7 @@ def test_realize_degenerate_single_type():
     inst = uniform_instance([(0,)], arrivals=3)
     graph = realize(inst, RngStream(1))
     assert graph.type_ids == (0, 0, 0)
-    assert [graph.edges_for(i) for i in range(3)] == [(0,), (0,), (0,)]
+    assert [graph.instance.row(graph.type_ids[i]) for i in range(3)] == [[0], [0], [0]]
 
 
 def test_realize_binomial_concentration():
@@ -129,7 +131,7 @@ def test_realize_binomial_concentration():
 def test_realize_complete_uniform_degrees():
     inst = complete_uniform(12)
     graph = realize(inst, RngStream(3))
-    assert all(len(graph.edges_for(i)) == 12 for i in range(graph.n))
+    assert all(len(graph.instance.row(graph.type_ids[i])) == 12 for i in range(graph.n))
 
 
 def test_realize_reproducible():
@@ -143,8 +145,8 @@ def test_realized_edges_match_type_compatibility_exactly():
     inst = uniform_instance([(0, 2), (1,), (0, 1, 2)], arrivals=50)
     graph = realize(inst, RngStream(2))
     assert all(type(j) is int and 0 <= j < inst.type_count for j in graph.type_ids)
-    for i, j in enumerate(graph.type_ids):
-        assert graph.edges_for(i) == inst.types[j].compatible
+    for j in graph.type_ids:
+        assert tuple(graph.instance.row(j)) == inst.types[j].compatible
 
 
 def test_type_frequency_matches_probabilities():
@@ -294,3 +296,20 @@ def test_lp_synth_path_never_builds_the_types_view(tmp_path, monkeypatch):
     for family in ("block", "triangular", "bahmani", "tsm"):
         assert main(["synth", "--family", family, "--n", "40", "--trials", "3", "--weights", "lp",
                      "--strategies", "offline,varopt:5", "--out", str(tmp_path / f"{family}.csv")]) == 0
+
+
+DATA = Path(__file__).resolve().parents[1] / "data"
+
+
+@pytest.mark.parametrize("args", [["synth", "--family", family, "--n", "40"]
+                                  for family in ("block", "triangular", "bahmani", "tsm")]
+                         + [["nyc", "--trips", str(DATA / "nyc_sample_trips.csv"),
+                             "--zones", str(DATA / "nyc_sample_zones.csv")]],
+                         ids=["block", "triangular", "bahmani", "tsm", "nyc"])
+def test_default_strategies_never_build_the_types_view(args, tmp_path, monkeypatch):
+    """Set-up and trials of every default strategy, kvv's ranking and the mgs
+    uniform fallback included, read the store alone."""
+    from sparsematch.cli import main
+
+    monkeypatch.setattr(StochasticInstance, "types", property(lambda self: pytest.fail("types view built")))
+    assert main([*args, "--trials", "3", "--mc", "5", "--out", str(tmp_path / "rows.csv")]) == 0

@@ -333,7 +333,7 @@ def test_pairs_equal_the_oracle_on_family_realizations(n):
             assert_full_pairs_equal_the_oracle(realize(inst, base.substream(name, n, t)))
         realization = realize(inst, base.substream(name, n))
         for cut in (None, 3, 5):
-            rows = [realization.edges_for(i)[:cut] for i in range(realization.n)]
+            rows = [inst.row(j)[:cut] for j in realization.type_ids]
             assert_pairs_equal_the_oracle(rows, inst.resource_count)
             if n == 100:
                 assert_shuffled_pairs_equal_the_oracle(rows, inst.resource_count, n + (cut or 0))

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from helpers import (
+    VarOptSampler,
+    bundled_trip_instances,
     complete_uniform,
     exclusive_pairs,
     hopcroft_karp_oracle,
     ids_of,
+    kvv_oracle,
     light_row,
     realized_edge_list,
     row_graph,
@@ -32,7 +35,6 @@ from sparsematch.strategies import (
     varopt_samplers,
     varopt_sparsify,
 )
-from sparsematch.varopt import VarOptSampler
 from sparsematch.weights import (
     CopyMarginals,
     FractionalSolution,
@@ -75,7 +77,7 @@ def test_varopt_budget_exceeds_degree_keeps_everything():
     rows = list(map(ids_of, varopt_sparsify([graph], varopt_samplers(inst, x, 10), [RngStream(2)])[0]))
     assert len(rows) == graph.n
     for i, row in enumerate(rows):
-        assert row == graph.edges_for(i)
+        assert list(row) == graph.instance.row(graph.type_ids[i])
         probs = VarOptSampler(*x.support_of(graph.type_ids[i]), 10).probabilities()
         assert all(p == pytest.approx(1.0) for p in probs.values())
 
@@ -87,7 +89,7 @@ def test_varopt_respects_budget_and_support():
     ipw = varopt_ipw(graph, x, 4, RngStream(4), masks)
     for i, row in enumerate(map(ids_of, masks)):
         assert len(row) == 4
-        assert set(row) <= set(graph.edges_for(i))
+        assert set(row) <= set(graph.instance.row(graph.type_ids[i]))
         assert sum(ipw[(i, r)] for r in row) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -217,6 +219,24 @@ def test_kvv_competitive_floor_on_families():
     mean = np.mean(ratios)
     stderr = np.std(ratios, ddof=1) / math.sqrt(len(ratios))
     assert mean >= 1 - 1 / math.e - 4 * stderr
+
+
+def test_kvv_equals_the_row_scan_oracle():
+    """Ranking on rank-relabeled type masks matches as many arrivals as the scan
+    of every arrival's row under the same rank draw: the four families at
+    n=100 (20 realizations) and n=1000 (3), and the bundled trip intervals,
+    two of which hold a type with an empty row."""
+    base = RngStream(29)
+    cases = [(f"{name} {n}", family(n), 20 if n == 100 else 3)
+             for n in (100, 1000) for name, family in sorted(FAMILIES.items())]
+    trips = bundled_trip_instances()
+    assert sum(not inst.row(j) for inst in trips for j in range(inst.type_count)) == 2
+    cases += [(f"trips {q}", inst, 20) for q, inst in enumerate(trips)]
+    for label, inst, realizations in cases:
+        for t in range(realizations):
+            graph = realize(inst, base.substream(label, t))
+            ranks = [base.substream("rank", label, t) for _ in range(2)]
+            assert kvv_ranking(graph, ranks[0]).matched == kvv_oracle(graph, ranks[1]), (label, t)
 
 
 def test_mgs_single_type_single_resource():

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from helpers import (bisect_threshold, ids_of, light_row, one_block_at_a_time, stacked, varopt_draw_oracle,
-                     varopt_draws, varopt_threshold_oracle)
+from helpers import (VarOptSampler, bisect_threshold, ids_of, light_row, one_block_at_a_time, stacked,
+                     varopt_draw_oracle, varopt_draws, varopt_threshold_oracle)
 from sparsematch import varopt
 from sparsematch.generators import FAMILIES
 from sparsematch.rng import RngStream, StreamRows, arrival_stream_ids
 from sparsematch.strategies import varopt_samplers
-from sparsematch.varopt import BatchSampler, VarOptSampler
+from sparsematch.varopt import BatchSampler
 from sparsematch.weights import monte_carlo_weights, solve_expected_lp
 
 ABC_IDS = [0, 1, 2]
