@@ -77,14 +77,10 @@ def varopt_samplers(instance: StochasticInstance, x: FractionalSolution, k: int)
     back to uniform weights over its compatibility set, and a type with
     neither gets an empty row.
     """
-    rows = []
-    for type_id in range(instance.type_count):
-        ids, values = x.support_of(type_id)
-        if not ids:  # no support: uniform over the compatibility set
-            ids = instance.row(type_id)
-            values = [1.0 / len(ids)] * len(ids) if ids else []
-        rows.append((ids, values))
-    return BatchSampler(rows, k)
+    degree, types, ids = instance.compat_pairs()
+    fallback = (np.diff(x.offsets) == 0)[types]
+    return BatchSampler(np.concatenate([x.types, types[fallback]]), np.concatenate([x.ids, ids[fallback]]),
+                        np.concatenate([x.values, 1.0 / degree[types[fallback]]]), instance.type_count, k)
 
 
 CHUNK_ROWS = 1024  # arrival draws per vectorized pass, which bounds the batch's memory
@@ -178,10 +174,10 @@ def mgs(graph: RealizedGraph, guidance: CopyMarginals, rng: RngStream) -> Strate
     support fall back to a uniform first choice over their compatibility set.
     """
     gen = rng.substream("guidance").generator
-    first_cdfs = guidance.cdfs[0]
     suggestions: dict[int, tuple[int | None, int | None]] = {}
     for j in range(graph.instance.type_count):
-        first = _sample_weighted(guidance.first.get(j, ((),))[0], first_cdfs.get(j), gen)
+        ids, _, cdf = guidance.first.get(j, ((), None, None))
+        first = _sample_weighted(ids, cdf, gen)
         if first is None:
             compatible = graph.instance.row(j)
             if compatible:

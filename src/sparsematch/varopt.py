@@ -20,33 +20,28 @@ every single draw, not just in expectation.
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import Sequence
-
 import numpy as np
 
 from .rng import StreamRows
 
 
-def _solve(rows: Sequence[tuple[Sequence[int], Sequence[float]]], k: int):
-    """The threshold solution of every row (ids, weights) at budget k: the row,
-    id and inclusion probability of each positively weighted item, sorted by
-    row, then descending weight, ties by id, and each row's threshold (nan for
-    a row without items).  A row of at most k items takes all of them; one of
+def _solve(row: np.ndarray, ids: np.ndarray, w: np.ndarray, size: int, k: int):
+    """The threshold solution at budget k of ``size`` item sets (rows), item e
+    being id ``ids[e]`` of weight ``w[e]`` in row ``row[e]``: the row, id and
+    inclusion probability of each positively weighted item, sorted by row,
+    then descending weight, ties by id, and each row's threshold (nan for a
+    row without items).  A row of at most k items takes all of them; one of
     more finds how many leading items cap at probability one, the first h with
     (k - h) * w[h] <= sum(w[h:]), which is below k.  Those rows are solved in
     zero-padded blocks of sizes within a power of two; the padding leads each
     reversed cumulative sum, so every suffix sum is the row's own."""
-    sizes = [len(ids) for ids, _ in rows]
-    ids = np.fromiter(chain.from_iterable(ids for ids, _ in rows), np.int64, sum(sizes))
-    w = np.concatenate([np.asarray(w, dtype=float) for _, w in rows] or [np.empty(0)])
     positive = w > 0
-    row, ids, w = np.repeat(np.arange(len(rows)), sizes)[positive], ids[positive], w[positive]
+    row, ids, w = row[positive], ids[positive], w[positive]
     order = np.lexsort((ids, -w, row))
     row, ids, w = row[order], ids[order], w[order]
-    n = np.bincount(row, minlength=len(rows))
+    n = np.bincount(row, minlength=size)
     start = np.cumsum(n) - n
-    thresholds = np.full(len(rows), np.nan)
+    thresholds = np.full(size, np.nan)
     thresholds[n > 0] = 1.0 / w[(start + n - 1)[n > 0]]
     cut = k < n
     block = np.frexp(n - 1)[1]  # the bit length of n - 1
@@ -75,12 +70,14 @@ class BatchSampler:
     and drawn for many rows at once.  Per row: its ``thresholds`` entry, its
     ids at probability one as ``fixed_masks`` (bit i for id i), how many light
     ids it ``draws``, and its light ids and probabilities in solution order,
-    as arrays padded to the widest row.  Ids must be >= 0; an empty row, or
-    one of zero weights, draws nothing."""
+    as arrays padded to the widest row.  Item e is id ``ids[e]`` of weight
+    ``weights[e]`` in row ``row[e] < size``, in any order.  Ids must be >= 0
+    and distinct within a row; an empty row, or one of zero weights, draws
+    nothing."""
 
-    def __init__(self, rows: Sequence[tuple[Sequence[int], Sequence[float]]], k: int):
-        row, ids, probs, self.thresholds = _solve(rows, k)
-        size, fixed = len(rows), probs >= 1.0
+    def __init__(self, row: np.ndarray, ids: np.ndarray, weights: np.ndarray, size: int, k: int):
+        row, ids, probs, self.thresholds = _solve(row, ids, weights, size, k)
+        fixed = probs >= 1.0
         self.fixed_masks = [0] * size
         for r, i in zip(row[fixed].tolist(), ids[fixed].tolist()):
             self.fixed_masks[r] |= 1 << i

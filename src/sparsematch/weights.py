@@ -7,22 +7,24 @@ resource arcs, resource -> sink arcs of capacity 1, so max flow equals the
 LP optimum), and a Monte Carlo estimator that averages matched-edge
 incidences of shuffled offline optima over simulated realizations.  The
 flow runs on numpy residual arrays, its first phase as a bitset greedy pass.
-Helpers split a solution into heavy and light mass relative to a budget and
-spread mass uniformly across interchangeable resources.
+A solution is stored as the instance stores its types, a CSR store of its
+support, and ``FractionalSolution.build`` is the one place that checks one,
+whatever produced its (type, resource, value) entries.  Helpers split a
+solution into heavy and light mass relative to a budget and spread mass
+uniformly across interchangeable resources.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterator, Mapping
+from typing import Iterator
 
 import numpy as np
 
 from .bounds import BoundInputs
-from .instance import RealizedGraph, StochasticInstance, json_value, realize
-from .matching import MatchingResult, full_matching, max_matching_shuffled
+from .instance import StochasticInstance, json_value, realize
+from .matching import full_matching, max_matching_shuffled
 from .rng import RngStream, choice_cdf
 
 RESOURCE_CAP_TOL = 1e-7
@@ -30,98 +32,102 @@ TYPE_LIMIT_TOL = 1e-9
 _FLOW_EPS = 1e-12
 
 
-# One type's (resources, weights, weights normalized to probabilities).
-TypeWeights = tuple[tuple[int, ...], np.ndarray, np.ndarray]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FractionalSolution:
-    """Per (type, resource) fractional values with their LP objective.
+    """A feasible fractional solution of ``instance``, stored as the instance
+    stores its types: type j's support is ``ids[offsets[j]:offsets[j + 1]]``,
+    ascending, and ``values`` holds each x_ji, positive, at the same position.
 
-    ``x[(j, i)]`` is the conditional probability that a type-j arrival is
-    matched to resource i; ``arrival_mass[j] = n * p_j`` converts it to
-    expected matched mass.  Only positive entries are stored.
+    x_ji is the conditional probability that a type-j arrival is matched to
+    resource i, and ``n * p_j * x_ji`` its expected matched mass; ``objective``
+    sums those masses in (type, resource) order.
     """
 
-    x: dict[tuple[int, int], float]
+    instance: StochasticInstance
+    offsets: np.ndarray  # type j's entries are positions offsets[j]:offsets[j + 1]
+    ids: np.ndarray  # int64 resources
+    values: np.ndarray  # float64 x_ji
     objective: float
-    arrival_mass: dict[int, float]
-    _by_type: dict[int, TypeWeights] = field(repr=False, default_factory=dict)
 
     @classmethod
-    def build(cls, instance: StochasticInstance, x: Mapping[tuple[int, int], float]) -> "FractionalSolution":
-        """Validate feasibility against ``instance`` and compute the objective."""
-        mass = dict(enumerate((instance.arrivals * instance.probs).tolist()))
-        masks, right = instance._compat_masks, instance.resource_count
-        clean: dict[tuple[int, int], float] = {}
-        type_sum = dict.fromkeys(mass, 0.0)
-        load = dict.fromkeys(range(right), 0.0)
-        for (j, i), value in x.items():
-            if value < -1e-12:
-                raise ValueError(f"x[{j},{i}] = {value} is negative")
-            if value <= 0.0:
-                continue
-            if not 0 <= j < instance.type_count:
-                raise ValueError(f"x[{j},{i}]: type {j} out of range")
-            if not (0 <= i < right and masks[j] >> i & 1):
+    def build(cls, instance: StochasticInstance, types, ids, values) -> FractionalSolution:
+        """The solution with ``x[types[e], ids[e]] = values[e]``, the entries in any
+        order; values that are not positive are dropped.
+
+        Raises:
+            ValueError: for a repeated (type, resource) pair, a type or resource
+                out of range, a negative value, a positive value outside the
+                compatibility set, a type whose values sum past 1 or a resource
+                whose expected load exceeds 1.
+        """
+        order = np.lexsort((ids, types))
+        types, ids = np.asarray(types, np.int64)[order], np.asarray(ids, np.int64)[order]
+        values = np.asarray(values, float)[order]
+        if repeated := int(((types[1:] == types[:-1]) & (ids[1:] == ids[:-1])).sum()):
+            raise ValueError(f"{repeated} repeated (type, resource) entries")
+        m, r = instance.type_count, instance.resource_count
+        for what, index, count in (("type", types, m), ("resource", ids, r)):
+            if (bad := (index < 0) | (index >= count)).any():
+                e = bad.argmax()
+                raise ValueError(f"x[{types[e]},{ids[e]}]: {what} {index[e]} out of range")
+        if (negative := values < -1e-12).any():
+            e = negative.argmax()
+            raise ValueError(f"x[{types[e]},{ids[e]}] = {values[e]} is negative")
+        positive = values > 0.0
+        types, ids, values = types[positive], ids[positive], values[positive]
+        masks = instance._compat_masks
+        for j, i in zip(types.tolist(), ids.tolist()):
+            if not masks[j] >> i & 1:
                 raise ValueError(f"x[{j},{i}] positive outside the compatibility set")
-            clean[(j, i)] = float(value)
-            type_sum[j] += value
-            load[i] += mass[j] * value
-        for j, s in type_sum.items():
-            if s > 1.0 + TYPE_LIMIT_TOL:
-                raise ValueError(f"type {j} fractional mass {s} exceeds 1")
-        for i, y in load.items():
-            if y > 1.0 + RESOURCE_CAP_TOL:
-                raise ValueError(f"resource {i} expected load {y} exceeds 1")
-        objective = sum(mass[j] * v for (j, _), v in clean.items())
-        return cls(x=clean, objective=objective, arrival_mass=mass, _by_type=_group_by_type(clean))
+        type_sum = np.bincount(types, weights=values, minlength=m)
+        if (over := type_sum > 1.0 + TYPE_LIMIT_TOL).any():
+            raise ValueError(f"type {over.argmax()} fractional mass {type_sum[over.argmax()]} exceeds 1")
+        mass = (instance.arrivals * instance.probs)[types] * values
+        load = np.bincount(ids, weights=mass, minlength=r)  # each resource's sum, in (type, resource) order
+        if (over := load > 1.0 + RESOURCE_CAP_TOL).any():
+            raise ValueError(f"resource {over.argmax()} expected load {load[over.argmax()]} exceeds 1")
+        offsets = np.searchsorted(types, np.arange(m + 1))
+        for array in (offsets, ids, values):
+            array.flags.writeable = False
+        return cls(instance, offsets, ids, values, sum(mass.tolist()))
 
-    def support_of(self, type_id: int) -> tuple[tuple[int, ...], np.ndarray]:
-        """Positively weighted resources of one type and their values."""
-        ids, values, _ = self._by_type.get(type_id, ((), np.empty(0), None))
-        return ids, values
+    @property
+    def types(self) -> np.ndarray:
+        """The type of every entry, the row of ``ids`` it sits in."""
+        return np.repeat(np.arange(len(self.offsets) - 1), np.diff(self.offsets))
 
 
-def _group_by_type(values: Mapping[tuple[int, int], float]) -> dict[int, TypeWeights]:
-    """type -> (resources ascending, their weights, weights normalized to
-    probabilities) of a positive ``(type, resource) -> weight`` map."""
-    grouped: dict[int, list[tuple[int, float]]] = {}
-    for (j, i), v in sorted(values.items()):
-        grouped.setdefault(j, []).append((i, v))
-    by_type = {}
-    for j, pairs in grouped.items():
-        weights = np.asarray([v for _, v in pairs], dtype=float)
-        by_type[j] = (tuple(i for i, _ in pairs), weights, weights / weights.sum())
-    return by_type
+# One type's (resources ascending, weights, ``choice_cdf`` of the weights normalized).
+TypeChoices = tuple[tuple[int, ...], np.ndarray, list[float]]
+
+
+def _choices(offsets: np.ndarray, ids: np.ndarray, weights: np.ndarray) -> dict[int, TypeChoices]:
+    """Every type j with entries ``offsets[j]:offsets[j + 1]`` of positive ``weights``
+    at resources ``ids``: its resources, weights and draw cdf."""
+    bounds = offsets.tolist()
+    return {j: (tuple(ids[a:b].tolist()), weights[a:b], choice_cdf(weights[a:b] / weights[a:b].sum()))
+            for j, (a, b) in enumerate(zip(bounds, bounds[1:])) if b > a}
 
 
 @dataclass(frozen=True)
 class CopyMarginals:
     """Matched-resource distributions of the first and second realized copy of each type.
 
-    ``first[j]`` and ``second[j]`` hold (resources, weights, probabilities)
-    for type j, normalized once when the guidance is built.  Types absent
-    from a map were never matched in that copy position.
+    ``first[j]`` and ``second[j]`` hold type j's resources, weights and draw
+    cdf, built once when the guidance is built.  Types absent from a map were
+    never matched in that copy position.
     """
 
-    first: dict[int, TypeWeights]
-    second: dict[int, TypeWeights]
+    first: dict[int, TypeChoices]
+    second: dict[int, TypeChoices]
     _second_without: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    @cached_property
-    def cdfs(self) -> tuple[dict[int, list[float]], dict[int, list[float]]]:
-        """Per copy, each type's ``choice_cdf`` of its probabilities, built once."""
-        return tuple({j: choice_cdf(probs) for j, (_, _, probs) in copy.items()}
-                     for copy in (self.first, self.second))
 
     def second_choices(self, j: int, exclude: int | None) -> tuple[tuple[int, ...], list[float] | None]:
         """Type j's second-copy resources other than ``exclude`` and the ``choice_cdf``
         of their renormalized weights, built once per (type, excluded resource)."""
         key = (j, exclude)
         if key not in self._second_without:
-            ids, values, _ = self.second.get(j, ((), None, None))
-            cdf = self.cdfs[1].get(j)
+            ids, values, cdf = self.second.get(j, ((), None, None))
             if exclude in ids:
                 keep = [p for p, i in enumerate(ids) if i != exclude]
                 ids = tuple(ids[p] for p in keep)
@@ -130,25 +136,25 @@ class CopyMarginals:
         return self._second_without[key]
 
     @classmethod
-    def of_solution(cls, x: FractionalSolution) -> "CopyMarginals":
+    def of_solution(cls, x: FractionalSolution) -> CopyMarginals:
         """Both copies guided by the per-type support of one fractional solution."""
-        return cls(first=x._by_type, second=x._by_type)
+        choices = _choices(x.offsets, x.ids, x.values)
+        return cls(first=choices, second=choices)
 
 
 def _simulated_optima(instance: StochasticInstance, simulations: int, rng: RngStream,
-                      shuffled: bool) -> Iterator[tuple[RealizedGraph, MatchingResult]]:
-    """Each nonempty realization of ``rng.substream("sim", s)`` with its offline maximum
-    matching, ties broken on ``rng.substream("shuffle", s)`` if ``shuffled``."""
+                      shuffled: bool) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Each nonempty realization of ``rng.substream("sim", s)``, as its arrivals' type
+    ids, with the arrivals and resources of its offline maximum matching's pairs,
+    ties broken on ``rng.substream("shuffle", s)`` if ``shuffled``."""
     if simulations < 1:
         raise ValueError("simulation count must be >= 1")
     for sim in range(simulations):
         graph = realize(instance, rng.substream("sim", sim))
         if graph.n == 0:
             continue
-        if shuffled:
-            yield graph, max_matching_shuffled(graph, rng.substream("shuffle", sim))
-        else:
-            yield graph, full_matching(graph)
+        result = max_matching_shuffled(graph, rng.substream("shuffle", sim)) if shuffled else full_matching(graph)
+        yield np.array(graph.type_ids, dtype=np.int64), *np.array(result.pairs, dtype=np.int64).reshape(-1, 2).T
 
 
 def per_copy_marginals(instance: StochasticInstance, simulations: int, rng: RngStream) -> CopyMarginals:
@@ -159,18 +165,18 @@ def per_copy_marginals(instance: StochasticInstance, simulations: int, rng: RngS
     are broken by the deterministic solver; the randomizing shuffle is
     specific to the spread-seeking weights of the guided sparsifier.
     """
-    counts: tuple[dict[tuple[int, int], int], dict[tuple[int, int], int]] = ({}, {})
-    for graph, result in _simulated_optima(instance, simulations, rng, shuffled=False):
-        match_of = dict(result.pairs)
-        copies_seen: dict[int, int] = {}
-        for l, type_id in enumerate(graph.type_ids):
-            copy = copies_seen.get(type_id, 0) + 1
-            copies_seen[type_id] = copy
-            if copy <= 2 and l in match_of:
-                bucket = counts[copy - 1]
-                key = (type_id, match_of[l])
-                bucket[key] = bucket.get(key, 0) + 1
-    return CopyMarginals(first=_group_by_type(counts[0]), second=_group_by_type(counts[1]))
+    m, r = instance.type_count, instance.resource_count
+    keys: tuple[list, list] = ([], [])  # type * r + resource of each first and second copy matched
+    for type_ids, arrival, resource in _simulated_optima(instance, simulations, rng, shuffled=False):
+        by_type = np.argsort(type_ids, kind="stable")
+        copy = np.empty_like(by_type)  # how many earlier arrivals share the type
+        copy[by_type] = np.arange(len(type_ids)) - np.searchsorted(type_ids[by_type], type_ids[by_type])
+        for c, bucket in enumerate(keys):
+            at = copy[arrival] == c
+            bucket.append(type_ids[arrival[at]] * r + resource[at])
+    counted = (np.unique(np.concatenate([np.empty(0, np.int64), *bucket]), return_counts=True) for bucket in keys)
+    return CopyMarginals(*(_choices(np.searchsorted(k // r, np.arange(m + 1)), k % r, counts.astype(float))
+                           for k, counts in counted))
 
 
 def _first_phase(masks: tuple[int, ...], masses: list[float], type_arcs: np.ndarray,
@@ -306,8 +312,7 @@ def solve_expected_lp(instance: StochasticInstance) -> FractionalSolution:
         _blocking_flow(to, tail, cap, level, sink)
     values = cap[edge_arcs + 1] / mass[edge_type]
     kept = np.flatnonzero(values > _FLOW_EPS)
-    x = dict(zip(zip(edge_type[kept].tolist(), edge_resource[kept].tolist()), values[kept].tolist()))
-    return FractionalSolution.build(instance, x)
+    return FractionalSolution.build(instance, edge_type[kept], edge_resource[kept], values[kept])
 
 
 def monte_carlo_weights(instance: StochasticInstance, simulations: int, rng: RngStream) -> FractionalSolution:
@@ -322,34 +327,28 @@ def monte_carlo_weights(instance: StochasticInstance, simulations: int, rng: Rng
     expected load exceeds capacity are scaled back to exactly 1 so the result
     is always feasible.
     """
-    m = instance.type_count
+    m, r = instance.type_count, instance.resource_count
     arrivals_of = np.zeros(m, dtype=np.int64)
-    match_count: dict[tuple[int, int], int] = {}
-    for graph, result in _simulated_optima(instance, simulations, rng, shuffled=True):
-        arrivals_of += np.bincount(graph.type_ids, minlength=m)
-        for l, r in result.pairs:
-            key = (graph.type_ids[l], r)
-            match_count[key] = match_count.get(key, 0) + 1
+    keys = [np.empty(0, np.int64)]  # type * r + resource of every match
+    for type_ids, arrival, resource in _simulated_optima(instance, simulations, rng, shuffled=True):
+        arrivals_of += np.bincount(type_ids, minlength=m)
+        keys.append(type_ids[arrival] * r + resource)
+    keys, counts = np.unique(np.concatenate(keys), return_counts=True)
+    matched = keys // r
 
-    matched = _group_by_type(match_count)
-    x: dict[tuple[int, int], float] = {}
-    for j in range(m):
-        if j in matched:
-            ids, counts, _ = matched[j]
-            x.update({(j, i): c / arrivals_of[j] for i, c in zip(ids, counts)})
-        else:  # never matched: uniform over the compatibility set
-            ids = instance.row(j)
-            x.update({(j, i): 1.0 / len(ids) for i in ids})
+    # types never matched: uniform over the compatibility set
+    degree, pair_types, pair_ids = instance.compat_pairs()
+    fallback = (np.bincount(matched, minlength=m) == 0)[pair_types]
+    types = np.concatenate([matched, pair_types[fallback]])
+    ids = np.concatenate([keys % r, pair_ids[fallback]])
+    values = np.concatenate([counts / arrivals_of[matched], 1.0 / degree[pair_types[fallback]]])
+    order = np.lexsort((ids, types))
+    types, ids, values = types[order], ids[order], values[order]
 
     # Finite-sample noise (and the uniform fallback) can overload a resource;
     # project back by scaling each overloaded resource's column.
-    mass = (instance.arrivals * instance.probs).tolist()
-    load = dict.fromkeys(range(instance.resource_count), 0.0)
-    for (j, i), v in x.items():
-        load[i] += mass[j] * v
-    scale = {i: (1.0 / y if y > 1.0 else 1.0) for i, y in load.items()}
-    x = {(j, i): v * scale[i] for (j, i), v in x.items()}
-    return FractionalSolution.build(instance, x)
+    load = np.bincount(ids, weights=(instance.arrivals * instance.probs)[types] * values, minlength=r)
+    return FractionalSolution.build(instance, types, ids, values * (1.0 / np.maximum(load, 1.0))[ids])
 
 
 def heavy_light(x: FractionalSolution, k: int) -> BoundInputs:
@@ -357,9 +356,9 @@ def heavy_light(x: FractionalSolution, k: int) -> BoundInputs:
     if k < 1:
         raise ValueError(f"budget k must be >= 1, got {k}")
     threshold = 1.0 / k
+    masses = (x.instance.arrivals * x.instance.probs)[x.types] * x.values
     z_heavy = z_light = 0.0
-    for (j, _), value in sorted(x.x.items()):
-        mass = x.arrival_mass[j] * value
+    for value, mass in zip(x.values.tolist(), masses.tolist()):
         if value > threshold:
             z_heavy += mass
         else:
@@ -381,41 +380,36 @@ def spread_equivalence_classes(instance: StochasticInstance, x: FractionalSoluti
     for i, types_of_i in enumerate(np.split(pair_types[by_resource], ends[:-1])):
         classes.setdefault(tuple(types_of_i.tolist()), []).append(i)
 
-    new_x = dict(x.x)
+    # x over every compatible pair, then each class's pairs of one type set to their average
+    keys = pair_types.astype(np.int64) * instance.resource_count + ids
+    values = np.zeros(len(keys))
+    values[np.searchsorted(keys, x.types * instance.resource_count + x.ids)] = x.values
     for types_of_class, members in classes.items():
         if len(members) < 2:
             continue
         for j in types_of_class:
-            average = sum(x.x.get((j, i), 0.0) for i in members) / len(members)
-            for i in members:
-                if average > 0.0:
-                    new_x[(j, i)] = average
-                else:
-                    new_x.pop((j, i), None)
-    return FractionalSolution.build(instance, new_x)
+            at = np.searchsorted(keys, j * instance.resource_count + np.array(members))
+            values[at] = sum(values[at].tolist()) / len(members)
+    return FractionalSolution.build(instance, pair_types, ids, values)
 
 
 def solution_to_json(x: FractionalSolution, arrivals: int) -> str:
-    entries = [
-        {"type": j, "resource": i, "x": value}
-        for (j, i), value in sorted(x.x.items())
-    ]
+    entries = [{"type": j, "resource": i, "x": value}
+               for j, i, value in zip(x.types.tolist(), x.ids.tolist(), x.values.tolist())]
     return json.dumps({"entries": entries, "n": arrivals}, indent=2)
 
 
 def solution_from_json(instance: StochasticInstance, text: str) -> FractionalSolution:
-    """Parse cached weights; a missing key, a value of the wrong JSON type or a
-    repeated (type, resource) entry raises ValueError."""
+    """Parse cached weights; a missing key or a value of the wrong JSON type raises
+    ValueError, and so does every entry ``FractionalSolution.build`` rejects."""
     doc = json.loads(text)
     try:
-        n = json_value(doc["n"], "integer")
-        entries = json_value(doc["entries"], "array")
-        x = {(json_value(e["type"], "integer"), json_value(e["resource"], "integer")):
-             float(json_value(e["x"], "number")) for e in entries}
+        n, entries = json_value(doc["n"], "integer"), json_value(doc["entries"], "array")
+        types, ids = (np.array([json_value(e[key], "integer") for e in entries], dtype=np.int64)
+                      for key in ("type", "resource"))
+        values = np.array([json_value(e["x"], "number") for e in entries], dtype=float)
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed weights JSON: {exc!r}") from None
-    if len(x) != len(entries):
-        raise ValueError(f"malformed weights JSON: {len(entries) - len(x)} repeated (type, resource) entries")
     if n != instance.arrivals:
         raise ValueError(f"cached weights were learned for n={n}, instance has n={instance.arrivals}")
-    return FractionalSolution.build(instance, x)
+    return FractionalSolution.build(instance, types, ids, values)

@@ -15,7 +15,13 @@ replaced (``instance_check_oracle``), the numpy generators to the
 tuple-building ones (``FAMILY_ORACLES``), the shuffled matching's type
 masks to the bit-by-bit build (``max_matching_shuffled_oracle``), and
 ranking on rank-relabeled masks to the scan of every arrival's row
-(``kvv_oracle``).  ``VarOptSampler`` is the batch's one-row form with its
+(``kvv_oracle``).  The learning steps' CSR solutions are held to the
+dict-built versions they replaced (``monte_carlo_oracle``,
+``per_copy_marginals_oracle``, ``group_by_type_oracle``,
+``heavy_light_oracle`` and ``objective_oracle``); ``solution`` and
+``solution_dict`` turn a ``(type, resource) -> value`` dict into a solution
+and back, and ``batch`` builds a ``BatchSampler`` from (ids, weights) rows.
+``VarOptSampler`` is the batch's one-row form with its
 input checked, which the single-set sampling tests build.  The
 fractional-load diagnostics at the end scale an IPW-weighted subgraph down to
 a fractional matching.
@@ -35,7 +41,7 @@ from sparsematch.instance import PROB_TOL, DemandType, RealizedGraph, Stochastic
 from sparsematch.matching import BipartiteEdgeList, MatchingResult, bitset_matching
 from sparsematch.rng import RngStream, StreamRows, arrival_stream_ids
 from sparsematch.varopt import BatchSampler
-from sparsematch.weights import _FLOW_EPS, FractionalSolution
+from sparsematch.weights import _FLOW_EPS, FractionalSolution, _simulated_optima
 
 ARRIVAL_WEIGHT_TOL = 1e-9
 
@@ -154,7 +160,7 @@ class VarOptSampler(BatchSampler):
             raise ValueError("weights must be nonnegative")
         if not (w > 0).any():
             raise ValueError("all item weights are zero")
-        super().__init__([(self._item_ids, w)], k)
+        super().__init__(np.zeros(len(w), dtype=np.intp), np.array(self._item_ids, dtype=np.int64), w, 1, k)
         self.threshold = float(self.thresholds[0])
 
     @property
@@ -174,11 +180,22 @@ def light_row(batch, q: int = 0) -> tuple[list[int], list[float]]:
     return batch.ids[q, :n].tolist(), batch.probs[q, :n].tolist()
 
 
+def batch_items(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The item arrays (row, ids, weights) and row count of item sets ``rows``, each (ids, weights)."""
+    sizes = [len(ids) for ids, _ in rows]
+    ids = np.array([i for ids, _ in rows for i in ids], dtype=np.int64)
+    weights = np.array([w for _, weights in rows for w in weights], dtype=float)
+    return np.repeat(np.arange(len(rows)), sizes), ids, weights, len(rows)
+
+
+def batch(rows, k: int) -> BatchSampler:
+    """The budget-k batch whose row q samples ``rows[q]``, an (ids, weights) pair."""
+    return BatchSampler(*batch_items(rows), k)
+
+
 def stacked(samplers):
     """One batch whose row q is the one row of ``samplers[q]``, whatever their budgets."""
-    from sparsematch.varopt import BatchSampler
-
-    batch = BatchSampler([], 1)
+    batch = BatchSampler(*batch_items([]), 1)
     batch.lengths = np.concatenate([s.lengths for s in samplers])
     batch.draws = np.concatenate([s.draws for s in samplers])
     batch.fixed_masks = [s.fixed_mask for s in samplers]
@@ -414,11 +431,12 @@ def _max_flow(adj: list[list[int]], to: list[int], cap: list[float], source: int
                 next_arc[u] += 1
 
 
-def dinic_lp(instance: StochasticInstance) -> FractionalSolution:
-    """``solve_expected_lp`` as it was before its bitset first phase and numpy
-    residual arrays: Dinic's blocking flows on Python lists, every phase
-    scanning each node's full adjacency.  Its ``x`` and objective are the ones
-    the library's solver keeps to the bit."""
+def dinic_lp(instance: StochasticInstance) -> dict[tuple[int, int], float]:
+    """``solve_expected_lp``'s ``x`` as it was before its bitset first phase and
+    numpy residual arrays: Dinic's blocking flows on Python lists, every phase
+    scanning each node's full adjacency.  Its values, and the objective they
+    give (``objective_oracle``), are the ones the library's solver keeps to
+    the bit."""
     m = instance.type_count
     # Arc pairs per type: source -> type, then type -> resource in compatibility order;
     # then resource -> sink.  Node 0 is the source, 1 + j type j, 1 + m + i resource i.
@@ -452,7 +470,7 @@ def dinic_lp(instance: StochasticInstance) -> FractionalSolution:
             value = cap[a ^ 1] / mass
             if value > _FLOW_EPS:
                 x[(j, i)] = value
-    return FractionalSolution.build(instance, x)
+    return x
 
 
 def instance_check_oracle(resources, types, arrivals: int) -> list[tuple[float, tuple[int, ...]]]:
@@ -620,8 +638,107 @@ def random_bipartite(gen: np.random.Generator, left: int, right: int, p: float):
 
 def heavy_light_edges(x, k: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
     """The support edges of ``x`` with value above 1/k, and the rest."""
-    heavy = [edge for edge, value in sorted(x.x.items()) if value > 1.0 / k]
-    return heavy, [edge for edge in sorted(x.x) if edge not in heavy]
+    heavy = [edge for edge, value in sorted(solution_dict(x).items()) if value > 1.0 / k]
+    return heavy, [edge for edge in sorted(solution_dict(x)) if edge not in heavy]
+
+
+def solution(instance: StochasticInstance, x: Mapping[tuple[int, int], float]) -> FractionalSolution:
+    """The checked solution with ``x[(j, i)]`` at type j and resource i."""
+    return FractionalSolution.build(instance, [j for j, _ in x], [i for _, i in x], list(x.values()))
+
+
+def solution_dict(x: FractionalSolution) -> dict[tuple[int, int], float]:
+    """A solution's entries as ``(type, resource) -> value``, in (type, resource) order."""
+    return dict(zip(zip(x.types.tolist(), x.ids.tolist()), x.values.tolist()))
+
+
+def support_of(x: FractionalSolution, type_id: int) -> tuple[list[int], np.ndarray]:
+    """Type ``type_id``'s resources in the support of ``x``, ascending, and their values."""
+    a, b = x.offsets[type_id], x.offsets[type_id + 1]
+    return x.ids[a:b].tolist(), x.values[a:b]
+
+
+def group_by_type_oracle(values: Mapping[tuple[int, int], float]):
+    """type -> (resources ascending, their weights, weights normalized to
+    probabilities) of a positive ``(type, resource) -> weight`` map: the
+    per-type regrouping that solutions and copy marginals were read through
+    before their CSR store."""
+    grouped: dict[int, list[tuple[int, float]]] = {}
+    for (j, i), v in sorted(values.items()):
+        grouped.setdefault(j, []).append((i, v))
+    by_type = {}
+    for j, pairs in grouped.items():
+        weights = np.asarray([v for _, v in pairs], dtype=float)
+        by_type[j] = (tuple(i for i, _ in pairs), weights, weights / weights.sum())
+    return by_type
+
+
+def objective_oracle(instance: StochasticInstance, x: Mapping[tuple[int, int], float]) -> float:
+    """The objective of ``x``, summed in the map's order as the dict-built solution did."""
+    mass = (instance.arrivals * instance.probs).tolist()
+    return sum(mass[j] * v for (j, _), v in x.items())
+
+
+def monte_carlo_oracle(instance: StochasticInstance, simulations: int,
+                       rng: RngStream) -> dict[tuple[int, int], float]:
+    """``monte_carlo_weights``'s ``x`` as it was built in dicts: match counts per
+    (type, resource), grouped by type, the uniform fallback, then each
+    overloaded resource's column scaled back."""
+    m = instance.type_count
+    arrivals_of = np.zeros(m, dtype=np.int64)
+    match_count: dict[tuple[int, int], int] = {}
+    for type_ids, arrival, resource in _simulated_optima(instance, simulations, rng, shuffled=True):
+        type_ids = type_ids.tolist()
+        arrivals_of += np.bincount(type_ids, minlength=m)
+        for l, r in zip(arrival.tolist(), resource.tolist()):
+            key = (type_ids[l], r)
+            match_count[key] = match_count.get(key, 0) + 1
+
+    matched = group_by_type_oracle(match_count)
+    x: dict[tuple[int, int], float] = {}
+    for j in range(m):
+        if j in matched:
+            ids, counts, _ = matched[j]
+            x.update({(j, i): c / arrivals_of[j] for i, c in zip(ids, counts)})
+        else:
+            ids = instance.row(j)
+            x.update({(j, i): 1.0 / len(ids) for i in ids})
+    mass = (instance.arrivals * instance.probs).tolist()
+    load = dict.fromkeys(range(instance.resource_count), 0.0)
+    for (j, i), v in x.items():
+        load[i] += mass[j] * v
+    scale = {i: (1.0 / y if y > 1.0 else 1.0) for i, y in load.items()}
+    return {(j, i): float(v * scale[i]) for (j, i), v in x.items()}
+
+
+def per_copy_marginals_oracle(instance: StochasticInstance, simulations: int, rng: RngStream):
+    """``per_copy_marginals``'s first and second copy as they were built in dicts,
+    each through ``group_by_type_oracle``."""
+    counts: tuple[dict[tuple[int, int], int], dict[tuple[int, int], int]] = ({}, {})
+    for type_ids, arrival, resource in _simulated_optima(instance, simulations, rng, shuffled=False):
+        match_of = dict(zip(arrival.tolist(), resource.tolist()))
+        copies_seen: dict[int, int] = {}
+        for l, type_id in enumerate(type_ids.tolist()):
+            copy = copies_seen.get(type_id, 0) + 1
+            copies_seen[type_id] = copy
+            if copy <= 2 and l in match_of:
+                bucket = counts[copy - 1]
+                key = (type_id, match_of[l])
+                bucket[key] = bucket.get(key, 0) + 1
+    return group_by_type_oracle(counts[0]), group_by_type_oracle(counts[1])
+
+
+def heavy_light_oracle(instance: StochasticInstance, x: Mapping[tuple[int, int], float],
+                       k: int) -> tuple[float, float]:
+    """``heavy_light``'s (Z_H, Z_L) as it summed a dict-built solution."""
+    mass = (instance.arrivals * instance.probs).tolist()
+    z_heavy = z_light = 0.0
+    for (j, _), value in sorted(x.items()):
+        if value > 1.0 / k:
+            z_heavy += mass[j] * value
+        else:
+            z_light += mass[j] * value
+    return z_heavy, z_light
 
 
 def ids_of(mask: int) -> tuple[int, ...]:
@@ -654,7 +771,7 @@ def varopt_ipw(graph, x, k: int, rng, masks) -> dict[tuple[int, int], float]:
     for i, mask in enumerate(masks):
         row, type_id = ids_of(mask), graph.type_ids[i]
         if type_id not in samplers:
-            ids, weights = x.support_of(type_id)
+            ids, weights = support_of(x, type_id)
             sampler = VarOptSampler(ids, weights, k)
             samplers[type_id] = sampler, dict(zip(ids, weights)), sampler.probabilities()
         sampler, weight, prob = samplers[type_id]

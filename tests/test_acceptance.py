@@ -15,7 +15,8 @@ from datetime import datetime
 import numpy as np
 import pytest
 
-from helpers import VarOptSampler, brute_force_matching, complete_uniform, random_bipartite, varopt_draws
+from helpers import (VarOptSampler, brute_force_matching, complete_uniform, random_bipartite, solution, solution_dict,
+                     varopt_draws)
 from sparsematch.bounds import sandwich_check, theorem_bound
 from sparsematch.generators import FAMILIES, ingest_trips
 from sparsematch.harness import ExperimentConfig, run_experiment, run_nyc_day
@@ -24,7 +25,6 @@ from sparsematch.matching import BipartiteEdgeList, full_matching, max_matching
 from sparsematch.rng import RngStream
 from sparsematch.strategies import StrategyConfig, run_strategy, sparsify, varopt_samplers
 from sparsematch.weights import (
-    FractionalSolution,
     heavy_light,
     monte_carlo_weights,
     solve_expected_lp,
@@ -286,10 +286,10 @@ def test_criterion_10_equivalence_class_spreading():
     failures = []
     for n in (5, 20, 100):
         instance = complete_uniform(n)
-        concentrated = FractionalSolution.build(instance, {(j, j): 1.0 for j in range(n)})
+        concentrated = solution(instance, {(j, j): 1.0 for j in range(n)})
         spread = spread_equivalence_classes(instance, concentrated)
-        if max(spread.x.values()) > 1.0 / n + 1e-9:
-            failures.append((n, "max", max(spread.x.values())))
+        if max(solution_dict(spread).values()) > 1.0 / n + 1e-9:
+            failures.append((n, "max", max(solution_dict(spread).values())))
         if abs(spread.objective - concentrated.objective) > 1e-9:
             failures.append((n, "objective", spread.objective))
     report(10, "equivalence-class spreading", not failures, str(failures) if failures else "")

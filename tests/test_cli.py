@@ -375,6 +375,20 @@ def test_weights_file_with_a_repeated_entry_exits_2(tmp_path, caplog, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("entry", [{"type": 999, "resource": -5, "x": 0.0},
+                                   {"type": 0, "resource": 20, "x": 0.0},
+                                   {"type": -1, "resource": 0, "x": -0.0}])
+def test_weights_file_with_an_out_of_range_zero_entry_exits_2(tmp_path, caplog, capsys, entry):
+    # A zero value does not make an entry outside the instance's types and resources valid.
+    run = ["synth", "--family", "block", "--n", "20", "--trials", "2", "--strategies", "offline,varopt:3",
+           "--weights", "file", "--weights-in"]
+    doc = json.loads((REPO_ROOT / "tests" / "golden" / "weights-lp.json").read_text())
+    doc["entries"].append(entry)
+    assert main([*run, write_json(tmp_path / "w.json", doc)]) == 2
+    assert "out of range" in caplog.text
+    assert capsys.readouterr().out == ""
+
+
 def test_weights_file_with_a_nan_value_exits_2(tmp_path, capsys):
     inst = write_json(tmp_path / "inst.json", INSTANCE_DOC)
     entries = [WEIGHTS_DOC["entries"][0], {"type": 0, "resource": 2, "x": math.nan}]

@@ -290,7 +290,8 @@ def test_varopt_samplers_built_once_per_experiment(trials, monkeypatch):
 
     built = []
     solve = varopt._solve
-    monkeypatch.setattr(varopt, "_solve", lambda rows, k: built.append((len(rows), k)) or solve(rows, k))
+    monkeypatch.setattr(varopt, "_solve", lambda row, ids, w, size, k: built.append((size, k))
+                        or solve(row, ids, w, size, k))
     config = small_config(strategies=(StrategyConfig("varopt", k=3), StrategyConfig("varopt", k=5)),
                           weights="lp", trials=trials)
     inst = resolve_instance(config)

@@ -427,13 +427,12 @@ def test_missing_weight_rejected():
 def test_fractional_value_never_exceeds_integral_matching():
     # IPW-weighted sparsified subgraphs: the scaled fractional value is a lower
     # bound for the maximum matching on every single trial, and in the mean
-    from helpers import complete_uniform, varopt_ipw
+    from helpers import complete_uniform, solution, varopt_ipw
     from sparsematch.strategies import varopt_samplers, varopt_sparsify
-    from sparsematch.weights import FractionalSolution
 
     n = 50
     inst = complete_uniform(n)
-    x = FractionalSolution.build(inst, {(j, i): 1.0 / n for j in range(n) for i in range(n)})
+    x = solution(inst, {(j, i): 1.0 / n for j in range(n) for i in range(n)})
     samplers = varopt_samplers(inst, x, 5)
     base = RngStream(67)
     fractional, integral = [], []

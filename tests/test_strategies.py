@@ -8,19 +8,23 @@ from helpers import (
     bundled_trip_instances,
     complete_uniform,
     exclusive_pairs,
+    group_by_type_oracle,
     hopcroft_karp_oracle,
     ids_of,
     kvv_oracle,
     light_row,
     realized_edge_list,
     row_graph,
+    solution,
+    solution_dict,
+    support_of,
     uniform_instance,
     varopt_ipw,
 )
 from sparsematch.generators import FAMILIES, gen_kvv_triangular
 from sparsematch.instance import RealizedGraph, StochasticInstance, DemandType, realize
 from sparsematch.matching import bitset_matching, full_matching, max_matching
-from sparsematch.rng import RngStream
+from sparsematch.rng import RngStream, choice_cdf
 from sparsematch.strategies import (
     BUDGETED,
     GUIDED,
@@ -37,8 +41,6 @@ from sparsematch.strategies import (
 )
 from sparsematch.weights import (
     CopyMarginals,
-    FractionalSolution,
-    _group_by_type,
     monte_carlo_weights,
     per_copy_marginals,
     solve_expected_lp,
@@ -47,7 +49,7 @@ from sparsematch.weights import (
 
 def spread_solution(n):
     inst = complete_uniform(n)
-    x = FractionalSolution.build(
+    x = solution(
         inst, {(j, i): 1.0 / n for j in range(n) for i in range(n)}
     )
     return inst, x
@@ -55,7 +57,7 @@ def spread_solution(n):
 
 def concentrated_solution(n):
     inst = complete_uniform(n)
-    x = FractionalSolution.build(inst, {(j, j): 1.0 for j in range(n)})
+    x = solution(inst, {(j, j): 1.0 for j in range(n)})
     return inst, x
 
 
@@ -78,7 +80,7 @@ def test_varopt_budget_exceeds_degree_keeps_everything():
     assert len(rows) == graph.n
     for i, row in enumerate(rows):
         assert list(row) == graph.instance.row(graph.type_ids[i])
-        probs = VarOptSampler(*x.support_of(graph.type_ids[i]), 10).probabilities()
+        probs = VarOptSampler(*support_of(x, graph.type_ids[i]), 10).probabilities()
         assert all(p == pytest.approx(1.0) for p in probs.values())
 
 
@@ -131,7 +133,7 @@ def test_varopt_spread_preserves_matching():
 
 def test_varopt_zero_weight_type_falls_back_to_uniform():
     inst = uniform_instance([(0, 1, 2), (0,)], arrivals=4)
-    x = FractionalSolution.build(inst, {(1, 0): 0.5})  # type 0 has no support
+    x = solution(inst, {(1, 0): 0.5})  # type 0 has no support
     graph = RealizedGraph(inst, (0, 0, 1, 0))
     masks = varopt_sparsify([graph], varopt_samplers(inst, x, 2), [RngStream(11)])[0]
     for type_id, row in zip(graph.type_ids, map(ids_of, masks)):
@@ -161,7 +163,7 @@ def test_varopt_samplers_cover_every_type():
         types=(DemandType(0.4, (0, 1, 2)), DemandType(0.4, (1, 2)), DemandType(0.2, ())),
         arrivals=3,
     )
-    x = FractionalSolution.build(inst, {(0, 0): 0.2, (0, 2): 0.6})
+    x = solution(inst, {(0, 0): 0.2, (0, 2): 0.6})
     samplers = varopt_samplers(inst, x, 1)
     assert samplers.fixed_masks == [0, 0, 0]
     assert samplers.draws.tolist() == [1, 1, 0]
@@ -241,7 +243,7 @@ def test_kvv_equals_the_row_scan_oracle():
 
 def test_mgs_single_type_single_resource():
     inst = StochasticInstance(("a",), (DemandType(1.0, (0,)),), arrivals=6)
-    x = FractionalSolution.build(inst, {(0, 0): 1.0 / 6})
+    x = solution(inst, {(0, 0): 1.0 / 6})
     graph = realize(inst, RngStream(1))
     outcome = mgs(graph, CopyMarginals.of_solution(x), RngStream(2))
     assert outcome.matched == 1
@@ -272,8 +274,9 @@ def test_mgs_draw_matches_numpy_weighted_choice():
     for case in range(300):
         size = int(gen.integers(1, 40))
         weights = gen.integers(1, 50, size) if case % 2 else gen.random(size) ** 2 + 1e-3
-        by_type = _group_by_type({(0, 3 * i): float(w) for i, w in enumerate(weights)})
-        guidance, type_weights = CopyMarginals(first=by_type, second=by_type), by_type[0]
+        by_type = group_by_type_oracle({(0, 3 * i): float(w) for i, w in enumerate(weights)})
+        choices = {j: (ids, w, choice_cdf(probs)) for j, (ids, w, probs) in by_type.items()}
+        guidance, type_weights = CopyMarginals(first=choices, second=choices), by_type[0]
         for exclude in (None, type_weights[0][int(gen.integers(size))], -1):
             for stream_id in range(10):  # the renormalized cdf is built on the first, then cached
                 ours, ref = RngStream(case, stream_id).generator, RngStream(case, stream_id).generator
@@ -293,7 +296,7 @@ def test_run_strategy_offline_equals_max_matching():
 def test_run_strategy_full_budget_full_support_equals_offline():
     inst = complete_uniform(12)
     x = solve_expected_lp(inst)
-    x = FractionalSolution.build(inst, {(j, i): 1.0 / 12 for j in range(12) for i in range(12)})
+    x = solution(inst, {(j, i): 1.0 / 12 for j in range(12) for i in range(12)})
     samplers = varopt_samplers(inst, x, 12)
     base = RngStream(21)
     for t in range(20):
@@ -338,8 +341,9 @@ def test_sampled_load_is_unbiased_per_resource():
         for (_, r), w in varopt_ipw(graph, x, 4, rng, masks).items():
             load[r] += w
     load /= trials
+    values = solution_dict(x)
     for i in range(n):
-        expected = sum(x.arrival_mass[j] * x.x.get((j, i), 0.0) for j in range(n))
+        expected = sum(inst.arrivals * inst.probs[j] * values.get((j, i), 0.0) for j in range(n))
         assert load[i] == pytest.approx(expected, abs=0.08)
 
 
@@ -365,7 +369,7 @@ def test_random_subgraph_resource_retention_rate():
 def test_varopt_selection_size_tracks_support():
     # |selected| = min(k, support size), not min(k, degree)
     inst = uniform_instance([(0, 1, 2, 3, 4, 5)], arrivals=3)
-    x = FractionalSolution.build(inst, {(0, 0): 0.1, (0, 2): 0.1, (0, 4): 0.1})
+    x = solution(inst, {(0, 0): 0.1, (0, 2): 0.1, (0, 4): 0.1})
     graph = realize(inst, RngStream(1))
     for row in map(ids_of, varopt_sparsify([graph], varopt_samplers(inst, x, 5), [RngStream(2)])[0]):
         assert len(row) == 3

@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from helpers import (VarOptSampler, bisect_threshold, ids_of, light_row, one_block_at_a_time, stacked,
-                     varopt_draw_oracle, varopt_draws, varopt_threshold_oracle)
+from helpers import (VarOptSampler, batch, batch_items, bisect_threshold, ids_of, light_row, one_block_at_a_time,
+                     stacked, support_of, varopt_draw_oracle, varopt_draws, varopt_threshold_oracle)
 from sparsematch import varopt
 from sparsematch.generators import FAMILIES
 from sparsematch.rng import RngStream, StreamRows, arrival_stream_ids
 from sparsematch.strategies import varopt_samplers
-from sparsematch.varopt import BatchSampler
 from sparsematch.weights import monte_carlo_weights, solve_expected_lp
 
 ABC_IDS = [0, 1, 2]
@@ -224,7 +223,7 @@ def assert_batch_equals_the_scalar_solve(batch, rows, k):
     # Every row of the batch against the scalar solve of its own item set, to
     # the bit: threshold, ids and probabilities in solution order, the fixed
     # ids as a mask, the draw count and the light ids and probabilities.
-    row, ids, probs, _ = varopt._solve(rows, k)
+    row, ids, probs, _ = varopt._solve(*batch_items(rows), k)
     for q, (item_ids, weights) in enumerate(rows):
         if not any(w > 0 for w in weights):
             assert (batch.fixed_masks[q], batch.draws[q], batch.lengths[q]) == (0, 0, 0)
@@ -251,7 +250,7 @@ def test_batched_threshold_solve_matches_the_scalar_oracle():
     @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @hypothesis.given(st.lists(row, max_size=12), st.integers(1, 45))
     def check(rows, k):
-        assert_batch_equals_the_scalar_solve(BatchSampler(rows, k), rows, k)
+        assert_batch_equals_the_scalar_solve(batch(rows, k), rows, k)
         for item_ids, weights in rows:  # the checked one-set form reads its row of the same solve
             if any(w > 0 for w in weights):
                 sampler = VarOptSampler(item_ids, weights, k)
@@ -274,7 +273,7 @@ def test_family_guidance_rows_equal_the_scalar_solve(source):
              else monte_carlo_weights(inst, 100, RngStream(0).substream("weights")))
         rows = []
         for type_id, demand_type in enumerate(inst.types):
-            ids, values = x.support_of(type_id)
+            ids, values = support_of(x, type_id)
             fallback = demand_type.compatible
             rows.append((ids, values) if ids else (fallback, [1.0 / len(fallback)] * len(fallback)))
         for k in (3, 5, 10):

@@ -10,16 +10,23 @@ from helpers import (
     dinic_lp,
     edmonds_karp_lp,
     exclusive_pairs,
+    group_by_type_oracle,
     heavy_light_edges,
+    heavy_light_oracle,
+    monte_carlo_oracle,
+    objective_oracle,
+    per_copy_marginals_oracle,
+    solution,
+    solution_dict,
     uniform_instance,
 )
 from sparsematch import weights
 from sparsematch.generators import FAMILIES
 from sparsematch.instance import DemandType, StochasticInstance, realize
 from sparsematch.matching import full_matching
-from sparsematch.rng import RngStream
+from sparsematch.rng import RngStream, choice_cdf
 from sparsematch.weights import (
-    FractionalSolution,
+    CopyMarginals,
     heavy_light,
     monte_carlo_weights,
     per_copy_marginals,
@@ -58,7 +65,7 @@ def lp_oracle(instance) -> float:
 def test_lp_exclusive_pairs_value():
     solution = solve_expected_lp(exclusive_pairs(8))
     assert solution.objective == pytest.approx(8.0, rel=1e-9)
-    assert all(v == pytest.approx(1.0, abs=1e-9) for v in solution.x.values())
+    assert all(v == pytest.approx(1.0, abs=1e-9) for v in solution_dict(solution).values())
 
 
 def test_lp_complete_uniform_value():
@@ -70,7 +77,7 @@ def test_lp_single_type_five_arrivals():
     inst = StochasticInstance(("a",), (DemandType(1.0, (0,)),), arrivals=5)
     solution = solve_expected_lp(inst)
     assert solution.objective == pytest.approx(1.0, rel=1e-9)
-    assert solution.x[(0, 0)] == pytest.approx(0.2, abs=1e-9)
+    assert solution_dict(solution)[(0, 0)] == pytest.approx(0.2, abs=1e-9)
 
 
 def test_lp_matches_generic_solver_on_random_instances():
@@ -114,9 +121,9 @@ def test_lp_properties_on_generated_instances():
     @hypothesis.given(generated_instances(hypothesis.strategies))
     def check(inst):
         hypothesis.assume(any(inst.arrivals * t.probability % 1.0 for t in inst.types))
-        solution = solve_expected_lp(inst)
-        assert solution.objective == pytest.approx(lp_oracle(inst), rel=1e-9)
-        assert FractionalSolution.build(inst, solution.x).objective == solution.objective
+        x = solve_expected_lp(inst)
+        assert x.objective == pytest.approx(lp_oracle(inst), rel=1e-9)
+        assert solution(inst, solution_dict(x)).objective == x.objective
 
     check()
 
@@ -125,13 +132,13 @@ def test_lp_equals_edmonds_karp_on_families_and_trip_intervals():
     instances = [gen_fn(100) for gen_fn in FAMILIES.values()] + bundled_trip_instances()
     assert len(instances) >= 4 + 3
     for inst in instances:
-        assert list(solve_expected_lp(inst).x.items()) == list(edmonds_karp_lp(inst).items())
+        assert list(solution_dict(solve_expected_lp(inst)).items()) == list(edmonds_karp_lp(inst).items())
 
 
 def assert_same_as_list_built_dinic(inst):
     got, want = solve_expected_lp(inst), dinic_lp(inst)
-    assert list(got.x.items()) == list(want.x.items())
-    assert got.objective == want.objective
+    assert list(solution_dict(got).items()) == list(want.items())
+    assert got.objective == objective_oracle(inst, want)
 
 
 def test_lp_equals_list_built_dinic_on_families_trip_intervals_and_edge_cases(monkeypatch):
@@ -197,26 +204,26 @@ def test_lp_feasible_on_all_families():
 def test_build_rejects_infeasible():
     inst = exclusive_pairs(2)
     with pytest.raises(ValueError, match="exceeds 1"):
-        FractionalSolution.build(inst, {(0, 0): 1.2})
+        solution(inst, {(0, 0): 1.2})
     with pytest.raises(ValueError, match="outside the compatibility"):
-        FractionalSolution.build(inst, {(0, 1): 0.5})
+        solution(inst, {(0, 1): 0.5})
     with pytest.raises(ValueError, match="negative"):
-        FractionalSolution.build(inst, {(0, 0): -0.5})
+        solution(inst, {(0, 0): -0.5})
 
 
 def test_monte_carlo_unique_matching():
     inst = StochasticInstance(("a",), (DemandType(1.0, (0,)),), arrivals=1)
-    solution = monte_carlo_weights(inst, 50, RngStream(1))
-    assert solution.x[(0, 0)] == pytest.approx(1.0, abs=1e-12)
+    x = monte_carlo_weights(inst, 50, RngStream(1))
+    assert solution_dict(x)[(0, 0)] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_monte_carlo_complete_uniform_spread():
     # shuffled tie-breaking spreads mass to ~1/n per edge; per-cell noise is
     # about 0.01 at M=500, so the bulk sits within 0.02 and nothing strays far
     inst = complete_uniform(20)
-    solution = monte_carlo_weights(inst, 500, RngStream(5))
+    x = solution_dict(monte_carlo_weights(inst, 500, RngStream(5)))
     deviations = np.abs(
-        [solution.x.get((j, i), 0.0) - 0.05 for j in range(20) for i in range(20)]
+        [x.get((j, i), 0.0) - 0.05 for j in range(20) for i in range(20)]
     )
     assert np.quantile(deviations, 0.9) < 0.02
     assert deviations.max() < 0.05
@@ -239,18 +246,18 @@ def test_monte_carlo_fallback_for_unseen_types():
         DemandType(1e-12, (0, 1)),
     )
     inst = StochasticInstance(("a", "b"), types, arrivals=2)
-    solution = monte_carlo_weights(inst, 20, RngStream(3))
-    assert solution.x[(1, 0)] == pytest.approx(0.5, abs=1e-12)
-    assert solution.x[(1, 1)] == pytest.approx(0.5, abs=1e-12)
+    x = solution_dict(monte_carlo_weights(inst, 20, RngStream(3)))
+    assert x[(1, 0)] == pytest.approx(0.5, abs=1e-12)
+    assert x[(1, 1)] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_monte_carlo_feasible_after_clamp():
     for name, gen_fn in FAMILIES.items():
         inst = gen_fn(40)
-        solution = monte_carlo_weights(inst, 60, RngStream(11))
+        x = monte_carlo_weights(inst, 60, RngStream(11))
         load = {}
-        for (j, i), v in solution.x.items():
-            load[i] = load.get(i, 0.0) + solution.arrival_mass[j] * v
+        for (j, i), v in solution_dict(x).items():
+            load[i] = load.get(i, 0.0) + inst.arrivals * inst.probs[j] * v
         assert all(y <= 1.0 + 1e-7 for y in load.values()), name
 
 
@@ -258,7 +265,7 @@ def test_heavy_light_worked_example():
     inst = StochasticInstance(
         ("a", "b", "c"), (DemandType(1.0, (0, 1, 2)),), arrivals=1
     )
-    x = FractionalSolution.build(inst, {(0, 0): 0.6, (0, 1): 0.3, (0, 2): 0.1})
+    x = solution(inst, {(0, 0): 0.6, (0, 1): 0.3, (0, 2): 0.1})
     split = heavy_light(x, 2)
     heavy, light = heavy_light_edges(x, 2)
     assert heavy == [(0, 0)]
@@ -269,7 +276,7 @@ def test_heavy_light_worked_example():
 
 def test_heavy_light_all_light_when_uniform():
     inst = complete_uniform(10)
-    x = FractionalSolution.build(inst, {(j, i): 0.1 for j in range(10) for i in range(10)})
+    x = solution(inst, {(j, i): 0.1 for j in range(10) for i in range(10)})
     split = heavy_light(x, 5)
     assert split.z_heavy == 0.0
     assert split.z_light == pytest.approx(x.objective, abs=1e-9)
@@ -277,7 +284,7 @@ def test_heavy_light_all_light_when_uniform():
 
 def test_heavy_light_concentrated_all_heavy():
     inst = complete_uniform(6)
-    x = FractionalSolution.build(inst, {(j, j): 1.0 for j in range(6)})
+    x = solution(inst, {(j, j): 1.0 for j in range(6)})
     split = heavy_light(x, 3)
     assert (split.z, split.k) == (x.objective, 3)
     assert split.z_heavy == pytest.approx(x.objective, abs=1e-9)
@@ -289,26 +296,26 @@ def test_spread_averages_interchangeable_pair():
     inst = StochasticInstance(
         ("a", "b"), (DemandType(1.0, (0, 1)),), arrivals=1
     )
-    x = FractionalSolution.build(inst, {(0, 0): 1.0})
+    x = solution(inst, {(0, 0): 1.0})
     spread = spread_equivalence_classes(inst, x)
-    assert spread.x[(0, 0)] == pytest.approx(0.5, abs=1e-12)
-    assert spread.x[(0, 1)] == pytest.approx(0.5, abs=1e-12)
+    assert solution_dict(spread)[(0, 0)] == pytest.approx(0.5, abs=1e-12)
+    assert solution_dict(spread)[(0, 1)] == pytest.approx(0.5, abs=1e-12)
     assert spread.objective == pytest.approx(x.objective, abs=1e-9)
 
 
 def test_spread_no_interchangeable_pair_is_identity():
     inst = uniform_instance([(0, 1), (1,)], arrivals=2)
-    x = FractionalSolution.build(inst, {(0, 0): 0.9, (1, 1): 0.4})
+    x = solution(inst, {(0, 0): 0.9, (1, 1): 0.4})
     spread = spread_equivalence_classes(inst, x)
-    assert spread.x == x.x
+    assert solution_dict(spread) == solution_dict(x)
 
 
 def test_spread_concentrated_complete_uniform():
     n = 10
     inst = complete_uniform(n)
-    x = FractionalSolution.build(inst, {(j, j): 1.0 for j in range(n)})
+    x = solution(inst, {(j, j): 1.0 for j in range(n)})
     spread = spread_equivalence_classes(inst, x)
-    assert all(v == pytest.approx(1.0 / n, abs=1e-12) for v in spread.x.values())
+    assert all(v == pytest.approx(1.0 / n, abs=1e-12) for v in solution_dict(spread).values())
     assert spread.objective == pytest.approx(n, abs=1e-9)
 
 
@@ -319,7 +326,7 @@ def test_spread_preserves_objective_on_random_feasible_solutions():
         raw = gen.random((8, 8))
         raw = raw / raw.sum(axis=1, keepdims=True)  # type limit = 1
         raw = raw / np.maximum(1.0, (raw.sum(axis=0)))  # clamp resource load
-        x = FractionalSolution.build(
+        x = solution(
             inst, {(j, i): raw[j][i] for j in range(8) for i in range(8) if raw[j][i] > 0}
         )
         spread = spread_equivalence_classes(inst, x)
@@ -349,10 +356,10 @@ def test_spread_properties_on_generated_solutions():
     @hypothesis.given(solutions())
     def check(case):
         inst, values = case
-        x = FractionalSolution.build(inst, values)
+        x = solution(inst, values)
         spread = spread_equivalence_classes(inst, x)
         assert spread.objective == pytest.approx(x.objective, rel=1e-9, abs=1e-12)
-        assert FractionalSolution.build(inst, spread.x).objective == spread.objective
+        assert solution(inst, solution_dict(spread)).objective == spread.objective
 
     check()
 
@@ -362,8 +369,10 @@ def test_solution_json_round_trip():
     x = solve_expected_lp(inst)
     text = solution_to_json(x, inst.arrivals)
     back = solution_from_json(inst, text)
-    assert back.x == pytest.approx(x.x)
-    assert back.objective == pytest.approx(x.objective, abs=1e-12)
+    assert np.array_equal(back.offsets, x.offsets)
+    assert np.array_equal(back.ids, x.ids)
+    assert np.array_equal(back.values, x.values)
+    assert back.objective == x.objective
     with pytest.raises(ValueError, match="learned for"):
         solution_from_json(complete_uniform(5), text)
 
@@ -372,12 +381,46 @@ def test_per_copy_marginals_shapes():
     inst = complete_uniform(6)
     marg = per_copy_marginals(inst, 40, RngStream(3))
     assert set(marg.first) <= set(range(6))
-    for ids, vals, probs in marg.first.values():
-        assert len(ids) == len(vals) == len(probs)
+    for ids, vals, cdf in marg.first.values():
+        assert len(ids) == len(vals) == len(cdf)
         assert all(v > 0 for v in vals)
-        assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+        assert cdf[-1] == pytest.approx(1.0, abs=1e-12)
     # second-copy events are rarer but present at n=6 over 40 simulations
     assert marg.second
+
+
+def assert_marginals_equal(got, first, second):
+    # Each copy's resources, weights and draw cdf against the oracle's groups.
+    for copy, want in ((got.first, first), (got.second, second)):
+        assert {j: (ids, w.tolist(), cdf) for j, (ids, w, cdf) in copy.items()} == {
+            j: (ids, w.tolist(), choice_cdf(probs)) for j, (ids, w, probs) in want.items()}
+
+
+def assert_solution_equals_the_oracles(inst, x, values):
+    # The CSR solution against its dict-built oracle ``values``: the same pairs
+    # and values, objective, heavy-light split and copy marginals, with ==.
+    assert list(solution_dict(x).items()) == sorted(values.items())
+    assert x.objective == objective_oracle(inst, values)
+    for k in (1, 3, 5, 10):
+        split = heavy_light(x, k)
+        assert (split.z_heavy, split.z_light) == heavy_light_oracle(inst, values, k)
+    assert_marginals_equal(CopyMarginals.of_solution(x), *[group_by_type_oracle(values)] * 2)
+
+
+def test_learning_layer_equals_the_dict_built_oracles():
+    """Monte Carlo weights and per-copy marginals on the four families at n=100
+    (M=20) and the bundled trip intervals, and the LP on the four families at
+    n=100 and n=500, equal the dict-built learning steps they replaced."""
+    instances = [family(100) for family in FAMILIES.values()] + bundled_trip_instances()
+    for q, inst in enumerate(instances):
+        rng = RngStream(0).substream("weights", q)
+        assert_solution_equals_the_oracles(inst, monte_carlo_weights(inst, 20, rng),
+                                           monte_carlo_oracle(inst, 20, rng))
+        assert_marginals_equal(per_copy_marginals(inst, 20, rng), *per_copy_marginals_oracle(inst, 20, rng))
+    for n in (100, 500):
+        for family in FAMILIES.values():
+            inst = family(n)
+            assert_solution_equals_the_oracles(inst, solve_expected_lp(inst), dinic_lp(inst))
 
 
 def test_offline_mean_sandwich_on_families_small():
