@@ -1,19 +1,21 @@
 """Experiment orchestration: one trial kernel behind efficiency tables,
 unmet-demand series and bound reports.
 
-``score_trials`` is the only loop that realizes instances for scoring.  It
-realizes each trial once from ``realize_stream.substream(t)`` and solves the
-offline maximum matching when the caller scores against it.  Then every
-strategy runs on the same realizations through ``run_strategy`` with
-``strategy_stream.substream(t, key)``, a budgeted one on the reports it drew
-for all those trials in one batch.  Every stream is keyed by the trial
-index alone, never by position in the loop, so results are reproducible from
-(config, seed) and independent of trial scheduling.  Guided strategies read
-guidance learned once per experiment from a dedicated substream, keyed by
-strategy label.  An experiment has one weight source, ``ExperimentConfig.weights``,
-and ``solution_for_source`` is the one place it becomes a solution.  An
-efficiency summary holds its ``StrategyConfig``, and summaries are reported in
-that config's order: by strategy name, then budget.
+``score_trials`` is the only loop that realizes instances for scoring and the
+one offline scorer.  It realizes each trial once from
+``realize_stream.substream(t)`` and solves the offline maximum matching when
+the caller scores against it.  Every other strategy is scored on the same
+realizations by ``run_strategy`` with ``strategy_stream.substream(t, key)``, a
+budgeted one on the reports ``sparsify`` drew for all those trials in one
+batch.  It returns the offline sizes and each label's matched counts in trial
+order.  Every stream is keyed by the trial index alone, never by position in
+the loop, so results are reproducible from (config, seed) and independent of
+trial scheduling.  Guided strategies read guidance learned once per experiment
+from a dedicated substream, keyed by strategy label.  An experiment has one
+weight source, ``ExperimentConfig.weights``, and ``solution_for_source`` is the
+one place it becomes a solution.  An efficiency summary holds its
+``StrategyConfig``, and summaries are reported in that config's order: by
+strategy name, then budget.
 """
 
 from __future__ import annotations
@@ -165,15 +167,6 @@ def learn_weight_sources(
     return guidance
 
 
-@dataclass(frozen=True)
-class TrialScore:
-    """One trial: the offline maximum matching size (None when not scored
-    against it) and the matched count of every strategy, by label."""
-
-    offline: int | None
-    matched: dict[str, int]
-
-
 def score_trials(
     instance: StochasticInstance,
     strategies: Sequence[StrategyConfig],
@@ -183,35 +176,37 @@ def score_trials(
     strategy_stream: RngStream,
     stream_key: Callable[[StrategyConfig], int | str] = lambda cfg: cfg.label,
     with_offline: bool = True,
-) -> list[TrialScore]:
-    """Realize and score each trial in ``trials``; one score per trial, in order.
+) -> tuple[list[int] | None, dict[str, list[int]]]:
+    """Realize and score each trial in ``trials``: the offline maximum matching
+    sizes in trial order (None without ``with_offline``) and, by label, every
+    strategy's matched counts in trial order.
 
-    Every trial is realized first.  With ``with_offline`` the offline maximum
-    matching is solved once per trial and is the offline strategy's score; a
-    trial whose offline matching is empty has no edges, so every strategy
-    scores 0 there without running.  Then each strategy in turn runs through
-    ``run_strategy`` on every other trial; a budgeted one first draws the
-    reports of all those trials in one batch (``sparsify``).  Each guided
-    strategy reads ``guidance[label]``.
+    Every trial is realized first.  With ``with_offline``, which the offline
+    strategy needs, the offline maximum matching is solved once per trial and
+    is that strategy's score; a trial whose offline matching is empty has no
+    edges, so every strategy scores 0 there without running.  Each other
+    strategy is scored by ``run_strategy`` on every other trial, a budgeted one
+    on the reports of all those trials, drawn first in one batch (``sparsify``).
+    Each guided strategy reads ``guidance[label]``.
     """
     trials = list(trials)
     graphs = [realize(instance, realize_stream.substream(t)) for t in trials]
-    offline = [full_matching(graph).size if with_offline else None for graph in graphs]
-    run = [q for q, size in enumerate(offline) if size != 0]
-    matched = [dict.fromkeys([cfg.label for cfg in strategies], 0) for _ in trials]
+    offline = [full_matching(graph).size for graph in graphs] if with_offline else None
+    run = range(len(graphs)) if offline is None else [q for q, size in enumerate(offline) if size]
+    matched: dict[str, list[int]] = {}
     for cfg in strategies:
-        if with_offline and cfg.strategy == "offline":
-            for q in run:
-                matched[q][cfg.label] = offline[q]
+        if cfg.strategy == "offline":
+            matched[cfg.label] = list(offline)
             continue
+        counts = matched[cfg.label] = [0] * len(trials)
         rngs = [strategy_stream.substream(trials[q], stream_key(cfg)) for q in run]
         guide = guidance.get(cfg.label)
         reports = repeat(None)  # dropping the last strategy's reports before the next batch
         if cfg.strategy in BUDGETED and run:
             reports = sparsify([graphs[q] for q in run], cfg, rngs, guide)
         for q, rng, report in zip(run, rngs, reports):
-            matched[q][cfg.label] = run_strategy(graphs[q], cfg, rng, guide, report).matched
-    return [TrialScore(size, scores) for size, scores in zip(offline, matched)]
+            counts[q] = run_strategy(graphs[q], cfg, rng, guide, report).matched
+    return offline, matched
 
 
 def run_experiment(
@@ -222,16 +217,16 @@ def run_experiment(
         instance = resolve_instance(config)
     base = RngStream(config.seed)
     guidance = learn_weight_sources(instance, config, base)
-    scores = score_trials(instance, config.strategies, guidance, range(config.trials),
-                          base.substream("realize"), base.substream("strategy"))
-    scored = [s for s in scores if s.offline > 0]
-    degenerate = len(scores) - len(scored)
+    offline, matched = score_trials(instance, config.strategies, guidance, range(config.trials),
+                                    base.substream("realize"), base.substream("strategy"))
+    scored = [q for q, size in enumerate(offline) if size > 0]
+    degenerate = len(offline) - len(scored)
     if degenerate:
         log.warning("%d trials had an empty offline matching and were skipped", degenerate)
     if not scored:
         raise ValueError("every trial had an empty offline matching; nothing to score")
 
-    return [EfficiencySummary(cfg, *ci95([s.matched[cfg.label] / s.offline for s in scored]), len(scored))
+    return [EfficiencySummary(cfg, *ci95([matched[cfg.label][q] / offline[q] for q in scored]), len(scored))
             for cfg in sorted(config.strategies)]
 
 
@@ -255,14 +250,14 @@ def bound_report(instance: StochasticInstance, family: str, config: ExperimentCo
     base = RngStream(config.seed)
     x = solution_for_source(instance, config, base)
     guidance = {cfg.label: varopt_samplers(instance, x, cfg.k) for cfg in config.strategies}
-    scores = score_trials(instance, config.strategies, guidance,
-                          range(config.trials), base.substream("realize"), base.substream("bound"),
-                          stream_key=lambda cfg: cfg.k, with_offline=False)
+    _, matched = score_trials(instance, config.strategies, guidance,
+                              range(config.trials), base.substream("realize"), base.substream("bound"),
+                              stream_key=lambda cfg: cfg.k, with_offline=False)
     rows = []
     for cfg in config.strategies:
         split = heavy_light(x, cfg.k)
         bound = theorem_bound(split)
-        mean, halfwidth = ci95([s.matched[cfg.label] for s in scores])
+        mean, halfwidth = ci95(matched[cfg.label])
         stderr = halfwidth / 1.96
         rows.append(BoundRow(
             family=family,
@@ -325,19 +320,19 @@ def run_nyc_day(
     base = RngStream(config.seed)
     cumulative: dict[str, list[float]] = {cfg.label: [] for cfg in config.strategies}
     for j, t in enumerate(times):
-        scores = []
+        matched = dict.fromkeys(cumulative, ())
         try:
             instance = build_nyc_instance(list(trips), zones, t, base.substream("supply", j))
         except EmptyWindow as exc:
             log.info("interval %s skipped: %s", t.isoformat(), exc)
         else:
             guidance = learn_weight_sources(instance, config, base.substream("interval", j))
-            scores = score_trials(instance, config.strategies, guidance, range(config.trials),
-                                  base.substream("nyc-realize", j), base.substream("nyc-strategy", j))
+            _, matched = score_trials(instance, config.strategies, guidance, range(config.trials),
+                                      base.substream("nyc-realize", j), base.substream("nyc-strategy", j))
         for cfg in config.strategies:
             unmet = 0.0
-            for score in scores:
-                unmet += (instance.arrivals - score.matched[cfg.label]) / config.trials
+            for count in matched[cfg.label]:
+                unmet += (instance.arrivals - count) / config.trials
             series = cumulative[cfg.label]
             series.append((series[-1] if series else 0.0) + unmet)
     return UnmetDemandSeries(

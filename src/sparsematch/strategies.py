@@ -4,7 +4,8 @@ Local sparsifiers (guided fixed-size sampling and uniform random subsets)
 prune each arrival's edges independently and report the kept resources as one
 bitmask per arrival, which a central maximum matching reads;
 online baselines (ranking, two-suggestion guidance) commit irrevocably per
-arrival; the offline optimum sees the whole realization.  Per-arrival
+arrival; the offline optimum, which sees the whole realization, is the trial
+kernel's own matching (``harness.score_trials``).  Per-arrival
 randomness is drawn from substreams keyed by arrival index, so one arrival's
 selection never depends on the other arrivals.  The two sparsifiers draw the
 reports of many trials at once: every drawing arrival becomes a row of
@@ -15,8 +16,10 @@ reads the instance's CSR store and type masks alone, never its ``types`` view.
 
 ``STRATEGY_NAMES`` declares the strategies; those in ``BUDGETED`` take a
 budget k and the others take none, those in ``GUIDED`` read guidance learned
-once per experiment.  ``run_strategy`` is the one entry point, ``sparsify``
-the batch of a budgeted strategy's reports.
+once per experiment.  ``sparsify`` is the local pruning, the batch of a
+budgeted strategy's reports for many trials, and ``run_strategy`` only scores:
+kvv and mgs by their own matches, a budgeted strategy by the coordinator's
+matching of the reports ``sparsify`` drew.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .instance import RealizedGraph, StochasticInstance
-from .matching import bitset_matching, full_matching
+from .matching import bitset_matching
 from .rng import RngStream, StreamRows, arrival_stream_ids
 from .varopt import BatchSampler
 from .weights import CopyMarginals, FractionalSolution
@@ -204,12 +207,6 @@ def _coordinate(graph: RealizedGraph, masks: list[int]) -> StrategyOutcome:
     return StrategyOutcome(matched, sum(map(int.bit_count, masks)))
 
 
-def _offline(graph: RealizedGraph) -> StrategyOutcome:
-    """Full-information maximum matching of the realization."""
-    edges = np.diff(graph.instance.offsets)[np.array(graph.type_ids, dtype=np.intp)].sum()
-    return StrategyOutcome(full_matching(graph).size, int(edges))
-
-
 def _require_guidance(config: StrategyConfig, guidance: object) -> None:
     if config.strategy in GUIDED and guidance is None:
         raise ValueError(f"strategy {config.strategy!r} needs guidance learned from a "
@@ -231,22 +228,17 @@ def run_strategy(
     graph: RealizedGraph, config: StrategyConfig, rng: RngStream, guidance: object = None,
     reports: list[int] | None = None,
 ) -> StrategyOutcome:
-    """Run one configured strategy on a realization.
+    """Score one configured strategy on a realization; offline is the trial
+    kernel's own maximum matching and never comes here.
 
-    A guided strategy reads ``guidance``: ``varopt_samplers(...)`` for varopt,
-    ``CopyMarginals`` for mgs.  Sparsifier strategies are scored by the
-    maximum matching of the reported subgraph: ``reports``, when the caller
-    drew them for this graph and ``rng`` in a batch (``sparsify``), else drawn
-    here.  Online strategies are scored by their own irrevocable matches;
-    offline is the full-information maximum matching.
+    Online strategies are scored by their own irrevocable matches, mgs guided
+    by the ``CopyMarginals`` in ``guidance``.  A budgeted strategy is scored by
+    the maximum matching of ``reports``, the masks ``sparsify`` drew for this
+    graph and ``rng``.
     """
-    _require_guidance(config, guidance)
-    if config.strategy == "offline":
-        return _offline(graph)
     if config.strategy == "kvv":
         return kvv_ranking(graph, rng)
     if config.strategy == "mgs":
+        _require_guidance(config, guidance)
         return mgs(graph, guidance, rng)
-    if reports is None:
-        reports = sparsify([graph], config, [rng], guidance)[0]
     return _coordinate(graph, reports)

@@ -40,7 +40,7 @@ class FractionalSolution:
 
     x_ji is the conditional probability that a type-j arrival is matched to
     resource i, and ``n * p_j * x_ji`` its expected matched mass; ``objective``
-    sums those masses in (type, resource) order.
+    adds those masses left to right in (type, resource) order.
     """
 
     instance: StochasticInstance
@@ -89,7 +89,8 @@ class FractionalSolution:
         offsets = np.searchsorted(types, np.arange(m + 1))
         for array in (offsets, ids, values):
             array.flags.writeable = False
-        return cls(instance, offsets, ids, values, sum(mass.tolist()))
+        # added left to right on every Python version: the builtin sum compensates from 3.12 on
+        return cls(instance, offsets, ids, values, float(np.cumsum(mass)[-1]) if len(mass) else 0.0)
 
     @property
     def types(self) -> np.ndarray:
@@ -389,7 +390,7 @@ def spread_equivalence_classes(instance: StochasticInstance, x: FractionalSoluti
             continue
         for j in types_of_class:
             at = np.searchsorted(keys, j * instance.resource_count + np.array(members))
-            values[at] = sum(values[at].tolist()) / len(members)
+            values[at] = np.cumsum(values[at])[-1] / len(members)  # summed left to right
     return FractionalSolution.build(instance, pair_types, ids, values)
 
 

@@ -20,7 +20,8 @@ dict-built versions they replaced (``monte_carlo_oracle``,
 ``per_copy_marginals_oracle``, ``group_by_type_oracle``,
 ``heavy_light_oracle`` and ``objective_oracle``); ``solution`` and
 ``solution_dict`` turn a ``(type, resource) -> value`` dict into a solution
-and back, and ``batch`` builds a ``BatchSampler`` from (ids, weights) rows.
+and back, ``batch`` builds a ``BatchSampler`` from (ids, weights) rows, and
+``draw_and_score`` draws one graph's reports and scores them.
 ``VarOptSampler`` is the batch's one-row form with its
 input checked, which the single-set sampling tests build.  The
 fractional-load diagnostics at the end scale an IPW-weighted subgraph down to
@@ -30,8 +31,10 @@ a fractional matching.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter, deque
 from dataclasses import dataclass
+from functools import reduce
 from itertools import count
 from typing import Mapping
 
@@ -40,6 +43,7 @@ import numpy as np
 from sparsematch.instance import PROB_TOL, DemandType, RealizedGraph, StochasticInstance, integer_ids
 from sparsematch.matching import BipartiteEdgeList, MatchingResult, bitset_matching
 from sparsematch.rng import RngStream, StreamRows, arrival_stream_ids
+from sparsematch.strategies import BUDGETED, StrategyOutcome, run_strategy, sparsify
 from sparsematch.varopt import BatchSampler
 from sparsematch.weights import _FLOW_EPS, FractionalSolution, _simulated_optima
 
@@ -674,9 +678,10 @@ def group_by_type_oracle(values: Mapping[tuple[int, int], float]):
 
 
 def objective_oracle(instance: StochasticInstance, x: Mapping[tuple[int, int], float]) -> float:
-    """The objective of ``x``, summed in the map's order as the dict-built solution did."""
+    """The objective of ``x``, added left to right in the map's order as the
+    dict-built solution did on Python 3.11 (the builtin sum compensates from 3.12 on)."""
     mass = (instance.arrivals * instance.probs).tolist()
-    return sum(mass[j] * v for (j, _), v in x.items())
+    return reduce(operator.add, (mass[j] * v for (j, _), v in x.items()), 0.0)
 
 
 def monte_carlo_oracle(instance: StochasticInstance, simulations: int,
@@ -749,6 +754,12 @@ def ids_of(mask: int) -> tuple[int, ...]:
 def row_graph(rows, right: int) -> BipartiteEdgeList:
     """The edge list whose row l is ``rows[l]``, entries in the given order."""
     return BipartiteEdgeList(len(rows), right, [(l, r) for l, row in enumerate(rows) for r in row])
+
+
+def draw_and_score(graph: RealizedGraph, config, rng: RngStream, guidance=None) -> StrategyOutcome:
+    """``run_strategy`` on one graph, a budgeted strategy on the reports ``sparsify`` draws for it alone."""
+    reports = sparsify([graph], config, [rng], guidance)[0] if config.strategy in BUDGETED else None
+    return run_strategy(graph, config, rng, guidance, reports)
 
 
 def realized_edge_list(graph: RealizedGraph) -> BipartiteEdgeList:

@@ -4,12 +4,13 @@ from pathlib import Path
 
 import pytest
 
-from helpers import complete_uniform
+from helpers import complete_uniform, realized_edge_list
 from sparsematch.generators import ingest_trips
 from sparsematch.harness import (
     EfficiencySummary,
     ExperimentConfig,
     UnmetDemandSeries,
+    bound_report,
     ci95,
     learn_weight_sources,
     render_results,
@@ -18,9 +19,10 @@ from sparsematch.harness import (
     run_nyc_day,
     score_trials,
 )
-from sparsematch.instance import instance_to_json
+from sparsematch.instance import instance_to_json, realize
+from sparsematch.matching import max_matching
 from sparsematch.rng import RngStream
-from sparsematch.strategies import StrategyConfig
+from sparsematch.strategies import BUDGETED, StrategyConfig
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 TRIPS = str(REPO_ROOT / "data" / "nyc_sample_trips.csv")
@@ -229,12 +231,14 @@ def test_empty_series_renders_header_only():
 
 
 def kernel_scores(config, trials, **kwargs):
+    """The kernel's lists regrouped by trial: t -> (offline size or None, matched counts by label)."""
     inst = resolve_instance(config)
     base = RngStream(config.seed)
     learned = learn_weight_sources(inst, config, base)
-    scores = score_trials(inst, config.strategies, learned, trials,
-                          base.substream("realize"), base.substream("strategy"), **kwargs)
-    return dict(zip(trials, scores))
+    offline, matched = score_trials(inst, config.strategies, learned, trials,
+                                    base.substream("realize"), base.substream("strategy"), **kwargs)
+    return {t: (None if offline is None else offline[q], {label: counts[q] for label, counts in matched.items()})
+            for q, t in enumerate(trials)}
 
 
 def test_trial_results_independent_of_scheduling(monkeypatch):
@@ -262,12 +266,11 @@ def test_trial_results_independent_of_scheduling(monkeypatch):
 def test_kernel_scores_offline_only_when_asked():
     config = small_config()
     with_offline = kernel_scores(config, [0, 1, 2])
-    without = kernel_scores(config, [0, 1, 2], with_offline=False)
-    for t, score in with_offline.items():
-        assert score.matched["offline"] == score.offline > 0
-        assert without[t].offline is None
-        # run through the strategy table, offline gives the same maximum matching
-        assert without[t].matched == score.matched
+    without = kernel_scores(small_config(strategies=config.strategies[1:]), [0, 1, 2], with_offline=False)
+    for t, (offline, matched) in with_offline.items():
+        assert matched["offline"] == offline > 0
+        # the other strategies' streams are keyed by label, so dropping offline changes none of them
+        assert without[t] == (None, {label: count for label, count in matched.items() if label != "offline"})
 
 
 def test_kernel_skips_strategies_when_offline_matching_is_empty():
@@ -278,9 +281,56 @@ def test_kernel_skips_strategies_when_offline_matching_is_empty():
     )
     # varopt without weights would raise if it ran
     strategies = (StrategyConfig("offline"), StrategyConfig("varopt", k=2))
-    scores = score_trials(unmatchable, strategies, {}, range(3),
-                          RngStream(0), RngStream(1))
-    assert [(s.offline, s.matched) for s in scores] == [(0, {"offline": 0, "varopt k=2": 0})] * 3
+    offline, matched = score_trials(unmatchable, strategies, {}, range(3),
+                                    RngStream(0), RngStream(1))
+    assert (offline, matched) == ([0] * 3, {"offline": [0] * 3, "varopt k=2": [0] * 3})
+
+
+def test_kernel_offline_equals_max_matching():
+    inst = complete_uniform(15)
+    offline, matched = score_trials(inst, (StrategyConfig("offline"),), {}, [4], RngStream(9), RngStream(10))
+    graph = realize(inst, RngStream(9).substream(4))
+    assert offline == matched["offline"] == [max_matching(realized_edge_list(graph)).size]
+
+
+def test_kernel_draws_once_per_budgeted_strategy_and_scores_only_its_reports(monkeypatch):
+    # sparsify runs exactly once per budgeted strategy of a run; run_strategy
+    # never scores offline, and every budgeted call gets one report per arrival
+    from sparsematch import harness, strategies
+
+    drawn, scored = [], []
+    sparsify, run_strategy = strategies.sparsify, strategies.run_strategy
+
+    def tracked_sparsify(graphs, config, rngs, guidance=None):
+        drawn.append(config)
+        return sparsify(graphs, config, rngs, guidance)
+
+    def tracked_run_strategy(graph, config, rng, guidance=None, reports=None):
+        scored.append((config, graph.n, reports))
+        return run_strategy(graph, config, rng, guidance, reports)
+
+    for module in (strategies, harness):
+        monkeypatch.setattr(module, "sparsify", tracked_sparsify)
+        monkeypatch.setattr(module, "run_strategy", tracked_run_strategy)
+
+    def check(configs, trials):
+        budgeted = [cfg for cfg in configs if cfg.strategy in BUDGETED]
+        assert drawn == budgeted
+        assert sorted(cfg.label for cfg, _, _ in scored) == sorted(
+            cfg.label for cfg in configs if cfg.strategy != "offline" for _ in range(trials))
+        for cfg, n, reports in scored:
+            assert len(reports) == n if cfg.strategy in BUDGETED else reports is None
+        drawn.clear()
+        scored.clear()
+
+    config = small_config(strategies=(StrategyConfig("offline"), StrategyConfig("kvv"), StrategyConfig("mgs"),
+                                      StrategyConfig("random", k=3), StrategyConfig("varopt", k=3)), trials=5)
+    summaries = run_experiment(config)
+    assert all(s.trials == 5 for s in summaries)
+    check(config.strategies, 5)
+    bounds = small_config(strategies=(StrategyConfig("varopt", k=3), StrategyConfig("varopt", k=5)), trials=4)
+    bound_report(resolve_instance(bounds), "block", bounds)
+    check(bounds.strategies, 4)
 
 
 @pytest.mark.parametrize("trials", [3, 12])

@@ -160,10 +160,13 @@ def _powers_of_two_and_neighbours(top: int) -> list[int]:
 def _check_subsets(seed: int, tags: list[int], cases: list[tuple[int, int]]) -> int:
     # Every tag's arrival i draws cases[i] = (d, k): its row of one batch per k
     # against the Python-int replay and numpy's own choice(d, k, replace=False)
-    # on the arrival's fresh stream, one generator rewound to its fresh state
-    # between the two.
+    # on the arrival's fresh stream.  One Philox generator serves every arrival:
+    # before each of the two draws it is set to the state a new Philox(key=...)
+    # of the arrival's key has, counter 0 and an empty buffer.
     rngs = [RngStream(seed).substream("subset", tag) for tag in tags]
     parents = np.array([rng.stream_id for rng in rngs], dtype=np.uint64)
+    bitgen = np.random.Philox(key=philox_key(seed, 0))
+    gen, fresh = np.random.Generator(bitgen), bitgen.state
     for k in sorted({k for _, k in cases}):
         arrivals = [i for i, (_, kk) in enumerate(cases) if kk == k]
         trial, arrival = np.repeat(np.arange(len(rngs)), len(arrivals)), np.tile(arrivals, len(rngs))
@@ -171,10 +174,10 @@ def _check_subsets(seed: int, tags: list[int], cases: list[tuple[int, int]]) -> 
         batch = rows.choice(np.array([cases[i][0] for i in arrival.tolist()]), k)
         for t, i, picked in zip(trial.tolist(), arrival.tolist(), batch.tolist()):
             d = cases[i][0]
-            gen = rngs[t].substream("arrival", i).generator
-            fresh = gen.bit_generator.state
+            fresh["state"]["key"] = philox_key(seed, rngs[t].substream("arrival", i).stream_id)
+            bitgen.state = fresh
             replay = choice_without_replacement(gen, d, k)
-            gen.bit_generator.state = fresh
+            bitgen.state = fresh
             drawn = gen.choice(d, k, replace=False)
             assert sorted(replay) == sorted(drawn.tolist()) == sorted(picked), (seed, tags[t], i, d, k)
     return len(tags) * len(cases)

@@ -7,13 +7,13 @@ from helpers import (
     VarOptSampler,
     bundled_trip_instances,
     complete_uniform,
+    draw_and_score,
     exclusive_pairs,
     group_by_type_oracle,
     hopcroft_karp_oracle,
     ids_of,
     kvv_oracle,
     light_row,
-    realized_edge_list,
     row_graph,
     solution,
     solution_dict,
@@ -23,7 +23,7 @@ from helpers import (
 )
 from sparsematch.generators import FAMILIES, gen_kvv_triangular
 from sparsematch.instance import RealizedGraph, StochasticInstance, DemandType, realize
-from sparsematch.matching import bitset_matching, full_matching, max_matching
+from sparsematch.matching import bitset_matching, full_matching
 from sparsematch.rng import RngStream, choice_cdf
 from sparsematch.strategies import (
     BUDGETED,
@@ -36,6 +36,7 @@ from sparsematch.strategies import (
     mgs,
     random_subgraph,
     run_strategy,
+    sparsify,
     varopt_samplers,
     varopt_sparsify,
 )
@@ -105,7 +106,7 @@ def test_varopt_concentrated_forces_single_edge():
     sizes = []
     for t in range(300):
         graph = realize(inst, base.substream(t))
-        outcome = run_strategy(graph, StrategyConfig("varopt", k=5), base.substream("s", t), samplers)
+        outcome = draw_and_score(graph, StrategyConfig("varopt", k=5), base.substream("s", t), samplers)
         assert outcome.sparsified_edges == graph.n
         sizes.append(outcome.matched)
         distinct = len(set(graph.type_ids))
@@ -125,7 +126,7 @@ def test_varopt_spread_preserves_matching():
         graph = realize(inst, base.substream(t))
         offline.append(full_matching(graph).size)
         matched.append(
-            run_strategy(graph, StrategyConfig("varopt", k=5), base.substream("s", t), samplers).matched
+            draw_and_score(graph, StrategyConfig("varopt", k=5), base.substream("s", t), samplers).matched
         )
     ratio = np.mean(matched) / np.mean(offline)
     assert ratio >= 0.95
@@ -285,14 +286,6 @@ def test_mgs_draw_matches_numpy_weighted_choice():
                 assert ours.random() == ref.random()  # each drew one uniform, or none
 
 
-def test_run_strategy_offline_equals_max_matching():
-    inst = complete_uniform(15)
-    graph = realize(inst, RngStream(9))
-    outcome = run_strategy(graph, StrategyConfig("offline"), RngStream(10))
-    assert outcome.matched == max_matching(realized_edge_list(graph)).size
-    assert outcome.sparsified_edges == len(realized_edge_list(graph).edges)
-
-
 def test_run_strategy_full_budget_full_support_equals_offline():
     inst = complete_uniform(12)
     x = solve_expected_lp(inst)
@@ -301,11 +294,9 @@ def test_run_strategy_full_budget_full_support_equals_offline():
     base = RngStream(21)
     for t in range(20):
         graph = realize(inst, base.substream(t))
-        offline = run_strategy(graph, StrategyConfig("offline"), base.substream("o", t)).matched
-        sparsified = run_strategy(
-            graph, StrategyConfig("varopt", k=12), base.substream("v", t), samplers
-        ).matched
-        assert sparsified == offline
+        offline = full_matching(graph).size
+        sparsified = draw_and_score(graph, StrategyConfig("varopt", k=12), base.substream("v", t), samplers)
+        assert sparsified.matched == offline
 
 
 def test_every_strategy_below_offline():
@@ -322,7 +313,7 @@ def test_every_strategy_below_offline():
             StrategyConfig("random", k=3),
             StrategyConfig("varopt", k=3),
         ):
-            outcome = run_strategy(graph, cfg, base.substream("s", t, cfg.label), guidance.get(cfg.label))
+            outcome = draw_and_score(graph, cfg, base.substream("s", t, cfg.label), guidance.get(cfg.label))
             assert outcome.matched <= offline
 
 
@@ -392,21 +383,21 @@ def test_strategy_constants_drive_names_and_validation():
     assert BUDGETED == {"random", "varopt"}
     assert GUIDED == {"mgs", "varopt"}
     with pytest.raises(ValueError, match="fractional solution"):
-        run_strategy(realize(complete_uniform(3), RngStream(1)), StrategyConfig("varopt", k=2), RngStream(2))
+        sparsify([realize(complete_uniform(3), RngStream(1))], StrategyConfig("varopt", k=2), [RngStream(2)])
 
 
 def test_every_declared_strategy_runs_through_run_strategy():
+    # offline is the trial kernel's own maximum matching, and every other
+    # strategy is scored by run_strategy
     inst = complete_uniform(8)
     x = solve_expected_lp(inst)
     guidance = {"mgs": CopyMarginals.of_solution(x), "varopt": varopt_samplers(inst, x, 2)}
     graph = realize(inst, RngStream(51))
     offline = full_matching(graph).size
-    for name in STRATEGY_NAMES:
+    for name in [name for name in STRATEGY_NAMES if name != "offline"]:
         cfg = StrategyConfig(name, k=2 if name in BUDGETED else None)
-        outcome = run_strategy(graph, cfg, RngStream(52), guidance.get(name))
+        outcome = draw_and_score(graph, cfg, RngStream(52), guidance.get(name))
         assert 0 < outcome.matched <= offline, name
-        if name == "offline":
-            assert outcome.matched == offline
         if name in BUDGETED:
             assert outcome.sparsified_edges <= 2 * graph.n, name
 
@@ -436,7 +427,7 @@ def assert_coordinator_equals_the_oracle(graph, config, rng, guidance, masks):
     rows = list(map(ids_of, masks))
     expected = hopcroft_karp_oracle(row_graph(rows, graph.instance.resource_count))
     assert bitset_matching(masks, graph.instance.resource_count) == expected
-    assert run_strategy(graph, config, rng, guidance) == StrategyOutcome(expected.size, sum(map(len, rows)))
+    assert draw_and_score(graph, config, rng, guidance) == StrategyOutcome(expected.size, sum(map(len, rows)))
 
 
 @pytest.mark.parametrize("k", [3, 5, 10])

@@ -1,4 +1,6 @@
 import math
+import operator
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -405,6 +407,17 @@ def assert_solution_equals_the_oracles(inst, x, values):
         split = heavy_light(x, k)
         assert (split.z_heavy, split.z_light) == heavy_light_oracle(inst, values, k)
     assert_marginals_equal(CopyMarginals.of_solution(x), *[group_by_type_oracle(values)] * 2)
+
+
+def test_objective_adds_the_masses_left_to_right():
+    # Python 3.12's builtin sum of floats is compensated; the objective (and with
+    # it bounds' z column) stays the plain left-to-right sum on every version.
+    base = RngStream(0)
+    for name, family in sorted(FAMILIES.items()):
+        inst = family(100)
+        x = monte_carlo_weights(inst, 100, base.substream("weights", name))
+        masses = ((inst.arrivals * inst.probs)[x.types] * x.values).tolist()
+        assert x.objective == reduce(operator.add, masses, 0.0), name
 
 
 def test_learning_layer_equals_the_dict_built_oracles():
