@@ -30,6 +30,7 @@ import numpy as np
 from .rng import RngStream
 
 PROB_TOL = 1e-9
+MASK_CELLS = 1 << 19  # type x resource cells per block of ``type_masks``, which bounds its temporaries
 
 
 def integer_ids(ids) -> tuple[int, ...]:
@@ -161,12 +162,21 @@ class StochasticInstance:
 
     def type_masks(self, relabel: np.ndarray | None = None) -> list[int]:
         """Each type's compatibility set as a bitmask: bit i for resource i, or bit
-        ``relabel[i]`` under a relabeling of the resources."""
-        _, types, ids = self.compat_pairs()
-        member = np.zeros((self.type_count, self.resource_count), dtype=bool)
-        member[types, ids if relabel is None else relabel[ids]] = True
-        rows = np.packbits(member, axis=1, bitorder="little")
-        return [int.from_bytes(row.tobytes(), "little") for row in rows]
+        ``relabel[i]`` under a relabeling of the resources.  Built a block of types
+        at a time, each of at most ``MASK_CELLS`` type x resource cells."""
+        r = self.resource_count
+        labels = None if relabel is None else relabel.astype(np.int32)  # int32 halves each block's gather
+        step = max(1, MASK_CELLS // max(r, 1))
+        masks: list[int] = []
+        for a in range(0, self.type_count, step):
+            offsets = self.offsets[a:a + step + 1]
+            ids = self.ids[offsets[0]:offsets[-1]]
+            member = np.zeros((len(offsets) - 1, r), dtype=bool)
+            member[np.repeat(np.arange(len(offsets) - 1, dtype=np.int32), np.diff(offsets)),
+                   ids if labels is None else labels[ids]] = True
+            rows = np.packbits(member, axis=1, bitorder="little")
+            masks += [int.from_bytes(row.tobytes(), "little") for row in rows]
+        return masks
 
     @cached_property
     def _compat_masks(self) -> tuple[int, ...]:

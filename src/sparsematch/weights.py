@@ -6,7 +6,10 @@ y_ij = n * p_j * x_ij (source -> type arcs of capacity n * p_j, type ->
 resource arcs, resource -> sink arcs of capacity 1, so max flow equals the
 LP optimum), and a Monte Carlo estimator that averages matched-edge
 incidences of shuffled offline optima over simulated realizations.  The
-flow runs on numpy residual arrays, its first phase as a bitset greedy pass.
+flow runs on numpy residual arrays, its first phase as a bitset greedy pass
+and each later phase's DFS on flat buffers of the admissible arcs its BFS
+collects; the phases stop once the source's or the sink's arcs are all
+saturated.
 A solution is stored as the instance stores its types, a CSR store of its
 support, and ``FractionalSolution.build`` is the one place that checks one,
 whatever produced its (type, resource, value) entries.  Helpers split a
@@ -180,21 +183,23 @@ def per_copy_marginals(instance: StochasticInstance, simulations: int, rng: RngS
                            for k, counts in counted))
 
 
-def _first_phase(masks: tuple[int, ...], masses: list[float], type_arcs: np.ndarray,
-                 cap: np.ndarray, sink_arcs: np.ndarray) -> None:
+def _first_phase(masks: tuple[int, ...], masses: list[float], starts: list[int], from_source: np.ndarray,
+                 to_resource: np.ndarray, to_sink: np.ndarray) -> None:
     """Dinic's first blocking flow on the fresh network, as one greedy pass.
 
     Its level graph is source -> types -> resources -> sink and compatibility
     lists ascend, so the DFS takes each type with mass in order and pushes
     ``min(cap[s->j], cap[j->i], cap[i->t])`` to its lowest compatible resource
     still alive, until the type runs dry.  Each push saturates s->j or i->t,
-    so no type -> resource arc carries two pushes.
+    so no type -> resource arc carries two pushes.  The three arrays hold the
+    (forward, reverse) residuals of the source's arcs by type, of type j's
+    resource arcs from row ``starts[j]`` on, and of the sink's arcs by resource.
     """
     source_cap, source_back = list(masses), [0.0] * len(masses)
-    sink_cap, sink_back = [1.0] * len(sink_arcs), [0.0] * len(sink_arcs)
-    pushed_arcs, pushed = [], []
-    alive = (1 << len(sink_arcs)) - 1
-    for j, (mask, mass, arc) in enumerate(zip(masks, masses, type_arcs.tolist())):
+    sink_cap, sink_back = [1.0] * len(to_sink), [0.0] * len(to_sink)
+    pushed_rows, pushed = [], []
+    alive = (1 << len(to_sink)) - 1
+    for j, (mask, mass, start) in enumerate(zip(masks, masses, starts)):
         while source_cap[j] > _FLOW_EPS and mask & alive:
             low = mask & alive & -(mask & alive)
             i = low.bit_length() - 1
@@ -203,50 +208,59 @@ def _first_phase(masks: tuple[int, ...], masses: list[float], type_arcs: np.ndar
             source_back[j] += b
             sink_cap[i] -= b
             sink_back[i] += b
-            pushed_arcs.append(arc + 2 + 2 * (mask & (low - 1)).bit_count())
+            pushed_rows.append(start + (mask & (low - 1)).bit_count())
             pushed.append(b)
             if sink_cap[i] <= _FLOW_EPS:
                 alive ^= low
-    cap[type_arcs], cap[type_arcs + 1] = source_cap, source_back
-    cap[sink_arcs], cap[sink_arcs + 1] = sink_cap, sink_back
-    pushed_arcs = np.array(pushed_arcs, dtype=np.intp)
-    cap[pushed_arcs] -= pushed
-    cap[pushed_arcs + 1] = pushed
+    from_source[:, 0], from_source[:, 1] = source_cap, source_back
+    to_sink[:, 0], to_sink[:, 1] = sink_cap, sink_back
+    pushed_rows = np.array(pushed_rows, dtype=np.intp)
+    to_resource[pushed_rows, 0] -= pushed
+    to_resource[pushed_rows, 1] = pushed
 
 
-def _levels(to: np.ndarray, tail: np.ndarray, cap: np.ndarray, sink: int) -> np.ndarray:
+def _levels(to: np.ndarray, cap: np.ndarray, sink: int) -> tuple[np.ndarray, np.ndarray]:
     """BFS distances from the source, node 0, over arcs with residual > ``_FLOW_EPS``,
-    one numpy pass per frontier; -1 where unreached, and beyond the sink's level."""
-    live = cap > _FLOW_EPS
-    heads, tails = to[live], tail[live]
+    one numpy pass per frontier (-1 where unreached, and beyond the sink's level),
+    and the admissible arcs, those that reach a level one deeper than their tail's:
+    frontier by frontier, each frontier's in arc order."""
+    live = np.flatnonzero(cap > _FLOW_EPS).astype(np.int32)  # int32 halves every index array below
+    heads, tails = to[live], to[live ^ 1]  # arc e runs from to[e ^ 1] to to[e]
     level = np.full(sink + 1, -1, dtype=np.int32)
     level[0] = depth = 0
+    admissible = [live[:0]]
     while level[sink] < 0 and len(tails):
         from_level = level[tails]
-        reached = heads[from_level == depth]
+        frontier = from_level == depth
+        reached = heads[frontier]
         if not len(reached):
             break
         depth += 1
-        level[reached[level[reached] < 0]] = depth
-        heads, tails = heads[from_level < 0], tails[from_level < 0]
-    return level
+        fresh = level[reached] < 0  # the arcs into the next level
+        level[reached[fresh]] = depth
+        admissible.append(live[frontier][fresh])
+        rest = from_level < 0
+        live, heads, tails = live[rest], heads[rest], tails[rest]
+    return level, np.concatenate(admissible)
 
 
-def _blocking_flow(to: np.ndarray, tail: np.ndarray, cap: np.ndarray, level: np.ndarray, sink: int) -> None:
-    """One Dinic phase from the source, node 0, on ``level``'s admissible arcs.
+def _blocking_flow(to: np.ndarray, cap: np.ndarray, level: np.ndarray, arcs: np.ndarray, sink: int) -> None:
+    """One Dinic phase from the source, node 0, on ``level``'s admissible ``arcs``.
 
     Within a phase an arc leaves admissibility only by saturating and none
     enters it (reverse arcs point a level down), so each node's pointer over
     its admissible arcs, in adjacency order, picks the arc that a scan of its
     full adjacency would.  A node whose pointer ran out is skipped, not
-    entered and left.  Reverse residuals change only on augmenting paths, so
-    a dict holds them until the write-back.
+    entered and left.  The admissible arcs' heads and residuals are read
+    through memoryviews of two flat arrays, not copied into Python lists, so
+    a phase holds no object per arc.  Reverse residuals change only on
+    augmenting paths, so a dict holds them until the write-back.
     """
-    arcs = np.flatnonzero((cap > _FLOW_EPS) & (level[to] == level[tail] + 1))
-    arcs = arcs[np.argsort(tail[arcs], kind="stable")]  # adjacency order: by tail, then arc id
-    tails, nodes = tail[arcs], np.arange(len(level))
+    tails = to[arcs ^ 1]
+    order = np.argsort(tails, kind="stable")  # adjacency order: by tail, then arc id
+    arcs, tails, nodes = arcs[order], tails[order], np.arange(len(level))
     ptr, end = np.searchsorted(tails, nodes).tolist(), np.searchsorted(tails, nodes, side="right").tolist()
-    arc_to, arc_cap = to[arcs].tolist(), cap[arcs].tolist()
+    arc_to, arc_cap = memoryview(to[arcs]), memoryview(cap[arcs])
     back: dict[int, float] = {}
     dead = [False] * len(level)
     path: list[int] = []
@@ -289,29 +303,33 @@ def solve_expected_lp(instance: StochasticInstance) -> FractionalSolution:
     if (zero := np.flatnonzero(instance.probs == 0.0)).size:
         raise ValueError(f"type {zero[0]} has probability 0")
 
-    # Arc pairs (arc e ^ 1 reverses arc e) per type: source -> type, then type ->
-    # resource in compatibility order; then resource -> sink.  Node 0 is the
-    # source, 1 + j type j, 1 + m + i resource i.  Each node's adjacency is its
-    # out-arcs in arc order.
+    # Arc pair q is arcs 2q and 2q + 1, arc e ^ 1 reversing arc e: pair j is
+    # source -> type j, pair m + e type -> resource for compatible pair e (type
+    # after type), and the last r pairs resource i -> sink.  Node 0 is the
+    # source, 1 + j type j, 1 + m + i resource i.  A node's adjacency is its
+    # out-arcs in arc order: a type's reverse source arc, then its resources
+    # ascending; a resource's reverse arcs by type, then its sink arc.
     mass = instance.arrivals * instance.probs
     _, edge_type, edge_resource = instance.compat_pairs()
-    edges = len(edge_type)
-    type_arcs = 2 * (np.arange(m, dtype=np.int32) + instance.offsets[:-1])
-    edge_arcs = 2 * (edge_type + np.arange(edges, dtype=np.int32) + 1)
-    sink_arcs = 2 * (m + edges + np.arange(r, dtype=np.int32))
     sink = 1 + m + r
-    to = np.empty(2 * (m + edges + r), dtype=np.int32)
-    to[type_arcs], to[type_arcs + 1] = np.arange(1, m + 1), 0
-    to[edge_arcs], to[edge_arcs + 1] = 1 + m + edge_resource, 1 + edge_type
-    to[sink_arcs], to[sink_arcs + 1] = sink, np.arange(1 + m, sink)
-    tail = to.reshape(-1, 2)[:, ::-1].ravel()  # tail[e] = to[e ^ 1]
+    sources, resources, sinks = slice(0, m), slice(m, m + len(edge_type)), slice(m + len(edge_type), None)
+    heads = np.empty((m + len(edge_type) + r, 2), dtype=np.int32)  # to[2q], to[2q + 1] of pair q
+    heads[sources, 0], heads[sources, 1] = np.arange(1, m + 1), 0
+    heads[resources, 0], heads[resources, 1] = 1 + m + edge_resource, 1 + edge_type
+    heads[sinks, 0], heads[sinks, 1] = sink, np.arange(1 + m, sink)
+    to = heads.ravel()
     cap = np.zeros(len(to))
-    cap[edge_arcs] = mass[edge_type]
+    residual = cap.reshape(-1, 2)  # residual[q] = cap[2q], cap[2q + 1]
+    residual[resources, 0] = mass[edge_type]
 
-    _first_phase(instance._compat_masks, mass.tolist(), type_arcs, cap, sink_arcs)
-    while (level := _levels(to, tail, cap, sink))[sink] >= 0:
-        _blocking_flow(to, tail, cap, level, sink)
-    values = cap[edge_arcs + 1] / mass[edge_type]
+    _first_phase(instance._compat_masks, mass.tolist(), instance.offsets[:-1].tolist(),
+                 residual[sources], residual[resources], residual[sinks])
+    # the source's out-arcs and the sink's in-arcs are the forward arcs of their
+    # pairs: once either side is saturated, no BFS can reach the sink
+    while ((residual[sources, 0] > _FLOW_EPS).any() and (residual[sinks, 0] > _FLOW_EPS).any()
+           and (phase := _levels(to, cap, sink))[0][sink] >= 0):
+        _blocking_flow(to, cap, *phase, sink)
+    values = residual[resources, 1] / mass[edge_type]
     kept = np.flatnonzero(values > _FLOW_EPS)
     return FractionalSolution.build(instance, edge_type[kept], edge_resource[kept], values[kept])
 

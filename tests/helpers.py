@@ -12,8 +12,10 @@ subset against numpy's Floyd algorithm replayed on Python ints, and
 Hopcroft-Karp's pairs against the version without the greedy first phase.
 An instance's vectorized check is held to the per-type Python checks it
 replaced (``instance_check_oracle``), the numpy generators to the
-tuple-building ones (``FAMILY_ORACLES``), the shuffled matching's type
-masks to the bit-by-bit build (``max_matching_shuffled_oracle``), and
+tuple-building ones (``FAMILY_ORACLES``), the type masks built in blocks
+to one membership matrix of every pair (``type_masks_oracle``), the
+shuffled matching's type masks to the bit-by-bit build
+(``max_matching_shuffled_oracle``), and
 ranking on rank-relabeled masks to the scan of every arrival's row
 (``kvv_oracle``).  The learning steps' CSR solutions are held to the
 dict-built versions they replaced (``monte_carlo_oracle``,
@@ -567,6 +569,15 @@ def tsm_oracle(n: int) -> tuple[tuple[str, ...], list[tuple[int, ...]]]:
 # type is uniform, at probability 1 / len(rows).
 FAMILY_ORACLES = {"block": block_oracle, "triangular": triangular_oracle, "bahmani": bahmani_oracle,
                   "tsm": tsm_oracle}
+
+
+def type_masks_oracle(instance: StochasticInstance, relabel: np.ndarray | None = None) -> list[int]:
+    """``StochasticInstance.type_masks`` in one pass: the m x R membership matrix
+    of every compatible pair at once, each row packed into an int."""
+    _, types, ids = instance.compat_pairs()
+    member = np.zeros((instance.type_count, instance.resource_count), dtype=bool)
+    member[types, ids if relabel is None else relabel[ids]] = True
+    return [int.from_bytes(row.tobytes(), "little") for row in np.packbits(member, axis=1, bitorder="little")]
 
 
 def max_matching_shuffled_oracle(graph: RealizedGraph, rng: RngStream) -> MatchingResult:

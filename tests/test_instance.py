@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +11,11 @@ from helpers import (
     exclusive_pairs,
     instance_check_oracle,
     micro_type_count,
+    type_masks_oracle,
     uniform_instance,
 )
+from sparsematch import instance as instance_module
+from sparsematch.generators import FAMILIES, gen_kvv_triangular
 from sparsematch.instance import (
     PROB_TOL,
     DemandType,
@@ -67,6 +71,32 @@ def test_compat_masks_hold_each_types_compatibility_set():
         for t, mask in zip(inst.types, masks):
             assert [i for i in range(inst.resource_count) if mask >> i & 1] == list(t.compatible)
             assert mask >> inst.resource_count == 0
+
+
+def test_type_masks_equal_the_one_shot_build_in_bounded_blocks(monkeypatch):
+    inst = gen_kvv_triangular(2000)
+    rank = np.random.default_rng(5).permutation(inst.resource_count)
+    tracemalloc.start()
+    try:
+        masks = inst.type_masks(rank)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert masks == type_masks_oracle(inst, rank)
+    assert inst.type_masks() == type_masks_oracle(inst)
+    # one 2000 x 2000 matrix with every pair's temporaries at once peaked at 28 MB
+    assert peak <= 10e6, f"peak {peak / 1e6:.1f} MB"
+    # blocks down to one type each, a block of types without pairs, and no resources at all
+    instances = [family(40) for family in FAMILIES.values()] + bundled_trip_instances()
+    instances += [StochasticInstance(("a", "b"), (DemandType(0.5, ()), DemandType(0.2, ()), DemandType(0.3, (1,))), 2),
+                  StochasticInstance((), (DemandType(1.0, ()),), 1)]
+    gen = np.random.default_rng(6)
+    for cells in (1, 7, 40, 300):
+        monkeypatch.setattr(instance_module, "MASK_CELLS", cells)
+        for inst in instances:
+            rank = gen.permutation(inst.resource_count)
+            assert inst.type_masks(rank) == type_masks_oracle(inst, rank)
+            assert inst.type_masks() == type_masks_oracle(inst)
 
 
 def test_negative_resource_index_rejected():

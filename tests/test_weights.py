@@ -1,5 +1,6 @@
 import math
 import operator
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -23,7 +24,7 @@ from helpers import (
     uniform_instance,
 )
 from sparsematch import weights
-from sparsematch.generators import FAMILIES
+from sparsematch.generators import FAMILIES, gen_bahmani
 from sparsematch.instance import DemandType, StochasticInstance, realize
 from sparsematch.matching import full_matching
 from sparsematch.rng import RngStream, choice_cdf
@@ -185,6 +186,43 @@ def test_lp_equals_list_built_dinic_on_generated_instances():
         assert_same_as_list_built_dinic(inst)
 
     check()
+
+
+def test_lp_ends_at_a_saturated_cut_without_the_bfs_that_finds_it(monkeypatch):
+    reached: list[list[bool]] = []
+    levels = weights._levels
+
+    def recorded(*args):
+        level, arcs = levels(*args)
+        reached[-1].append(bool(level[-1] >= 0))  # the sink is the last node
+        return level, arcs
+
+    monkeypatch.setattr(weights, "_levels", recorded)
+    for inst in [gen_fn(n) for n in (100, 500) for gen_fn in FAMILIES.values()]:
+        reached.append([])
+        solve_expected_lp(inst)
+        assert all(reached[-1]), "a BFS ran after the source or the sink was saturated"
+    # every family's LP ends at a saturated source or sink; no trip interval's does,
+    # so its last BFS is the one that finds the sink unreachable
+    trips = bundled_trip_instances()
+    assert len(trips) >= 3
+    for inst in trips:
+        reached.append([])
+        solve_expected_lp(inst)
+        assert reached[-1][-1] is False and all(reached[-1][:-1])
+
+
+def test_bahmani_500_lp_peaks_under_9_mb():
+    # a phase's admissible arcs as Python lists peaked at 13.1 MB
+    inst = gen_bahmani(500)
+    inst._compat_masks  # built once per instance, before the LP
+    tracemalloc.start()
+    try:
+        solve_expected_lp(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_lp_degenerate_type_rejected():
