@@ -3,12 +3,13 @@
 The four synthetic families are adversarial constructions from the online
 matching literature; each is a deterministic function of its size parameter,
 with uniform type probabilities and balanced supply/demand.  Their rows are
-ranges and blocks, built with numpy straight into the instance's CSR store
-(``StochasticInstance.from_csr``), which checks them once.  The trip-data
-path turns a window of pick-up / drop-off events into a stochastic instance:
-drop-offs define the sampled car supply, pick-up zones define the demand type
-distribution, and edges connect same-zone or neighbouring-zone pairs.  A
-pick-up zone with no car in reach becomes a type with no compatible resource.
+ranges and blocks, built with numpy straight into the CSR arrays that the
+instance's constructor checks once.  The trip-data path turns a window of
+pick-up / drop-off events into a stochastic instance: drop-offs define the
+sampled car supply, pick-up zones define the demand type distribution, and
+edges connect same-zone or neighbouring-zone pairs.  Its per-zone rows are
+flattened into the same CSR arrays.  A pick-up zone with no car in reach
+becomes a type with no compatible resource.
 """
 
 from __future__ import annotations
@@ -18,10 +19,11 @@ import logging
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
+from itertools import chain
 
 import numpy as np
 
-from .instance import DemandType, StochasticInstance
+from .instance import StochasticInstance
 from .rng import RngStream
 
 log = logging.getLogger(__name__)
@@ -39,7 +41,7 @@ def _uniform_instance(resources: tuple[str, ...], sizes: np.ndarray, ids: np.nda
     """Uniform types, type j compatible with the next ``sizes[j]`` entries of
     ``ids``, and one expected arrival per resource."""
     m = len(sizes)
-    return StochasticInstance.from_csr(resources, np.cumsum([0, *sizes]), ids, np.full(m, 1.0 / m), len(resources))
+    return StochasticInstance(resources, np.cumsum([0, *sizes]), ids, np.full(m, 1.0 / m), len(resources))
 
 
 def gen_partitioned_block(n: int) -> StochasticInstance:
@@ -228,10 +230,7 @@ def build_nyc_instance(
     car_zones = tuple(car_zone_ids[s] for s in sampled)
 
     rider_zone_ids = sorted(set(pick_zones))
-    types = tuple(
-        DemandType(pick_zones.count(zone) / len(pick_zones),
-                   tuple(i for i, cz in enumerate(car_zones) if zones.compatible(zone, cz)))
-        for zone in rider_zone_ids
-    )
-    return StochasticInstance(resources=tuple(f"car{i}@{z}" for i, z in enumerate(car_zones)),
-                              types=types, arrivals=n)
+    rows = [[i for i, cz in enumerate(car_zones) if zones.compatible(zone, cz)] for zone in rider_zone_ids]
+    return StochasticInstance(tuple(f"car{i}@{z}" for i, z in enumerate(car_zones)), np.cumsum([0, *map(len, rows)]),
+                              np.fromiter(chain.from_iterable(rows), dtype=np.int64),
+                              [pick_zones.count(zone) / len(pick_zones) for zone in rider_zone_ids], n)

@@ -9,21 +9,20 @@ to every resource compatible with its type.
 
 The types are stored once, as read-only CSR arrays: type j's compatibility
 set is ``ids[offsets[j]:offsets[j + 1]]``, strictly ascending, and its
-probability ``probs[j]``.  The generators pass these arrays
-(``StochasticInstance.from_csr``), the file readers and the trip builder
-``DemandType`` records; either way one vectorized check runs, once.  The
-``types`` records and the type bitmasks are derived from the store.
+probability ``probs[j]``.  The one constructor takes these arrays from the
+generators, the JSON reader and the trip builder alike, and checks them once,
+vectorized.  The ``types`` view of ``DemandType`` records and the type
+bitmasks are derived from the store.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -31,14 +30,6 @@ from .rng import RngStream
 
 PROB_TOL = 1e-9
 MASK_CELLS = 1 << 19  # type x resource cells per block of ``type_masks``, which bounds its temporaries
-
-
-def integer_ids(ids) -> tuple[int, ...]:
-    """``ids`` as Python ints, or TypeError: Python and numpy integers pass;
-    bools, floats, strings, None and numpy bools do not."""
-    if bool in map(type, ids):
-        raise TypeError("a bool is not an integer id")
-    return tuple(map(operator.index, ids))
 
 
 def _check_types(offsets: np.ndarray, ids: np.ndarray, probs: np.ndarray) -> None:
@@ -58,11 +49,11 @@ def _check_types(offsets: np.ndarray, ids: np.ndarray, probs: np.ndarray) -> Non
 
 @dataclass(frozen=True)
 class DemandType:
-    """One demand type as a record: its draw probability and compatible resource
-    indices, checked by the instance built from it."""
+    """One demand type as a record of the ``types`` view: its draw probability
+    and compatible resource indices."""
 
     probability: float
-    compatible: Sequence[int]
+    compatible: tuple[int, ...]
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -76,40 +67,19 @@ class StochasticInstance:
     ids: np.ndarray  # int32 resource indices
     probs: np.ndarray  # float64 type probabilities
 
-    def __init__(self, resources: Iterable[str], types: Iterable[DemandType], arrivals: int):
-        """Type j is ``types[j]``.  Checked as ``from_csr`` checks, each type's ids
-        first checked to be integers (bools and floats are not)."""
-        types = tuple(types)
-        rows = [tuple(t.compatible) for t in types]
-        offsets, probs = np.cumsum([0, *map(len, rows)]), np.array([t.probability for t in types], dtype=float)
-        flat = list(chain.from_iterable(rows))
-        try:  # as objects, so that an id too large for int64 reaches the range check
-            ids = np.array(integer_ids(flat), dtype=object)
-        except TypeError:  # the first type with a non-integer id, after the checks of the types before it
-            j = next(j for j, row in enumerate(rows)
-                     if bool in map(type, row) or not all(hasattr(type(i), "__index__") for i in row))
-            _check_types(offsets[:j + 1], np.array(integer_ids(flat[:offsets[j]]), dtype=object), probs[:j])
-            raise ValueError(f"compatibility list {rows[j]!r} holds an id that is not an integer") from None
-        self._store(tuple(resources), offsets, ids, probs, arrivals)
-
-    @classmethod
-    def from_csr(cls, resources: Iterable[str], offsets: np.ndarray, ids: np.ndarray, probs: np.ndarray,
-                 arrivals: int) -> StochasticInstance:
+    def __init__(self, resources: Iterable[str], offsets: np.ndarray, ids: np.ndarray, probs: np.ndarray,
+                 arrivals: int):
         """Type j has compatibility set ``ids[offsets[j]:offsets[j + 1]]`` and
-        probability ``probs[j]``, with ``offsets`` rising from 0 to ``len(ids)``;
-        the arrays become the store.  ValueError for ids of no integer dtype."""
+        probability ``probs[j]``, with ``offsets`` rising from 0 to ``len(ids)``.
+
+        ValueError for ids of no integer dtype; then, in type order, for a
+        probability outside [0, 1] or ids that do not strictly ascend; then for
+        repeated resources, a negative arrival count, no types, an id outside
+        the resources or probabilities that do not sum to 1 within ``PROB_TOL``.
+        Else the arrays become the store, read-only."""
         if (ids := np.asarray(ids)).dtype.kind not in "iu":
             raise ValueError(f"compatibility ids of dtype {ids.dtype} hold an id that is not an integer")
-        instance = cls.__new__(cls)
-        instance._store(tuple(resources), np.asarray(offsets), ids, np.asarray(probs, dtype=float), arrivals)
-        return instance
-
-    def _store(self, resources: tuple[str, ...], offsets: np.ndarray, ids: np.ndarray, probs: np.ndarray,
-               arrivals: int) -> None:
-        """ValueError, in type order, for a probability outside [0, 1] or ids that
-        do not strictly ascend; then for repeated resources, a negative arrival
-        count, no types, an id outside the resources or probabilities that do
-        not sum to 1 within ``PROB_TOL``.  Else keep the arrays, read-only."""
+        resources, offsets, probs = tuple(resources), np.asarray(offsets), np.asarray(probs, dtype=float)
         _check_types(offsets, ids, probs)
         if len(set(resources)) != len(resources):
             raise ValueError("resource identifiers must be unique")
@@ -237,12 +207,13 @@ def instance_from_json(text: str) -> StochasticInstance:
     ``allow_empty_types`` key load unchanged."""
     doc = json.loads(text)
     try:
-        types = []
+        rows, probs = [], []
         for t in json_value(doc["types"], "array"):
-            compatible = tuple(json_value(i, "integer") for i in json_value(t["compatible"], "array"))
-            types.append(DemandType(float(json_value(t["p"], "number")), compatible))
+            rows.append([json_value(i, "integer") for i in json_value(t["compatible"], "array")])
+            probs.append(float(json_value(t["p"], "number")))
         resources = tuple(json_value(r, "string") for r in json_value(doc["resources"], "array"))
         arrivals = json_value(doc["n"], "integer")
+        ids = np.fromiter(chain.from_iterable(rows), dtype=np.int64)  # OverflowError at 2**63 and beyond
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed instance JSON: {exc!r}") from None
-    return StochasticInstance(resources=resources, types=types, arrivals=arrivals)
+    return StochasticInstance(resources, np.cumsum([0, *map(len, rows)]), ids, probs, arrivals)

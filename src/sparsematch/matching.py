@@ -4,7 +4,8 @@ A graph is one bitmask per left vertex, bit r for right vertex r: an
 arrival's type mask in a full realization (``full_matching``), or the
 resources a sparsifier reports for it (the coordinator's ``bitset_matching``).
 Edge pairs from outside the package enter through the validating
-``BipartiteEdgeList``, whose rows ``max_matching`` turns into masks.
+``BipartiteEdgeList``, whose ids ``integer_ids`` checks and whose rows
+``max_matching`` turns into masks.
 
 ``bitset_matching`` is the one Hopcroft-Karp.  Its first phase, where every
 left vertex is free, is one greedy pass; every search takes the lowest
@@ -16,13 +17,22 @@ relabeling both sides uniformly at random and mapping the result back.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .instance import RealizedGraph, integer_ids
+from .instance import RealizedGraph
 from .rng import RngStream
+
+
+def integer_ids(ids) -> tuple[int, ...]:
+    """``ids`` as Python ints, or TypeError: Python and numpy integers pass;
+    bools, floats, strings, None and numpy bools do not."""
+    if bool in map(type, ids):
+        raise TypeError("a bool is not an integer id")
+    return tuple(map(operator.index, ids))
 
 
 class BipartiteEdgeList:

@@ -12,7 +12,8 @@ subset against numpy's Floyd algorithm replayed on Python ints, and
 Hopcroft-Karp's pairs against the version without the greedy first phase.
 An instance's vectorized check is held to the per-type Python checks it
 replaced (``instance_check_oracle``), the numpy generators to the
-tuple-building ones (``FAMILY_ORACLES``), the type masks built in blocks
+tuple-building ones (``FAMILY_ORACLES``), the trip builder to the
+record-building one (``nyc_instance_oracle``), the type masks built in blocks
 to one membership matrix of every pair (``type_masks_oracle``), the
 shuffled matching's type masks to the bit-by-bit build
 (``max_matching_shuffled_oracle``), and
@@ -24,6 +25,7 @@ dict-built versions they replaced (``monte_carlo_oracle``,
 ``solution_dict`` turn a ``(type, resource) -> value`` dict into a solution
 and back, ``batch`` builds a ``BatchSampler`` from (ids, weights) rows, and
 ``draw_and_score`` draws one graph's reports and scores them.
+``records_instance`` builds an instance from ``DemandType`` records.
 ``VarOptSampler`` is the batch's one-row form with its
 input checked, which the single-set sampling tests build.  The
 fractional-load diagnostics at the end scale an IPW-weighted subgraph down to
@@ -42,8 +44,8 @@ from typing import Mapping
 
 import numpy as np
 
-from sparsematch.instance import PROB_TOL, DemandType, RealizedGraph, StochasticInstance, integer_ids
-from sparsematch.matching import BipartiteEdgeList, MatchingResult, bitset_matching
+from sparsematch.instance import PROB_TOL, DemandType, RealizedGraph, StochasticInstance
+from sparsematch.matching import BipartiteEdgeList, MatchingResult, bitset_matching, integer_ids
 from sparsematch.rng import RngStream, StreamRows, arrival_stream_ids
 from sparsematch.strategies import BUDGETED, StrategyOutcome, run_strategy, sparsify
 from sparsematch.varopt import BatchSampler
@@ -609,11 +611,39 @@ def kvv_oracle(graph: RealizedGraph, rng: RngStream) -> int:
     return matched
 
 
+def records_instance(resources, types, arrivals: int) -> StochasticInstance:
+    """The instance whose type j is the ``DemandType`` record ``types[j]``: the
+    records flattened into CSR arrays for the one constructor."""
+    types = tuple(types)
+    return StochasticInstance(resources, np.cumsum([0, *(len(t.compatible) for t in types)]),
+                              np.fromiter((i for t in types for i in t.compatible), dtype=np.int64),
+                              [t.probability for t in types], arrivals)
+
+
+def nyc_instance_oracle(trips, zones, t, rng: RngStream) -> StochasticInstance:
+    """``build_nyc_instance`` as it was before it built CSR arrays: the same
+    supply draw, then one ``DemandType`` record per pick-up zone."""
+    from sparsematch.generators import HALF_WINDOW, EmptyWindow
+
+    drop_zones = [trip.dropoff_zone for trip in trips if t - HALF_WINDOW <= trip.dropoff_time < t]
+    pick_zones = [trip.pickup_zone for trip in trips if t <= trip.pickup_time < t + HALF_WINDOW]
+    if not (drop_zones and pick_zones):
+        raise EmptyWindow(f"no events around {t}")
+    car_zone_ids = sorted(set(drop_zones))
+    car_probs = [drop_zones.count(z) / len(drop_zones) for z in car_zone_ids]
+    sampled = rng.generator.choice(len(car_zone_ids), size=len(drop_zones), replace=True, p=car_probs)
+    car_zones = tuple(car_zone_ids[s] for s in sampled)
+    types = [DemandType(pick_zones.count(zone) / len(pick_zones),
+                        tuple(i for i, cz in enumerate(car_zones) if zones.compatible(zone, cz)))
+             for zone in sorted(set(pick_zones))]
+    return records_instance(tuple(f"car{i}@{z}" for i, z in enumerate(car_zones)), types, len(drop_zones))
+
+
 def uniform_instance(compat_lists, arrivals: int) -> StochasticInstance:
     p = 1.0 / len(compat_lists)
     types = tuple(DemandType(p, tuple(sorted(c))) for c in compat_lists)
     resources = tuple(f"v{i}" for i in range(1 + max(max(c) for c in compat_lists if c)))
-    return StochasticInstance(resources=resources, types=types, arrivals=arrivals)
+    return records_instance(resources, types, arrivals)
 
 
 def bundled_trip_instances() -> list[StochasticInstance]:

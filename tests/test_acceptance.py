@@ -148,8 +148,8 @@ def test_criterion_3_matching_oracle():
 
 
 def test_criterion_4_lp_correctness():
-    from helpers import exclusive_pairs
-    from sparsematch.instance import DemandType, StochasticInstance
+    from helpers import exclusive_pairs, records_instance
+    from sparsematch.instance import DemandType
 
     n = 20
     hand_checks = [
@@ -157,7 +157,7 @@ def test_criterion_4_lp_correctness():
         (solve_expected_lp(complete_uniform(n)).objective, float(n)),
         (
             solve_expected_lp(
-                StochasticInstance(("a",), (DemandType(1.0, (0,)),), arrivals=5)
+                records_instance(("a",), (DemandType(1.0, (0,)),), arrivals=5)
             ).objective,
             1.0,
         ),

@@ -321,8 +321,11 @@ def with_field(doc, path, value):
     (("types", 0, "p"), 10**400),  # a JSON number beyond float range
     (("resources", 0), 1),  # resource names are JSON strings
     (("resources", 1), None),
+    (("types", 0, "compatible", 2), 2**64),  # ids beyond int64, in ascending rows
+    (("types", 0, "compatible", 0), -(2**64)),
 ], ids=["resources-string", "n-float", "n-bool", "p-string", "p-bool", "compatible-float", "compatible-bool",
-        "compatible-string", "p-huge", "resource-integer", "resource-null"])
+        "compatible-string", "p-huge", "resource-integer", "resource-null", "compatible-huge",
+        "compatible-huge-negative"])
 def test_instance_file_with_a_wrong_json_type_exits_2(tmp_path, path, value):
     inst = write_json(tmp_path / "inst.json", INSTANCE_DOC)
     assert main(["weights", "--instance", inst, "--weights", "lp", "--weights-out", str(tmp_path / "ok.json")]) == 0

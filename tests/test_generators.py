@@ -7,7 +7,8 @@ from itertools import chain
 import numpy as np
 import pytest
 
-from helpers import FAMILY_ORACLES
+from helpers import FAMILY_ORACLES, bundled_trip_instances, nyc_instance_oracle
+from sparsematch import generators
 from sparsematch.generators import (
     FAMILIES,
     EmptyWindow,
@@ -305,6 +306,14 @@ def test_nyc_supply_sampling_deterministic():
     a = build_nyc_instance(trips, _zone_model(), t, RngStream(9, 4))
     b = build_nyc_instance(trips, _zone_model(), t, RngStream(9, 4))
     assert a == b
+
+
+def test_trip_builder_equals_the_records_oracle(monkeypatch):
+    """On every bundled trip interval, the CSR arrays built from the per-zone
+    rows give the instance that ``DemandType`` records of those rows give."""
+    built = bundled_trip_instances()
+    monkeypatch.setattr(generators, "build_nyc_instance", nyc_instance_oracle)
+    assert len(built) >= 3 and bundled_trip_instances() == built
 
 
 def test_tsm_offline_optimum_matches_closed_form():

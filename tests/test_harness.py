@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import complete_uniform, realized_edge_list
+from helpers import complete_uniform, realized_edge_list, records_instance
 from sparsematch.generators import ingest_trips
 from sparsematch.harness import (
     EfficiencySummary,
@@ -195,9 +195,9 @@ def test_nyc_default_interval_derivation():
 
 
 def test_all_degenerate_trials_rejected():
-    from sparsematch.instance import DemandType, StochasticInstance
+    from sparsematch.instance import DemandType
 
-    unmatchable = StochasticInstance(
+    unmatchable = records_instance(
         resources=("a",),
         types=(DemandType(1.0, ()),),
         arrivals=2,
@@ -274,9 +274,9 @@ def test_kernel_scores_offline_only_when_asked():
 
 
 def test_kernel_skips_strategies_when_offline_matching_is_empty():
-    from sparsematch.instance import DemandType, StochasticInstance
+    from sparsematch.instance import DemandType
 
-    unmatchable = StochasticInstance(
+    unmatchable = records_instance(
         resources=("a",), types=(DemandType(1.0, ()),), arrivals=2
     )
     # varopt without weights would raise if it ran

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 from pathlib import Path
@@ -11,6 +12,7 @@ from helpers import (
     exclusive_pairs,
     instance_check_oracle,
     micro_type_count,
+    records_instance,
     type_masks_oracle,
     uniform_instance,
 )
@@ -30,7 +32,7 @@ from sparsematch.rng import RngStream
 
 def test_probabilities_must_sum_to_one():
     with pytest.raises(ValueError, match="sum"):
-        StochasticInstance(
+        records_instance(
             resources=("a", "b"),
             types=(DemandType(0.5, (0,)), DemandType(0.4, (1,))),
             arrivals=3,
@@ -39,27 +41,39 @@ def test_probabilities_must_sum_to_one():
 
 def test_duplicate_resources_rejected():
     with pytest.raises(ValueError, match="unique"):
-        StochasticInstance(resources=("a", "a"), types=(DemandType(1.0, (0,)),), arrivals=1)
+        records_instance(resources=("a", "a"), types=(DemandType(1.0, (0,)),), arrivals=1)
 
 
 def test_compatibility_must_be_sorted_and_in_range():
     with pytest.raises(ValueError, match="ascending"):
-        StochasticInstance(resources=("a", "b"), types=(DemandType(1.0, (1, 0)),), arrivals=1)
+        records_instance(resources=("a", "b"), types=(DemandType(1.0, (1, 0)),), arrivals=1)
     with pytest.raises(ValueError, match="references resource"):
-        StochasticInstance(resources=("a",), types=(DemandType(1.0, (0, 1)),), arrivals=1)
+        records_instance(resources=("a",), types=(DemandType(1.0, (0, 1)),), arrivals=1)
 
 
 @pytest.mark.parametrize("ids", [(True, 2), (1.0,), (0, 2.5), ("3",), (np.bool_(False),), (np.float64(1.0),), (None,)])
 def test_compatibility_ids_must_be_integers(ids):
-    with pytest.raises(ValueError, match="not an integer"):
-        StochasticInstance(resources=tuple("abcd"), types=(DemandType(1.0, ids),), arrivals=1)
+    """Rejected where they enter: Python values in an instance file by the
+    reader, numpy values as an ids array of no integer dtype by the constructor."""
+    if isinstance(ids[0], np.generic):
+        with pytest.raises(ValueError, match="not an integer"):
+            StochasticInstance(tuple("abcd"), [0, len(ids)], np.array(ids), [1.0], 1)
+    else:
+        doc = {"resources": list("abcd"), "types": [{"p": 1.0, "compatible": list(ids)}], "n": 1}
+        with pytest.raises(ValueError, match="expected a JSON integer"):
+            instance_from_json(json.dumps(doc))
 
 
 def test_compatibility_ids_may_be_python_or_numpy_integers():
-    t = StochasticInstance(resources=tuple("abcde"), arrivals=1,
-                           types=(DemandType(1.0, [np.int64(1), np.uint8(2), 3, np.intp(4)]),)).types[0]
-    assert t.compatible == (1, 2, 3, 4)
-    assert all(type(i) is int for i in t.compatible)
+    """Python ints from an instance file, or an ids array of any integer dtype;
+    the types view holds Python ints either way."""
+    doc = {"resources": list("abcde"), "types": [{"p": 1.0, "compatible": [1, 2, 3, 4]}], "n": 1}
+    instances = [instance_from_json(json.dumps(doc))]
+    instances += [StochasticInstance(tuple("abcde"), [0, 4], np.array([1, 2, 3, 4], dtype=dtype), [1.0], 1)
+                  for dtype in (np.int64, np.uint8, np.int32, np.uint64)]
+    for inst in instances:
+        assert inst.types[0].compatible == (1, 2, 3, 4)
+        assert all(type(i) is int for i in inst.types[0].compatible)
 
 
 def test_compat_masks_hold_each_types_compatibility_set():
@@ -88,8 +102,8 @@ def test_type_masks_equal_the_one_shot_build_in_bounded_blocks(monkeypatch):
     assert peak <= 10e6, f"peak {peak / 1e6:.1f} MB"
     # blocks down to one type each, a block of types without pairs, and no resources at all
     instances = [family(40) for family in FAMILIES.values()] + bundled_trip_instances()
-    instances += [StochasticInstance(("a", "b"), (DemandType(0.5, ()), DemandType(0.2, ()), DemandType(0.3, (1,))), 2),
-                  StochasticInstance((), (DemandType(1.0, ()),), 1)]
+    instances += [records_instance(("a", "b"), (DemandType(0.5, ()), DemandType(0.2, ()), DemandType(0.3, (1,))), 2),
+                  records_instance((), (DemandType(1.0, ()),), 1)]
     gen = np.random.default_rng(6)
     for cells in (1, 7, 40, 300):
         monkeypatch.setattr(instance_module, "MASK_CELLS", cells)
@@ -101,11 +115,11 @@ def test_type_masks_equal_the_one_shot_build_in_bounded_blocks(monkeypatch):
 
 def test_negative_resource_index_rejected():
     with pytest.raises(ValueError, match="references resource"):
-        StochasticInstance(resources=("a", "b"), types=(DemandType(1.0, (-1, 0)),), arrivals=1)
+        records_instance(resources=("a", "b"), types=(DemandType(1.0, (-1, 0)),), arrivals=1)
 
 
 def test_empty_compatibility_is_a_valid_type():
-    inst = StochasticInstance(resources=("a",), types=(DemandType(1.0, ()),), arrivals=1)
+    inst = records_instance(resources=("a",), types=(DemandType(1.0, ()),), arrivals=1)
     assert inst.types[0].compatible == ()
     graph = realize(inst, RngStream(1))
     assert graph.instance.row(graph.type_ids[0]) == []
@@ -182,7 +196,7 @@ def test_realized_edges_match_type_compatibility_exactly():
 def test_type_frequency_matches_probabilities():
     # 10000 realizations of a small instance: per-type draw counts stay
     # within 4 sigma of the binomial around p_j
-    inst = StochasticInstance(
+    inst = records_instance(
         resources=("a", "b", "c"),
         types=(DemandType(0.6, (0,)), DemandType(0.3, (1,)), DemandType(0.1, (2,))),
         arrivals=5,
@@ -236,8 +250,8 @@ def instance_inputs(st):
     """A hypothesis strategy of (resources, (probability, ids) types, arrival
     count), mostly valid.  Ids come in every kind: in range, negative, >= the
     resource count, bools, floats, numpy integers, ints beyond int64 and
-    values that are no number; probability sums sit at the edge of
-    ``PROB_TOL``."""
+    values that are no number, some in rows that are valid but for their
+    ids' type; probability sums sit at the edge of ``PROB_TOL``."""
 
     @st.composite
     def inputs(draw):
@@ -252,7 +266,9 @@ def instance_inputs(st):
             st.integers(2**62, 2**70), st.integers(-(2**70), -(2**62)),
             st.sampled_from([None, "1", np.bool_(True), np.float64(1.0), 1.0]))
         mixed = st.lists(st.one_of(odd, odd, st.integers(0, max(0, right - 1))), max_size=5)
-        rows = draw(st.lists(st.one_of(in_range.map(sorted), in_range, mixed), max_size=5))
+        disguise = st.sampled_from([float, str, np.int64, lambda i: bool(i) if i < 2 else i])
+        disguised = st.builds(lambda row, kind: [kind(i) for i in sorted(row)], in_range, disguise)
+        rows = draw(st.lists(st.one_of(in_range.map(sorted), in_range, mixed, disguised), max_size=5))
         weights = draw(st.lists(st.floats(0.01, 1.0), min_size=len(rows), max_size=len(rows)))
         probs = [w / sum(weights) for w in weights]
         if probs:
@@ -274,28 +290,40 @@ def outcome(build):
         return str(exc)
 
 
-def test_vectorized_check_accepts_and_rejects_as_the_per_type_oracle():
-    """The record constructor, and ``from_csr`` where every id is an int64,
-    accept exactly the inputs the per-type Python checks accept, with the same
-    rows, and reject the others with the same message."""
+def test_vectorized_check_accepts_and_rejects_as_the_per_type_oracle(tmp_path):
+    """The constructor, where every id is an int64, accepts exactly the inputs
+    the per-type Python checks accept, with the same rows, and rejects the
+    others with the same message.  The JSON reader, on every input a file can
+    hold, accepts exactly the same inputs with the same rows; where both
+    reject, it raises a ValueError too."""
     hypothesis = pytest.importorskip("hypothesis")
+    path = tmp_path / "instance.json"
+
+    def rows(inst):
+        return [(t.probability, t.compatible) for t in inst.types]
 
     @hypothesis.settings(max_examples=500, deadline=None, derandomize=True, database=None)
     @hypothesis.given(instance_inputs(hypothesis.strategies))
     def check(case):
         resources, types, arrivals = case
         expected = outcome(lambda: instance_check_oracle(resources, types, arrivals))
-        got = outcome(lambda: StochasticInstance(resources, [DemandType(p, ids) for p, ids in types], arrivals))
-        if isinstance(expected, str):
-            assert got == expected
-        else:
-            assert [(t.probability, t.compatible) for t in got.types] == expected
         flat = [i for _, ids in types for i in ids]
         if all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) and -2**63 <= i < 2**63 for i in flat):
             offsets = np.cumsum([0, *(len(ids) for _, ids in types)])
-            from_csr = outcome(lambda: StochasticInstance.from_csr(
+            got = outcome(lambda: StochasticInstance(
                 resources, offsets, np.array(flat, dtype=np.int64), [p for p, _ in types], arrivals))
-            assert from_csr == got
+            if isinstance(expected, str):
+                assert got == expected
+            else:
+                assert rows(got) == expected
+        if all(type(i) in (int, float, bool, str, type(None)) for i in flat):
+            path.write_text(json.dumps({"resources": resources, "n": arrivals,
+                                        "types": [{"p": p, "compatible": list(ids)} for p, ids in types]}))
+            if isinstance(expected, str):
+                with pytest.raises(ValueError):
+                    instance_from_json(path.read_text())
+            else:
+                assert rows(instance_from_json(path.read_text())) == expected
 
     check()
 
@@ -303,11 +331,11 @@ def test_vectorized_check_accepts_and_rejects_as_the_per_type_oracle():
 @pytest.mark.parametrize("ids", [np.array([0.0]), np.array([True]), np.array(["0"])])
 def test_store_ids_must_have_an_integer_dtype(ids):
     with pytest.raises(ValueError, match="not an integer"):
-        StochasticInstance.from_csr(("a",), [0, 1], ids, [1.0], 1)
+        StochasticInstance(("a",), [0, 1], ids, [1.0], 1)
 
 
 def test_store_is_read_only_and_types_are_tuples_of_ints():
-    inst = StochasticInstance(("a", "b"), (DemandType(0.5, [np.int64(0), 1]), DemandType(0.5, ())), 2)
+    inst = StochasticInstance(("a", "b"), [0, 2, 2], np.array([0, 1]), [0.5, 0.5], 2)
     assert inst.offsets.tolist() == [0, 2, 2] and inst.ids.tolist() == [0, 1] and inst.probs.tolist() == [0.5, 0.5]
     assert (inst.offsets.dtype, inst.ids.dtype, inst.probs.dtype) == (np.int32, np.int32, np.float64)
     for array in (inst.offsets, inst.ids, inst.probs):

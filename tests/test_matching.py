@@ -12,6 +12,7 @@ from helpers import (
     max_matching_shuffled_oracle,
     random_bipartite,
     realized_edge_list,
+    records_instance,
     row_graph,
 )
 from sparsematch.instance import DemandType, RealizedGraph, StochasticInstance, realize
@@ -275,7 +276,7 @@ def test_pairs_equal_the_oracle_without_edges(left, right):
 def realization_of_rows(rows, right) -> RealizedGraph:
     """The realization whose arrival l is the only arrival of a type compatible with ``rows[l]``."""
     types = [DemandType(1.0 / len(rows), row) for row in rows] or [DemandType(1.0, ())]
-    instance = StochasticInstance(tuple(map(str, range(right))), tuple(types), len(rows))
+    instance = records_instance(tuple(map(str, range(right))), tuple(types), len(rows))
     return RealizedGraph(instance, tuple(range(len(rows))))
 
 
@@ -302,7 +303,7 @@ def test_full_matching_of_empty_realizations():
     from sparsematch.generators import FAMILIES
 
     for inst in [family(100) for family in FAMILIES.values()] + bundled_trip_instances():
-        empty = realize(StochasticInstance(inst.resources, inst.types, 0), RngStream(0))
+        empty = realize(StochasticInstance(inst.resources, inst.offsets, inst.ids, inst.probs, 0), RngStream(0))
         assert full_matching(empty) == max_matching(realized_edge_list(empty))
         assert full_matching(empty).size == 0
 

@@ -14,6 +14,7 @@ from helpers import (
     ids_of,
     kvv_oracle,
     light_row,
+    records_instance,
     row_graph,
     solution,
     solution_dict,
@@ -22,7 +23,7 @@ from helpers import (
     varopt_ipw,
 )
 from sparsematch.generators import FAMILIES, gen_kvv_triangular
-from sparsematch.instance import RealizedGraph, StochasticInstance, DemandType, realize
+from sparsematch.instance import RealizedGraph, DemandType, realize
 from sparsematch.matching import bitset_matching, full_matching
 from sparsematch.rng import RngStream, choice_cdf
 from sparsematch.strategies import (
@@ -159,7 +160,7 @@ def test_varopt_locality():
 def test_varopt_samplers_cover_every_type():
     # support -> that support; no support -> uniform over the compatibility
     # set; neither -> an empty row
-    inst = StochasticInstance(
+    inst = records_instance(
         resources=("a", "b", "c"),
         types=(DemandType(0.4, (0, 1, 2)), DemandType(0.4, (1, 2)), DemandType(0.2, ())),
         arrivals=3,
@@ -243,7 +244,7 @@ def test_kvv_equals_the_row_scan_oracle():
 
 
 def test_mgs_single_type_single_resource():
-    inst = StochasticInstance(("a",), (DemandType(1.0, (0,)),), arrivals=6)
+    inst = records_instance(("a",), (DemandType(1.0, (0,)),), arrivals=6)
     x = solution(inst, {(0, 0): 1.0 / 6})
     graph = realize(inst, RngStream(1))
     outcome = mgs(graph, CopyMarginals.of_solution(x), RngStream(2))

@@ -19,13 +19,14 @@ from helpers import (
     monte_carlo_oracle,
     objective_oracle,
     per_copy_marginals_oracle,
+    records_instance,
     solution,
     solution_dict,
     uniform_instance,
 )
 from sparsematch import weights
 from sparsematch.generators import FAMILIES, gen_bahmani
-from sparsematch.instance import DemandType, StochasticInstance, realize
+from sparsematch.instance import DemandType, realize
 from sparsematch.matching import full_matching
 from sparsematch.rng import RngStream, choice_cdf
 from sparsematch.weights import (
@@ -77,7 +78,7 @@ def test_lp_complete_uniform_value():
 
 
 def test_lp_single_type_five_arrivals():
-    inst = StochasticInstance(("a",), (DemandType(1.0, (0,)),), arrivals=5)
+    inst = records_instance(("a",), (DemandType(1.0, (0,)),), arrivals=5)
     solution = solve_expected_lp(inst)
     assert solution.objective == pytest.approx(1.0, rel=1e-9)
     assert solution_dict(solution)[(0, 0)] == pytest.approx(0.2, abs=1e-9)
@@ -95,7 +96,7 @@ def test_lp_matches_generic_solver_on_random_instances():
         raw = gen.random(m) + 0.05
         probs = raw / raw.sum()
         types = tuple(DemandType(float(p), c) for p, c in zip(probs, compat))
-        inst = StochasticInstance(tuple(f"v{i}" for i in range(nres)), types, int(gen.integers(1, 10)))
+        inst = records_instance(tuple(f"v{i}" for i in range(nres)), types, int(gen.integers(1, 10)))
         got = solve_expected_lp(inst).objective
         assert got == pytest.approx(lp_oracle(inst), rel=1e-9)
 
@@ -112,7 +113,7 @@ def generated_instances(st):
             compat.insert(draw(st.integers(0, len(compat))), set())
         raw = draw(st.lists(st.floats(0.05, 1.0), min_size=len(compat), max_size=len(compat)))
         types = tuple(DemandType(w / sum(raw), tuple(sorted(c))) for w, c in zip(raw, compat))
-        return StochasticInstance(tuple(f"v{i}" for i in range(nres)), types, draw(st.integers(1, 12)))
+        return records_instance(tuple(f"v{i}" for i in range(nres)), types, draw(st.integers(1, 12)))
 
     return instances()
 
@@ -151,15 +152,15 @@ def test_lp_equals_list_built_dinic_on_families_trip_intervals_and_edge_cases(mo
     instances = [gen_fn(n) for n in (100, 500) for gen_fn in FAMILIES.values()] + bundled_trip_instances()
     instances += [
         # a type whose mass n * p is positive but at most the flow tolerance
-        StochasticInstance(("a", "b"), (DemandType(1.0 - 1e-13, (0, 1)), DemandType(1e-13, (0,))), 1),
+        records_instance(("a", "b"), (DemandType(1.0 - 1e-13, (0, 1)), DemandType(1e-13, (0,))), 1),
         # empty compatibility lists, and resource 0 that no type reaches
-        StochasticInstance(("a", "b", "c"), (DemandType(0.3, ()), DemandType(0.45, (1, 2)),
+        records_instance(("a", "b", "c"), (DemandType(0.3, ()), DemandType(0.45, (1, 2)),
                                              DemandType(0.25, ())), 3),
         # no resource reachable at all
-        StochasticInstance(("a", "b"), (DemandType(0.5, ()), DemandType(0.5, ())), 3),
+        records_instance(("a", "b"), (DemandType(0.5, ()), DemandType(0.5, ())), 3),
         # resource 0 left with a residual below the flow tolerance, then with one just above
         # it that type 2 takes, so that its x[2, 0] falls below the read-back tolerance
-        *(StochasticInstance(("a", "b"), (DemandType(0.3 / n, (0,)), DemandType((0.7 - gap) / n, (0,)),
+        *(records_instance(("a", "b"), (DemandType(0.3 / n, (0,)), DemandType((0.7 - gap) / n, (0,)),
                                           DemandType(0.5, (0, 1)), DemandType(0.5 - (1.0 - gap) / n, ())), n)
           for n, gap in ((2, 5e-13), (10, 2e-12))),
     ]
@@ -171,7 +172,7 @@ def test_lp_equals_list_built_dinic_on_families_trip_intervals_and_edge_cases(mo
                                           replace=False).tolist())) for _ in range(m)]
         raw = gen.random(m) + 0.01
         types = tuple(DemandType(float(p), c) for p, c in zip(raw / raw.sum(), compat))
-        instances.append(StochasticInstance(tuple(f"v{i}" for i in range(nres)), types, int(gen.integers(1, 40))))
+        instances.append(records_instance(tuple(f"v{i}" for i in range(nres)), types, int(gen.integers(1, 40))))
     for inst in instances:
         assert_same_as_list_built_dinic(inst)
     assert len(phases) > 100  # the phases after the greedy first one ran too
@@ -227,7 +228,7 @@ def test_bahmani_500_lp_peaks_under_9_mb():
 
 def test_lp_degenerate_type_rejected():
     types = (DemandType(1.0, (0,)), DemandType(0.0, (0,)))
-    inst = StochasticInstance(("a",), types, arrivals=2)
+    inst = records_instance(("a",), types, arrivals=2)
     with pytest.raises(ValueError, match="type 1 has probability 0"):
         solve_expected_lp(inst)
 
@@ -252,7 +253,7 @@ def test_build_rejects_infeasible():
 
 
 def test_monte_carlo_unique_matching():
-    inst = StochasticInstance(("a",), (DemandType(1.0, (0,)),), arrivals=1)
+    inst = records_instance(("a",), (DemandType(1.0, (0,)),), arrivals=1)
     x = monte_carlo_weights(inst, 50, RngStream(1))
     assert solution_dict(x)[(0, 0)] == pytest.approx(1.0, abs=1e-12)
 
@@ -285,7 +286,7 @@ def test_monte_carlo_fallback_for_unseen_types():
         DemandType(1.0 - 1e-12, (0,)),
         DemandType(1e-12, (0, 1)),
     )
-    inst = StochasticInstance(("a", "b"), types, arrivals=2)
+    inst = records_instance(("a", "b"), types, arrivals=2)
     x = solution_dict(monte_carlo_weights(inst, 20, RngStream(3)))
     assert x[(1, 0)] == pytest.approx(0.5, abs=1e-12)
     assert x[(1, 1)] == pytest.approx(0.5, abs=1e-12)
@@ -302,7 +303,7 @@ def test_monte_carlo_feasible_after_clamp():
 
 
 def test_heavy_light_worked_example():
-    inst = StochasticInstance(
+    inst = records_instance(
         ("a", "b", "c"), (DemandType(1.0, (0, 1, 2)),), arrivals=1
     )
     x = solution(inst, {(0, 0): 0.6, (0, 1): 0.3, (0, 2): 0.1})
@@ -333,7 +334,7 @@ def test_heavy_light_concentrated_all_heavy():
 
 
 def test_spread_averages_interchangeable_pair():
-    inst = StochasticInstance(
+    inst = records_instance(
         ("a", "b"), (DemandType(1.0, (0, 1)),), arrivals=1
     )
     x = solution(inst, {(0, 0): 1.0})
