@@ -3,8 +3,8 @@ unmet-demand series and bound reports.
 
 ``score_trials`` is the only loop that realizes instances for scoring and the
 one offline scorer.  It realizes each trial once from
-``realize_stream.substream(t)`` and solves the offline maximum matching when
-the caller scores against it.  Every other strategy is scored on the same
+``realize_stream.substream(t)`` and solves the offline maximum matching's size
+when the caller scores against it.  Every other strategy is scored on the same
 realizations by ``run_strategy`` with ``strategy_stream.substream(t, key)``, a
 budgeted one on the reports ``sparsify`` drew for all those trials in one
 batch.  It returns the offline sizes and each label's matched counts in trial
@@ -33,7 +33,7 @@ import numpy as np
 from .bounds import theorem_bound
 from .generators import FAMILIES, HALF_WINDOW, EmptyWindow, TripRecord, ZoneModel, build_nyc_instance
 from .instance import StochasticInstance, instance_from_json, realize
-from .matching import full_matching
+from .matching import matching_size
 from .rng import RngStream
 from .strategies import BUDGETED, GUIDED, StrategyConfig, run_strategy, sparsify, varopt_samplers
 from .weights import (
@@ -182,16 +182,25 @@ def score_trials(
     strategy's matched counts in trial order.
 
     Every trial is realized first.  With ``with_offline``, which the offline
-    strategy needs, the offline maximum matching is solved once per trial and
-    is that strategy's score; a trial whose offline matching is empty has no
-    edges, so every strategy scores 0 there without running.  Each other
-    strategy is scored by ``run_strategy`` on every other trial, a budgeted one
-    on the reports of all those trials, drawn first in one batch (``sparsify``).
-    Each guided strategy reads ``guidance[label]``.
+    strategy needs, the offline maximum matching's size is solved once per
+    trial and is that strategy's score: ``matching_size``, which builds no
+    pair, on the arrivals' type masks stably sorted by their type's degree,
+    read once off the offsets (Karp and Sipser's minimum-degree rule, applied
+    once before the greedy first phase; a maximum matching's size does not
+    depend on the order).  A trial
+    whose offline matching is empty has no edges, so every strategy scores 0
+    there without running.  Each other strategy is scored by ``run_strategy``
+    on every other trial, a budgeted one on the reports of all those trials,
+    drawn first in one batch (``sparsify``).  Each guided strategy reads
+    ``guidance[label]``.
     """
     trials = list(trials)
     graphs = [realize(instance, realize_stream.substream(t)) for t in trials]
-    offline = [full_matching(graph).size for graph in graphs] if with_offline else None
+    offline = None
+    if with_offline:
+        masks, degree = instance._compat_masks, np.diff(instance.offsets).tolist()
+        offline = [matching_size([masks[j] for j in sorted(graph.type_ids, key=degree.__getitem__)],
+                                 instance.resource_count) for graph in graphs]
     run = range(len(graphs)) if offline is None else [q for q, size in enumerate(offline) if size]
     matched: dict[str, list[int]] = {}
     for cfg in strategies:

@@ -1,18 +1,20 @@
 """Exact maximum bipartite matching.
 
 A graph is one bitmask per left vertex, bit r for right vertex r: an
-arrival's type mask in a full realization (``full_matching``), or the
-resources a sparsifier reports for it (the coordinator's ``bitset_matching``).
-Edge pairs from outside the package enter through the validating
-``BipartiteEdgeList``, whose ids ``integer_ids`` checks and whose rows
-``max_matching`` turns into masks.
+arrival's type mask in a full realization, or the resources a sparsifier
+reports for it.  Edge pairs from outside the package enter through the
+validating ``BipartiteEdgeList``, whose ids ``integer_ids`` checks and whose
+rows ``max_matching`` turns into masks.
 
-``bitset_matching`` is the one Hopcroft-Karp.  Its first phase, where every
-left vertex is free, is one greedy pass; every search takes the lowest
-candidate bit, so its pairs are those of Hopcroft-Karp scanning the ascending
-rows (tests/helpers.py keeps that version as the oracle).  Tie-breaking is
-deterministic given the labels; ``max_matching_shuffled`` randomizes it by
-relabeling both sides uniformly at random and mapping the result back.
+``_hopcroft_karp`` is the one Hopcroft-Karp; it leaves each left vertex's
+partner.  Its first phase, where every left vertex is free, is one greedy
+pass; every search takes the lowest candidate bit, so its pairs are those of
+Hopcroft-Karp scanning the ascending rows (tests/helpers.py keeps that
+version as the oracle).  Two readers: ``bitset_matching`` builds the pairs,
+which learning reads through ``full_matching`` and ``max_matching_shuffled``
+(the latter randomizes the tie-breaking by relabeling both sides uniformly at
+random and mapping the result back); ``matching_size`` counts the matched
+left vertices and builds no pair, which the trial kernel scores with.
 """
 
 from __future__ import annotations
@@ -80,25 +82,34 @@ class MatchingResult:
     pairs: tuple[tuple[int, int], ...]
 
 
-def bitset_matching(masks: Sequence[int], right: int) -> MatchingResult:
-    """Maximum-cardinality matching via Hopcroft-Karp; left vertex l's
-    neighbours are the set bits of ``masks[l]``, all below ``right``.
+def _hopcroft_karp(masks: Sequence[int], right: int) -> list[int]:
+    """Each left vertex's partner in a maximum-cardinality matching, or -1; left
+    vertex l's neighbours are the set bits of ``masks[l]``, all below ``right``.
 
     Deterministic; O(E sqrt(V)) word operations.  Phase 1 is a greedy pass: with
     every left vertex free at layer 0, no path can pass a matched vertex, so
-    each search takes its lowest free bit.  Then the BFS runs level by level.
-    ``good[d]`` holds the matched right vertices whose partners are alive at
-    layer d + 1; within one search these classes only shrink, so the lowest
-    candidate bit is the neighbour a scan of the ascending row takes next.
+    each search takes its lowest free bit.  Then the BFS runs level by level from
+    ``roots``, the free left vertices in ascending order.  ``good[d]`` holds the
+    matched right vertices whose partners are alive at layer d + 1; within one
+    search these classes only shrink, so the lowest candidate bit is the
+    neighbour a scan of the ascending row takes next.  Only a root's own search
+    can match it, so a root leaves ``roots`` when it augments and stays when it
+    fails: a longer path may start there in a later phase.
     """
     left = len(masks)
     pair_l, pair_r = [-1] * left, [-1] * right
     free = (1 << right) - 1  # unmatched right vertices
-
-    def bfs() -> list[int]:
-        """The classes ``good[d]`` by layer d, or [] if no free right vertex is reachable."""
-        level = [l for l in range(left) if pair_l[l] == -1]
-        seen, good = free, []
+    for l, mask in enumerate(masks):
+        if c := mask & free:
+            low = c & -c
+            free ^= low
+            pair_l[l] = r = low.bit_length() - 1
+            pair_r[r] = l
+    if free == (1 << right) - 1:  # the greedy pass matched nothing: there is no edge
+        return pair_l
+    roots = [l for l, r in enumerate(pair_l) if r == -1]
+    while True:
+        level, seen, good = roots, free, []
         while level:
             reach = 0
             for l in level:
@@ -107,51 +118,53 @@ def bitset_matching(masks: Sequence[int], right: int) -> MatchingResult:
             seen |= new
             good.append(new)
             if reach & free:
-                return good + [0]  # the frontier layer is not expanded
+                break
             level = []
             while new:
                 low = new & -new
                 level.append(pair_r[low.bit_length() - 1])
                 new ^= low
-        return []
+        else:  # no free right vertex is reachable: the matching is maximum
+            return pair_l
+        good.append(0)  # the frontier layer is not expanded
+        failed = []
+        for root in roots:
+            stack, path = [root], []
+            while stack:
+                d = len(stack) - 1
+                candidates = masks[stack[-1]] & (free | good[d])
+                if not candidates:  # the vertex dies: its partner leaves good[d - 1]
+                    stack.pop()
+                    if path:
+                        good[d - 1] &= ~(1 << path.pop())
+                    continue
+                low = candidates & -candidates
+                r = low.bit_length() - 1
+                path.append(r)
+                if low & free:
+                    for l, rr in zip(stack, path):
+                        pair_l[l], pair_r[rr] = rr, l
+                    free ^= low
+                    for i in range(len(path) - 1):  # path[i + 1]'s partner is now at layer i + 1
+                        good[i] ^= (1 << path[i]) | (1 << path[i + 1])
+                    break
+                stack.append(pair_r[r])
+            else:
+                failed.append(root)
+        roots = failed
 
-    def dfs(root: int, good: list[int]) -> None:
-        nonlocal free
-        stack, path = [root], []
-        while stack:
-            d = len(stack) - 1
-            candidates = masks[stack[-1]] & (free | good[d])
-            if not candidates:  # the vertex dies: its partner leaves good[d - 1]
-                stack.pop()
-                if path:
-                    good[d - 1] &= ~(1 << path.pop())
-                continue
-            low = candidates & -candidates
-            r = low.bit_length() - 1
-            path.append(r)
-            if low & free:
-                for l, rr in zip(stack, path):
-                    pair_l[l], pair_r[rr] = rr, l
-                free ^= low
-                for i in range(len(path) - 1):  # path[i + 1]'s partner is now at layer i + 1
-                    good[i] ^= (1 << path[i]) | (1 << path[i + 1])
-                return
-            stack.append(pair_r[r])
 
-    for l, mask in enumerate(masks):
-        if c := mask & free:
-            low = c & -c
-            free ^= low
-            pair_l[l] = r = low.bit_length() - 1
-            pair_r[r] = l
-    if free == (1 << right) - 1:  # the greedy pass matched nothing: there is no edge
-        return MatchingResult(0, ())
-    while good := bfs():
-        for l in range(left):
-            if pair_l[l] == -1:
-                dfs(l, good)
-    pairs = tuple((l, r) for l, r in enumerate(pair_l) if r != -1)
+def bitset_matching(masks: Sequence[int], right: int) -> MatchingResult:
+    """Maximum-cardinality matching; left vertex l's neighbours are the set bits
+    of ``masks[l]``, all below ``right``."""
+    pairs = tuple((l, r) for l, r in enumerate(_hopcroft_karp(masks, right)) if r != -1)
     return MatchingResult(len(pairs), pairs)
+
+
+def matching_size(masks: Sequence[int], right: int) -> int:
+    """``bitset_matching(masks, right).size``, without building its pairs."""
+    pair_l = _hopcroft_karp(masks, right)
+    return len(pair_l) - pair_l.count(-1)
 
 
 def max_matching(graph: BipartiteEdgeList) -> MatchingResult:

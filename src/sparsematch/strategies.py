@@ -2,10 +2,11 @@
 
 Local sparsifiers (guided fixed-size sampling and uniform random subsets)
 prune each arrival's edges independently and report the kept resources as one
-bitmask per arrival, which a central maximum matching reads;
+bitmask per arrival, whose maximum matching's size a central coordinator
+reads (``matching.matching_size``, the reports in arrival order);
 online baselines (ranking, two-suggestion guidance) commit irrevocably per
 arrival; the offline optimum, which sees the whole realization, is the trial
-kernel's own matching (``harness.score_trials``).  Per-arrival
+kernel's own matching size (``harness.score_trials``).  Per-arrival
 randomness is drawn from substreams keyed by arrival index, so one arrival's
 selection never depends on the other arrivals.  The two sparsifiers draw the
 reports of many trials at once: every drawing arrival becomes a row of
@@ -32,7 +33,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .instance import RealizedGraph, StochasticInstance
-from .matching import bitset_matching
+from .matching import matching_size
 from .rng import RngStream, StreamRows, arrival_stream_ids
 from .varopt import BatchSampler
 from .weights import CopyMarginals, FractionalSolution
@@ -202,8 +203,8 @@ def mgs(graph: RealizedGraph, guidance: CopyMarginals, rng: RngStream) -> Strate
 
 
 def _coordinate(graph: RealizedGraph, masks: list[int]) -> StrategyOutcome:
-    """Central matching on the union of reported resource bitmasks, one per arrival."""
-    matched = bitset_matching(masks, graph.instance.resource_count).size
+    """Central maximum matching's size on the reported resource bitmasks, one per arrival."""
+    matched = matching_size(masks, graph.instance.resource_count)
     return StrategyOutcome(matched, sum(map(int.bit_count, masks)))
 
 

@@ -333,6 +333,47 @@ def test_kernel_draws_once_per_budgeted_strategy_and_scores_only_its_reports(mon
     check(bounds.strategies, 4)
 
 
+def test_kernel_scores_sizes_without_building_pairs(monkeypatch, tmp_path):
+    # Inside score_trials no MatchingResult is built and the pair kernel never
+    # runs, under any name a package module binds it to; learning, outside the
+    # kernel, still reads pairs.
+    import sys
+
+    from sparsematch import harness, matching
+    from sparsematch.cli import main
+
+    inside, built = [False], {"inside": 0, "outside": 0}
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            built["inside" if inside[0] else "outside"] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    originals = {attr: getattr(matching, attr) for attr in ("MatchingResult", "bitset_matching")}
+    for name, module in list(sys.modules.items()):
+        if name.startswith("sparsematch") and module is not None:
+            for attr, original in originals.items():
+                if getattr(module, attr, None) is original:
+                    monkeypatch.setattr(module, attr, counted(original))
+    score = harness.score_trials
+
+    def scoring(*args, **kwargs):
+        inside[0] = True
+        try:
+            return score(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(harness, "score_trials", scoring)
+    out = tmp_path / "synth.csv"
+    assert main(["synth", "--family", "block", "--n", "20", "--trials", "5", "--mc", "5",
+                 "--strategies", "offline,random:3,varopt:3", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 4
+    assert built["inside"] == 0
+    assert built["outside"] > 0
+
+
 @pytest.mark.parametrize("trials", [3, 12])
 def test_varopt_samplers_built_once_per_experiment(trials, monkeypatch):
     # one batch solve per budget, whatever the trial count

@@ -20,6 +20,7 @@ from sparsematch.matching import (
     BipartiteEdgeList,
     bitset_matching,
     full_matching,
+    matching_size,
     max_matching,
     max_matching_shuffled,
 )
@@ -362,6 +363,62 @@ def test_shuffled_pairs_equal_the_bit_by_bit_oracle_on_trip_intervals():
             graph = realize(inst, base.substream(j, t))
             assert max_matching_shuffled(graph, base.substream("shuffle", j, t)) == max_matching_shuffled_oracle(
                 graph, base.substream("shuffle", j, t))
+
+
+def assert_size_equals_the_pair_kernel(masks, right):
+    """The size reader gives the size of the pair kernel on the same masks and
+    of the oracle on the ascending rows, in the given order and in the trial
+    kernel's ascending degree."""
+    expected = hopcroft_karp_oracle(row_graph(list(map(ids_of, masks)), right)).size
+    assert matching_size(masks, right) == bitset_matching(masks, right).size == expected
+    assert matching_size(sorted(masks, key=int.bit_count), right) == expected
+
+
+@pytest.mark.parametrize("n", [100, 500])
+def test_size_reader_equals_the_pair_kernel_on_family_realizations(n):
+    """Every family's realizations, as the arrivals' type masks."""
+    from sparsematch.generators import FAMILIES
+
+    base = RngStream(103)
+    for name, family in sorted(FAMILIES.items()):
+        inst = family(n)
+        for t in range(3 if n == 100 else 1):
+            graph = realize(inst, base.substream(name, n, t))
+            masks = [inst._compat_masks[j] for j in graph.type_ids]
+            assert_size_equals_the_pair_kernel(masks, inst.resource_count)
+
+
+def test_size_reader_equals_the_pair_kernel_on_trip_intervals():
+    base = RngStream(107)
+    for i, inst in enumerate(bundled_trip_instances()):
+        graphs = [RealizedGraph(inst, tuple(range(inst.type_count)))]
+        graphs += [realize(inst, base.substream(i, t)) for t in range(3)]
+        for graph in graphs:
+            assert_size_equals_the_pair_kernel([inst._compat_masks[j] for j in graph.type_ids], inst.resource_count)
+
+
+@pytest.mark.parametrize("masks, right", [([], 0), ([0, 0], 0), ([], 5), ([0, 0, 0], 3), ([0, 1, 0], 1)])
+def test_size_reader_without_edges_or_vertices(masks, right):
+    assert_size_equals_the_pair_kernel(masks, right)
+
+
+@pytest.mark.parametrize("max_side, examples", [(8, 300), (60, 100)])
+def test_size_reader_equals_the_pair_kernel_on_generated_masks(max_side, examples):
+    """Masks of any density, empty rows, no left vertex and ``right == 0`` included."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def graphs(draw):
+        right = draw(st.integers(0, max_side))
+        return draw(st.lists(st.integers(0, (1 << right) - 1), max_size=max_side)), right
+
+    @hypothesis.settings(max_examples=examples, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(graphs())
+    def check(graph):
+        assert_size_equals_the_pair_kernel(*graph)
+
+    check()
 
 
 def counted_masks(rows):

@@ -24,7 +24,7 @@ from helpers import (
 )
 from sparsematch.generators import FAMILIES, gen_kvv_triangular
 from sparsematch.instance import RealizedGraph, DemandType, realize
-from sparsematch.matching import bitset_matching, full_matching
+from sparsematch.matching import bitset_matching, full_matching, matching_size
 from sparsematch.rng import RngStream, choice_cdf
 from sparsematch.strategies import (
     BUDGETED,
@@ -454,6 +454,24 @@ def test_coordinator_equals_the_oracle_on_lp_guided_single_edge_reports():
         masks = varopt_sparsify([graph], samplers, [rng])[0]
         assert all(mask.bit_count() == 1 for mask in masks)
         assert_coordinator_equals_the_oracle(graph, StrategyConfig("varopt", k=5), rng, samplers, masks)
+
+
+def test_size_reader_equals_the_pair_kernel_on_both_sparsifiers_reports():
+    """The coordinator's size reader on random and varopt reports, Monte Carlo
+    guided at n=100 and LP guided (one edge an arrival) at n=500, against the
+    pair kernel and the oracle on the ascending reported rows."""
+    base = RngStream(109)
+    for n in (100, 500):
+        for name, family in sorted(FAMILIES.items()):
+            inst = family(n)
+            x = monte_carlo_weights(inst, 10, base.substream("weights", name)) if n == 100 else solve_expected_lp(inst)
+            graphs = [realize(inst, base.substream(name, n, t)) for t in range(2)]
+            for k in (3, 10):
+                rngs = [base.substream("s", name, n, k, t) for t in range(2)]
+                for reports in (random_subgraph(graphs, k, rngs), varopt_sparsify(graphs, varopt_samplers(inst, x, k), rngs)):
+                    for masks in reports:
+                        expected = hopcroft_karp_oracle(row_graph(list(map(ids_of, masks)), n)).size
+                        assert matching_size(masks, n) == bitset_matching(masks, n).size == expected
 
 
 def test_sub_ulp_completions_at_table_size(monkeypatch):
