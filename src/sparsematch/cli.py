@@ -16,6 +16,7 @@ flags and command-line values win.  Exit codes: 0 success, 2 rejected input
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import sys
 from dataclasses import fields
@@ -129,15 +130,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
+    """The --config pre-parser and ``build_parser()``, built once per process:
+    parsing leaves a parser as it was, so every ``main`` call shares them."""
+    pre = argparse.ArgumentParser(prog="sparsematch", add_help=False)
+    pre.add_argument("--config")
+    return pre, build_parser()
+
+
 def _parse_args(argv: list[str]) -> argparse.Namespace:
     """Parse ``argv`` with the --config file's lines as flags ahead of the
     command line's own, so that command-line values win."""
-    pre = argparse.ArgumentParser(prog="sparsematch", add_help=False)
-    pre.add_argument("--config")
+    pre, parser = _parsers()
     path = pre.parse_known_args(argv)[0].config
     file_values = load_config_file(path) if path else {}
     tokens = [f"--{key}={value}" for key, value in file_values.items()]
-    args = build_parser().parse_args([*argv[:1], *tokens, *argv[1:]])
+    args = parser.parse_args([*argv[:1], *tokens, *argv[1:]])
     # argparse accepts abbreviations and aliases; a key must be a flag's exact name
     known = {dest.replace("_", "-") for dest in vars(args)} - {"command", "config"}
     unknown = sorted(set(file_values) - known)

@@ -132,20 +132,25 @@ class StochasticInstance:
 
     def type_masks(self, relabel: np.ndarray | None = None) -> list[int]:
         """Each type's compatibility set as a bitmask: bit i for resource i, or bit
-        ``relabel[i]`` under a relabeling of the resources.  Built a block of types
-        at a time, each of at most ``MASK_CELLS`` type x resource cells."""
-        r = self.resource_count
-        labels = None if relabel is None else relabel.astype(np.int32)  # int32 halves each block's gather
+        ``relabel[i]`` under a relabeling of the resources.  For a block of
+        relabelings, a (B, R) array, mask ``b * type_count + j`` is type j's under
+        ``relabel[b]``.  Built a block of masks at a time, each of at most
+        ``MASK_CELLS`` mask x resource cells: several relabelings, or some types."""
+        m, r = self.type_count, self.resource_count
+        labels = None if relabel is None else np.atleast_2d(relabel).astype(np.int32)  # int32 halves the gather
         step = max(1, MASK_CELLS // max(r, 1))
+        types, per = (m, step // m) if step >= m else (step, 1)  # types and relabelings per block
         masks: list[int] = []
-        for a in range(0, self.type_count, step):
-            offsets = self.offsets[a:a + step + 1]
-            ids = self.ids[offsets[0]:offsets[-1]]
-            member = np.zeros((len(offsets) - 1, r), dtype=bool)
-            member[np.repeat(np.arange(len(offsets) - 1, dtype=np.int32), np.diff(offsets)),
-                   ids if labels is None else labels[ids]] = True
-            rows = np.packbits(member, axis=1, bitorder="little")
-            masks += [int.from_bytes(row.tobytes(), "little") for row in rows]
+        for b in range(0, 1 if labels is None else len(labels), per):
+            for a in range(0, m, types):
+                offsets = self.offsets[a:a + types + 1]
+                ids, k = self.ids[offsets[0]:offsets[-1]], len(offsets) - 1
+                cols = ids[None] if labels is None else labels[b:b + per][:, ids]  # one row per relabeling
+                member = np.zeros((len(cols), k, r), dtype=bool)
+                member[np.arange(len(cols))[:, None], np.repeat(np.arange(k, dtype=np.int32), np.diff(offsets)),
+                       cols] = True
+                rows = np.packbits(member.reshape(len(cols) * k, r), axis=1, bitorder="little")
+                masks += [int.from_bytes(row.tobytes(), "little") for row in rows]
         return masks
 
     @cached_property

@@ -6,15 +6,14 @@ reports for it.  Edge pairs from outside the package enter through the
 validating ``BipartiteEdgeList``, whose ids ``integer_ids`` checks and whose
 rows ``max_matching`` turns into masks.
 
-``_hopcroft_karp`` is the one Hopcroft-Karp; it leaves each left vertex's
-partner.  Its first phase, where every left vertex is free, is one greedy
-pass; every search takes the lowest candidate bit, so its pairs are those of
-Hopcroft-Karp scanning the ascending rows (tests/helpers.py keeps that
-version as the oracle).  Two readers: ``bitset_matching`` builds the pairs,
-which learning reads through ``full_matching`` and ``max_matching_shuffled``
-(the latter randomizes the tie-breaking by relabeling both sides uniformly at
-random and mapping the result back); ``matching_size`` counts the matched
-left vertices and builds no pair, which the trial kernel scores with.
+``partners`` is the one Hopcroft-Karp; it returns each left vertex's
+partner, which weight learning reads directly.  Its first phase, where every
+left vertex is free, is one greedy pass; every search takes the lowest
+candidate bit, so its pairs are those of Hopcroft-Karp scanning the ascending
+rows (tests/helpers.py keeps that version as the oracle).  Two more readers:
+``bitset_matching`` builds the pairs, for edge lists and the tests;
+``matching_size`` counts the matched left vertices and builds no pair, which
+the trial kernel scores with.
 """
 
 from __future__ import annotations
@@ -22,11 +21,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
-
-import numpy as np
-
-from .instance import RealizedGraph
-from .rng import RngStream
 
 
 def integer_ids(ids) -> tuple[int, ...]:
@@ -82,7 +76,7 @@ class MatchingResult:
     pairs: tuple[tuple[int, int], ...]
 
 
-def _hopcroft_karp(masks: Sequence[int], right: int) -> list[int]:
+def partners(masks: Sequence[int], right: int) -> list[int]:
     """Each left vertex's partner in a maximum-cardinality matching, or -1; left
     vertex l's neighbours are the set bits of ``masks[l]``, all below ``right``.
 
@@ -157,43 +151,16 @@ def _hopcroft_karp(masks: Sequence[int], right: int) -> list[int]:
 def bitset_matching(masks: Sequence[int], right: int) -> MatchingResult:
     """Maximum-cardinality matching; left vertex l's neighbours are the set bits
     of ``masks[l]``, all below ``right``."""
-    pairs = tuple((l, r) for l, r in enumerate(_hopcroft_karp(masks, right)) if r != -1)
+    pairs = tuple((l, r) for l, r in enumerate(partners(masks, right)) if r != -1)
     return MatchingResult(len(pairs), pairs)
 
 
 def matching_size(masks: Sequence[int], right: int) -> int:
     """``bitset_matching(masks, right).size``, without building its pairs."""
-    pair_l = _hopcroft_karp(masks, right)
+    pair_l = partners(masks, right)
     return len(pair_l) - pair_l.count(-1)
 
 
 def max_matching(graph: BipartiteEdgeList) -> MatchingResult:
     """``bitset_matching`` of an edge list's rows."""
     return bitset_matching([sum(1 << r for r in row) for row in graph.adjacency], graph.right_count)
-
-
-def full_matching(graph: RealizedGraph) -> MatchingResult:
-    """Maximum matching of a full realization: each arrival's mask is its type's."""
-    masks = graph.instance._compat_masks
-    return bitset_matching([masks[j] for j in graph.type_ids], graph.instance.resource_count)
-
-
-def max_matching_shuffled(graph: RealizedGraph, rng: RngStream) -> MatchingResult:
-    """Maximum matching of a full realization after a uniform random
-    relabeling of both sides.
-
-    The relabeled graph is solved canonically and the matching mapped back, so
-    the result is a maximum matching of the realization whose tie-breaking
-    among optimal matchings is randomized by the relabeling.
-    """
-    right = graph.instance.resource_count
-    gen = rng.generator
-    perm_l = gen.permutation(graph.n)
-    perm_r = gen.permutation(right)
-    inv_l, inv_r = np.argsort(perm_l).tolist(), np.argsort(perm_r).tolist()
-    # relabeled vertex l is arrival inv_l[l]; its mask is its type's row with resource i at bit perm_r[i]
-    type_masks, type_ids = graph.instance.type_masks(perm_r), graph.type_ids
-    masks = [type_masks[type_ids[l]] for l in inv_l]
-    result = bitset_matching(masks, right)
-    pairs = tuple(sorted((inv_l[l], inv_r[r]) for l, r in result.pairs))
-    return MatchingResult(size=result.size, pairs=pairs)

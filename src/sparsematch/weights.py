@@ -6,10 +6,12 @@ y_ij = n * p_j * x_ij (source -> type arcs of capacity n * p_j, type ->
 resource arcs, resource -> sink arcs of capacity 1, so max flow equals the
 LP optimum), and a Monte Carlo estimator that averages matched-edge
 incidences of shuffled offline optima over simulated realizations.  The
-flow runs on numpy residual arrays, its first phase as a bitset greedy pass
-and each later phase's DFS on flat buffers of the admissible arcs its BFS
-collects; the phases stop once the source's or the sink's arcs are all
-saturated.
+simulations run in blocks: one numpy pass relabels a block's type masks and
+rows, Hopcroft-Karp's partner list (``matching.partners``) is read once per
+simulation, and one numpy pass maps the partners back.  The flow runs on
+numpy residual arrays, its first phase as a bitset greedy pass and each
+later phase's DFS on flat buffers of the admissible arcs its BFS collects;
+the phases stop once the source's or the sink's arcs are all saturated.
 A solution is stored as the instance stores its types, a CSR store of its
 support, and ``FractionalSolution.build`` is the one place that checks one,
 whatever produced its (type, resource, value) entries.  Helpers split a
@@ -26,8 +28,8 @@ from typing import Iterator
 import numpy as np
 
 from .bounds import BoundInputs
-from .instance import StochasticInstance, json_value, realize
-from .matching import full_matching, max_matching_shuffled
+from .instance import MASK_CELLS, StochasticInstance, json_value, realize
+from .matching import partners
 from .rng import RngStream, choice_cdf
 
 RESOURCE_CAP_TOL = 1e-7
@@ -147,18 +149,43 @@ class CopyMarginals:
 
 
 def _simulated_optima(instance: StochasticInstance, simulations: int, rng: RngStream,
-                      shuffled: bool) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Each nonempty realization of ``rng.substream("sim", s)``, as its arrivals' type
-    ids, with the arrivals and resources of its offline maximum matching's pairs,
-    ties broken on ``rng.substream("shuffle", s)`` if ``shuffled``."""
+                      shuffled: bool) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The realizations of ``rng.substream("sim", s)``, s < ``simulations``, a block at
+    a time: two (block, n) arrays of each arrival's type and its resource in an offline
+    maximum matching, or -1.
+
+    If ``shuffled``, simulation s first relabels both sides by ``permutation(n)``,
+    then ``permutation(R)``, of ``rng.substream("shuffle", s)``: arrival a becomes
+    row ``perm_l[a]`` and resource i bit ``perm_r[i]``, which randomizes the
+    tie-breaking among optimal matchings, and the partners are mapped back.  A
+    block's relabeled type masks hold at most ``MASK_CELLS`` bits, or one
+    simulation's where those alone hold more; only the matching runs once per
+    simulation.
+    """
     if simulations < 1:
         raise ValueError("simulation count must be >= 1")
-    for sim in range(simulations):
-        graph = realize(instance, rng.substream("sim", sim))
-        if graph.n == 0:
-            continue
-        result = max_matching_shuffled(graph, rng.substream("shuffle", sim)) if shuffled else full_matching(graph)
-        yield np.array(graph.type_ids, dtype=np.int64), *np.array(result.pairs, dtype=np.int64).reshape(-1, 2).T
+    m, r, n = instance.type_count, instance.resource_count, instance.arrivals
+    if n == 0:
+        return
+    step = max(1, MASK_CELLS // (m * max(r, 1)))
+    compat = None if shuffled else np.array(instance._compat_masks, dtype=object)
+    for start in range(0, simulations, step):
+        sims = range(start, min(start + step, simulations))
+        type_ids = np.array([realize(instance, rng.substream("sim", s)).type_ids for s in sims], dtype=np.int64)
+        if shuffled:
+            gens = [rng.substream("shuffle", s).generator for s in sims]
+            perm_l, perm_r = map(np.array, zip(*[(gen.permutation(n), gen.permutation(r)) for gen in gens]))
+            masks = np.array(instance.type_masks(perm_r), dtype=object)  # shuffle b's type j at b * m + j
+            rows = np.empty_like(type_ids)
+            np.put_along_axis(rows, perm_l, type_ids + m * np.arange(len(sims))[:, None], axis=1)
+        else:
+            masks, rows = compat, type_ids
+        partner = np.array([partners(row, r) for row in masks[rows].tolist()], dtype=np.int64)
+        if shuffled:
+            partner = np.take_along_axis(partner, perm_l, axis=1)
+            matched = np.nonzero(partner >= 0)
+            partner[matched] = np.argsort(perm_r, axis=1)[matched[0], partner[matched]]
+        yield type_ids, partner
 
 
 def per_copy_marginals(instance: StochasticInstance, simulations: int, rng: RngStream) -> CopyMarginals:
@@ -171,13 +198,15 @@ def per_copy_marginals(instance: StochasticInstance, simulations: int, rng: RngS
     """
     m, r = instance.type_count, instance.resource_count
     keys: tuple[list, list] = ([], [])  # type * r + resource of each first and second copy matched
-    for type_ids, arrival, resource in _simulated_optima(instance, simulations, rng, shuffled=False):
-        by_type = np.argsort(type_ids, kind="stable")
-        copy = np.empty_like(by_type)  # how many earlier arrivals share the type
-        copy[by_type] = np.arange(len(type_ids)) - np.searchsorted(type_ids[by_type], type_ids[by_type])
+    for type_ids, resource in _simulated_optima(instance, simulations, rng, shuffled=False):
+        key = (type_ids + m * np.arange(len(type_ids))[:, None]).ravel()  # (simulation, type)
+        by_key = np.argsort(key, kind="stable")
+        copy = np.empty_like(by_key)  # how many earlier arrivals of its simulation share the type
+        copy[by_key] = np.arange(len(key)) - np.searchsorted(key[by_key], key[by_key])
+        copy = np.where(resource >= 0, copy.reshape(resource.shape), -1)  # -1 where unmatched
         for c, bucket in enumerate(keys):
-            at = copy[arrival] == c
-            bucket.append(type_ids[arrival[at]] * r + resource[at])
+            at = copy == c
+            bucket.append(type_ids[at] * r + resource[at])
     counted = (np.unique(np.concatenate([np.empty(0, np.int64), *bucket]), return_counts=True) for bucket in keys)
     return CopyMarginals(*(_choices(np.searchsorted(k // r, np.arange(m + 1)), k % r, counts.astype(float))
                            for k, counts in counted))
@@ -349,9 +378,10 @@ def monte_carlo_weights(instance: StochasticInstance, simulations: int, rng: Rng
     m, r = instance.type_count, instance.resource_count
     arrivals_of = np.zeros(m, dtype=np.int64)
     keys = [np.empty(0, np.int64)]  # type * r + resource of every match
-    for type_ids, arrival, resource in _simulated_optima(instance, simulations, rng, shuffled=True):
-        arrivals_of += np.bincount(type_ids, minlength=m)
-        keys.append(type_ids[arrival] * r + resource)
+    for type_ids, resource in _simulated_optima(instance, simulations, rng, shuffled=True):
+        arrivals_of += np.bincount(type_ids.ravel(), minlength=m)
+        at = resource >= 0
+        keys.append(type_ids[at] * r + resource[at])
     keys, counts = np.unique(np.concatenate(keys), return_counts=True)
     matched = keys // r
 

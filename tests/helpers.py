@@ -21,9 +21,11 @@ ranking on rank-relabeled masks to the scan of every arrival's row
 (``kvv_oracle``).  The learning steps' CSR solutions are held to the
 dict-built versions they replaced (``monte_carlo_oracle``,
 ``per_copy_marginals_oracle``, ``group_by_type_oracle``,
-``heavy_light_oracle`` and ``objective_oracle``); ``solution`` and
-``solution_dict`` turn a ``(type, resource) -> value`` dict into a solution
-and back, ``batch`` builds a ``BatchSampler`` from (ids, weights) rows, and
+``heavy_light_oracle`` and ``objective_oracle``), the first two on the
+per-simulation loop that learning ran before its simulation blocks
+(``simulated_optima``, on ``full_matching`` and ``max_matching_shuffled``);
+``solution`` and ``solution_dict`` turn a ``(type, resource) -> value`` dict
+into a solution and back, ``batch`` builds a ``BatchSampler`` from (ids, weights) rows, and
 ``draw_and_score`` draws one graph's reports and scores them.
 ``records_instance`` builds an instance from ``DemandType`` records.
 ``VarOptSampler`` is the batch's one-row form with its
@@ -44,12 +46,12 @@ from typing import Mapping
 
 import numpy as np
 
-from sparsematch.instance import PROB_TOL, DemandType, RealizedGraph, StochasticInstance
+from sparsematch.instance import PROB_TOL, DemandType, RealizedGraph, StochasticInstance, realize
 from sparsematch.matching import BipartiteEdgeList, MatchingResult, bitset_matching, integer_ids
 from sparsematch.rng import RngStream, StreamRows, arrival_stream_ids
 from sparsematch.strategies import BUDGETED, StrategyOutcome, run_strategy, sparsify
 from sparsematch.varopt import BatchSampler
-from sparsematch.weights import _FLOW_EPS, FractionalSolution, _simulated_optima
+from sparsematch.weights import _FLOW_EPS, FractionalSolution
 
 ARRIVAL_WEIGHT_TOL = 1e-9
 
@@ -597,6 +599,50 @@ def max_matching_shuffled_oracle(graph: RealizedGraph, rng: RngStream) -> Matchi
     return MatchingResult(result.size, tuple(sorted((inv_l[l], inv_r[r]) for l, r in result.pairs)))
 
 
+def full_matching(graph: RealizedGraph) -> MatchingResult:
+    """Maximum matching of a full realization: each arrival's mask is its type's."""
+    masks = graph.instance._compat_masks
+    return bitset_matching([masks[j] for j in graph.type_ids], graph.instance.resource_count)
+
+
+def max_matching_shuffled(graph: RealizedGraph, rng: RngStream) -> MatchingResult:
+    """Maximum matching of a full realization after a uniform random
+    relabeling of both sides.
+
+    The relabeled graph is solved canonically and the matching mapped back, so
+    the result is a maximum matching of the realization whose tie-breaking
+    among optimal matchings is randomized by the relabeling.
+    """
+    right = graph.instance.resource_count
+    gen = rng.generator
+    perm_l = gen.permutation(graph.n)
+    perm_r = gen.permutation(right)
+    inv_l, inv_r = np.argsort(perm_l).tolist(), np.argsort(perm_r).tolist()
+    # relabeled vertex l is arrival inv_l[l]; its mask is its type's row with resource i at bit perm_r[i]
+    type_masks, type_ids = graph.instance.type_masks(perm_r), graph.type_ids
+    masks = [type_masks[type_ids[l]] for l in inv_l]
+    result = bitset_matching(masks, right)
+    pairs = tuple(sorted((inv_l[l], inv_r[r]) for l, r in result.pairs))
+    return MatchingResult(size=result.size, pairs=pairs)
+
+
+def simulated_optima(instance: StochasticInstance, simulations: int, rng: RngStream,
+                     shuffled: bool):
+    """The learning steps' simulations one at a time, as ``weights._simulated_optima``
+    ran them before its blocks: each nonempty realization of ``rng.substream("sim",
+    s)``, as its arrivals' type ids, with the arrivals and resources of its offline
+    maximum matching's pairs, ties broken on ``rng.substream("shuffle", s)`` if
+    ``shuffled``."""
+    if simulations < 1:
+        raise ValueError("simulation count must be >= 1")
+    for sim in range(simulations):
+        graph = realize(instance, rng.substream("sim", sim))
+        if graph.n == 0:
+            continue
+        result = max_matching_shuffled(graph, rng.substream("shuffle", sim)) if shuffled else full_matching(graph)
+        yield np.array(graph.type_ids, dtype=np.int64), *np.array(result.pairs, dtype=np.int64).reshape(-1, 2).T
+
+
 def kvv_oracle(graph: RealizedGraph, rng: RngStream) -> int:
     """The size of ``kvv_ranking``'s matching, scanning each arrival's row for
     its best-ranked free resource under the same ``permutation`` draw."""
@@ -733,7 +779,7 @@ def monte_carlo_oracle(instance: StochasticInstance, simulations: int,
     m = instance.type_count
     arrivals_of = np.zeros(m, dtype=np.int64)
     match_count: dict[tuple[int, int], int] = {}
-    for type_ids, arrival, resource in _simulated_optima(instance, simulations, rng, shuffled=True):
+    for type_ids, arrival, resource in simulated_optima(instance, simulations, rng, shuffled=True):
         type_ids = type_ids.tolist()
         arrivals_of += np.bincount(type_ids, minlength=m)
         for l, r in zip(arrival.tolist(), resource.tolist()):
@@ -761,7 +807,7 @@ def per_copy_marginals_oracle(instance: StochasticInstance, simulations: int, rn
     """``per_copy_marginals``'s first and second copy as they were built in dicts,
     each through ``group_by_type_oracle``."""
     counts: tuple[dict[tuple[int, int], int], dict[tuple[int, int], int]] = ({}, {})
-    for type_ids, arrival, resource in _simulated_optima(instance, simulations, rng, shuffled=False):
+    for type_ids, arrival, resource in simulated_optima(instance, simulations, rng, shuffled=False):
         match_of = dict(zip(arrival.tolist(), resource.tolist()))
         copies_seen: dict[int, int] = {}
         for l, type_id in enumerate(type_ids.tolist()):

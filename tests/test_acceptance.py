@@ -15,13 +15,13 @@ from datetime import datetime
 import numpy as np
 import pytest
 
-from helpers import (VarOptSampler, brute_force_matching, complete_uniform, random_bipartite, solution, solution_dict,
-                     varopt_draws)
+from helpers import (VarOptSampler, brute_force_matching, complete_uniform, full_matching, random_bipartite, solution,
+                     solution_dict, varopt_draws)
 from sparsematch.bounds import sandwich_check, theorem_bound
 from sparsematch.generators import FAMILIES, ingest_trips
 from sparsematch.harness import ExperimentConfig, run_experiment, run_nyc_day
 from sparsematch.instance import realize
-from sparsematch.matching import BipartiteEdgeList, full_matching, max_matching
+from sparsematch.matching import BipartiteEdgeList, max_matching
 from sparsematch.rng import RngStream
 from sparsematch.strategies import StrategyConfig, run_strategy, sparsify, varopt_samplers
 from sparsematch.weights import (

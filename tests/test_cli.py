@@ -555,3 +555,47 @@ def test_malformed_config_value_exits_2(tmp_path, line):
     proc = run_cli(["synth", "--config", str(conf), "--out", str(out)])
     assert proc.returncode == 2, proc.stderr
     assert not out.exists()
+
+
+def test_parsers_built_once_write_what_fresh_parsers_write(tmp_path):
+    # main shares one pre-parser and one parser per process; call after call,
+    # the runs write what runs on freshly built parsers write, and the --config
+    # run's file values reach no later run
+    from sparsematch import cli
+
+    conf = tmp_path / "run.conf"
+    conf.write_text("family = triangular\nn = 24\ntrials = 3\nmc = 5\nseed = 7\nweights = lp\n")
+    runs = [
+        ["synth", "--config", str(conf), "--strategies", "offline,varopt:3"],
+        ["synth", "--family", "block", "--n", "20", "--trials", "2", "--mc", "5", "--strategies", "offline,varopt:3"],
+        ["nyc", "--trips", TRIPS, "--zones", ZONES, "--trials", "2", "--mc", "5", "--start", "2025-05-14T08:05:00",
+         "--intervals", "2", "--strategies", "offline,random:5"],
+        ["bounds", "--family", "block", "--n", "20", "--trials", "3"],
+        ["weights", "--family", "block", "--n", "20", "--mc", "5"],
+    ]
+
+    def outputs(fresh: bool, tag: str) -> list[bytes]:
+        written = []
+        for q, argv in enumerate(runs):
+            if fresh:
+                cli._parsers.cache_clear()
+            out = tmp_path / f"{tag}{q}"
+            flag = "--weights-out" if argv[0] == "weights" else "--out"
+            assert main([*argv, flag, str(out)]) == 0
+            written.append(out.read_bytes())
+        return written
+
+    fresh = outputs(True, "fresh")
+    cli._parsers.cache_clear()
+    shared = outputs(False, "shared")
+    assert cli._parsers.cache_info().misses == 1
+    assert shared == fresh
+    with pytest.raises(SystemExit):
+        main(["synth", "--family", "block", "--n", "20", "--no-such-flag"])
+    assert outputs(False, "after") == fresh
+    assert cli._parsers.cache_info().misses == 1
+    parsed = vars(cli._parse_args(runs[1]))
+    cli._parsers.cache_clear()
+    assert parsed == vars(cli._parse_args(runs[1]))
+    assert (parsed["family"], parsed["n"], parsed["seed"], parsed["weights"], parsed["config"]) == (
+        "block", 20, 0, "montecarlo", None)

@@ -320,8 +320,8 @@ def test_tsm_offline_optimum_matches_closed_form():
     # the expected offline maximum matching sits near n * (1 - 1/(2e))
     import numpy as np
 
+    from helpers import full_matching
     from sparsematch.instance import realize
-    from sparsematch.matching import full_matching
     from sparsematch.rng import RngStream
 
     n = 100

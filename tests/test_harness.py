@@ -336,10 +336,10 @@ def test_kernel_draws_once_per_budgeted_strategy_and_scores_only_its_reports(mon
 def test_kernel_scores_sizes_without_building_pairs(monkeypatch, tmp_path):
     # Inside score_trials no MatchingResult is built and the pair kernel never
     # runs, under any name a package module binds it to; learning, outside the
-    # kernel, still reads pairs.
+    # kernel, still reads the partner lists.
     import sys
 
-    from sparsematch import harness, matching
+    from sparsematch import harness, matching, weights
     from sparsematch.cli import main
 
     inside, built = [False], {"inside": 0, "outside": 0}
@@ -356,6 +356,7 @@ def test_kernel_scores_sizes_without_building_pairs(monkeypatch, tmp_path):
             for attr, original in originals.items():
                 if getattr(module, attr, None) is original:
                     monkeypatch.setattr(module, attr, counted(original))
+    monkeypatch.setattr(weights, "partners", counted(weights.partners))  # the control: learning's reader
     score = harness.score_trials
 
     def scoring(*args, **kwargs):

@@ -113,6 +113,25 @@ def test_type_masks_equal_the_one_shot_build_in_bounded_blocks(monkeypatch):
             assert inst.type_masks() == type_masks_oracle(inst)
 
 
+def test_type_masks_of_a_block_of_relabelings_equal_one_row_calls_stacked(monkeypatch):
+    # relabeling b's type j is mask b * type_count + j, whether a block of masks
+    # holds several relabelings, one, or some types of one
+    instances = [family(n) for n in (40, 100) for family in FAMILIES.values()] + bundled_trip_instances()
+    instances += [records_instance(("a", "b"), (DemandType(0.5, ()), DemandType(0.2, ()), DemandType(0.3, (1,))), 2),
+                  records_instance((), (DemandType(1.0, ()),), 1)]
+    gen = np.random.default_rng(7)
+    for cells in (1, 300, 4000, instance_module.MASK_CELLS):
+        monkeypatch.setattr(instance_module, "MASK_CELLS", cells)
+        for inst in instances:
+            for count in (0, 1, 3, 8):
+                ranks = np.array([gen.permutation(inst.resource_count) for _ in range(count)], dtype=np.int64)
+                ranks = ranks.reshape(count, inst.resource_count)
+                stacked = [mask for rank in ranks for mask in inst.type_masks(rank)]
+                assert inst.type_masks(ranks) == stacked
+                assert stacked == [mask for rank in ranks for mask in type_masks_oracle(inst, rank)]
+                assert len(stacked) == count * inst.type_count
+
+
 def test_negative_resource_index_rejected():
     with pytest.raises(ValueError, match="references resource"):
         records_instance(resources=("a", "b"), types=(DemandType(1.0, (-1, 0)),), arrivals=1)

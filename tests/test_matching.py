@@ -7,8 +7,10 @@ from helpers import (
     bundled_trip_instances,
     complete_uniform,
     fractional_scaled_matching,
+    full_matching,
     hopcroft_karp_oracle,
     ids_of,
+    max_matching_shuffled,
     max_matching_shuffled_oracle,
     random_bipartite,
     realized_edge_list,
@@ -19,10 +21,8 @@ from sparsematch.instance import DemandType, RealizedGraph, StochasticInstance, 
 from sparsematch.matching import (
     BipartiteEdgeList,
     bitset_matching,
-    full_matching,
     matching_size,
     max_matching,
-    max_matching_shuffled,
 )
 from sparsematch.rng import RngStream
 

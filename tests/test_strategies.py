@@ -9,6 +9,7 @@ from helpers import (
     complete_uniform,
     draw_and_score,
     exclusive_pairs,
+    full_matching,
     group_by_type_oracle,
     hopcroft_karp_oracle,
     ids_of,
@@ -24,7 +25,7 @@ from helpers import (
 )
 from sparsematch.generators import FAMILIES, gen_kvv_triangular
 from sparsematch.instance import RealizedGraph, DemandType, realize
-from sparsematch.matching import bitset_matching, full_matching, matching_size
+from sparsematch.matching import bitset_matching, matching_size
 from sparsematch.rng import RngStream, choice_cdf
 from sparsematch.strategies import (
     BUDGETED,

@@ -1,6 +1,7 @@
 import math
 import operator
 import tracemalloc
+from contextlib import contextmanager
 from functools import reduce
 
 import numpy as np
@@ -13,6 +14,7 @@ from helpers import (
     dinic_lp,
     edmonds_karp_lp,
     exclusive_pairs,
+    full_matching,
     group_by_type_oracle,
     heavy_light_edges,
     heavy_light_oracle,
@@ -24,10 +26,10 @@ from helpers import (
     solution_dict,
     uniform_instance,
 )
+from sparsematch import instance as instance_module
 from sparsematch import weights
 from sparsematch.generators import FAMILIES, gen_bahmani
 from sparsematch.instance import DemandType, realize
-from sparsematch.matching import full_matching
 from sparsematch.rng import RngStream, choice_cdf
 from sparsematch.weights import (
     CopyMarginals,
@@ -473,6 +475,109 @@ def test_learning_layer_equals_the_dict_built_oracles():
         for family in FAMILIES.values():
             inst = family(n)
             assert_solution_equals_the_oracles(inst, solve_expected_lp(inst), dinic_lp(inst))
+
+
+def assert_learning_equals_the_per_simulation_oracle(inst, simulations, rng):
+    # The learners, which run their simulations in blocks, against the oracles
+    # on the per-simulation loop: the solution's CSR arrays and objective, and
+    # each copy's resources, weights and draw cdf, with ==.
+    x, want = monte_carlo_weights(inst, simulations, rng), monte_carlo_oracle(inst, simulations, rng)
+    built = solution(inst, want)
+    assert all(np.array_equal(getattr(x, a), getattr(built, a)) for a in ("offsets", "ids", "values"))
+    assert x.objective == built.objective == objective_oracle(inst, want)
+    assert_marginals_equal(per_copy_marginals(inst, simulations, rng),
+                           *per_copy_marginals_oracle(inst, simulations, rng))
+
+
+@pytest.mark.parametrize("n, simulations", [(100, 100), (500, 5)])
+def test_blocked_learning_equals_the_per_simulation_oracle_on_families(n, simulations):
+    for name, family in sorted(FAMILIES.items()):
+        assert_learning_equals_the_per_simulation_oracle(family(n), simulations, RngStream(0).substream(name))
+
+
+def test_blocked_learning_equals_the_per_simulation_oracle_on_trip_intervals():
+    for q, inst in enumerate(bundled_trip_instances()):
+        assert_learning_equals_the_per_simulation_oracle(inst, 100, RngStream(0).substream("weights", q))
+
+
+def test_blocked_learning_equals_the_per_simulation_oracle_on_generated_instances():
+    # up to 6 types and 6 resources, empty rows, n from 0 to 12 and M from 1 to
+    # 30, with blocks from one simulation's masks (MASK_CELLS = 1) to all of them
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def cases(draw):
+        nres = draw(st.integers(0, 6))
+        rows = st.sets(st.integers(0, nres - 1)) if nres else st.just(set())
+        compat = draw(st.lists(rows, min_size=1, max_size=6))
+        raw = draw(st.lists(st.floats(0.05, 1.0), min_size=len(compat), max_size=len(compat)))
+        types = tuple(DemandType(w / sum(raw), tuple(sorted(c))) for w, c in zip(raw, compat))
+        inst = records_instance(tuple(f"v{i}" for i in range(nres)), types, draw(st.integers(0, 12)))
+        return inst, draw(st.integers(1, 30)), draw(st.integers(0, 2**32)), draw(st.sampled_from((1, 40, 1 << 19)))
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(cases())
+    def check(case):
+        inst, simulations, seed, cells = case
+        with mask_cells(cells):
+            assert_learning_equals_the_per_simulation_oracle(inst, simulations, RngStream(seed))
+
+    check()
+
+
+@contextmanager
+def mask_cells(cells: int):
+    """Blocks of at most ``cells`` mask bits, in the learners and in ``type_masks``."""
+    saved = instance_module.MASK_CELLS, weights.MASK_CELLS
+    instance_module.MASK_CELLS = weights.MASK_CELLS = cells
+    try:
+        yield
+    finally:
+        instance_module.MASK_CELLS, weights.MASK_CELLS = saved
+
+
+def test_one_simulation_a_block_changes_no_output():
+    instances = [family(100) for family in FAMILIES.values()] + bundled_trip_instances()
+    for q, inst in enumerate(instances):
+        rng = RngStream(0).substream("weights", q)
+        x, marginals = monte_carlo_weights(inst, 20, rng), per_copy_marginals(inst, 20, rng)
+        with mask_cells(1):
+            one = monte_carlo_weights(inst, 20, rng)
+            assert all(np.array_equal(getattr(x, a), getattr(one, a)) for a in ("offsets", "ids", "values"))
+            assert x.objective == one.objective
+            got = per_copy_marginals(inst, 20, rng)
+        for copy, want in ((got.first, marginals.first), (got.second, marginals.second)):
+            assert {j: (ids, w.tolist(), cdf) for j, (ids, w, cdf) in copy.items()} == {
+                j: (ids, w.tolist(), cdf) for j, (ids, w, cdf) in want.items()}
+
+
+def test_learning_without_arrivals_keeps_the_uniform_fallback_and_no_marginals():
+    inst = records_instance(("a", "b", "c"), (DemandType(0.5, (0, 2)), DemandType(0.25, ()),
+                                              DemandType(0.25, (1,))), arrivals=0)
+    x = monte_carlo_weights(inst, 10, RngStream(0))
+    assert list(solution_dict(x).items()) == [((0, 0), 0.5), ((0, 2), 0.5), ((2, 1), 1.0)]
+    assert x.objective == 0.0
+    marginals = per_copy_marginals(inst, 10, RngStream(0))
+    assert marginals.first == marginals.second == {}
+    for learn in (monte_carlo_weights, per_copy_marginals):
+        for arrivals in (0, 3):
+            with pytest.raises(ValueError, match="simulation count must be >= 1"):
+                learn(records_instance(("a",), (DemandType(1.0, (0,)),), arrivals), 0, RngStream(0))
+
+
+def test_block_2000_monte_carlo_peaks_under_9_mb():
+    # the relabeled type masks are held a block of at most MASK_CELLS bits at a
+    # time, here one simulation's; all 20 simulations' at once peaked at 22.5 MB
+    inst = FAMILIES["block"](2000)
+    inst._compat_masks  # built once per instance, before learning
+    tracemalloc.start()
+    try:
+        monte_carlo_weights(inst, 20, RngStream(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_offline_mean_sandwich_on_families_small():
