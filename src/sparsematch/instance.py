@@ -21,8 +21,8 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
-from typing import Iterable
+from itertools import chain, repeat
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -30,6 +30,13 @@ from .rng import RngStream
 
 PROB_TOL = 1e-9
 MASK_CELLS = 1 << 19  # type x resource cells per block of ``type_masks``, which bounds its temporaries
+
+
+def mask_ints(rows: np.ndarray) -> Iterator[int]:
+    """Each row of a C-ordered uint8 array of little-endian packed bits as a Python int."""
+    if not (width := rows.shape[1]):  # a zero-width void dtype views no rows
+        return repeat(0, len(rows))
+    return map(int.from_bytes, rows.view(f"V{width}").ravel().tolist(), repeat("little"))
 
 
 def _check_types(offsets: np.ndarray, ids: np.ndarray, probs: np.ndarray) -> None:
@@ -150,7 +157,7 @@ class StochasticInstance:
                 member[np.arange(len(cols))[:, None], np.repeat(np.arange(k, dtype=np.int32), np.diff(offsets)),
                        cols] = True
                 rows = np.packbits(member.reshape(len(cols) * k, r), axis=1, bitorder="little")
-                masks += [int.from_bytes(row.tobytes(), "little") for row in rows]
+                masks += mask_ints(rows)
         return masks
 
     @cached_property

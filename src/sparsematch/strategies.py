@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .instance import RealizedGraph, StochasticInstance
+from .instance import RealizedGraph, StochasticInstance, mask_ints
 from .matching import matching_size
 from .rng import RngStream, StreamRows, arrival_stream_ids
 from .varopt import BatchSampler
@@ -115,9 +115,7 @@ def _reports(graphs: Sequence[RealizedGraph], rngs: Sequence[RngStream], masks: 
         ids = draw(types[cell], StreamRows(seeds[g], arrival_stream_ids(parents[g], i)))
         bits, (row, col) = base[types[cell]], np.nonzero(ids >= 0)
         np.bitwise_or.at(bits, (row, ids[row, col] >> 3), (1 << (ids[row, col] & 7)).astype(np.uint8))
-        data = bits.tobytes()
-        drawn = (int.from_bytes(data[o:o + size], "little") for o in range(0, len(data), size))
-        flat[cell] = np.fromiter(drawn, dtype=object, count=len(cell))
+        flat[cell] = np.fromiter(mask_ints(bits), dtype=object, count=len(cell))
     return [flat[end - n:end].tolist() for n, end in zip(sizes.tolist(), ends.tolist())]
 
 

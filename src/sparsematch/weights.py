@@ -8,10 +8,10 @@ LP optimum), and a Monte Carlo estimator that averages matched-edge
 incidences of shuffled offline optima over simulated realizations.  The
 simulations run in blocks: one numpy pass relabels a block's type masks and
 rows, Hopcroft-Karp's partner list (``matching.partners``) is read once per
-simulation, and one numpy pass maps the partners back.  The flow runs on
-numpy residual arrays, its first phase as a bitset greedy pass and each
-later phase's DFS on flat buffers of the admissible arcs its BFS collects;
-the phases stop once the source's or the sink's arcs are all saturated.
+simulation, and one numpy pass maps the partners back.  The flow's phases run
+on Python-int bitmasks of the arcs with residual, as ``matching.partners``
+does, its first as a greedy pass; they stop once the source's or the sink's
+arcs are all saturated.
 A solution is stored as the instance stores its types, a CSR store of its
 support, and ``FractionalSolution.build`` is the one place that checks one,
 whatever produced its (type, resource, value) entries.  Helpers split a
@@ -212,155 +212,150 @@ def per_copy_marginals(instance: StochasticInstance, simulations: int, rng: RngS
                            for k, counts in counted))
 
 
-def _first_phase(masks: tuple[int, ...], masses: list[float], starts: list[int], from_source: np.ndarray,
-                 to_resource: np.ndarray, to_sink: np.ndarray) -> None:
-    """Dinic's first blocking flow on the fresh network, as one greedy pass.
+class _Residuals:
+    """The expected-instance flow network's residuals, as the phases leave them.
 
-    Its level graph is source -> types -> resources -> sink and compatibility
-    lists ascend, so the DFS takes each type with mass in order and pushes
-    ``min(cap[s->j], cap[j->i], cap[i->t])`` to its lowest compatible resource
-    still alive, until the type runs dry.  Each push saturates s->j or i->t,
-    so no type -> resource arc carries two pushes.  The three arrays hold the
-    (forward, reverse) residuals of the source's arcs by type, of type j's
-    resource arcs from row ``starts[j]`` on, and of the sink's arcs by resource.
+    ``source[j]`` and ``sink[i]`` are the residuals of s -> j and i -> t, and
+    ``pairs[j * r + i]`` holds [residual of j -> i, flow on it] for each pair
+    that ever carried flow; the others keep their capacity ``mass[j]``.  The
+    masks hold the arcs with residual > ``_FLOW_EPS``, so a node's adjacency
+    in the list-built network's order is a mask's bits ascending:
+    ``forward[j]``, type j's resources; ``flow[i]``, the types resource i can
+    push flow back to; ``sources``, the types s reaches; ``sinks``, the
+    resources that reach t.  No phase uses the reverse arcs of s and t.
     """
-    source_cap, source_back = list(masses), [0.0] * len(masses)
-    sink_cap, sink_back = [1.0] * len(to_sink), [0.0] * len(to_sink)
-    pushed_rows, pushed = [], []
-    alive = (1 << len(to_sink)) - 1
-    for j, (mask, mass, start) in enumerate(zip(masks, masses, starts)):
-        while source_cap[j] > _FLOW_EPS and mask & alive:
-            low = mask & alive & -(mask & alive)
-            i = low.bit_length() - 1
-            b = min(source_cap[j], mass, sink_cap[i])
-            source_cap[j] -= b
-            source_back[j] += b
-            sink_cap[i] -= b
-            sink_back[i] += b
-            pushed_rows.append(start + (mask & (low - 1)).bit_count())
-            pushed.append(b)
-            if sink_cap[i] <= _FLOW_EPS:
-                alive ^= low
-    from_source[:, 0], from_source[:, 1] = source_cap, source_back
-    to_sink[:, 0], to_sink[:, 1] = sink_cap, sink_back
-    pushed_rows = np.array(pushed_rows, dtype=np.intp)
-    to_resource[pushed_rows, 0] -= pushed
-    to_resource[pushed_rows, 1] = pushed
+
+    __slots__ = ("mass", "r", "source", "sink", "pairs", "forward", "flow", "sources", "sinks")
+
+    def __init__(self, masks: tuple[int, ...], mass: list[float], r: int):
+        """Dinic's first blocking flow on the fresh network, as one greedy pass: its
+        level graph is source -> types -> resources -> sink and compatibility
+        lists ascend, so the DFS takes each type with mass in order and pushes
+        ``min(cap[s->j], cap[j->i], cap[i->t])`` to its lowest compatible
+        resource still alive, until the type runs dry.  Each push saturates
+        s->j or i->t, so no type -> resource arc carries two pushes."""
+        forward = [mask if w > _FLOW_EPS else 0 for mask, w in zip(masks, mass)]
+        source, sink, pairs, flow = list(mass), [1.0] * r, {}, [0] * r
+        sources, alive = 0, (1 << r) - 1
+        for j, mask in enumerate(forward):
+            while source[j] > _FLOW_EPS and (open_ := mask & alive):
+                low = open_ & -open_
+                i = low.bit_length() - 1
+                b = min(source[j], mass[j], sink[i])
+                source[j] -= b
+                sink[i] -= b
+                pairs[j * r + i] = [mass[j] - b, b]
+                flow[i] |= 1 << j
+                if mass[j] - b <= _FLOW_EPS:
+                    forward[j] ^= low
+                if sink[i] <= _FLOW_EPS:
+                    alive ^= low
+            if source[j] > _FLOW_EPS:
+                sources |= 1 << j
+        self.mass, self.r, self.source, self.sink, self.pairs = mass, r, source, sink, pairs
+        self.forward, self.flow, self.sources, self.sinks = forward, flow, sources, alive
 
 
-def _levels(to: np.ndarray, cap: np.ndarray, sink: int) -> tuple[np.ndarray, np.ndarray]:
-    """BFS distances from the source, node 0, over arcs with residual > ``_FLOW_EPS``,
-    one numpy pass per frontier (-1 where unreached, and beyond the sink's level),
-    and the admissible arcs, those that reach a level one deeper than their tail's:
-    frontier by frontier, each frontier's in arc order."""
-    live = np.flatnonzero(cap > _FLOW_EPS).astype(np.int32)  # int32 halves every index array below
-    heads, tails = to[live], to[live ^ 1]  # arc e runs from to[e ^ 1] to to[e]
-    level = np.full(sink + 1, -1, dtype=np.int32)
-    level[0] = depth = 0
-    admissible = [live[:0]]
-    while level[sink] < 0 and len(tails):
-        from_level = level[tails]
-        frontier = from_level == depth
-        reached = heads[frontier]
-        if not len(reached):
-            break
-        depth += 1
-        fresh = level[reached] < 0  # the arcs into the next level
-        level[reached[fresh]] = depth
-        admissible.append(live[frontier][fresh])
-        rest = from_level < 0
-        live, heads, tails = live[rest], heads[rest], tails[rest]
-    return level, np.concatenate(admissible)
-
-
-def _blocking_flow(to: np.ndarray, cap: np.ndarray, level: np.ndarray, arcs: np.ndarray, sink: int) -> None:
-    """One Dinic phase from the source, node 0, on ``level``'s admissible ``arcs``.
-
-    Within a phase an arc leaves admissibility only by saturating and none
-    enters it (reverse arcs point a level down), so each node's pointer over
-    its admissible arcs, in adjacency order, picks the arc that a scan of its
-    full adjacency would.  A node whose pointer ran out is skipped, not
-    entered and left.  The admissible arcs' heads and residuals are read
-    through memoryviews of two flat arrays, not copied into Python lists, so
-    a phase holds no object per arc.  Reverse residuals change only on
-    augmenting paths, so a dict holds them until the write-back.
-    """
-    tails = to[arcs ^ 1]
-    order = np.argsort(tails, kind="stable")  # adjacency order: by tail, then arc id
-    arcs, tails, nodes = arcs[order], tails[order], np.arange(len(level))
-    ptr, end = np.searchsorted(tails, nodes).tolist(), np.searchsorted(tails, nodes, side="right").tolist()
-    arc_to, arc_cap = memoryview(to[arcs]), memoryview(cap[arcs])
-    back: dict[int, float] = {}
-    dead = [False] * len(level)
-    path: list[int] = []
-    u = 0
+def _levels(net: _Residuals) -> list[int] | None:
+    """Dinic's BFS from the source, as one mask of nodes per level after it:
+    types at even positions, resources at odd ones.  Each layer is the OR of
+    the masks of the previous layer's members, less the nodes reached before.
+    The last is the first resource layer that meets the sink's residuals, kept
+    to the resources that do (nodes at or past the sink's level are dead
+    ends); None where a layer comes up empty first: the sink is unreachable."""
+    layers, seen = [net.sources], [net.sources, 0]  # the types, the resources reached
     while True:
-        if u == sink:
-            bottleneck = min(arc_cap[p] for p in path)
-            for p in path:
-                arc_cap[p] -= bottleneck
-                back[p] = (back[p] if p in back else cap[arcs[p] ^ 1]) + bottleneck
+        side = len(layers) % 2  # 1 where the next layer holds resources
+        members, masks, reach = layers[-1], net.forward if side else net.flow, 0
+        while members:
+            low = members & -members
+            reach |= masks[low.bit_length() - 1]
+            members ^= low
+        if not (layer := reach & ~seen[side]):
+            return None
+        seen[side] |= layer
+        if side and layer & net.sinks:
+            return layers + [layer & net.sinks]
+        layers.append(layer)
+
+
+def _blocking_flow(net: _Residuals, layers: list[int]) -> None:
+    """One Dinic phase on ``_levels``' layers, which it uses up.
+
+    The DFS runs from the source along ``path``, the types and resources it
+    entered, and takes the lowest bit in the next layer of the current node's
+    mask: the source's is ``layers[0]``, a type's its ``forward`` mask and a
+    resource's its ``flow`` mask; a last-layer resource goes to the sink.  A
+    node left with no such bit is dead and leaves its layer, as does a type
+    whose source arc or a resource whose sink arc saturates.  Within a phase
+    arcs only leave admissibility (reverse arcs point a level down) and nodes
+    only die, so that bit is where the pointer of Dinic's method scanning the
+    full adjacency stops; the dead ends it enters and leaves move no flow.
+    Each augmentation subtracts the bottleneck from every residual on the
+    path, then adds it to the reverse arc's.
+    """
+    r, source, sink, pairs, forward, flow = net.r, net.source, net.sink, net.pairs, net.forward, net.flow
+    path: list[int] = []  # the types at even positions, the resources at odd ones
+    while True:
+        if len(path) == len(layers):
+            types, resources = path[::2], path[1::2]
+            ahead = [pairs.setdefault(j * r + i, [net.mass[j], 0.0]) for j, i in zip(types, resources)]
+            back = [pairs[j * r + i] for j, i in zip(types[1:], resources)]
+            b = min(source[types[0]], *(arc[0] for arc in ahead), *(arc[1] for arc in back), sink[resources[-1]])
+            j, i = types[0], resources[-1]
+            source[j] -= b
+            if source[j] <= _FLOW_EPS:
+                layers[0] ^= 1 << j
+                net.sources ^= 1 << j
+            sink[i] -= b
+            if sink[i] <= _FLOW_EPS:
+                layers[-1] ^= 1 << i
+                net.sinks ^= 1 << i
+            for j, i, arc in zip(types, resources, ahead):
+                arc[0] -= b
+                arc[1] += b
+                if arc[0] <= _FLOW_EPS:
+                    forward[j] ^= 1 << i
+                flow[i] |= 1 << j
+            for j, i, arc in zip(types[1:], resources, back):
+                arc[1] -= b
+                arc[0] += b
+                if arc[1] <= _FLOW_EPS:
+                    flow[i] ^= 1 << j
+                if arc[0] > _FLOW_EPS:
+                    forward[j] |= 1 << i
             path.clear()
-            u = 0
-        p, stop = ptr[u], end[u]
-        while p < stop and (arc_cap[p] <= _FLOW_EPS or dead[arc_to[p]]):
-            p += 1
-        ptr[u] = p
-        if p < stop:
-            path.append(p)
-            u = arc_to[p]
-        elif u == 0:
-            break
+        d = len(path)
+        options = layers[0] if d == 0 else (forward if d % 2 else flow)[path[-1]] & layers[d]
+        if options:
+            path.append((options & -options).bit_length() - 1)
+        elif d == 0:
+            return
         else:
-            dead[u] = True
-            u = int(tails[path.pop()])
-    touched = arcs[list(back)]
-    cap[touched] = [arc_cap[p] for p in back]
-    cap[touched ^ 1] = list(back.values())
+            layers[d - 1] ^= 1 << path.pop()
 
 
 def solve_expected_lp(instance: StochasticInstance) -> FractionalSolution:
     """Exact optimum of the expected-instance LP: the flow, and so ``x``, of
-    Dinic's method scanning each node's full adjacency list, to the bit.
+    Dinic's method scanning each node's full adjacency list, to the bit, with
+    its phases run on the bitmasks of ``_Residuals``.
 
     Raises:
         ValueError: if any type has probability zero.
     """
     if instance.arrivals < 1:
         raise ValueError("the LP needs at least one expected arrival")
-    m, r = instance.type_count, instance.resource_count
     if (zero := np.flatnonzero(instance.probs == 0.0)).size:
         raise ValueError(f"type {zero[0]} has probability 0")
-
-    # Arc pair q is arcs 2q and 2q + 1, arc e ^ 1 reversing arc e: pair j is
-    # source -> type j, pair m + e type -> resource for compatible pair e (type
-    # after type), and the last r pairs resource i -> sink.  Node 0 is the
-    # source, 1 + j type j, 1 + m + i resource i.  A node's adjacency is its
-    # out-arcs in arc order: a type's reverse source arc, then its resources
-    # ascending; a resource's reverse arcs by type, then its sink arc.
     mass = instance.arrivals * instance.probs
-    _, edge_type, edge_resource = instance.compat_pairs()
-    sink = 1 + m + r
-    sources, resources, sinks = slice(0, m), slice(m, m + len(edge_type)), slice(m + len(edge_type), None)
-    heads = np.empty((m + len(edge_type) + r, 2), dtype=np.int32)  # to[2q], to[2q + 1] of pair q
-    heads[sources, 0], heads[sources, 1] = np.arange(1, m + 1), 0
-    heads[resources, 0], heads[resources, 1] = 1 + m + edge_resource, 1 + edge_type
-    heads[sinks, 0], heads[sinks, 1] = sink, np.arange(1 + m, sink)
-    to = heads.ravel()
-    cap = np.zeros(len(to))
-    residual = cap.reshape(-1, 2)  # residual[q] = cap[2q], cap[2q + 1]
-    residual[resources, 0] = mass[edge_type]
-
-    _first_phase(instance._compat_masks, mass.tolist(), instance.offsets[:-1].tolist(),
-                 residual[sources], residual[resources], residual[sinks])
-    # the source's out-arcs and the sink's in-arcs are the forward arcs of their
-    # pairs: once either side is saturated, no BFS can reach the sink
-    while ((residual[sources, 0] > _FLOW_EPS).any() and (residual[sinks, 0] > _FLOW_EPS).any()
-           and (phase := _levels(to, cap, sink))[0][sink] >= 0):
-        _blocking_flow(to, cap, *phase, sink)
-    values = residual[resources, 1] / mass[edge_type]
-    kept = np.flatnonzero(values > _FLOW_EPS)
-    return FractionalSolution.build(instance, edge_type[kept], edge_resource[kept], values[kept])
+    net = _Residuals(instance._compat_masks, mass.tolist(), instance.resource_count)
+    # once the source's or the sink's arcs are all saturated, no BFS can reach the sink
+    while net.sources and net.sinks and (layers := _levels(net)) is not None:
+        _blocking_flow(net, layers)
+    types, ids = np.divmod(np.fromiter(net.pairs, np.int64, len(net.pairs)), net.r)
+    values = np.fromiter((arc[1] for arc in net.pairs.values()), float, len(types)) / mass[types]
+    kept = values > _FLOW_EPS
+    return FractionalSolution.build(instance, types[kept], ids[kept], values[kept])
 
 
 def monte_carlo_weights(instance: StochasticInstance, simulations: int, rng: RngStream) -> FractionalSolution:
