@@ -33,10 +33,11 @@ MASK_CELLS = 1 << 19  # type x resource cells per block of ``type_masks``, which
 
 
 def mask_ints(rows: np.ndarray) -> Iterator[int]:
-    """Each row of a C-ordered uint8 array of little-endian packed bits as a Python int."""
+    """Each row of a 2-D uint8 array of little-endian packed bits, in any memory
+    layout, as a Python int."""
     if not (width := rows.shape[1]):  # a zero-width void dtype views no rows
         return repeat(0, len(rows))
-    return map(int.from_bytes, rows.view(f"V{width}").ravel().tolist(), repeat("little"))
+    return map(int.from_bytes, np.ascontiguousarray(rows).view(f"V{width}").ravel().tolist(), repeat("little"))
 
 
 def _check_types(offsets: np.ndarray, ids: np.ndarray, probs: np.ndarray) -> None:

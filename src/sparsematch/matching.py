@@ -8,9 +8,12 @@ rows ``max_matching`` turns into masks.
 
 ``partners`` is the one Hopcroft-Karp; it returns each left vertex's
 partner, which weight learning reads directly.  Its first phase, where every
-left vertex is free, is one greedy pass; every search takes the lowest
-candidate bit, so its pairs are those of Hopcroft-Karp scanning the ascending
-rows (tests/helpers.py keeps that version as the oracle).  Two more readers:
+left vertex is free, is one greedy pass.  Each later phase is a layered BFS,
+a backward pass that drops the dead ends (the vertices from which no layered
+path reaches a free vertex), then a search from each free root; every search
+takes the lowest candidate bit, so its pairs are those of Hopcroft-Karp
+scanning the ascending rows (tests/helpers.py keeps that version as the
+oracle).  Two more readers:
 ``bitset_matching`` builds the pairs, for edge lists and the tests;
 ``matching_size`` counts the matched left vertices and builds no pair, which
 the trial kernel scores with.
@@ -89,21 +92,35 @@ def partners(masks: Sequence[int], right: int) -> list[int]:
     neighbour a scan of the ascending row takes next.  Only a root's own search
     can match it, so a root leaves ``roots`` when it augments and stays when it
     fails: a longer path may start there in a later phase.
+
+    Before the searches, a backward pass drops a phase's dead ends: from the
+    frontier layer t down to 0, a right vertex stays in ``good[d]`` only if its
+    partner's mask meets ``free`` or the pruned ``good[d + 1]`` (``good[t + 1]``
+    is empty), and a root whose mask meets neither ``free`` nor ``good[0]``
+    fails with no search.  The pairs are unchanged.  What a vertex at depth d
+    can use, ``free | good[d]``, only shrinks within a phase: an augmentation
+    moves ``path[i + 1]`` into ``good[i]``, but that bit was free, or first
+    reached past layer i, so no vertex at depth i gains it as a candidate; all
+    else removes bits.  So a vertex that cannot reach a free vertex at the
+    start of a phase never can; a search would enter it only to fail and drop
+    it, and dropping it first changes no lowest live bit, no augmentation and
+    no order of the failed roots.
     """
     left = len(masks)
     pair_l, pair_r = [-1] * left, [-1] * right
-    free = (1 << right) - 1  # unmatched right vertices
+    free, roots = (1 << right) - 1, []  # unmatched right vertices, free left ones
     for l, mask in enumerate(masks):
         if c := mask & free:
             low = c & -c
             free ^= low
             pair_l[l] = r = low.bit_length() - 1
             pair_r[r] = l
+        else:
+            roots.append(l)
     if free == (1 << right) - 1:  # the greedy pass matched nothing: there is no edge
         return pair_l
-    roots = [l for l, r in enumerate(pair_l) if r == -1]
     while True:
-        level, seen, good = roots, free, []
+        level, seen, good, levels = roots, free, [], []
         while level:
             reach = 0
             for l in level:
@@ -111,18 +128,28 @@ def partners(masks: Sequence[int], right: int) -> list[int]:
             new = reach & ~seen  # matched right vertices first reached here
             seen |= new
             good.append(new)
-            if reach & free:
-                break
             level = []
             while new:
                 low = new & -new
                 level.append(pair_r[low.bit_length() - 1])
                 new ^= low
+            levels.append(level)  # levels[d] holds the partners of good[d]
+            if reach & free:
+                break
         else:  # no free right vertex is reachable: the matching is maximum
             return pair_l
-        good.append(0)  # the frontier layer is not expanded
+        live = free  # good[t + 1] is empty: the frontier layer is not expanded
+        for d in range(len(good) - 1, -1, -1):  # dead ends leave, deepest layer first
+            for l in levels[d]:
+                if not masks[l] & live:
+                    good[d] ^= 1 << pair_l[l]
+            live = free | good[d]
+        good.append(0)
         failed = []
         for root in roots:
+            if not masks[root] & live:
+                failed.append(root)
+                continue
             stack, path = [root], []
             while stack:
                 d = len(stack) - 1

@@ -3,7 +3,9 @@
 Local sparsifiers (guided fixed-size sampling and uniform random subsets)
 prune each arrival's edges independently and report the kept resources as one
 bitmask per arrival, whose maximum matching's size a central coordinator
-reads (``matching.matching_size``, the reports in arrival order);
+reads (``matching.matching_size``, the reports in arrival order, or the size
+of the reports' union when no arrival reports two resources, as every LP-guided
+VarOpt report does);
 online baselines (ranking, two-suggestion guidance) commit irrevocably per
 arrival; the offline optimum, which sees the whole realization, is the trial
 kernel's own matching size (``harness.score_trials``).  Per-arrival
@@ -27,7 +29,9 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain
+from operator import or_
 from typing import Callable, Sequence
 
 import numpy as np
@@ -201,9 +205,15 @@ def mgs(graph: RealizedGraph, guidance: CopyMarginals, rng: RngStream) -> Strate
 
 
 def _coordinate(graph: RealizedGraph, masks: list[int]) -> StrategyOutcome:
-    """Central maximum matching's size on the reported resource bitmasks, one per arrival."""
-    matched = matching_size(masks, graph.instance.resource_count)
-    return StrategyOutcome(matched, sum(map(int.bit_count, masks)))
+    """Central maximum matching's size on the reported resource bitmasks, one per
+    arrival.  When no arrival reports two resources, a maximum matching takes
+    each reported resource once, so its size is that of the reports' union."""
+    counts = list(map(int.bit_count, masks))
+    if max(counts, default=0) <= 1:
+        matched = reduce(or_, masks, 0).bit_count()
+    else:
+        matched = matching_size(masks, graph.instance.resource_count)
+    return StrategyOutcome(matched, sum(counts))
 
 
 def _require_guidance(config: StrategyConfig, guidance: object) -> None:

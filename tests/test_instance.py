@@ -25,6 +25,7 @@ from sparsematch.instance import (
     StochasticInstance,
     instance_from_json,
     instance_to_json,
+    mask_ints,
     realize,
 )
 from sparsematch.rng import RngStream
@@ -130,6 +131,17 @@ def test_type_masks_of_a_block_of_relabelings_equal_one_row_calls_stacked(monkey
                 assert inst.type_masks(ranks) == stacked
                 assert stacked == [mask for rank in ranks for mask in type_masks_oracle(inst, rank)]
                 assert len(stacked) == count * inst.type_count
+
+
+def test_mask_ints_read_packed_rows_in_any_memory_layout():
+    # np.packbits of a column-gathered bool matrix comes back F-ordered
+    member = np.random.default_rng(8).random((37, 100)) < 0.3
+    perm = np.random.default_rng(9).permutation(100)
+    f_ordered = np.packbits(member[:, perm], axis=1, bitorder="little")
+    c_ordered = np.packbits(member, axis=1, bitorder="little")
+    assert f_ordered.flags.f_contiguous and not f_ordered.flags.c_contiguous
+    for rows in (f_ordered, c_ordered[:, ::2], c_ordered[::3], np.asfortranarray(c_ordered[:, :0])):
+        assert list(mask_ints(rows)) == [int.from_bytes(row.tobytes(), "little") for row in rows]
 
 
 def test_negative_resource_index_rejected():

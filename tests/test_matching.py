@@ -180,14 +180,17 @@ def test_row_graph_matching_size_equals_scipy():
         assert max_matching(row_graph(rows, right)).size == scipy_matching_size(rows, right)
 
 
-def row_graphs(st, min_side: int, max_side: int):
-    """A hypothesis strategy of (rows, right count) with both side sizes in
-    [min_side, max_side]; each row lists distinct right vertices in any order."""
+def row_graphs(st, min_side: int, max_side: int, left_per_right: int = 1, degree: int | None = None):
+    """A hypothesis strategy of (rows, right count) with the right side's size in
+    [min_side, max_side] and the left side's in [min_side, left_per_right *
+    max_side]; each row lists at most ``degree`` (by default any number of)
+    distinct right vertices in any order."""
 
     @st.composite
     def graphs(draw):
-        left, right = draw(st.integers(min_side, max_side)), draw(st.integers(max(min_side, 1), max_side))
-        row = st.lists(st.integers(0, right - 1), unique=True, max_size=right).map(tuple)
+        left = draw(st.integers(min_side, left_per_right * max_side))
+        right = draw(st.integers(max(min_side, 1), max_side))
+        row = st.lists(st.integers(0, right - 1), unique=True, max_size=min(right, degree or right)).map(tuple)
         return draw(st.lists(row, min_size=left, max_size=left)), right
 
     return graphs()
@@ -266,6 +269,20 @@ def test_pairs_equal_the_oracle_on_generated_graphs(min_side, max_side, examples
     check()
 
 
+def test_pairs_equal_the_oracle_on_generated_graphs_with_dead_ends():
+    """Left sides up to three times the largest right side, with rows of at most
+    three entries, so that many roots are dead ends the kernel's phases drop
+    before their search."""
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(row_graphs(hypothesis.strategies, 4, 40, left_per_right=3, degree=3))
+    def check(graph):
+        assert_pairs_equal_the_oracle(*graph)
+
+    check()
+
+
 @pytest.mark.parametrize("left, right", [(0, 0), (0, 4), (4, 0), (3, 3)])
 def test_pairs_equal_the_oracle_without_edges(left, right):
     graph, realization = BipartiteEdgeList(left, right, ()), realization_of_rows([()] * left, right)
@@ -339,6 +356,21 @@ def test_pairs_equal_the_oracle_on_family_realizations(n):
             assert_pairs_equal_the_oracle(rows, inst.resource_count)
             if n == 100:
                 assert_shuffled_pairs_equal_the_oracle(rows, inst.resource_count, n + (cut or 0))
+
+
+@pytest.mark.parametrize("n", [500, 2000])
+def test_pairs_equal_the_oracle_on_block_realizations(n):
+    """The family where most of the kernel's searches fail: full rows and rows
+    cut to their first k entries, in arrival order and in the trial kernel's
+    ascending degree."""
+    from sparsematch.generators import FAMILIES
+
+    inst = FAMILIES["block"](n)
+    realization = realize(inst, RngStream(113).substream(n))
+    for cut in (None, 3, 5, 10):
+        rows = [inst.row(j)[:cut] for j in realization.type_ids]
+        assert_pairs_equal_the_oracle(rows, inst.resource_count)
+        assert_pairs_equal_the_oracle(sorted(rows, key=len), inst.resource_count)
 
 
 @pytest.mark.parametrize("n", [100, 1000])

@@ -23,6 +23,7 @@ from helpers import (
     uniform_instance,
     varopt_ipw,
 )
+from sparsematch import strategies
 from sparsematch.generators import FAMILIES, gen_kvv_triangular
 from sparsematch.instance import RealizedGraph, DemandType, realize
 from sparsematch.matching import bitset_matching, matching_size
@@ -33,6 +34,7 @@ from sparsematch.strategies import (
     STRATEGY_NAMES,
     StrategyConfig,
     StrategyOutcome,
+    _coordinate,
     _sample_weighted,
     kvv_ranking,
     mgs,
@@ -446,7 +448,27 @@ def test_coordinator_equals_the_oracle_on_monte_carlo_guided_reports(k):
                                                  varopt_sparsify([graph], samplers, [rng])[0])
 
 
-def test_coordinator_equals_the_oracle_on_lp_guided_single_edge_reports():
+def counted_size_reader(monkeypatch) -> list[int]:
+    """Patch the coordinator's size reader to record the report count of each call."""
+    calls = []
+
+    def counted(masks, right):
+        calls.append(len(masks))
+        return matching_size(masks, right)
+
+    monkeypatch.setattr(strategies, "matching_size", counted)
+    return calls
+
+
+def assert_coordinator_equals_the_size_reader(graph, masks):
+    expected = StrategyOutcome(matching_size(masks, graph.instance.resource_count), sum(map(int.bit_count, masks)))
+    assert _coordinate(graph, masks) == expected
+
+
+def test_coordinator_equals_the_oracle_on_lp_guided_single_edge_reports(monkeypatch):
+    """Every report has one bit, so the coordinator reads the union of the
+    reports and never calls the size reader."""
+    calls = counted_size_reader(monkeypatch)
     base = RngStream(101)
     for name, family in sorted(FAMILIES.items()):
         inst = family(500)
@@ -455,6 +477,52 @@ def test_coordinator_equals_the_oracle_on_lp_guided_single_edge_reports():
         masks = varopt_sparsify([graph], samplers, [rng])[0]
         assert all(mask.bit_count() == 1 for mask in masks)
         assert_coordinator_equals_the_oracle(graph, StrategyConfig("varopt", k=5), rng, samplers, masks)
+        assert_coordinator_equals_the_size_reader(graph, masks)
+    assert calls == []
+
+
+def one_type_graph(right: int, n: int) -> RealizedGraph:
+    """n arrivals of the one type, compatible with each of ``right`` resources."""
+    inst = records_instance(tuple(map(str, range(right))), (DemandType(1.0, tuple(range(right))),), n)
+    return RealizedGraph(inst, (0,) * n)
+
+
+@pytest.mark.parametrize("masks, right", [
+    ([], 0), ([], 4),  # no arrival
+    ([0, 0, 0], 3),  # no report
+    ([1, 1, 1], 1), ([4, 0, 4, 2, 0, 1], 3), ([1 << 99, 1 << 3, 1 << 99, 0], 100),  # repeated resources
+])
+def test_union_rule_equals_the_size_reader_on_one_resource_reports(masks, right, monkeypatch):
+    """Reports of at most one resource each take the union rule; one two-resource
+    report sends the trial to the size reader, once."""
+    calls = counted_size_reader(monkeypatch)
+    assert_coordinator_equals_the_size_reader(one_type_graph(right, len(masks)), masks)
+    assert calls == []
+    if right >= 2:
+        masks = [*masks, 0b11]
+        assert_coordinator_equals_the_size_reader(one_type_graph(right, len(masks)), masks)
+        assert calls == [len(masks)]
+
+
+def test_union_rule_equals_the_size_reader_on_generated_one_resource_reports(monkeypatch):
+    hypothesis = pytest.importorskip("hypothesis")
+    calls = counted_size_reader(monkeypatch)
+    st = hypothesis.strategies
+
+    @st.composite
+    def reports(draw):
+        right = draw(st.integers(0, 60))
+        one = st.just(0) if right == 0 else st.one_of(st.just(0), st.integers(0, right - 1).map(lambda r: 1 << r))
+        return draw(st.lists(one, max_size=80)), right
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(reports())
+    def check(report):
+        masks, right = report
+        assert_coordinator_equals_the_size_reader(one_type_graph(right, len(masks)), masks)
+
+    check()
+    assert calls == []
 
 
 def test_size_reader_equals_the_pair_kernel_on_both_sparsifiers_reports():
