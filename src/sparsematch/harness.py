@@ -7,10 +7,11 @@ one offline scorer.  It realizes each trial once from
 when the caller scores against it.  Every other strategy is scored on the same
 realizations by ``run_strategy`` with ``strategy_stream.substream(t, key)``, a
 budgeted one on the reports ``sparsify`` drew for all those trials in one
-batch.  It returns the offline sizes and each label's matched counts in trial
-order.  Every stream is keyed by the trial index alone, never by position in
-the loop, so results are reproducible from (config, seed) and independent of
-trial scheduling.  Guided strategies read guidance learned once per experiment
+batch, mgs on the suggestions ``mgs`` drew for them in one batch.  It returns
+the offline sizes and each label's matched counts in trial order.  Every
+stream is keyed by the trial index alone, never by position in the loop, so
+results are reproducible from (config, seed) and independent of trial
+scheduling.  Guided strategies read guidance learned once per experiment
 from a dedicated substream, keyed by strategy label.  An experiment has one
 weight source, ``ExperimentConfig.weights``, and ``solution_for_source`` is the
 one place it becomes a solution.  An efficiency summary holds its
@@ -35,7 +36,7 @@ from .generators import FAMILIES, HALF_WINDOW, EmptyWindow, TripRecord, ZoneMode
 from .instance import StochasticInstance, instance_from_json, realize
 from .matching import matching_size
 from .rng import RngStream
-from .strategies import BUDGETED, GUIDED, StrategyConfig, run_strategy, sparsify, varopt_samplers
+from .strategies import BUDGETED, GUIDED, StrategyConfig, mgs, run_strategy, sparsify, varopt_samplers
 from .weights import (
     CopyMarginals,
     FractionalSolution,
@@ -191,8 +192,9 @@ def score_trials(
     whose offline matching is empty has no edges, so every strategy scores 0
     there without running.  Each other strategy is scored by ``run_strategy``
     on every other trial, a budgeted one on the reports of all those trials,
-    drawn first in one batch (``sparsify``).  Each guided strategy reads
-    ``guidance[label]``.
+    drawn first in one batch (``sparsify``), and mgs on their suggestions,
+    drawn first in one batch (``mgs``) on Philox words, with no ``Generator``
+    built.  Each guided strategy reads ``guidance[label]``.
     """
     trials = list(trials)
     graphs = [realize(instance, realize_stream.substream(t)) for t in trials]
@@ -213,6 +215,8 @@ def score_trials(
         reports = repeat(None)  # dropping the last strategy's reports before the next batch
         if cfg.strategy in BUDGETED and run:
             reports = sparsify([graphs[q] for q in run], cfg, rngs, guide)
+        elif cfg.strategy == "mgs" and run:
+            reports = mgs([graphs[q] for q in run], guide, rngs)
         for q, rng, report in zip(run, rngs, reports):
             counts[q] = run_strategy(graphs[q], cfg, rng, guide, report).matched
     return offline, matched

@@ -13,21 +13,23 @@ randomness is drawn from substreams keyed by arrival index, so one arrival's
 selection never depends on the other arrivals.  The two sparsifiers draw the
 reports of many trials at once: every drawing arrival becomes a row of
 ``rng.StreamRows``, in chunks of ``CHUNK_ROWS``, and arrivals whose report
-is fixed get no stream.  mgs suggestions draw through a cdf lookup; kvv keeps
-numpy's ``permutation``, mgs its uniform fallback ``choice``.  Every strategy
-reads the instance's CSR store and type masks alone, never its ``types`` view.
+is fixed get no stream.  mgs draws every trial's suggestions at once too,
+each trial's guidance stream a row of ``rng.StreamRows``; kvv keeps numpy's
+``permutation``.  Every strategy reads the instance's CSR store and type
+masks alone, never its ``types`` view.
 
 ``STRATEGY_NAMES`` declares the strategies; those in ``BUDGETED`` take a
 budget k and the others take none, those in ``GUIDED`` read guidance learned
 once per experiment.  ``sparsify`` is the local pruning, the batch of a
-budgeted strategy's reports for many trials, and ``run_strategy`` only scores:
-kvv and mgs by their own matches, a budgeted strategy by the coordinator's
-matching of the reports ``sparsify`` drew.
+budgeted strategy's reports for many trials, ``mgs`` the batch of its
+suggestions, and ``run_strategy`` only scores: kvv by its own matches, mgs
+by the matches of the suggestions ``mgs`` drew, a budgeted strategy by the
+coordinator's matching of the reports ``sparsify`` drew.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
@@ -38,7 +40,7 @@ import numpy as np
 
 from .instance import RealizedGraph, StochasticInstance, mask_ints
 from .matching import matching_size
-from .rng import RngStream, StreamRows, arrival_stream_ids
+from .rng import RngStream, StreamRows, arrival_stream_ids, substream_ids
 from .varopt import BatchSampler
 from .weights import CopyMarginals, FractionalSolution
 
@@ -162,45 +164,81 @@ def kvv_ranking(graph: RealizedGraph, rng: RngStream) -> StrategyOutcome:
     return StrategyOutcome(matched, matched)
 
 
-def _sample_weighted(ids: Sequence[int], cdf: list[float] | None, gen) -> int | None:
-    """The resource of ``ids`` that ``gen.choice(len(ids), p=probs)`` draws, from
-    one uniform looked up in ``cdf``, the ``choice_cdf`` of ``probs``."""
-    return ids[bisect_right(cdf, gen.random())] if ids else None
+def _renormalized_cdfs(values: np.ndarray, cdf: list[float], at: np.ndarray, excluded: np.ndarray) -> np.ndarray:
+    """Row r: ``cdf``, the ``choice_cdf`` of the weights ``values``, or where
+    ``excluded[r]``, the ``choice_cdf`` of ``values`` without entry ``at[r]``,
+    renormalized and padded with inf.  Such a row drops the entry before its
+    sum and cumulative sum, as ``values[keep]`` does, so every float is the
+    same."""
+    width = len(values)
+    cdfs = np.tile(cdf, (len(at), 1))
+    if width > 1 and excluded.any():
+        out = np.flatnonzero(excluded)
+        kept = np.broadcast_to(values, (len(out), width))[np.arange(width) != at[out, None]]
+        kept = kept.reshape(len(out), width - 1)
+        kept = (kept / kept.sum(axis=1)[:, None]).cumsum(axis=1)
+        cdfs[out, :-1] = kept / kept[:, -1:]
+        cdfs[out, -1] = np.inf
+    return cdfs
 
 
-def mgs(graph: RealizedGraph, guidance: CopyMarginals, rng: RngStream) -> StrategyOutcome:
-    """Two-suggestion online baseline guided by offline marginals.
+def mgs(graphs: Sequence[RealizedGraph], guidance: CopyMarginals,
+        rngs: Sequence[RngStream]) -> list[tuple[list[int], list[int]]]:
+    """Two-suggestion online baseline guided by offline marginals: per graph, the
+    first and second suggestion of every type (-1 for none), drawn for many
+    trials of one instance at once from ``rngs[g].substream("guidance")``.
 
-    Per type, a first-choice resource is sampled proportionally to the
-    marginals of the first realized copy and an independent second choice
-    from the renormalized marginals of the second copy, excluding the first.
-    The c-th realized copy of a type commits to its c-th suggestion if that
-    resource is still free; copies beyond the second go unmatched (both
-    suggestions are necessarily taken by then).  Types without first-copy
-    support fall back to a uniform first choice over their compatibility set.
+    Per type j in order, a first-choice resource is sampled proportionally to
+    the marginals of the first realized copy, as ``gen.choice(len(ids), p=probs)``
+    does: one ``random()`` looked up in the type's ``choice_cdf``.  A type
+    without first-copy support falls back to a uniform ``choice`` over its
+    compatibility set (none for an empty set, no draw for one resource).  An
+    independent second choice is sampled the same way from the marginals of
+    the second copy, renormalized without the first choice, if any remain.
+    Every trial's stream is a row of ``rng.StreamRows`` and each type is one
+    pass over the rows; a uniform's entry is the count of cdf values at or
+    below it, which is ``bisect_right``'s.
     """
-    gen = rng.substream("guidance").generator
-    suggestions: dict[int, tuple[int | None, int | None]] = {}
-    for j in range(graph.instance.type_count):
-        ids, _, cdf = guidance.first.get(j, ((), None, None))
-        first = _sample_weighted(ids, cdf, gen)
-        if first is None:
-            compatible = graph.instance.row(j)
-            if compatible:
-                first = compatible[gen.choice(len(compatible))]
-        second = _sample_weighted(*guidance.second_choices(j, first), gen)
-        suggestions[j] = (first, second)
+    _require_guidance(StrategyConfig("mgs"), guidance)
+    if not graphs:
+        return []
+    instance = graphs[0].instance
+    sizes, offsets, ids = np.diff(instance.offsets), instance.offsets, instance.ids
+    streams = StreamRows(np.array([rng.seed for rng in rngs], dtype=np.uint64),
+                         substream_ids(np.array([rng.stream_id for rng in rngs], dtype=np.uint64), "guidance"))
+    streams.reserve(2 * instance.type_count)  # two draws a type, short only of rejected halves
+    rows = streams.rows
+    first = np.full((instance.type_count, len(rows)), -1)
+    second = np.full_like(first, -1)
+    for j in range(instance.type_count):
+        if j in guidance.first:
+            support, _, cdf = guidance.first[j]
+            first[j] = np.array(support)[np.searchsorted(cdf, streams.random(), side="right")]
+        elif sizes[j]:
+            first[j] = ids[offsets[j] + streams.integers(int(sizes[j]), rows)]
+        if j not in guidance.second:
+            continue
+        support, values, cdf = guidance.second[j]
+        support, width = np.array(support), len(support)
+        hit = support == first[j][:, None]
+        excluded, at = hit.any(axis=1), hit.argmax(axis=1)  # the first choice's entry, if it has one
+        draw = rows if width > 1 else np.flatnonzero(~excluded)
+        cdfs = _renormalized_cdfs(values, cdf, at[draw], excluded[draw])
+        below = (cdfs <= streams.random(draw)[:, None]).sum(axis=1)
+        second[j, draw] = support[below + (excluded[draw] & (below >= at[draw]))]
+    return list(zip(first.T.tolist(), second.T.tolist()))
 
-    taken = [False] * graph.instance.resource_count
-    copies_seen: dict[int, int] = {}
-    matched = 0
-    for type_id in graph.type_ids:
-        copy = copies_seen.get(type_id, 0) + 1
-        copies_seen[type_id] = copy
-        choice = suggestions[type_id][copy - 1] if copy <= 2 else None
-        if choice is not None and not taken[choice]:
-            taken[choice] = True
-            matched += 1
+
+def _committed(graph: RealizedGraph, suggestions: tuple[list[int], list[int]]) -> StrategyOutcome:
+    """mgs's matches: the c-th realized copy of a type commits to its c-th
+    suggestion if that resource is still free, and copies beyond the second go
+    unmatched.  The first request for a resource always finds it free and
+    every later one finds it taken, so the matches are the distinct resources
+    requested, in any arrival order."""
+    first, second = suggestions
+    copies = Counter(graph.type_ids)
+    requested = {first[j] for j in copies} | {second[j] for j, c in copies.items() if c > 1}
+    matched = len(requested - {-1})
     return StrategyOutcome(matched, matched)
 
 
@@ -240,14 +278,15 @@ def run_strategy(
     """Score one configured strategy on a realization; offline is the trial
     kernel's own maximum matching and never comes here.
 
-    Online strategies are scored by their own irrevocable matches, mgs guided
-    by the ``CopyMarginals`` in ``guidance``.  A budgeted strategy is scored by
-    the maximum matching of ``reports``, the masks ``sparsify`` drew for this
-    graph and ``rng``.
+    Online strategies are scored by their own irrevocable matches: kvv drawn
+    from ``rng``, mgs from ``reports``, the suggestions ``mgs`` drew for this
+    graph and ``rng`` from the ``CopyMarginals`` in ``guidance``.  A budgeted
+    strategy is scored by the maximum matching of ``reports``, the masks
+    ``sparsify`` drew for this graph and ``rng``.
     """
     if config.strategy == "kvv":
         return kvv_ranking(graph, rng)
     if config.strategy == "mgs":
         _require_guidance(config, guidance)
-        return mgs(graph, guidance, rng)
+        return _committed(graph, reports)
     return _coordinate(graph, reports)

@@ -22,7 +22,7 @@ uniformly across interchangeable resources.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -30,7 +30,7 @@ import numpy as np
 from .bounds import BoundInputs
 from .instance import MASK_CELLS, StochasticInstance, json_value, realize
 from .matching import partners
-from .rng import RngStream, choice_cdf
+from .rng import RngStream
 
 RESOURCE_CAP_TOL = 1e-7
 TYPE_LIMIT_TOL = 1e-9
@@ -109,9 +109,17 @@ TypeChoices = tuple[tuple[int, ...], np.ndarray, list[float]]
 
 def _choices(offsets: np.ndarray, ids: np.ndarray, weights: np.ndarray) -> dict[int, TypeChoices]:
     """Every type j with entries ``offsets[j]:offsets[j + 1]`` of positive ``weights``
-    at resources ``ids``: its resources, weights and draw cdf."""
-    bounds = offsets.tolist()
-    return {j: (tuple(ids[a:b].tolist()), weights[a:b], choice_cdf(weights[a:b] / weights[a:b].sum()))
+    at resources ``ids``: its resources, weights and draw cdf.  The cdfs of the
+    types with one number of entries are one (types, entries) pass, whose row
+    sums and cumulative sums are each row's own, as ``choice_cdf``'s are."""
+    bounds, resources, sizes = offsets.tolist(), ids.tolist(), np.diff(offsets)
+    cdfs = {}
+    for size in set(sizes.tolist()) - {0}:
+        types = np.flatnonzero(sizes == size)
+        rows = weights[offsets[types][:, None] + np.arange(size)]
+        cdf = (rows / rows.sum(axis=1)[:, None]).cumsum(axis=1)
+        cdfs.update(zip(types.tolist(), (cdf / cdf[:, -1:]).tolist()))
+    return {j: (tuple(resources[a:b]), weights[a:b], cdfs[j])
             for j, (a, b) in enumerate(zip(bounds, bounds[1:])) if b > a}
 
 
@@ -126,20 +134,6 @@ class CopyMarginals:
 
     first: dict[int, TypeChoices]
     second: dict[int, TypeChoices]
-    _second_without: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def second_choices(self, j: int, exclude: int | None) -> tuple[tuple[int, ...], list[float] | None]:
-        """Type j's second-copy resources other than ``exclude`` and the ``choice_cdf``
-        of their renormalized weights, built once per (type, excluded resource)."""
-        key = (j, exclude)
-        if key not in self._second_without:
-            ids, values, cdf = self.second.get(j, ((), None, None))
-            if exclude in ids:
-                keep = [p for p, i in enumerate(ids) if i != exclude]
-                ids = tuple(ids[p] for p in keep)
-                cdf = choice_cdf(values[keep] / values[keep].sum()) if ids else None
-            self._second_without[key] = ids, cdf
-        return self._second_without[key]
 
     @classmethod
     def of_solution(cls, x: FractionalSolution) -> CopyMarginals:

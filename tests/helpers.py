@@ -8,8 +8,11 @@ LP solver, by shortest augmenting paths (Edmonds-Karp) on the library's flow
 network, or by the list-built Dinic whose augmentations the library's solver
 replays.  The batch's VarOpt draws (``varopt_draws``) are checked against the
 numpy array draw they were written from (``varopt_draw_oracle``), a random
-subset against numpy's Floyd algorithm replayed on Python ints, and
-Hopcroft-Karp's pairs against the version without the greedy first phase.
+subset against numpy's Floyd algorithm replayed on Python ints, the batched
+mgs suggestions against the per-trial scalar mgs on each trial's own
+generator (``mgs_suggestions_oracle`` and ``mgs_oracle``, which commits
+arrival by arrival), and Hopcroft-Karp's pairs against the version without
+the greedy first phase.
 An instance's vectorized check is held to the per-type Python checks it
 replaced (``instance_check_oracle``), the numpy generators to the
 tuple-building ones (``FAMILY_ORACLES``), the trip builder to the
@@ -26,7 +29,7 @@ per-simulation loop that learning ran before its simulation blocks
 (``simulated_optima``, on ``full_matching`` and ``max_matching_shuffled``);
 ``solution`` and ``solution_dict`` turn a ``(type, resource) -> value`` dict
 into a solution and back, ``batch`` builds a ``BatchSampler`` from (ids, weights) rows, and
-``draw_and_score`` draws one graph's reports and scores them.
+``draw_and_score`` draws one graph's reports (or mgs suggestions) and scores them.
 ``records_instance`` builds an instance from ``DemandType`` records.
 ``VarOptSampler`` is the batch's one-row form with its
 input checked, which the single-set sampling tests build.  The
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import reduce
@@ -48,10 +52,10 @@ import numpy as np
 
 from sparsematch.instance import PROB_TOL, DemandType, RealizedGraph, StochasticInstance, realize
 from sparsematch.matching import BipartiteEdgeList, MatchingResult, bitset_matching, integer_ids
-from sparsematch.rng import RngStream, StreamRows, arrival_stream_ids
-from sparsematch.strategies import BUDGETED, StrategyOutcome, run_strategy, sparsify
+from sparsematch.rng import RngStream, StreamRows, arrival_stream_ids, choice_cdf
+from sparsematch.strategies import BUDGETED, StrategyOutcome, mgs, run_strategy, sparsify
 from sparsematch.varopt import BatchSampler
-from sparsematch.weights import _FLOW_EPS, FractionalSolution
+from sparsematch.weights import _FLOW_EPS, CopyMarginals, FractionalSolution
 
 ARRIVAL_WEIGHT_TOL = 1e-9
 
@@ -657,6 +661,61 @@ def kvv_oracle(graph: RealizedGraph, rng: RngStream) -> int:
     return matched
 
 
+def second_choices(guidance: CopyMarginals, j: int, exclude: int | None):
+    """Type j's second-copy resources other than ``exclude`` and the ``choice_cdf``
+    of their renormalized weights, for the scalar mgs oracle."""
+    ids, values, cdf = guidance.second.get(j, ((), None, None))
+    if exclude in ids:
+        keep = [p for p, i in enumerate(ids) if i != exclude]
+        ids = tuple(ids[p] for p in keep)
+        cdf = choice_cdf(values[keep] / values[keep].sum()) if ids else None
+    return ids, cdf
+
+
+def sample_weighted(ids, cdf, gen: np.random.Generator) -> int | None:
+    """The resource of ``ids`` that ``gen.choice(len(ids), p=probs)`` draws, from
+    one uniform looked up in ``cdf``, the ``choice_cdf`` of ``probs``."""
+    return ids[bisect_right(cdf, gen.random())] if ids else None
+
+
+def mgs_suggestions_oracle(instance: StochasticInstance, guidance: CopyMarginals,
+                           rng: RngStream) -> tuple[list[int], list[int]]:
+    """Every type's (first, second) suggestion, -1 for none, drawn one scalar
+    draw at a time on ``rng.substream("guidance")``'s own numpy generator: the
+    per-trial mgs that ``strategies.mgs`` replays for many trials at once."""
+    gen = rng.substream("guidance").generator
+    first, second = [], []
+    for j in range(instance.type_count):
+        ids, _, cdf = guidance.first.get(j, ((), None, None))
+        chosen = sample_weighted(ids, cdf, gen)
+        if chosen is None:
+            compatible = instance.row(j)
+            if compatible:
+                chosen = compatible[gen.choice(len(compatible))]
+        other = sample_weighted(*second_choices(guidance, j, chosen), gen)
+        first.append(-1 if chosen is None else int(chosen))
+        second.append(-1 if other is None else int(other))
+    return first, second
+
+
+def mgs_oracle(graph: RealizedGraph, guidance: CopyMarginals, rng: RngStream) -> StrategyOutcome:
+    """The per-trial mgs, arrival by arrival: the c-th realized copy of a type
+    commits to its c-th suggestion if that resource is still free; copies
+    beyond the second go unmatched."""
+    suggestions = mgs_suggestions_oracle(graph.instance, guidance, rng)
+    taken = [False] * graph.instance.resource_count
+    copies_seen: Counter = Counter()
+    matched = 0
+    for type_id in graph.type_ids:
+        copies_seen[type_id] += 1
+        copy = copies_seen[type_id]
+        choice = suggestions[copy - 1][type_id] if copy <= 2 else -1
+        if choice >= 0 and not taken[choice]:
+            taken[choice] = True
+            matched += 1
+    return StrategyOutcome(matched, matched)
+
+
 def records_instance(resources, types, arrivals: int) -> StochasticInstance:
     """The instance whose type j is the ``DemandType`` record ``types[j]``: the
     records flattened into CSR arrays for the one constructor."""
@@ -844,8 +903,13 @@ def row_graph(rows, right: int) -> BipartiteEdgeList:
 
 
 def draw_and_score(graph: RealizedGraph, config, rng: RngStream, guidance=None) -> StrategyOutcome:
-    """``run_strategy`` on one graph, a budgeted strategy on the reports ``sparsify`` draws for it alone."""
-    reports = sparsify([graph], config, [rng], guidance)[0] if config.strategy in BUDGETED else None
+    """``run_strategy`` on one graph, a budgeted strategy on the reports ``sparsify``
+    draws for it alone and mgs on the suggestions ``mgs`` draws for it alone."""
+    reports = None
+    if config.strategy in BUDGETED:
+        reports = sparsify([graph], config, [rng], guidance)[0]
+    elif config.strategy == "mgs":
+        reports = mgs([graph], guidance, [rng])[0]
     return run_strategy(graph, config, rng, guidance, reports)
 
 

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sparsematch import rng, strategies
+from sparsematch import harness, rng, strategies
 from sparsematch.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -132,6 +132,38 @@ def test_lp_varopt_on_block_builds_no_philox_for_its_draws(monkeypatch, tmp_path
     assert philox_builds and not any(philox_builds)
     assert words == []
 
+
+
+def test_mgs_draws_every_trial_on_philox_words_and_builds_no_philox(monkeypatch, tmp_path):
+    # mgs's one batch over the trials draws its suggestions from Philox words
+    # computed in numpy: it builds no generator (the realizations do).
+    inside, philox_builds, mgs_calls, words = [False], [], [], []
+    philox, mgs, blocks = np.random.Philox, harness.mgs, rng.philox_blocks
+
+    def counting_philox(*args, **kwargs):
+        philox_builds.append(inside[0])
+        return philox(*args, **kwargs)
+
+    def counting_blocks(keys, counters):
+        words.append(inside[0])
+        return blocks(keys, counters)
+
+    def tracked_mgs(*args):
+        mgs_calls.append(args)
+        inside[0] = True
+        try:
+            return mgs(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(np.random, "Philox", counting_philox)
+    monkeypatch.setattr(rng, "philox_blocks", counting_blocks)
+    monkeypatch.setattr(harness, "mgs", tracked_mgs)
+    assert main(["synth", "--family", "block", "--n", "100", "--trials", "10", "--mc", "10",
+                 "--strategies", "mgs", "--seed", "0", "--out", str(tmp_path / "out.csv")]) == 0
+    assert [len(graphs) for graphs, _, _ in mgs_calls] == [10]
+    assert philox_builds and not any(philox_builds)
+    assert any(words)
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)

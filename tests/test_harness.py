@@ -294,32 +294,43 @@ def test_kernel_offline_equals_max_matching():
 
 
 def test_kernel_draws_once_per_budgeted_strategy_and_scores_only_its_reports(monkeypatch):
-    # sparsify runs exactly once per budgeted strategy of a run; run_strategy
-    # never scores offline, and every budgeted call gets one report per arrival
+    # sparsify runs exactly once per budgeted strategy of a run, and the mgs
+    # batch once per mgs strategy; run_strategy never scores offline, every
+    # budgeted call gets one report per arrival, every mgs call its two
+    # suggestions per type, and kvv nothing drawn ahead
     from sparsematch import harness, strategies
 
     drawn, scored = [], []
-    sparsify, run_strategy = strategies.sparsify, strategies.run_strategy
+    sparsify, mgs, run_strategy = strategies.sparsify, strategies.mgs, strategies.run_strategy
 
     def tracked_sparsify(graphs, config, rngs, guidance=None):
         drawn.append(config)
         return sparsify(graphs, config, rngs, guidance)
 
+    def tracked_mgs(graphs, guidance, rngs):
+        drawn.append(StrategyConfig("mgs"))
+        return mgs(graphs, guidance, rngs)
+
     def tracked_run_strategy(graph, config, rng, guidance=None, reports=None):
-        scored.append((config, graph.n, reports))
+        scored.append((config, graph, reports))
         return run_strategy(graph, config, rng, guidance, reports)
 
     for module in (strategies, harness):
         monkeypatch.setattr(module, "sparsify", tracked_sparsify)
+        monkeypatch.setattr(module, "mgs", tracked_mgs)
         monkeypatch.setattr(module, "run_strategy", tracked_run_strategy)
 
     def check(configs, trials):
-        budgeted = [cfg for cfg in configs if cfg.strategy in BUDGETED]
-        assert drawn == budgeted
+        assert drawn == [cfg for cfg in configs if cfg.strategy in BUDGETED or cfg.strategy == "mgs"]
         assert sorted(cfg.label for cfg, _, _ in scored) == sorted(
             cfg.label for cfg in configs if cfg.strategy != "offline" for _ in range(trials))
-        for cfg, n, reports in scored:
-            assert len(reports) == n if cfg.strategy in BUDGETED else reports is None
+        for cfg, graph, reports in scored:
+            if cfg.strategy in BUDGETED:
+                assert len(reports) == graph.n
+            elif cfg.strategy == "mgs":
+                assert [len(suggestions) for suggestions in reports] == [graph.instance.type_count] * 2
+            else:
+                assert reports is None
         drawn.clear()
         scored.clear()
 

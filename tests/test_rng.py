@@ -90,6 +90,60 @@ def test_arrival_rows_compute_words_only_as_draws_reach_them():
     assert first[9] == RngStream(3).substream("arrival", 9).generator.random()
 
 
+# Bounds on both sides of 2^31: at 2^31 + 1 about half of the halves are
+# rejected, at 3 * 2^30 about a quarter; choice(1) draws nothing.
+WORD_READER_BOUNDS = [1, 2, 3, 7, 100, 2**31 + 1, 3 * 2**30]
+
+
+@pytest.mark.parametrize("reserved", [0, 40])
+def test_word_reader_interleaves_random_and_choice_as_numpy(reserved):
+    # Every row is one key's stream.  Each step, a random subset of the rows
+    # takes random() (a whole word, leaving a buffered half where it is) or
+    # choice(n) (Lemire's method on 32-bit halves), against the key's own
+    # np.random.Generator(np.random.Philox(key)).
+    gen = np.random.default_rng(23)
+    seeds = np.array([0, 5, 2**63 + 5] * 20, dtype=np.uint64)
+    ids = gen.integers(2**64, size=len(seeds), dtype=np.uint64)
+    rows = StreamRows(seeds, ids)
+    rows.reserve(reserved)
+    refs = [np.random.Generator(np.random.Philox(key=philox_key(int(a), int(b)))) for a, b in zip(seeds, ids)]
+    for step in range(120):
+        at = np.flatnonzero(gen.random(len(refs)) < 0.7)
+        if step % 3 == 0:
+            assert rows.random(at).tolist() == [refs[r].random() for r in at.tolist()], step
+        else:
+            n = WORD_READER_BOUNDS[step % len(WORD_READER_BOUNDS)]
+            assert rows.integers(n, at).tolist() == [int(refs[r].choice(n)) for r in at.tolist()], (step, n)
+    assert rows.random().tolist() == [ref.random() for ref in refs]
+
+
+def test_draws_after_the_first_continue_each_stream_or_raise():
+    # A VarOpt row's permutation, its random(), then more draws continue the
+    # row's own generator; a first-draw replay on rows that have drawn, and
+    # any draw after a subset, raise instead of reading the wrong words.
+    rng = RngStream(4).substream("after")
+    rows = arrival_rows(rng, 3)
+    perms = rows.permutation(np.array([9, 2, 40]))
+    draws = [rows.random(), rows.integers(7, rows.rows), rows.random(), rows.integers(3, rows.rows[1:])]
+    for i in range(3):
+        own = rng.substream("arrival", i).generator
+        assert perms[i, :[9, 2, 40][i]].tolist() == own.permutation([9, 2, 40][i]).tolist()
+        assert [draws[0][i], draws[1][i], draws[2][i]] == [own.random(), own.choice(7), own.random()]
+        if i:
+            assert draws[3][i - 1] == own.choice(3)
+    subsets = arrival_rows(rng, 2)
+    subsets.choice(np.array([20, 20000]), 5)  # numpy then shuffles the set, with draws not replayed
+    for draw in (subsets.random, lambda: subsets.integers(11, subsets.rows[1:])):
+        with pytest.raises(ValueError, match="last draw"):
+            draw()
+    for drawn in (rows, arrival_rows(rng, 2)):
+        drawn.random()
+        with pytest.raises(ValueError, match="first draw"):
+            drawn.permutation(np.array([40, 40]))
+        with pytest.raises(ValueError, match="first draw"):
+            drawn.choice(np.array([20, 20]), 3)
+
+
 TOP = 2**64 - 1
 # Both sides of 2^63, the float64 rounding's halfway points above it, and the
 # top 2^10, where a rounded entry reaches 2^64.

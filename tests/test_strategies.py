@@ -15,8 +15,12 @@ from helpers import (
     ids_of,
     kvv_oracle,
     light_row,
+    mgs_oracle,
+    mgs_suggestions_oracle,
     records_instance,
     row_graph,
+    sample_weighted,
+    second_choices,
     solution,
     solution_dict,
     support_of,
@@ -25,7 +29,7 @@ from helpers import (
 )
 from sparsematch import strategies
 from sparsematch.generators import FAMILIES, gen_kvv_triangular
-from sparsematch.instance import RealizedGraph, DemandType, realize
+from sparsematch.instance import RealizedGraph, DemandType, StochasticInstance, realize
 from sparsematch.matching import bitset_matching, matching_size
 from sparsematch.rng import RngStream, choice_cdf
 from sparsematch.strategies import (
@@ -35,7 +39,6 @@ from sparsematch.strategies import (
     StrategyConfig,
     StrategyOutcome,
     _coordinate,
-    _sample_weighted,
     kvv_ranking,
     mgs,
     random_subgraph,
@@ -250,15 +253,18 @@ def test_mgs_single_type_single_resource():
     inst = records_instance(("a",), (DemandType(1.0, (0,)),), arrivals=6)
     x = solution(inst, {(0, 0): 1.0 / 6})
     graph = realize(inst, RngStream(1))
-    outcome = mgs(graph, CopyMarginals.of_solution(x), RngStream(2))
-    assert outcome.matched == 1
+    guidance = CopyMarginals.of_solution(x)
+    for outcome in (mgs_oracle(graph, guidance, RngStream(2)),
+                    draw_and_score(graph, StrategyConfig("mgs"), RngStream(2), guidance)):
+        assert outcome.matched == 1
 
 
 def test_mgs_with_copy_guidance():
     inst = complete_uniform(8)
     guidance = per_copy_marginals(inst, 30, RngStream(3))
     graph = realize(inst, RngStream(4))
-    outcome = mgs(graph, guidance, RngStream(5))
+    outcome = draw_and_score(graph, StrategyConfig("mgs"), RngStream(5), guidance)
+    assert outcome == mgs_oracle(graph, guidance, RngStream(5))
     assert 0 < outcome.matched <= graph.n
     with pytest.raises(ValueError, match="marginals"):
         run_strategy(graph, StrategyConfig("mgs"), RngStream(5))
@@ -283,11 +289,106 @@ def test_mgs_draw_matches_numpy_weighted_choice():
         choices = {j: (ids, w, choice_cdf(probs)) for j, (ids, w, probs) in by_type.items()}
         guidance, type_weights = CopyMarginals(first=choices, second=choices), by_type[0]
         for exclude in (None, type_weights[0][int(gen.integers(size))], -1):
-            for stream_id in range(10):  # the renormalized cdf is built on the first, then cached
+            for stream_id in range(10):
                 ours, ref = RngStream(case, stream_id).generator, RngStream(case, stream_id).generator
-                assert (_sample_weighted(*guidance.second_choices(0, exclude), ours)
+                assert (sample_weighted(*second_choices(guidance, 0, exclude), ours)
                         == _weighted_choice_oracle(*type_weights, ref, exclude))
                 assert ours.random() == ref.random()  # each drew one uniform, or none
+
+
+def test_renormalized_cdfs_equal_choice_cdf_of_the_kept_weights():
+    # Every exclusion of every entry, on widths past numpy's pairwise-sum
+    # blocks of 8 and 128: each row is the float-for-float choice_cdf of the
+    # kept weights, padded with inf, and unexcluded rows keep the whole cdf.
+    gen = np.random.default_rng(29)
+    for width in list(range(1, 20)) + [127, 128, 129, 300]:
+        values = gen.integers(1, 50, width).astype(float) if width % 2 else gen.random(width) ** 3 + 1e-3
+        cdf = choice_cdf(values / values.sum())
+        at = np.concatenate([np.arange(width), [0, width - 1]])
+        excluded = np.arange(len(at)) < width
+        for row, e, out in zip(strategies._renormalized_cdfs(values, cdf, at, excluded).tolist(), at, excluded):
+            keep = np.arange(width) != e
+            want = (choice_cdf(values[keep] / values[keep].sum()) + [math.inf]) if out and width > 1 else cdf
+            assert row == want, (width, e, out)
+
+
+def _copy_choices(supports, weights) -> dict:
+    """CopyMarginals entries: type j's resources ``supports[j]`` with the leading ``weights[j]``."""
+    out = {}
+    for j, (support, w) in enumerate(zip(supports, weights)):
+        if support:
+            w = np.array(w[:len(support)])
+            out[j] = (tuple(sorted(support)), w, choice_cdf(w / w.sum()))
+    return out
+
+
+def _check_mgs_batch(inst, guidance, rngs, graphs) -> None:
+    """Every trial's suggestions and matches, drawn in one batch, against the
+    scalar oracle on the trial's own numpy generator."""
+    config = StrategyConfig("mgs")
+    for graph, rng, suggestions in zip(graphs, rngs, mgs(graphs, guidance, rngs), strict=True):
+        assert suggestions == mgs_suggestions_oracle(inst, guidance, rng)
+        assert run_strategy(graph, config, rng, guidance, suggestions) == mgs_oracle(graph, guidance, rng)
+
+
+def test_batched_mgs_equals_the_scalar_oracle_on_generated_guidance():
+    # Types without first-copy support (the uniform fallback, several of them
+    # in one stream share buffered halves), one-resource and empty rows (no
+    # draw), second-copy supports equal to {first} (no second draw) and both
+    # copies guided alike, as an LP's support guides them.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def cases(draw):
+        right = draw(st.integers(1, 7))
+        rows = draw(st.lists(st.sets(st.integers(0, right - 1), max_size=right).map(sorted), min_size=1, max_size=7))
+        weight = st.one_of(st.integers(1, 50).map(float), st.floats(1e-3, 1.0))
+        copies = []
+        for _ in range(2):
+            w = draw(st.lists(weight, min_size=len(rows) + right, max_size=len(rows) + right))
+            copies.append(_copy_choices([draw(st.sets(st.sampled_from(row))) if row and draw(st.booleans()) else ()
+                                         for row in rows], [w[j:] for j in range(len(rows))]))
+        if draw(st.booleans()):
+            copies[1] = copies[0]
+        arrivals, trials = draw(st.integers(0, 12)), draw(st.integers(1, 6))
+        return rows, CopyMarginals(*copies), arrivals, trials, draw(st.sampled_from([0, 7, 2**63 + 5]))
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(cases())
+    def check(case):
+        rows, guidance, arrivals, trials, seed = case
+        hypothesis.assume(any(rows))
+        inst = uniform_instance(rows, arrivals)
+        rngs = [RngStream(seed).substream("strategy", t, "mgs") for t in range(trials)]
+        _check_mgs_batch(inst, guidance, rngs, [realize(inst, RngStream(seed).substream(t)) for t in range(trials)])
+
+    check()
+
+
+# Found by scanning stream ids 0, 1, 2, ... of each seed for the first three whose
+# guidance substream rejects its first draw of choice(49938), the bound below
+# 50000 that rejects most often (2^32 mod 49938 = 49606 of 2^32 halves).
+LEMIRE_REJECTING = {0: [23982, 32398, 33428], 2**63 + 5: [46147, 89357, 164748]}
+
+
+@pytest.mark.parametrize("seed", sorted(LEMIRE_REJECTING))
+def test_batched_mgs_through_lemire_rejections(seed):
+    # Two fallback types over 49938 resources, then a guided one: the rejecting
+    # rows take both halves of their first word for type 0, and type 1 draws
+    # from their next word while the other rows draw from their buffered half.
+    size = 49938
+    everything = np.arange(size)
+    inst = StochasticInstance([f"r{i}" for i in range(size)], [0, size, 2 * size, 2 * size + 3],
+                              np.concatenate([everything, everything, [0, 5, 9]]), [0.5, 0.25, 0.25], 6)
+    guidance = CopyMarginals(first=_copy_choices([(), (), (0, 5, 9)], [(), (), [1.0, 2.0, 3.0]]),
+                             second=_copy_choices([(1, 3), (), (5,)], [[0.5, 0.5], (), [1.0]]))
+    rngs = [RngStream(seed, t) for t in LEMIRE_REJECTING[seed] + list(range(20))]
+    for rng in rngs[:3]:
+        gen = rng.substream("guidance").generator
+        gen.choice(size)
+        assert gen.bit_generator.state["has_uint32"] == 0  # both halves of the first word taken
+    _check_mgs_batch(inst, guidance, rngs, [realize(inst, RngStream(seed).substream(t)) for t in range(len(rngs))])
 
 
 def test_run_strategy_full_budget_full_support_equals_offline():

@@ -452,6 +452,23 @@ def test_per_copy_marginals_shapes():
     assert marg.second
 
 
+def test_type_choices_are_each_types_own_choice_cdf():
+    # The draw cdfs of all types with one number of entries come from one 2-D
+    # pass; widths past numpy's pairwise-sum blocks of 8 and 128 keep every
+    # float of the one-type choice_cdf, and empty types get no entry.
+    gen = np.random.default_rng(37)
+    sizes = [0, *range(1, 20), 0, 127, 128, 129, 300, 3, 3, 128]
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    ids = np.concatenate([np.sort(gen.choice(1000, size, replace=False)) for size in sizes]).astype(np.int64)
+    values = np.where(gen.random(len(ids)) < 0.5, gen.integers(1, 50, len(ids)), gen.random(len(ids)) ** 3 + 1e-3)
+    choices = weights._choices(offsets, ids, values)
+    assert sorted(choices) == [j for j, size in enumerate(sizes) if size]
+    for j, (resources, w, cdf) in choices.items():
+        a, b = offsets[j], offsets[j + 1]
+        assert resources == tuple(ids[a:b].tolist()) and np.array_equal(w, values[a:b])
+        assert cdf == choice_cdf(values[a:b] / values[a:b].sum()), j
+
+
 def assert_marginals_equal(got, first, second):
     # Each copy's resources, weights and draw cdf against the oracle's groups.
     for copy, want in ((got.first, first), (got.second, second)):
