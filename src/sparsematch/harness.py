@@ -4,19 +4,18 @@ unmet-demand series and bound reports.
 ``score_trials`` is the only loop that realizes instances for scoring and the
 one offline scorer.  It realizes each trial once from
 ``realize_stream.substream(t)`` and solves the offline maximum matching's size
-when the caller scores against it.  Every other strategy is scored on the same
-realizations by ``run_strategy`` with ``strategy_stream.substream(t, key)``, a
-budgeted one on the reports ``sparsify`` drew for all those trials in one
-batch, mgs on the suggestions ``mgs`` drew for them in one batch.  It returns
-the offline sizes and each label's matched counts in trial order.  Every
-stream is keyed by the trial index alone, never by position in the loop, so
-results are reproducible from (config, seed) and independent of trial
-scheduling.  Guided strategies read guidance learned once per experiment
-from a dedicated substream, keyed by strategy label.  An experiment has one
-weight source, ``ExperimentConfig.weights``, and ``solution_for_source`` is the
-one place it becomes a solution.  An efficiency summary holds its
-``StrategyConfig``, and summaries are reported in that config's order: by
-strategy name, then budget.
+when the caller scores against it.  Every other strategy draws once for all
+those trials (``strategies.draw``), trial t from
+``strategy_stream.substream(t, key)``, and ``run_strategy`` scores each
+trial's draw on its realization.  It returns the offline sizes and each
+label's matched counts in trial order.  Every stream is keyed by the trial
+index alone, never by position in the loop, so results are reproducible from
+(config, seed) and independent of trial scheduling.  Guided strategies read
+guidance learned once per experiment from a dedicated substream, keyed by
+strategy label.  An experiment has one weight source,
+``ExperimentConfig.weights``, and ``solution_for_source`` is the one place it
+becomes a solution.  An efficiency summary holds its ``StrategyConfig``, and
+summaries are reported in that config's order: by strategy name, then budget.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ import logging
 import math
 from dataclasses import dataclass
 from datetime import datetime
-from itertools import repeat
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -36,7 +34,7 @@ from .generators import FAMILIES, HALF_WINDOW, EmptyWindow, TripRecord, ZoneMode
 from .instance import StochasticInstance, instance_from_json, realize
 from .matching import matching_size
 from .rng import RngStream
-from .strategies import BUDGETED, GUIDED, StrategyConfig, mgs, run_strategy, sparsify, varopt_samplers
+from .strategies import GUIDED, StrategyConfig, draw, run_strategy, varopt_samplers
 from .weights import (
     CopyMarginals,
     FractionalSolution,
@@ -188,13 +186,11 @@ def score_trials(
     pair, on the arrivals' type masks stably sorted by their type's degree,
     read once off the offsets (Karp and Sipser's minimum-degree rule, applied
     once before the greedy first phase; a maximum matching's size does not
-    depend on the order).  A trial
-    whose offline matching is empty has no edges, so every strategy scores 0
-    there without running.  Each other strategy is scored by ``run_strategy``
-    on every other trial, a budgeted one on the reports of all those trials,
-    drawn first in one batch (``sparsify``), and mgs on their suggestions,
-    drawn first in one batch (``mgs``) on Philox words, with no ``Generator``
-    built.  Each guided strategy reads ``guidance[label]``.
+    depend on the order).  A trial whose offline matching is empty has no
+    edges, so every strategy scores 0 there without running.  Each other
+    strategy draws once for every other trial, in one batch (``draw``), reading
+    ``guidance[label]`` if guided, and ``run_strategy`` scores each trial's
+    draw.
     """
     trials = list(trials)
     graphs = [realize(instance, realize_stream.substream(t)) for t in trials]
@@ -211,14 +207,9 @@ def score_trials(
             continue
         counts = matched[cfg.label] = [0] * len(trials)
         rngs = [strategy_stream.substream(trials[q], stream_key(cfg)) for q in run]
-        guide = guidance.get(cfg.label)
-        reports = repeat(None)  # dropping the last strategy's reports before the next batch
-        if cfg.strategy in BUDGETED and run:
-            reports = sparsify([graphs[q] for q in run], cfg, rngs, guide)
-        elif cfg.strategy == "mgs" and run:
-            reports = mgs([graphs[q] for q in run], guide, rngs)
-        for q, rng, report in zip(run, rngs, reports):
-            counts[q] = run_strategy(graphs[q], cfg, rng, guide, report).matched
+        # the draws go unnamed, so each batch is freed before the next is drawn
+        for q, drawn in zip(run, draw([graphs[q] for q in run], cfg, rngs, guidance.get(cfg.label)) if run else ()):
+            counts[q] = run_strategy(graphs[q], cfg, drawn).matched
     return offline, matched
 
 

@@ -9,10 +9,11 @@ computes their Philox4x64-10 words in numpy (``philox_blocks``) and replays
 numpy ``Generator``'s ``permutation`` and ``choice`` without replacement (a
 row's first draw), ``random`` and ``integers`` (which ``choice(n)`` draws)
 on them over padded rows, byte for byte, with numpy's buffered 32-bit half.
-These replays and ``choice_cdf``, the cdf of a weighted choice, are checked
-against numpy in tests/test_rng.py and test_strategies.py, and the VarOpt
+These replays are checked against numpy in tests/test_rng.py, the VarOpt
 rows and mgs suggestions drawn on them against their per-row oracles in
-test_varopt.py and test_strategies.py.
+test_varopt.py and test_strategies.py, and mgs's weighted-choice cdfs against
+numpy's (``choice_cdf`` in tests/helpers.py) in test_weights.py and
+test_strategies.py.
 """
 
 from __future__ import annotations
@@ -314,8 +315,3 @@ class StreamRows:
         self.next[:] = -1  # numpy's final shuffle draws too, and is not replayed
         return chosen
 
-
-def choice_cdf(p: np.ndarray) -> list[float]:
-    """The cdf in which ``gen.choice(len(p), p=p)`` looks up ``bisect_right(cdf, gen.random())``."""
-    cdf = p.cumsum()
-    return (cdf / cdf[-1]).tolist()

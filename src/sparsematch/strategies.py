@@ -1,4 +1,4 @@
-"""The evaluated matching strategies and their one dispatch.
+"""The evaluated matching strategies: the one place each draws, and its scoring.
 
 Local sparsifiers (guided fixed-size sampling and uniform random subsets)
 prune each arrival's edges independently and report the kept resources as one
@@ -10,21 +10,21 @@ online baselines (ranking, two-suggestion guidance) commit irrevocably per
 arrival; the offline optimum, which sees the whole realization, is the trial
 kernel's own matching size (``harness.score_trials``).  Per-arrival
 randomness is drawn from substreams keyed by arrival index, so one arrival's
-selection never depends on the other arrivals.  The two sparsifiers draw the
-reports of many trials at once: every drawing arrival becomes a row of
-``rng.StreamRows``, in chunks of ``CHUNK_ROWS``, and arrivals whose report
-is fixed get no stream.  mgs draws every trial's suggestions at once too,
-each trial's guidance stream a row of ``rng.StreamRows``; kvv keeps numpy's
-``permutation``.  Every strategy reads the instance's CSR store and type
-masks alone, never its ``types`` view.
+selection never depends on the other arrivals.
+
+A trial has two stages, as in the paper: ``draw`` is the one place a strategy
+draws, for many trials of one instance at once, and ``run_strategy`` only
+scores one trial's draw.  The two sparsifiers draw every drawing arrival as a
+row of ``rng.StreamRows``, in chunks of ``CHUNK_ROWS``, and arrivals whose
+report is fixed get no stream; mgs draws on each trial's guidance stream as a
+row of ``rng.StreamRows``; kvv keeps numpy's ``permutation``.  kvv is scored by
+ranking on its ranks, mgs by committing to its suggestions and a budgeted
+strategy by the coordinator's matching of its reports.  Every strategy reads
+the instance's CSR store and type masks alone, never its ``types`` view.
 
 ``STRATEGY_NAMES`` declares the strategies; those in ``BUDGETED`` take a
 budget k and the others take none, those in ``GUIDED`` read guidance learned
-once per experiment.  ``sparsify`` is the local pruning, the batch of a
-budgeted strategy's reports for many trials, ``mgs`` the batch of its
-suggestions, and ``run_strategy`` only scores: kvv by its own matches, mgs
-by the matches of the suggestions ``mgs`` drew, a budgeted strategy by the
-coordinator's matching of the reports ``sparsify`` drew.
+once per experiment, which ``draw`` requires.
 """
 
 from __future__ import annotations
@@ -149,13 +149,13 @@ def random_subgraph(graphs: Sequence[RealizedGraph], k: int, rngs: Sequence[RngS
                     lambda t, streams: compatible[starts[t][:, None] + streams.choice(sizes[t], k)])
 
 
-def kvv_ranking(graph: RealizedGraph, rng: RngStream) -> StrategyOutcome:
+def kvv_ranking(graph: RealizedGraph, ranks: np.ndarray) -> StrategyOutcome:
     """Classic online ranking: arrivals greedily take their best-ranked free neighbor.
 
-    Resource r is relabeled to its rank, bit ``rank[r]`` of its type's mask, so
+    Resource r is relabeled to its rank, bit ``ranks[r]`` of its type's mask, so
     an arrival's best-ranked free neighbor is the lowest set bit of its mask
     outside ``taken``, the taken resources in rank space."""
-    masks = graph.instance.type_masks(rng.generator.permutation(graph.instance.resource_count))
+    masks = graph.instance.type_masks(ranks)
     taken = 0
     for type_id in graph.type_ids:
         free = masks[type_id] & ~taken
@@ -165,8 +165,8 @@ def kvv_ranking(graph: RealizedGraph, rng: RngStream) -> StrategyOutcome:
 
 
 def _renormalized_cdfs(values: np.ndarray, cdf: list[float], at: np.ndarray, excluded: np.ndarray) -> np.ndarray:
-    """Row r: ``cdf``, the ``choice_cdf`` of the weights ``values``, or where
-    ``excluded[r]``, the ``choice_cdf`` of ``values`` without entry ``at[r]``,
+    """Row r: ``cdf``, the weighted-choice cdf of the weights ``values``, or
+    where ``excluded[r]``, that of ``values`` without entry ``at[r]``,
     renormalized and padded with inf.  Such a row drops the entry before its
     sum and cumulative sum, as ``values[keep]`` does, so every float is the
     same."""
@@ -190,7 +190,7 @@ def mgs(graphs: Sequence[RealizedGraph], guidance: CopyMarginals,
 
     Per type j in order, a first-choice resource is sampled proportionally to
     the marginals of the first realized copy, as ``gen.choice(len(ids), p=probs)``
-    does: one ``random()`` looked up in the type's ``choice_cdf``.  A type
+    does: one ``random()`` looked up in the cdf that choice builds.  A type
     without first-copy support falls back to a uniform ``choice`` over its
     compatibility set (none for an empty set, no draw for one resource).  An
     independent second choice is sampled the same way from the marginals of
@@ -199,7 +199,6 @@ def mgs(graphs: Sequence[RealizedGraph], guidance: CopyMarginals,
     pass over the rows; a uniform's entry is the count of cdf values at or
     below it, which is ``bisect_right``'s.
     """
-    _require_guidance(StrategyConfig("mgs"), guidance)
     if not graphs:
         return []
     instance = graphs[0].instance
@@ -254,39 +253,35 @@ def _coordinate(graph: RealizedGraph, masks: list[int]) -> StrategyOutcome:
     return StrategyOutcome(matched, sum(counts))
 
 
-def _require_guidance(config: StrategyConfig, guidance: object) -> None:
+def draw(graphs: Sequence[RealizedGraph], config: StrategyConfig, rngs: Sequence[RngStream],
+         guidance: object = None) -> list:
+    """What a strategy other than offline draws for many trials of one instance,
+    per graph from ``rngs[g]``: kvv the ranks of the resources, one
+    ``permutation``; mgs its suggestions (``mgs``, from the ``CopyMarginals`` in
+    ``guidance``); a budgeted strategy its reports, one resource bitmask per
+    arrival (``random_subgraph``, or ``varopt_sparsify`` from the samplers in
+    ``guidance``)."""
     if config.strategy in GUIDED and guidance is None:
         raise ValueError(f"strategy {config.strategy!r} needs guidance learned from a "
                          "fractional solution: VarOpt samplers or copy marginals")
-
-
-def sparsify(
-    graphs: Sequence[RealizedGraph], config: StrategyConfig, rngs: Sequence[RngStream], guidance: object = None
-) -> list[list[int]]:
-    """A budgeted strategy's reports for many trials at once: per graph, one
-    resource bitmask per arrival, drawn from ``rngs[g]``."""
-    _require_guidance(config, guidance)
+    if config.strategy == "kvv":
+        return [rng.generator.permutation(graph.instance.resource_count) for graph, rng in zip(graphs, rngs)]
+    if config.strategy == "mgs":
+        return mgs(graphs, guidance, rngs)
     if config.strategy == "random":
         return random_subgraph(graphs, config.k, rngs)
     return varopt_sparsify(graphs, guidance, rngs)
 
 
-def run_strategy(
-    graph: RealizedGraph, config: StrategyConfig, rng: RngStream, guidance: object = None,
-    reports: list[int] | None = None,
-) -> StrategyOutcome:
-    """Score one configured strategy on a realization; offline is the trial
-    kernel's own maximum matching and never comes here.
-
-    Online strategies are scored by their own irrevocable matches: kvv drawn
-    from ``rng``, mgs from ``reports``, the suggestions ``mgs`` drew for this
-    graph and ``rng`` from the ``CopyMarginals`` in ``guidance``.  A budgeted
-    strategy is scored by the maximum matching of ``reports``, the masks
-    ``sparsify`` drew for this graph and ``rng``.
-    """
+def run_strategy(graph: RealizedGraph, config: StrategyConfig, drawn: object) -> StrategyOutcome:
+    """Score one configured strategy on a realization from what ``draw`` drew
+    for it; offline is the trial kernel's own maximum matching and never comes
+    here.  kvv and mgs are scored by their own irrevocable matches, ranking by
+    the ``drawn`` ranks and committing to the ``drawn`` suggestions, and a
+    budgeted strategy by the coordinator's maximum matching of the ``drawn``
+    reports."""
     if config.strategy == "kvv":
-        return kvv_ranking(graph, rng)
+        return kvv_ranking(graph, drawn)
     if config.strategy == "mgs":
-        _require_guidance(config, guidance)
-        return _committed(graph, reports)
-    return _coordinate(graph, reports)
+        return _committed(graph, drawn)
+    return _coordinate(graph, drawn)

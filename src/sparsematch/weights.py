@@ -103,7 +103,7 @@ class FractionalSolution:
         return np.repeat(np.arange(len(self.offsets) - 1), np.diff(self.offsets))
 
 
-# One type's (resources ascending, weights, ``choice_cdf`` of the weights normalized).
+# One type's (resources ascending, weights, weighted-choice cdf: ``choice_cdf`` in tests/helpers.py).
 TypeChoices = tuple[tuple[int, ...], np.ndarray, list[float]]
 
 
@@ -111,7 +111,7 @@ def _choices(offsets: np.ndarray, ids: np.ndarray, weights: np.ndarray) -> dict[
     """Every type j with entries ``offsets[j]:offsets[j + 1]`` of positive ``weights``
     at resources ``ids``: its resources, weights and draw cdf.  The cdfs of the
     types with one number of entries are one (types, entries) pass, whose row
-    sums and cumulative sums are each row's own, as ``choice_cdf``'s are."""
+    sums and cumulative sums are each row's own, as numpy's weighted choice's are."""
     bounds, resources, sizes = offsets.tolist(), ids.tolist(), np.diff(offsets)
     cdfs = {}
     for size in set(sizes.tolist()) - {0}:

@@ -28,8 +28,9 @@ dict-built versions they replaced (``monte_carlo_oracle``,
 per-simulation loop that learning ran before its simulation blocks
 (``simulated_optima``, on ``full_matching`` and ``max_matching_shuffled``);
 ``solution`` and ``solution_dict`` turn a ``(type, resource) -> value`` dict
-into a solution and back, ``batch`` builds a ``BatchSampler`` from (ids, weights) rows, and
-``draw_and_score`` draws one graph's reports (or mgs suggestions) and scores them.
+into a solution and back, ``batch`` builds a ``BatchSampler`` from (ids, weights) rows,
+``draw_and_score`` draws for one graph and scores the draw, and ``choice_cdf`` is
+the cdf numpy's weighted choice looks its uniform up in.
 ``records_instance`` builds an instance from ``DemandType`` records.
 ``VarOptSampler`` is the batch's one-row form with its
 input checked, which the single-set sampling tests build.  The
@@ -52,8 +53,8 @@ import numpy as np
 
 from sparsematch.instance import PROB_TOL, DemandType, RealizedGraph, StochasticInstance, realize
 from sparsematch.matching import BipartiteEdgeList, MatchingResult, bitset_matching, integer_ids
-from sparsematch.rng import RngStream, StreamRows, arrival_stream_ids, choice_cdf
-from sparsematch.strategies import BUDGETED, StrategyOutcome, mgs, run_strategy, sparsify
+from sparsematch.rng import RngStream, StreamRows, arrival_stream_ids
+from sparsematch.strategies import StrategyOutcome, draw, run_strategy
 from sparsematch.varopt import BatchSampler
 from sparsematch.weights import _FLOW_EPS, CopyMarginals, FractionalSolution
 
@@ -661,6 +662,12 @@ def kvv_oracle(graph: RealizedGraph, rng: RngStream) -> int:
     return matched
 
 
+def choice_cdf(p: np.ndarray) -> list[float]:
+    """The cdf in which ``gen.choice(len(p), p=p)`` looks up ``bisect_right(cdf, gen.random())``."""
+    cdf = p.cumsum()
+    return (cdf / cdf[-1]).tolist()
+
+
 def second_choices(guidance: CopyMarginals, j: int, exclude: int | None):
     """Type j's second-copy resources other than ``exclude`` and the ``choice_cdf``
     of their renormalized weights, for the scalar mgs oracle."""
@@ -903,14 +910,8 @@ def row_graph(rows, right: int) -> BipartiteEdgeList:
 
 
 def draw_and_score(graph: RealizedGraph, config, rng: RngStream, guidance=None) -> StrategyOutcome:
-    """``run_strategy`` on one graph, a budgeted strategy on the reports ``sparsify``
-    draws for it alone and mgs on the suggestions ``mgs`` draws for it alone."""
-    reports = None
-    if config.strategy in BUDGETED:
-        reports = sparsify([graph], config, [rng], guidance)[0]
-    elif config.strategy == "mgs":
-        reports = mgs([graph], guidance, [rng])[0]
-    return run_strategy(graph, config, rng, guidance, reports)
+    """``run_strategy`` on what ``draw`` draws for one graph alone."""
+    return run_strategy(graph, config, draw([graph], config, [rng], guidance)[0])
 
 
 def realized_edge_list(graph: RealizedGraph) -> BipartiteEdgeList:

@@ -23,7 +23,7 @@ from sparsematch.harness import ExperimentConfig, run_experiment, run_nyc_day
 from sparsematch.instance import realize
 from sparsematch.matching import BipartiteEdgeList, max_matching
 from sparsematch.rng import RngStream
-from sparsematch.strategies import StrategyConfig, run_strategy, sparsify, varopt_samplers
+from sparsematch.strategies import StrategyConfig, draw, run_strategy, varopt_samplers
 from sparsematch.weights import (
     heavy_light,
     monte_carlo_weights,
@@ -205,9 +205,8 @@ def test_criterion_6_preservation_bound_soundness():
             samplers = varopt_samplers(instance, x, k)
             graphs = [realize(instance, base.substream("trial", family, t)) for t in range(200)]
             rngs = [base.substream("s", family, t, k) for t in range(200)]
-            reports = sparsify(graphs, config, rngs, samplers)
-            sizes = [run_strategy(graph, config, rng, samplers, reports=masks).matched
-                     for graph, rng, masks in zip(graphs, rngs, reports)]
+            reports = draw(graphs, config, rngs, samplers)
+            sizes = [run_strategy(graph, config, masks).matched for graph, masks in zip(graphs, reports)]
             mean = float(np.mean(sizes))
             stderr = float(np.std(sizes, ddof=1) / math.sqrt(len(sizes)))
             if bound > mean + 4 * stderr:
@@ -271,9 +270,8 @@ def test_criterion_9_corollary_budget():
     samplers = varopt_samplers(instance, x, k)
     graphs = [realize(instance, base.substream(t)) for t in range(500)]
     rngs = [base.substream("s", t) for t in range(500)]
-    reports = sparsify(graphs, config, rngs, samplers)
-    sizes = [run_strategy(graph, config, rng, samplers, reports=masks).matched
-             for graph, rng, masks in zip(graphs, rngs, reports)]
+    reports = draw(graphs, config, rngs, samplers)
+    sizes = [run_strategy(graph, config, masks).matched for graph, masks in zip(graphs, reports)]
     z = x.objective
     mean = float(np.mean(sizes))
     stderr = float(np.std(sizes, ddof=1) / math.sqrt(len(sizes)))

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sparsematch import harness, rng, strategies
+from sparsematch import rng, strategies
 from sparsematch.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -138,7 +138,7 @@ def test_mgs_draws_every_trial_on_philox_words_and_builds_no_philox(monkeypatch,
     # mgs's one batch over the trials draws its suggestions from Philox words
     # computed in numpy: it builds no generator (the realizations do).
     inside, philox_builds, mgs_calls, words = [False], [], [], []
-    philox, mgs, blocks = np.random.Philox, harness.mgs, rng.philox_blocks
+    philox, mgs, blocks = np.random.Philox, strategies.mgs, rng.philox_blocks
 
     def counting_philox(*args, **kwargs):
         philox_builds.append(inside[0])
@@ -158,7 +158,7 @@ def test_mgs_draws_every_trial_on_philox_words_and_builds_no_philox(monkeypatch,
 
     monkeypatch.setattr(np.random, "Philox", counting_philox)
     monkeypatch.setattr(rng, "philox_blocks", counting_blocks)
-    monkeypatch.setattr(harness, "mgs", tracked_mgs)
+    monkeypatch.setattr(strategies, "mgs", tracked_mgs)
     assert main(["synth", "--family", "block", "--n", "100", "--trials", "10", "--mc", "10",
                  "--strategies", "mgs", "--seed", "0", "--out", str(tmp_path / "out.csv")]) == 0
     assert [len(graphs) for graphs, _, _ in mgs_calls] == [10]

@@ -293,44 +293,39 @@ def test_kernel_offline_equals_max_matching():
     assert offline == matched["offline"] == [max_matching(realized_edge_list(graph)).size]
 
 
-def test_kernel_draws_once_per_budgeted_strategy_and_scores_only_its_reports(monkeypatch):
-    # sparsify runs exactly once per budgeted strategy of a run, and the mgs
-    # batch once per mgs strategy; run_strategy never scores offline, every
-    # budgeted call gets one report per arrival, every mgs call its two
-    # suggestions per type, and kvv nothing drawn ahead
+def test_kernel_draws_once_per_strategy_and_scores_only_its_draws(monkeypatch):
+    # draw runs exactly once per strategy of a run other than offline;
+    # run_strategy never scores offline, every budgeted call gets one report
+    # per arrival, every mgs call its two suggestions per type, and every kvv
+    # call a permutation of the resources as their ranks
     from sparsematch import harness, strategies
 
     drawn, scored = [], []
-    sparsify, mgs, run_strategy = strategies.sparsify, strategies.mgs, strategies.run_strategy
+    draw, run_strategy = strategies.draw, strategies.run_strategy
 
-    def tracked_sparsify(graphs, config, rngs, guidance=None):
+    def tracked_draw(graphs, config, rngs, guidance=None):
         drawn.append(config)
-        return sparsify(graphs, config, rngs, guidance)
+        return draw(graphs, config, rngs, guidance)
 
-    def tracked_mgs(graphs, guidance, rngs):
-        drawn.append(StrategyConfig("mgs"))
-        return mgs(graphs, guidance, rngs)
-
-    def tracked_run_strategy(graph, config, rng, guidance=None, reports=None):
-        scored.append((config, graph, reports))
-        return run_strategy(graph, config, rng, guidance, reports)
+    def tracked_run_strategy(graph, config, draws):
+        scored.append((config, graph, draws))
+        return run_strategy(graph, config, draws)
 
     for module in (strategies, harness):
-        monkeypatch.setattr(module, "sparsify", tracked_sparsify)
-        monkeypatch.setattr(module, "mgs", tracked_mgs)
+        monkeypatch.setattr(module, "draw", tracked_draw)
         monkeypatch.setattr(module, "run_strategy", tracked_run_strategy)
 
     def check(configs, trials):
-        assert drawn == [cfg for cfg in configs if cfg.strategy in BUDGETED or cfg.strategy == "mgs"]
+        assert drawn == [cfg for cfg in configs if cfg.strategy != "offline"]
         assert sorted(cfg.label for cfg, _, _ in scored) == sorted(
             cfg.label for cfg in configs if cfg.strategy != "offline" for _ in range(trials))
-        for cfg, graph, reports in scored:
+        for cfg, graph, draws in scored:
             if cfg.strategy in BUDGETED:
-                assert len(reports) == graph.n
+                assert len(draws) == graph.n
             elif cfg.strategy == "mgs":
-                assert [len(suggestions) for suggestions in reports] == [graph.instance.type_count] * 2
+                assert [len(suggestions) for suggestions in draws] == [graph.instance.type_count] * 2
             else:
-                assert reports is None
+                assert sorted(draws.tolist()) == list(range(graph.instance.resource_count))
         drawn.clear()
         scored.clear()
 

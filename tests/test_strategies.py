@@ -6,6 +6,7 @@ import pytest
 from helpers import (
     VarOptSampler,
     bundled_trip_instances,
+    choice_cdf,
     complete_uniform,
     draw_and_score,
     exclusive_pairs,
@@ -31,7 +32,7 @@ from sparsematch import strategies
 from sparsematch.generators import FAMILIES, gen_kvv_triangular
 from sparsematch.instance import RealizedGraph, DemandType, StochasticInstance, realize
 from sparsematch.matching import bitset_matching, matching_size
-from sparsematch.rng import RngStream, choice_cdf
+from sparsematch.rng import RngStream
 from sparsematch.strategies import (
     BUDGETED,
     GUIDED,
@@ -39,11 +40,11 @@ from sparsematch.strategies import (
     StrategyConfig,
     StrategyOutcome,
     _coordinate,
+    draw,
     kvv_ranking,
     mgs,
     random_subgraph,
     run_strategy,
-    sparsify,
     varopt_samplers,
     varopt_sparsify,
 )
@@ -211,7 +212,7 @@ def test_random_subgraph_uniform_marginals():
 def test_kvv_no_contention_matches_everything():
     inst = exclusive_pairs(8)
     graph = RealizedGraph(inst, tuple(range(8)))
-    outcome = kvv_ranking(graph, RngStream(5))
+    outcome = kvv_ranking(graph, RngStream(5).generator.permutation(inst.resource_count))
     assert outcome.matched == 8
 
 
@@ -225,7 +226,8 @@ def test_kvv_competitive_floor_on_families():
         offline = full_matching(graph).size
         if offline == 0:
             continue
-        ratios.append(kvv_ranking(graph, base.substream("k", t)).matched / offline)
+        ranks = base.substream("k", t).generator.permutation(inst.resource_count)
+        ratios.append(kvv_ranking(graph, ranks).matched / offline)
     mean = np.mean(ratios)
     stderr = np.std(ratios, ddof=1) / math.sqrt(len(ratios))
     assert mean >= 1 - 1 / math.e - 4 * stderr
@@ -245,8 +247,9 @@ def test_kvv_equals_the_row_scan_oracle():
     for label, inst, realizations in cases:
         for t in range(realizations):
             graph = realize(inst, base.substream(label, t))
-            ranks = [base.substream("rank", label, t) for _ in range(2)]
-            assert kvv_ranking(graph, ranks[0]).matched == kvv_oracle(graph, ranks[1]), (label, t)
+            streams = [base.substream("rank", label, t) for _ in range(2)]
+            ranks = streams[0].generator.permutation(inst.resource_count)
+            assert kvv_ranking(graph, ranks).matched == kvv_oracle(graph, streams[1]), (label, t)
 
 
 def test_mgs_single_type_single_resource():
@@ -266,8 +269,6 @@ def test_mgs_with_copy_guidance():
     outcome = draw_and_score(graph, StrategyConfig("mgs"), RngStream(5), guidance)
     assert outcome == mgs_oracle(graph, guidance, RngStream(5))
     assert 0 < outcome.matched <= graph.n
-    with pytest.raises(ValueError, match="marginals"):
-        run_strategy(graph, StrategyConfig("mgs"), RngStream(5))
 
 
 def _weighted_choice_oracle(ids, values, probs, gen, exclude=None):
@@ -328,7 +329,7 @@ def _check_mgs_batch(inst, guidance, rngs, graphs) -> None:
     config = StrategyConfig("mgs")
     for graph, rng, suggestions in zip(graphs, rngs, mgs(graphs, guidance, rngs), strict=True):
         assert suggestions == mgs_suggestions_oracle(inst, guidance, rng)
-        assert run_strategy(graph, config, rng, guidance, suggestions) == mgs_oracle(graph, guidance, rng)
+        assert run_strategy(graph, config, suggestions) == mgs_oracle(graph, guidance, rng)
 
 
 def test_batched_mgs_equals_the_scalar_oracle_on_generated_guidance():
@@ -487,8 +488,23 @@ def test_strategy_constants_drive_names_and_validation():
     assert STRATEGY_NAMES == ("offline", "kvv", "random", "mgs", "varopt")
     assert BUDGETED == {"random", "varopt"}
     assert GUIDED == {"mgs", "varopt"}
+
+
+def test_draw_requires_guidance_and_draws_kvv_ranks_as_a_fresh_permutation():
+    # mgs and varopt draw nothing without guidance, and kvv's draw for each
+    # graph is the permutation of the resources that a fresh generator on its
+    # stream draws
+    inst = complete_uniform(8)
+    graphs = [realize(inst, RngStream(1).substream(t)) for t in range(3)]
+    rngs = [RngStream(2).substream(t) for t in range(3)]
+    with pytest.raises(ValueError, match="marginals"):
+        draw(graphs[:1], StrategyConfig("mgs"), rngs[:1])
     with pytest.raises(ValueError, match="fractional solution"):
-        sparsify([realize(complete_uniform(3), RngStream(1))], StrategyConfig("varopt", k=2), [RngStream(2)])
+        draw([realize(complete_uniform(3), RngStream(1))], StrategyConfig("varopt", k=2), [RngStream(2)])
+    ranks = draw(graphs, StrategyConfig("kvv"), rngs)
+    assert len(ranks) == len(graphs)
+    for t, rank in enumerate(ranks):
+        assert rank.tolist() == RngStream(2).substream(t).generator.permutation(inst.resource_count).tolist()
 
 
 def test_every_declared_strategy_runs_through_run_strategy():

@@ -10,6 +10,7 @@ from scipy.optimize import linprog
 
 from helpers import (
     bundled_trip_instances,
+    choice_cdf,
     complete_uniform,
     dinic_lp,
     edmonds_karp_lp,
@@ -30,7 +31,7 @@ from sparsematch import instance as instance_module
 from sparsematch import weights
 from sparsematch.generators import FAMILIES, gen_bahmani
 from sparsematch.instance import DemandType, realize
-from sparsematch.rng import RngStream, choice_cdf
+from sparsematch.rng import RngStream
 from sparsematch.weights import (
     CopyMarginals,
     heavy_light,
