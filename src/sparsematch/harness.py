@@ -7,10 +7,12 @@ one offline scorer.  It realizes each trial once from
 when the caller scores against it.  Every other strategy draws once for all
 those trials (``strategies.draw``), trial t from
 ``strategy_stream.substream(t, key)``, and ``run_strategy`` scores each
-trial's draw on its realization.  It returns the offline sizes and each
-label's matched counts in trial order.  Every stream is keyed by the trial
-index alone, never by position in the loop, so results are reproducible from
-(config, seed) and independent of trial scheduling.  Guided strategies read
+trial's draw on its realization, bounded by its offline size when there is
+one.  Each of these lists of streams is derived in one ``rng.substream_ids``
+pass.  It returns the offline sizes and each label's matched counts in trial
+order.  Every stream is keyed by the trial index alone, never by position in
+the loop, so results are reproducible from (config, seed) and independent of
+trial scheduling.  Guided strategies read
 guidance learned once per experiment from a dedicated substream, keyed by
 strategy label.  An experiment has one weight source,
 ``ExperimentConfig.weights``, and ``solution_for_source`` is the one place it
@@ -25,7 +27,7 @@ import logging
 import math
 from dataclasses import dataclass
 from datetime import datetime
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -33,7 +35,7 @@ from .bounds import theorem_bound
 from .generators import FAMILIES, HALF_WINDOW, EmptyWindow, TripRecord, ZoneModel, build_nyc_instance
 from .instance import StochasticInstance, instance_from_json, realize
 from .matching import matching_size
-from .rng import RngStream
+from .rng import RngStream, substream_ids
 from .strategies import GUIDED, StrategyConfig, draw, run_strategy, varopt_samplers
 from .weights import (
     CopyMarginals,
@@ -190,10 +192,13 @@ def score_trials(
     edges, so every strategy scores 0 there without running.  Each other
     strategy draws once for every other trial, in one batch (``draw``), reading
     ``guidance[label]`` if guided, and ``run_strategy`` scores each trial's
-    draw.
+    draw.  With ``with_offline``, the trial's offline size bounds the
+    coordinator (``most``): every report is a subset of the realized edges,
+    so no coordinator matches more.
     """
     trials = list(trials)
-    graphs = [realize(instance, realize_stream.substream(t)) for t in trials]
+    ids = np.array(trials, dtype=np.uint64)
+    graphs = [realize(instance, stream) for stream in _trial_streams(realize_stream, ids)]
     offline = None
     if with_offline:
         masks, degree = instance._compat_masks, np.diff(instance.offsets).tolist()
@@ -206,11 +211,18 @@ def score_trials(
             matched[cfg.label] = list(offline)
             continue
         counts = matched[cfg.label] = [0] * len(trials)
-        rngs = [strategy_stream.substream(trials[q], stream_key(cfg)) for q in run]
+        rngs = list(_trial_streams(strategy_stream, ids[run], stream_key(cfg)))
         # the draws go unnamed, so each batch is freed before the next is drawn
         for q, drawn in zip(run, draw([graphs[q] for q in run], cfg, rngs, guidance.get(cfg.label)) if run else ()):
-            counts[q] = run_strategy(graphs[q], cfg, drawn).matched
+            counts[q] = run_strategy(graphs[q], cfg, drawn, most=None if offline is None else offline[q]).matched
     return offline, matched
+
+
+def _trial_streams(stream: RngStream, trials: np.ndarray, *keys: int | str) -> Iterator[RngStream]:
+    """``stream.substream(t, *keys)`` for each trial t of ``trials``, their ids in
+    one pass, handed out one at a time so that no caller must hold them all."""
+    for sid in substream_ids(np.uint64(stream.stream_id), trials, *keys).tolist():
+        yield RngStream(stream.seed, sid)
 
 
 def run_experiment(

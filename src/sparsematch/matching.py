@@ -16,7 +16,10 @@ scanning the ascending rows (tests/helpers.py keeps that version as the
 oracle).  Two more readers:
 ``bitset_matching`` builds the pairs, for edge lists and the tests;
 ``matching_size`` counts the matched left vertices and builds no pair, which
-the trial kernel scores with.
+the trial kernel scores with.  Both ``partners`` and ``matching_size`` take
+an optional ``most``, a bound the caller knows the maximum cannot exceed
+(the coordinator's is the trial's offline size): the phases stop as soon as
+the matching reaches it.
 """
 
 from __future__ import annotations
@@ -79,9 +82,12 @@ class MatchingResult:
     pairs: tuple[tuple[int, int], ...]
 
 
-def partners(masks: Sequence[int], right: int) -> list[int]:
+def partners(masks: Sequence[int], right: int, most: int | None = None) -> list[int]:
     """Each left vertex's partner in a maximum-cardinality matching, or -1; left
     vertex l's neighbours are the set bits of ``masks[l]``, all below ``right``.
+    With ``most``, a bound the caller knows the maximum cannot exceed, the
+    phases stop as soon as the matching reaches it: the matching is maximum if
+    the bound holds, and of at least ``most`` pairs in any case.
 
     Deterministic; O(E sqrt(V)) word operations.  Phase 1 is a greedy pass: with
     every left vertex free at layer 0, no path can pass a matched vertex, so
@@ -117,7 +123,8 @@ def partners(masks: Sequence[int], right: int) -> list[int]:
             pair_r[r] = l
         else:
             roots.append(l)
-    if free == (1 << right) - 1:  # the greedy pass matched nothing: there is no edge
+    size = left - len(roots)
+    if free == (1 << right) - 1 or most is not None and size >= most:  # no edge, or the bound is met
         return pair_l
     while True:
         level, seen, good, levels = roots, free, [], []
@@ -168,6 +175,9 @@ def partners(masks: Sequence[int], right: int) -> list[int]:
                     free ^= low
                     for i in range(len(path) - 1):  # path[i + 1]'s partner is now at layer i + 1
                         good[i] ^= (1 << path[i]) | (1 << path[i + 1])
+                    size += 1
+                    if size == most:
+                        return pair_l
                     break
                 stack.append(pair_r[r])
             else:
@@ -182,9 +192,10 @@ def bitset_matching(masks: Sequence[int], right: int) -> MatchingResult:
     return MatchingResult(len(pairs), pairs)
 
 
-def matching_size(masks: Sequence[int], right: int) -> int:
-    """``bitset_matching(masks, right).size``, without building its pairs."""
-    pair_l = partners(masks, right)
+def matching_size(masks: Sequence[int], right: int, most: int | None = None) -> int:
+    """``bitset_matching(masks, right).size``, without building its pairs; with
+    ``most``, the size of ``partners``' matching bounded by it."""
+    pair_l = partners(masks, right, most)
     return len(pair_l) - pair_l.count(-1)
 
 

@@ -141,16 +141,15 @@ def philox_blocks(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
     return np.stack([x[0], y[1], x[1], y[0]], axis=1)
 
 
-def substream_ids(stream_ids: np.ndarray, tag: int | str) -> np.ndarray:
-    """The stream id of ``RngStream(seed, stream_ids[r]).substream(tag)`` for each r."""
-    return _splitmix64_array(stream_ids ^ np.uint64(_splitmix64(_tag_to_int(tag))))
-
-
-def arrival_stream_ids(stream_ids: np.ndarray, arrivals: np.ndarray) -> np.ndarray:
-    """The stream id of ``RngStream(seed, stream_ids[r]).substream("arrival", arrivals[r])``
-    for each r, in one pass."""
-    prefix = substream_ids(stream_ids, "arrival")
-    return _splitmix64_array(prefix ^ _splitmix64_array(arrivals.astype(np.uint64)))
+def substream_ids(stream_ids: np.ndarray | np.uint64, *tags: int | str | np.ndarray) -> np.ndarray:
+    """The stream id of ``RngStream(seed, stream_ids[r]).substream(*tags)`` for each r,
+    in one pass; a tag may also be an array of int tags, entry r for row r, which
+    broadcasts against ``stream_ids`` (one stream's trials, say)."""
+    for tag in tags:
+        mixed = (_splitmix64_array(tag.astype(np.uint64)) if isinstance(tag, np.ndarray)
+                 else np.uint64(_splitmix64(_tag_to_int(tag))))
+        stream_ids = _splitmix64_array(stream_ids ^ mixed)
+    return stream_ids
 
 
 class StreamRows:

@@ -3,9 +3,10 @@
 Local sparsifiers (guided fixed-size sampling and uniform random subsets)
 prune each arrival's edges independently and report the kept resources as one
 bitmask per arrival, whose maximum matching's size a central coordinator
-reads (``matching.matching_size``, the reports in arrival order, or the size
-of the reports' union when no arrival reports two resources, as every LP-guided
-VarOpt report does);
+reads (``matching.matching_size`` on the reports in ascending popcount order,
+its phases stopped at the trial's offline size when the kernel passes it as
+``most``, or the size of the reports' union when no arrival reports two
+resources, as every LP-guided VarOpt report does);
 online baselines (ranking, two-suggestion guidance) commit irrevocably per
 arrival; the offline optimum, which sees the whole realization, is the trial
 kernel's own matching size (``harness.score_trials``).  Per-arrival
@@ -17,10 +18,13 @@ draws, for many trials of one instance at once, and ``run_strategy`` only
 scores one trial's draw.  The two sparsifiers draw every drawing arrival as a
 row of ``rng.StreamRows``, in chunks of ``CHUNK_ROWS``, and arrivals whose
 report is fixed get no stream; mgs draws on each trial's guidance stream as a
-row of ``rng.StreamRows``; kvv keeps numpy's ``permutation``.  kvv is scored by
-ranking on its ranks, mgs by committing to its suggestions and a budgeted
-strategy by the coordinator's matching of its reports.  Every strategy reads
-the instance's CSR store and type masks alone, never its ``types`` view.
+row of ``rng.StreamRows``; kvv keeps numpy's ``permutation`` and draws its
+type masks relabeled by those ranks, one ``type_masks`` call per block of
+trials that ``MASK_CELLS`` cells hold, handed out as they are scored.  kvv is
+scored by ranking on its relabeled masks, mgs by committing to its
+suggestions and a budgeted strategy by the coordinator's matching of its
+reports.  Every strategy reads the instance's CSR store and type masks alone,
+never its ``types`` view.
 
 ``STRATEGY_NAMES`` declares the strategies; those in ``BUDGETED`` take a
 budget k and the others take none, those in ``GUIDED`` read guidance learned
@@ -34,13 +38,13 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
 from operator import or_
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .instance import RealizedGraph, StochasticInstance, mask_ints
+from .instance import MASK_CELLS, RealizedGraph, StochasticInstance, mask_ints
 from .matching import matching_size
-from .rng import RngStream, StreamRows, arrival_stream_ids, substream_ids
+from .rng import RngStream, StreamRows, substream_ids
 from .varopt import BatchSampler
 from .weights import CopyMarginals, FractionalSolution
 
@@ -118,9 +122,11 @@ def _reports(graphs: Sequence[RealizedGraph], rngs: Sequence[RngStream], masks: 
         cell = cells[s:s + CHUNK_ROWS]
         g = np.searchsorted(ends, cell, side="right")
         i = cell - (ends - sizes)[g]
-        ids = draw(types[cell], StreamRows(seeds[g], arrival_stream_ids(parents[g], i)))
+        ids = draw(types[cell], StreamRows(seeds[g], substream_ids(parents[g], "arrival", i)))
         bits, (row, col) = base[types[cell]], np.nonzero(ids >= 0)
-        np.bitwise_or.at(bits, (row, ids[row, col] >> 3), (1 << (ids[row, col] & 7)).astype(np.uint8))
+        # a row's drawn ids are distinct, so the bits they set in a byte sum to their OR
+        bits |= np.bincount(row * size + (ids[row, col] >> 3), 1 << (ids[row, col] & 7),
+                            bits.size).astype(np.uint8).reshape(bits.shape)
         flat[cell] = np.fromiter(mask_ints(bits), dtype=object, count=len(cell))
     return [flat[end - n:end].tolist() for n, end in zip(sizes.tolist(), ends.tolist())]
 
@@ -149,19 +155,36 @@ def random_subgraph(graphs: Sequence[RealizedGraph], k: int, rngs: Sequence[RngS
                     lambda t, streams: compatible[starts[t][:, None] + streams.choice(sizes[t], k)])
 
 
-def kvv_ranking(graph: RealizedGraph, ranks: np.ndarray) -> StrategyOutcome:
+def kvv_ranking(graph: RealizedGraph, masks: list[int]) -> StrategyOutcome:
     """Classic online ranking: arrivals greedily take their best-ranked free neighbor.
 
-    Resource r is relabeled to its rank, bit ``ranks[r]`` of its type's mask, so
-    an arrival's best-ranked free neighbor is the lowest set bit of its mask
-    outside ``taken``, the taken resources in rank space."""
-    masks = graph.instance.type_masks(ranks)
+    ``masks`` are the type masks with resource r relabeled to its rank, bit
+    ``ranks[r]`` (``instance.type_masks(ranks)``), so an arrival's best-ranked
+    free neighbor is the lowest set bit of its mask outside ``taken``, the
+    taken resources in rank space."""
     taken = 0
     for type_id in graph.type_ids:
         free = masks[type_id] & ~taken
         taken |= free & -free  # ranks are distinct, so the best is unique
     matched = taken.bit_count()
     return StrategyOutcome(matched, matched)
+
+
+def _kvv_masks(graphs: Sequence[RealizedGraph], rngs: Sequence[RngStream]) -> Iterator[list[int]]:
+    """Per graph, the type masks relabeled by the ranks of the resources, a fresh
+    ``rngs[g].generator.permutation``: ``instance.type_masks(ranks)``, built by
+    one ``type_masks`` call per block of as many trials as ``MASK_CELLS``
+    type x resource cells hold, and handed out as they are reached, so at
+    most one block of masks is held."""
+    if not graphs:
+        return
+    instance = graphs[0].instance
+    m, r = instance.type_count, instance.resource_count
+    per = max(1, MASK_CELLS // max(m * r, 1))
+    for b in range(0, len(graphs), per):
+        masks = instance.type_masks(np.array([rng.generator.permutation(r) for rng in rngs[b:b + per]]))
+        for q in range(0, len(masks), m):
+            yield masks[q:q + m]
 
 
 def _renormalized_cdfs(values: np.ndarray, cdf: list[float], at: np.ndarray, excluded: np.ndarray) -> np.ndarray:
@@ -241,23 +264,27 @@ def _committed(graph: RealizedGraph, suggestions: tuple[list[int], list[int]]) -
     return StrategyOutcome(matched, matched)
 
 
-def _coordinate(graph: RealizedGraph, masks: list[int]) -> StrategyOutcome:
+def _coordinate(graph: RealizedGraph, masks: list[int], most: int | None = None) -> StrategyOutcome:
     """Central maximum matching's size on the reported resource bitmasks, one per
-    arrival.  When no arrival reports two resources, a maximum matching takes
-    each reported resource once, so its size is that of the reports' union."""
+    arrival, matched in ascending popcount order (the size does not depend on
+    the order); ``most``, a bound on that size such as the trial's offline
+    size, stops its phases once reached.  When no arrival reports two
+    resources, a maximum matching takes each reported resource once, so its
+    size is that of the reports' union."""
     counts = list(map(int.bit_count, masks))
     if max(counts, default=0) <= 1:
         matched = reduce(or_, masks, 0).bit_count()
     else:
-        matched = matching_size(masks, graph.instance.resource_count)
+        matched = matching_size(sorted(masks, key=int.bit_count), graph.instance.resource_count, most)
     return StrategyOutcome(matched, sum(counts))
 
 
 def draw(graphs: Sequence[RealizedGraph], config: StrategyConfig, rngs: Sequence[RngStream],
-         guidance: object = None) -> list:
+         guidance: object = None) -> Iterable:
     """What a strategy other than offline draws for many trials of one instance,
-    per graph from ``rngs[g]``: kvv the ranks of the resources, one
-    ``permutation``; mgs its suggestions (``mgs``, from the ``CopyMarginals`` in
+    per graph from ``rngs[g]``, in graph order: kvv its type masks relabeled by
+    the ranks of the resources, one ``permutation`` (``_kvv_masks``, handed out
+    a block at a time); mgs its suggestions (``mgs``, from the ``CopyMarginals`` in
     ``guidance``); a budgeted strategy its reports, one resource bitmask per
     arrival (``random_subgraph``, or ``varopt_sparsify`` from the samplers in
     ``guidance``)."""
@@ -265,7 +292,7 @@ def draw(graphs: Sequence[RealizedGraph], config: StrategyConfig, rngs: Sequence
         raise ValueError(f"strategy {config.strategy!r} needs guidance learned from a "
                          "fractional solution: VarOpt samplers or copy marginals")
     if config.strategy == "kvv":
-        return [rng.generator.permutation(graph.instance.resource_count) for graph, rng in zip(graphs, rngs)]
+        return _kvv_masks(graphs, rngs)
     if config.strategy == "mgs":
         return mgs(graphs, guidance, rngs)
     if config.strategy == "random":
@@ -273,15 +300,16 @@ def draw(graphs: Sequence[RealizedGraph], config: StrategyConfig, rngs: Sequence
     return varopt_sparsify(graphs, guidance, rngs)
 
 
-def run_strategy(graph: RealizedGraph, config: StrategyConfig, drawn: object) -> StrategyOutcome:
+def run_strategy(graph: RealizedGraph, config: StrategyConfig, drawn: object,
+                 most: int | None = None) -> StrategyOutcome:
     """Score one configured strategy on a realization from what ``draw`` drew
     for it; offline is the trial kernel's own maximum matching and never comes
-    here.  kvv and mgs are scored by their own irrevocable matches, ranking by
-    the ``drawn`` ranks and committing to the ``drawn`` suggestions, and a
-    budgeted strategy by the coordinator's maximum matching of the ``drawn``
-    reports."""
+    here.  kvv and mgs are scored by their own irrevocable matches, ranking on
+    the ``drawn`` rank-relabeled masks and committing to the ``drawn``
+    suggestions, and a budgeted strategy by the coordinator's maximum matching
+    of the ``drawn`` reports, bounded by ``most`` (see ``_coordinate``)."""
     if config.strategy == "kvv":
         return kvv_ranking(graph, drawn)
     if config.strategy == "mgs":
         return _committed(graph, drawn)
-    return _coordinate(graph, drawn)
+    return _coordinate(graph, drawn, most)

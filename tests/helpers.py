@@ -53,7 +53,7 @@ import numpy as np
 
 from sparsematch.instance import PROB_TOL, DemandType, RealizedGraph, StochasticInstance, realize
 from sparsematch.matching import BipartiteEdgeList, MatchingResult, bitset_matching, integer_ids
-from sparsematch.rng import RngStream, StreamRows, arrival_stream_ids
+from sparsematch.rng import RngStream, StreamRows, substream_ids
 from sparsematch.strategies import StrategyOutcome, draw, run_strategy
 from sparsematch.varopt import BatchSampler
 from sparsematch.weights import _FLOW_EPS, CopyMarginals, FractionalSolution
@@ -124,7 +124,7 @@ def choice_without_replacement(gen: np.random.Generator, d: int, k: int) -> set[
 
 def arrival_rows(rng: RngStream, n: int) -> StreamRows:
     """The streams ``rng.substream("arrival", i)``, i < n, as rows."""
-    ids = arrival_stream_ids(np.full(n, rng.stream_id, dtype=np.uint64), np.arange(n))
+    ids = substream_ids(np.full(n, rng.stream_id, dtype=np.uint64), "arrival", np.arange(n))
     return StreamRows(np.full(n, rng.seed, dtype=np.uint64), ids)
 
 
@@ -235,7 +235,7 @@ def varopt_draws(samplers, rng: RngStream) -> list[tuple[int, ...]]:
     rows = np.flatnonzero(batch.draws[which] > 0)
     if len(rows):
         streams = StreamRows(np.full(len(rows), rng.seed, dtype=np.uint64),
-                             arrival_stream_ids(np.full(len(rows), rng.stream_id, dtype=np.uint64), rows))
+                             substream_ids(np.full(len(rows), rng.stream_id, dtype=np.uint64), "arrival", rows))
         for i, light in zip(rows.tolist(), batch.draw(which[rows], streams).tolist()):
             draws[i] = tuple(sorted(draws[i] + tuple(x for x in light if x >= 0)))
     return draws
@@ -911,7 +911,8 @@ def row_graph(rows, right: int) -> BipartiteEdgeList:
 
 def draw_and_score(graph: RealizedGraph, config, rng: RngStream, guidance=None) -> StrategyOutcome:
     """``run_strategy`` on what ``draw`` draws for one graph alone."""
-    return run_strategy(graph, config, draw([graph], config, [rng], guidance)[0])
+    (drawn,) = draw([graph], config, [rng], guidance)
+    return run_strategy(graph, config, drawn)
 
 
 def realized_edge_list(graph: RealizedGraph) -> BipartiteEdgeList:

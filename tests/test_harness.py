@@ -2,6 +2,7 @@ import json
 from datetime import datetime
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from helpers import complete_uniform, realized_edge_list, records_instance
@@ -10,6 +11,7 @@ from sparsematch.harness import (
     EfficiencySummary,
     ExperimentConfig,
     UnmetDemandSeries,
+    _trial_streams,
     bound_report,
     ci95,
     learn_weight_sources,
@@ -263,6 +265,22 @@ def test_trial_results_independent_of_scheduling(monkeypatch):
             assert kernel_scores(bounds, subset, **by_k) == {t: bound_order[t] for t in subset}
 
 
+@pytest.mark.parametrize("seed", [0, 7, 2**63 - 1, 2**63, 2**64 - 2**10 - 1])
+def test_trial_streams_in_one_pass_equal_substreams_one_by_one(seed):
+    """The kernel's one-pass streams are ``stream.substream(t, *keys)`` taken one
+    by one: no key (the realizations), str keys (labels) and int keys (the bound
+    report keys by k), for parent stream ids on both sides of 2^63 and trial ids
+    up to 2^64 - 1."""
+    trials = [0, 1, 2, 99, 2**32, 2**63 - 1, 2**63, 2**64 - 1]
+    for stream_id in (0, 5, 2**63 - 1, 2**63, 2**64 - 1):
+        stream = RngStream(seed, stream_id)
+        for keys in ((), ("kvv",), ("varopt k=3",), (3,), (10,), (0,)):
+            got = list(_trial_streams(stream, np.array(trials, dtype=np.uint64), *keys))
+            expected = [stream.substream(t, *keys) for t in trials]
+            assert [(s.seed, s.stream_id) for s in got] == [(s.seed, s.stream_id) for s in expected], keys
+        assert list(_trial_streams(stream, np.array([], dtype=np.uint64), "kvv")) == []
+
+
 def test_kernel_scores_offline_only_when_asked():
     config = small_config()
     with_offline = kernel_scores(config, [0, 1, 2])
@@ -297,19 +315,22 @@ def test_kernel_draws_once_per_strategy_and_scores_only_its_draws(monkeypatch):
     # draw runs exactly once per strategy of a run other than offline;
     # run_strategy never scores offline, every budgeted call gets one report
     # per arrival, every mgs call its two suggestions per type, and every kvv
-    # call a permutation of the resources as their ranks
+    # call the type masks relabeled by a permutation of the resources as their ranks
     from sparsematch import harness, strategies
 
-    drawn, scored = [], []
+    drawn, scored, ranks = [], [], {}
     draw, run_strategy = strategies.draw, strategies.run_strategy
 
     def tracked_draw(graphs, config, rngs, guidance=None):
         drawn.append(config)
+        if config.strategy == "kvv":  # the ranks a fresh generator on each graph's stream draws
+            ranks.update({id(graph): RngStream(rng.seed, rng.stream_id).generator.permutation(
+                graph.instance.resource_count) for graph, rng in zip(graphs, rngs)})
         return draw(graphs, config, rngs, guidance)
 
-    def tracked_run_strategy(graph, config, draws):
+    def tracked_run_strategy(graph, config, draws, most=None):
         scored.append((config, graph, draws))
-        return run_strategy(graph, config, draws)
+        return run_strategy(graph, config, draws, most=most)
 
     for module in (strategies, harness):
         monkeypatch.setattr(module, "draw", tracked_draw)
@@ -325,9 +346,11 @@ def test_kernel_draws_once_per_strategy_and_scores_only_its_draws(monkeypatch):
             elif cfg.strategy == "mgs":
                 assert [len(suggestions) for suggestions in draws] == [graph.instance.type_count] * 2
             else:
-                assert sorted(draws.tolist()) == list(range(graph.instance.resource_count))
+                assert sorted(ranks[id(graph)].tolist()) == list(range(graph.instance.resource_count))
+                assert draws == graph.instance.type_masks(ranks[id(graph)])
         drawn.clear()
         scored.clear()
+        ranks.clear()
 
     config = small_config(strategies=(StrategyConfig("offline"), StrategyConfig("kvv"), StrategyConfig("mgs"),
                                       StrategyConfig("random", k=3), StrategyConfig("varopt", k=3)), trials=5)

@@ -23,6 +23,7 @@ from sparsematch.matching import (
     bitset_matching,
     matching_size,
     max_matching,
+    partners,
 )
 from sparsematch.rng import RngStream
 
@@ -449,6 +450,35 @@ def test_size_reader_equals_the_pair_kernel_on_generated_masks(max_side, example
     @hypothesis.given(graphs())
     def check(graph):
         assert_size_equals_the_pair_kernel(*graph)
+
+    check()
+
+
+@pytest.mark.parametrize("max_side, examples", [(8, 300), (60, 100)])
+def test_bounded_size_reader_on_generated_masks(max_side, examples):
+    """``matching_size(masks, right, most)`` is the unbounded size whenever
+    ``most`` is at least that size, and at least ``most`` otherwise; the bounded
+    ``partners`` is a matching on the masks' edges either way."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def graphs(draw):
+        right = draw(st.integers(0, max_side))
+        masks = draw(st.lists(st.integers(0, (1 << right) - 1), max_size=max_side))
+        return masks, right, draw(st.integers(0, max_side + 1))
+
+    @hypothesis.settings(max_examples=examples, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(graphs())
+    def check(graph):
+        masks, right, most = graph
+        size, bounded = matching_size(masks, right), matching_size(masks, right, most)
+        assert bounded == size if most >= size else most <= bounded <= size
+        pair_l = partners(masks, right, most)
+        matched = [(l, r) for l, r in enumerate(pair_l) if r != -1]
+        assert len(matched) == bounded
+        assert all(masks[l] >> r & 1 for l, r in matched)
+        assert len({r for _, r in matched}) == len(matched)
 
     check()
 

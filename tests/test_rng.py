@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import arrival_rows, choice_without_replacement, one_block_at_a_time
-from sparsematch.rng import RngStream, StreamRows, arrival_stream_ids, philox_blocks, philox_key, philox_keys
+from sparsematch.rng import RngStream, StreamRows, philox_blocks, philox_key, philox_keys, substream_ids
 
 
 def test_identical_keys_reproduce_sequences():
@@ -224,7 +224,7 @@ def _check_subsets(seed: int, tags: list[int], cases: list[tuple[int, int]]) -> 
     for k in sorted({k for _, k in cases}):
         arrivals = [i for i, (_, kk) in enumerate(cases) if kk == k]
         trial, arrival = np.repeat(np.arange(len(rngs)), len(arrivals)), np.tile(arrivals, len(rngs))
-        rows = StreamRows(np.full(len(trial), seed, dtype=np.uint64), arrival_stream_ids(parents[trial], arrival))
+        rows = StreamRows(np.full(len(trial), seed, dtype=np.uint64), substream_ids(parents[trial], "arrival", arrival))
         batch = rows.choice(np.array([cases[i][0] for i in arrival.tolist()]), k)
         for t, i, picked in zip(trial.tolist(), arrival.tolist(), batch.tolist()):
             d = cases[i][0]

@@ -212,7 +212,7 @@ def test_random_subgraph_uniform_marginals():
 def test_kvv_no_contention_matches_everything():
     inst = exclusive_pairs(8)
     graph = RealizedGraph(inst, tuple(range(8)))
-    outcome = kvv_ranking(graph, RngStream(5).generator.permutation(inst.resource_count))
+    outcome = kvv_ranking(graph, inst.type_masks(RngStream(5).generator.permutation(inst.resource_count)))
     assert outcome.matched == 8
 
 
@@ -227,7 +227,7 @@ def test_kvv_competitive_floor_on_families():
         if offline == 0:
             continue
         ranks = base.substream("k", t).generator.permutation(inst.resource_count)
-        ratios.append(kvv_ranking(graph, ranks).matched / offline)
+        ratios.append(kvv_ranking(graph, inst.type_masks(ranks)).matched / offline)
     mean = np.mean(ratios)
     stderr = np.std(ratios, ddof=1) / math.sqrt(len(ratios))
     assert mean >= 1 - 1 / math.e - 4 * stderr
@@ -249,7 +249,7 @@ def test_kvv_equals_the_row_scan_oracle():
             graph = realize(inst, base.substream(label, t))
             streams = [base.substream("rank", label, t) for _ in range(2)]
             ranks = streams[0].generator.permutation(inst.resource_count)
-            assert kvv_ranking(graph, ranks).matched == kvv_oracle(graph, streams[1]), (label, t)
+            assert kvv_ranking(graph, inst.type_masks(ranks)).matched == kvv_oracle(graph, streams[1]), (label, t)
 
 
 def test_mgs_single_type_single_resource():
@@ -492,8 +492,8 @@ def test_strategy_constants_drive_names_and_validation():
 
 def test_draw_requires_guidance_and_draws_kvv_ranks_as_a_fresh_permutation():
     # mgs and varopt draw nothing without guidance, and kvv's draw for each
-    # graph is the permutation of the resources that a fresh generator on its
-    # stream draws
+    # graph is the type masks relabeled by the permutation of the resources
+    # that a fresh generator on its stream draws
     inst = complete_uniform(8)
     graphs = [realize(inst, RngStream(1).substream(t)) for t in range(3)]
     rngs = [RngStream(2).substream(t) for t in range(3)]
@@ -501,10 +501,59 @@ def test_draw_requires_guidance_and_draws_kvv_ranks_as_a_fresh_permutation():
         draw(graphs[:1], StrategyConfig("mgs"), rngs[:1])
     with pytest.raises(ValueError, match="fractional solution"):
         draw([realize(complete_uniform(3), RngStream(1))], StrategyConfig("varopt", k=2), [RngStream(2)])
-    ranks = draw(graphs, StrategyConfig("kvv"), rngs)
-    assert len(ranks) == len(graphs)
-    for t, rank in enumerate(ranks):
-        assert rank.tolist() == RngStream(2).substream(t).generator.permutation(inst.resource_count).tolist()
+    masks = list(draw(graphs, StrategyConfig("kvv"), rngs))
+    assert len(masks) == len(graphs)
+    for t, drawn in enumerate(masks):
+        assert drawn == inst.type_masks(RngStream(2).substream(t).generator.permutation(inst.resource_count))
+
+
+@pytest.mark.parametrize("cells", [1, 3 * 20 * 20, None])  # a block of one trial, of three, of all
+def test_kvv_masks_in_blocks_equal_type_masks_of_each_trials_ranks(cells, monkeypatch):
+    """kvv draws each trial's rank-relabeled masks with one ``type_masks`` call per
+    ``MASK_CELLS`` block of trials, T = 7 not a multiple of the block, and every
+    trial's masks are ``type_masks`` of its fresh permutation."""
+    inst = complete_uniform(20)
+    if cells is not None:
+        monkeypatch.setattr(strategies, "MASK_CELLS", cells)
+    per = max(1, strategies.MASK_CELLS // (inst.type_count * inst.resource_count))
+    graphs = [realize(inst, RngStream(3).substream(t)) for t in range(7)]
+    rngs = [RngStream(4).substream(t) for t in range(7)]
+    blocks, type_masks = [], StochasticInstance.type_masks
+
+    def counted(self, relabel=None):
+        blocks.append(len(relabel))
+        return type_masks(self, relabel)
+
+    monkeypatch.setattr(StochasticInstance, "type_masks", counted)
+    drawn = list(draw(graphs, StrategyConfig("kvv"), rngs))
+    monkeypatch.setattr(StochasticInstance, "type_masks", type_masks)
+    assert blocks == [min(per, 7 - b) for b in range(0, 7, per)]
+    assert len(drawn) == len(graphs)
+    for t, masks in enumerate(drawn):
+        assert masks == inst.type_masks(RngStream(4).substream(t).generator.permutation(inst.resource_count))
+
+
+def test_kvv_draw_at_triangular_2000_holds_one_mask_block():
+    # One trial is a block here (2000 x 2000 cells > MASK_CELLS): handed out as
+    # the scoring loop reaches them, T = 20 trials' masks peak near one
+    # type_masks call's 4.6 MB (5.2 MB), where all of them at once peaked at 16 MB
+    import tracemalloc
+
+    inst = gen_kvv_triangular(2000)
+    graphs = [realize(inst, RngStream(3).substream(t)) for t in range(20)]
+    rngs = [RngStream(4).substream(t) for t in range(20)]
+    ranks = RngStream(5).generator.permutation(inst.resource_count)
+    tracemalloc.start()
+    try:
+        inst.type_masks(ranks)
+        one = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        for masks in draw(graphs, StrategyConfig("kvv"), rngs):
+            assert len(masks) == inst.type_count
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * one, f"peak {peak / 1e6:.1f} MB, one type_masks call {one / 1e6:.1f} MB"
 
 
 def test_every_declared_strategy_runs_through_run_strategy():
@@ -569,9 +618,9 @@ def counted_size_reader(monkeypatch) -> list[int]:
     """Patch the coordinator's size reader to record the report count of each call."""
     calls = []
 
-    def counted(masks, right):
+    def counted(masks, right, most=None):
         calls.append(len(masks))
-        return matching_size(masks, right)
+        return matching_size(masks, right, most)
 
     monkeypatch.setattr(strategies, "matching_size", counted)
     return calls
@@ -658,6 +707,28 @@ def test_size_reader_equals_the_pair_kernel_on_both_sparsifiers_reports():
                     for masks in reports:
                         expected = hopcroft_karp_oracle(row_graph(list(map(ids_of, masks)), n)).size
                         assert matching_size(masks, n) == bitset_matching(masks, n).size == expected
+
+
+def test_coordinator_with_the_offline_bound_equals_the_unbounded_one_on_both_sparsifiers_reports():
+    """The trial kernel bounds the coordinator by the trial's offline size, which
+    reports, a subset of the realized edges, cannot exceed: on random and varopt
+    reports of the four families (Monte Carlo guided, n=100), the bounded
+    coordinator scores what the unbounded one does, and some trials reach the bound."""
+    base = RngStream(113)
+    reached = 0
+    for name, family in sorted(FAMILIES.items()):
+        inst = family(100)
+        x = monte_carlo_weights(inst, 10, base.substream("weights", name))
+        graphs = [realize(inst, base.substream(name, t)) for t in range(4)]
+        offline = [full_matching(graph).size for graph in graphs]
+        for k in (3, 5, 10):
+            rngs = [base.substream("s", name, k, t) for t in range(4)]
+            for reports in (random_subgraph(graphs, k, rngs), varopt_sparsify(graphs, varopt_samplers(inst, x, k), rngs)):
+                for graph, size, masks in zip(graphs, offline, reports):
+                    unbounded = _coordinate(graph, masks)
+                    assert _coordinate(graph, masks, size) == unbounded, (name, k)
+                    reached += unbounded.matched == size
+    assert reached
 
 
 def test_sub_ulp_completions_at_table_size(monkeypatch):

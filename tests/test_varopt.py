@@ -7,7 +7,7 @@ from helpers import (VarOptSampler, batch, batch_items, bisect_threshold, ids_of
                      stacked, support_of, varopt_draw_oracle, varopt_draws, varopt_threshold_oracle)
 from sparsematch import varopt
 from sparsematch.generators import FAMILIES
-from sparsematch.rng import RngStream, StreamRows, arrival_stream_ids
+from sparsematch.rng import RngStream, StreamRows, substream_ids
 from sparsematch.strategies import varopt_samplers
 from sparsematch.weights import monte_carlo_weights, solve_expected_lp
 
@@ -322,7 +322,7 @@ def test_batch_rows_match_draw(one_block, monkeypatch):
     which, arrivals = np.repeat(np.arange(len(cases)), 60), np.tile(np.arange(60), len(cases))
     seeds = np.array([rng.seed for _, rng in cases], dtype=np.uint64)[which]
     parents = np.array([rng.stream_id for _, rng in cases], dtype=np.uint64)[which]
-    rows = stacked([s for s, _ in cases]).draw(which, StreamRows(seeds, arrival_stream_ids(parents, arrivals)))
+    rows = stacked([s for s, _ in cases]).draw(which, StreamRows(seeds, substream_ids(parents, "arrival", arrivals)))
     for q, i, light in zip(which.tolist(), arrivals.tolist(), rows.tolist()):
         sampler, rng = cases[q]
         light = [x for x in light if x >= 0]
