@@ -19,12 +19,11 @@ scores one trial's draw.  The two sparsifiers draw every drawing arrival as a
 row of ``rng.StreamRows``, in chunks of ``CHUNK_ROWS``, and arrivals whose
 report is fixed get no stream; mgs draws on each trial's guidance stream as a
 row of ``rng.StreamRows``; kvv keeps numpy's ``permutation`` and draws its
-type masks relabeled by those ranks, one ``type_masks`` call per block of
-trials that ``MASK_CELLS`` cells hold, handed out as they are scored.  kvv is
-scored by ranking on its relabeled masks, mgs by committing to its
-suggestions and a budgeted strategy by the coordinator's matching of its
-reports.  Every strategy reads the instance's CSR store and type masks alone,
-never its ``types`` view.
+type masks relabeled by those ranks, one ``type_masks`` call per trial as it
+is scored.  kvv is scored by ranking on its relabeled masks, mgs by
+committing to its suggestions and a budgeted strategy by the coordinator's
+matching of its reports.  Every strategy reads the instance's CSR store and
+type masks alone, never its ``types`` view.
 
 ``STRATEGY_NAMES`` declares the strategies; those in ``BUDGETED`` take a
 budget k and the others take none, those in ``GUIDED`` read guidance learned
@@ -38,11 +37,11 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
 from operator import or_
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .instance import MASK_CELLS, RealizedGraph, StochasticInstance, mask_ints
+from .instance import RealizedGraph, StochasticInstance, mask_ints
 from .matching import matching_size
 from .rng import RngStream, StreamRows, substream_ids
 from .varopt import BatchSampler
@@ -170,23 +169,6 @@ def kvv_ranking(graph: RealizedGraph, masks: list[int]) -> StrategyOutcome:
     return StrategyOutcome(matched, matched)
 
 
-def _kvv_masks(graphs: Sequence[RealizedGraph], rngs: Sequence[RngStream]) -> Iterator[list[int]]:
-    """Per graph, the type masks relabeled by the ranks of the resources, a fresh
-    ``rngs[g].generator.permutation``: ``instance.type_masks(ranks)``, built by
-    one ``type_masks`` call per block of as many trials as ``MASK_CELLS``
-    type x resource cells hold, and handed out as they are reached, so at
-    most one block of masks is held."""
-    if not graphs:
-        return
-    instance = graphs[0].instance
-    m, r = instance.type_count, instance.resource_count
-    per = max(1, MASK_CELLS // max(m * r, 1))
-    for b in range(0, len(graphs), per):
-        masks = instance.type_masks(np.array([rng.generator.permutation(r) for rng in rngs[b:b + per]]))
-        for q in range(0, len(masks), m):
-            yield masks[q:q + m]
-
-
 def _renormalized_cdfs(values: np.ndarray, cdf: list[float], at: np.ndarray, excluded: np.ndarray) -> np.ndarray:
     """Row r: ``cdf``, the weighted-choice cdf of the weights ``values``, or
     where ``excluded[r]``, that of ``values`` without entry ``at[r]``,
@@ -283,8 +265,8 @@ def draw(graphs: Sequence[RealizedGraph], config: StrategyConfig, rngs: Sequence
          guidance: object = None) -> Iterable:
     """What a strategy other than offline draws for many trials of one instance,
     per graph from ``rngs[g]``, in graph order: kvv its type masks relabeled by
-    the ranks of the resources, one ``permutation`` (``_kvv_masks``, handed out
-    a block at a time); mgs its suggestions (``mgs``, from the ``CopyMarginals`` in
+    the ranks of the resources, one ``permutation``, built as each graph is
+    reached; mgs its suggestions (``mgs``, from the ``CopyMarginals`` in
     ``guidance``); a budgeted strategy its reports, one resource bitmask per
     arrival (``random_subgraph``, or ``varopt_sparsify`` from the samplers in
     ``guidance``)."""
@@ -292,7 +274,8 @@ def draw(graphs: Sequence[RealizedGraph], config: StrategyConfig, rngs: Sequence
         raise ValueError(f"strategy {config.strategy!r} needs guidance learned from a "
                          "fractional solution: VarOpt samplers or copy marginals")
     if config.strategy == "kvv":
-        return _kvv_masks(graphs, rngs)
+        return (graph.instance.type_masks(rng.generator.permutation(graph.instance.resource_count))
+                for graph, rng in zip(graphs, rngs))
     if config.strategy == "mgs":
         return mgs(graphs, guidance, rngs)
     if config.strategy == "random":

@@ -6,12 +6,12 @@ y_ij = n * p_j * x_ij (source -> type arcs of capacity n * p_j, type ->
 resource arcs, resource -> sink arcs of capacity 1, so max flow equals the
 LP optimum), and a Monte Carlo estimator that averages matched-edge
 incidences of shuffled offline optima over simulated realizations.  The
-simulations run in blocks: one numpy pass relabels a block's type masks and
-rows, Hopcroft-Karp's partner list (``matching.partners``) is read once per
-simulation, and one numpy pass maps the partners back.  The flow's phases run
-on Python-int bitmasks of the arcs with residual, as ``matching.partners``
-does, its first as a greedy pass; they stop once the source's or the sink's
-arcs are all saturated.
+simulations run in blocks: one ``type_masks`` call per simulation relabels
+its type masks, one numpy pass a block's rows, Hopcroft-Karp's partner list
+(``matching.partners``) is read once per simulation, and one numpy pass maps
+the partners back.  The flow's phases run on Python-int bitmasks of the arcs
+with residual, as ``matching.partners`` does, its first as a greedy pass; they
+stop once the source's or the sink's arcs are all saturated.
 A solution is stored as the instance stores its types, a CSR store of its
 support, and ``FractionalSolution.build`` is the one place that checks one,
 whatever produced its (type, resource, value) entries.  Helpers split a
@@ -109,18 +109,15 @@ TypeChoices = tuple[tuple[int, ...], np.ndarray, list[float]]
 
 def _choices(offsets: np.ndarray, ids: np.ndarray, weights: np.ndarray) -> dict[int, TypeChoices]:
     """Every type j with entries ``offsets[j]:offsets[j + 1]`` of positive ``weights``
-    at resources ``ids``: its resources, weights and draw cdf.  The cdfs of the
-    types with one number of entries are one (types, entries) pass, whose row
-    sums and cumulative sums are each row's own, as numpy's weighted choice's are."""
-    bounds, resources, sizes = offsets.tolist(), ids.tolist(), np.diff(offsets)
-    cdfs = {}
-    for size in set(sizes.tolist()) - {0}:
-        types = np.flatnonzero(sizes == size)
-        rows = weights[offsets[types][:, None] + np.arange(size)]
-        cdf = (rows / rows.sum(axis=1)[:, None]).cumsum(axis=1)
-        cdfs.update(zip(types.tolist(), (cdf / cdf[:, -1:]).tolist()))
-    return {j: (tuple(resources[a:b]), weights[a:b], cdfs[j])
-            for j, (a, b) in enumerate(zip(bounds, bounds[1:])) if b > a}
+    at resources ``ids``: its resources, weights and draw cdf, built from its
+    weights alone as numpy's weighted choice builds it."""
+    bounds, resources = offsets.tolist(), ids.tolist()
+    choices = {}
+    for j, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        if b > a:
+            cdf = (weights[a:b] / weights[a:b].sum()).cumsum()
+            choices[j] = (tuple(resources[a:b]), weights[a:b], (cdf / cdf[-1]).tolist())
+    return choices
 
 
 @dataclass(frozen=True)
@@ -152,9 +149,9 @@ def _simulated_optima(instance: StochasticInstance, simulations: int, rng: RngSt
     then ``permutation(R)``, of ``rng.substream("shuffle", s)``: arrival a becomes
     row ``perm_l[a]`` and resource i bit ``perm_r[i]``, which randomizes the
     tie-breaking among optimal matchings, and the partners are mapped back.  A
-    block's relabeled type masks hold at most ``MASK_CELLS`` bits, or one
-    simulation's where those alone hold more; only the matching runs once per
-    simulation.
+    block's relabeled type masks, one ``type_masks`` call per simulation, hold
+    at most ``MASK_CELLS`` bits, or one simulation's where those alone hold
+    more.
     """
     if simulations < 1:
         raise ValueError("simulation count must be >= 1")
@@ -169,7 +166,8 @@ def _simulated_optima(instance: StochasticInstance, simulations: int, rng: RngSt
         if shuffled:
             gens = [rng.substream("shuffle", s).generator for s in sims]
             perm_l, perm_r = map(np.array, zip(*[(gen.permutation(n), gen.permutation(r)) for gen in gens]))
-            masks = np.array(instance.type_masks(perm_r), dtype=object)  # shuffle b's type j at b * m + j
+            masks = np.array([mask for perm in perm_r for mask in instance.type_masks(perm)],
+                             dtype=object)  # shuffle b's type j at b * m + j
             rows = np.empty_like(type_ids)
             np.put_along_axis(rows, perm_l, type_ids + m * np.arange(len(sims))[:, None], axis=1)
         else:
@@ -393,14 +391,10 @@ def heavy_light(x: FractionalSolution, k: int) -> BoundInputs:
     """Split the objective Z = Z_H + Z_L between support values above 1/k and the rest."""
     if k < 1:
         raise ValueError(f"budget k must be >= 1, got {k}")
-    threshold = 1.0 / k
     masses = (x.instance.arrivals * x.instance.probs)[x.types] * x.values
-    z_heavy = z_light = 0.0
-    for value, mass in zip(x.values.tolist(), masses.tolist()):
-        if value > threshold:
-            z_heavy += mass
-        else:
-            z_light += mass
+    heavy = x.values > 1.0 / k
+    # each side added left to right, as the objective is
+    z_heavy, z_light = (float(np.cumsum(masses[side])[-1]) if side.any() else 0.0 for side in (heavy, ~heavy))
     return BoundInputs(z=x.objective, z_heavy=z_heavy, z_light=z_light, k=k)
 
 

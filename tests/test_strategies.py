@@ -507,36 +507,10 @@ def test_draw_requires_guidance_and_draws_kvv_ranks_as_a_fresh_permutation():
         assert drawn == inst.type_masks(RngStream(2).substream(t).generator.permutation(inst.resource_count))
 
 
-@pytest.mark.parametrize("cells", [1, 3 * 20 * 20, None])  # a block of one trial, of three, of all
-def test_kvv_masks_in_blocks_equal_type_masks_of_each_trials_ranks(cells, monkeypatch):
-    """kvv draws each trial's rank-relabeled masks with one ``type_masks`` call per
-    ``MASK_CELLS`` block of trials, T = 7 not a multiple of the block, and every
-    trial's masks are ``type_masks`` of its fresh permutation."""
-    inst = complete_uniform(20)
-    if cells is not None:
-        monkeypatch.setattr(strategies, "MASK_CELLS", cells)
-    per = max(1, strategies.MASK_CELLS // (inst.type_count * inst.resource_count))
-    graphs = [realize(inst, RngStream(3).substream(t)) for t in range(7)]
-    rngs = [RngStream(4).substream(t) for t in range(7)]
-    blocks, type_masks = [], StochasticInstance.type_masks
-
-    def counted(self, relabel=None):
-        blocks.append(len(relabel))
-        return type_masks(self, relabel)
-
-    monkeypatch.setattr(StochasticInstance, "type_masks", counted)
-    drawn = list(draw(graphs, StrategyConfig("kvv"), rngs))
-    monkeypatch.setattr(StochasticInstance, "type_masks", type_masks)
-    assert blocks == [min(per, 7 - b) for b in range(0, 7, per)]
-    assert len(drawn) == len(graphs)
-    for t, masks in enumerate(drawn):
-        assert masks == inst.type_masks(RngStream(4).substream(t).generator.permutation(inst.resource_count))
-
-
 def test_kvv_draw_at_triangular_2000_holds_one_mask_block():
-    # One trial is a block here (2000 x 2000 cells > MASK_CELLS): handed out as
-    # the scoring loop reaches them, T = 20 trials' masks peak near one
-    # type_masks call's 4.6 MB (5.2 MB), where all of them at once peaked at 16 MB
+    # Built one trial at a time as the scoring loop reaches them, T = 20 trials'
+    # masks peak near one type_masks call's 4.6 MB (5.2 MB), where all of them
+    # at once peaked at 16 MB
     import tracemalloc
 
     inst = gen_kvv_triangular(2000)
